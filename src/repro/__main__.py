@@ -80,12 +80,13 @@ import json
 import sys
 
 from repro import __version__
+from repro.errors import ConfigurationError, TopologyError, WorkloadError
 from repro.metrics.report import format_table, series_summary
 from repro.obs.export import dump_jsonl, write_jsonl
 from repro.obs.records import RECORD_KINDS
 from repro.obs.tracer import DEFAULT_CAPACITY
 from repro.scenarios.presets import WORKLOAD_NAMES, paper_scenario
-from repro.scenarios.runner import run_scenario, scenario_metrics
+from repro.scenarios.runner import run_scenario
 from repro.sweep import SweepSpec, default_workers, run_sweep, smoke_spec
 
 COMMANDS = ("run", "trace", "sweep", "gap", "profile", "serve", "loadgen")
@@ -799,7 +800,19 @@ def _consistency_config(args: argparse.Namespace):
     )
 
 
-def run_main(args: argparse.Namespace) -> int:
+def _with_fault_and_consistency(config, args: argparse.Namespace):
+    """Apply the fault-injection and consistency flag groups to ``config``."""
+    faults = _fault_config(args)
+    if faults is not None:
+        config = config.replace(faults=faults)
+    consistency = _consistency_config(args)
+    if consistency is not None:
+        config = config.replace(consistency=consistency)
+    return config
+
+
+def run_config(args: argparse.Namespace):
+    """The :class:`ScenarioConfig` a parsed ``run`` command line describes."""
     config = paper_scenario(
         args.workload,
         high_load=args.high_load,
@@ -812,30 +825,40 @@ def run_main(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         check_invariants=args.check_invariants,
     )
-    faults = _fault_config(args)
-    if faults is not None:
-        config = config.replace(faults=faults)
-    consistency = _consistency_config(args)
-    if consistency is not None:
-        config = config.replace(consistency=consistency)
+    return _with_fault_and_consistency(config, args)
+
+
+def run_main(args: argparse.Namespace) -> int:
+    from repro.obs.profile import safe_metrics
+
+    config = run_config(args)
     print(f"running {config.name!r} ({args.distribution} distribution) ...")
     result = run_scenario(config)
+    # Start/equilibrium statistics need two full buckets; a short run
+    # reports them as n/a instead of failing after the simulation.
+    metrics = safe_metrics(result)
+    engine_mode = result.engine_mode()
+
+    def shown(name: str, spec: str, unit: str = "") -> str:
+        value = metrics.get(name)
+        return "n/a" if value is None else f"{value:{spec}}{unit}"
 
     print()
     print(series_summary("bandwidth (byte-hops/min)", result.bandwidth.payload_series()))
     print(series_summary("mean latency (s)", result.latency.mean_latency_series()))
     rows = [
+        ["engine", engine_mode],
         ["requests serviced / dropped",
          f"{result.latency.completed} / {result.latency.dropped}"],
-        ["bandwidth reduction", f"{result.bandwidth_reduction():.1%}"],
-        ["per-request bandwidth reduction", f"{result.proximity_reduction():.1%}"],
-        ["latency equilibrium", f"{result.latency_equilibrium():.3f} s"],
-        ["replicas per object", f"{result.replicas_per_object():.2f}"],
+        ["bandwidth reduction", shown("bandwidth_reduction", ".1%")],
+        ["per-request bandwidth reduction", shown("proximity_reduction", ".1%")],
+        ["latency equilibrium", shown("latency_equilibrium", ".3f", " s")],
+        ["replicas per object", shown("replicas_per_object", ".2f")],
         ["overhead (full-scale equiv.)",
-         f"{result.overhead_fraction_fullscale():.2%}"],
+         shown("overhead_fraction_fullscale", ".2%")],
         ["settled max load",
-         f"{result.max_load_settled():.1f} req/s "
-         f"(hw {config.protocol.high_watermark:g})"],
+         shown("max_load_settled", ".1f", " req/s")
+         + f" (hw {config.protocol.high_watermark:g})"],
         ["relocations", f"{len(result.system.placement_events)}"],
     ]
     if result.system.fault_plane is not None:
@@ -880,9 +903,13 @@ def run_main(args: argparse.Namespace) -> int:
     print()
     print(format_table(["metric", "value"], rows))
     if args.json_out:
-        metrics = scenario_metrics(result)
         with open(args.json_out, "w") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
+            json.dump(
+                {**metrics, "engine_mode": engine_mode},
+                handle,
+                indent=2,
+                sort_keys=True,
+            )
             handle.write("\n")
         print(f"wrote metrics to {args.json_out}")
     return 0
@@ -1263,6 +1290,8 @@ def _populate_profile_parser(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="how many functions to list by cumulative time (default: 25)",
     )
+    _add_fault_options(parser)
+    _add_consistency_options(parser)
     parser.add_argument(
         "--json",
         dest="json_out",
@@ -1292,6 +1321,7 @@ def profile_main(args: argparse.Namespace) -> int:
         )
     if args.no_fast_lane:
         config = config.replace(fast_lane=False)
+    config = _with_fault_and_consistency(config, args)
 
     print(f"profiling {config.name} ({config.duration:g}s simulated)...")
     walls = stage_walltimes(config, topology=topology)
@@ -1304,6 +1334,7 @@ def profile_main(args: argparse.Namespace) -> int:
         f"-> {walls['requests_per_sec']:,.0f} req/s"
     )
     counters = breakdown["counters"]
+    print(f"engine: {breakdown['engine_mode']}")
     print(
         f"requests: {counters['requests_completed']} completed "
         f"({counters['requests_fast_lane']} fast lane, "
@@ -1354,7 +1385,13 @@ def main(argv: list[str] | None = None) -> int:
     ):
         argv = ["run", *argv]
     args = build_cli().parse_args(argv)
-    return _COMMAND_MAINS[args.command](args)
+    try:
+        return _COMMAND_MAINS[args.command](args)
+    except (ConfigurationError, WorkloadError, TopologyError) as exc:
+        # Bad input, not a bug: one line, argparse's exit status.
+        # ProtocolError/SimulationError stay loud tracebacks on purpose.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,12 +16,11 @@ pipeline that simulates the **same events at the same times with the same
 sequence numbers** and produces **bit-identical metrics**:
 
 * Request/response legs skip ``Network.transmit``.  Hop counts come from
-  pre-bound distance rows, delays from per-hop-count tables precomputed
-  with ``Network.delay`` (identical float arithmetic), and byte-hops are
-  aggregated as integer per-``(bucket, hops)`` counters folded into the
-  :class:`~repro.metrics.bandwidth.BandwidthCollector` at
-  :meth:`FastLane.flush` — exact, because byte-hop values are integers
-  and integer float sums are associative below 2**53.
+  pre-bound distance rows, delays from the transport's own hop-indexed
+  tables (``Network.delay_table``), and byte-hops are aggregated as
+  integer per-``(bucket, hops)`` counters folded into the transport's
+  traffic cells (``Network.absorb_traffic``) at :meth:`FastLane.flush`
+  — exact, because every quantity involved is an integer.
 * ``ChooseReplica``'s sole-replica branch is inlined; multi-replica
   objects use the (micro-optimised) redirector method unchanged.
 * No ``RequestRecord`` exists on the happy path.  The pipeline carries
@@ -86,7 +85,7 @@ def fast_lane_blockers(
         blockers.append("simulator tracing enabled")
     if list(system.request_observers) != [latency._observe]:
         blockers.append("extra request observers")
-    if list(network._observers) != [bandwidth._observe]:
+    if network._observers or bandwidth.traffic is not network.traffic:
         blockers.append("extra network observers")
     services = system.redirectors.services
     if any(type(service) is not RedirectorService for service in services):
@@ -158,11 +157,8 @@ class FastLane:
         "_bw_width",
         "_req_counts",
         "_resp_counts",
-        "_req_hops_total",
-        "_resp_hops_total",
         "_chose_sole",
         "_latency",
-        "_bandwidth",
         "_samples",
         "_lat_width",
         "_lat_sums",
@@ -206,24 +202,16 @@ class FastLane:
         self._row_from_r = dist[rnode]
         self._request_bytes = system.request_bytes
         self._object_size = system.object_size
-        # Delay tables per hop count, computed by the transport's own
-        # arithmetic so fast-lane delays are the exact floats transmit()
-        # would produce.
+        # The transport's own delay tables, filled through the diameter:
+        # the exact floats transmit() produces.
         max_hops = max(max(row) for row in dist)
-        self._delay_req = [
-            network.delay(h, system.request_bytes) for h in range(max_hops + 1)
-        ]
-        self._delay_resp = [
-            network.delay(h, system.object_size) for h in range(max_hops + 1)
-        ]
+        self._delay_req = network.delay_table(system.request_bytes, max_hops)
+        self._delay_resp = network.delay_table(system.object_size, max_hops)
         self._bw_width = bandwidth.bucket
         self._req_counts: dict[tuple[int, int], int] = {}
         self._resp_counts: dict[tuple[int, int], int] = {}
-        self._req_hops_total = 0
-        self._resp_hops_total = 0
         self._chose_sole = 0
         self._latency = latency
-        self._bandwidth = bandwidth
         self._samples = latency.samples
         (
             self._lat_width,
@@ -284,7 +272,6 @@ class FastLane:
             if server is None:
                 # The classic path sets request_hops only after leg 2, so
                 # the failed record keeps its zero default.
-                self._req_hops_total += hops1
                 self.requests_slow += 1
                 record = RequestRecord(
                     obj=obj, gateway=gateway, server=-1, issued_at=now
@@ -295,7 +282,6 @@ class FastLane:
         if hops2:
             key = (bucket, hops2)
             req_counts[key] = req_counts.get(key, 0) + 1
-        self._req_hops_total = self._req_hops_total + hops1 + hops2
         delay = self._delay_req[hops1] + self._delay_req[hops2]
         self._push(
             now + delay, self._arrive, (server, obj, gateway, now, hops1 + hops2)
@@ -375,7 +361,6 @@ class FastLane:
             resp_counts = self._resp_counts
             key = (bucket, hops)
             resp_counts[key] = resp_counts.get(key, 0) + 1
-            self._resp_hops_total += hops
         delay = self._delay_resp[hops]
         if delay > 0:
             self._push(now + delay, self._finish, (issued_at, hops))
@@ -423,23 +408,13 @@ class FastLane:
         sums, so the result is bit-identical to per-event accounting.
         """
         network = self._network
-        if self._req_hops_total:
-            network.byte_hops[MessageClass.REQUEST] += (
-                self._request_bytes * self._req_hops_total
-            )
-            self._req_hops_total = 0
-        if self._resp_hops_total:
-            network.byte_hops[MessageClass.RESPONSE] += (
-                self._object_size * self._resp_hops_total
-            )
-            self._resp_hops_total = 0
         if self._req_counts:
-            self._bandwidth.absorb_counts(
+            network.absorb_traffic(
                 MessageClass.REQUEST, self._request_bytes, self._req_counts
             )
             self._req_counts = {}
         if self._resp_counts:
-            self._bandwidth.absorb_counts(
+            network.absorb_traffic(
                 MessageClass.RESPONSE, self._object_size, self._resp_counts
             )
             self._resp_counts = {}

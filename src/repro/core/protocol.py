@@ -396,11 +396,13 @@ class HostingSystem:
 
     def submit_request(self, gateway: NodeId, obj: ObjectId) -> RequestRecord:
         """A client request enters the platform at ``gateway``."""
-        record = RequestRecord(
-            obj=obj, gateway=gateway, server=-1, issued_at=self.sim.now
-        )
+        # Each stage reads the clock once and straight from the slot:
+        # ``sim.now`` is a Python-level property, paid per read.
+        sim = self.sim
+        record = RequestRecord(obj, gateway, -1, sim._now)
         redirector = self.redirectors.for_object(obj)
-        hops1, delay1, delivered = self.network.transmit(
+        transmit = self.network.transmit
+        hops1, delay1, delivered = transmit(
             gateway, redirector.node, self.request_bytes, MessageClass.REQUEST
         )
         if not delivered:
@@ -409,7 +411,7 @@ class HostingSystem:
         server = redirector.choose_replica(gateway, obj)
         if server is None:
             return self._fail_request(record)
-        hops2, delay2, delivered = self.network.transmit(
+        hops2, delay2, delivered = transmit(
             redirector.node, server, self.request_bytes, MessageClass.REQUEST
         )
         record.request_hops = hops1 + hops2
@@ -419,15 +421,15 @@ class HostingSystem:
         # Pipeline hops are never cancelled: the handle-free post_* paths
         # skip the Event allocation on every request.
         if delay > 0:
-            self.sim.post_after(delay, self._arrive_at_host, server, record)
+            sim.post_after(delay, self._arrive_at_host, server, record)
         else:
-            self.sim.post_at(self.sim.now, self._arrive_at_host, server, record)
+            sim.post_at(sim._now, self._arrive_at_host, server, record)
         return record
 
     def _fail_request(self, record: RequestRecord) -> RequestRecord:
         """No available replica: the request cannot be serviced."""
         record.failed = True
-        record.completed_at = self.sim.now
+        record.completed_at = self.sim._now
         self.failed_requests += 1
         for observer in self.request_observers:
             observer(record)
@@ -436,7 +438,7 @@ class HostingSystem:
     def _lose_request(self, record: RequestRecord) -> RequestRecord:
         """The request (or its response) vanished in transit."""
         record.lost = True
-        record.completed_at = self.sim.now
+        record.completed_at = self.sim._now
         self.lost_requests += 1
         for observer in self.request_observers:
             observer(record)
@@ -456,7 +458,7 @@ class HostingSystem:
             exclude = None
             if self.fault_plane is not None:
                 if self.failure_detector is not None:
-                    self.failure_detector.note_request_failure(server, self.sim.now)
+                    self.failure_detector.note_request_failure(server, self.sim._now)
                 record.retries += 1
                 if record.retries > MAX_REQUEST_RETRIES:
                     self._fail_request(record)
@@ -480,7 +482,7 @@ class HostingSystem:
             return
         if self.failure_detector is not None:
             self.failure_detector.note_request_success(server)
-        now = self.sim.now
+        now = self.sim._now
         admitted = host.enqueue(now)
         record.server = server
         if admitted is None:
@@ -520,7 +522,7 @@ class HostingSystem:
             self._finish_request(record)
 
     def _finish_request(self, record: RequestRecord) -> None:
-        record.completed_at = self.sim.now
+        record.completed_at = self.sim._now
         for observer in self.request_observers:
             observer(record)
 

@@ -1,18 +1,25 @@
 """Backbone bandwidth accounting (Figures 6 and 7).
 
 "The bandwidth is determined by summing the number of bytes transmitted
-on each hop" — i.e. byte-hops.  The collector observes every network send
-and buckets byte-hops over time, split by traffic class, so the harness
-can report both the payload bandwidth trajectory (Figure 6) and the
-relocation overhead as a fraction of total traffic (Figure 7).
+on each hop" — i.e. byte-hops.  The transport meters every send into
+integer per-``(bucket, class)`` cells (:meth:`Network.meter_traffic`);
+this collector is the read-time view over that table, so the harness can
+report both the payload bandwidth trajectory (Figure 6) and the
+relocation overhead as a fraction of total traffic (Figure 7) while a
+message costs two integer adds.  Byte-hops are integers below 2**53, so
+every series and total here is exact whatever the order of sends,
+duplicates and fast-lane folds.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.metrics.collectors import BucketedSeries, TimeSeries
 from repro.network.message import OVERHEAD_CLASSES, MessageClass
 from repro.network.transport import Network
-from repro.types import NodeId, Time
+
+PAYLOAD_CLASSES = frozenset(MessageClass) - OVERHEAD_CLASSES
 
 
 class BandwidthCollector:
@@ -20,48 +27,27 @@ class BandwidthCollector:
 
     def __init__(self, network: Network, *, bucket: float = 60.0) -> None:
         self.bucket = bucket
-        self._by_class: dict[MessageClass, BucketedSeries] = {
-            cls: BucketedSeries(bucket) for cls in MessageClass
-        }
-        network.add_observer(self._observe)
+        #: The transport's live table: bucket -> class -> [byte_hops, messages].
+        self.traffic = network.meter_traffic(bucket)
 
-    def _observe(
-        self,
-        time: Time,
-        source: NodeId,
-        target: NodeId,
-        hops: int,
-        size: int,
-        message_class: MessageClass,
-    ) -> None:
-        if hops:
-            self._by_class[message_class].add(time, float(size) * hops)
-
-    def absorb_counts(
-        self,
-        message_class: MessageClass,
-        size: int,
-        counts: dict[tuple[int, int], int],
-    ) -> None:
-        """Fold aggregated fast-lane traffic into the bucketed series.
-
-        ``counts`` maps ``(bucket, hops)`` to the number of ``size``-byte
-        messages of ``message_class`` that crossed ``hops`` links in that
-        bucket.  Byte-hop values are integers, so the folded sums are
-        bit-identical to per-message :meth:`_observe` calls regardless of
-        interleaving with directly observed (slow-path) traffic.
-        """
-        series = self._by_class[message_class]
-        for (bucket, hops), count in counts.items():
-            series.bulk_add(bucket, float(size) * hops, count)
+    def _series(self, classes: Iterable[MessageClass]) -> BucketedSeries:
+        """The traffic of ``classes`` folded into one bucketed series."""
+        classes = tuple(classes)
+        series = BucketedSeries(self.bucket)
+        for bucket, cells in self.traffic.items():
+            for cls in classes:
+                byte_hops, messages = cells[cls]
+                if messages:
+                    series.bulk_add(bucket, float(byte_hops), messages)
+        return series
 
     def class_series(self, message_class: MessageClass) -> TimeSeries:
         """Byte-hops per bucket for one traffic class."""
-        return self._by_class[message_class].sums()
+        return self._series((message_class,)).sums()
 
     def total_series(self) -> TimeSeries:
         """Byte-hops per bucket over all traffic classes."""
-        return self._merged(set(MessageClass))
+        return self._series(MessageClass).sums()
 
     def payload_series(self) -> TimeSeries:
         """Byte-hops per bucket excluding relocation overhead.
@@ -69,27 +55,11 @@ class BandwidthCollector:
         This is the quantity Figure 6 plots: the traffic due to servicing
         client requests (responses dominate; requests are small).
         """
-        return self._merged(set(MessageClass) - set(OVERHEAD_CLASSES))
+        return self._series(PAYLOAD_CLASSES).sums()
 
     def overhead_series(self) -> TimeSeries:
         """Byte-hops per bucket for relocation + control traffic."""
-        return self._merged(set(OVERHEAD_CLASSES))
-
-    def _merged(self, classes: set[MessageClass]) -> TimeSeries:
-        merged: dict[float, float] = {}
-        for cls in classes:
-            for time, value in self._by_class[cls].sums().items():
-                merged[time] = merged.get(time, 0.0) + value
-        series = TimeSeries()
-        if not merged:
-            return series
-        times = sorted(merged)
-        first, last = times[0], times[-1]
-        t = first
-        while t <= last + 1e-9:
-            series.append(t, merged.get(t, 0.0))
-            t += self.bucket
-        return series
+        return self._series(OVERHEAD_CLASSES).sums()
 
     def overhead_fraction_series(self) -> TimeSeries:
         """Overhead byte-hops as a fraction of total, per bucket (Fig. 7)."""
@@ -101,10 +71,10 @@ class BandwidthCollector:
         return series
 
     def total_byte_hops(self) -> float:
-        return sum(s.total() for s in self._by_class.values())
+        return self._series(MessageClass).total()
 
     def overhead_byte_hops(self) -> float:
-        return sum(self._by_class[cls].total() for cls in OVERHEAD_CLASSES)
+        return self._series(OVERHEAD_CLASSES).total()
 
     def overhead_fraction(self) -> float:
         """Run-wide overhead share of total traffic."""

@@ -81,16 +81,16 @@ class BucketedSeries:
         self._sums[bucket] = self._sums.get(bucket, 0.0) + value
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
 
-    def bulk_add(self, bucket: int, value: float, count: int) -> None:
-        """Fold ``count`` identical ``value`` samples into one bucket.
+    def bulk_add(self, bucket: int, total: float, count: int) -> None:
+        """Fold ``count`` samples summing to ``total`` into one bucket.
 
-        Equivalent to ``count`` calls of :meth:`add` with a time inside
-        the bucket — *bit*-equivalent when ``value`` is integer-valued
+        Equivalent to ``count`` calls of :meth:`add` with times inside
+        the bucket — *bit*-equivalent when the samples are integer-valued
         (integer float sums below 2**53 are exact and order-free), which
-        is how the request fast lane materialises byte-hop series from
-        per-(bucket, hop-count) accumulators at finalisation.
+        is how the bandwidth collector materialises byte-hop series from
+        the transport's integer traffic cells at read time.
         """
-        self._sums[bucket] = self._sums.get(bucket, 0.0) + value * count
+        self._sums[bucket] = self._sums.get(bucket, 0.0) + total
         self._counts[bucket] = self._counts.get(bucket, 0) + count
 
     def __len__(self) -> int:

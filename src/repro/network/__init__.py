@@ -21,7 +21,7 @@ receive handling on top of it.  With no fault plane attached both layers
 are pass-throughs, byte-identical to the reliable transport.
 """
 
-from repro.network.faults import FaultConfig, FaultPlane, Transit
+from repro.network.faults import FaultConfig, FaultPlane
 from repro.network.link import Link
 from repro.network.message import MessageClass
 from repro.network.rpc import RpcLayer, RpcOutcome
@@ -35,5 +35,4 @@ __all__ = [
     "Network",
     "RpcLayer",
     "RpcOutcome",
-    "Transit",
 ]

@@ -16,15 +16,21 @@ constructed, no draws happen, and every byte/delay computation is
 bit-identical to the reliable transport.  All fault machinery hangs off
 one ``is None`` check.
 
-Accounting semantics
---------------------
-A dropped message still charges its bytes to the backbone (it was
-transmitted and lost en route — the granularity of the per-link model is
-whole messages); a duplicated message charges its bytes twice.  Jitter
-adds a uniform extra delay of up to ``delay_jitter`` times the base
-delay.  Link and partition outages drop every message whose route
-crosses a failed link or the partition boundary, deterministically
-(no RNG draw is consumed for them).
+Verdict contract
+----------------
+:meth:`FaultPlane.verdict` decides one message's fate and returns two
+plain scalars ``(copies, extra_delay)``: ``copies`` is how many times
+the message is *delivered* — 0 dropped, 1 normal, 2 duplicated — and
+``extra_delay`` the jitter to add to its base delay.  The transport
+charges the message's bytes ``max(copies, 1)`` times: a dropped message
+still charges its bytes once (it was transmitted and lost en route —
+the granularity of the per-link model is whole messages); a duplicated
+message charges them twice.  Link and partition outages are checked
+first and drop deterministically (no RNG draw is consumed for them);
+then the draws happen in a fixed order — drop, duplicate, jitter — and
+each only when its probability (or the jitter fraction and the base
+delay) is non-zero, so a fixed seed yields a fixed fault history.
+Jitter is uniform in ``[0, delay_jitter * delay]``.
 """
 
 from __future__ import annotations
@@ -32,11 +38,14 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.network.message import MessageClass
 from repro.types import NodeId, Time
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.routing.routes_db import RoutingDatabase
 
 #: Hard cap on attempts for "eventually reliable" channels (registry
 #: notifications, bulk transfers): after this many losses the delivery is
@@ -200,21 +209,8 @@ class FaultConfig:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True, slots=True)
-class Transit:
-    """The fault plane's verdict on one message transmission.
-
-    ``copies`` is how many times the message's bytes cross the backbone
-    (1 normally, 2 when duplicated — and still 1 when dropped: the bytes
-    were transmitted and then lost).
-    """
-
-    dropped: bool
-    extra_delay: float = 0.0
-    copies: int = 1
-
-
-_DELIVERED = Transit(dropped=False)
+#: The verdict on a dropped message (see the module docstring).
+_DROPPED = (0, 0.0)
 
 
 class FaultPlane:
@@ -229,6 +225,15 @@ class FaultPlane:
     def __init__(self, config: FaultConfig, rng: random.Random) -> None:
         self.config = config
         self._rng = rng
+        # The config is frozen, so everything the per-message verdict
+        # reads is tabulated once: no attribute chain, no per-class
+        # ``getattr`` by name, no bound-method creation per draw.
+        self._random = rng.random
+        self._drop_prob: dict[MessageClass, float] = {
+            cls: config.drop_for(cls) for cls in MessageClass
+        }
+        self._duplicate_prob = config.duplicate_prob
+        self._delay_jitter = config.delay_jitter
         #: Messages dropped by random loss, per message class.
         self.dropped: dict[MessageClass, int] = {cls: 0 for cls in MessageClass}
         #: Messages dropped because their route crossed a failed link or
@@ -303,24 +308,21 @@ class FaultPlane:
         return bool(self._down_links or self._partitions)
 
     def crosses_fault(
-        self,
-        source: NodeId,
-        target: NodeId,
-        route: Callable[[], Sequence[NodeId]],
+        self, source: NodeId, target: NodeId, routes: "RoutingDatabase"
     ) -> bool:
         """Whether the source-target route crosses a failed link/partition.
 
-        ``route`` is a thunk so the (cached but non-free) route lookup is
-        only paid while topology faults are actually active.
+        The (cached but non-free) route is only resolved while a link
+        outage is active; partitions are decided by the endpoints alone.
         """
         for group in self._partitions:
             if (source in group) != (target in group):
                 return True
-        if self._down_links:
-            path = route()
-            down = self._down_links
+        down = self._down_links
+        if down:
+            path = routes.route(source, target)
             for a, b in zip(path, path[1:]):
-                if self._link_key(a, b) in down:
+                if ((a, b) if a < b else (b, a)) in down:
                     return True
         return False
 
@@ -328,33 +330,40 @@ class FaultPlane:
     # Per-message verdicts
     # ------------------------------------------------------------------
 
-    def transit(
+    def verdict(
         self,
+        routes: "RoutingDatabase",
         source: NodeId,
         target: NodeId,
         message_class: MessageClass,
         delay: Time,
-        route: Callable[[], Sequence[NodeId]],
-    ) -> Transit:
-        """Roll the fate of one message; counters are updated in place."""
-        if self.has_topology_faults and self.crosses_fault(source, target, route):
+    ) -> tuple[int, float]:
+        """Roll the fate of one message: ``(copies, extra_delay)``.
+
+        ``copies`` counts deliveries (0 = dropped, 2 = duplicated); see
+        the module docstring for the full contract.  Counters are
+        updated in place.
+        """
+        if (self._partitions or self._down_links) and self.crosses_fault(
+            source, target, routes
+        ):
             self.link_drops += 1
-            return Transit(dropped=True)
-        config = self.config
-        prob = config.drop_for(message_class)
-        if prob > 0.0 and self._rng.random() < prob:
+            return _DROPPED
+        random = self._random
+        prob = self._drop_prob[message_class]
+        if prob > 0.0 and random() < prob:
             self.dropped[message_class] += 1
-            return Transit(dropped=True)
-        copies = 1
-        if config.duplicate_prob > 0.0 and self._rng.random() < config.duplicate_prob:
-            copies = 2
+            return _DROPPED
+        prob = self._duplicate_prob
+        if prob > 0.0 and random() < prob:
             self.duplicated += 1
-        extra = 0.0
-        if config.delay_jitter > 0.0 and delay > 0.0:
-            extra = delay * config.delay_jitter * self._rng.random()
-        if copies == 1 and extra == 0.0:
-            return _DELIVERED
-        return Transit(dropped=False, extra_delay=extra, copies=copies)
+            copies = 2
+        else:
+            copies = 1
+        jitter = self._delay_jitter
+        if jitter > 0.0 and delay > 0.0:
+            return copies, delay * jitter * random()
+        return copies, 0.0
 
     def backoff_jitter(self) -> float:
         """One uniform draw in [0, 1) for RPC backoff jitter."""

@@ -29,6 +29,13 @@ class MessageClass(enum.Enum):
     #: Consistency maintenance traffic (primary-copy update propagation).
     UPDATE = "update"
 
+    # Every per-class counter on the per-message path (byte-hops, traffic
+    # cells, drop tallies, link bytes) is a dict keyed by a member.
+    # ``Enum.__hash__`` is a Python-level ``hash(self._name_)``; members
+    # are singletons compared by identity, so identity hashing is equally
+    # sound and stays in C.
+    __hash__ = object.__hash__
+
 
 #: Default size, in bytes, of a client request message (HTTP GET scale).
 DEFAULT_REQUEST_BYTES = 350

@@ -11,9 +11,16 @@ backbone.  For each send it
   Section 6.2), bucketed per traffic class,
 * optionally schedules a delivery callback on the simulator.
 
-Observers (metrics collectors) subscribe via :meth:`Network.add_observer`
-and receive ``(time, source, target, hops, size, message_class)`` for
-every send.
+What a message costs here is what is attached.  Hop counts come from
+pre-bound distance rows and delays from per-size hop-indexed tables
+filled by :meth:`Network.delay` itself (identical floats).  Bandwidth
+accounting is a pair of integer adds into the current time bucket's
+``[byte_hops, messages]`` cell (:meth:`Network.meter_traffic`; the
+:class:`~repro.metrics.bandwidth.BandwidthCollector` reads the table at
+query time).  The fault plane, the tracer, per-link counters and extra
+observers (:meth:`Network.add_observer`, called with ``(time, source,
+target, hops, size, message_class)`` for every send) each cost one
+truthiness check when absent.
 """
 
 from __future__ import annotations
@@ -30,6 +37,14 @@ from repro.types import NodeId, Time
 
 #: Signature of a traffic observer.
 TrafficObserver = Callable[[Time, NodeId, NodeId, int, int, MessageClass], None]
+
+#: One time bucket of metered traffic: class -> ``[byte_hops, messages]``.
+TrafficCells = dict[MessageClass, list[int]]
+
+#: Delay tables are kept for at most this many distinct message sizes
+#: (the pipeline uses three; anti-entropy digests add one per distinct
+#: object count); rarer sizes are computed per message.
+MAX_TABULATED_SIZES = 256
 
 
 class Network:
@@ -70,6 +85,9 @@ class Network:
             raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
         self._sim = sim
         self._routes = routes
+        self._dist = [routes.distance_row(node) for node in range(routes.num_nodes)]
+        #: size -> delays indexed by hop count, grown on demand.
+        self._delay_tables: dict[int, list[Time]] = {}
         self.hop_delay = hop_delay
         self.bandwidth = bandwidth
         self.store_and_forward = store_and_forward
@@ -92,6 +110,13 @@ class Network:
         self.byte_hops: dict[MessageClass, float] = {
             cls: 0.0 for cls in MessageClass
         }
+        #: Metered traffic, bucket index -> :data:`TrafficCells`; filled
+        #: from the first :meth:`meter_traffic` call on.  Integer sums, so
+        #: exact and order-free; bounded by buckets x classes.
+        self.traffic: dict[int, TrafficCells] = {}
+        self.traffic_bucket: float | None = None
+        self._bucket = -1
+        self._cells: TrafficCells = {}
 
     @property
     def routes(self) -> RoutingDatabase:
@@ -104,6 +129,54 @@ class Network:
     def add_observer(self, observer: TrafficObserver) -> None:
         """Register a callback invoked for every message sent."""
         self._observers.append(observer)
+
+    def meter_traffic(self, bucket: float) -> dict[int, TrafficCells]:
+        """Meter every later send into ``bucket``-second time buckets.
+
+        Returns the live :attr:`traffic` table.  Zero-hop sends cross no
+        link and are not metered.  A network meters at one width;
+        asking for a second one is an error (register an observer for
+        a differently bucketed view).
+        """
+        if bucket <= 0:
+            raise SimulationError(f"bucket width must be positive, got {bucket}")
+        if self.traffic_bucket is None:
+            self.traffic_bucket = bucket
+        elif self.traffic_bucket != bucket:
+            raise SimulationError(
+                f"traffic is already metered in {self.traffic_bucket:g} s buckets"
+            )
+        return self.traffic
+
+    def _open_bucket(self, bucket: int) -> None:
+        """Make ``bucket`` the one :meth:`_account` writes without a lookup."""
+        cells = self.traffic.get(bucket)
+        if cells is None:
+            cells = self.traffic[bucket] = {cls: [0, 0] for cls in MessageClass}
+        self._bucket = bucket
+        self._cells = cells
+
+    def absorb_traffic(
+        self,
+        message_class: MessageClass,
+        size: int,
+        counts: dict[tuple[int, int], int],
+    ) -> None:
+        """Account pre-aggregated sends (the request fast lane's flush).
+
+        ``counts`` maps ``(bucket, hops)`` to the number of ``size``-byte
+        messages of ``message_class`` that crossed ``hops`` links in that
+        bucket of the metered width.  All sums are integers, so the
+        result is identical to per-message accounting in any interleaving.
+        """
+        for (bucket, hops), count in counts.items():
+            amount = size * hops * count
+            self.byte_hops[message_class] += amount
+            if bucket != self._bucket:
+                self._open_bucket(bucket)
+            cell = self._cells[message_class]
+            cell[0] += amount
+            cell[1] += count
 
     def link(self, a: NodeId, b: NodeId) -> Link:
         """The :class:`Link` joining two adjacent nodes (if tracked)."""
@@ -129,6 +202,14 @@ class Network:
         if self.store_and_forward:
             return hops * (self.hop_delay + transmission)
         return hops * self.hop_delay + transmission
+
+    def delay_table(self, size: int, hops: int) -> list[Time]:
+        """The live hop-indexed delay table for ``size``-byte messages,
+        filled by :meth:`delay` at least through ``hops``."""
+        table = self._delay_tables.setdefault(size, [])
+        for h in range(len(table), hops + 1):
+            table.append(self.delay(h, size))
+        return table
 
     def send(
         self,
@@ -184,22 +265,28 @@ class Network:
         (bytes charged twice) or jittered (``delay`` grows).  Local
         delivery (zero hops) crosses no links and cannot be dropped.
         """
-        hops = self._routes.distance(source, target)
-        delay = self.delay(hops, size)
+        try:
+            hops = self._dist[source][target]
+        except IndexError:
+            hops = self._routes.distance(source, target)  # names the bad node
+        try:
+            delay = self._delay_tables[size][hops]
+        except (KeyError, IndexError):
+            if len(self._delay_tables) < MAX_TABULATED_SIZES:
+                delay = self.delay_table(size, hops)[hops]
+            else:
+                delay = self.delay(hops, size)
         faults = self.faults
-        if faults is None or hops == 0:
+        if faults is None or not hops:
             self._account(source, target, hops, size, message_class)
             return hops, delay, True
-        verdict = faults.transit(
-            source,
-            target,
-            message_class,
-            delay,
-            lambda: self._routes.route(source, target),
+        copies, extra_delay = faults.verdict(
+            self._routes, source, target, message_class, delay
         )
-        for _ in range(verdict.copies):
+        self._account(source, target, hops, size, message_class)
+        if copies == 2:
             self._account(source, target, hops, size, message_class)
-        return hops, delay + verdict.extra_delay, not verdict.dropped
+        return hops, delay + extra_delay, copies != 0
 
     def _account(
         self,
@@ -209,16 +296,26 @@ class Network:
         size: int,
         message_class: MessageClass,
     ) -> None:
-        self.byte_hops[message_class] += size * hops
-        if self._links is not None and hops:
-            route = self._routes.route(source, target)
-            for a, b in zip(route, route[1:]):
-                key = (a, b) if a < b else (b, a)
-                self._links[key].record(size, message_class)
+        if hops:
+            amount = size * hops
+            self.byte_hops[message_class] += amount
+            width = self.traffic_bucket
+            if width is not None:
+                bucket = int(self._sim._now // width)
+                if bucket != self._bucket:
+                    self._open_bucket(bucket)
+                cell = self._cells[message_class]
+                cell[0] += amount
+                cell[1] += 1
+            if self._links is not None:
+                route = self._routes.route(source, target)
+                for a, b in zip(route, route[1:]):
+                    key = (a, b) if a < b else (b, a)
+                    self._links[key].record(size, message_class)
         if self.tracer is not None:
             self.tracer.record_message(source, target, hops, size, message_class)
         if self._observers:
-            now = self._sim.now
+            now = self._sim._now
             for observer in self._observers:
                 observer(now, source, target, hops, size, message_class)
 

@@ -60,7 +60,7 @@ def _bucket_for(filename: str) -> str:
     return "runtime_other"
 
 
-def _safe_metrics(result: Any) -> dict[str, float]:
+def safe_metrics(result: Any) -> dict[str, float]:
     """Scalar metrics of the run, tolerant of too-short horizons.
 
     A profiling run may end before the first load-measurement tick, in
@@ -155,6 +155,7 @@ def profile_scenario(
             round(completed / wall, 1) if wall > 0 else 0.0
         ),
         "counters": counters,
+        "engine_mode": result.engine_mode(),
         "stage_seconds": {
             bucket: round(seconds, 4)
             for bucket, seconds in sorted(
@@ -163,7 +164,7 @@ def profile_scenario(
         },
         "profiled_seconds_total": round(total_profiled, 3),
         "top_functions": top_functions,
-        "metrics": _safe_metrics(result),
+        "metrics": safe_metrics(result),
     }
 
 

@@ -16,6 +16,7 @@ from repro.baselines import resolve_strategy
 from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.round_robin import RoundRobinRedirector
 from repro.consistency.plane import ConsistencyPlane
+from repro.core.fastlane import fast_lane_blockers
 from repro.core.protocol import HostingSystem
 from repro.core.redirector import RedirectorService
 from repro.errors import ConfigurationError
@@ -183,6 +184,14 @@ class ScenarioResult:
     #: The strategy's attached placer (None unless ``config.strategy``
     #: declares one, e.g. availability-aware).
     placer: object | None = None
+
+    def engine_mode(self) -> str:
+        """Which request pipeline carried the run, and if not the fast
+        lane, what stood it down (``fast_lane_blockers``)."""
+        if self.system.fast_lane is not None:
+            return "fast lane: installed"
+        blockers = fast_lane_blockers(self.system, self.bandwidth, self.latency)
+        return "stood down: " + ("; ".join(blockers) or "fast_lane=False")
 
     # -- Figure 6 -------------------------------------------------------
 

@@ -225,23 +225,27 @@ class Simulator:
                 # Untraced fast path: drain the queue inline.  Entries
                 # are raw ``(time, seq, handle, callback, args)`` tuples
                 # — no per-event method calls, hook probes, or Event
-                # materialisation.  Two bulk regimes, each valid while
-                # only one of the queue's two heads exists:
+                # materialisation.  Three bulk regimes, by which of the
+                # queue's two heads exist:
                 #
                 # * sorted-run drain (near heap empty) — the dominant
                 #   case mid-scenario: pops are a cursor increment;
                 # * near-heap drain (sorted run exhausted) — callback-
                 #   scheduling regimes where events land in the current
-                #   bucket.
+                #   bucket;
+                # * both heads — a callback pushed into the bucket being
+                #   drained (every request hop shorter than the bucket
+                #   width does): the smaller head is taken inline.
                 #
-                # The moment both heads exist — or the run is past the
-                # horizon, tombstoned, or exhausted — one general
-                # ``pop_until`` step handles head comparison and bucket
-                # pours.  Callbacks can push (the near list object is
-                # never replaced; ``_sorted`` is only replaced by pours,
-                # which never run from callbacks) and cancel (observed at
-                # head-read time); ``_sorted_pos`` is committed before
-                # every callback so cancellation sees a consistent queue.
+                # When a regime ends — the other head appeared or went
+                # away, or the run is past the horizon, tombstoned, or
+                # exhausted — one general ``pop_until`` step handles
+                # bucket pours and the horizon.  Callbacks can push (the
+                # near list object is never replaced; ``_sorted`` is only
+                # replaced by pours, which never run from callbacks) and
+                # cancel (observed at head-read time); ``_sorted_pos`` is
+                # committed before every callback so cancellation sees a
+                # consistent queue.
                 pop_until = queue.pop_until
                 near = queue._near
                 while True:
@@ -284,6 +288,39 @@ class Simulator:
                             head[3](*head[4])
                             if self._stopped:
                                 break
+                    else:
+                        # Both heads live (a callback pushed into the
+                        # bucket being drained): take the smaller by the
+                        # same ``(time, seq)`` tuple comparison
+                        # ``EventQueue._heads`` uses.  A tombstone is
+                        # skipped and the heads compared again.
+                        while pos < end and near:
+                            head = sorted_run[pos]
+                            from_near = near[0] < head
+                            if from_near:
+                                head = near[0]
+                            handle = head[2]
+                            if handle is not None and handle.cancelled:
+                                if from_near:
+                                    heappop(near)
+                                else:
+                                    pos += 1
+                                continue
+                            if until is not None and head[0] > until:
+                                break
+                            if from_near:
+                                heappop(near)
+                            else:
+                                pos += 1
+                            queue._sorted_pos = pos
+                            if handle is not None:
+                                handle._queue = None
+                            queue._live -= 1
+                            self._now = head[0]
+                            head[3](*head[4])
+                            if self._stopped:
+                                break
+                        queue._sorted_pos = pos
                     if self._stopped:
                         break
                     entry = pop_until(until)

@@ -56,6 +56,42 @@ def test_zero_hop_traffic_not_counted(setup):
     assert bandwidth.total_byte_hops() == 0.0
 
 
+@pytest.mark.parametrize("width", [0.1, 0.3])
+def test_series_sum_to_totals_at_non_integer_bucket_widths(width):
+    """Regression: the merged series walked ``t += width`` and looked the
+    float up among ``index * width`` keys, so at widths like 0.1 half the
+    traffic (buckets 0.6 … 1.1 of twelve) read 0.0."""
+    sim = Simulator()
+    system = make_system(sim, line_topology(4), num_objects=4)
+    bandwidth = BandwidthCollector(system.network, bucket=width)
+    account = system.network.account
+    for index in range(12):
+        at = index * 0.1 + 0.05
+        sim.schedule_at(at, account, 0, 2, 100, MessageClass.RESPONSE)
+        if index % 3 == 0:
+            sim.schedule_at(at, account, 0, 3, 10, MessageClass.CONTROL)
+    sim.run()
+    total = bandwidth.total_series()
+    payload = bandwidth.payload_series()
+    overhead = bandwidth.overhead_series()
+    assert bandwidth.total_byte_hops() == 12 * 200 + 4 * 30
+    assert sum(total.values) == bandwidth.total_byte_hops()
+    assert sum(overhead.values) == bandwidth.overhead_byte_hops() == 4 * 30
+    by_time = dict(total.items())
+    merged = dict.fromkeys(by_time, 0.0)
+    for series in (payload, overhead):
+        for time, value in series.items():
+            merged[time] += value
+    assert merged == by_time
+
+
+def test_second_collector_shares_the_meter(setup):
+    sim, system, bandwidth, _ = setup
+    system.network.account(0, 3, 1000, MessageClass.RESPONSE)
+    again = BandwidthCollector(system.network, bucket=10.0)
+    assert again.total_byte_hops() == bandwidth.total_byte_hops() == 3000.0
+
+
 def test_latency_statistics(setup):
     sim, system, _, latency = setup
     for _ in range(5):

@@ -15,14 +15,25 @@ must stay slotted, the request-path modules must not grow dataclasses
 home), and the fast lane's per-request methods must never iterate an
 observer list — the lane exists because the reference path's observer
 dispatch is the cost being bypassed.
+
+And to the per-message path every faulted, traced or consistency run
+takes (``network/transport.py``, ``network/faults.py``,
+``metrics/bandwidth.py``): see the last section.
 """
 
+import ast
 import dataclasses
+import enum
 import inspect
 import pathlib
+import textwrap
+
+import pytest
 
 from repro.core import fastlane, host, object_store
 from repro.load import metrics as load_metrics
+from repro.metrics import bandwidth
+from repro.network import faults, message, transport
 from repro.sim import engine, events
 
 SIM_DIR = pathlib.Path(inspect.getfile(events)).parent
@@ -137,3 +148,68 @@ def test_fast_lane_never_dispatches_observers():
             f"observer dispatch crept into FastLane.{method.__name__}: "
             f"{offenders}"
         )
+
+
+# ----------------------------------------------------------------------
+# The per-message path: network/transport.py, network/faults.py and the
+# bandwidth view in metrics/bandwidth.py
+# ----------------------------------------------------------------------
+
+#: Functions that run once (or more) per message on every non-lane run.
+PER_MESSAGE_FUNCTIONS = (
+    transport.Network.transmit,
+    transport.Network._account,
+    faults.FaultPlane.verdict,
+    faults.FaultPlane.crosses_fault,
+)
+
+
+def _called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+@pytest.mark.parametrize(
+    "function", PER_MESSAGE_FUNCTIONS, ids=lambda f: f.__qualname__
+)
+def test_per_message_functions_stay_allocation_lean(function):
+    """No closure, f-string, ``getattr``-by-name or dataclass
+    instantiation may creep back into a per-message function (the old
+    ``transmit``/``transit``/``drop_for`` trio had all four, and was 40 %
+    of a faulted run's drain)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    body = tree.body[0]
+    nested = [
+        type(node).__name__
+        for node in ast.walk(body)
+        if node is not body
+        and isinstance(node, (ast.Lambda, ast.FunctionDef, ast.JoinedStr))
+    ]
+    assert nested == [], f"closure/f-string in {function.__qualname__}"
+    module = inspect.getmodule(function)
+    dataclass_names = {
+        name
+        for name, value in vars(module).items()
+        if inspect.isclass(value) and dataclasses.is_dataclass(value)
+    }
+    called = set(_called_names(body))
+    assert "getattr" not in called
+    assert called & dataclass_names == set()
+
+
+def test_message_class_hash_stays_in_c():
+    """Per-class counters are dicts keyed by ``MessageClass`` members;
+    ``Enum.__hash__`` would put a Python call on every such lookup."""
+    assert message.MessageClass.__hash__ is not enum.Enum.__hash__
+    assert message.MessageClass.__hash__ is object.__hash__
+    assert {cls: 0 for cls in message.MessageClass}[message.MessageClass("update")] == 0
+
+
+def test_bandwidth_collector_is_not_on_the_per_message_path():
+    """The collector reads the transport's traffic cells at query time;
+    it must never go back to being a per-message observer."""
+    source = inspect.getsource(bandwidth)
+    assert "add_observer" not in source
+    assert "dataclass" not in source

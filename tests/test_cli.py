@@ -264,3 +264,96 @@ def test_gap_rejects_unknown_set_key():
 def test_gap_rejects_multi_valued_scalar():
     with pytest.raises(SystemExit):
         main(["gap", "--set", "gap.duration=10,20"])
+
+
+# ----------------------------------------------------------------------
+# Bad input is a message, not a traceback; short runs still report
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["run", "--loss", "1.5"], "drop_prob must be a probability"),
+        (["run", "--scale", "-1"], "scale"),
+        (["profile", "--dup", "2"], "duplicate_prob must be a probability"),
+        (["run", "--write-rate", "1", "--category-mix", "1:2"], "category mix"),
+    ],
+)
+def test_configuration_errors_exit_2_with_one_line(argv, fragment, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: error: ")
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_protocol_errors_stay_loud(monkeypatch):
+    """Only bad-input errors are folded into a message: a ProtocolError
+    is a bug in the program and must keep its traceback."""
+    from repro import __main__ as cli
+    from repro.errors import ProtocolError
+
+    def broken(args):
+        raise ProtocolError("registry out of sync")
+
+    monkeypatch.setitem(cli._COMMAND_MAINS, "run", broken)
+    with pytest.raises(ProtocolError):
+        main(["run"])
+
+
+def test_short_faulted_run_reports_na_and_engine_mode(tmp_path, capsys):
+    """A run shorter than two buckets used to simulate to the end and
+    then die in ``bandwidth_reduction()``."""
+    out = tmp_path / "short.json"
+    code = main(
+        ["run", "--duration", "20", "--scale", "0.05", "--loss", "0.01",
+         "--json", str(out)]
+    )  # fmt: skip
+    assert code == 0
+    text = capsys.readouterr().out
+    rows = {
+        line.split("  ")[0]: line.split("  ", 1)[1].strip()
+        for line in text.splitlines()
+        if "  " in line
+    }
+    assert rows["bandwidth reduction"] == "n/a"
+    assert rows["per-request bandwidth reduction"] == "n/a"
+    assert rows["engine"].startswith("stood down: fault plane attached")
+    metrics = json.loads(out.read_text())
+    assert "bandwidth_reduction" not in metrics
+    assert metrics["engine_mode"] == rows["engine"]
+    assert metrics["requests_completed"] > 0
+
+
+def test_fault_free_run_reports_fast_lane(capsys):
+    assert main(["run", "--workload", "uniform", "--scale", "0.05",
+                 "--duration", "40"]) == 0  # fmt: skip
+    assert "fast lane: installed" in capsys.readouterr().out
+
+
+def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
+    out = tmp_path / "profile.json"
+    code = main(
+        ["profile", "--preset", "zipf", "--scale", "0.05", "--duration", "30",
+         "--loss", "0.02", "--jitter", "0.005", "--write-rate", "5",
+         "--json", str(out)]
+    )  # fmt: skip
+    assert code == 0
+    assert "engine: stood down: fault plane attached" in capsys.readouterr().out
+    breakdown = json.loads(out.read_text())
+    assert "consistency plane attached" in breakdown["engine_mode"]
+    assert breakdown["metrics"]["messages_dropped"] > 0
+    assert breakdown["metrics"]["writes_applied"] > 0
+
+
+def test_golden_cli_flags_describe_the_golden_scenario():
+    """CI's fault smoke runs ``CLI_FLAGS`` and compares with the golden
+    file, so the flags must build exactly the refereed config."""
+    from repro.__main__ import run_config
+    from tests.integration.faulted_golden import CLI_FLAGS, GOLDEN_PATH, golden_scenario
+
+    assert json.loads(GOLDEN_PATH.read_text())["cli"] == list(CLI_FLAGS)
+    args = build_parser().parse_args([*CLI_FLAGS, "--seed", "2"])
+    assert run_config(args) == golden_scenario(2)

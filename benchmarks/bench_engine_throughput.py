@@ -125,15 +125,15 @@ def _fresh_system(traced: bool = False):
 
 
 def _pipeline_round(sim, system):
-    # Completion is observable only through the request-observer hook;
+    # Completion is observed through the served-observer hook;
     # with placement and faults off every submitted request completes.
     completed = 0
 
-    def _count(record):
+    def _count(obj, gateway, server, issued_at, response_hops):
         nonlocal completed
         completed += 1
 
-    system.request_observers.append(_count)
+    system.served_observers.append(_count)
     for i in range(PIPELINE_BATCH):
         system.submit_request(i % 53, i % 100)
         sim.run()

@@ -156,11 +156,11 @@ def bench_request_pipeline(rounds: int) -> dict:
         system.initialize_round_robin()
         completed = 0
 
-        def _count(record):
+        def _count(obj, gateway, server, issued_at, response_hops):
             nonlocal completed
             completed += 1
 
-        system.request_observers.append(_count)
+        system.served_observers.append(_count)
         start = time.perf_counter()
         for i in range(PIPELINE_REQUESTS):
             system.submit_request(i % 53, i % 100)

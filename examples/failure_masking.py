@@ -41,15 +41,24 @@ def main() -> None:
     generators = attach_generators(
         sim, system, workload, config.node_request_rate, RngFactory(config.seed)
     )
-    window: dict[str, int] = {"failed": 0, "ok": 0, "post_failed": 0, "post_ok": 0}
+    window: dict[str, int] = {"ok": 0, "post_ok": 0}
 
-    def observe(record):
-        if OUTAGE_START <= record.issued_at < OUTAGE_END:
-            window["failed" if record.failed else "ok"] += 1
-        elif record.issued_at >= OUTAGE_END:
-            window["post_failed" if record.failed else "post_ok"] += 1
+    def observe(obj, gateway, server, issued_at, response_hops):
+        if OUTAGE_START <= issued_at < OUTAGE_END:
+            window["ok"] += 1
+        elif issued_at >= OUTAGE_END:
+            window["post_ok"] += 1
 
-    system.request_observers.append(observe)
+    system.served_observers.append(observe)
+    # Failed requests are a system counter, not a callback: read it at
+    # the window edges.
+    failed_by: dict[float, int] = {}
+
+    def read_failed(edge: float) -> None:
+        failed_by[edge] = system.failed_requests
+
+    for edge in (OUTAGE_START, OUTAGE_END):
+        sim.schedule_at(edge, read_failed, edge)
     print(
         f"hosts {VICTIMS} fail at t={OUTAGE_START:g}s, "
         f"recover at t={OUTAGE_END:g}s ...\n"
@@ -58,6 +67,8 @@ def main() -> None:
     for generator in generators:
         generator.stop()
 
+    window["failed"] = failed_by[OUTAGE_END] - failed_by[OUTAGE_START]
+    window["post_failed"] = system.failed_requests - failed_by[OUTAGE_END]
     during_total = window["failed"] + window["ok"]
     post_total = window["post_failed"] + window["post_ok"]
     rows = [

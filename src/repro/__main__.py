@@ -41,7 +41,7 @@ One parser, seven subcommands:
     wall-clocks.  The tool behind the perf trajectory's numbers:
 
         python -m repro profile --large --duration 20 --json profile.json
-        python -m repro profile --preset zipf --no-fast-lane
+        python -m repro profile --preset zipf --loss 0.02
 
 ``serve``
     The live asyncio serving runtime — the same protocol over real
@@ -1279,11 +1279,6 @@ def _populate_profile_parser(parser: argparse.ArgumentParser) -> None:
         "instead of the UUNET paper scenario",
     )
     parser.add_argument(
-        "--no-fast-lane",
-        action="store_true",
-        help="force every request through the reference pipeline",
-    )
-    parser.add_argument(
         "--top",
         type=int,
         default=25,
@@ -1319,8 +1314,6 @@ def profile_main(args: argparse.Namespace) -> int:
             seed=args.seed,
             high_load=args.high_load,
         )
-    if args.no_fast_lane:
-        config = config.replace(fast_lane=False)
     config = _with_fault_and_consistency(config, args)
 
     print(f"profiling {config.name} ({config.duration:g}s simulated)...")
@@ -1338,8 +1331,10 @@ def profile_main(args: argparse.Namespace) -> int:
     print(
         f"requests: {counters['requests_completed']} completed "
         f"({counters['requests_fast_lane']} fast lane, "
-        f"{counters['requests_reference_path']} reference path), "
-        f"{counters['requests_dropped']} dropped"
+        f"{counters['requests_general_path']} general path), "
+        f"{counters['requests_dropped']} dropped, "
+        f"{counters['requests_failed']} failed, "
+        f"{counters['requests_lost']} lost"
     )
     print("\nprofiled time by pipeline stage (cProfile, inflated but mapped):")
     total = breakdown["profiled_seconds_total"] or 1.0

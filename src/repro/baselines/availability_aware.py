@@ -30,7 +30,6 @@ from repro.types import (
     ObjectId,
     PlacementAction,
     PlacementReason,
-    RequestRecord,
     Time,
 )
 
@@ -112,7 +111,7 @@ class AvailabilityAwarePlacer:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        self._system.request_observers.append(self.observe_request)
+        self._system.served_observers.append(self.observe_served)
         self._process = PeriodicProcess(
             self._system.sim, self._interval, self._tick
         )
@@ -121,20 +120,25 @@ class AvailabilityAwarePlacer:
         if self._process is not None:
             self._process.stop()
             self._process = None
-        observers = self._system.request_observers
-        if self.observe_request in observers:
-            observers.remove(self.observe_request)
+        observers = self._system.served_observers
+        if self.observe_served in observers:
+            observers.remove(self.observe_served)
 
     # ------------------------------------------------------------------
     # Demand observation
     # ------------------------------------------------------------------
 
-    def observe_request(self, record: RequestRecord) -> None:
-        """Request observer: accumulate serviced demand per (obj, gateway)."""
-        if record.dropped or record.failed or record.lost or record.server < 0:
-            return
-        per_gateway = self._window.setdefault(record.obj, {})
-        per_gateway[record.gateway] = per_gateway.get(record.gateway, 0) + 1
+    def observe_served(
+        self,
+        obj: ObjectId,
+        gateway: NodeId,
+        server: NodeId,
+        issued_at: Time,
+        response_hops: int,
+    ) -> None:
+        """Served observer: accumulate serviced demand per (obj, gateway)."""
+        per_gateway = self._window.setdefault(obj, {})
+        per_gateway[gateway] = per_gateway.get(gateway, 0) + 1
 
     # ------------------------------------------------------------------
     # Placement rounds

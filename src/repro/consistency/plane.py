@@ -15,7 +15,7 @@ Responsibilities:
 
 * **Staleness accounting** — the manager's version hooks keep a
   :class:`~repro.metrics.staleness.StalenessTracker` current, and a
-  request observer checks every served request against the stale set
+  served observer checks every served request against the stale set
   (the redirector/host seam: a stale serve *is* a stale read).
 
 * **Read-repair** — a detected stale serve schedules an immediate
@@ -55,7 +55,7 @@ from repro.errors import ConsistencyError
 from repro.metrics.staleness import StalenessTracker
 from repro.obs.records import StaleReadRecord, UpdateRecord
 from repro.sim.process import PeriodicProcess
-from repro.types import NodeId, ObjectId, RequestRecord, Time
+from repro.types import NodeId, ObjectId, Time
 
 
 class ConsistencyPlane:
@@ -117,7 +117,7 @@ class ConsistencyPlane:
         self.cold_recoveries = 0
         self._started = False
         self._stopped = False
-        system.request_observers.append(self._on_request)
+        system.served_observers.append(self._on_served)
         system.crash_observers.append(self._on_host_lifecycle)
 
     @property
@@ -225,14 +225,17 @@ class ConsistencyPlane:
         self._repair_suppressed.discard((obj, host))
 
     # ------------------------------------------------------------------
-    # Reads (request observer)
+    # Reads (served observer)
     # ------------------------------------------------------------------
 
-    def _on_request(self, record: RequestRecord) -> None:
-        if record.server < 0 or record.dropped or record.failed or record.lost:
-            return
-        obj = record.obj
-        server = record.server
+    def _on_served(
+        self,
+        obj: ObjectId,
+        gateway: NodeId,
+        server: NodeId,
+        issued_at: Time,
+        response_hops: int,
+    ) -> None:
         now = self._system.clock.now
         if obj in self._stats:
             # Category-2: the serve is itself a commuting update,

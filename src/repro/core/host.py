@@ -13,6 +13,8 @@ and when — but owns all per-host protocol state.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core.config import ProtocolConfig
 from repro.core.object_store import ObjectStore
 from repro.errors import ProtocolError
@@ -50,6 +52,7 @@ class HostServer:
         self,
         node: NodeId,
         config: ProtocolConfig,
+        path_resolver: Callable[[NodeId], tuple[NodeId, ...]],
         *,
         capacity: float = 200.0,
         max_queue_delay: float = 30.0,
@@ -80,19 +83,19 @@ class HostServer:
         self.offloading = False
         #: ``cnt(p, x_s)``: per hosted object, how many times each node
         #: appeared on the preference paths of requests serviced since the
-        #: last placement run (Section 4.1).
+        #: last placement run (Section 4.1).  Read it through
+        #: :meth:`object_access_counts`: services are first recorded in
+        #: :attr:`pending_access` and land here when the counts are read.
         self.access_counts: dict[ObjectId, dict[NodeId, int]] = {}
-        #: Deferred access accounting (request fast lane): per object,
-        #: per *gateway*, how many serviced requests await preference-path
-        #: expansion into :attr:`access_counts`.  ``None`` until a fast
-        #: lane installs :attr:`path_resolver`; expansion happens lazily
-        #: when the counts are read (placement/offload time).  Integer
-        #: counts make the expansion order-free, so the expanded totals
-        #: are identical to per-request path walks.
-        self.pending_access: dict[ObjectId, dict[NodeId, int]] | None = None
-        #: ``resolver(gateway) -> preference path from this host`` used to
-        #: expand :attr:`pending_access`; set alongside it.
-        self.path_resolver = None
+        #: Per object, per *gateway*, how many serviced requests await
+        #: preference-path expansion into :attr:`access_counts`.  The
+        #: protocol reads the counts once per placement round, so the
+        #: path is walked once per ``(object, gateway)`` then, not once
+        #: per request; integer counts make the expansion order-free, so
+        #: the totals are those of per-request path walks.
+        self.pending_access: dict[ObjectId, dict[NodeId, int]] = {}
+        #: ``resolver(gateway) -> preference path from this host``.
+        self.path_resolver = path_resolver
         self.last_placement_time: Time = start
         self._busy_until: Time = 0.0
         #: Total requests ever serviced (monotonic, for sanity checks).
@@ -165,23 +168,21 @@ class HostServer:
     # Statistics (the control state of Section 4.1)
     # ------------------------------------------------------------------
 
-    def record_service(
-        self, obj: ObjectId, preference_path: tuple[NodeId, ...]
-    ) -> None:
-        """Account one serviced request and its preference path.
+    def record_service(self, obj: ObjectId, gateway: NodeId) -> None:
+        """Account one serviced request that entered at ``gateway``.
 
-        ``preference_path`` is the host-to-gateway route; every node on it
-        (including this host, so ``cnt(s, x_s)`` equals the total access
-        count) has its access count for ``obj`` incremented.
+        The request's preference path is the host-to-gateway route; every
+        node on it (including this host, so ``cnt(s, x_s)`` equals the
+        total access count) is owed one access count for ``obj``, paid
+        when the counts are next read (:meth:`_expand_pending`).
         """
         self.meter.record_service(obj)
         self.serviced_total += 1
-        counts = self.access_counts.get(obj)
-        if counts is None:
-            counts = {}
-            self.access_counts[obj] = counts
-        for node in preference_path:
-            counts[node] = counts.get(node, 0) + 1
+        pending = self.pending_access
+        by_gateway = pending.get(obj)
+        if by_gateway is None:
+            pending[obj] = by_gateway = {}
+        by_gateway[gateway] = by_gateway.get(gateway, 0) + 1
 
     def _expand_pending(self, obj: ObjectId) -> None:
         """Fold deferred per-gateway counts into ``access_counts``.
@@ -191,10 +192,7 @@ class HostServer:
         it once and adding ``count`` per path node produces exactly the
         totals per-request walks would have (integer sums are order-free).
         """
-        pending = self.pending_access
-        if not pending:
-            return
-        by_gateway = pending.pop(obj, None)
+        by_gateway = self.pending_access.pop(obj, None)
         if by_gateway is None:
             return
         resolver = self.path_resolver
@@ -214,22 +212,18 @@ class HostServer:
 
     def total_access_count(self, obj: ObjectId) -> int:
         """``cnt(s, x_s)`` — the object's total access count here."""
-        if self.pending_access:
-            self._expand_pending(obj)
-        return self.access_counts.get(obj, {}).get(self.node, 0)
+        return self.object_access_counts(obj).get(self.node, 0)
 
     def reset_access_counts(self, now: Time) -> None:
         """Start a fresh placement observation window."""
         self.access_counts.clear()
-        if self.pending_access:
-            self.pending_access.clear()
+        self.pending_access.clear()
         self.last_placement_time = now
 
     def clear_object_state(self, obj: ObjectId) -> None:
         """Forget access counts for an object this host no longer hosts."""
         self.access_counts.pop(obj, None)
-        if self.pending_access:
-            self.pending_access.pop(obj, None)
+        self.pending_access.pop(obj, None)
 
     # ------------------------------------------------------------------
     # Load measurement and bound estimates

@@ -3,7 +3,7 @@
 :class:`HostingSystem` assembles the full system model of Section 2 and
 drives the request flow:
 
-    client -> gateway distributor -> redirector -> host -> distributor
+    client -> gateway -> redirector -> host -> gateway
 
 and the periodic protocol machinery: load measurement (every measurement
 interval), load reports to the recovery board, and per-host placement
@@ -30,11 +30,11 @@ against a 100 s placement interval.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Sequence
 
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import handle_create_obj  # re-exported for tests
-from repro.core.distributor import Distributor
 from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.offload import run_offload
@@ -57,13 +57,14 @@ from repro.types import (
     PlacementAction,
     PlacementEvent,
     PlacementReason,
-    RequestRecord,
     Time,
 )
 
 __all__ = ["HostingSystem", "handle_create_obj"]
 
-RequestObserver = Callable[[RequestRecord], None]
+#: Called when a response reaches its gateway, as
+#: ``(obj, gateway, server, issued_at, response_hops)``.
+ServedObserver = Callable[[ObjectId, NodeId, NodeId, Time, int], None]
 MeasurementObserver = Callable[[HostServer, Time], None]
 PlacementObserver = Callable[[PlacementEvent], None]
 
@@ -157,7 +158,7 @@ class HostingSystem:
         self.tracer = None
         #: The installed :class:`~repro.core.fastlane.FastLane`, if any;
         #: set by :meth:`enable_fast_lane`, which also rebinds
-        #: :meth:`submit_request` to the flattened pipeline.
+        #: :meth:`submit_request` to the lane's entry point.
         self.fast_lane = None
 
         topology = self.routes.topology
@@ -167,6 +168,7 @@ class HostingSystem:
             node: HostServer(
                 node,
                 config,
+                partial(self.routes.preference_path, node),
                 # A host's power weight scales both its service capacity
                 # and its watermarks (Section 2's heterogeneity note).
                 capacity=capacity * weights.get(node, 1.0),
@@ -175,9 +177,6 @@ class HostingSystem:
                 start=sim.now,
             )
             for node in topology.nodes
-        }
-        self.distributors: dict[NodeId, Distributor] = {
-            node: Distributor(node, self) for node in topology.nodes
         }
 
         if redirector_nodes is None:
@@ -225,7 +224,9 @@ class HostingSystem:
         #: with ``crashed`` True on crash, False on recovery.
         self.crash_observers: list[Callable[[NodeId, bool, Time], None]] = []
         self.placement_events: list[PlacementEvent] = []
-        self.request_observers: list[RequestObserver] = []
+        #: Called for every request whose response reached its gateway.
+        #: Every other outcome is a counter below, not a callback.
+        self.served_observers: list[ServedObserver] = []
         self.measurement_observers: list[MeasurementObserver] = []
         self.placement_observers: list[PlacementObserver] = []
         self._processes: list[PeriodicProcess] = []
@@ -240,6 +241,22 @@ class HostingSystem:
         #: Requests (or their responses) lost to network faults or a
         #: host crash mid-service; the client never saw an answer.
         self.lost_requests = 0
+        #: The completion ledger: every served request is written here by
+        #: :meth:`_finish_request`, in event order.  The scalars always;
+        #: the per-bucket cells from :meth:`meter_completions` on.
+        #: :class:`~repro.metrics.latency.LatencyCollector` is the
+        #: read-time view.
+        self.completed = 0
+        self.total_latency = 0.0
+        self.total_response_hops = 0
+        self.max_latency = 0.0
+        #: Bucket index -> ``[count, latency_sum, response_hops_sum]``.
+        self.completions: dict[int, list] = {}
+        #: Bucket index -> requests dropped by saturated hosts.
+        self.drop_counts: dict[int, int] = {}
+        self.completion_bucket: float | None = None
+        #: Every completion's latency, in event order, when asked for.
+        self.latency_samples: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -376,77 +393,88 @@ class HostingSystem:
 
         return tick
 
-    def enable_fast_lane(self, *, bandwidth, latency):
-        """Install the flattened request pipeline when nothing blocks it.
+    def enable_fast_lane(self, *, bandwidth) -> list[str]:
+        """Install the flattened request pipeline unless something blocks it.
 
-        Returns the :class:`~repro.core.fastlane.FastLane` (also stored
-        as :attr:`fast_lane`) or ``None`` when the configuration needs
-        the general path (fault plane, tracer, extra observers, ...).
-        The lane produces bit-identical metrics; the caller must invoke
-        ``fast_lane.flush()`` after the run, before reading byte-hop or
-        bandwidth aggregates (the scenario runner does both).
+        Returns the blockers (fault plane, tracer, served observers, ...;
+        see :func:`~repro.core.fastlane.fast_lane_blockers`): empty means
+        the :class:`~repro.core.fastlane.FastLane` is installed and
+        reachable as :attr:`fast_lane`.  The lane produces bit-identical
+        metrics; the caller must invoke ``fast_lane.flush()`` after the
+        run, before reading byte-hop or bandwidth aggregates (the
+        scenario runner does both).
         """
         from repro.core.fastlane import install_fast_lane
 
-        return install_fast_lane(self, bandwidth=bandwidth, latency=latency)
+        return install_fast_lane(self, bandwidth=bandwidth)
+
+    def meter_completions(self, bucket: float, keep_samples: bool = False) -> None:
+        """Meter every later completion and drop into ``bucket``-second
+        time buckets (:attr:`completions`, :attr:`drop_counts`), and keep
+        every latency sample when ``keep_samples`` is set.
+
+        A system meters at one width; asking for a second one is an
+        error (attach a served observer for a differently bucketed view).
+        """
+        if bucket <= 0:
+            raise ProtocolError(f"bucket width must be positive, got {bucket}")
+        if self.completion_bucket is None:
+            self.completion_bucket = bucket
+        elif self.completion_bucket != bucket:
+            raise ProtocolError(
+                "completions are already metered in "
+                f"{self.completion_bucket:g} s buckets"
+            )
+        if keep_samples and self.latency_samples is None:
+            self.latency_samples = []
 
     # ------------------------------------------------------------------
-    # Request flow
+    # Request flow.  A request between stages is five scalars in the
+    # event args; nothing is allocated for it but the args tuple.
     # ------------------------------------------------------------------
 
-    def submit_request(self, gateway: NodeId, obj: ObjectId) -> RequestRecord:
+    def submit_request(self, gateway: NodeId, obj: ObjectId) -> None:
         """A client request enters the platform at ``gateway``."""
         # Each stage reads the clock once and straight from the slot:
         # ``sim.now`` is a Python-level property, paid per read.
         sim = self.sim
-        record = RequestRecord(obj, gateway, -1, sim._now)
+        now = sim._now
         redirector = self.redirectors.for_object(obj)
         transmit = self.network.transmit
-        hops1, delay1, delivered = transmit(
+        _, delay1, delivered = transmit(
             gateway, redirector.node, self.request_bytes, MessageClass.REQUEST
         )
         if not delivered:
-            record.request_hops = hops1
-            return self._lose_request(record)
+            self.lost_requests += 1
+            return
         server = redirector.choose_replica(gateway, obj)
         if server is None:
-            return self._fail_request(record)
-        hops2, delay2, delivered = transmit(
+            self.failed_requests += 1
+            return
+        _, delay2, delivered = transmit(
             redirector.node, server, self.request_bytes, MessageClass.REQUEST
         )
-        record.request_hops = hops1 + hops2
         if not delivered:
-            return self._lose_request(record)
+            self.lost_requests += 1
+            return
         delay = delay1 + delay2
         # Pipeline hops are never cancelled: the handle-free post_* paths
         # skip the Event allocation on every request.
         if delay > 0:
-            sim.post_after(delay, self._arrive_at_host, server, record)
+            sim.post_after(delay, self._arrive_at_host, server, obj, gateway, now, 0)
         else:
-            sim.post_at(sim._now, self._arrive_at_host, server, record)
-        return record
+            sim.post_at(now, self._arrive_at_host, server, obj, gateway, now, 0)
 
-    def _fail_request(self, record: RequestRecord) -> RequestRecord:
-        """No available replica: the request cannot be serviced."""
-        record.failed = True
-        record.completed_at = self.sim._now
-        self.failed_requests += 1
-        for observer in self.request_observers:
-            observer(record)
-        return record
-
-    def _lose_request(self, record: RequestRecord) -> RequestRecord:
-        """The request (or its response) vanished in transit."""
-        record.lost = True
-        record.completed_at = self.sim._now
-        self.lost_requests += 1
-        for observer in self.request_observers:
-            observer(record)
-        return record
-
-    def _arrive_at_host(self, server: NodeId, record: RequestRecord) -> None:
+    def _arrive_at_host(
+        self,
+        server: NodeId,
+        obj: ObjectId,
+        gateway: NodeId,
+        issued_at: Time,
+        retries: int,
+    ) -> None:
         host = self.hosts[server]
-        if record.obj not in host.store or not host.available:
+        if obj not in host.store or not host.available:
             # The chosen replica was dropped while the request was in
             # flight (drop-before-the-fact means the redirector already
             # knows), or its host failed; forward to a currently
@@ -459,72 +487,112 @@ class HostingSystem:
             if self.fault_plane is not None:
                 if self.failure_detector is not None:
                     self.failure_detector.note_request_failure(server, self.sim._now)
-                record.retries += 1
-                if record.retries > MAX_REQUEST_RETRIES:
-                    self._fail_request(record)
+                retries += 1
+                if retries > MAX_REQUEST_RETRIES:
+                    self.failed_requests += 1
                     return
                 exclude = server
-            redirector = self.redirectors.for_object(record.obj)
-            new_server = redirector.choose_replica(
-                record.gateway, record.obj, exclude=exclude
-            )
+            redirector = self.redirectors.for_object(obj)
+            new_server = redirector.choose_replica(gateway, obj, exclude=exclude)
             if new_server is None:
-                self._fail_request(record)
+                self.failed_requests += 1
                 return
-            hops, delay, delivered = self.network.transmit(
+            _, delay, delivered = self.network.transmit(
                 server, new_server, self.request_bytes, MessageClass.REQUEST
             )
-            record.request_hops += hops
             if not delivered:
-                self._lose_request(record)
+                self.lost_requests += 1
                 return
-            self.sim.post_after(delay, self._arrive_at_host, new_server, record)
+            self.sim.post_after(
+                delay,
+                self._arrive_at_host,
+                new_server,
+                obj,
+                gateway,
+                issued_at,
+                retries,
+            )
             return
         if self.failure_detector is not None:
             self.failure_detector.note_request_success(server)
         now = self.sim._now
         admitted = host.enqueue(now)
-        record.server = server
         if admitted is None:
             # Queue overflow: the request is dropped without a response
-            # (Section 6.1's real-world behaviour).  Observers see the
-            # record with ``dropped`` set so drop rates can be reported.
-            record.dropped = True
-            record.completed_at = now
-            self.dropped_requests += 1
-            for observer in self.request_observers:
-                observer(record)
+            # (Section 6.1's real-world behaviour).
+            self._drop_request(now)
             return
-        start, completion = admitted
-        record.queue_delay = start - now
-        record.service_time = host.service_time
-        self.sim.post_at(completion, self._complete_service, host, record)
+        self.sim.post_at(
+            admitted[1], self._complete_service, host, obj, gateway, issued_at
+        )
 
-    def _complete_service(self, host: HostServer, record: RequestRecord) -> None:
+    def _drop_request(self, now: Time) -> None:
+        """A saturated host turned a request away at ``now``."""
+        self.dropped_requests += 1
+        width = self.completion_bucket
+        if width is not None:
+            bucket = int(now // width)
+            self.drop_counts[bucket] = self.drop_counts.get(bucket, 0) + 1
+
+    def _complete_service(
+        self, host: HostServer, obj: ObjectId, gateway: NodeId, issued_at: Time
+    ) -> None:
         if not host.available:
             # The host crashed while this request sat in its queue: the
             # admitted work dies with the host and no response is sent.
-            self._lose_request(record)
+            self.lost_requests += 1
             return
-        path = self.routes.preference_path(host.node, record.gateway)
-        host.record_service(record.obj, path)
+        host.record_service(obj, gateway)
         hops, delay, delivered = self.network.transmit(
-            host.node, record.gateway, self.object_size, MessageClass.RESPONSE
+            host.node, gateway, self.object_size, MessageClass.RESPONSE
         )
-        record.response_hops = hops
         if not delivered:
             # Serviced, but the response vanished on the backbone.
-            self._lose_request(record)
+            self.lost_requests += 1
             return
         if delay > 0:
-            self.sim.post_after(delay, self._finish_request, record)
+            self.sim.post_after(
+                delay, self._finish_request, obj, gateway, host.node, issued_at, hops
+            )
         else:
-            self._finish_request(record)
+            self._finish_request(obj, gateway, host.node, issued_at, hops)
 
-    def _finish_request(self, record: RequestRecord) -> None:
-        record.completed_at = self.sim._now
-        for observer in self.request_observers:
-            observer(record)
+    def _finish_request(
+        self,
+        obj: ObjectId,
+        gateway: NodeId,
+        server: NodeId,
+        issued_at: Time,
+        response_hops: int,
+    ) -> None:
+        """The response reached the gateway: write the completion ledger.
+
+        The only writer, posted as their last event by these stages and
+        by the fast lane alike, so the float latency sums accumulate in
+        event order whichever carried the request; the hop sums are
+        integers, exact in any order.
+        """
+        now = self.sim._now
+        latency = now - issued_at
+        self.completed += 1
+        self.total_latency += latency
+        self.total_response_hops += response_hops
+        if latency > self.max_latency:
+            self.max_latency = latency
+        width = self.completion_bucket
+        if width is not None:
+            bucket = int(now // width)
+            cell = self.completions.get(bucket)
+            if cell is None:
+                self.completions[bucket] = [1, latency, response_hops]
+            else:
+                cell[0] += 1
+                cell[1] += latency
+                cell[2] += response_hops
+            if self.latency_samples is not None:
+                self.latency_samples.append(latency)
+        for observer in self.served_observers:
+            observer(obj, gateway, server, issued_at, response_hops)
 
     # ------------------------------------------------------------------
     # Placement support

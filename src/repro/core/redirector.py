@@ -292,7 +292,8 @@ class RedirectorService:
         # exclusion (the overwhelmingly common case) the loop never pays
         # the set lookup.  The lexicographic minima are tracked in scalar
         # locals instead of per-replica key tuples; the comparison
-        # sequence is exactly the reference's ``(distance, ratio, host)``
+        # sequence is exactly the tuple-keyed oracle's
+        # (``tests/core/figure2_oracle.py``): ``(distance, ratio, host)``
         # for the closest replica (equidistant replicas tie-break on unit
         # request count: a fixed id-order tie-break would funnel every
         # tie in the system to the same hub nodes and manufacture hot
@@ -362,51 +363,6 @@ class RedirectorService:
                     constant=self._constant,
                 )
             )
-        return chosen.host
-
-    def choose_replica_reference(
-        self, gateway: NodeId, obj: ObjectId, *, exclude: NodeId | None = None
-    ) -> NodeId | None:
-        """The original tuple-keyed Figure 2 implementation.
-
-        Kept verbatim as the oracle for the property tests that pin the
-        optimised :meth:`choose_replica` (and the request fast lane's
-        inlined sole-replica branch) to the exact reference decision
-        sequence.  Not used on any hot path.
-        """
-        replicas = self._entry(obj)
-        if len(replicas) == 1 and not self._down_hosts and exclude is None:
-            (info,) = replicas.values()
-            info.request_count += 1
-            self.chose_closest += 1
-            return info.host
-        row = self._routes.distance_row(gateway)
-        down = self._down_hosts
-        closest: ReplicaInfo | None = None
-        closest_key: tuple[int, float, int] = (0, 0.0, 0)
-        least: ReplicaInfo | None = None
-        least_ratio = 0.0
-        for host, info in replicas.items():
-            if host in down or host == exclude:
-                continue
-            ratio = info.request_count / info.affinity
-            distance_key = (row[host], ratio, host)
-            if closest is None or distance_key < closest_key:
-                closest, closest_key = info, distance_key
-            if least is None or ratio < least_ratio or (
-                ratio == least_ratio and host < least.host
-            ):
-                least, least_ratio = info, ratio
-        if closest is None or least is None:
-            return None
-        ratio1 = closest.request_count / closest.affinity
-        if ratio1 / self._constant > least_ratio:
-            chosen = least
-            self.chose_least_requested += 1
-        else:
-            chosen = closest
-            self.chose_closest += 1
-        chosen.request_count += 1
         return chosen.host
 
 

@@ -2,8 +2,8 @@
 
 One :class:`LiveHostNode` is the live analogue of a simulated node's
 hosting server.  It serves object bytes over HTTP (recording each
-serviced request and its preference path, exactly the control state the
-simulator's hosts keep), answers the control plane's CreateObj offers
+serviced request and the gateway it entered at, exactly the control
+state the simulator's hosts keep), answers the control plane's CreateObj offers
 and load probes, and runs the two wall-clock protocol timers:
 
 * every ``measurement_interval`` seconds: fold the load meter into the
@@ -25,6 +25,7 @@ deployments where the callee lives on the same event loop.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 
 from repro.core.host import HostServer
 from repro.core.runtime import Clock
@@ -73,6 +74,7 @@ class LiveHostNode:
         self.host = HostServer(
             node,
             config.protocol,
+            partial(routes.preference_path, node),
             capacity=config.capacity,
             storage_limit=config.storage_limit,
             start=clock.now,
@@ -119,8 +121,21 @@ class LiveHostNode:
             # The redirector's view was stale (replica dropped between
             # routing and arrival); the client retries via the redirector.
             return error_response(409, f"no replica of object {obj} here")
-        gateway = int(request.query.get("gateway", self.node))
-        host.record_service(obj, self.routes.preference_path(self.node, gateway))
+        # The gateway id is client input and is only walked into a
+        # preference path at the next placement round: reject a bad one
+        # here, before it is counted.
+        raw_gateway = request.query.get("gateway", str(self.node))
+        try:
+            gateway = int(raw_gateway)
+        except ValueError:
+            gateway = -1
+        if not 0 <= gateway < self.routes.num_nodes:
+            return error_response(
+                400,
+                f"gateway must be a node id in [0, {self.routes.num_nodes}), "
+                f"got {raw_gateway!r}",
+            )
+        host.record_service(obj, gateway)
         return Response(
             status=200,
             body=object_payload(obj, self.config.object_size),

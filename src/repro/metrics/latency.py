@@ -2,10 +2,13 @@
 
 A request's latency is queueing plus service at the host plus all network
 delays, including the distributor-to-redirector detour (the reason the
-paper's latency win is smaller than its bandwidth win).  The collector
-buckets completed-request latencies over time and keeps aggregate
-statistics; raw samples can optionally be retained for percentile
-analysis in small runs.
+paper's latency win is smaller than its bandwidth win).  The hosting
+system writes every completion into its own ledger
+(:meth:`HostingSystem.meter_completions`: run scalars plus per-bucket
+``[count, latency_sum, response_hops_sum]`` cells and drop counts); this
+collector is the read-time view over it, so a completion costs a few adds
+whichever pipeline carried the request.  Raw samples can optionally be
+retained for percentile analysis in small runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from repro.core.protocol import HostingSystem
 from repro.errors import ConfigurationError
 from repro.metrics.collectors import BucketedSeries, TimeSeries
-from repro.types import RequestRecord
 
 
 class LatencyCollector:
@@ -26,80 +28,72 @@ class LatencyCollector:
         bucket: float = 60.0,
         keep_samples: bool = False,
     ) -> None:
-        self._buckets = BucketedSeries(bucket)
-        self._hop_buckets = BucketedSeries(bucket)
-        self._drop_buckets = BucketedSeries(bucket)
-        self.dropped = 0
-        #: Requests that found no available replica (failure injection).
-        self.failed = 0
-        #: Requests lost in transit or to a mid-service crash (fault
-        #: plane only; always zero on a reliable network).
-        self.lost = 0
-        self.completed = 0
-        self.total_latency = 0.0
-        self.total_response_hops = 0
-        self.max_latency = 0.0
-        self.samples: list[float] | None = [] if keep_samples else None
-        system.request_observers.append(self._observe)
+        self.bucket = bucket
+        self._system = system
+        system.meter_completions(bucket, keep_samples)
 
-    def _observe(self, record: RequestRecord) -> None:
-        if record.failed:
-            self.failed += 1
-            return
-        if record.lost:
-            # No response ever reached the client; the sample would be
-            # meaningless, so lost requests are counted but excluded
-            # from every latency statistic.
-            self.lost += 1
-            return
-        if record.dropped:
-            self.dropped += 1
-            self._drop_buckets.add(record.completed_at, 1.0)
-            return
-        latency = record.latency
-        self.completed += 1
-        self.total_latency += latency
-        self.total_response_hops += record.response_hops
-        if latency > self.max_latency:
-            self.max_latency = latency
-        self._buckets.add(record.completed_at, latency)
-        self._hop_buckets.add(record.completed_at, float(record.response_hops))
-        if self.samples is not None:
-            self.samples.append(latency)
+    # -- run aggregates: the system's own counters --------------------
 
-    def fast_hooks(self) -> tuple[float, dict, dict, dict, dict, dict, dict]:
-        """The mutable internals the request fast lane writes directly.
+    @property
+    def completed(self) -> int:
+        return self._system.completed
 
-        Returns ``(bucket_width, latency_sums, latency_counts, hop_sums,
-        hop_counts, drop_sums, drop_counts)`` — the raw per-bucket dicts
-        of the three :class:`BucketedSeries`.  The lane performs exactly
-        the arithmetic :meth:`_observe` would (same dicts, same ops, same
-        event order), skipping only the record allocation and observer
-        dispatch, so fast and slow paths interleave bit-identically.
-        Aggregate scalars (``completed``, ``total_latency``, ...) are
-        plain attributes the lane updates in place.
-        """
-        return (
-            self._buckets.width,
-            self._buckets._sums,
-            self._buckets._counts,
-            self._hop_buckets._sums,
-            self._hop_buckets._counts,
-            self._drop_buckets._sums,
-            self._drop_buckets._counts,
-        )
+    @property
+    def dropped(self) -> int:
+        """Requests turned away by saturated hosts (queue overflow)."""
+        return self._system.dropped_requests
+
+    @property
+    def failed(self) -> int:
+        """Requests that found no available replica (failure injection)."""
+        return self._system.failed_requests
+
+    @property
+    def lost(self) -> int:
+        """Requests lost in transit or to a mid-service crash (fault
+        plane only; always zero on a reliable network).  No response
+        ever reached the client, so they enter no latency statistic."""
+        return self._system.lost_requests
+
+    @property
+    def total_latency(self) -> float:
+        return self._system.total_latency
+
+    @property
+    def total_response_hops(self) -> int:
+        return self._system.total_response_hops
+
+    @property
+    def max_latency(self) -> float:
+        return self._system.max_latency
+
+    @property
+    def samples(self) -> list[float] | None:
+        return self._system.latency_samples
+
+    # -- per-bucket series --------------------------------------------
+
+    def _completion_series(self, column: int) -> BucketedSeries:
+        """One summed column of the completion cells as a bucketed series."""
+        series = BucketedSeries(self.bucket)
+        for bucket, cell in self._system.completions.items():
+            series.bulk_add(bucket, cell[column], cell[0])
+        return series
 
     def mean_latency_series(self) -> TimeSeries:
         """Mean latency of requests completing in each bucket (Fig. 6)."""
-        return self._buckets.means()
+        return self._completion_series(1).means()
 
     def mean_response_hops_series(self) -> TimeSeries:
         """Mean response hop count per bucket (a proximity proxy)."""
-        return self._hop_buckets.means()
+        return self._completion_series(2).means()
 
     def dropped_series(self) -> TimeSeries:
         """Dropped requests per bucket (saturated-host rejections)."""
-        return self._drop_buckets.sums()
+        series = BucketedSeries(self.bucket)
+        for bucket, count in self._system.drop_counts.items():
+            series.bulk_add(bucket, float(count), count)
+        return series.sums()
 
     def drop_rate(self) -> float:
         """Fraction of all observed requests that were dropped."""
@@ -118,12 +112,13 @@ class LatencyCollector:
 
     def percentile(self, q: float) -> float:
         """Latency percentile ``q`` in [0, 100]; needs ``keep_samples``."""
-        if self.samples is None:
+        samples = self.samples
+        if samples is None:
             raise ConfigurationError("collector built without keep_samples")
-        if not self.samples:
+        if not samples:
             raise ConfigurationError("no completed requests")
         if not 0.0 <= q <= 100.0:
             raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(self.samples)
+        ordered = sorted(samples)
         index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
         return ordered[index]

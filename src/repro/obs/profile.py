@@ -6,7 +6,7 @@ time?" with two complementary views of one run:
 * **Stage wall clock** — ``perf_counter`` brackets around the scenario
   lifecycle (build the system, attach collectors/generators, drain the
   event queue, finalize), plus per-stage counters (requests completed,
-  fast-lane vs reference-path requests, events drained) so each stage's
+  fast-lane vs general-path requests, events drained) so each stage's
   time can be read as a per-unit cost.
 * **Function attribution** — a ``cProfile`` capture of the drain phase,
   with cumulative time rolled up into pipeline buckets by module
@@ -37,7 +37,6 @@ STAGE_BUCKETS: tuple[tuple[str, str], ...] = (
     ("repro/core/protocol", "request_pipeline"),
     ("repro/core/redirector", "request_pipeline"),
     ("repro/core/host", "request_pipeline"),
-    ("repro/core/distributor", "request_pipeline"),
     ("repro/sim/", "event_engine"),
     ("repro/workloads/", "workload_generation"),
     ("repro/metrics/", "metrics_collection"),
@@ -130,22 +129,22 @@ def profile_scenario(
         )
 
     lane = result.system.fast_lane
+    latency = result.latency
+    completed = latency.completed
     counters = {
-        "requests_completed": result.latency.completed,
-        "requests_dropped": result.latency.dropped,
-        "requests_failed": result.latency.failed,
+        "requests_completed": completed,
+        "requests_dropped": latency.dropped,
+        "requests_failed": latency.failed,
+        "requests_lost": latency.lost,
         "requests_fast_lane": lane.requests_fast if lane is not None else 0,
-        "requests_reference_path": (
+        "requests_general_path": (
             lane.requests_slow
             if lane is not None
-            else result.latency.completed
-            + result.latency.dropped
-            + result.latency.failed
+            else completed + latency.dropped + latency.failed + latency.lost
         ),
         "fast_lane_installed": lane is not None,
         "placement_events": len(result.system.placement_events),
     }
-    completed = result.latency.completed
     return {
         "schema": "pipeline-profile/v1",
         "scenario": config.name,

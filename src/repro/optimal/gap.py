@@ -46,7 +46,7 @@ from repro.topology.graph import Topology
 from repro.optimal.instance import TreeInstance
 from repro.optimal.transport import solve_transport
 from repro.optimal.tree_dp import solve_tree_placement
-from repro.types import NodeId, ObjectId, RequestRecord, Time
+from repro.types import NodeId, ObjectId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.host import HostServer
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class DemandTrace:
-    """Request observer: the serviced demand of one run, aggregated.
+    """Served observer: the serviced demand of one run, aggregated.
 
     Records, per object, how many requests each gateway had serviced and
     by which servers — plus the run's total assignment cost, measured as
@@ -76,14 +76,19 @@ class DemandTrace:
         #: Serviced request count.
         self.serviced = 0
 
-    def __call__(self, record: RequestRecord) -> None:
-        if record.dropped or record.failed or record.lost or record.server < 0:
-            return
-        per_gateway = self.demand.setdefault(record.obj, {})
-        per_gateway[record.gateway] = per_gateway.get(record.gateway, 0) + 1
-        self.servers.setdefault(record.obj, set()).add(record.server)
-        self.served_by[record.server] = self.served_by.get(record.server, 0) + 1
-        self.cost += self._routes.distance(record.server, record.gateway)
+    def __call__(
+        self,
+        obj: ObjectId,
+        gateway: NodeId,
+        server: NodeId,
+        issued_at: Time,
+        response_hops: int,
+    ) -> None:
+        per_gateway = self.demand.setdefault(obj, {})
+        per_gateway[gateway] = per_gateway.get(gateway, 0) + 1
+        self.servers.setdefault(obj, set()).add(server)
+        self.served_by[server] = self.served_by.get(server, 0) + 1
+        self.cost += self._routes.distance(server, gateway)
         self.serviced += 1
 
 
@@ -381,7 +386,7 @@ def run_gap_point(
     result = run_scenario(
         config,
         topology=topology,
-        request_observers=(trace,),
+        served_observers=(trace,),
         measurement_observers=(violations,),
     )
     bound = oracle_lower_bound(

@@ -79,21 +79,6 @@ class ScenarioConfig:
     #: not in every benchmark sweep.  Excluded from the sweep spec hash —
     #: it verifies a run without changing what runs.
     check_invariants: bool = False
-    #: Pre-draw request arrivals per measurement interval as vectors
-    #: (:class:`~repro.workloads.batched.BatchedRequestGenerator`) instead
-    #: of one scheduler event per request.  Same RNG streams, same arrival
-    #: times and objects; only the global event-sequence interleaving of
-    #: exact-tie timestamps can differ (measure-zero — random phases).
-    #: Excluded from the sweep spec hash — a scheduling-substrate knob,
-    #: not a scenario parameter.
-    batched_arrivals: bool = False
-    #: Install the flattened request pipeline
-    #: (:mod:`repro.core.fastlane`) when the run is eligible (no fault
-    #: plane, no tracer, no extra observers, ...).  The lane simulates
-    #: the same events and produces bit-identical metrics, so this is a
-    #: pure performance knob; excluded from the sweep spec hash.  Turn
-    #: off to force every request through the reference pipeline.
-    fast_lane: bool = True
     #: Event-queue bucket width override, seconds.  ``None`` auto-sizes
     #: from the expected event rate (:func:`repro.scenarios.runner.
     #: auto_bucket_width`).  Pure performance knob — ordering is exact
@@ -161,8 +146,3 @@ class ScenarioConfig:
     def replace(self, **changes) -> "ScenarioConfig":
         """A copy with arbitrary field changes, revalidated."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def expected_requests(self) -> float:
-        """Rough total request count (53 gateways at full scale)."""
-        return self.node_request_rate * self.duration

@@ -134,9 +134,8 @@ def large_topology_scenario(
     """A 500-host / 100k-object engine stress scenario, plus its topology.
 
     The paper's protocol on a synthetic geometric backbone an order of
-    magnitude beyond UUNET's 53 nodes.  Batched arrival generation is on
-    (it exists for exactly this scale) and everything else keeps Table 1
-    semantics via :func:`paper_parameters` + ``scaled``.  Pass both
+    magnitude beyond UUNET's 53 nodes, with Table 1 semantics via
+    :func:`paper_parameters` + ``scaled``.  Pass both
     returned values to :func:`~repro.scenarios.runner.run_scenario`
     (config, then ``topology=``) — the runner would otherwise build the
     UUNET backbone.
@@ -148,7 +147,6 @@ def large_topology_scenario(
         num_objects=num_objects,
         duration=duration,
         seed=seed,
-        batched_arrivals=True,
     )
     return config.scaled(scale), topology
 

@@ -16,7 +16,6 @@ from repro.baselines import resolve_strategy
 from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.round_robin import RoundRobinRedirector
 from repro.consistency.plane import ConsistencyPlane
-from repro.core.fastlane import fast_lane_blockers
 from repro.core.protocol import HostingSystem
 from repro.core.redirector import RedirectorService
 from repro.errors import ConfigurationError
@@ -184,14 +183,16 @@ class ScenarioResult:
     #: The strategy's attached placer (None unless ``config.strategy``
     #: declares one, e.g. availability-aware).
     placer: object | None = None
+    #: What stood the fast lane down when the run started
+    #: (``fast_lane_blockers``); empty when it was installed.
+    lane_blockers: tuple[str, ...] = ()
 
     def engine_mode(self) -> str:
         """Which request pipeline carried the run, and if not the fast
-        lane, what stood it down (``fast_lane_blockers``)."""
+        lane, what stood it down."""
         if self.system.fast_lane is not None:
             return "fast lane: installed"
-        blockers = fast_lane_blockers(self.system, self.bandwidth, self.latency)
-        return "stood down: " + ("; ".join(blockers) or "fast_lane=False")
+        return "stood down: " + "; ".join(self.lane_blockers)
 
     # -- Figure 6 -------------------------------------------------------
 
@@ -372,19 +373,19 @@ def run_scenario(
     *,
     topology: Topology | None = None,
     tracer: DecisionTracer | None = None,
-    request_observers: tuple = (),
+    served_observers: tuple = (),
     measurement_observers: tuple = (),
 ) -> ScenarioResult:
     """Run a scenario start-to-finish and return its measurements.
 
-    ``request_observers`` / ``measurement_observers`` are extra callbacks
+    ``served_observers`` / ``measurement_observers`` are extra callbacks
     attached to the system before it starts (see
-    ``HostingSystem.request_observers``); the optimality-gap harness uses
+    ``HostingSystem.served_observers``); the optimality-gap harness uses
     them to record the demand trace.  Defaults leave the run untouched.
     """
     strategy = resolve_strategy(config.strategy)
     sim, system, workload = build_system(config, topology=topology, tracer=tracer)
-    system.request_observers.extend(request_observers)
+    system.served_observers.extend(served_observers)
     system.measurement_observers.extend(measurement_observers)
     bandwidth = BandwidthCollector(system.network, bucket=config.bucket)
     latency = LatencyCollector(
@@ -410,11 +411,9 @@ def run_scenario(
     if strategy.attach is not None:
         placer = strategy.attach(system, config)
         placer.start()
-    if config.fast_lane:
-        # After every observer/placer attachment (the eligibility check
-        # sees the final configuration), before the generators capture
-        # the submit_request entry point.  A no-op when blocked.
-        system.enable_fast_lane(bandwidth=bandwidth, latency=latency)
+    # After every observer/placer attachment, so the eligibility check
+    # sees the final configuration.  A no-op when blocked.
+    lane_blockers = system.enable_fast_lane(bandwidth=bandwidth)
     generators = attach_generators(
         sim,
         system,
@@ -422,8 +421,6 @@ def run_scenario(
         config.node_request_rate,
         RngFactory(config.seed),
         poisson=config.poisson,
-        batched=config.batched_arrivals,
-        window=config.protocol.measurement_interval,
     )
     writer: ProviderWriteGenerator | None = None
     if system.consistency_plane is not None and config.consistency.write_rate > 0:
@@ -461,4 +458,5 @@ def run_scenario(
         trace=system.tracer,
         injector=injector,
         placer=placer,
+        lane_blockers=tuple(lane_blockers),
     )

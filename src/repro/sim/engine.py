@@ -157,8 +157,8 @@ class Simulator:
     ) -> None:
         """Schedule a pre-drawn vector of handle-free events in one call.
 
-        Used by the batched workload generator: one call schedules a whole
-        measurement interval of request arrivals.  Each ``(time, args)``
+        Used by the request generator: one call schedules a whole
+        pre-drawn window of request arrivals.  Each ``(time, args)``
         pair gets a sequence number in list order, exactly as if posted
         individually.
         """

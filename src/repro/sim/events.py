@@ -233,9 +233,9 @@ class EventQueue:
     ) -> None:
         """Enqueue one handle-free event per ``(time, args)`` pair.
 
-        The batched-arrival path: a workload generator pre-draws a whole
-        measurement interval of request arrivals as vectors and hands them
-        over in one call, amortising the per-event scheduling overhead.
+        The arrival path: a request generator pre-draws a window of
+        arrivals as vectors and hands them over in one call, amortising
+        the per-event scheduling overhead.
         Times need not be sorted; ordering is by ``(time, seq)`` with
         sequence numbers assigned in list order, exactly as if each pair
         had been pushed individually.

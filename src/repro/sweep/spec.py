@@ -170,13 +170,13 @@ class SweepSpec:
         """Short content hash identifying the sweep (manifest/baseline key).
 
         Canonical-JSON over the base config, resolved seeds and points;
-        any change to what would run changes the hash.  Pure verification
-        toggles (``check_invariants``) and scheduling-substrate knobs
-        (``batched_arrivals``, ``queue_bucket_width``, ``fast_lane`` —
-        how the same event set is generated and ordered internally, not
-        what it simulates) are excluded: they assert about or accelerate a run
-        without changing its results, and including them would invalidate
-        committed baselines whose runs are identical.  Similarly, a
+        any change to what would run changes the hash.  The verification
+        toggle (``check_invariants``) and the scheduling-substrate knob
+        (``queue_bucket_width`` — how the same event set is ordered
+        internally, not what it simulates) are excluded: they assert about
+        or accelerate a run without changing its results, and including
+        them would invalidate committed baselines whose runs are
+        identical.  Similarly, a
         consistency block at its all-off defaults and an empty partition
         schedule describe exactly the runs that existed before those
         fields did, so both are dropped at their defaults to keep
@@ -186,9 +186,7 @@ class SweepSpec:
         """
         base = dataclasses.asdict(self.base)
         base.pop("check_invariants", None)
-        base.pop("batched_arrivals", None)
         base.pop("queue_bucket_width", None)
-        base.pop("fast_lane", None)
         if base.get("strategy") == "paper":
             base.pop("strategy", None)
         if base.get("consistency") == dataclasses.asdict(ConsistencyConfig()):

@@ -64,45 +64,6 @@ class PlacementEvent:
 
 
 @dataclass(slots=True)
-class RequestRecord:
-    """Per-request accounting produced by the simulation.
-
-    Attributes mirror the quantities the paper's evaluation reports:
-    response latency (queueing + service + network delays) and the number
-    of backbone hops traversed by the (large) response message, which
-    dominates bandwidth consumption.
-    """
-
-    obj: ObjectId
-    gateway: NodeId
-    server: NodeId
-    issued_at: Time
-    completed_at: Time = 0.0
-    response_hops: int = 0
-    request_hops: int = 0
-    queue_delay: Time = 0.0
-    service_time: Time = 0.0
-    #: True when the serving host rejected the request because its queue
-    #: exceeded the maximum backlog (no response was sent).
-    dropped: bool = False
-    #: True when no available replica existed (every replica's host was
-    #: failed); the request could not be serviced at all.
-    failed: bool = False
-    #: True when the request or its response was lost in transit (network
-    #: faults), or the serving host crashed mid-service: the client never
-    #: saw an answer.
-    lost: bool = False
-    #: How many times the request was re-routed to an alternate replica
-    #: after its chosen host turned out dead or replica-less.
-    retries: int = 0
-
-    @property
-    def latency(self) -> Time:
-        """Total client-perceived response time within the platform."""
-        return self.completed_at - self.issued_at
-
-
-@dataclass(slots=True)
 class ReplicaInfo:
     """A redirector's view of one replica: host plus affinity (Sec. 3).
 

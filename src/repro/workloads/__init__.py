@@ -26,7 +26,6 @@ from repro.workloads.base import (
     attach_generators,
     canonical_object_ids,
 )
-from repro.workloads.batched import BatchedRequestGenerator
 from repro.workloads.hot_pages import HotPagesWorkload
 from repro.workloads.hot_sites import HotSitesWorkload
 from repro.workloads.mixture import MixtureWorkload, PhasedWorkload
@@ -43,7 +42,6 @@ __all__ = [
     "MixtureWorkload",
     "PhasedWorkload",
     "RequestGenerator",
-    "BatchedRequestGenerator",
     "attach_generators",
     "canonical_object_ids",
 ]

@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import WorkloadError
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
 from repro.sim.rng import RngFactory
-from repro.types import NodeId, ObjectId
+from repro.types import NodeId, ObjectId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol import HostingSystem
@@ -34,9 +35,9 @@ def canonical_object_ids(num_objects: int) -> tuple[ObjectId, ...]:
     them through this table interns them so the hot
     ``submit_request → choose_replica → host`` path hashes/compares one
     shared object per id (dict lookups short-circuit on identity) and the
-    millions of :class:`~repro.types.RequestRecord` instances reference
-    rather than duplicate them.  Pure value mapping — RNG draw order and
-    sampled values are untouched.
+    millions of queued event-argument tuples reference rather than
+    duplicate them.  Pure value mapping — RNG draw order and sampled
+    values are untouched.
     """
     return tuple(range(num_objects))
 
@@ -65,8 +66,31 @@ class UniformWorkload(Workload):
         return rng.randrange(self.num_objects)
 
 
+#: Arrivals pre-drawn per fill.  The window is derived from it
+#: (``ARRIVALS_PER_FILL / rate`` seconds), so the arrivals a generator
+#: holds in the event queue are bounded whatever its rate: a wider window
+#: (one measurement interval, say) only parks more entries in the queue.
+ARRIVALS_PER_FILL = 32
+
+
 class RequestGenerator:
-    """Constant-rate request stream for one gateway node."""
+    """Constant-rate request stream for one gateway node.
+
+    Arrivals are pre-drawn one window at a time as plain vectors and
+    handed to :meth:`~repro.sim.engine.Simulator.post_batch`: one refill
+    event per window instead of one scheduler event per request.  The
+    RNG stream is consumed in per-arrival order (the gap to the *next*
+    arrival, then the *current* arrival's object), so times and objects
+    are those of a generator that schedules one event per request
+    (``tests/workloads/per_event_oracle.py`` is that generator, kept as
+    the oracle).  Arrivals get their sequence numbers at fill time; only
+    a tie at the exact same float timestamp could order differently, and
+    the random per-gateway phase makes such ties measure-zero.
+
+    Nothing is drawn at construction beyond the phase: the first fill is
+    itself an event at the construction instant, so building a scenario
+    stays cheap and the fill sees the system as it is when the run starts.
+    """
 
     __slots__ = (
         "_sim",
@@ -76,8 +100,9 @@ class RequestGenerator:
         "rate",
         "_rng",
         "_poisson",
-        "_event",
-        "_active",
+        "_window",
+        "_next_time",
+        "_refill_event",
         "generated",
         "_objects",
     )
@@ -107,29 +132,54 @@ class RequestGenerator:
         self.rate = rate
         self._rng = rng
         self._poisson = poisson
-        self._active = True
+        self._window = ARRIVALS_PER_FILL / rate
+        #: Arrivals *scheduled* so far; up to one window ahead of the
+        #: arrivals that have fired.
         self.generated = 0
         self._objects = canonical_object_ids(workload.num_objects)
         # Random phase so generators across gateways do not fire in sync.
-        first = rng.random() / rate
-        self._event = sim.schedule_after(first, self._fire)
+        self._next_time = sim.now + rng.random() / rate
+        self._refill_event: Event | None = sim.schedule_after(0.0, self._fill)
 
-    def _fire(self) -> None:
-        if not self._active:  # pragma: no cover - stop() cancels the event
-            return
-        delay = (
-            self._rng.expovariate(self.rate) if self._poisson else 1.0 / self.rate
-        )
-        self._event = self._sim.schedule_after(delay, self._fire)
-        obj = self._objects[self._workload.sample(self.gateway, self._rng)]
-        self._system.submit_request(self.gateway, obj)
-        self.generated += 1
+    def _fill(self) -> None:
+        """Pre-draw and schedule every arrival in the next window."""
+        sim = self._sim
+        end = sim.now + self._window
+        t = self._next_time
+        times: list[Time] = []
+        pairs: list[tuple[NodeId, ObjectId]] = []
+        append_time = times.append
+        append_pair = pairs.append
+        rng = self._rng
+        expovariate = rng.expovariate
+        rate = self.rate
+        step = 1.0 / rate
+        poisson = self._poisson
+        sample = self._workload.sample
+        gateway = self.gateway
+        objects = self._objects
+        while t < end:
+            # Per-arrival draw order: the gap to the next arrival first,
+            # then this arrival's object.
+            nxt = t + (expovariate(rate) if poisson else step)
+            append_time(t)
+            append_pair((gateway, objects[sample(gateway, rng)]))
+            t = nxt
+        self._next_time = t
+        if times:
+            sim.post_batch(times, self._system.submit_request, pairs)
+            self.generated += len(times)
+        self._refill_event = sim.schedule_after(self._window, self._fill)
 
     def stop(self) -> None:
-        """Stop generating requests.  Idempotent."""
-        if self._active:
-            self._active = False
-            self._event.cancel()
+        """Stop pre-drawing new windows.  Idempotent.
+
+        Arrivals already scheduled (up to one window ahead) cannot be
+        recalled: they fire if the simulation keeps running.
+        """
+        if self._refill_event is not None:
+            self._refill_event.cancel()
+            self._refill_event = None
 
 
 def attach_generators(
@@ -141,37 +191,13 @@ def attach_generators(
     *,
     gateways: Sequence[NodeId] | None = None,
     poisson: bool = False,
-    batched: bool = False,
-    window: float | None = None,
-):
-    """One generator per gateway (default: every backbone node).
-
-    With ``batched`` set, arrivals are pre-drawn per ``window`` seconds as
-    vectors (:class:`~repro.workloads.batched.BatchedRequestGenerator`)
-    instead of one scheduler event per request — same RNG streams, same
-    arrival times and objects, a fraction of the scheduling overhead.
-    """
+) -> list[RequestGenerator]:
+    """One generator per gateway (default: every backbone node)."""
     nodes = (
         list(gateways)
         if gateways is not None
         else list(system.routes.topology.nodes)
     )
-    if batched:
-        from repro.workloads.batched import DEFAULT_WINDOW, BatchedRequestGenerator
-
-        return [
-            BatchedRequestGenerator(
-                sim,
-                system,
-                workload,
-                node,
-                rate,
-                rng_factory.stream(f"gen-{node}"),
-                poisson=poisson,
-                window=window if window is not None else DEFAULT_WINDOW,
-            )
-            for node in nodes
-        ]
     return [
         RequestGenerator(
             sim,

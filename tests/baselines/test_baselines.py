@@ -12,7 +12,7 @@ from repro.network.transport import Network
 from repro.routing.routes_db import RoutingDatabase
 from repro.sim.engine import Simulator
 from repro.topology.generators import two_cluster_topology
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 AMERICA_GW, EUROPE_GW = 0, 8
 AMERICA_HOST, EUROPE_HOST = 1, 7
@@ -105,7 +105,10 @@ def test_full_replication_sends_requests_to_distant_hosts():
     topology = two_cluster_topology(cluster_size=4, bridge_length=3)
     system = make_system(sim, topology, num_objects=1, enable_placement=False)
     replicate_everywhere(system)
-    records = [system.submit_request(AMERICA_GW, 0) for _ in range(200)]
+    records = served_log(system)
+    for _ in range(200):
+        system.submit_request(AMERICA_GW, 0)
     sim.run()
+    assert len(records) == 200
     remote = sum(1 for r in records if r.response_hops > 1)
     assert remote > 50  # a solid share of requests travels needlessly

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.config import ProtocolConfig
@@ -60,6 +62,34 @@ def make_system(
         **kwargs,
     )
     return system
+
+
+class Served(NamedTuple):
+    """One delivered response, as the served observers saw it."""
+
+    obj: int
+    gateway: int
+    server: int
+    issued_at: float
+    response_hops: int
+    completed_at: float
+
+    @property
+    def latency(self) -> float:
+        return self.completed_at - self.issued_at
+
+
+def served_log(system: HostingSystem) -> list[Served]:
+    """Attach a served observer; returns the (live) list it appends to."""
+    log: list[Served] = []
+
+    def observe(obj, gateway, server, issued_at, response_hops):
+        log.append(
+            Served(obj, gateway, server, issued_at, response_hops, system.sim.now)
+        )
+
+    system.served_observers.append(observe)
+    return log
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from repro.failures.injector import FailureInjector
 from repro.network.faults import FaultConfig, FaultPlane
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
-from repro.types import PlacementAction, PlacementReason, RequestRecord
+from repro.types import PlacementAction, PlacementReason
 from tests.conftest import make_system
 
 QUIET_FAULTS = FaultConfig(enabled=True, detection=False, repair=False)
@@ -38,8 +38,9 @@ def add_replica(system, obj, host):
 
 
 def served(obj, server):
-    """A completed request record, as the request observer sees it."""
-    return RequestRecord(obj=obj, gateway=0, server=server, issued_at=0.0)
+    """A delivered response, as the served observers are called with it:
+    ``(obj, gateway, server, issued_at, response_hops)``."""
+    return obj, 0, server, 0.0, server
 
 
 def test_immediate_write_propagates_with_zero_length_window():
@@ -96,7 +97,7 @@ def test_stale_read_triggers_read_repair():
     cplane.provider_write(0)  # push fails: replica 2 left stale
     injector.recover(2)
     assert cplane.manager.stale_replicas(0) == [2]
-    cplane._on_request(served(0, 2))
+    cplane._on_served(*served(0, 2))
     assert cplane.tracker.stale_reads == 1
     assert cplane.read_repair_attempts == 1
     assert cplane.read_repairs == 1
@@ -117,8 +118,8 @@ def test_failed_read_repair_suppressed_until_anti_entropy_clears_it():
     assert cplane.manager.stale_replicas(0) == [2]
     # Host 2 still serves its side of the partition: stale reads there
     # attempt one repair, fail, and are then suppressed.
-    cplane._on_request(served(0, 2))
-    cplane._on_request(served(0, 2))
+    cplane._on_served(*served(0, 2))
+    cplane._on_served(*served(0, 2))
     assert cplane.tracker.stale_reads == 2
     assert cplane.read_repair_attempts == 1
     assert cplane.read_repairs == 0
@@ -126,7 +127,7 @@ def test_failed_read_repair_suppressed_until_anti_entropy_clears_it():
     assert cplane.manager.stale_replicas(0) == []
     assert cplane.antientropy.repushes == 1
     # Anti-entropy also lifted the suppression for future repairs.
-    cplane._on_request(served(0, 2))
+    cplane._on_served(*served(0, 2))
     assert cplane.read_repair_attempts == 1  # current replica: no attempt
     system.stop()
 
@@ -137,7 +138,7 @@ def test_read_repair_waits_out_the_epidemic_flush_window():
     system.start()
     cplane.provider_write(0)
     # Inside the flush window staleness is by design: no repair.
-    cplane._on_request(served(0, 2))
+    cplane._on_served(*served(0, 2))
     assert cplane.tracker.stale_reads == 1
     assert cplane.read_repair_attempts == 0
     system.stop()
@@ -151,8 +152,8 @@ def test_category2_conservation_across_crash_and_recovery():
     assert cplane.has_category2
     assert cplane.policy.category(1) is Category.COMMUTING
     for _ in range(3):
-        cplane._on_request(served(1, 1))
-    cplane._on_request(served(3, 3))
+        cplane._on_served(*served(1, 1))
+    cplane._on_served(*served(3, 3))
     assert cplane.category2_served == 4
     # Host 1 crashes with its tallies unmerged: they are lost for good.
     injector = FailureInjector(sim, system)
@@ -174,7 +175,7 @@ def test_category2_conservation_violation_is_loud():
         ConsistencyConfig(category_mix=(0.0, 1.0, 0.0))
     )
     system.start()
-    cplane._on_request(served(1, 1))
+    cplane._on_served(*served(1, 1))
     cplane.category2_served = 7  # corrupt the ledger
     with pytest.raises(ConsistencyError):
         cplane._reaggregate()

@@ -23,6 +23,11 @@ from repro.types import PlacementAction, PlacementReason
 CONFIG = ProtocolConfig(high_watermark=20.0, low_watermark=10.0)
 
 
+def no_paths(gateway):
+    """Path resolver for bare hosts whose access counts are never read."""
+    raise AssertionError("no test here expands access counts")
+
+
 def build(weights=None, limits=None):
     sim = Simulator()
     network = Network(sim, RoutingDatabase(line_topology(4)))
@@ -77,7 +82,7 @@ def test_weighted_migration_headroom():
 
 
 def test_update_mode_uses_weighted_watermarks():
-    host = HostServer(0, CONFIG, capacity=100.0, weight=2.0)
+    host = HostServer(0, CONFIG, no_paths, capacity=100.0, weight=2.0)
     host.estimator.on_measurement(30.0, 0.0)  # below hw*2 = 40
     host.update_mode()
     assert not host.offloading
@@ -104,20 +109,20 @@ def test_storage_limit_refuses_new_copies():
 
 
 def test_has_storage_room_semantics():
-    host = HostServer(0, CONFIG, storage_limit=2)
+    host = HostServer(0, CONFIG, no_paths, storage_limit=2)
     host.store.add(1)
     host.store.add(2)
     assert not host.has_storage_room(3)
     assert host.has_storage_room(1)  # already stored
-    unlimited = HostServer(1, CONFIG)
+    unlimited = HostServer(1, CONFIG, no_paths)
     assert unlimited.has_storage_room(99)
 
 
 def test_invalid_weight_and_limit():
     with pytest.raises(ProtocolError):
-        HostServer(0, CONFIG, weight=0.0)
+        HostServer(0, CONFIG, no_paths, weight=0.0)
     with pytest.raises(ProtocolError):
-        HostServer(0, CONFIG, storage_limit=0)
+        HostServer(0, CONFIG, no_paths, storage_limit=0)
 
 
 def test_offload_recipient_respects_per_host_watermarks():

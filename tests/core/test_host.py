@@ -7,9 +7,13 @@ from repro.core.host import HostServer
 from repro.errors import ProtocolError
 
 
+#: Preference paths from host 0, by gateway.
+PATHS = {0: (0,), 1: (0, 1), 7: (0, 3, 7), 9: (0, 3, 9)}
+
+
 @pytest.fixture
 def host():
-    return HostServer(0, ProtocolConfig(), capacity=10.0)
+    return HostServer(0, ProtocolConfig(), PATHS.__getitem__, capacity=10.0)
 
 
 def test_fcfs_service_times(host):
@@ -38,16 +42,22 @@ def test_queue_overflow_drops(host):
 
 
 def test_record_service_counts_preference_path(host):
-    host.record_service(5, (0, 3, 7))
-    host.record_service(5, (0, 3, 9))
+    host.record_service(5, 7)
+    host.record_service(5, 9)
     counts = host.object_access_counts(5)
     assert counts == {0: 2, 3: 2, 7: 1, 9: 1}
     assert host.total_access_count(5) == 2
     assert host.serviced_total == 2
+    # Services after a read add to the counts already expanded.
+    host.record_service(5, 7)
+    assert host.total_access_count(5) == 3
+    assert host.object_access_counts(5) == {0: 3, 3: 3, 7: 2, 9: 1}
 
 
 def test_reset_access_counts(host):
-    host.record_service(5, (0, 1))
+    host.record_service(5, 1)
+    assert host.total_access_count(5) == 1
+    host.record_service(5, 1)  # one expanded, one still pending
     host.reset_access_counts(100.0)
     assert host.object_access_counts(5) == {}
     assert host.last_placement_time == 100.0
@@ -55,7 +65,7 @@ def test_reset_access_counts(host):
 
 def test_measurement_feeds_estimator(host):
     for _ in range(40):
-        host.record_service(1, (0,))
+        host.record_service(1, 0)
     load = host.measure(20.0)
     assert load == pytest.approx(2.0)
     assert host.measured_load == pytest.approx(2.0)
@@ -65,7 +75,7 @@ def test_measurement_feeds_estimator(host):
 
 def test_mode_transitions_use_watermarks():
     config = ProtocolConfig(high_watermark=10.0, low_watermark=5.0)
-    host = HostServer(0, config, capacity=100.0)
+    host = HostServer(0, config, PATHS.__getitem__, capacity=100.0)
     host.estimator.on_measurement(12.0, 0.0)
     host.update_mode()
     assert host.offloading
@@ -84,12 +94,14 @@ def test_mode_transitions_use_watermarks():
 
 def test_invalid_capacity():
     with pytest.raises(ProtocolError):
-        HostServer(0, ProtocolConfig(), capacity=0.0)
+        HostServer(0, ProtocolConfig(), PATHS.__getitem__, capacity=0.0)
     with pytest.raises(ProtocolError):
-        HostServer(0, ProtocolConfig(), max_queue_delay=0.0)
+        HostServer(0, ProtocolConfig(), PATHS.__getitem__, max_queue_delay=0.0)
 
 
 def test_clear_object_state(host):
-    host.record_service(5, (0, 1))
+    host.record_service(5, 1)
+    assert host.total_access_count(5) == 1
+    host.record_service(5, 1)  # one expanded, one still pending
     host.clear_object_state(5)
     assert host.object_access_counts(5) == {}

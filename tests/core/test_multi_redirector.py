@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.errors import ProtocolError
+from repro.network.message import MessageClass
 from repro.network.transport import Network
 from repro.core.protocol import HostingSystem
 from repro.routing.routes_db import RoutingDatabase
@@ -15,6 +16,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.topology.generators import grid_topology
 from repro.workloads.base import UniformWorkload, attach_generators
+from tests.conftest import served_log
 
 
 @pytest.fixture
@@ -63,22 +65,24 @@ def test_full_run_with_three_redirectors(system):
     generators = attach_generators(
         sim, system, UniformWorkload(12), 3.0, RngFactory(41)
     )
-    completed = []
-    system.request_observers.append(completed.append)
+    completed = served_log(system)
     sim.run(until=300.0)
     for generator in generators:
         generator.stop()
     system.check_invariants()
     assert len(completed) > 5000
-    assert all(not r.dropped for r in completed)
+    assert system.dropped_requests == 0
 
 
 def test_requests_route_via_owning_redirector(system):
-    record = system.submit_request(gateway=8, obj=1)  # redirector at node 4
+    served = served_log(system)
+    system.submit_request(gateway=8, obj=1)  # redirector at node 4
     system.sim.run()
     # Request hops: gateway(8)->redirector(4) is 2 hops on a 3x3 grid,
     # then redirector(4)->host(1) is 1 hop.
-    assert record.request_hops == 3
+    request_byte_hops = system.network.byte_hops[MessageClass.REQUEST]
+    assert request_byte_hops == 3 * system.request_bytes
+    assert [(record.server, record.response_hops) for record in served] == [(1, 3)]
 
 
 def test_board_node_is_first_redirector(system):

@@ -46,9 +46,8 @@ def report_idle(system, nodes, load=2.0, at=100.0):
 
 def feed_foreign(system, obj, gateway, count):
     host = system.hosts[0]
-    path = system.routes.preference_path(0, gateway)
     for _ in range(count):
-        host.record_service(obj, path)
+        host.record_service(obj, gateway)
 
 
 def test_offload_migrates_cold_objects_to_recipient():

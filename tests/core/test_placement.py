@@ -32,11 +32,9 @@ def system():
 def feed(system, obj, path_counts, *, host=0):
     """Install access counts: path_counts maps gateway -> request count."""
     server = system.hosts[host]
-    routes = system.routes
     for gateway, count in path_counts.items():
-        path = routes.preference_path(host, gateway)
         for _ in range(count):
-            server.record_service(obj, path)
+            server.record_service(obj, gateway)
 
 
 def advance_to(system, t):
@@ -122,6 +120,7 @@ def test_access_counts_reset_after_round(system):
     feed(system, 1, {4: 100})
     run_placement(system)
     assert system.hosts[0].access_counts == {}
+    assert system.hosts[0].pending_access == {}
     assert system.hosts[0].last_placement_time == 100.0
 
 

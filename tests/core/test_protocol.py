@@ -6,7 +6,7 @@ from repro.errors import ProtocolError
 from repro.network.message import MessageClass
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 
 @pytest.fixture
@@ -32,22 +32,33 @@ def test_duplicate_initial_placement_rejected(system):
 
 
 def test_request_flow_end_to_end(system):
-    completed = []
-    system.request_observers.append(completed.append)
-    record = system.submit_request(gateway=3, obj=0)
+    served = served_log(system)
+    assert system.submit_request(gateway=3, obj=0) is None
     system.sim.run()
-    assert completed == [record]
-    assert record.server == 0
+    (record,) = served
+    assert (record.obj, record.gateway, record.server) == (0, 3, 0)
     assert record.response_hops == 3
-    assert record.service_time == pytest.approx(1 / 200)
+    assert record.issued_at == 0.0
     # Latency: request legs + service + response transfer.
-    assert record.latency > 0
-    assert record.completed_at > record.issued_at
+    network = system.network
+    legs = network.delay(2, system.request_bytes) + network.delay(
+        1, system.request_bytes
+    )
+    assert record.latency == pytest.approx(
+        legs + 1 / 200 + network.delay(3, system.object_size)
+    )
+    # The same completion, as the ledger holds it.
+    assert system.completed == 1
+    assert system.total_latency == record.latency == system.max_latency
+    assert system.total_response_hops == 3
+    assert system.hosts[0].serviced_total == 1
 
 
 def test_local_request_has_zero_hops(system):
-    record = system.submit_request(gateway=1, obj=1)
+    served = served_log(system)
+    system.submit_request(gateway=1, obj=1)
     system.sim.run()
+    (record,) = served
     assert record.server == 1
     assert record.response_hops == 0
 
@@ -62,9 +73,14 @@ def test_response_bytes_dominate_accounting(system):
 
 
 def test_queueing_is_fcfs(system):
-    records = [system.submit_request(gateway=0, obj=0) for _ in range(3)]
+    system.meter_completions(60.0, keep_samples=True)
+    for _ in range(3):
+        system.submit_request(gateway=0, obj=0)
     system.sim.run()
-    delays = [r.queue_delay for r in records]
+    # Same legs and service time for all three: what separates their
+    # latencies is the time each spent queued behind the others.
+    samples = system.latency_samples
+    delays = [latency - samples[0] for latency in samples]
     assert delays[0] == 0.0
     assert delays[1] == pytest.approx(1 / 200, abs=1e-9)
     assert delays[2] == pytest.approx(2 / 200, abs=1e-9)
@@ -73,16 +89,16 @@ def test_queueing_is_fcfs(system):
 def test_dropped_request_is_reported(system):
     host = system.hosts[0]
     host.max_queue_delay = 0.004  # less than one service time
-    seen = []
-    system.request_observers.append(seen.append)
+    served = served_log(system)
+    system.meter_completions(60.0)
     for _ in range(3):
         system.submit_request(gateway=0, obj=0)
     system.sim.run()
     # Only the first request fits; the two queued behind it overflow.
-    dropped = [r for r in seen if r.dropped]
-    assert len(dropped) == 2
     assert system.dropped_requests == 2
-    assert sum(1 for r in seen if not r.dropped) == 1
+    assert host.dropped_total == 2
+    assert system.drop_counts == {0: 2}
+    assert len(served) == system.completed == 1
 
 
 def test_request_rerouted_if_replica_vanished(system):
@@ -90,23 +106,18 @@ def test_request_rerouted_if_replica_vanished(system):
     re-routed to a surviving replica, not lost."""
     system.hosts[2].store.add(0)
     system.redirectors.for_object(0).replica_created(0, 2, 1)
-    completed = []
-    system.request_observers.append(completed.append)
+    completed = served_log(system)
 
-    # Pick the moment the request is in flight to delete its target.
-    record = system.submit_request(gateway=3, obj=0)
-    target = record.server if record.server >= 0 else None
-    # The chosen server is decided at submit; find it via the redirector
-    # state: simulate the drop of whichever replica was chosen.
-    # Drop replica on host 2 through the proper channel mid-flight.
-    chosen = 2 if 2 in system.replica_hosts(0) else 0
-    if system.redirectors.for_object(0).request_drop(0, chosen):
-        system.hosts[chosen].store.drop(0)
+    # Gateway 3's closest replica is host 2: the request is in flight
+    # toward it when the replica is dropped through the proper channel.
+    system.submit_request(gateway=3, obj=0)
+    assert system.redirectors.for_object(0).request_drop(0, 2)
+    system.hosts[2].store.drop(0)
     system.sim.run()
-    assert completed and not completed[0].dropped
-    assert completed[0].server in system.replica_hosts(0) or (
-        system.rerouted_requests == 0
-    )
+    assert system.rerouted_requests == 1
+    assert [record.server for record in completed] == [0]
+    assert system.replica_hosts(0) == [0]
+    assert system.dropped_requests == system.lost_requests == 0
 
 
 def test_measurement_process_reports_to_board(system):
@@ -148,12 +159,13 @@ def test_invariant_checker_detects_affinity_mismatch(system):
         system.check_invariants()
 
 
-def test_distributor_validates_object_ids(system):
+def test_submit_request_rejects_unknown_objects(system):
     with pytest.raises(ProtocolError):
-        system.distributors[0].submit(99)
-    record = system.distributors[0].submit(3)
-    assert record.gateway == 0
-    assert system.distributors[0].requests_forwarded == 1
+        system.submit_request(gateway=0, obj=99)
+    served = served_log(system)
+    system.submit_request(gateway=0, obj=3)
+    system.sim.run()
+    assert [(record.gateway, record.obj) for record in served] == [(0, 3)]
 
 
 def test_redirector_placed_at_min_mean_distance_node(system):

@@ -48,9 +48,8 @@ def test_dirty_interval_counting(system):
 def test_frozen_host_skips_placement_round(system):
     host = system.hosts[0]
     # Give the host a hot object that would otherwise replicate.
-    path = system.routes.preference_path(0, 3)
     for _ in range(100):
-        host.record_service(0, path)
+        host.record_service(0, 3)
     host.meter.object_loads = {0: 1.0}
     host.dirty_intervals = 2
     system.sim.schedule_at(100.0, lambda: None)

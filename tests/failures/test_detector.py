@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from repro.core.protocol import MAX_REQUEST_RETRIES
 from repro.failures.injector import FailureInjector
 from repro.network.faults import FaultConfig, FaultPlane
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 FAULTS = FaultConfig(
     enabled=True,
@@ -119,15 +120,37 @@ def test_stale_view_requests_reroute_to_alternate_replica():
     # The redirector still considers host 0 available and it is the
     # closest replica for gateway 0: requests routed there find it dead,
     # reroute, and succeed against host 2.
-    records = [system.submit_request(0, 0) for _ in range(4)]
+    records = served_log(system)
+    for _ in range(4):
+        system.submit_request(0, 0)
     sim.run(until=10.0)
     # Every request ends up serviced by host 2; the ones that first hit
-    # the dead host were rerouted (a few may be load-balanced straight
-    # to host 2 by the redirector's proximity/load rule).
-    assert all(r.server == 2 and not r.failed for r in records)
-    rerouted = [r for r in records if r.retries > 0]
-    assert rerouted
-    assert system.rerouted_requests == len(rerouted)
+    # the dead host were rerouted, once each (a few may be load-balanced
+    # straight to host 2 by the redirector's proximity/load rule).
+    assert [r.server for r in records] == [2, 2, 2, 2]
+    assert system.failed_requests == system.lost_requests == 0
+    assert 1 <= system.rerouted_requests <= 4
+    system.stop()
+
+
+def test_request_retries_are_capped_under_a_stale_view():
+    """Every replica dead and none detected yet: the request bounces
+    between them (each retry excludes only the host it just found dead)
+    until the cap fails it."""
+    sim, system = build(FAULTS.replace(request_failure_threshold=100))
+    system.hosts[2].store.add(0)
+    system.redirectors.for_object(0).replica_created(0, 2, 1)
+    system.start()
+    injector = FailureInjector(sim, system)
+    sim.run(until=6.0)
+    injector.fail(0)
+    injector.fail(2)
+    records = served_log(system)
+    system.submit_request(0, 0)
+    sim.run(until=10.0)
+    assert records == []
+    assert system.failed_requests == 1
+    assert system.rerouted_requests == MAX_REQUEST_RETRIES + 1
     system.stop()
 
 

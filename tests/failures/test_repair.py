@@ -7,7 +7,7 @@ from repro.network.faults import FaultConfig, FaultPlane
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
 from repro.types import PlacementAction, PlacementReason
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 FAULTS = FaultConfig(
     enabled=True,
@@ -43,9 +43,11 @@ def test_sole_replica_crash_triggers_repair():
         # The dead host keeps its registered (masked) replica.
         assert 2 in system.redirectors.for_object(obj).replica_hosts(obj)
     # Requests for the stranded objects are serviceable again.
-    record = system.submit_request(0, 2)
+    served = served_log(system)
+    system.submit_request(0, 2)
     sim.run(until=65.0)
-    assert not record.failed
+    assert system.failed_requests == 0
+    assert [record.obj for record in served] == [2]
     system.stop()
     system.check_invariants()
 

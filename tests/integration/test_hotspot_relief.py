@@ -12,7 +12,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.topology.generators import two_cluster_topology
 from repro.workloads.base import UniformWorkload, attach_generators
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 CONFIG = ProtocolConfig(
     high_watermark=18.0,
@@ -102,8 +102,7 @@ def test_load_estimates_bracket_actual_load():
 
 def test_no_requests_are_lost():
     sim, system = build()
-    completed = []
-    system.request_observers.append(completed.append)
+    completed = served_log(system)
     generators = attach_generators(
         sim, system, HotSiteWorkload(5), 2.0, RngFactory(9)
     )
@@ -113,6 +112,6 @@ def test_no_requests_are_lost():
     system.stop()  # halt periodic processes so the queue can drain
     sim.run()  # drain in-flight requests
     generated = sum(g.generated for g in generators)
-    assert len(completed) == generated
-    serviced = sum(1 for r in completed if not r.dropped)
-    assert serviced + system.dropped_requests == generated
+    assert len(completed) == system.completed
+    assert system.completed + system.dropped_requests == generated
+    assert system.failed_requests == system.lost_requests == 0

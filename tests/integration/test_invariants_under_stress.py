@@ -13,7 +13,7 @@ from repro.sim.rng import RngFactory
 from repro.topology.generators import grid_topology
 from repro.workloads.base import attach_generators
 from repro.workloads.zipf import ZipfWorkload
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 CONFIG = ProtocolConfig(
     high_watermark=10.0,
@@ -46,8 +46,7 @@ def test_invariants_hold_under_churn():
             assert len(system.replica_hosts(obj)) >= 1
 
     checker = PeriodicProcess(sim, CONFIG.placement_interval, verify)
-    completed = []
-    system.request_observers.append(completed.append)
+    completed = served_log(system)
     sim.run(until=800.0)
     for generator in generators:
         generator.stop()
@@ -57,7 +56,8 @@ def test_invariants_hold_under_churn():
 
     assert checks["count"] == 20
     generated = sum(g.generated for g in generators)
-    assert len(completed) == generated
+    assert len(completed) + system.dropped_requests == generated
+    assert system.failed_requests == system.lost_requests == 0
     # Churn actually happened (otherwise this test proves nothing).
     assert len(system.placement_events) > 20
 

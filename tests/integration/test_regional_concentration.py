@@ -54,9 +54,11 @@ def test_replicas_concentrate_in_their_region():
         sim, system, TwoRegionWorkload(), 5.0, RngFactory(12)
     )
     hops = []
-    system.request_observers.append(
-        lambda record: hops.append(record.response_hops)
-        if sim.now > 500 and not record.dropped
+    system.served_observers.append(
+        lambda obj, gateway, server, issued_at, response_hops: hops.append(
+            response_hops
+        )
+        if sim.now > 500
         else None
     )
     sim.run(until=650.0)

@@ -77,6 +77,40 @@ def test_request_path_and_control_endpoints():
     asyncio.run(main())
 
 
+def test_host_rejects_a_bad_gateway_before_counting_it():
+    """``?gateway=`` is client input that is only walked into a preference
+    path at the next placement round: a bad one must be a 400 at the
+    door, with nothing recorded."""
+    config = demo_config()
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        try:
+            node = 3 % config.num_hosts  # object 3's initial host
+            live_host = deployment.hosts[node].host
+            host, port = deployment.directory.host(node)
+            for bad in ("abc", str(config.num_hosts), "-1"):
+                status, _h, body = await _http_get(
+                    host, port, f"/obj/3?gateway={bad}", 5.0
+                )
+                assert status == 400, bad
+                assert b"gateway" in body and bad.encode() in body
+            assert live_host.serviced_total == 0
+            assert live_host.pending_access == {}
+            assert live_host.object_access_counts(3) == {}
+            # A good gateway (and the default, the host itself) still serve.
+            for query in ("?gateway=0", ""):
+                status, _h, _b = await _http_get(host, port, f"/obj/3{query}", 5.0)
+                assert status == 200
+            assert live_host.serviced_total == 2
+            assert live_host.total_access_count(3) == 2
+        finally:
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
 def test_live_deployment_replicates_and_drops_under_load(tmp_path):
     """The acceptance scenario: real sockets, dynamic replication AND
     drops, every request serviced, metrics exported."""

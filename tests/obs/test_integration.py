@@ -33,11 +33,9 @@ def traced_system():
 
 def feed(system, obj, path_counts, *, host=0):
     server = system.hosts[host]
-    routes = system.routes
     for gateway, count in path_counts.items():
-        path = routes.preference_path(host, gateway)
         for _ in range(count):
-            server.record_service(obj, path)
+            server.record_service(obj, gateway)
 
 
 def test_attach_wires_every_site(traced_system):

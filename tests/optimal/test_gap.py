@@ -26,13 +26,11 @@ from repro.optimal.gap import (
 from repro.routing.routes_db import RoutingDatabase
 from repro.scenarios.config import ScenarioConfig
 from repro.topology.generators import line_topology
-from repro.types import RequestRecord
 
 
-def record(obj, gateway, server, **kwargs):
-    return RequestRecord(
-        obj=obj, gateway=gateway, server=server, issued_at=0.0, **kwargs
-    )
+def record(obj, gateway, server):
+    """A delivered response, as the served observers are called with it."""
+    return obj, gateway, server, 0.0, abs(server - gateway)
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +40,9 @@ def line_routes():
 
 def test_demand_trace_aggregates_serviced_requests(line_routes):
     trace = DemandTrace(line_routes)
-    trace(record(1, 0, 2))
-    trace(record(1, 0, 2))
-    trace(record(1, 5, 4))
-    trace(record(2, 3, 3, dropped=True))  # ignored
-    trace(record(2, 3, 3, failed=True))  # ignored
-    trace(record(2, 3, 3, lost=True))  # ignored
-    trace(record(2, 3, -1))  # ignored: never serviced
+    trace(*record(1, 0, 2))
+    trace(*record(1, 0, 2))
+    trace(*record(1, 5, 4))
     assert trace.serviced == 3
     assert trace.demand == {1: {0: 2, 5: 1}}
     assert trace.servers == {1: {2, 4}}
@@ -60,8 +54,8 @@ def test_oracle_single_server_objects_are_forced(line_routes):
     """With one server per object the oracle must match the run exactly."""
     trace = DemandTrace(line_routes)
     for _ in range(4):
-        trace(record(1, 0, 3))
-    trace(record(2, 5, 3))
+        trace(*record(1, 0, 3))
+    trace(*record(2, 5, 3))
     bound = oracle_lower_bound(trace, line_routes, capacity=100.0, duration=1.0)
     assert bound.contested_objects == 0
     assert bound.cost == pytest.approx(trace.cost)
@@ -73,9 +67,9 @@ def test_oracle_improves_on_a_bad_assignment(line_routes):
     trace = DemandTrace(line_routes)
     # Object 1 has replicas at 0 and 5.  The run serves gateway 0 from
     # node 5 (cost 5 each) even though node 0 also served it once.
-    trace(record(1, 0, 0))
+    trace(*record(1, 0, 0))
     for _ in range(3):
-        trace(record(1, 0, 5))
+        trace(*record(1, 0, 5))
     bound = oracle_lower_bound(trace, line_routes, capacity=100.0, duration=1.0)
     assert bound.contested_objects == 1
     # The oracle assigns all four requests to node 0 at cost 0.
@@ -89,9 +83,9 @@ def test_oracle_respects_host_budgets(line_routes):
     # 10 requests from gateway 0; the run split them 5/5 between the
     # adjacent node 1 and the distant node 5.
     for _ in range(5):
-        trace(record(1, 0, 1))
+        trace(*record(1, 0, 1))
     for _ in range(5):
-        trace(record(1, 0, 5))
+        trace(*record(1, 0, 5))
     # Nominal budget of 3 is raised to the realised load (5) per host, so
     # the oracle cannot pile all 10 onto node 1.
     bound = oracle_lower_bound(trace, line_routes, capacity=3.0, duration=1.0)

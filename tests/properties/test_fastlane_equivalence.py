@@ -1,13 +1,15 @@
-"""Property tests pinning the request fast lane to the reference path.
+"""Property tests pinning the request fast lane to the general path.
 
 The fast lane (:mod:`repro.core.fastlane`) must be a pure acceleration:
 on any eligible scenario it has to produce *byte-identical* results to
-the reference request pipeline, and on any run carrying something it
-does not model (faults, tracing) it must stand down entirely and let the
-reference code run.  Hypothesis drives scenario knobs (seed, workload,
+the general request stages, and on any run carrying something it does
+not model (faults, tracing) it must stand down entirely and let the
+general code run.  Hypothesis drives scenario knobs (seed, workload,
 scale, object count) and replica configurations; each example runs the
-same scenario twice — lane on and lane off — and demands exact equality
-of the scalar metrics and of the underlying cost/latency accounting.
+same scenario twice — once as is, once with a do-nothing served observer
+attached, which is a blocker and so stands the lane down — and demands
+exact equality of the scalar metrics and of the underlying cost/latency
+accounting.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ from repro.routing.routes_db import RoutingDatabase
 from repro.scenarios.presets import paper_scenario
 from repro.scenarios.runner import run_scenario, scenario_metrics
 from repro.topology.generators import ring_topology
+from tests.core.figure2_oracle import choose_replica_reference
+
+
+def _ignore_served(obj, gateway, server, issued_at, response_hops):
+    """A served observer that observes nothing (but blocks the lane)."""
 
 
 def _run_pair(config):
-    fast = run_scenario(config.replace(fast_lane=True))
-    slow = run_scenario(config.replace(fast_lane=False))
+    fast = run_scenario(config)
+    slow = run_scenario(config, served_observers=(_ignore_served,))
     return fast, slow
 
 
@@ -32,10 +39,12 @@ def _assert_identical(fast, slow):
     """Exact equality of everything the two runs measured."""
     assert scenario_metrics(fast) == scenario_metrics(slow)
     assert fast.system.network.byte_hops == slow.system.network.byte_hops
-    for name in ("completed", "dropped", "failed"):
+    for name in ("completed", "dropped", "failed", "lost", "max_latency"):
         assert getattr(fast.latency, name) == getattr(slow.latency, name)
     assert fast.latency.total_latency == slow.latency.total_latency
     assert fast.latency.total_response_hops == slow.latency.total_response_hops
+    assert fast.system.completions == slow.system.completions
+    assert fast.system.drop_counts == slow.system.drop_counts
     assert set(fast.system.hosts) == set(slow.system.hosts)
     for node, f_host in fast.system.hosts.items():
         s_host = slow.system.hosts[node]
@@ -61,6 +70,7 @@ def test_fast_lane_matches_reference_path(seed, workload, scale):
     assert fast.system.fast_lane is not None
     assert fast.system.fast_lane.requests_fast > 0
     assert slow.system.fast_lane is None
+    assert slow.engine_mode() == "stood down: served-request observers attached"
     _assert_identical(fast, slow)
 
 
@@ -71,7 +81,7 @@ def test_fast_lane_matches_reference_path(seed, workload, scale):
 )
 def test_lane_stands_down_when_ineligible(seed, blocker):
     """Faulted or traced runs never install the lane (the blocker list
-    is non-empty), and toggling ``fast_lane`` changes nothing at all."""
+    is non-empty), and one more blocker changes nothing at all."""
     config = paper_scenario("zipf", scale=0.02, duration=120.0, seed=seed)
     if blocker == "faults":
         config = config.replace(
@@ -82,6 +92,7 @@ def test_lane_stands_down_when_ineligible(seed, blocker):
     fast, slow = _run_pair(config)
     assert fast.system.fast_lane is None
     assert slow.system.fast_lane is None
+    assert fast.lane_blockers and set(fast.lane_blockers) < set(slow.lane_blockers)
     _assert_identical(fast, slow)
 
 
@@ -128,7 +139,7 @@ def test_choose_replica_matches_reference_oracle(replicas, gateways):
     oracle = _make_service(replicas)
     for gateway in gateways:
         assert optimised.choose_replica(gateway, 0) == (
-            oracle.choose_replica_reference(gateway, 0)
+            choose_replica_reference(oracle, gateway, 0)
         )
     assert optimised.chose_closest == oracle.chose_closest
     assert optimised.chose_least_requested == oracle.chose_least_requested

@@ -55,9 +55,8 @@ def build_system(accesses, loads):
         host = system.hosts[home]
         if obj not in host.store:
             continue
-        path = system.routes.preference_path(home, gateway)
         for _ in range(count):
-            host.record_service(obj, path)
+            host.record_service(obj, gateway)
         host.meter.object_loads[obj] = count / 100.0
     sim.schedule_at(100.0, lambda: None)
     sim.run(until=100.0)

@@ -11,10 +11,11 @@ unslotted class) into ``src/repro/sim/``.
 The same budget extends to the request path in ``src/repro/core/``: the
 per-request classes (fast lane, host server, object store, load meter)
 must stay slotted, the request-path modules must not grow dataclasses
-(slotted ``types.RequestRecord``/``ReplicaInfo`` are the one sanctioned
-home), and the fast lane's per-request methods must never iterate an
-observer list — the lane exists because the reference path's observer
-dispatch is the cost being bypassed.
+(slotted ``types.ReplicaInfo`` is the one sanctioned home), a request
+between stages is scalars in the event args and never a record, and the
+fast lane stays three inlined stages over the shared accounting: it
+never iterates an observer list and reaches into no collector, load
+meter or host count table.
 
 And to the per-message path every faulted, traced or consistency run
 takes (``network/transport.py``, ``network/faults.py``,
@@ -30,10 +31,12 @@ import textwrap
 
 import pytest
 
-from repro.core import fastlane, host, object_store
+import repro.types
+from repro.core import fastlane, host, object_store, protocol
 from repro.load import metrics as load_metrics
 from repro.metrics import bandwidth
 from repro.network import faults, message, transport
+from repro.scenarios.config import ScenarioConfig
 from repro.sim import engine, events
 
 SIM_DIR = pathlib.Path(inspect.getfile(events)).parent
@@ -47,7 +50,6 @@ REQUEST_PATH_MODULES = (
     "object_store.py",
     "redirector.py",
     "protocol.py",
-    "distributor.py",
 )
 
 
@@ -126,14 +128,13 @@ def test_request_path_classes_are_slotted():
 
 def test_fast_lane_never_dispatches_observers():
     """The lane's per-request methods must not reach any observer list:
-    the whole point of the lane is that the single fault-free observer
-    pipeline is inlined.  Observer mentions belong only in the
-    eligibility check (``fast_lane_blockers``) and in comments."""
+    served observers are a blocker, so nothing is there to dispatch to.
+    Observer mentions belong only in the eligibility check
+    (``fast_lane_blockers``) and in comments."""
     for method in (
         fastlane.FastLane.submit_request,
         fastlane.FastLane._arrive,
         fastlane.FastLane._complete,
-        fastlane.FastLane._finish,
     ):
         source = inspect.getsource(method)
         code_lines = [
@@ -142,12 +143,83 @@ def test_fast_lane_never_dispatches_observers():
         offenders = [
             line.strip()
             for line in code_lines
-            if "request_observers" in line or "_observers" in line
+            if "_observers" in line
         ]
         assert offenders == [], (
             f"observer dispatch crept into FastLane.{method.__name__}: "
             f"{offenders}"
         )
+
+
+#: The general request stages and the one ledger writer they share with
+#: the lane.
+REQUEST_STAGES = (
+    protocol.HostingSystem.submit_request,
+    protocol.HostingSystem._arrive_at_host,
+    protocol.HostingSystem._complete_service,
+    protocol.HostingSystem._drop_request,
+    protocol.HostingSystem._finish_request,
+)
+
+
+def test_request_stages_are_record_free():
+    """A request between stages is scalars in the event args: no stage
+    may construct a dataclass (or anything called a record) for it."""
+    dataclass_names = {
+        name
+        for module in (protocol, repro.types)
+        for name, value in vars(module).items()
+        if inspect.isclass(value) and dataclasses.is_dataclass(value)
+    }
+    for stage in REQUEST_STAGES:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(stage)))
+        called = set(_called_names(tree))
+        assert called & dataclass_names == set(), stage.__qualname__
+        assert not [name for name in called if "Record" in name], stage.__qualname__
+    assert not hasattr(repro.types, "RequestRecord")
+    assert protocol.HostingSystem.submit_request.__annotations__["return"] == "None"
+
+
+def _code_only(module):
+    """A module's source without comments and docstrings."""
+    tree = ast.parse(inspect.getsource(module))
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (
+            isinstance(body, list)
+            and body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        ):
+            body[0] = ast.Pass()
+    return tree, ast.unparse(tree)
+
+
+def test_fast_lane_reaches_into_no_collector_meter_or_count_table():
+    """What is left of the lane is three inlined stages; the accounting
+    it used to mirror is shared code it calls.  It may still pre-bind the
+    event queue's ``push_fast``, the redirector registry, the stores'
+    affinity dicts and the hosts' ``_busy_until`` — nothing in
+    ``metrics/``, ``load/`` or ``types.py`` beyond the id aliases."""
+    tree, code = _code_only(fastlane)
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [name for name in imported if name.startswith("repro.metrics")]
+    assert not [name for name in imported if name.startswith("repro.load")]
+    for banned in ("RequestRecord", "meter._", "latency.", "pending_access ="):
+        assert banned not in code, f"{banned!r} crept back into core/fastlane.py"
+
+
+def test_engine_knobs_stay_retired():
+    """Which pipeline and which generator run is decided by observation
+    (``fast_lane_blockers``), never by a config field."""
+    fields = {field.name for field in dataclasses.fields(ScenarioConfig)}
+    assert not fields & {"fast_lane", "batched_arrivals"}
 
 
 # ----------------------------------------------------------------------

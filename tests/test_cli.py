@@ -341,11 +341,22 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
          "--json", str(out)]
     )  # fmt: skip
     assert code == 0
-    assert "engine: stood down: fault plane attached" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "engine: stood down: fault plane attached" in text
     breakdown = json.loads(out.read_text())
     assert "consistency plane attached" in breakdown["engine_mode"]
     assert breakdown["metrics"]["messages_dropped"] > 0
     assert breakdown["metrics"]["writes_applied"] > 0
+    # Every request is in the counters, the ones lost in transit included
+    # (they used to appear nowhere).
+    counters = breakdown["counters"]
+    assert counters["requests_lost"] > 0
+    assert counters["requests_fast_lane"] == 0
+    assert counters["requests_general_path"] == sum(
+        counters[f"requests_{outcome}"]
+        for outcome in ("completed", "dropped", "failed", "lost")
+    )
+    assert f"{counters['requests_lost']} lost" in text
 
 
 def test_golden_cli_flags_describe_the_golden_scenario():

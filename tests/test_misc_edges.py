@@ -64,14 +64,6 @@ def test_protocol_config_freeze_roundtrip():
     assert config.replace(relocation_freeze_intervals=None).relocation_freeze_intervals is None
 
 
-def test_request_record_latency_property():
-    from repro.types import RequestRecord
-
-    record = RequestRecord(obj=0, gateway=1, server=2, issued_at=1.0)
-    record.completed_at = 3.5
-    assert record.latency == pytest.approx(2.5)
-
-
 def test_replica_info_unit_request_count():
     from repro.types import ReplicaInfo
 

@@ -7,11 +7,12 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.topology.generators import line_topology
 from repro.workloads.base import (
+    ARRIVALS_PER_FILL,
     RequestGenerator,
     UniformWorkload,
     attach_generators,
 )
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 
 @pytest.fixture
@@ -22,19 +23,30 @@ def system():
     return system
 
 
+def _drain(system, generator):
+    """Stop ``generator`` and let everything it scheduled be served."""
+    generator.stop()
+    system.sim.run()
+
+
 def test_constant_rate_generation(system):
     workload = UniformWorkload(10)
     rng = RngFactory(1).stream("g")
+    served = served_log(system)
     generator = RequestGenerator(
         system.sim, system, workload, gateway=0, rate=10.0, rng=rng
     )
     system.sim.run(until=10.0)
+    _drain(system, generator)
     # ~100 requests in 10 s at 10 req/s (phase offset costs at most one).
-    assert 98 <= generator.generated <= 101
+    assert 98 <= sum(1 for r in served if r.issued_at <= 10.0) <= 101
+    # ``generated`` counts scheduled arrivals: all of them, once drained.
+    assert generator.generated == len(served)
 
 
 def test_poisson_rate_approximates_target(system):
     workload = UniformWorkload(10)
+    served = served_log(system)
     generator = RequestGenerator(
         system.sim,
         system,
@@ -45,10 +57,13 @@ def test_poisson_rate_approximates_target(system):
         poisson=True,
     )
     system.sim.run(until=50.0)
-    assert generator.generated == pytest.approx(1000, rel=0.15)
+    _drain(system, generator)
+    issued = sum(1 for r in served if r.issued_at <= 50.0)
+    assert issued == pytest.approx(1000, rel=0.15)
 
 
 def test_stop_halts_generation(system):
+    served = served_log(system)
     generator = RequestGenerator(
         system.sim,
         system,
@@ -59,7 +74,11 @@ def test_stop_halts_generation(system):
     )
     system.sim.schedule_at(5.0, generator.stop)
     system.sim.run(until=20.0)
-    assert 45 <= generator.generated <= 51
+    assert 45 <= sum(1 for r in served if r.issued_at <= 5.0) <= 51
+    # Stopping cancels the next refill; what the current window had
+    # already scheduled (at most one fill) still arrives.
+    assert len(served) == generator.generated <= 51 + ARRIVALS_PER_FILL
+    assert max(r.issued_at for r in served) < 5.0 + ARRIVALS_PER_FILL / 10.0
     generator.stop()  # idempotent
 
 
@@ -73,11 +92,14 @@ def test_attach_generators_covers_all_gateways(system):
 
 
 def test_generators_are_phase_offset(system):
-    generators = attach_generators(
-        system.sim, system, UniformWorkload(10), 1.0, RngFactory(5)
-    )
-    first_times = [g._event.time for g in generators]
-    assert len(set(first_times)) == len(first_times)
+    served = served_log(system)
+    attach_generators(system.sim, system, UniformWorkload(10), 1.0, RngFactory(5))
+    system.sim.run(until=3.0)
+    first_times = {}
+    for record in served:
+        first_times.setdefault(record.gateway, record.issued_at)
+    assert len(first_times) == 3
+    assert len(set(first_times.values())) == 3
 
 
 def test_invalid_rate(system):

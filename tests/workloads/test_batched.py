@@ -1,14 +1,22 @@
-"""Batched arrival generation: equivalence with the per-event generator."""
+"""The window request generator against its per-event oracle."""
 
 import pytest
 
 from repro.errors import WorkloadError
+from repro.scenarios import runner
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario, scenario_metrics
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
-from repro.workloads.base import RequestGenerator, attach_generators
-from repro.workloads.batched import BatchedRequestGenerator
+from repro.workloads.base import (
+    ARRIVALS_PER_FILL,
+    RequestGenerator,
+    attach_generators,
+)
+from tests.workloads.per_event_oracle import (
+    PerEventRequestGenerator,
+    attach_per_event_generators,
+)
 
 
 class _ArrivalLog:
@@ -34,35 +42,37 @@ def test_batched_arrivals_identical_to_per_event(poisson):
     """Same RNG stream, same draw order: the pre-drawn arrival vectors
     reproduce the per-event generator's times and objects exactly."""
     runs = {}
-    for cls in (RequestGenerator, BatchedRequestGenerator):
+    for cls in (PerEventRequestGenerator, RequestGenerator):
         sim = Simulator()
         system = _ArrivalLog(sim)
         rng = RngFactory(7).stream("gen-0")
         gen = cls(sim, system, _workload(), 0, 5.0, rng, poisson=poisson)
         sim.run(until=30.0)
         gen.stop()
-        runs[cls.__name__] = system.arrivals
-    assert runs["BatchedRequestGenerator"] == runs["RequestGenerator"]
-    assert len(runs["RequestGenerator"]) > 100
+        runs[cls] = system.arrivals
+    assert runs[RequestGenerator] == runs[PerEventRequestGenerator]
+    assert len(runs[RequestGenerator]) > 100
 
 
 def test_generated_counts_agree_after_horizon():
     sim = Simulator()
     system = _ArrivalLog(sim)
-    gen = BatchedRequestGenerator(
-        sim, system, _workload(), 0, 10.0, RngFactory(3).stream("gen-0"), window=5.0
+    gen = RequestGenerator(
+        sim, system, _workload(), 0, 10.0, RngFactory(3).stream("gen-0")
     )
     sim.run(until=20.0)
-    # Scheduled counts may run up to one pre-draw window ahead of fired
+    # Scheduled counts run up to one pre-draw window ahead of fired
     # arrivals; every fired arrival was counted.
-    assert gen.generated >= len(system.arrivals) > 150
+    fired = len(system.arrivals)
+    assert fired > 150
+    assert fired <= gen.generated <= fired + ARRIVALS_PER_FILL + 1
 
 
 def test_stop_prevents_new_windows():
     sim = Simulator()
     system = _ArrivalLog(sim)
-    gen = BatchedRequestGenerator(
-        sim, system, _workload(), 0, 10.0, RngFactory(3).stream("gen-0"), window=5.0
+    gen = RequestGenerator(
+        sim, system, _workload(), 0, 10.0, RngFactory(3).stream("gen-0")
     )
     sim.run(until=4.0)
     gen.stop()
@@ -80,14 +90,14 @@ def test_batched_validation():
     system = _ArrivalLog(sim)
     rng = RngFactory(1).stream("gen-0")
     with pytest.raises(WorkloadError):
-        BatchedRequestGenerator(sim, system, _workload(), 0, 0.0, rng)
+        RequestGenerator(sim, system, _workload(), 0, 0.0, rng)
     with pytest.raises(WorkloadError):
-        BatchedRequestGenerator(sim, system, _workload(), 0, 1.0, rng, window=0.0)
-    with pytest.raises(WorkloadError):
-        BatchedRequestGenerator(sim, system, _workload(200), 0, 1.0, rng)
+        RequestGenerator(sim, system, _workload(200), 0, 1.0, rng)
 
 
-def test_attach_generators_batched_flag():
+def test_attach_generators_draws_nothing_before_the_run():
+    """Building the generators costs one pending event each (the first
+    fill): no arrival is drawn or scheduled until the run starts."""
     sim = Simulator()
 
     class _System(_ArrivalLog):
@@ -96,18 +106,22 @@ def test_attach_generators_batched_flag():
                 nodes = range(3)
 
     system = _System(sim)
-    generators = attach_generators(
-        sim, system, _workload(), 5.0, RngFactory(1), batched=True, window=10.0
-    )
-    assert all(isinstance(g, BatchedRequestGenerator) for g in generators)
-    assert len(generators) == 3
+    generators = attach_generators(sim, system, _workload(), 5.0, RngFactory(1))
+    assert [g.gateway for g in generators] == [0, 1, 2]
+    assert sim.pending == len(generators)
+    assert all(g.generated == 0 for g in generators)
+    sim.run(until=0.0)  # the fills fire at the construction instant
+    assert all(g.generated >= ARRIVALS_PER_FILL - 1 for g in generators)
+    assert system.arrivals == []
 
 
-def test_full_scenario_metrics_identical_with_batching():
+def test_full_scenario_metrics_identical_with_batching(monkeypatch):
     """End-to-end: a full protocol scenario produces identical metrics
-    with batched_arrivals on and off (arrival ties across generators are
-    measure-zero thanks to random per-gateway phases)."""
+    under the window generator and the per-event oracle (arrival ties
+    across generators are measure-zero thanks to random per-gateway
+    phases)."""
     config = ScenarioConfig(workload="zipf", duration=240.0, seed=5).scaled(0.05)
-    plain = scenario_metrics(run_scenario(config))
-    batched = scenario_metrics(run_scenario(config.replace(batched_arrivals=True)))
-    assert batched == plain
+    windowed = scenario_metrics(run_scenario(config))
+    monkeypatch.setattr(runner, "attach_generators", attach_per_event_generators)
+    per_event = scenario_metrics(run_scenario(config))
+    assert windowed == per_event

@@ -9,7 +9,7 @@ from repro.topology.generators import line_topology
 from repro.workloads.base import UniformWorkload
 from repro.workloads.trace import Trace, TraceRecord, TraceReplayer, synthesize_trace
 from repro.workloads.zipf import ZipfWorkload
-from tests.conftest import make_system
+from tests.conftest import make_system, served_log
 
 
 def sample_trace():
@@ -108,8 +108,7 @@ def test_replayer_drives_system():
         gateways=[0, 1, 2, 3],
         rng=RngFactory(4).stream("replay"),
     )
-    completed = []
-    system.request_observers.append(completed.append)
+    completed = served_log(system)
     replayer = TraceReplayer(sim, system, trace)
     sim.run(until=30.0)
     assert replayer.done

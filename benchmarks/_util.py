@@ -2,8 +2,11 @@
 
 Benchmarks print paper-vs-measured tables.  pytest captures stdout, so
 :func:`report` writes through to the real stdout (visible in the tee'd
-bench log) and also appends to ``benchmarks/reports/<name>.txt`` so every
-figure/table reproduction leaves a durable artifact.
+bench log) and also writes ``benchmarks/reports/<head>.txt`` so every
+figure/table reproduction leaves a durable artifact.  ``<head>`` is the
+report name up to its first ``:``, so that part must be unique per
+report ("Ablation (placement interval): ...", not "Ablation: ...") or
+one report overwrites another.
 """
 
 from __future__ import annotations

@@ -66,7 +66,7 @@ def test_ablation_distribution_constant(constant_sweep, benchmark):
 
     rows = benchmark(tabulate)
     report(
-        "Ablation: distribution constant (paper uses 2)",
+        "Ablation (distribution constant): paper uses 2",
         format_table(
             ["constant", "proximity reduction", "replicas/object", "settled max load"],
             rows,
@@ -115,7 +115,7 @@ def test_ablation_threshold_ratio(benchmark):
             ]
         )
     report(
-        "Ablation: m/u threshold ratio (paper uses 6)",
+        "Ablation (threshold ratio): m/u, paper uses 6",
         format_table(
             ["m/u", "replica drops", "replicas/object", "proximity reduction"],
             rows,
@@ -151,7 +151,7 @@ def test_ablation_placement_interval(benchmark):
         for interval in intervals
     ]
     report(
-        "Ablation: placement interval (paper uses 100 s)",
+        "Ablation (placement interval): paper uses 100 s",
         format_table(
             ["interval", "adjustment time", "proximity reduction"], rows
         ),

@@ -1,46 +1,32 @@
-"""CI benchmark-regression gate: compare a smoke sweep to the baseline.
+"""CI gates over committed baselines: what may fail the build, in one table.
 
 Usage::
 
     python -m repro sweep --smoke --json bench_smoke.json
     python benchmarks/compare_baseline.py bench_smoke.json
+    python benchmarks/compare_baseline.py --gap BENCH_optgap.json
+    python benchmarks/compare_baseline.py --live BENCH_live.json
 
-Compares the sweep summary produced by ``python -m repro sweep --smoke``
-against the committed ``benchmarks/reports/baseline.json``:
+Nothing here times the simulator: anything that times code goes through
+``bench/run.py`` (calibrated, bounded in ``BENCHMARK.json``).  The gates
+below pin *behaviour* against a committed artefact; ``GATES`` lists them.
+Exit code 0 on pass, 1 on any violation (the CI job fails).
 
-* **spec identity** — the spec hashes must match exactly (a drifted
-  smoke spec silently invalidates the comparison, so it is an error);
+Smoke-sweep gate (default)
+--------------------------
+Compares the summary of ``python -m repro sweep --smoke`` against
+``benchmarks/reports/baseline.json``, exactly:
+
+* **spec identity** — the spec hashes must match (a drifted smoke spec
+  silently invalidates the comparison, so it is an error);
 * **run health** — every run must have status ``ok``;
-* **throughput** — serviced requests per wall-clock second must be
-  within ``--tolerance`` (default ±25%) of the baseline.  Throughput is
-  machine-sensitive; the tolerance absorbs runner jitter while catching
-  step-change regressions in the simulator hot path or the executor;
-* **deterministic metrics** — per-point metric means must be within
-  ``--metric-tolerance`` (default 10%) relative.  These depend only on
-  seeds, so a drift here means the simulation itself changed behaviour
-  (which must come with a regenerated baseline).
+* **deterministic metrics** — every per-point metric mean must *equal*
+  the baseline's.  The means depend only on seeds, so any difference
+  means the simulation itself changed behaviour (which must come with a
+  regenerated baseline).  Wall-clock fields in the summary are not read.
 
-Exit code 0 on pass, 1 on any violation (the CI job fails).  Regenerate
-the baseline after an intentional change with::
-
-    python -m repro sweep --smoke --json benchmarks/reports/baseline.json
-
-Engine trajectory gate
-----------------------
-``--engine`` switches to comparing a ``BENCH_engine.json`` produced by
-``benchmarks/engine_trajectory.py`` against the committed
-``benchmarks/reports/engine_baseline.json``:
-
-* every shape's throughput (events/sec or requests/sec) must not regress
-  more than ``--tolerance`` (±25% default — machine-sensitive, so only
-  regressions beyond the band fail, improvements always pass);
-* the large-topology run's ``completed_requests`` must match the
-  baseline **exactly** when the simulated horizons agree — the scenario
-  is seeded and deterministic, so any drift means the engine changed
-  simulation behaviour.
-
-Regenerate with ``python benchmarks/engine_trajectory.py --quick --out
-benchmarks/reports/engine_baseline.json`` after an intentional change.
+Regenerate after an intentional change with ``python -m repro sweep
+--smoke --json benchmarks/reports/baseline.json``.
 
 Live saturation gate
 --------------------
@@ -66,8 +52,8 @@ benchmarks/reports/live_baseline.json`` after an intentional change.
 
 Optimality-gap gate
 -------------------
-``--gap`` compares a ``BENCH_optgap.json`` produced by
-``benchmarks/optimality_gap.py`` against the committed
+``--gap`` compares a ``BENCH_optgap.json`` produced by ``python -m repro
+gap --quick`` against the committed
 ``benchmarks/reports/optgap_baseline.json``:
 
 * **soundness** — every point's ``gap_ratio`` must be finite and >= 1.0
@@ -81,7 +67,7 @@ Optimality-gap gate
   and the oracle exact, so genuine drift means protocol behaviour
   changed (which must come with a regenerated baseline).
 
-Regenerate with ``python benchmarks/optimality_gap.py --quick --out
+Regenerate with ``python -m repro gap --quick --out
 benchmarks/reports/optgap_baseline.json`` after an intentional change.
 """
 
@@ -93,10 +79,7 @@ import math
 import sys
 from pathlib import Path
 
-DEFAULT_BASELINE = Path(__file__).parent / "reports" / "baseline.json"
-DEFAULT_ENGINE_BASELINE = Path(__file__).parent / "reports" / "engine_baseline.json"
-DEFAULT_LIVE_BASELINE = Path(__file__).parent / "reports" / "live_baseline.json"
-DEFAULT_GAP_BASELINE = Path(__file__).parent / "reports" / "optgap_baseline.json"
+REPORTS = Path(__file__).parent / "reports"
 
 
 def _rel_delta(current: float, reference: float) -> float:
@@ -105,14 +88,8 @@ def _rel_delta(current: float, reference: float) -> float:
     return (current - reference) / abs(reference)
 
 
-def compare(
-    current: dict,
-    baseline: dict,
-    *,
-    tolerance: float,
-    metric_tolerance: float,
-) -> list[str]:
-    """Return the list of violations (empty = gate passes)."""
+def compare(current: dict, baseline: dict) -> list[str]:
+    """Return the smoke gate's violations (empty = gate passes)."""
     problems: list[str] = []
 
     if current.get("spec_hash") != baseline.get("spec_hash"):
@@ -128,15 +105,6 @@ def compare(
     if failed or statuses.get("ok", 0) != current.get("runs"):
         problems.append(f"not all runs succeeded: statuses={statuses}")
 
-    throughput = current.get("throughput_rps", 0.0)
-    reference = baseline.get("throughput_rps", 0.0)
-    delta = _rel_delta(throughput, reference)
-    if delta < -tolerance:
-        problems.append(
-            f"throughput regressed {-delta:.1%} (> {tolerance:.0%} tolerance): "
-            f"{throughput:.0f} rps vs baseline {reference:.0f} rps"
-        )
-
     for point, metrics in baseline.get("points", {}).items():
         current_metrics = current.get("points", {}).get(point)
         if current_metrics is None:
@@ -146,64 +114,17 @@ def compare(
             if name not in current_metrics:
                 problems.append(f"metric {point}/{name} missing from current summary")
                 continue
-            drift = _rel_delta(current_metrics[name]["mean"], stats["mean"])
-            if abs(drift) > metric_tolerance:
+            mean = current_metrics[name]["mean"]
+            if mean != stats["mean"]:
                 problems.append(
-                    f"deterministic metric {point}/{name} drifted {drift:+.1%} "
-                    f"(> {metric_tolerance:.0%}): {current_metrics[name]['mean']:.6g} "
-                    f"vs baseline {stats['mean']:.6g}"
+                    f"deterministic metric {point}/{name} changed: {mean!r} vs "
+                    f"baseline {stats['mean']!r} "
+                    f"({_rel_delta(mean, stats['mean']):+.3g} relative)"
                 )
     return problems
 
 
-def compare_engine(
-    current: dict, baseline: dict, *, tolerance: float
-) -> list[str]:
-    """Gate a ``BENCH_engine.json`` trajectory artifact (see module doc)."""
-    problems: list[str] = []
-    if current.get("schema") != baseline.get("schema"):
-        problems.append(
-            f"schema mismatch: current {current.get('schema')!r} vs "
-            f"baseline {baseline.get('schema')!r}"
-        )
-        return problems
-
-    for shape, base_result in baseline.get("results", {}).items():
-        result = current.get("results", {}).get(shape)
-        if result is None:
-            problems.append(f"shape {shape!r} missing from current artifact")
-            continue
-        for rate_key in ("events_per_sec", "requests_per_sec"):
-            if rate_key not in base_result:
-                continue
-            delta = _rel_delta(result.get(rate_key, 0.0), base_result[rate_key])
-            if delta < -tolerance:
-                problems.append(
-                    f"{shape}/{rate_key} regressed {-delta:.1%} "
-                    f"(> {tolerance:.0%} tolerance): {result.get(rate_key, 0):,.0f} "
-                    f"vs baseline {base_result[rate_key]:,.0f}"
-                )
-
-    base_large = baseline.get("results", {}).get("large_topology", {})
-    cur_large = current.get("results", {}).get("large_topology", {})
-    if base_large.get("duration_simulated_s") == cur_large.get(
-        "duration_simulated_s"
-    ) and cur_large.get("completed_requests") != base_large.get("completed_requests"):
-        # Seeded and deterministic: any drift is a behaviour change in
-        # the engine, not noise, and needs a regenerated baseline.
-        problems.append(
-            "large_topology completed_requests drifted: "
-            f"{cur_large.get('completed_requests')} vs baseline "
-            f"{base_large.get('completed_requests')} — the engine changed "
-            "simulation behaviour; regenerate "
-            "benchmarks/reports/engine_baseline.json with rationale"
-        )
-    return problems
-
-
-def compare_live(
-    current: dict, baseline: dict, *, tolerance: float
-) -> list[str]:
+def compare_live(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Gate a ``BENCH_live.json`` saturation artifact (see module doc)."""
     problems: list[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -251,6 +172,10 @@ def compare_live(
     return problems
 
 
+def _finite(ratio: float | None) -> bool:
+    return ratio is not None and math.isfinite(ratio)
+
+
 def _gap_point_key(point: dict) -> str:
     return (
         f"{point.get('topology')}/load={point.get('load_scale')}"
@@ -258,9 +183,7 @@ def _gap_point_key(point: dict) -> str:
     )
 
 
-def compare_gap(
-    current: dict, baseline: dict, *, tolerance: float
-) -> list[str]:
+def compare_gap(current: dict, baseline: dict, tolerance: float) -> list[str]:
     """Gate a ``BENCH_optgap.json`` artifact (see module doc)."""
     problems: list[str] = []
     if current.get("schema") != baseline.get("schema"):
@@ -277,7 +200,7 @@ def compare_gap(
 
     for key, point in sorted(points.items()):
         ratio = point.get("gap_ratio")
-        if ratio is None or not math.isfinite(ratio):
+        if not _finite(ratio):
             problems.append(f"{key}: gap_ratio is {ratio!r} (must be finite)")
             continue
         if ratio < 1.0 - 1e-9:
@@ -296,13 +219,14 @@ def compare_gap(
         if point is None:
             problems.append(f"point {key!r} missing from current artifact")
             continue
-        drift = _rel_delta(
-            point.get("gap_ratio", 0.0), base_point.get("gap_ratio", 0.0)
-        )
+        ratio = point.get("gap_ratio")
+        if not _finite(ratio):
+            continue  # reported above; there is no drift to measure
+        drift = _rel_delta(ratio, base_point.get("gap_ratio", 0.0))
         if abs(drift) > tolerance:
             problems.append(
                 f"{key}: gap_ratio drifted {drift:+.1%} (> {tolerance:.0%}): "
-                f"{point.get('gap_ratio'):.4f} vs baseline "
+                f"{ratio:.4f} vs baseline "
                 f"{base_point.get('gap_ratio'):.4f} — protocol behaviour "
                 "changed; regenerate benchmarks/reports/optgap_baseline.json "
                 "with rationale"
@@ -310,110 +234,94 @@ def compare_gap(
     return problems
 
 
+def _summarise_smoke(current: dict, baseline: dict) -> None:
+    means = sum(len(metrics) for metrics in baseline.get("points", {}).values())
+    print(
+        f"spec {baseline.get('spec_hash')}: {len(baseline.get('points', {}))} "
+        f"points, {means} metric means compared exactly"
+    )
+
+
+def _summarise_live(current: dict, baseline: dict) -> None:
+    for name, base_result in sorted(baseline.get("results", {}).items()):
+        result = current.get("results", {}).get(name, {})
+        rate = result.get("sustained_rps", 0.0)
+        base_rate = base_result.get("sustained_rps", 0.0)
+        delta = _rel_delta(rate, base_rate)
+        print(
+            f"{name}: sustained {rate:,.0f} rps "
+            f"(baseline {base_rate:,.0f} rps, {delta:+.1%})"
+        )
+    if current.get("speedup_4v1") is not None:
+        print(f"speedup 4v1: {current['speedup_4v1']:.2f}x")
+
+
+def _summarise_gap(current: dict, baseline: dict) -> None:
+    for key, point in sorted(
+        (_gap_point_key(p), p) for p in current.get("points", [])
+    ):
+        print(
+            f"{key}: gap {point.get('gap_ratio', float('nan')):.4f} "
+            f"(oracle {point.get('oracle_cost', 0):,.0f}, "
+            f"violations {point.get('capacity_violations', 0)})"
+        )
+
+
+#: What may fail the build, one row per gate: the committed baseline, the
+#: comparison and the per-entry summary printed before the verdict.  The
+#: smoke gate is exact, so ``--tolerance`` stops at its row.
+GATES = {
+    "smoke": (
+        REPORTS / "baseline.json",
+        lambda current, baseline, tolerance: compare(current, baseline),
+        _summarise_smoke,
+    ),
+    "live": (REPORTS / "live_baseline.json", compare_live, _summarise_live),
+    "gap": (REPORTS / "optgap_baseline.json", compare_gap, _summarise_gap),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", help="sweep summary JSON to check")
+    parser.add_argument("current", help="artefact JSON to check")
     parser.add_argument(
         "--baseline",
         default=None,
-        help=f"baseline summary JSON (default: {DEFAULT_BASELINE}, or "
-        f"{DEFAULT_ENGINE_BASELINE} with --engine)",
+        help="baseline JSON (default: the gate's committed file under "
+        f"{REPORTS})",
     )
-    parser.add_argument(
-        "--engine",
-        action="store_true",
-        help="compare a BENCH_engine.json trajectory artifact instead of "
-        "a sweep summary",
-    )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--live",
-        action="store_true",
+        dest="mode",
+        action="store_const",
+        const="live",
         help="compare a BENCH_live.json saturation artifact instead of "
-        "a sweep summary",
+        "a smoke-sweep summary",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--gap",
-        action="store_true",
+        dest="mode",
+        action="store_const",
+        const="gap",
         help="compare a BENCH_optgap.json optimality-gap artifact instead "
-        "of a sweep summary",
+        "of a smoke-sweep summary",
     )
+    parser.set_defaults(mode="smoke")
     parser.add_argument(
         "--tolerance",
         type=float,
         default=0.25,
-        help="allowed relative throughput regression (default: 0.25)",
-    )
-    parser.add_argument(
-        "--metric-tolerance",
-        type=float,
-        default=0.10,
-        help="allowed relative drift of deterministic metric means (default: 0.10)",
+        help="--live / --gap only: allowed relative regression or drift "
+        "(default: 0.25); the smoke gate is exact",
     )
     args = parser.parse_args(argv)
 
-    if sum((args.engine, args.live, args.gap)) > 1:
-        parser.error("--engine, --live and --gap are mutually exclusive")
-    if args.gap:
-        default = DEFAULT_GAP_BASELINE
-    elif args.live:
-        default = DEFAULT_LIVE_BASELINE
-    elif args.engine:
-        default = DEFAULT_ENGINE_BASELINE
-    else:
-        default = DEFAULT_BASELINE
+    default_baseline, check, summarise = GATES[args.mode]
     current = json.loads(Path(args.current).read_text())
-    baseline = json.loads(Path(args.baseline or default).read_text())
-    if args.gap:
-        problems = compare_gap(current, baseline, tolerance=args.tolerance)
-        for key, point in sorted(
-            (_gap_point_key(p), p) for p in current.get("points", [])
-        ):
-            print(
-                f"{key}: gap {point.get('gap_ratio', float('nan')):.4f} "
-                f"(oracle {point.get('oracle_cost', 0):,.0f}, "
-                f"violations {point.get('capacity_violations', 0)})"
-            )
-    elif args.live:
-        problems = compare_live(current, baseline, tolerance=args.tolerance)
-        for name, base_result in sorted(baseline.get("results", {}).items()):
-            result = current.get("results", {}).get(name, {})
-            rate = result.get("sustained_rps", 0.0)
-            base_rate = base_result.get("sustained_rps", 0.0)
-            delta = _rel_delta(rate, base_rate)
-            print(
-                f"{name}: sustained {rate:,.0f} rps "
-                f"(baseline {base_rate:,.0f} rps, {delta:+.1%})"
-            )
-        if current.get("speedup_4v1") is not None:
-            print(f"speedup 4v1: {current['speedup_4v1']:.2f}x")
-    elif args.engine:
-        problems = compare_engine(current, baseline, tolerance=args.tolerance)
-        for shape, base_result in baseline.get("results", {}).items():
-            result = current.get("results", {}).get(shape, {})
-            for rate_key in ("events_per_sec", "requests_per_sec"):
-                if rate_key in base_result:
-                    delta = _rel_delta(
-                        result.get(rate_key, 0.0), base_result[rate_key]
-                    )
-                    print(
-                        f"{shape}: {result.get(rate_key, 0):,.0f} "
-                        f"{rate_key.split('_per_')[0]}/s "
-                        f"(baseline {base_result[rate_key]:,.0f}, {delta:+.1%})"
-                    )
-    else:
-        problems = compare(
-            current,
-            baseline,
-            tolerance=args.tolerance,
-            metric_tolerance=args.metric_tolerance,
-        )
-        speedup = _rel_delta(
-            current.get("throughput_rps", 0.0), baseline.get("throughput_rps", 1.0)
-        )
-        print(
-            f"throughput: {current.get('throughput_rps', 0):.0f} rps "
-            f"(baseline {baseline.get('throughput_rps', 0):.0f} rps, {speedup:+.1%})"
-        )
+    baseline = json.loads(Path(args.baseline or default_baseline).read_text())
+    problems = check(current, baseline, args.tolerance)
+    summarise(current, baseline)
     if problems:
         print(f"\nbenchmark gate FAILED ({len(problems)} violation(s)):")
         for problem in problems:

@@ -4,8 +4,8 @@ Launches the sharded redirector tier as *real OS processes* (``python -m
 repro serve`` roles on ephemeral ports, discovered through port files),
 steps the offered load through a route-only load generator, and records
 requests/sec against latency percentiles for 1, 2 and 4 shards.  The
-resulting JSON is the live counterpart of ``BENCH_engine.json``: every
-CI run extends a recorded saturation trajectory for the serving tier
+resulting JSON is the only multi-process measurement of the sharded
+tier: every CI run records a saturation trajectory for the serving tier
 instead of a point-in-time anecdote.
 
 Route-only mode measures the redirector tier's own capacity — the

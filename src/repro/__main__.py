@@ -38,7 +38,7 @@ One parser, seven subcommands:
     One scenario run under ``cProfile`` with its wall time attributed
     to pipeline stages (request pipeline, event engine, workload
     generation, metrics, placement), plus honest unprofiled stage
-    wall-clocks.  The tool behind the perf trajectory's numbers:
+    wall-clocks.  For looking; numbers to quote come from ``bench/run.py``:
 
         python -m repro profile --large --duration 20 --json profile.json
         python -m repro profile --preset zipf --loss 0.02
@@ -339,7 +339,7 @@ def _live_config(args: argparse.Namespace):
 
 
 # ----------------------------------------------------------------------
-# Per-command parsers (standalone builders kept as the public API)
+# Per-command parsers
 # ----------------------------------------------------------------------
 
 
@@ -644,43 +644,6 @@ def _populate_loadgen_parser(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``run`` subcommand's parser (standalone, legacy entry)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Run one scenario of the ICDCS 1999 dynamic replication "
-            "protocol reproduction."
-        ),
-    )
-    _populate_run_parser(parser)
-    return parser
-
-
-def build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description=(
-            "Run one scenario with the protocol decision tracer attached "
-            "and emit the trace as JSONL."
-        ),
-    )
-    _populate_trace_parser(parser)
-    return parser
-
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description=(
-            "Run a scenario x seed x parameter-override sweep across "
-            "worker processes and aggregate the metrics."
-        ),
-    )
-    _populate_sweep_parser(parser)
-    return parser
-
-
 def build_cli() -> argparse.ArgumentParser:
     """The unified ``python -m repro`` parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -969,6 +932,8 @@ def _parse_axes(pairs: list[str] | None) -> dict[str, list]:
         axes[key] = [
             _parse_override_value(v) for v in values.split(",") if v != ""
         ]
+        if not axes[key]:
+            raise ConfigurationError(f"bad --set {pair!r}: {key} has no values")
     return axes
 
 
@@ -984,7 +949,12 @@ def sweep_main(args: argparse.Namespace) -> int:
         )
         seeds: tuple[int, ...] = ()
         if args.seed_list:
-            seeds = tuple(int(s) for s in args.seed_list.split(","))
+            try:
+                seeds = tuple(int(s) for s in args.seed_list.split(","))
+            except ValueError:
+                raise ConfigurationError(
+                    f"bad --seed-list {args.seed_list!r}; expected S1,S2,... integers"
+                ) from None
         spec = SweepSpec.grid(
             base,
             _parse_axes(args.overrides),
@@ -1064,6 +1034,12 @@ def _gap_settings(args: argparse.Namespace):
     import dataclasses
 
     from repro.optimal.gap import GapSettings, quick_settings
+    from repro.sweep.spec import reject_text
+
+    def number(key: str, value) -> float:
+        if isinstance(value, (str, bool)):
+            raise ConfigurationError(f"bad --set {key}: {value!r} is not a number")
+        return float(value)
 
     settings = quick_settings() if args.quick else GapSettings()
     changes: dict[str, object] = {}
@@ -1071,16 +1047,18 @@ def _gap_settings(args: argparse.Namespace):
         if key in _GAP_AXES:
             if key == "gap.fault":
                 parsed = tuple(
-                    None if v in ("none", "off", 0) else float(v) for v in values
+                    None if v in ("none", "off", 0) else number(key, v)
+                    for v in values
                 )
             elif key == "gap.load_scale":
-                parsed = tuple(float(v) for v in values)
+                parsed = tuple(number(key, v) for v in values)
             else:
                 parsed = tuple(str(v) for v in values)
             changes[_GAP_AXES[key]] = parsed
         elif key in _GAP_SCALARS:
             if len(values) != 1:
                 raise SystemExit(f"--set {key} takes exactly one value")
+            reject_text(key, values[0], getattr(settings, _GAP_SCALARS[key]))
             changes[_GAP_SCALARS[key]] = values[0]
         else:
             known = ", ".join(sorted([*_GAP_AXES, *_GAP_SCALARS]))

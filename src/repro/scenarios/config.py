@@ -79,11 +79,6 @@ class ScenarioConfig:
     #: not in every benchmark sweep.  Excluded from the sweep spec hash —
     #: it verifies a run without changing what runs.
     check_invariants: bool = False
-    #: Event-queue bucket width override, seconds.  ``None`` auto-sizes
-    #: from the expected event rate (:func:`repro.scenarios.runner.
-    #: auto_bucket_width`).  Pure performance knob — ordering is exact
-    #: ``(time, seq)`` at any width — and excluded from the spec hash.
-    queue_bucket_width: float | None = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -107,8 +102,6 @@ class ScenarioConfig:
             raise ConfigurationError("bucket width must be positive")
         if self.trace_capacity < 1:
             raise ConfigurationError("trace capacity must be at least 1")
-        if self.queue_bucket_width is not None and self.queue_bucket_width <= 0:
-            raise ConfigurationError("queue bucket width must be positive")
 
     def scaled(self, factor: float) -> "ScenarioConfig":
         """Scale the *load axis* of the run by ``factor``.

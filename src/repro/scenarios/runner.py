@@ -81,12 +81,10 @@ def auto_bucket_width(config: ScenarioConfig, num_nodes: int) -> float:
 
     Targets a few hundred entries per near bucket: each request costs
     roughly four scheduler events (arrival, host hop, completion,
-    response), so the expected event rate is ``nodes x rate x 4``.  A
-    pure performance knob — ordering is exact ``(time, seq)`` at any
-    width — overridable via ``config.queue_bucket_width``.
+    response), so the expected event rate is ``nodes x rate x 4``.
+    Purely a matter of speed: ordering is exact ``(time, seq)`` at any
+    width.
     """
-    if config.queue_bucket_width is not None:
-        return config.queue_bucket_width
     event_rate = num_nodes * config.node_request_rate * 4.0
     if event_rate <= 0:
         return DEFAULT_BUCKET_WIDTH
@@ -128,6 +126,19 @@ def build_system(
     )
     fault_plane = None
     if config.faults.enabled:
+        # The one place the schedules meet the topology: unchecked, an
+        # unknown node crashes the injector mid-run or partitions nothing.
+        scheduled = [("outage", node) for node, _, _ in config.faults.outages] + [
+            ("partition", node)
+            for nodes, _, _ in config.faults.partitions
+            for node in nodes
+        ]
+        for what, node in scheduled:
+            if node not in topology.nodes:
+                raise ConfigurationError(
+                    f"{what} names node {node}, but the topology has "
+                    f"{topology.num_nodes} nodes (0..{topology.num_nodes - 1})"
+                )
         fault_plane = FaultPlane(
             config.faults, RngFactory(config.seed).stream("faults")
         )

@@ -4,8 +4,9 @@ One canonical, cheap, fully-deterministic sweep — 2 seeds x 2 placement
 intervals on the Zipf workload at load scale 0.05 — defined in exactly
 one place so the committed baseline (``benchmarks/reports/baseline.json``),
 the CI ``bench-smoke`` job and any local re-run all execute the same
-spec (and therefore agree on ``spec_hash``).  The gate compares the
-sweep's wall-clock throughput against the baseline with a tolerance;
+spec (and therefore agree on ``spec_hash``).  The gate requires every
+per-point metric mean to equal the baseline's — the runs are seeded, so
+any difference is a behaviour change — and reads no wall-clock field;
 see ``benchmarks/compare_baseline.py``.
 """
 

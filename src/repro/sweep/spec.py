@@ -33,13 +33,23 @@ Scalar = bool | int | float | str | None
 Overrides = Mapping[str, Scalar]
 
 
+def reject_text(key: str, value: Scalar, held: Any) -> None:
+    """Text fits only a field that holds text or a tuple (the colon-mix
+    spelling); anywhere else validation would compare it with a number."""
+    if isinstance(value, str) and not isinstance(held, (str, tuple)):
+        raise ConfigurationError(
+            f"override {key}={value!r}: {key} does not take text (it holds {held!r})"
+        )
+
+
 def apply_overrides(config: ScenarioConfig, overrides: Overrides) -> ScenarioConfig:
     """Apply dotted-key overrides to a scenario config, revalidated.
 
     Top-level keys name :class:`ScenarioConfig` fields; a ``head.tail``
     key descends into a nested dataclass field (``protocol.*`` in
     practice) and rebuilds it via its ``replace``.  Unknown keys raise
-    :class:`ConfigurationError` rather than silently creating attributes.
+    :class:`ConfigurationError` rather than silently creating attributes,
+    and so does text for a field holding a number, a flag or ``None``.
     """
     flat: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
@@ -49,6 +59,7 @@ def apply_overrides(config: ScenarioConfig, overrides: Overrides) -> ScenarioCon
         if head not in config_fields:
             raise ConfigurationError(f"unknown override key {key!r}")
         if not dot:
+            reject_text(key, value, getattr(config, head))
             flat[head] = value
             continue
         inner = getattr(config, head)
@@ -58,6 +69,7 @@ def apply_overrides(config: ScenarioConfig, overrides: Overrides) -> ScenarioCon
             )
         if tail not in {f.name for f in dataclasses.fields(inner)}:
             raise ConfigurationError(f"unknown override key {key!r}")
+        reject_text(key, value, getattr(inner, tail))
         nested.setdefault(head, {})[tail] = value
     for head, changes in nested.items():
         flat[head] = getattr(config, head).replace(**changes)
@@ -171,12 +183,9 @@ class SweepSpec:
 
         Canonical-JSON over the base config, resolved seeds and points;
         any change to what would run changes the hash.  The verification
-        toggle (``check_invariants``) and the scheduling-substrate knob
-        (``queue_bucket_width`` — how the same event set is ordered
-        internally, not what it simulates) are excluded: they assert about
-        or accelerate a run without changing its results, and including
-        them would invalidate committed baselines whose runs are
-        identical.  Similarly, a
+        toggle (``check_invariants``) is excluded: it asserts about a run
+        without changing its results, and including it would invalidate
+        committed baselines whose runs are identical.  Similarly, a
         consistency block at its all-off defaults and an empty partition
         schedule describe exactly the runs that existed before those
         fields did, so both are dropped at their defaults to keep
@@ -186,7 +195,6 @@ class SweepSpec:
         """
         base = dataclasses.asdict(self.base)
         base.pop("check_invariants", None)
-        base.pop("queue_bucket_width", None)
         if base.get("strategy") == "paper":
             base.pop("strategy", None)
         if base.get("consistency") == dataclasses.asdict(ConsistencyConfig()):

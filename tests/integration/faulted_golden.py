@@ -7,7 +7,7 @@ with epidemic batching and anti-entropy), whose complete observable
 outcome — scalar metrics, per-class byte-hops, bandwidth series, fault
 and RPC counters, and the final state of the fault RNG stream — is
 committed to ``tests/data/faulted_golden.json`` and compared at
-tolerance 0 by ``test_faulted_golden.py`` and by CI's fault smoke.
+tolerance 0 by ``test_faulted_golden.py``.
 
 The file was recorded on the commit *before* the per-message path was
 rebuilt (PR 13), so it is the old implementation's verdict on the new
@@ -33,7 +33,9 @@ GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "data" / "faulted_golden.js
 SEEDS = (1, 2, 3)
 
 #: The scenario as ``python -m repro run`` flags (seed appended by the
-#: caller); stored in the golden file so CI runs exactly this shape.
+#: caller); stored in the golden file so the command line that
+#: reproduces it travels with it (``tests/test_cli.py`` holds the two
+#: spellings to the same config).
 CLI_FLAGS = (
     "--workload", "zipf", "--scale", "0.05", "--duration", "150",
     "--loss", "0.02", "--dup", "0.01", "--jitter", "0.005",

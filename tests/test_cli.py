@@ -4,16 +4,11 @@ import json
 
 import pytest
 
-from repro.__main__ import (
-    build_parser,
-    build_sweep_parser,
-    build_trace_parser,
-    main,
-)
+from repro.__main__ import build_cli, main
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args([])
+    args = build_cli().parse_args(["run"])
     assert args.workload == "zipf"
     assert args.scale == 0.15
     assert not args.high_load
@@ -23,7 +18,7 @@ def test_parser_defaults():
 
 def test_parser_rejects_unknown_workload():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["--workload", "nope"])
+        build_cli().parse_args(["run", "--workload", "nope"])
 
 
 def test_main_runs_small_scenario(capsys):
@@ -60,7 +55,7 @@ def test_main_static_baseline(capsys):
 
 
 def test_sweep_parser_defaults():
-    args = build_sweep_parser().parse_args([])
+    args = build_cli().parse_args(["sweep"])
     assert args.preset == "zipf"
     assert args.seeds == 0
     assert args.workers is None
@@ -144,7 +139,7 @@ def test_sweep_rejects_bad_set_syntax():
 
 
 def test_trace_parser_defaults():
-    args = build_trace_parser().parse_args([])
+    args = build_cli().parse_args(["trace"])
     assert args.preset == "zipf"
     assert args.out == "-"
     assert args.kind is None
@@ -199,7 +194,7 @@ def test_trace_subcommand_kind_filter_and_file_output(tmp_path, capsys):
 
 
 def test_run_strategy_flag_default():
-    args = build_parser().parse_args([])
+    args = build_cli().parse_args(["run"])
     assert args.strategy == "paper"
 
 
@@ -278,6 +273,14 @@ def test_gap_rejects_multi_valued_scalar():
         (["run", "--scale", "-1"], "scale"),
         (["profile", "--dup", "2"], "duplicate_prob must be a probability"),
         (["run", "--write-rate", "1", "--category-mix", "1:2"], "category mix"),
+        (["sweep", "--seed-list", "1,x"], "--seed-list"),
+        (["sweep", "--set", "duration=abc"], "duration does not take text"),
+        (["sweep", "--set", "protocol.placement_interval="], "has no values"),
+        (["gap", "--set", "gap.load_scale=x"], "'x' is not a number"),
+        (["gap", "--set", "gap.fault=x"], "'x' is not a number"),
+        (["gap", "--set", "gap.duration=abc"], "gap.duration does not take text"),
+        (["run", "--outage", "99:1:5"], "outage names node 99"),
+        (["run", "--partition", "99:1:5"], "partition names node 99"),
     ],
 )
 def test_configuration_errors_exit_2_with_one_line(argv, fragment, capsys):
@@ -360,11 +363,11 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
 
 
 def test_golden_cli_flags_describe_the_golden_scenario():
-    """CI's fault smoke runs ``CLI_FLAGS`` and compares with the golden
-    file, so the flags must build exactly the refereed config."""
+    """The golden file records the command line that reproduces it, so
+    the flags must build exactly the refereed config."""
     from repro.__main__ import run_config
     from tests.integration.faulted_golden import CLI_FLAGS, GOLDEN_PATH, golden_scenario
 
     assert json.loads(GOLDEN_PATH.read_text())["cli"] == list(CLI_FLAGS)
-    args = build_parser().parse_args([*CLI_FLAGS, "--seed", "2"])
+    args = build_cli().parse_args(["run", *CLI_FLAGS, "--seed", "2"])
     assert run_config(args) == golden_scenario(2)

@@ -8,7 +8,6 @@ figure plots, in a renderer-independent form the benchmark harness
 prints and tests assert against.
 """
 
-from repro.analysis.export import export_result_csv
 from repro.analysis.links import (
     class_byte_shares,
     hottest_links,
@@ -33,7 +32,6 @@ __all__ = [
     "figure6_series",
     "figure7_series",
     "figure8_series",
-    "export_result_csv",
     "across_seeds",
     "summarize",
     "link_reports",

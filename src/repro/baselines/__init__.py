@@ -43,7 +43,6 @@ from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.full_replication import replicate_everywhere
 from repro.baselines.offline_greedy import place_offline_greedy
 from repro.baselines.round_robin import RoundRobinRedirector
-from repro.baselines.static_placement import make_static_system
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -152,7 +151,6 @@ __all__ = [
     "RoundRobinRedirector",
     "STRATEGIES",
     "Strategy",
-    "make_static_system",
     "place_offline_greedy",
     "replicas_for_availability",
     "replicate_everywhere",

@@ -1,0 +1,77 @@
+"""``profile``: one scenario under cProfile, attributed to pipeline stages."""
+
+from __future__ import annotations
+
+import argparse
+
+from repro.cli import write_json
+from repro.cli.sim import add_scenario_options, scenario_from_args
+from repro.obs.profile import profile_scenario, stage_walltimes
+from repro.scenarios.presets import large_topology_scenario
+
+
+def populate_profile(parser: argparse.ArgumentParser) -> None:
+    add_scenario_options(parser, default_duration=120.0)
+    parser.add_argument(
+        "--large",
+        action="store_true",
+        help="profile the 500-host / 100k-object large-topology preset "
+        "instead of the UUNET paper scenario",
+    )
+    parser.add_argument(
+        "--top",
+        type=int,
+        default=25,
+        metavar="N",
+        help="how many functions to list by cumulative time (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--json",
+        dest="json_out",
+        metavar="PATH",
+        help="write the full stage breakdown as JSON here",
+    )
+
+
+def profile_main(args: argparse.Namespace) -> int:
+    base = topology = None
+    if args.large:
+        base, topology = large_topology_scenario(
+            duration=args.duration, seed=args.seed, scale=args.scale
+        )
+    config = scenario_from_args(args, base)
+
+    print(f"profiling {config.name} ({config.duration:g}s simulated)...")
+    walls = stage_walltimes(config, topology=topology)
+    breakdown = profile_scenario(config, topology=topology, top=args.top)
+    breakdown["stage_walltimes"] = walls
+
+    print(
+        f"wall (unprofiled): build {walls['build_s']}s + "
+        f"drain ~{walls['drain_estimate_s']}s = {walls['run_s']}s "
+        f"-> {walls['requests_per_sec']:,.0f} req/s"
+    )
+    counters = breakdown["counters"]
+    print(f"engine: {breakdown['engine_mode']}")
+    print(
+        f"requests: {counters['requests_completed']} completed "
+        f"({counters['requests_fast_lane']} fast lane, "
+        f"{counters['requests_general_path']} general path), "
+        f"{counters['requests_dropped']} dropped, "
+        f"{counters['requests_failed']} failed, "
+        f"{counters['requests_lost']} lost"
+    )
+    print("\nprofiled time by pipeline stage (cProfile, inflated but mapped):")
+    total = breakdown["profiled_seconds_total"] or 1.0
+    for bucket, seconds in breakdown["stage_seconds"].items():
+        print(f"  {bucket:24s} {seconds:8.3f}s  {seconds / total:6.1%}")
+    print(f"\ntop functions by cumulative time (top {args.top}):")
+    for entry in breakdown["top_functions"][:10]:
+        print(
+            f"  {entry['cumtime_s']:8.3f}s  {entry['calls']:>9} calls  "
+            f"{entry['function']}"
+        )
+    if args.json_out:
+        write_json(args.json_out, breakdown)
+        print(f"\nwrote stage breakdown to {args.json_out}")
+    return 0

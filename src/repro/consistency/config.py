@@ -14,11 +14,26 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.schema import flag
 from repro.types import Time
+
+
+def parse_category_mix(text: str) -> tuple[float, ...]:
+    """``"c1:c2:c3"`` → the three category fractions (colons, because
+    the sweep CLI splits ``--set`` values on commas)."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigurationError(f"category mix must be 'c1:c2:c3', got {text!r}")
+    try:
+        return tuple(float(part) for part in parts)
+    except ValueError:
+        raise ConfigurationError(
+            f"category mix must be numeric, got {text!r}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,22 +42,47 @@ class ConsistencyConfig:
 
     ``category_mix`` is the probability split ``(category1, category2,
     category3)`` objects are assigned to (paper Sec. 5: primary-copy /
-    commuting statistics / non-commuting).  It accepts a ``"a:b:c"``
-    string for CLI and sweep-override ergonomics (colons, because the
-    sweep CLI splits ``--set`` values on commas).
+    commuting statistics / non-commuting).  It accepts the ``"a:b:c"``
+    string of :func:`parse_category_mix` as well as a tuple.
     """
 
-    #: Provider update rate (writes/sec across the whole system).
-    #: 0.0 disables the write workload.
-    write_rate: float = 0.0
-    #: Fraction of objects in categories 1/2/3.  Must sum to 1.
-    category_mix: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    #: Epidemic flush period for category-1 updates; ``None`` (or ``0``,
-    #: for sweep axes) means immediate propagation.
-    epidemic_interval: Time | None = None
-    #: Anti-entropy digest-exchange period; ``None`` (or ``0``) disables
-    #: the daemon.
-    anti_entropy_interval: Time | None = None
+    write_rate: float = field(
+        default=0.0,
+        metadata=flag(
+            "--write-rate",
+            "R",
+            "provider updates per second across the whole system "
+            "(0 disables the write workload)",
+        ),
+    )
+    category_mix: tuple[float, float, float] = field(
+        default=(1.0, 0.0, 0.0),
+        metadata=flag(
+            "--category-mix",
+            "C1:C2:C3",
+            "object fractions per consistency category, summing to 1, "
+            "e.g. 0.8:0.15:0.05",
+            parse=parse_category_mix,
+        ),
+    )
+    epidemic_interval: Time | None = field(
+        default=None,
+        metadata=flag(
+            "--epidemic-interval",
+            "S",
+            "batch category-1 updates and flush every S seconds "
+            "(omitted or 0: propagate immediately)",
+        ),
+    )
+    anti_entropy_interval: Time | None = field(
+        default=None,
+        metadata=flag(
+            "--anti-entropy-interval",
+            "S",
+            "digest-exchange repair round period in seconds "
+            "(omitted or 0: no daemon)",
+        ),
+    )
     #: Repair a detected stale serve immediately (subject to the
     #: epidemic window — reads inside the flush period are expected
     #: stale and not repaired).
@@ -53,17 +93,7 @@ class ConsistencyConfig:
     def __post_init__(self) -> None:
         mix: Any = self.category_mix
         if isinstance(mix, str):
-            parts = mix.split(":")
-            if len(parts) != 3:
-                raise ConfigurationError(
-                    f"category mix must be 'c1:c2:c3', got {mix!r}"
-                )
-            try:
-                mix = tuple(float(part) for part in parts)
-            except ValueError:
-                raise ConfigurationError(
-                    f"category mix must be numeric, got {mix!r}"
-                ) from None
+            mix = parse_category_mix(mix)
         else:
             mix = tuple(float(part) for part in mix)
         if len(mix) != 3:
@@ -83,15 +113,15 @@ class ConsistencyConfig:
             raise ConfigurationError(
                 f"write rate must be non-negative, got {self.write_rate}"
             )
-        # 0 means "off" (immediate propagation / no daemon) — the sweep
-        # CLI cannot spell None, so interval axes use 0 for that point.
-        for field in ("epidemic_interval", "anti_entropy_interval"):
-            value = getattr(self, field)
+        # 0 means "off" (immediate propagation / no daemon), so a numeric
+        # interval axis can include that point.
+        for name in ("epidemic_interval", "anti_entropy_interval"):
+            value = getattr(self, name)
             if value == 0:
-                object.__setattr__(self, field, None)
+                object.__setattr__(self, name, None)
             elif value is not None and value < 0:
                 raise ConfigurationError(
-                    f"{field.replace('_', ' ')} must be non-negative, "
+                    f"{name.replace('_', ' ')} must be non-negative, "
                     f"got {value}"
                 )
         if self.non_commuting_replica_limit < 1:

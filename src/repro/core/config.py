@@ -8,11 +8,12 @@ paper's stability constraints; an invalid configuration raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.load.bounds import validate_thresholds
+from repro.schema import flag
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,15 +71,33 @@ class ProtocolConfig:
         runs unchanged.  ``None`` disables expiry (the seed behaviour).
     """
 
-    high_watermark: float = 90.0
-    low_watermark: float = 80.0
+    high_watermark: float = field(
+        default=90.0,
+        metadata=flag(
+            "--high-watermark", "RPS", "offloading high watermark in requests/sec"
+        ),
+    )
+    low_watermark: float = field(
+        default=80.0,
+        metadata=flag(
+            "--low-watermark", "RPS", "offloading low watermark in requests/sec"
+        ),
+    )
     deletion_threshold: float = 0.03
     replication_threshold: float = 0.18
     migr_ratio: float = 0.6
     repl_ratio: float = 1.0 / 6.0
     distribution_constant: float = 2.0
-    placement_interval: float = 100.0
-    measurement_interval: float = 20.0
+    placement_interval: float = field(
+        default=100.0,
+        metadata=flag("--placement-interval", "S", "placement interval in seconds"),
+    )
+    measurement_interval: float = field(
+        default=20.0,
+        metadata=flag(
+            "--measurement-interval", "S", "load measurement interval in seconds"
+        ),
+    )
     stagger_placement: bool = True
     relocation_freeze_intervals: int | None = None
     report_expiry_intervals: int | None = 3

@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
+from repro.schema import apply_overrides, flag
 from repro.topology.generators import (
     line_topology,
     ring_topology,
@@ -67,15 +68,33 @@ def live_protocol_config() -> ProtocolConfig:
 class LiveConfig:
     """One live deployment: world model plus addresses."""
 
-    num_hosts: int = 3
-    topology: str = "ring"
-    num_objects: int = 24
-    #: Bytes served per object request (and copied per replication).
-    object_size: int = 8192
+    num_hosts: int = field(
+        default=3, metadata=flag("--hosts", help="number of replica hosts")
+    )
+    topology: str = field(
+        default="ring",
+        metadata=flag(
+            "--topology", help="backbone linking the hosts", choices=tuple(TOPOLOGIES)
+        ),
+    )
+    num_objects: int = field(
+        default=24, metadata=flag("--objects", help="hosted object count")
+    )
+    object_size: int = field(
+        default=8192,
+        metadata=flag(
+            "--object-size",
+            "BYTES",
+            "bytes served per object request (and copied per replication)",
+        ),
+    )
     #: Host service capacity in requests/sec (Table 1 uses 200).
     capacity: float = 200.0
     storage_limit: int | None = None
-    bind_host: str = "127.0.0.1"
+    bind_host: str = field(
+        default="127.0.0.1",
+        metadata=flag("--bind", "HOST", "listen/connect address"),
+    )
     #: Port layout.  With one shard (the PR-4 shape): the redirector
     #: listens on ``base_port`` and host ``i`` on ``base_port + 1 + i``.
     #: With ``num_shards > 1``: the gateway takes ``base_port``, shard
@@ -84,10 +103,21 @@ class LiveConfig:
     #: every server binds port 0 and addresses travel by registration
     #: (single-process deployments, tests, and the port-conflict-proof
     #: CI flow).
-    base_port: int = 8100
-    #: Redirector shards partitioning the object namespace by
-    #: consistent hashing (DESIGN §10).  1 = the unsharded PR-4 tier.
-    num_shards: int = 1
+    base_port: int = field(
+        default=8100,
+        metadata=flag(
+            "--base-port",
+            "PORT",
+            "front-door port; 0 binds ephemeral ports everywhere",
+        ),
+    )
+    #: Consistent hashing (DESIGN §10); 1 = the unsharded PR-4 tier.
+    num_shards: int = field(
+        default=1,
+        metadata=flag(
+            "--shards", help="redirector shards partitioning the object namespace"
+        ),
+    )
     #: Virtual nodes per shard on the hash ring (ownership mapping —
     #: every participant must agree, so it lives in the shared config).
     ring_vnodes: int = 128
@@ -212,15 +242,24 @@ class LiveConfig:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "LiveConfig":
-        data = dict(payload)
-        protocol = data.pop("protocol", None)
-        if protocol is not None:
-            data["protocol"] = ProtocolConfig(**protocol)
-        return cls(**data)
+        """The defaults with ``payload`` applied, every key and value
+        checked against the schema (``protocol`` is a nested mapping)."""
+        if not isinstance(payload, dict):
+            raise ConfigurationError("a live config is a JSON object")
+        flat: dict[str, Any] = {}
+        for key, value in payload.items():
+            if isinstance(value, dict):
+                flat.update({f"{key}.{k}": v for k, v in value.items()})
+            else:
+                flat[key] = value
+        return apply_overrides(cls(), flat)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LiveConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"cannot load live config {path}: {exc}") from None
 
     def replace(self, **changes: Any) -> "LiveConfig":
         return dataclasses.replace(self, **changes)

@@ -427,28 +427,8 @@ def _role_directory(
     return directory
 
 
-def load_config(path: str | None, overrides: dict) -> LiveConfig:
-    """Build a LiveConfig from an optional JSON file plus CLI overrides."""
-    config = LiveConfig.from_file(path) if path else LiveConfig()
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    protocol_overrides = {
-        k: overrides.pop(k)
-        for k in ("measurement_interval", "placement_interval",
-                  "high_watermark", "low_watermark")
-        if k in overrides
-    }
-    if protocol_overrides:
-        config = config.replace(
-            protocol=config.protocol.replace(**protocol_overrides)
-        )
-    if overrides:
-        config = config.replace(**overrides)
-    return config
-
-
 __all__ = [
     "LocalDeployment",
-    "load_config",
     "serve_all",
     "serve_gateway",
     "serve_host",

@@ -53,6 +53,7 @@ from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.routing.hashring import HashRing
+from repro.schema import flag
 from repro.sim.rng import derive_seed
 from repro.topology.graph import Topology
 from repro.types import NodeId, ObjectId
@@ -134,22 +135,49 @@ def build_live_workload(
 class LoadgenOptions:
     """Knobs for one load-generation run."""
 
-    workload: str = "zipf"
-    #: Open-loop arrival rate, requests/sec across all gateways.
-    rate: float = 120.0
-    requests: int = 1000
-    seed: int = 1
-    #: Popularity phases: ids are re-permuted at each phase boundary.
-    phases: int = 1
-    concurrency: int = 64
+    workload: str = field(
+        default="zipf",
+        metadata=flag("--workload", help="request pattern to replay", choices=WORKLOADS),
+    )
+    rate: float = field(
+        default=120.0,
+        metadata=flag(
+            "--rate",
+            help="open-loop arrival rate, requests/sec across all gateways",
+        ),
+    )
+    requests: int = field(
+        default=1000, metadata=flag("--requests", help="total requests to issue")
+    )
+    seed: int = field(default=1, metadata=flag("--seed", help="sampler seed"))
+    phases: int = field(
+        default=1,
+        metadata=flag(
+            "--phases",
+            help="popularity phases (ids are re-permuted at each phase boundary)",
+        ),
+    )
+    concurrency: int = field(
+        default=64, metadata=flag("--concurrency", help="max in-flight requests")
+    )
     timeout: float = 10.0
-    #: Measure the redirector tier alone: ``GET /route`` without the
-    #: follow-up object fetch (the saturation benchmark's mode).
-    route_only: bool = False
-    #: Drop (instead of issuing) arrivals whose schedule lag exceeds
-    #: this many seconds.  ``None`` never drops — every arrival is
-    #: issued and late ones are merely counted.
-    max_sched_lag: float | None = None
+    route_only: bool = field(
+        default=False,
+        metadata=flag(
+            "--route-only",
+            help="measure the redirector tier alone: GET /route without the "
+            "follow-up object fetch (the saturation benchmark's mode)",
+        ),
+    )
+    max_sched_lag: float | None = field(
+        default=None,
+        metadata=flag(
+            "--max-lag",
+            "S",
+            "drop arrivals more than S seconds behind schedule instead of "
+            "issuing them late (omitted: never drop, count late arrivals)",
+        ),
+    )
     #: Partition-aware routing: ``{shard: (host, port)}``.  When set the
     #: loadgen consults the same consistent-hash ring as the tier and
     #: sends each ``/route`` straight to the owning shard, skipping the

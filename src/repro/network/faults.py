@@ -37,11 +37,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.network.message import MessageClass
+from repro.schema import AT_DEFAULT, flag
 from repro.types import NodeId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,6 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: forced so a pathological ``drop_prob=1`` configuration cannot hang the
 #: protocol's consistency-critical paths.
 FORCED_DELIVERY_CAP = 64
+
+
+def _schedule_entry(text: str, shape: str, who: Callable[[str], Any]) -> tuple:
+    """One ``outages`` / ``partitions`` entry from its ``shape`` text."""
+    try:
+        nodes, at, duration = text.split(":")
+        return who(nodes), float(at), float(duration)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad schedule entry {text!r}; expected {shape}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +122,25 @@ class FaultConfig:
     """
 
     enabled: bool = False
-    drop_prob: float = 0.0
+    drop_prob: float = field(
+        default=0.0,
+        metadata=flag("--loss", "P", "per-message drop probability in [0, 1)"),
+    )
     drop_prob_request: float | None = None
     drop_prob_response: float | None = None
     drop_prob_control: float | None = None
     drop_prob_relocation: float | None = None
     drop_prob_update: float | None = None
-    duplicate_prob: float = 0.0
-    delay_jitter: float = 0.0
+    duplicate_prob: float = field(
+        default=0.0,
+        metadata=flag("--dup", "P", "per-message duplication probability in [0, 1)"),
+    )
+    delay_jitter: float = field(
+        default=0.0,
+        metadata=flag(
+            "--jitter", "F", "extra delay jitter as a fraction of the base delay"
+        ),
+    )
     rpc_timeout: float = 1.0
     rpc_max_attempts: int = 4
     rpc_backoff: float = 2.0
@@ -127,10 +151,39 @@ class FaultConfig:
     request_failure_threshold: int = 3
     repair: bool = True
     repair_interval: float = 10.0
-    mtbf: float | None = None
-    mttr: float | None = None
-    outages: tuple[tuple[int, float, float], ...] = ()
-    partitions: tuple[tuple[tuple[int, ...], float, float], ...] = ()
+    mtbf: float | None = field(
+        default=None,
+        metadata=flag(
+            "--mtbf", "S", "mean time between host failures (with --mttr: random outages)"
+        ),
+    )
+    mttr: float | None = field(
+        default=None, metadata=flag("--mttr", "S", "mean time to repair a failed host")
+    )
+    outages: tuple[tuple[int, float, float], ...] = field(
+        default=(),
+        metadata=flag(
+            "--outage",
+            "NODE:AT:DUR",
+            "crash NODE at AT seconds for DUR seconds (repeatable)",
+            parse=partial(_schedule_entry, shape="NODE:AT:DUR", who=int),
+        ),
+    )
+    partitions: tuple[tuple[tuple[int, ...], float, float], ...] = field(
+        default=(),
+        metadata=flag(
+            "--partition",
+            "NODES:AT:DUR",
+            "partition the comma-separated NODES from the rest at AT seconds "
+            "for DUR seconds, e.g. 0,1,2:90:60 (repeatable)",
+            parse=partial(
+                _schedule_entry,
+                shape="NODES:AT:DUR",
+                who=lambda nodes: tuple(int(node) for node in nodes.split(",")),
+            ),
+            hash=AT_DEFAULT,
+        ),
+    )
 
     def __post_init__(self) -> None:
         for name in (

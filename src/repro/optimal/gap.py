@@ -29,7 +29,7 @@ implementation slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import networkx as nx
@@ -260,20 +260,28 @@ class GapSettings:
     #: Topology specs: "uunet" (the backbone), "uunet-slice" (first 13
     #: nodes' subgraph re-solved as a backbone seed variant) or
     #: "ktree-B-H" (balanced tree, branching B, height H).
-    topologies: tuple[str, ...] = ("ktree-3-2", "uunet")
+    topologies: tuple[str, ...] = field(
+        default=("ktree-3-2", "uunet"), metadata={"key": "gap.topology"}
+    )
     #: Multipliers on the base per-gateway request rate.
-    load_scales: tuple[float, ...] = (0.5, 1.0, 2.0)
+    load_scales: tuple[float, ...] = field(
+        default=(0.5, 1.0, 2.0), metadata={"key": "gap.load_scale"}
+    )
     #: Host MTBF values; ``None`` = fault-free.  MTTR is ``mtbf/10``.
-    fault_mtbfs: tuple[float | None, ...] = (None, 600.0)
-    strategies: tuple[str, ...] = DEFAULT_STRATEGIES
-    seed: int = 1
-    workload: str = "zipf"
-    duration: float = 300.0
-    num_objects: int = 400
-    node_request_rate: float = 4.0
-    capacity: float = 20.0
+    fault_mtbfs: tuple[float | None, ...] = field(
+        default=(None, 600.0), metadata={"key": "gap.fault"}
+    )
+    strategies: tuple[str, ...] = field(
+        default=DEFAULT_STRATEGIES, metadata={"key": "gap.strategy"}
+    )
+    seed: int = field(default=1, metadata={"key": "gap.seed"})
+    workload: str = field(default="zipf", metadata={"key": "gap.workload"})
+    duration: float = field(default=300.0, metadata={"key": "gap.duration"})
+    num_objects: int = field(default=400, metadata={"key": "gap.objects"})
+    node_request_rate: float = field(default=4.0, metadata={"key": "gap.rate"})
+    capacity: float = field(default=20.0, metadata={"key": "gap.capacity"})
     #: Tree-DP replica gap: hottest objects per point (trees only).
-    top_objects: int = 8
+    top_objects: int = field(default=8, metadata={"key": "gap.top_objects"})
 
     def base_config(self) -> ScenarioConfig:
         return ScenarioConfig(

@@ -17,6 +17,12 @@ from repro.consistency.config import ConsistencyConfig
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.network.faults import FaultConfig
+from repro.schema import AT_DEFAULT, NEVER, flag
+from repro.workloads import SCENARIO_WORKLOADS
+
+#: Request-distribution policies by name, in the order
+#: ``scenarios.runner`` lists their redirector classes.
+DISTRIBUTIONS = ("paper", "round-robin", "closest")
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,17 +46,34 @@ class ScenarioConfig:
     topology_seed: int = 1999
     #: Metrics bucket width in seconds.
     bucket: float = 60.0
-    #: False freezes the initial placement (the static baseline).
-    dynamic: bool = True
-    #: Request-distribution policy: "paper", "round-robin" or "closest".
-    distribution: str = "paper"
-    #: Placement strategy from the baseline registry
-    #: (:data:`repro.baselines.STRATEGIES`): "paper" (the protocol),
-    #: "static", "round-robin", "closest", "full-replication",
-    #: "offline-greedy" or "availability-aware".  Non-"paper" strategies
-    #: may override build-time fields (``dynamic``, ``distribution``),
-    #: swap the initial placement, or attach a placer to the run.
-    strategy: str = "paper"
+    dynamic: bool = field(
+        default=True,
+        metadata=flag(
+            "--static",
+            help="freeze the initial placement: no dynamic placement "
+            "(the static baseline)",
+        ),
+    )
+    distribution: str = field(
+        default="paper",
+        metadata=flag(
+            "--distribution", help="request-distribution policy", choices=DISTRIBUTIONS
+        ),
+    )
+    #: Non-"paper" strategies ("static", "round-robin", "closest",
+    #: "full-replication", "offline-greedy", "availability-aware") may
+    #: override build-time fields (``dynamic``, ``distribution``), swap
+    #: the initial placement, or attach a placer to the run.  "paper"
+    #: describes every run made before the registry existed.
+    strategy: str = field(
+        default="paper",
+        metadata=flag(
+            "--strategy",
+            "NAME",
+            "placement strategy, a key of repro.baselines.STRATEGIES",
+            hash=AT_DEFAULT,
+        ),
+    )
     #: Poisson (True) vs evenly spaced (False, paper) request arrivals.
     poisson: bool = False
     #: Maintain per-link byte counters (off by default for speed).
@@ -63,8 +86,15 @@ class ScenarioConfig:
     #: Attach a :class:`~repro.obs.tracer.DecisionTracer` to the run and
     #: surface it as :attr:`ScenarioResult.trace`.
     traced: bool = False
-    #: Per-kind ring capacity of the auto-attached tracer.
-    trace_capacity: int = 65_536
+    trace_capacity: int = field(
+        default=65_536,
+        metadata=flag(
+            "--capacity",
+            "N",
+            "per-kind ring capacity of the attached tracer",
+            group="trace",
+        ),
+    )
     #: Network fault model (robustness extension).  Disabled by default,
     #: which keeps the run byte-identical to the reliable simulator.
     faults: FaultConfig = field(default_factory=FaultConfig)
@@ -72,13 +102,20 @@ class ScenarioConfig:
     #: batching, anti-entropy and read-repair (Sec. 5 under faults).
     #: Disabled by default, which builds no plane at all and keeps the
     #: run byte-identical to write-free scenarios.
-    consistency: ConsistencyConfig = field(default_factory=ConsistencyConfig)
-    #: Run :meth:`HostingSystem.check_invariants` at the end of the run
-    #: (registry-subset and affinity consistency).  Opt-in: the checks
-    #: are O(objects x replicas) and belong in tests and debugging runs,
-    #: not in every benchmark sweep.  Excluded from the sweep spec hash —
-    #: it verifies a run without changing what runs.
-    check_invariants: bool = False
+    consistency: ConsistencyConfig = field(
+        default_factory=ConsistencyConfig, metadata={"hash": AT_DEFAULT}
+    )
+    #: Opt-in: the checks (registry-subset and affinity consistency) are
+    #: O(objects x replicas) and belong in tests and debugging runs, not
+    #: in every benchmark sweep.
+    check_invariants: bool = field(
+        default=False,
+        metadata=flag(
+            "--check-invariants",
+            help="run HostingSystem.check_invariants at the end of the run",
+            hash=NEVER,
+        ),
+    )
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -89,9 +126,15 @@ class ScenarioConfig:
             raise ConfigurationError("request rate must be positive")
         if self.capacity <= 0:
             raise ConfigurationError("capacity must be positive")
-        if self.distribution not in ("paper", "round-robin", "closest"):
+        if self.workload not in SCENARIO_WORKLOADS:
             raise ConfigurationError(
-                f"unknown distribution policy {self.distribution!r}"
+                f"unknown workload {self.workload!r}; "
+                f"choose from {tuple(SCENARIO_WORKLOADS)}"
+            )
+        if self.distribution not in DISTRIBUTIONS:
+            raise ConfigurationError(
+                f"unknown distribution policy {self.distribution!r}; "
+                f"choose from {DISTRIBUTIONS}"
             )
         if self.strategy != "paper":
             # Late import: the baseline registry is a config consumer.

@@ -23,9 +23,10 @@ from repro.network.faults import FaultConfig
 from repro.scenarios.config import ScenarioConfig
 from repro.topology.generators import random_geometric_topology
 from repro.topology.graph import Topology
+from repro.workloads import SCENARIO_WORKLOADS
 
 #: The four evaluation workloads of Section 6.1, in the paper's order.
-WORKLOAD_NAMES = ("zipf", "hot-sites", "hot-pages", "regional")
+WORKLOAD_NAMES = tuple(SCENARIO_WORKLOADS)[:4]
 
 #: Default load-axis scale for benchmark runs (12 req/s per node).  Below
 #: ~0.2 the integer access counts in the [u, m] band get noisy enough to
@@ -99,10 +100,6 @@ def paper_scenario(
     :data:`WORKLOAD_NAMES`, ``high_load`` selects the Figure 9 variant,
     ``dynamic=False`` yields the static-placement comparison run.
     """
-    if workload not in WORKLOAD_NAMES and workload != "uniform":
-        raise ConfigurationError(
-            f"unknown workload {workload!r}; expected one of {WORKLOAD_NAMES}"
-        )
     config = paper_parameters(high_load=high_load)
     config = config.replace(
         name=f"{config.name}-{workload}", workload=workload, seed=seed

@@ -31,49 +31,32 @@ from repro.network.faults import FaultPlane
 from repro.network.transport import Network
 from repro.obs.tracer import DecisionTracer
 from repro.routing.routes_db import RoutingDatabase
-from repro.scenarios.config import ScenarioConfig
+from repro.scenarios.config import DISTRIBUTIONS, ScenarioConfig
 from repro.sim.engine import Simulator
 from repro.sim.events import DEFAULT_BUCKET_WIDTH
 from repro.sim.rng import RngFactory
 from repro.topology.graph import Topology
 from repro.topology.uunet import uunet_backbone
-from repro.workloads.base import UniformWorkload, Workload, attach_generators
+from repro.workloads import SCENARIO_WORKLOADS
+from repro.workloads.base import Workload, attach_generators
 from repro.workloads.writes import ProviderWriteGenerator
-from repro.workloads.hot_pages import HotPagesWorkload
-from repro.workloads.hot_sites import HotSitesWorkload
-from repro.workloads.regional import RegionalWorkload
-from repro.workloads.zipf import ZipfWorkload
 
-_DISTRIBUTION_FACTORIES: dict[str, Callable[..., RedirectorService]] = {
-    "paper": RedirectorService,
-    "round-robin": RoundRobinRedirector,
-    "closest": ClosestReplicaRedirector,
-}
+_DISTRIBUTION_FACTORIES: dict[str, Callable[..., RedirectorService]] = dict(
+    zip(
+        DISTRIBUTIONS,
+        (RedirectorService, RoundRobinRedirector, ClosestReplicaRedirector),
+        strict=True,
+    )
+)
 
 
 def make_workload(
     config: ScenarioConfig, topology: Topology, rng_factory: RngFactory
 ) -> Workload:
     """Instantiate the scenario's workload by name."""
-    name = config.workload
-    if name == "zipf":
-        return ZipfWorkload(config.num_objects)
-    if name == "hot-sites":
-        return HotSitesWorkload(
-            config.num_objects,
-            topology.num_nodes,
-            split_rng=rng_factory.stream("hot-sites-split"),
-        )
-    if name == "hot-pages":
-        return HotPagesWorkload(
-            config.num_objects,
-            split_rng=rng_factory.stream("hot-pages-split"),
-        )
-    if name == "regional":
-        return RegionalWorkload(config.num_objects, topology)
-    if name == "uniform":
-        return UniformWorkload(config.num_objects)
-    raise ConfigurationError(f"unknown workload {name!r}")
+    return SCENARIO_WORKLOADS[config.workload](
+        config.num_objects, topology, rng_factory
+    )
 
 
 def auto_bucket_width(config: ScenarioConfig, num_nodes: int) -> float:

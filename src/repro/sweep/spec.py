@@ -15,65 +15,21 @@ grids (axis values are combined point-major, keys in sorted order).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.consistency.config import ConsistencyConfig
 from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
+from repro.schema import apply_overrides, hash_payload
 from repro.sim.rng import derive_seed
 
 #: Override value types a spec may carry (JSON-representable scalars).
 Scalar = bool | int | float | str | None
 
 Overrides = Mapping[str, Scalar]
-
-
-def reject_text(key: str, value: Scalar, held: Any) -> None:
-    """Text fits only a field that holds text or a tuple (the colon-mix
-    spelling); anywhere else validation would compare it with a number."""
-    if isinstance(value, str) and not isinstance(held, (str, tuple)):
-        raise ConfigurationError(
-            f"override {key}={value!r}: {key} does not take text (it holds {held!r})"
-        )
-
-
-def apply_overrides(config: ScenarioConfig, overrides: Overrides) -> ScenarioConfig:
-    """Apply dotted-key overrides to a scenario config, revalidated.
-
-    Top-level keys name :class:`ScenarioConfig` fields; a ``head.tail``
-    key descends into a nested dataclass field (``protocol.*`` in
-    practice) and rebuilds it via its ``replace``.  Unknown keys raise
-    :class:`ConfigurationError` rather than silently creating attributes,
-    and so does text for a field holding a number, a flag or ``None``.
-    """
-    flat: dict[str, Any] = {}
-    nested: dict[str, dict[str, Any]] = {}
-    config_fields = {f.name for f in dataclasses.fields(config)}
-    for key, value in overrides.items():
-        head, dot, tail = key.partition(".")
-        if head not in config_fields:
-            raise ConfigurationError(f"unknown override key {key!r}")
-        if not dot:
-            reject_text(key, value, getattr(config, head))
-            flat[head] = value
-            continue
-        inner = getattr(config, head)
-        if not dataclasses.is_dataclass(inner):
-            raise ConfigurationError(
-                f"override key {key!r} descends into non-dataclass field {head!r}"
-            )
-        if tail not in {f.name for f in dataclasses.fields(inner)}:
-            raise ConfigurationError(f"unknown override key {key!r}")
-        reject_text(key, value, getattr(inner, tail))
-        nested.setdefault(head, {})[tail] = value
-    for head, changes in nested.items():
-        flat[head] = getattr(config, head).replace(**changes)
-    return config.replace(**flat) if flat else config
 
 
 def point_label(overrides: Overrides) -> str:
@@ -182,29 +138,13 @@ class SweepSpec:
         """Short content hash identifying the sweep (manifest/baseline key).
 
         Canonical-JSON over the base config, resolved seeds and points;
-        any change to what would run changes the hash.  The verification
-        toggle (``check_invariants``) is excluded: it asserts about a run
-        without changing its results, and including it would invalidate
-        committed baselines whose runs are identical.  Similarly, a
-        consistency block at its all-off defaults and an empty partition
-        schedule describe exactly the runs that existed before those
-        fields did, so both are dropped at their defaults to keep
-        pre-existing hashes (and their baselines) valid.  The ``strategy``
-        field is likewise dropped at its "paper" default (the value that
-        describes every pre-registry run) but hashed when set.
+        any change to what would run changes the hash.  Which fields of
+        the base take part is each field's own declaration
+        (:func:`repro.schema.hash_payload`).
         """
-        base = dataclasses.asdict(self.base)
-        base.pop("check_invariants", None)
-        if base.get("strategy") == "paper":
-            base.pop("strategy", None)
-        if base.get("consistency") == dataclasses.asdict(ConsistencyConfig()):
-            base.pop("consistency", None)
-        faults = base.get("faults")
-        if faults is not None and not faults.get("partitions"):
-            faults.pop("partitions", None)
         payload = {
             "name": self.name,
-            "base": base,
+            "base": hash_payload(self.base),
             "seeds": list(self.resolved_seeds()),
             "points": [dict(sorted(p.items())) for p in self.points],
         }

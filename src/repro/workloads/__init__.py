@@ -32,7 +32,22 @@ from repro.workloads.mixture import MixtureWorkload, PhasedWorkload
 from repro.workloads.regional import RegionalWorkload
 from repro.workloads.zipf import ZipfWorkload
 
+#: Scenario workloads by name: ``factory(num_objects, topology, rng_factory)``.
+#: The first four are the paper's (Section 6.1), in its order.
+SCENARIO_WORKLOADS = {
+    "zipf": lambda n, topology, rngs: ZipfWorkload(n),
+    "hot-sites": lambda n, topology, rngs: HotSitesWorkload(
+        n, topology.num_nodes, split_rng=rngs.stream("hot-sites-split")
+    ),
+    "hot-pages": lambda n, topology, rngs: HotPagesWorkload(
+        n, split_rng=rngs.stream("hot-pages-split")
+    ),
+    "regional": lambda n, topology, rngs: RegionalWorkload(n, topology),
+    "uniform": lambda n, topology, rngs: UniformWorkload(n),
+}
+
 __all__ = [
+    "SCENARIO_WORKLOADS",
     "Workload",
     "UniformWorkload",
     "ZipfWorkload",

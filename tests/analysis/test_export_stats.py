@@ -1,59 +1,11 @@
-"""Tests for CSV export and cross-seed statistics."""
-
-import csv
+"""Tests for cross-seed statistics."""
 
 import pytest
 
-from repro.analysis.export import export_result_csv, write_series_csv
 from repro.analysis.stats import across_seeds, summarize
 from repro.errors import ConfigurationError
-from repro.metrics.collectors import TimeSeries
 from repro.scenarios.presets import paper_scenario
 from repro.scenarios.runner import run_scenario
-
-
-def test_write_series_csv(tmp_path):
-    series = TimeSeries()
-    series.append(0.0, 1.5)
-    series.append(60.0, 2.5)
-    path = tmp_path / "s.csv"
-    write_series_csv(series, path, value_name="value")
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["time_s", "value"]
-    assert rows[1] == ["0.000", "1.5"]
-    assert len(rows) == 3
-
-
-def test_export_result_csv(tmp_path):
-    config = paper_scenario("uniform", scale=0.05, duration=150.0).replace(
-        bucket=30.0
-    )
-    result = run_scenario(config)
-    written = export_result_csv(result, tmp_path / "out")
-    names = {path.name for path in written}
-    assert "summary.csv" in names
-    assert "fig6_bandwidth_byte_hops.csv" in names
-    assert "fig8_max_load.csv" in names
-    assert "replica_census.csv" in names
-    summary = dict(
-        (row[0], row[1])
-        for row in csv.reader((tmp_path / "out" / "summary.csv").open())
-    )
-    assert summary["workload"] == "uniform"
-    assert int(summary["requests_completed"]) > 0
-    # Untraced runs export no trace file.
-    assert "trace.jsonl" not in names
-
-
-def test_export_result_csv_includes_trace(tmp_path):
-    config = paper_scenario("uniform", scale=0.05, duration=150.0).replace(
-        bucket=30.0, traced=True
-    )
-    result = run_scenario(config)
-    written = export_result_csv(result, tmp_path / "out")
-    names = {path.name for path in written}
-    assert "trace.jsonl" in names
-    assert (tmp_path / "out" / "trace.jsonl").stat().st_size > 0
 
 
 def test_summarize_basics():

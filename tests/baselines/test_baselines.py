@@ -5,8 +5,8 @@ import pytest
 from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.full_replication import replicate_everywhere
 from repro.baselines.round_robin import RoundRobinRedirector
-from repro.baselines.static_placement import make_static_system
 from repro.core.config import ProtocolConfig
+from repro.core.protocol import HostingSystem
 from repro.errors import ProtocolError
 from repro.network.transport import Network
 from repro.routing.routes_db import RoutingDatabase
@@ -67,9 +67,11 @@ def test_static_system_never_relocates():
     topology = two_cluster_topology(cluster_size=4, bridge_length=3)
     routes = RoutingDatabase(topology)
     network = Network(sim, routes)
-    system = make_static_system(
-        sim, network, ProtocolConfig(), num_objects=10
+    system = HostingSystem(
+        sim, network, ProtocolConfig(), num_objects=10, enable_placement=False
     )
+    system.initialize_round_robin()
+    system.start()
     for gw in range(topology.num_nodes):
         for obj in range(10):
             system.submit_request(gw, obj)

@@ -4,16 +4,18 @@ import json
 
 import pytest
 
-from repro.__main__ import build_cli, main
+from repro.__main__ import build_cli, main, run_config
 
 
 def test_parser_defaults():
+    # Flags that set a config field store nothing unless given: their
+    # defaults are the dataclass's, read through run_config.
     args = build_cli().parse_args(["run"])
     assert args.workload == "zipf"
     assert args.scale == 0.15
     assert not args.high_load
-    assert not args.static
-    assert args.distribution == "paper"
+    assert run_config(args).dynamic
+    assert run_config(args).distribution == "paper"
 
 
 def test_parser_rejects_unknown_workload():
@@ -56,7 +58,7 @@ def test_main_static_baseline(capsys):
 
 def test_sweep_parser_defaults():
     args = build_cli().parse_args(["sweep"])
-    assert args.preset == "zipf"
+    assert args.workload == "zipf"
     assert args.seeds == 0
     assert args.workers is None
     assert args.retries == 1
@@ -134,13 +136,13 @@ def test_sweep_subcommand_derived_seeds(capsys):
 
 
 def test_sweep_rejects_bad_set_syntax():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--set", "no-equals-sign", "--workers", "1"])
+    assert main(["sweep", "--set", "no-equals-sign", "--workers", "1"]) == 2
 
 
 def test_trace_parser_defaults():
-    args = build_cli().parse_args(["trace"])
-    assert args.preset == "zipf"
+    # --preset and --workload are two spellings of one argument.
+    args = build_cli().parse_args(["trace", "--preset", "regional"])
+    assert args.workload == "regional"
     assert args.out == "-"
     assert args.kind is None
 
@@ -194,8 +196,7 @@ def test_trace_subcommand_kind_filter_and_file_output(tmp_path, capsys):
 
 
 def test_run_strategy_flag_default():
-    args = build_cli().parse_args(["run"])
-    assert args.strategy == "paper"
+    assert run_config(build_cli().parse_args(["run"])).strategy == "paper"
 
 
 def test_gap_subcommand_runs_one_point(tmp_path, capsys):
@@ -252,13 +253,11 @@ def test_gap_scalar_override_and_stdout(tmp_path, capsys):
 
 
 def test_gap_rejects_unknown_set_key():
-    with pytest.raises(SystemExit):
-        main(["gap", "--set", "gap.bogus=1"])
+    assert main(["gap", "--set", "gap.bogus=1"]) == 2
 
 
 def test_gap_rejects_multi_valued_scalar():
-    with pytest.raises(SystemExit):
-        main(["gap", "--set", "gap.duration=10,20"])
+    assert main(["gap", "--set", "gap.duration=10,20"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -281,9 +280,34 @@ def test_gap_rejects_multi_valued_scalar():
         (["gap", "--set", "gap.duration=abc"], "gap.duration does not take text"),
         (["run", "--outage", "99:1:5"], "outage names node 99"),
         (["run", "--partition", "99:1:5"], "partition names node 99"),
+        (["serve", "--config", "missing.json"], "cannot load live config"),
+        (["serve", "--config", "{bad"], "cannot load live config"),
+        (["serve", "--config", '{"num_hostz": 3}'], "unknown override key 'num_hostz'"),
+        (["serve", "--config", '{"protocol": {"high_watermark": "x"}}'],
+         "protocol.high_watermark does not take text"),
+        (["loadgen", "--redirector", "foo:bar"], "--redirector must be HOST:PORT"),
+        (["serve", "--gateway", "x:y"], "--gateway must be HOST:PORT"),
+        (["sweep", "--set", "faults.outages=1"], "expected NODE:AT:DUR"),
+        (["run", "--outage", "1:2"], "expected NODE:AT:DUR"),
+        (["trace", "--partition", "x"], "expected NODES:AT:DUR"),
+        (["run", "--mtbf", "5"], "mtbf and mttr must be set together"),
+        (["sweep", "--set", "novalue"], "expected KEY=V1"),
+        (["gap", "--set", "gap.seed=1,2"], "takes exactly one value"),
+        (["gap", "--set", "gap.nope=1"], "known: gap.capacity, gap.duration"),
+        (["serve", "--role", "shard"], "--role shard needs --shard"),
+        (["serve", "--role", "host"], "--role host needs --node"),
+        (["loadgen", "--redirector", "nocolon"], "--redirector must be HOST:PORT"),
+        (["loadgen", "--base-port", "0"], "pass --redirector HOST:PORT"),
+        (["loadgen", "--processes", "0"], "--processes must be at least 1"),
     ],
 )
-def test_configuration_errors_exit_2_with_one_line(argv, fragment, capsys):
+def test_configuration_errors_exit_2_with_one_line(
+    argv, fragment, capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    if argv[1] == "--config" and argv[2].startswith("{"):
+        (tmp_path / "live.json").write_text(argv[2])
+        argv = [argv[0], "--config", "live.json"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("repro: error: ")
@@ -301,7 +325,8 @@ def test_protocol_errors_stay_loud(monkeypatch):
     def broken(args):
         raise ProtocolError("registry out of sync")
 
-    monkeypatch.setitem(cli._COMMAND_MAINS, "run", broken)
+    populate, _, summary = cli.COMMANDS["run"]
+    monkeypatch.setitem(cli.COMMANDS, "run", (populate, broken, summary))
     with pytest.raises(ProtocolError):
         main(["run"])
 
@@ -365,7 +390,6 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
 def test_golden_cli_flags_describe_the_golden_scenario():
     """The golden file records the command line that reproduces it, so
     the flags must build exactly the refereed config."""
-    from repro.__main__ import run_config
     from tests.integration.faulted_golden import CLI_FLAGS, GOLDEN_PATH, golden_scenario
 
     assert json.loads(GOLDEN_PATH.read_text())["cli"] == list(CLI_FLAGS)

@@ -44,12 +44,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.live.client import TransportError, http_json  # noqa: E402
+from repro.live.client import fetch_endpoints  # noqa: E402
 from repro.live.config import LiveConfig  # noqa: E402
 from repro.live.loadgen import (  # noqa: E402
     LoadgenOptions,
     run_loadgen_multiprocess,
 )
+from repro.live.pool import TransportError  # noqa: E402
 
 SCHEMA = "live-saturation/v1"
 
@@ -152,9 +153,7 @@ class LiveTier:
             )
 
         def tier_ready():
-            endpoints = http_json(
-                self.front, "GET", "/admin/endpoints", timeout=2.0
-            )
+            endpoints = fetch_endpoints(self.front, timeout=2.0)
             shards = endpoints.get("shards", {})
             hosts = endpoints.get("hosts", {})
             if len(shards) == self.num_shards and len(hosts) == self.num_hosts:

@@ -1,7 +1,6 @@
-"""Analysis helpers: equilibrium detection, paper tables and figures.
+"""Analysis helpers: paper tables and figures.
 
-:mod:`~repro.analysis.steady_state` detects whether/when a metric series
-settled; :mod:`~repro.analysis.tables` assembles Table 2 rows
+:mod:`~repro.analysis.tables` assembles Table 2 rows
 (adjustment time, mean replicas) from scenario results;
 :mod:`~repro.analysis.figures` extracts the exact series each paper
 figure plots, in a renderer-independent form the benchmark harness
@@ -20,12 +19,9 @@ from repro.analysis.figures import (
     figure8_series,
 )
 from repro.analysis.stats import across_seeds, summarize
-from repro.analysis.steady_state import is_settled, settle_time
 from repro.analysis.tables import table1_rows, table2_row, table2_rows
 
 __all__ = [
-    "is_settled",
-    "settle_time",
     "table1_rows",
     "table2_row",
     "table2_rows",

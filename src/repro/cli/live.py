@@ -8,17 +8,12 @@ import sys
 
 from repro.cli import write_json
 from repro.errors import ConfigurationError
-from repro.live.client import http_json
+from repro.live.client import fetch_endpoints
 from repro.live.config import LiveConfig
-from repro.live.deploy import (
-    serve_all,
-    serve_gateway,
-    serve_host,
-    serve_redirector,
-    serve_shard,
-)
+from repro.live.deploy import serve_all, serve_role
 from repro.live.loadgen import LoadgenOptions, run_loadgen, run_loadgen_multiprocess
 from repro.live.metrics import format_live_summary
+from repro.live.pool import TransportError
 from repro.schema import add_flags, apply_overrides, given
 
 
@@ -86,7 +81,7 @@ def populate_serve(parser: argparse.ArgumentParser) -> None:
         "--serve-duration",
         type=float,
         metavar="S",
-        help="exit after S seconds instead of waiting for a signal",
+        help="exit after S seconds instead of waiting for a signal (any role)",
     )
     parser.add_argument(
         "--metrics",
@@ -98,33 +93,31 @@ def populate_serve(parser: argparse.ArgumentParser) -> None:
         "--trace",
         dest="trace_out",
         metavar="PATH",
-        help="attach the decision tracer and write its JSONL on shutdown",
+        help="attach the decision tracer and write its JSONL on shutdown "
+        "(--role all only)",
     )
 
 
 def serve_main(args: argparse.Namespace) -> int:
     config = _deployment(args)
     gateway = _hostport(args.gateway, "--gateway") if args.gateway else None
-    outputs = {"metrics_path": args.metrics_out, "port_file": args.port_file}
+    outputs = {
+        "metrics_path": args.metrics_out,
+        "port_file": args.port_file,
+        "duration": args.serve_duration,
+    }
     if args.role == "all":
-        coroutine = serve_all(
-            config,
-            trace_path=args.trace_out,
-            duration=args.serve_duration,
-            **outputs,
+        coroutine = serve_all(config, trace_path=args.trace_out, **outputs)
+    elif args.trace_out:
+        raise ConfigurationError(
+            f"--trace needs --role all: a lone {args.role} process has no "
+            "deployment-wide decision tracer to write"
         )
-    elif args.role == "redirector":
-        coroutine = serve_redirector(config, **outputs)
-    elif args.role == "gateway":
-        coroutine = serve_gateway(config, **outputs)
-    elif args.role == "shard":
-        if args.shard is None:
-            raise ConfigurationError("--role shard needs --shard")
-        coroutine = serve_shard(config, args.shard, gateway=gateway, **outputs)
     else:
-        if args.node is None:
-            raise ConfigurationError("--role host needs --node")
-        coroutine = serve_host(config, args.node, gateway=gateway, **outputs)
+        index = {"shard": args.shard, "host": args.node}.get(args.role)
+        coroutine = serve_role(
+            config, args.role, index=index, gateway=gateway, **outputs
+        )
     asyncio.run(coroutine)
     return 0
 
@@ -179,7 +172,12 @@ def loadgen_main(args: argparse.Namespace) -> int:
             )
     shard_endpoints = None
     if args.direct:
-        reply = http_json(redirector, "GET", "/admin/endpoints")
+        try:
+            reply = fetch_endpoints(redirector)
+        except TransportError as exc:
+            raise ConfigurationError(
+                f"--direct: cannot read the front door's endpoints: {exc}"
+            ) from None
         shard_endpoints = {
             int(shard): (str(address[0]), int(address[1]))
             for shard, address in (reply.get("shards") or {}).items()

@@ -34,6 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.host import HostServer
     from repro.core.runtime import SystemPort
 
+#: How many board candidates an offloading host probes before giving up
+#: (each probe is a control round trip) — one bound for both planes'
+#: ``SystemPort.probe_offload_recipient``.
+MAX_RECIPIENT_PROBES = 5
+
 
 def _foreign_fraction(
     host: "HostServer", obj: ObjectId

@@ -37,7 +37,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.create_obj import handle_create_obj  # re-exported for tests
 from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
-from repro.core.offload import run_offload
+from repro.core.offload import MAX_RECIPIENT_PROBES, run_offload
 from repro.core.placement import PlacementEngine
 from repro.core.redirector import RedirectorGroup, RedirectorService
 from repro.errors import ProtocolError
@@ -67,9 +67,6 @@ __all__ = ["HostingSystem", "handle_create_obj"]
 ServedObserver = Callable[[ObjectId, NodeId, NodeId, Time, int], None]
 MeasurementObserver = Callable[[HostServer, Time], None]
 PlacementObserver = Callable[[PlacementEvent], None]
-
-#: How many board candidates an offloading host probes before giving up.
-MAX_RECIPIENT_PROBES = 5
 
 #: How many times a request is re-routed to an alternate replica (after
 #: its chosen host proved dead or replica-less) before failing outright.

@@ -1,13 +1,18 @@
-"""Synchronous control-plane and data-plane HTTP clients.
+"""The typed control-plane client, riding the keep-alive :class:`HttpPool`.
 
 The protocol's outbound conversations are synchronous by nature — a
 CreateObj offer blocks the placement pass until the candidate answers,
-exactly as the simulator's in-process call does — so the live runtime
-uses plain :mod:`http.client` requests.  Blocking calls run either on a
-tick thread (measurement/placement timers) or inside
-``asyncio.to_thread`` when issued from a request handler; they never run
-directly on the event loop, so a same-process peer can always be served
-while the caller waits.
+exactly as the simulator's in-process call does — so every
+:class:`ControlPlane` method blocks its caller.  The sockets, though,
+belong to the process's event loop (the same pooled client the data
+plane uses), so each call is handed to that loop and waited for.
+
+**The threading rule.**  A ``ControlPlane`` method may be called from
+any thread *except* the loop's own: tick threads and
+``asyncio.to_thread`` workers are the callers.  The loop is named once
+with :meth:`ControlPlane.bind` (``LiveHostNode.start`` does it); a call
+made on the loop thread would wait for a reply only that thread can
+read, so it raises at once instead of deadlocking.
 
 Reliability grades mirror :mod:`repro.network.rpc`: plain calls and
 notifies are single attempts (a loss degrades gracefully, as in the
@@ -28,139 +33,35 @@ Two behaviours support the sharded tier (DESIGN §10):
 
 from __future__ import annotations
 
-import http.client
+import asyncio
 import itertools
-import json
 import time
 import uuid
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.types import NodeId, ObjectId
 
 from repro.live.config import PeerDirectory
+from repro.live.pool import Address, HttpPool, TransportError
 
 #: Attempts for persistent (must-not-be-lost) control conversations.
 PERSISTENT_ATTEMPTS = 4
 PERSISTENT_BACKOFF = 0.05
 
 
-class TransportError(Exception):
-    """An HTTP control/data exchange failed (connect, I/O, or status).
+def fetch_endpoints(front: Address, *, timeout: float = 5.0) -> dict[str, Any]:
+    """The front door's address book, for a caller with no event loop."""
 
-    ``status`` is the HTTP status when the exchange completed with an
-    error reply (else ``None``); ``retry_after`` carries a 429's parsed
-    backpressure hint in seconds.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        status: int | None = None,
-        retry_after: float | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.status = status
-        self.retry_after = retry_after
-
-
-def http_request(
-    address: tuple[str, int],
-    method: str,
-    path: str,
-    *,
-    payload: dict[str, Any] | None = None,
-    timeout: float = 5.0,
-) -> bytes:
-    """One HTTP exchange; returns the response body, raises on >= 400."""
-    host, port = address
-    connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        body = None
-        headers = {}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+    async def once() -> dict[str, Any]:
+        pool = HttpPool(timeout=timeout)
         try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise TransportError(f"{method} {host}:{port}{path}: {exc}") from exc
-        if response.status >= 400:
-            retry_after = None
-            if response.status == 429:
-                try:
-                    retry_after = float(response.getheader("Retry-After", ""))
-                except ValueError:
-                    retry_after = None
-            raise TransportError(
-                f"{method} {host}:{port}{path} -> {response.status} "
-                f"{data[:200]!r}",
-                status=response.status,
-                retry_after=retry_after,
-            )
-        return data
-    finally:
-        connection.close()
+            return await pool.fetch_json(front, "GET", "/admin/endpoints")
+        finally:
+            await pool.close()
 
-
-def http_json(
-    address: tuple[str, int],
-    method: str,
-    path: str,
-    *,
-    payload: dict[str, Any] | None = None,
-    timeout: float = 5.0,
-) -> dict[str, Any]:
-    data = http_request(address, method, path, payload=payload, timeout=timeout)
-    if not data:
-        return {}
-    try:
-        decoded = json.loads(data)
-    except ValueError as exc:
-        raise TransportError(f"non-JSON reply from {path}: {data[:200]!r}") from exc
-    if not isinstance(decoded, dict):
-        raise TransportError(f"non-object JSON reply from {path}")
-    return decoded
-
-
-def _persistent(
-    address: tuple[str, int],
-    method: str,
-    path: str,
-    *,
-    payload: dict[str, Any] | None = None,
-    timeout: float = 5.0,
-) -> dict[str, Any]:
-    last_error: TransportError | None = None
-    for attempt in range(PERSISTENT_ATTEMPTS):
-        try:
-            return http_json(address, method, path, payload=payload, timeout=timeout)
-        except TransportError as exc:
-            last_error = exc
-            if attempt + 1 < PERSISTENT_ATTEMPTS:
-                if exc.retry_after is not None:
-                    # Honour the shard's backpressure hint: it knows
-                    # when the next token arrives, blind backoff doesn't.
-                    time.sleep(exc.retry_after)
-                else:
-                    time.sleep(PERSISTENT_BACKOFF * (attempt + 1))
-    assert last_error is not None
-    raise last_error
-
-
-def register_shard(
-    gateway: tuple[str, int], shard: int, address: tuple[str, int]
-) -> None:
-    """Announce a shard's bound address to the gateway (persistent)."""
-    _persistent(
-        gateway,
-        "POST",
-        "/admin/register_shard",
-        payload={"shard": shard, "host": address[0], "port": address[1]},
-    )
+    return asyncio.run(once())
 
 
 class ControlPlane:
@@ -169,14 +70,90 @@ class ControlPlane:
     def __init__(self, directory: PeerDirectory, *, timeout: float = 5.0) -> None:
         self.directory = directory
         self.timeout = timeout
+        self.pool = HttpPool(timeout=timeout)
+        self._loop: asyncio.AbstractEventLoop | None = None
         # Registry-mutation ids: unique across processes (uuid origin)
         # and cheap per message (a counter).  The owning shard dedups
         # on these, making persistent retries idempotent end to end.
         self._msg_origin = uuid.uuid4().hex[:12]
         self._msg_seq = itertools.count()
 
-    def _msg_id(self) -> str:
-        return f"{self._msg_origin}-{next(self._msg_seq)}"
+    def bind(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Name the event loop that owns this plane's sockets."""
+        self._loop = loop
+
+    async def close(self) -> None:
+        await self.pool.close()
+
+    # -- the one way out ------------------------------------------------
+
+    def _call(
+        self,
+        address: Address,
+        method: str,
+        path: str,
+        payload: dict[str, Any] | None = None,
+        *,
+        persistent: bool = False,
+        raw: bool = False,
+    ) -> Any:
+        """One conversation, run on the bound loop and waited for.
+
+        Returns the reply's JSON object (its bytes when ``raw``); every
+        failure, error statuses included, is a :class:`TransportError`.
+        """
+        loop = self._loop
+        try:
+            on_loop = asyncio.get_running_loop() is loop
+        except RuntimeError:
+            on_loop = False
+        if loop is None or on_loop:
+            raise RuntimeError(
+                f"{method} {path}: a ControlPlane call needs a bound event loop "
+                "and a caller off that loop's thread (asyncio.to_thread)"
+            )
+        send = self.pool.fetch if raw else self.pool.fetch_json
+        attempts = PERSISTENT_ATTEMPTS if persistent else 1
+        for attempt in range(1, attempts + 1):
+            future = asyncio.run_coroutine_threadsafe(
+                send(address, method, path, payload=payload), loop
+            )
+            try:
+                # The pool bounds connect and exchange by ``timeout``
+                # each, twice when a stale socket is redialled; longer
+                # than that and the loop is not running.
+                return future.result(4 * self.timeout)
+            except FutureTimeout:
+                future.cancel()
+                failure = TransportError(f"{method} {path}: event loop never answered")
+            except TransportError as exc:
+                failure = exc
+            if attempt == attempts:
+                raise failure
+            # Honour the shard's backpressure hint: it knows when the
+            # next token arrives, blind backoff doesn't.
+            time.sleep(
+                failure.retry_after
+                if failure.retry_after is not None
+                else PERSISTENT_BACKOFF * attempt
+            )
+
+    def _front(
+        self,
+        method: str,
+        path: str,
+        payload: dict[str, Any] | None = None,
+        *,
+        persistent: bool = False,
+        stamped: bool = False,
+    ) -> dict[str, Any]:
+        """A conversation with the front door; ``stamped`` registry
+        mutations carry the ``msg_id`` the owning shard dedups on."""
+        if stamped:
+            payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
+        return self._call(
+            self.directory.redirector(), method, path, payload, persistent=persistent
+        )
 
     def refresh_peers(self) -> None:
         """Re-pull the peer address book from the front door.
@@ -185,16 +162,9 @@ class ControlPlane:
         process announces its bound port to the front door, which
         aggregates the address book at ``/admin/endpoints``.
         """
-        self.directory.apply_peers(
-            http_json(
-                self.directory.redirector(),
-                "GET",
-                "/admin/endpoints",
-                timeout=self.timeout,
-            )
-        )
+        self.directory.apply_peers(self._front("GET", "/admin/endpoints"))
 
-    def _host_address(self, node: NodeId) -> tuple[str, int]:
+    def _host_address(self, node: NodeId) -> Address:
         """Resolve a host's address, refreshing from the front door once.
 
         A still-unknown peer (it has not registered yet) surfaces as
@@ -216,100 +186,69 @@ class ControlPlane:
 
     def create_obj(self, candidate: NodeId, payload: dict[str, Any]) -> dict[str, Any]:
         """Offer a replica/affinity unit to ``candidate`` (Figure 4)."""
-        return http_json(
-            self._host_address(candidate),
-            "POST",
-            "/control/create_obj",
-            payload=payload,
-            timeout=self.timeout,
+        return self._call(
+            self._host_address(candidate), "POST", "/control/create_obj", payload
         )
 
     def host_load(
-        self, node: NodeId, *, address: tuple[str, int] | None = None
+        self, node: NodeId, *, address: Address | None = None
     ) -> dict[str, Any]:
         """The offload probe: ask a host for its current load estimate."""
-        return http_json(
+        return self._call(
             address if address is not None else self._host_address(node),
             "GET",
             "/control/load",
-            timeout=self.timeout,
         )
 
     def fetch_object(
-        self,
-        node: NodeId,
-        obj: ObjectId,
-        *,
-        address: tuple[str, int] | None = None,
+        self, node: NodeId, obj: ObjectId, *, address: Address | None = None
     ) -> bytes:
         """Pull an object's bytes from a replica host (the bulk copy)."""
-        return http_request(
+        return self._call(
             address if address is not None else self._host_address(node),
             "GET",
             f"/data/{obj}",
-            timeout=self.timeout,
+            raw=True,
         )
 
     # -- host-to-redirector ---------------------------------------------
 
     def replica_created(self, node: NodeId, obj: ObjectId, affinity: int) -> None:
         """Register a new copy / affinity increase (persistent)."""
-        _persistent(
-            self.directory.redirector(),
+        self._front(
             "POST",
             "/control/replica_created",
-            payload={
-                "obj": obj,
-                "host": node,
-                "affinity": affinity,
-                "msg_id": self._msg_id(),
-            },
-            timeout=self.timeout,
+            {"obj": obj, "host": node, "affinity": affinity},
+            persistent=True,
+            stamped=True,
         )
 
     def affinity_reduced(self, node: NodeId, obj: ObjectId, affinity: int) -> None:
         """Report a non-final affinity decrement (notify grade)."""
-        http_json(
-            self.directory.redirector(),
+        self._front(
             "POST",
             "/control/affinity_reduced",
-            payload={
-                "obj": obj,
-                "host": node,
-                "affinity": affinity,
-                "msg_id": self._msg_id(),
-            },
-            timeout=self.timeout,
+            {"obj": obj, "host": node, "affinity": affinity},
+            stamped=True,
         )
 
     def request_drop(self, node: NodeId, obj: ObjectId) -> dict[str, Any]:
         """Intention-to-drop arbitration (persistent round trip)."""
-        return _persistent(
-            self.directory.redirector(),
+        return self._front(
             "POST",
             "/control/request_drop",
-            payload={"obj": obj, "host": node, "msg_id": self._msg_id()},
-            timeout=self.timeout,
+            {"obj": obj, "host": node},
+            persistent=True,
+            stamped=True,
         )
 
     def load_report(self, node: NodeId, load: float) -> None:
         """Post this measurement interval's load to the board."""
-        http_json(
-            self.directory.redirector(),
-            "POST",
-            "/control/load_report",
-            payload={"node": node, "load": load},
-            timeout=self.timeout,
-        )
+        self._front("POST", "/control/load_report", {"node": node, "load": load})
 
     def offload_candidates(self, exclude: NodeId) -> list[dict[str, Any]]:
         """Fresh load-board entries, most idle first (Offload, Figure 5)."""
-        reply = http_json(
-            self.directory.redirector(),
-            "GET",
-            f"/control/offload_candidates?exclude={exclude}",
-            timeout=self.timeout,
-        )
+        reply = self._front("GET", f"/control/offload_candidates?exclude={exclude}")
         candidates = reply.get("candidates", [])
         if not isinstance(candidates, list):
             raise TransportError("malformed offload candidate list")
@@ -317,21 +256,20 @@ class ControlPlane:
 
     # -- membership (ephemeral-port deployments) ------------------------
 
-    def register_host(self, node: NodeId, address: tuple[str, int]) -> None:
+    def register_host(self, node: NodeId, address: Address) -> None:
         """Announce a host's bound address to the front door (persistent)."""
-        _persistent(
-            self.directory.redirector(),
+        self._front(
             "POST",
             "/admin/register_host",
-            payload={"node": node, "host": address[0], "port": address[1]},
-            timeout=self.timeout,
+            {"node": node, "host": address[0], "port": address[1]},
+            persistent=True,
         )
 
-    def endpoints(self) -> dict[str, Any]:
-        """The front door's current view of the deployment's addresses."""
-        return http_json(
-            self.directory.redirector(),
-            "GET",
-            "/admin/endpoints",
-            timeout=self.timeout,
+    def register_shard(self, shard: int, address: Address) -> None:
+        """Announce a shard's bound address to the gateway (persistent)."""
+        self._front(
+            "POST",
+            "/admin/register_shard",
+            {"shard": shard, "host": address[0], "port": address[1]},
+            persistent=True,
         )

@@ -34,9 +34,8 @@ from repro.errors import ConfigurationError
 from repro.obs.export import write_jsonl
 from repro.obs.tracer import DecisionTracer
 from repro.routing.routes_db import RoutingDatabase
-from repro.types import NodeId
 
-from repro.live.client import register_shard as _register_shard_with
+from repro.live.client import ControlPlane
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.gateway import LiveGateway
@@ -163,8 +162,12 @@ class LocalDeployment:
         }
 
 
-async def _wait_for_stop() -> None:
-    """Block until SIGINT or SIGTERM (restoring handlers afterwards)."""
+async def _wait(duration: float | None) -> None:
+    """Block for ``duration`` seconds, or until SIGINT/SIGTERM when it is
+    ``None`` (restoring the handlers afterwards)."""
+    if duration is not None:
+        await asyncio.sleep(duration)
+        return
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -232,10 +235,7 @@ async def serve_all(
         file=sys.stderr,
     )
     try:
-        if duration is not None:
-            await asyncio.sleep(duration)
-        else:
-            await _wait_for_stop()
+        await _wait(duration)
     finally:
         snapshot = deployment.snapshot()
         await deployment.stop()
@@ -243,165 +243,99 @@ async def serve_all(
     return snapshot
 
 
-async def serve_redirector(
-    config: LiveConfig,
-    *,
-    metrics_path: str | None = None,
-    port_file: str | None = None,
-) -> dict:
-    """Run the single-redirector front door (multi-process deployments).
-
-    With ephemeral ports the directory starts empty and fills as hosts
-    ``/admin/register_host`` themselves; with fixed ports it is complete
-    from the config.
-    """
-    if config.num_shards > 1:
+def _check_role(
+    config: LiveConfig, role: str, index: int | None, gateway: tuple[str, int] | None
+) -> None:
+    """Reject a role this config (or these arguments) cannot run."""
+    if role == "redirector" and config.num_shards > 1:
         raise ConfigurationError(
             "a sharded tier runs --role gateway plus --role shard processes; "
             "--role redirector is the single-shard front door"
         )
-    routes = RoutingDatabase(config.build_topology())
-    directory = _role_directory(config)
-    redirector = LiveRedirector(config, routes, WallClock(), directory)
-    port = await redirector.start()
-    directory.set_redirector((config.bind_host, port))
-    _write_port_file(port_file, port)
-    print(f"redirector up on {config.bind_host}:{port}", file=sys.stderr)
-    try:
-        await _wait_for_stop()
-    finally:
-        snapshot = {
-            "kind": "live-redirector",
-            "redirector": redirector.snapshot(),
-            "hosts": [],
-        }
-        await redirector.stop()
-        if metrics_path:
-            write_metrics(metrics_path, snapshot)
-    return snapshot
-
-
-async def serve_gateway(
-    config: LiveConfig,
-    *,
-    metrics_path: str | None = None,
-    port_file: str | None = None,
-) -> dict:
-    """Run the gateway of a sharded tier (multi-process deployments)."""
-    if config.num_shards < 2:
+    if role == "gateway" and config.num_shards < 2:
         raise ConfigurationError("--role gateway needs --shards >= 2")
-    directory = _role_directory(config)
-    gateway = LiveGateway(config, directory)
-    port = await gateway.start()
-    _write_port_file(port_file, port)
-    print(
-        f"gateway up on {config.bind_host}:{port} "
-        f"({config.num_shards} shards expected)",
-        file=sys.stderr,
+    if role not in ("shard", "host"):
+        return
+    option, count, front = (
+        ("--shard", config.num_shards, "")
+        if role == "shard"
+        else ("--node", config.num_hosts, " (the front door)")
     )
-    try:
-        await _wait_for_stop()
-    finally:
-        snapshot = {"kind": "live-gateway", "gateway": gateway.snapshot()}
-        await gateway.stop()
-        if metrics_path:
-            write_metrics(metrics_path, snapshot)
-    return snapshot
-
-
-async def serve_shard(
-    config: LiveConfig,
-    shard: int,
-    *,
-    gateway: tuple[str, int] | None = None,
-    metrics_path: str | None = None,
-    port_file: str | None = None,
-) -> dict:
-    """Run one redirector shard (multi-process deployments).
-
-    With ephemeral ports the shard registers its bound address with the
-    gateway, whose peers broadcast teaches every shard the full address
-    book.
-    """
-    if not 0 <= shard < config.num_shards:
-        raise ConfigurationError(
-            f"--shard must be in [0, {config.num_shards}), got {shard}"
-        )
+    if index is None:
+        raise ConfigurationError(f"--role {role} needs {option}")
+    if not 0 <= index < count:
+        raise ConfigurationError(f"{option} must be in [0, {count}), got {index}")
     if config.base_port == 0 and gateway is None:
         raise ConfigurationError(
-            "ephemeral ports need --gateway HOST:PORT to register with"
+            f"ephemeral ports need --gateway HOST:PORT{front} to register with"
         )
-    routes = RoutingDatabase(config.build_topology())
-    directory = _role_directory(config, front=gateway)
-    redirector = LiveRedirector(
-        config, routes, WallClock(), directory, shard=shard
-    )
-    port = await redirector.start()
-    _write_port_file(port_file, port)
-    if gateway is not None:
-        await asyncio.to_thread(
-            _register_shard_with, gateway, shard, (config.bind_host, port)
-        )
-    print(
-        f"shard {shard} up on {config.bind_host}:{port}", file=sys.stderr
-    )
-    try:
-        await _wait_for_stop()
-    finally:
-        snapshot = {
-            "kind": "live-shard",
-            "redirector": redirector.snapshot(),
-            "hosts": [],
-        }
-        await redirector.stop()
-        if metrics_path:
-            write_metrics(metrics_path, snapshot)
-    return snapshot
 
 
-async def serve_host(
+async def serve_role(
     config: LiveConfig,
-    node: NodeId,
+    role: str,
     *,
+    index: int | None = None,
     gateway: tuple[str, int] | None = None,
     metrics_path: str | None = None,
     port_file: str | None = None,
+    duration: float | None = None,
 ) -> dict:
-    """Run one replica-host role (multi-process deployments).
+    """Run one role of a multi-process deployment until signalled (or for
+    ``duration`` s): ``redirector`` (the single-shard front door),
+    ``gateway``, ``shard`` ``index`` or ``host`` ``index``.
 
     ``gateway`` is the deployment's front door (the gateway when
-    sharded, the redirector otherwise); with ephemeral ports the host
-    registers its bound address there after binding.
+    sharded, the redirector otherwise).  With ephemeral ports a shard or
+    host starts from an address book holding only that, and registers
+    its bound address there — the gateway's peers broadcast then teaches
+    every shard the full book; with fixed ports the book is complete
+    from the config.
     """
-    if not 0 <= node < config.num_hosts:
-        raise ConfigurationError(
-            f"--node must be in [0, {config.num_hosts}), got {node}"
-        )
-    if config.base_port == 0 and gateway is None:
-        raise ConfigurationError(
-            "ephemeral ports need --gateway HOST:PORT (the front door) "
-            "to register with"
-        )
-    routes = RoutingDatabase(config.build_topology())
+    _check_role(config, role, index, gateway)
     directory = _role_directory(config, front=gateway)
-    host = LiveHostNode(node, config, routes, WallClock(), directory)
-    port = await host.start(timers=False)
+    if role == "gateway":
+        server = LiveGateway(config, directory)
+    else:
+        routes = RoutingDatabase(config.build_topology())
+        if role == "host":
+            server = LiveHostNode(index, config, routes, WallClock(), directory)
+        else:
+            server = LiveRedirector(
+                config, routes, WallClock(), directory, shard=index or 0
+            )
+    port = await (server.start(timers=False) if role == "host" else server.start())
+    address = (config.bind_host, port)
     _write_port_file(port_file, port)
-    if config.base_port == 0:
-        await asyncio.to_thread(
-            host.control.register_host, node, (config.bind_host, port)
-        )
-    host.start_timers()
-    print(f"host {node} up on {config.bind_host}:{port}", file=sys.stderr)
+    name = role if index is None else f"{role} {index}"
+    banner = f"{name} up on {address[0]}:{port}"
+    if role == "redirector":
+        directory.set_redirector(address)
+    elif role == "gateway":
+        banner += f" ({config.num_shards} shards expected)"
+    elif role == "shard" and gateway is not None:
+        control = ControlPlane(directory)
+        control.bind(asyncio.get_running_loop())
+        try:
+            await asyncio.to_thread(control.register_shard, index, address)
+        finally:
+            await control.close()
+    elif role == "host":
+        if config.base_port == 0:
+            await asyncio.to_thread(server.control.register_host, index, address)
+        server.start_timers()
+    print(banner, file=sys.stderr)
     try:
-        await _wait_for_stop()
+        await _wait(duration)
     finally:
-        snapshot = {
-            "kind": "live-host",
-            "redirector": {},
-            "hosts": [host.snapshot()],
-        }
-        await host.stop()
+        piece = server.snapshot()
+        if role == "gateway":
+            snapshot = {"kind": "live-gateway", "gateway": piece}
+        elif role == "host":
+            snapshot = {"kind": "live-host", "redirector": {}, "hosts": [piece]}
+        else:
+            snapshot = {"kind": f"live-{role}", "redirector": piece, "hosts": []}
+        await server.stop()
         if metrics_path:
             write_metrics(metrics_path, snapshot)
     return snapshot
@@ -416,22 +350,12 @@ def _role_directory(
     for the front door, which must then be given explicitly
     (``--gateway HOST:PORT``) — it is the registration rendezvous.
     """
-    if config.base_port != 0:
-        directory = PeerDirectory.from_config(config)
-        if front is not None:
-            directory.set_redirector(front)
-        return directory
-    directory = PeerDirectory()
+    directory = (
+        PeerDirectory.from_config(config) if config.base_port != 0 else PeerDirectory()
+    )
     if front is not None:
         directory.set_redirector(front)
     return directory
 
 
-__all__ = [
-    "LocalDeployment",
-    "serve_all",
-    "serve_gateway",
-    "serve_host",
-    "serve_redirector",
-    "serve_shard",
-]
+__all__ = ["LocalDeployment", "serve_all", "serve_role"]

@@ -27,11 +27,7 @@ parties converge on the same address book without fixed ports.
 from __future__ import annotations
 
 import asyncio
-from urllib.parse import urlencode
 
-from repro.routing.hashring import HashRing
-
-from repro.live.backpressure import Backpressure, TokenBucket
 from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.httpd import (
     HttpServer,
@@ -42,27 +38,14 @@ from repro.live.httpd import (
     json_response,
     throttle_response,
 )
-from repro.live.pool import HttpPool, PoolError
+from repro.live.tier import TierMember
 
 
-class LiveGateway:
+class LiveGateway(TierMember):
     """The stateless front-door router of a sharded redirector tier."""
 
     def __init__(self, config: LiveConfig, directory: PeerDirectory) -> None:
-        self.config = config
-        self.directory = directory
-        self.ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
-        self.pool = HttpPool(timeout=5.0)
-        self.control_gate = Backpressure(
-            rate=config.control_rate_limit,
-            burst=config.control_burst,
-            max_inflight=config.control_max_inflight,
-        )
-        self.route_gate = (
-            TokenBucket(config.route_rate_limit, config.control_burst)
-            if config.route_rate_limit is not None
-            else None
-        )
+        super().__init__(config, directory)
         self.route_forwards = 0
         self.control_forwards = 0
         self._offload_cursor = 0
@@ -88,30 +71,6 @@ class LiveGateway:
         router.add("GET", "/metrics", self._metrics)
         router.add("GET", "/healthz", self._healthz)
         return router
-
-    async def _forward(self, shard: int, request: Request) -> Response:
-        if not self.directory.knows_shard(shard):
-            return error_response(503, f"shard {shard} not registered yet")
-        path = request.path
-        if request.query:
-            path += "?" + urlencode(request.query)
-        try:
-            status, headers, body = await self.pool.request(
-                self.directory.shard(shard),
-                request.method,
-                path,
-                body=request.body or None,
-            )
-        except PoolError as exc:
-            return error_response(502, f"shard {shard} unreachable: {exc}")
-        response = Response(
-            status=status,
-            body=body,
-            content_type=headers.get("content-type", "application/json"),
-        )
-        if "retry-after" in headers:
-            response.headers["Retry-After"] = headers["retry-after"]
-        return response
 
     async def _route(self, request: Request, params: dict) -> Response:
         try:
@@ -210,10 +169,6 @@ class LiveGateway:
         await self._broadcast_peers()
         return json_response({"ok": True})
 
-    async def _peers(self, request: Request, params: dict) -> Response:
-        self.directory.apply_peers(request.json())
-        return json_response({"ok": True})
-
     async def _broadcast_peers(self) -> None:
         """Push the merged address book to every registered shard."""
         payload = self.directory.peers_payload()
@@ -242,7 +197,7 @@ class LiveGateway:
         entries = sorted(self.directory.shards().items())
         replies = await asyncio.gather(
             *(
-                self.pool.request_json(address, "GET", "/metrics", timeout=2.0)
+                self.pool.fetch_json(address, "GET", "/metrics", timeout=2.0)
                 for _, address in entries
             ),
             return_exceptions=True,
@@ -251,7 +206,7 @@ class LiveGateway:
             if isinstance(reply, BaseException):
                 shards[str(shard)] = {"error": str(reply)}
             else:
-                shards[str(shard)] = reply[2]
+                shards[str(shard)] = reply
         return json_response({**self.snapshot(), "shards": shards})
 
     async def _healthz(self, request: Request, params: dict) -> Response:
@@ -271,10 +226,6 @@ class LiveGateway:
         port = await self.server.start()
         self.directory.set_redirector((self.server.host, port))
         return port
-
-    async def stop(self) -> None:
-        await self.server.stop()
-        await self.pool.close()
 
     def snapshot(self) -> dict:
         return {

@@ -13,13 +13,16 @@ and load probes, and runs the two wall-clock protocol timers:
   DecidePlacement round, which may fan out CreateObj offers, drop
   arbitration and bulk Offload over the control plane.
 
-Timer ticks do blocking HTTP, so they run on worker threads (plain
-threads for timers, ``asyncio.to_thread`` for the CreateObj handler);
-request-path handlers touch only in-process state and stay on the event
-loop.  Shared host state is mutated under the GIL without extra locks —
-every mutation is a small pure-Python operation, and the alternative
-(one lock spanning an outbound control call) deadlocks single-process
-deployments where the callee lives on the same event loop.
+Timer ticks and the CreateObj handler hold blocking control
+conversations, so they run on ``asyncio.to_thread`` workers: each
+:class:`~repro.live.client.ControlPlane` call hands its exchange to this
+process's event loop (bound in :meth:`LiveHostNode.start`) and waits off
+it.  Request-path handlers touch only in-process state and stay on the
+event loop.  Shared host state is mutated under the GIL without extra
+locks — every mutation is a small pure-Python operation, and the
+alternative (one lock spanning an outbound control call) deadlocks
+single-process deployments where the callee lives on the same event
+loop.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ class LiveHostNode:
             if key not in payload:
                 return error_response(400, f"create_obj missing {key!r}")
         # The handler pulls bytes from the source and registers with the
-        # redirector — blocking HTTP, so off the event loop it goes.
+        # redirector — blocking control calls, so off the event loop it goes.
         reply = await asyncio.to_thread(self.system.handle_create_obj, payload)
         return json_response(reply)
 
@@ -186,6 +189,7 @@ class LiveHostNode:
     async def start(self, *, timers: bool = True) -> int:
         """Bind the server (returning the port) and start the timers."""
         port = await self.server.start()
+        self.control.bind(asyncio.get_running_loop())
         # Advertise the bound address: our own directory entry (local
         # single-process deployments read it directly) and the CreateObj
         # source address (peers pull the bulk copy from it).
@@ -243,6 +247,7 @@ class LiveHostNode:
                 pass
         self._timers = []
         await self.server.stop()
+        await self.control.close()
 
     # ------------------------------------------------------------------
     # Metrics

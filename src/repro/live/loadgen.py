@@ -64,7 +64,7 @@ from repro.workloads.zipf import ZipfWorkload
 
 from repro.live.config import LiveConfig
 from repro.live.histogram import LatencyHistogram
-from repro.live.pool import HttpPool, PoolError
+from repro.live.pool import HttpPool, TransportError
 
 WORKLOADS = ("uniform", "zipf", "hot_sites", "regional")
 
@@ -308,49 +308,15 @@ class LoadgenStats:
         return summary
 
 
-# ----------------------------------------------------------------------
-# A one-shot async HTTP GET (connection per request) — kept for tests
-# and simple probes; the loadgen itself uses the keep-alive HttpPool.
-# ----------------------------------------------------------------------
-
-
 async def _http_get(
     host: str, port: int, path: str, timeout: float
 ) -> tuple[int, dict[str, str], bytes]:
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout
-    )
+    """A one-shot GET on a throwaway pool — for tests and simple probes."""
+    pool = HttpPool(timeout=timeout)
     try:
-        writer.write(
-            (
-                f"GET {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                f"Connection: close\r\n\r\n"
-            ).encode("ascii")
-        )
-        await writer.drain()
-        status_line = await asyncio.wait_for(reader.readline(), timeout)
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ConnectionError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await asyncio.wait_for(reader.readline(), timeout)
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        body = await asyncio.wait_for(reader.readexactly(length), timeout)
-        return status, headers, body
+        return await pool.request((host, port), "GET", path)
     finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await pool.close()
 
 
 def _phase_permutations(
@@ -460,7 +426,7 @@ async def run_loadgen(
                     raise ConnectionError(f"object fetch -> {status}")
                 stats.failed += 1
             except (
-                PoolError,
+                TransportError,
                 ConnectionError,
                 OSError,
                 asyncio.TimeoutError,

@@ -1,21 +1,27 @@
-"""An asyncio HTTP/1.1 client with keep-alive connection pooling.
+"""The repository's one HTTP client: asyncio HTTP/1.1 over pooled keep-alive sockets.
 
-The gateway forwards every request it receives, and the load generator
-issues tens of thousands of requests per second — at those rates a fresh
-TCP connection per exchange (the PR-4 loadgen's model) spends more time
-in connect/teardown than in the request itself and exhausts ephemeral
+The gateway forwards every request it receives, the load generator
+issues tens of thousands of requests per second and the protocol ticks
+hold a handful of small control conversations per round — at those
+rates a fresh TCP connection per exchange spends more time in
+connect/teardown than in the request itself and exhausts ephemeral
 ports.  :class:`HttpPool` keeps idle connections per peer and reuses
 them:
 
 * ``request()`` borrows an idle connection (or dials a new one), sends
   one ``Connection: keep-alive`` exchange, and returns the connection to
   the idle list unless the server answered ``Connection: close``;
-* a connection that fails mid-exchange is discarded; if it was a
-  *reused* connection the request is retried once on a fresh dial —
-  the server may have closed the idle socket between exchanges, which
-  is indistinguishable from a real failure only on the first write;
+* a connection that fails mid-exchange is discarded.  The request is
+  sent a second time only when a *reused* socket hit EOF or a reset
+  before any response byte — the server closed it while it was parked —
+  and never after a timeout or once a reply has begun: the peer may be
+  acting on the first copy, and a ``create_obj`` offer is not idempotent;
 * at most ``max_idle_per_peer`` sockets are parked per peer; extras are
   closed on release rather than cached forever.
+
+Every failed exchange — connect, I/O, a reply outside the HTTP envelope,
+and (through :meth:`HttpPool.fetch`) an error status — is one exception,
+:class:`TransportError`.
 
 The pool is deliberately not a semaphore: concurrency limits belong to
 the caller (the loadgen's open-loop concurrency bound, the gateway's
@@ -28,11 +34,29 @@ import asyncio
 import json
 from typing import Any
 
+from repro.live.httpd import MAX_BODY_BYTES
+
 Address = tuple[str, int]
 
 
-class PoolError(Exception):
-    """An HTTP exchange through the pool failed (connect or I/O)."""
+class TransportError(Exception):
+    """An HTTP exchange failed (connect, I/O, malformed reply, or status).
+
+    ``status`` is the HTTP status when the exchange completed with an
+    error reply (else ``None``); ``retry_after`` carries a 429's parsed
+    backpressure hint in seconds.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        status: int | None = None,
+        retry_after: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.retry_after = retry_after
 
 
 class _Connection:
@@ -80,27 +104,43 @@ class HttpPool:
         """One exchange; returns ``(status, headers, body)``.
 
         ``payload`` is JSON-encoded; ``body`` is sent raw.  Raises
-        :class:`PoolError` on connect or I/O failure (never on an HTTP
-        error status — status handling is the caller's protocol).
+        :class:`TransportError` on connect or I/O failure and on a reply
+        outside the HTTP envelope, never on an HTTP error status — that
+        is :meth:`fetch`, or the caller's own protocol.
         """
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
         deadline = timeout if timeout is not None else self.timeout
-        connection, reused = await self._acquire(address, deadline)
-        try:
-            reply = await asyncio.wait_for(
-                self._exchange(connection, address, method, path, body, payload),
-                deadline,
-            )
-        except (ConnectionError, OSError, asyncio.IncompleteReadError,
-                asyncio.TimeoutError) as exc:
-            connection.close()
-            if reused:
-                # The parked socket had gone stale; one fresh dial.
-                return await self._retry_fresh(
-                    address, method, path, body, payload, deadline
+        host, port = address
+        head = [
+            f"{method} {path} HTTP/1.1",
+            f"Host: {host}:{port}",
+            "Connection: keep-alive",
+        ]
+        if payload is not None:
+            head.append("Content-Type: application/json")
+        if body is not None:
+            head.append(f"Content-Length: {len(body)}")
+        message = ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + (body or b"")
+        stale = False
+        while True:
+            connection, reused = await self._acquire(address, deadline)
+            try:
+                reply = await asyncio.wait_for(
+                    self._exchange(connection, message), deadline
                 )
-            raise PoolError(f"{method} {address[0]}:{address[1]}{path}: {exc}") from exc
+            except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError,
+                    ValueError) as exc:
+                connection.close()
+                raise TransportError(f"{method} {host}:{port}{path}: {exc}") from exc
+            if reply is not None:
+                break
+            connection.close()
+            if stale or not reused:
+                raise TransportError(
+                    f"{method} {host}:{port}{path}: closed before any response byte"
+                )
+            stale = True  # the parked socket had gone stale; one more attempt
         status, headers, data, keep_alive = reply
         if keep_alive:
             self._release(address, connection)
@@ -108,7 +148,7 @@ class HttpPool:
             connection.close()
         return status, headers, data
 
-    async def request_json(
+    async def fetch(
         self,
         address: Address,
         method: str,
@@ -116,20 +156,45 @@ class HttpPool:
         *,
         payload: dict[str, Any] | None = None,
         timeout: float | None = None,
-    ) -> tuple[int, dict[str, str], dict]:
-        """Like :meth:`request`, decoding the body as a JSON object."""
+    ) -> bytes:
+        """Like :meth:`request`, but an error status is a failed exchange."""
         status, headers, data = await self.request(
             address, method, path, payload=payload, timeout=timeout
         )
-        decoded: dict = {}
-        if data:
-            try:
-                parsed = json.loads(data)
-            except ValueError as exc:
-                raise PoolError(f"non-JSON reply from {path}: {data[:200]!r}") from exc
-            if isinstance(parsed, dict):
-                decoded = parsed
-        return status, headers, decoded
+        if status >= 400:
+            retry_after = None
+            if status == 429:
+                try:
+                    retry_after = float(headers.get("retry-after", ""))
+                except ValueError:
+                    pass
+            raise TransportError(
+                f"{method} {address[0]}:{address[1]}{path} -> {status} {data[:200]!r}",
+                status=status,
+                retry_after=retry_after,
+            )
+        return data
+
+    async def fetch_json(
+        self,
+        address: Address,
+        method: str,
+        path: str,
+        *,
+        payload: dict[str, Any] | None = None,
+        timeout: float | None = None,
+    ) -> dict[str, Any]:
+        """:meth:`fetch`, decoding the body as a JSON object (empty: ``{}``)."""
+        data = await self.fetch(address, method, path, payload=payload, timeout=timeout)
+        if not data:
+            return {}
+        try:
+            decoded = json.loads(data)
+        except ValueError as exc:
+            raise TransportError(f"non-JSON reply from {path}: {data[:200]!r}") from exc
+        if not isinstance(decoded, dict):
+            raise TransportError(f"non-object JSON reply from {path}")
+        return decoded
 
     async def close(self) -> None:
         """Close every idle connection (in-flight ones close on return)."""
@@ -157,8 +222,8 @@ class HttpPool:
             reader, writer = await asyncio.wait_for(
                 asyncio.open_connection(*address), deadline
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            raise PoolError(f"connect {address[0]}:{address[1]}: {exc}") from exc
+        except (OSError, asyncio.TimeoutError) as exc:
+            raise TransportError(f"connect {address[0]}:{address[1]}: {exc}") from exc
         self.dials += 1
         return _Connection(reader, writer), False
 
@@ -169,63 +234,28 @@ class HttpPool:
         else:
             connection.close()
 
-    async def _retry_fresh(
-        self,
-        address: Address,
-        method: str,
-        path: str,
-        body: bytes | None,
-        payload: dict[str, Any] | None,
-        deadline: float,
-    ) -> tuple[int, dict[str, str], bytes]:
-        connection, _ = await self._acquire(address, deadline)
-        try:
-            reply = await asyncio.wait_for(
-                self._exchange(connection, address, method, path, body, payload),
-                deadline,
-            )
-        except (ConnectionError, OSError, asyncio.IncompleteReadError,
-                asyncio.TimeoutError) as exc:
-            connection.close()
-            raise PoolError(f"{method} {address[0]}:{address[1]}{path}: {exc}") from exc
-        status, headers, data, keep_alive = reply
-        if keep_alive:
-            self._release(address, connection)
-        else:
-            connection.close()
-        return status, headers, data
-
+    @staticmethod
     async def _exchange(
-        self,
-        connection: _Connection,
-        address: Address,
-        method: str,
-        path: str,
-        body: bytes | None,
-        payload: dict[str, Any] | None,
-    ) -> tuple[int, dict[str, str], bytes, bool]:
-        host, port = address
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: keep-alive",
-        ]
-        if payload is not None:
-            head.append("Content-Type: application/json")
-        if body is not None:
-            head.append(f"Content-Length: {len(body)}")
-        request = ("\r\n".join(head) + "\r\n\r\n").encode("ascii")
-        if body is not None:
-            request += body
-        writer = connection.writer
-        reader = connection.reader
-        writer.write(request)
-        await writer.drain()
+        connection: _Connection, message: bytes
+    ) -> tuple[int, dict[str, str], bytes, bool] | None:
+        """Send ``message`` and read one reply.
 
-        status_line = await reader.readline()
+        ``None`` means EOF or a reset before any response byte: what a
+        socket the server closed while it was parked looks like.  A
+        status line or length the peer made up raises ``ValueError``.
+        """
+        reader = connection.reader
+        try:
+            connection.writer.write(message)
+            await connection.writer.drain()
+            status_line = await reader.readline()
+        except ConnectionError:
+            return None
+        if not status_line:
+            return None
         parts = status_line.decode("latin-1").split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ConnectionError(f"malformed status line {status_line!r}")
+            raise ValueError(f"malformed status line {status_line!r}")
         status = int(parts[1])
         headers: dict[str, str] = {}
         while True:
@@ -238,9 +268,11 @@ class HttpPool:
             if sep:
                 headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", 0))
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise ValueError(f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
         data = await reader.readexactly(length) if length else b""
         keep_alive = headers.get("connection", "keep-alive").lower() != "close"
         return status, headers, data, keep_alive
 
 
-__all__ = ["Address", "HttpPool", "PoolError"]
+__all__ = ["Address", "HttpPool", "TransportError"]

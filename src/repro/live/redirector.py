@@ -48,7 +48,6 @@ directory, so any shard must be able to answer
 from __future__ import annotations
 
 import json
-from urllib.parse import urlencode
 
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.redirector import RedirectorService
@@ -56,10 +55,8 @@ from repro.core.runtime import Clock
 from repro.errors import ProtocolError
 from repro.network.rpc import DedupCache
 from repro.obs.tracer import ProtocolTracer
-from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 
-from repro.live.backpressure import Backpressure, TokenBucket
 from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.httpd import (
     HttpServer,
@@ -70,10 +67,11 @@ from repro.live.httpd import (
     json_response,
     throttle_response,
 )
-from repro.live.pool import HttpPool, PoolError
+from repro.live.pool import TransportError
+from repro.live.tier import TierMember
 
 
-class LiveRedirector:
+class LiveRedirector(TierMember):
     """One redirector shard process for a live deployment."""
 
     def __init__(
@@ -86,11 +84,9 @@ class LiveRedirector:
         shard: int = 0,
         tracer: ProtocolTracer | None = None,
     ) -> None:
-        self.config = config
+        super().__init__(config, directory)
         self.clock = clock
-        self.directory = directory
         self.shard = shard
-        self.ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
         # The paper's evaluation places the (single) redirector at the
         # node with minimum mean distance; its node id only labels the
         # service here, the process listens on its own port.
@@ -112,18 +108,7 @@ class LiveRedirector:
         #: Registry mutations recognised as retries and answered from
         #: the dedup cache without re-applying.
         self.deduplicated_total = 0
-        self.pool = HttpPool(timeout=5.0)
         self.dedup = DedupCache()
-        self.control_gate = Backpressure(
-            rate=config.control_rate_limit,
-            burst=config.control_burst,
-            max_inflight=config.control_max_inflight,
-        )
-        self.route_gate = (
-            TokenBucket(config.route_rate_limit, config.control_burst)
-            if config.route_rate_limit is not None
-            else None
-        )
         bind_host, port = config.shard_address(shard)
         self.server = HttpServer(self._build_router(), host=bind_host, port=port)
 
@@ -134,34 +119,11 @@ class LiveRedirector:
     def owns(self, obj: int) -> bool:
         return self.ring.owner(obj) == self.shard
 
-    async def _forward(self, obj: int, request: Request) -> Response:
+    async def _to_owner(self, obj: int, request: Request) -> Response:
         """Relay a mis-addressed conversation to the owning shard."""
         owner = self.ring.owner(obj)
-        if not self.directory.knows_shard(owner):
-            return error_response(
-                503, f"object {obj} owned by shard {owner}, address unknown"
-            )
-        self.forwarded_total += 1
-        path = request.path
-        if request.query:
-            path += "?" + urlencode(request.query)
-        try:
-            status, headers, body = await self.pool.request(
-                self.directory.shard(owner),
-                request.method,
-                path,
-                body=request.body or None,
-            )
-        except PoolError as exc:
-            return error_response(502, f"shard {owner} unreachable: {exc}")
-        response = Response(
-            status=status,
-            body=body,
-            content_type=headers.get("content-type", "application/json"),
-        )
-        if "retry-after" in headers:
-            response.headers["Retry-After"] = headers["retry-after"]
-        return response
+        self.forwarded_total += self.directory.knows_shard(owner)
+        return await self._forward(owner, request)
 
     # ------------------------------------------------------------------
     # Routes
@@ -194,7 +156,7 @@ class LiveRedirector:
         except (KeyError, ValueError):
             return error_response(400, "route needs integer obj= and gateway=")
         if not self.owns(obj):
-            return await self._forward(obj, request)
+            return await self._to_owner(obj, request)
         if self.route_gate is not None:
             wait = self.route_gate.try_acquire()
             if wait > 0.0:
@@ -233,7 +195,7 @@ class LiveRedirector:
             except (KeyError, ValueError):
                 return error_response(400, "control mutation needs integer obj")
             if not self.owns(obj):
-                return await self._forward(obj, request)
+                return await self._to_owner(obj, request)
             msg_id = payload.get("msg_id")
             if msg_id is not None:
                 cached = self.dedup.get(msg_id)
@@ -325,7 +287,7 @@ class LiveRedirector:
                     address, "POST", "/control/load_report", payload=payload,
                     timeout=2.0,
                 )
-            except PoolError:
+            except TransportError:
                 continue
 
     async def _offload_candidates(self, request: Request, params: dict) -> Response:
@@ -345,11 +307,6 @@ class LiveRedirector:
         return json_response({"candidates": entries})
 
     # -- membership -----------------------------------------------------
-
-    async def _peers(self, request: Request, params: dict) -> Response:
-        """A peer announcement (gateway fan-out after registration)."""
-        self.directory.apply_peers(request.json())
-        return json_response({"ok": True})
 
     async def _register_host(self, request: Request, params: dict) -> Response:
         """A host announcing its bound address (single-shard front door;
@@ -387,10 +344,6 @@ class LiveRedirector:
         port = await self.server.start()
         self.directory.set_shard(self.shard, (self.server.host, port))
         return port
-
-    async def stop(self) -> None:
-        await self.server.stop()
-        await self.pool.close()
 
     def snapshot(self) -> dict:
         service = self.service

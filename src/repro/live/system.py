@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import apply_create_obj, decide_create_obj
 from repro.core.host import HostServer
-from repro.core.offload import run_offload
+from repro.core.offload import MAX_RECIPIENT_PROBES, run_offload
 from repro.core.placement import PlacementEngine
 from repro.core.runtime import Clock
 from repro.obs.records import CreateObjRecord
@@ -33,11 +33,8 @@ from repro.types import (
     Time,
 )
 
-from repro.live.client import ControlPlane, TransportError
-
-#: Bound on offload recipient probes, mirroring the simulator's
-#: ``MAX_RECIPIENT_PROBES`` (each probe is a control round trip).
-MAX_RECIPIENT_PROBES = 3
+from repro.live.client import ControlPlane
+from repro.live.pool import TransportError
 
 
 class LiveSystem:

@@ -1,4 +1,4 @@
-"""Tests for steady-state detection, table builders and figure extractors."""
+"""Tests for the table builders and figure extractors."""
 
 import pytest
 
@@ -8,38 +8,9 @@ from repro.analysis.figures import (
     figure7_series,
     figure8_series,
 )
-from repro.analysis.steady_state import is_settled, relative_change, settle_time
 from repro.analysis.tables import PAPER_TABLE2, table1_rows, table2_row, table2_rows
-from repro.errors import ConfigurationError
-from repro.metrics.collectors import TimeSeries
 from repro.scenarios.presets import paper_parameters, paper_scenario
 from repro.scenarios.runner import run_scenario
-
-
-def make_series(values):
-    series = TimeSeries()
-    for index, value in enumerate(values):
-        series.append(index * 60.0, value)
-    return series
-
-
-def test_is_settled_detects_stability():
-    assert is_settled(make_series([100, 50, 20, 10, 10, 10, 10, 10]))
-    assert not is_settled(make_series([100, 50, 20, 10, 80, 10, 60, 10]))
-    assert not is_settled(make_series([1, 2]))  # too short
-    assert is_settled(make_series([5, 3, 0, 0, 0, 0, 0, 0]))
-
-
-def test_settle_time_matches_adjustment():
-    series = make_series([100, 50, 20, 10, 10, 10, 10, 10])
-    assert settle_time(series) == 3 * 60.0
-
-
-def test_relative_change():
-    assert relative_change(10.0, 12.0) == pytest.approx(0.2)
-    assert relative_change(10.0, 8.0) == pytest.approx(-0.2)
-    with pytest.raises(ConfigurationError):
-        relative_change(0.0, 1.0)
 
 
 def test_table1_rows_reproduce_paper_text():

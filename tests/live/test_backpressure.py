@@ -18,7 +18,7 @@ from repro.live.backpressure import (
     Backpressure,
     TokenBucket,
 )
-from repro.live.client import ControlPlane, TransportError, http_json
+from repro.live.client import ControlPlane, TransportError
 from repro.live.config import live_protocol_config
 from repro.live.pool import HttpPool
 from repro.network.rpc import DedupCache
@@ -169,24 +169,28 @@ def test_persistent_client_honours_retry_after_and_dedup_keeps_one_apply():
         address = redirector.server.address
         directory = deployment.directory
 
+        control = ControlPlane(directory)
+        control.bind(asyncio.get_running_loop())
+
         def blocking_part():
-            control = ControlPlane(directory)
             # Drain the burst so the next persistent call meets a 429
             # first and must sleep out the Retry-After hint.
+            throttled = 0
             for _ in range(8):
                 try:
-                    http_json(
-                        address, "POST", "/control/load_report",
-                        payload={"node": 0, "load": 1.0},
-                    )
+                    control.load_report(0, 1.0)
                 except TransportError as exc:
                     assert exc.status == 429
                     assert exc.retry_after is not None
+                    throttled += 1
+            assert throttled >= 1
             control.replica_created(1, 0, 1)
 
-        # The deployment serves on this loop, so the blocking client
-        # must run on a thread (same discipline the live hosts use).
+        # The deployment serves on this loop, and so do the control
+        # plane's sockets: the blocking client must run on a thread
+        # (same discipline the live hosts use).
         await asyncio.to_thread(blocking_part)
+        await control.close()
         assert 1 in redirector.service.replica_hosts(0)
         assert redirector.service.affinity(0, 1) == 1
         pool = HttpPool()
@@ -225,9 +229,10 @@ def test_throttled_registration_is_not_lost():
         redirector = deployment.redirector
         directory = deployment.directory
         errors: list[Exception] = []
+        control = ControlPlane(directory)
+        control.bind(asyncio.get_running_loop())
 
         def register_many():
-            control = ControlPlane(directory)
             try:
                 for host in (1, 2):
                     # obj 3 starts on host 0 (3 mod 3); register two new
@@ -245,6 +250,7 @@ def test_throttled_registration_is_not_lost():
         assert {1, 2}.issubset(set(replicas))
         assert redirector.service.affinity(3, 1) == 1
         assert redirector.service.affinity(3, 2) == 1
+        await control.close()
         await deployment.stop()
 
     asyncio.run(main())

@@ -12,7 +12,7 @@ from repro.live import (
     run_loadgen,
 )
 from repro.live.config import live_protocol_config
-from repro.live.deploy import serve_all
+from repro.live.deploy import serve_all, serve_role
 from repro.live.host import object_payload
 from repro.live.loadgen import _http_get
 from repro.live.metrics import summarize_deployment
@@ -201,3 +201,61 @@ def test_serve_all_shuts_down_cleanly_on_sigint(tmp_path):
     snapshot = asyncio.run(main())
     assert snapshot["kind"] == "live-deployment"
     assert metrics_path.exists()
+
+
+def test_serve_role_processes_find_each_other_through_the_front_door(tmp_path):
+    """The multi-process shape on one loop: a redirector and two hosts,
+    each its own ``serve_role``, ephemeral ports published through port
+    files, the hosts registering at the front door they were pointed at,
+    every role leaving after its ``duration``."""
+    config = demo_config().replace(num_hosts=2, topology="line")
+
+    async def read_port(path):
+        for _ in range(200):
+            if path.exists():
+                return int(path.read_text())
+            await asyncio.sleep(0.02)
+        raise AssertionError(f"{path} never appeared")
+
+    async def main():
+        def role(name, seconds, **where):
+            label = f"{name}{where.get('index', '')}"
+            return asyncio.create_task(
+                serve_role(
+                    config, name, duration=seconds,
+                    port_file=str(tmp_path / f"{label}.port"),
+                    metrics_path=str(tmp_path / f"{label}.json"),
+                    **where,
+                )
+            )
+
+        # The hosts leave first, so no tick talks to a closed redirector.
+        tasks = [role("redirector", 2.0)]
+        front = (config.bind_host, await read_port(tmp_path / "redirector.port"))
+        tasks += [role("host", 1.2, index=node, gateway=front) for node in (0, 1)]
+        ports = [await read_port(tmp_path / f"host{node}.port") for node in (0, 1)]
+        for _ in range(100):
+            status, _h, body = await _http_get(*front, "/admin/endpoints", 5.0)
+            book = json.loads(body)["hosts"]
+            if len(book) == 2:
+                break
+            await asyncio.sleep(0.02)
+        assert book == {
+            str(node): [config.bind_host, port] for node, port in enumerate(ports)
+        }
+        # A request through the registered addresses: route, then fetch.
+        status, _h, body = await _http_get(*front, "/route?obj=1&gateway=0", 5.0)
+        assert status == 200
+        assert json.loads(body)["url"].startswith(f"http://127.0.0.1:{ports[1]}/obj/1")
+        status, _h, body = await _http_get(config.bind_host, ports[1], "/obj/1", 5.0)
+        assert status == 200 and body == object_payload(1, config.object_size)
+        return await asyncio.gather(*tasks)
+
+    redirector, host0, host1 = asyncio.run(asyncio.wait_for(main(), 30.0))
+    assert [s["kind"] for s in (redirector, host0, host1)] == [
+        "live-redirector", "live-host", "live-host",
+    ]
+    assert redirector["redirector"]["routed_total"] == 1
+    assert host1["hosts"][0]["serviced_total"] == 1
+    for label in ("redirector", "host0", "host1"):
+        assert json.loads((tmp_path / f"{label}.json").read_text())["kind"]

@@ -9,6 +9,8 @@ broadcast are wire-level behaviours, not unit seams.
 import asyncio
 import json
 
+import pytest
+
 from repro.live import LiveConfig, LoadgenOptions, LocalDeployment, run_loadgen
 from repro.live.config import live_protocol_config
 from repro.live.metrics import summarize_deployment
@@ -108,6 +110,44 @@ def test_notice_posted_to_wrong_shard_reaches_the_owner():
             )
             assert status == 200
             assert json.loads(body)["approved"] is False  # last copy
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("relayer", ["gateway", "shard"])
+def test_relayed_429_keeps_the_owners_retry_after(relayer):
+    """Both callers of the shared relay pass the owner's backpressure
+    hint through untouched, so a client sleeps what the *owner* asked."""
+    config = sharded_config(control_rate_limit=1.0, control_burst=2.0)
+    ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            owner, other = deployment.shards
+            obj = next(o for o in range(config.num_objects) if ring.owner(o) == 0)
+            # Empty the owner's bucket directly (``forwarded`` stops the
+            # report from spending the peer's tokens on a re-broadcast).
+            for _ in range(4):
+                await pool.request(
+                    owner.server.address, "POST", "/control/load_report",
+                    payload={"node": 0, "load": 1.0, "forwarded": True},
+                )
+            assert owner.control_gate.rejected_total >= 1
+            via = deployment.gateway if relayer == "gateway" else other
+            status, headers, _b = await pool.request(
+                via.server.address, "POST", "/control/replica_created",
+                payload={"obj": obj, "host": 1, "affinity": 1, "msg_id": "relay-429"},
+            )
+            assert status == 429
+            assert float(headers["retry-after"]) > 0.0
+            # The relayer admitted the call; the refusal is the owner's.
+            assert via.control_gate.rejected_total == 0
         finally:
             await pool.close()
             await deployment.stop()

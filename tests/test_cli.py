@@ -299,6 +299,14 @@ def test_gap_rejects_multi_valued_scalar():
         (["loadgen", "--redirector", "nocolon"], "--redirector must be HOST:PORT"),
         (["loadgen", "--base-port", "0"], "pass --redirector HOST:PORT"),
         (["loadgen", "--processes", "0"], "--processes must be at least 1"),
+        (["loadgen", "--direct", "--redirector", "127.0.0.1:1"],
+         "--direct: cannot read the front door's endpoints"),
+        (["serve", "--role", "gateway", "--shards", "2", "--trace", "t.jsonl"],
+         "--trace needs --role all"),
+        (["serve", "--role", "shard", "--shard", "2", "--shards", "2"],
+         "--shard must be in [0, 2), got 2"),
+        (["serve", "--role", "host", "--node", "0", "--base-port", "0"],
+         "ephemeral ports need --gateway HOST:PORT (the front door)"),
     ],
 )
 def test_configuration_errors_exit_2_with_one_line(
@@ -314,6 +322,22 @@ def test_configuration_errors_exit_2_with_one_line(
     assert captured.err.count("\n") == 1
     assert fragment in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_serve_duration_ends_a_single_role(tmp_path, capsys):
+    """``--serve-duration`` used to reach ``--role all`` only; a lone
+    role waited for a signal whatever it said."""
+    port_file = tmp_path / "r.port"
+    metrics = tmp_path / "r.json"
+    code = main(
+        ["serve", "--role", "redirector", "--base-port", "0", "--serve-duration",
+         "0.2", "--port-file", str(port_file), "--metrics", str(metrics)]
+    )  # fmt: skip
+    assert code == 0
+    assert f"redirector up on 127.0.0.1:{int(port_file.read_text())}" in (
+        capsys.readouterr().err
+    )
+    assert json.loads(metrics.read_text())["kind"] == "live-redirector"
 
 
 def test_protocol_errors_stay_loud(monkeypatch):

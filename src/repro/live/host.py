@@ -114,7 +114,7 @@ class LiveHostNode:
         router.add("GET", "/healthz", self._healthz)
         return router
 
-    async def _serve_object(self, request: Request, params: dict) -> Response:
+    def _serve_object(self, request: Request, params: dict) -> Response:
         """The data plane: service one client request for an object."""
         obj = int(params["obj"])
         host = self.host
@@ -179,7 +179,7 @@ class LiveHostNode:
     async def _metrics(self, request: Request, params: dict) -> Response:
         return json_response(self.snapshot())
 
-    async def _healthz(self, request: Request, params: dict) -> Response:
+    def _healthz(self, request: Request, params: dict) -> Response:
         return json_response({"ok": True, "node": self.node})
 
     # ------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """A minimal asyncio HTTP/1.1 server with pattern routing.
 
 The container ships no third-party HTTP stack, so the live runtime
-carries its own: just enough HTTP/1.1 over :func:`asyncio.start_server`
+carries its own: just enough HTTP/1.1 over :class:`asyncio.Protocol`
 for the control plane and data plane — request-line + headers parsing,
 ``Content-Length`` bodies, keep-alive, JSON helpers, and a router with
 ``{name}`` path captures.  Anything outside that envelope gets a 400.
+A message is framed where its bytes arrive (``data_received``) by
+:func:`parse_head`, the one HTTP grammar in the repository: the server
+reads requests with it and :class:`~repro.live.pool.HttpPool` replies.
 
-Handlers are ``async def handler(request, params) -> Response`` and run
-on the event loop; blocking work (outbound synchronous control calls)
-must be pushed to a thread with :func:`asyncio.to_thread` so a handler
-never stalls the loop that its peers in the same process are served
-from.
+Handlers are ``handler(request, params) -> Response`` and run on the
+event loop: a plain function answers in the callback that framed its
+request, an ``async def`` may wait first.  Blocking work (outbound
+synchronous control calls) must be pushed to a thread with
+:func:`asyncio.to_thread` so a handler never stalls the loop that its
+peers in the same process are served from.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import json
 import logging
 from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
-from urllib.parse import parse_qsl, urlsplit
+from functools import partial
+from urllib.parse import parse_qsl
 
 log = logging.getLogger(__name__)
 
@@ -28,6 +33,9 @@ log = logging.getLogger(__name__)
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Bytes a peer may send ahead of the answer in hand before its socket
+#: stops being read.
+MAX_READ_AHEAD = 64 * 1024
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -116,7 +124,7 @@ def throttle_response(retry_after: float) -> Response:
     return response
 
 
-Handler = Callable[[Request, dict[str, str]], Awaitable[Response]]
+Handler = Callable[[Request, dict[str, str]], Response | Awaitable[Response]]
 
 
 class Router:
@@ -159,6 +167,166 @@ def _match_segments(
     return params
 
 
+def parse_head(buffer: bytes | bytearray) -> tuple[str, dict[str, str], int, int] | None:
+    """Frame the HTTP/1.1 message at the front of ``buffer``.
+
+    ``None`` until the head is complete, then ``(start line, headers,
+    body start, message end)``: the body is ``buffer[start:end]`` once
+    that much has arrived.  This is the one grammar for both directions
+    — requests here, replies in :mod:`repro.live.pool` — and it is
+    strict where a relay could be fooled: CRLF framing only, one
+    ``Content-Length`` value, no ``Transfer-Encoding``, every limit
+    checked before a body byte is waited for.
+    """
+    end = buffer.find(b"\r\n\r\n")
+    if end < 0:
+        if b"\n\n" in buffer:
+            raise BadRequest("head is not CRLF-framed")
+        if len(buffer) <= MAX_REQUEST_LINE + MAX_HEADER_BYTES:
+            return None
+        end = len(buffer)  # past both limits together: one of them is broken below
+    lines = buffer[:end].decode("latin-1").split("\r\n")
+    start_line = lines[0]
+    if len(start_line) + 2 > MAX_REQUEST_LINE:
+        raise BadRequest("request line too long")
+    if end - len(start_line) > MAX_HEADER_BYTES:
+        raise BadRequest("headers too large")
+    if buffer.count(b"\n", 0, end) != len(lines) - 1:
+        raise BadRequest("head is not CRLF-framed")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
+        if not sep:
+            raise BadRequest("malformed header line")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    if headers.get("transfer-encoding"):  # with or without a Content-Length
+        raise BadRequest("chunked bodies not supported")
+    try:
+        length = int(headers.get("content-length", 0))
+    except ValueError as exc:
+        raise BadRequest("bad Content-Length") from exc
+    if not 0 <= length <= MAX_BODY_BYTES:
+        raise BadRequest("body too large")
+    return start_line, headers, end + 4, end + 4 + length
+
+
+def _take_request(buffer: bytearray) -> Request | None:
+    """Pop one complete request off the front of ``buffer``, if there is one."""
+    head = parse_head(buffer)
+    if head is None:
+        return None
+    request_line, headers, body_start, end = head
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise BadRequest("malformed request line")
+    if len(buffer) < end:
+        return None
+    body = bytes(buffer[body_start:end])
+    del buffer[:end]
+    path, _, query = parts[1].partition("?")
+    query_pairs = dict(parse_qsl(query, keep_blank_values=True))
+    return Request(parts[0].upper(), path or "/", query_pairs, headers, body)
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted socket: requests framed as they arrive, answered in order."""
+
+    def __init__(self, server: HttpServer) -> None:
+        self.server = server
+        self.transport = None  # set by connection_made
+        self.buffer = bytearray()
+        #: The handler answering the request in hand; requests behind it
+        #: wait in ``buffer`` until its answer is written.
+        self.task: asyncio.Task | None = None
+        self.write_paused = False
+        self.eof = False
+        #: The server is stopping: the answer in hand closes the socket.
+        self.last = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A handler still running finishes (a CreateObj offer is acted on
+        # whether or not the peer waits); its answer is then dropped.
+        self.server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.task is None and not self.write_paused:
+            self._advance()
+        elif len(self.buffer) > MAX_READ_AHEAD:
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.task is None and not self.write_paused:
+            self._advance()
+        return True  # the answer in hand still goes out; _advance closes after it
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.task is None:
+            self._advance()
+
+    def _advance(self) -> None:
+        """Dispatch the buffered requests in order until one has to wait."""
+        transport = self.transport
+        transport.resume_reading()
+        while self.task is None and not self.write_paused and not transport.is_closing():
+            try:
+                request = _take_request(self.buffer)
+                if request is None and self.eof and self.buffer:
+                    raise BadRequest("truncated request")
+            except BadRequest as exc:
+                self._answer(error_response(400, str(exc)), False)
+                return
+            if request is None:
+                if self.eof:
+                    transport.close()
+                return
+            keep_alive = request.headers.get("connection", "keep-alive").lower() != "close"
+            answer = self.server._dispatch(request)
+            if isinstance(answer, Response):
+                self._answer(answer, keep_alive)
+            else:
+                self.task = asyncio.create_task(self._respond(request, answer, keep_alive))
+
+    async def _respond(
+        self, request: Request, answer: Awaitable[Response], keep_alive: bool
+    ) -> None:
+        try:
+            response = await answer
+        except Exception as exc:  # noqa: BLE001 - server must answer, not die
+            response = _failure(request, exc)
+        self.task = None
+        self._answer(response, keep_alive and not self.last)
+        self._advance()
+
+    def _answer(self, response: Response, keep_alive: bool) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return  # peer went away mid-exchange; nothing to answer
+        transport.write(response.encode(keep_alive=keep_alive))
+        if not keep_alive:
+            transport.close()
+
+
+def _failure(request: Request, exc: Exception) -> Response:
+    if isinstance(exc, BadRequest):
+        return error_response(400, str(exc))
+    log.error("handler error for %s %s", request.method, request.path, exc_info=exc)
+    return error_response(500, "internal error")
+
+
 class HttpServer:
     """Serve a :class:`Router` on one listening socket."""
 
@@ -167,19 +335,31 @@ class HttpServer:
         self.host = host
         self.port = port
         self._server: asyncio.Server | None = None
+        self._connections: set[_Connection] = set()
 
     async def start(self) -> int:
         """Bind and start accepting; returns the bound port."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_Connection, self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
     async def stop(self) -> None:
+        """Stop accepting and close every connection: an idle one at once,
+        a busy one as soon as the answer in hand is written."""
         if self._server is None:
             return
         self._server.close()
+        answering = []
+        for connection in self._connections:  # closing only schedules the removal
+            if connection.task is None:
+                connection.transport.close()
+            else:
+                connection.last = True
+                answering.append(connection.task)
+        if answering:
+            await asyncio.wait(answering)
         await self._server.wait_closed()
         self._server = None
 
@@ -187,122 +367,13 @@ class HttpServer:
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except BadRequest as exc:
-                    writer.write(
-                        error_response(400, str(exc)).encode(keep_alive=False)
-                    )
-                    await writer.drain()
-                    break
-                if request is None:  # clean EOF between requests
-                    break
-                keep_alive = (
-                    request.headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
-                response = await self._dispatch(request)
-                writer.write(response.encode(keep_alive=keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # peer went away mid-exchange; nothing to answer
-        except asyncio.CancelledError:
-            # Server shutdown with a keep-alive connection parked
-            # between requests: the loop cancels the pending read.
-            # Completing normally (the writer closes below) keeps the
-            # streams connection callback from logging the cancellation.
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-            except asyncio.CancelledError:  # pragma: no cover - loop shutdown
-                # The event loop is tearing down mid-close; the socket is
-                # already closed, so finishing quietly beats letting the
-                # streams connection_made callback log the cancellation.
-                pass
-
-    async def _dispatch(self, request: Request) -> Response:
+    def _dispatch(self, request: Request) -> Response | Awaitable[Response]:
+        """The answer, or an awaitable of it when the handler has to wait."""
         resolved = self.router.resolve(request.method, request.path)
         if isinstance(resolved, int):
             return error_response(resolved, f"no route for {request.path}")
         handler, params = resolved
         try:
-            return await handler(request, params)
-        except BadRequest as exc:
-            return error_response(400, str(exc))
-        except Exception:  # noqa: BLE001 - server must answer, not die
-            log.exception(
-                "handler error for %s %s", request.method, request.path
-            )
-            return error_response(500, "internal error")
-
-
-async def _read_request(reader: asyncio.StreamReader) -> Request | None:
-    """Parse one request off the stream; None on clean EOF."""
-    try:
-        raw_line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise BadRequest("truncated request line") from exc
-    except asyncio.LimitOverrunError as exc:
-        raise BadRequest("request line too long") from exc
-    if len(raw_line) > MAX_REQUEST_LINE:
-        raise BadRequest("request line too long")
-    parts = raw_line.decode("latin-1").rstrip("\r\n").split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-        raise BadRequest("malformed request line")
-    method, target, _version = parts
-
-    headers: dict[str, str] = {}
-    header_bytes = 0
-    while True:
-        try:
-            raw_header = await reader.readuntil(b"\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
-            raise BadRequest("truncated headers") from exc
-        if raw_header == b"\r\n":
-            break
-        header_bytes += len(raw_header)
-        if header_bytes > MAX_HEADER_BYTES:
-            raise BadRequest("headers too large")
-        name, sep, value = raw_header.decode("latin-1").partition(":")
-        if not sep:
-            raise BadRequest("malformed header line")
-        headers[name.strip().lower()] = value.strip()
-
-    body = b""
-    if "content-length" in headers:
-        try:
-            length = int(headers["content-length"])
-        except ValueError as exc:
-            raise BadRequest("bad Content-Length") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise BadRequest("body too large")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise BadRequest("truncated body") from exc
-    elif headers.get("transfer-encoding"):
-        raise BadRequest("chunked bodies not supported")
-
-    split = urlsplit(target)
-    query = dict(parse_qsl(split.query, keep_blank_values=True))
-    return Request(
-        method=method.upper(),
-        path=split.path or "/",
-        query=query,
-        headers=headers,
-        body=body,
-    )
+            return handler(request, params)
+        except Exception as exc:  # noqa: BLE001 - server must answer, not die
+            return _failure(request, exc)

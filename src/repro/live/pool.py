@@ -34,7 +34,7 @@ import asyncio
 import json
 from typing import Any
 
-from repro.live.httpd import MAX_BODY_BYTES
+from repro.live.httpd import BadRequest, parse_head
 
 Address = tuple[str, int]
 
@@ -59,18 +59,84 @@ class TransportError(Exception):
         self.retry_after = retry_after
 
 
-class _Connection:
-    __slots__ = ("reader", "writer")
+def _take_reply(buffer: bytearray) -> tuple[int, dict[str, str], bytes, bool] | None:
+    """Pop the complete reply ``(status, headers, body, keep_alive)`` off ``buffer``."""
+    head = parse_head(buffer)
+    if head is None:
+        return None
+    status_line, headers, body_start, end = head
+    try:
+        version, code = status_line.split(" ", 2)[:2]
+        status = int(code)
+    except ValueError as exc:  # too few parts, or no number
+        raise BadRequest(f"malformed status line {status_line!r}") from exc
+    if not version.startswith("HTTP/1."):
+        raise BadRequest(f"malformed status line {status_line!r}")
+    if len(buffer) < end:
+        return None
+    body = bytes(buffer[body_start:end])
+    # Bytes behind the reply were never asked for: do not park such a socket.
+    keep_alive = (
+        len(buffer) == end and headers.get("connection", "keep-alive").lower() != "close"
+    )
+    buffer.clear()
+    return status, headers, body, keep_alive
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self.reader = reader
-        self.writer = writer
 
-    def close(self) -> None:
+class _Connection(asyncio.Protocol):
+    """One dialled socket, one exchange at a time, the reply framed as it arrives."""
+
+    def __init__(self) -> None:
+        self.transport = None  # set by connection_made
+        self.buffer = bytearray()
+        self.waiter: asyncio.Future | None = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+
+    async def exchange(
+        self, message: bytes, deadline: float
+    ) -> tuple[int, dict[str, str], bytes, bool] | None:
+        """Send ``message`` and await one reply.
+
+        ``None`` means EOF or a reset before any response byte: what a
+        socket the server closed while it was parked looks like.
+        """
+        loop = asyncio.get_running_loop()
+        self.waiter = loop.create_future()
+        timer = loop.call_later(deadline, self._expire)
+        self.transport.write(message)
         try:
-            self.writer.close()
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
+            return await self.waiter
+        finally:
+            timer.cancel()
+
+    def _expire(self) -> None:
+        if not self.waiter.done():
+            self.waiter.set_exception(TimeoutError())
+
+    def data_received(self, data: bytes) -> None:
+        waiter = self.waiter
+        if waiter is None or waiter.done():
+            self.transport.close()  # bytes nobody asked for: never park this again
+            return
+        self.buffer += data
+        try:
+            reply = _take_reply(self.buffer)
+        except BadRequest as exc:
+            waiter.set_exception(exc)
+        else:
+            if reply is not None:
+                waiter.set_result(reply)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        waiter = self.waiter
+        if waiter is None or waiter.done():
+            return
+        if self.buffer:
+            waiter.set_exception(exc or ConnectionError("connection closed mid-reply"))
+        else:
+            waiter.set_result(None)
 
 
 class HttpPool:
@@ -125,27 +191,26 @@ class HttpPool:
         stale = False
         while True:
             connection, reused = await self._acquire(address, deadline)
+            reply = None
             try:
-                reply = await asyncio.wait_for(
-                    self._exchange(connection, message), deadline
-                )
-            except (OSError, asyncio.IncompleteReadError, asyncio.TimeoutError,
-                    ValueError) as exc:
-                connection.close()
+                reply = await connection.exchange(message, deadline)
+            except (OSError, BadRequest) as exc:
                 raise TransportError(f"{method} {host}:{port}{path}: {exc}") from exc
+            finally:
+                if reply is None:  # failed, cancelled, or the parked socket was stale
+                    connection.transport.close()
             if reply is not None:
                 break
-            connection.close()
             if stale or not reused:
                 raise TransportError(
                     f"{method} {host}:{port}{path}: closed before any response byte"
                 )
-            stale = True  # the parked socket had gone stale; one more attempt
+            stale = True  # one more attempt, on a fresh dial
         status, headers, data, keep_alive = reply
         if keep_alive:
             self._release(address, connection)
         else:
-            connection.close()
+            connection.transport.close()
         return status, headers, data
 
     async def fetch(
@@ -200,7 +265,7 @@ class HttpPool:
         """Close every idle connection (in-flight ones close on return)."""
         for connections in self._idle.values():
             for connection in connections:
-                connection.close()
+                connection.transport.close()
         self._idle.clear()
 
     # ------------------------------------------------------------------
@@ -213,66 +278,26 @@ class HttpPool:
         idle = self._idle.get(address)
         while idle:
             connection = idle.pop()
-            if connection.reader.at_eof():
-                connection.close()
-                continue
+            if connection.transport.is_closing():
+                continue  # the server hung up while it was parked
             self.reuses += 1
             return connection, True
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(*address), deadline
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
+            async with asyncio.timeout(deadline):
+                _, connection = await asyncio.get_running_loop().create_connection(
+                    _Connection, *address
+                )
+        except OSError as exc:
             raise TransportError(f"connect {address[0]}:{address[1]}: {exc}") from exc
         self.dials += 1
-        return _Connection(reader, writer), False
+        return connection, False
 
     def _release(self, address: Address, connection: _Connection) -> None:
         idle = self._idle.setdefault(address, [])
-        if len(idle) < self.max_idle_per_peer and not connection.reader.at_eof():
+        if len(idle) < self.max_idle_per_peer and not connection.transport.is_closing():
             idle.append(connection)
         else:
-            connection.close()
-
-    @staticmethod
-    async def _exchange(
-        connection: _Connection, message: bytes
-    ) -> tuple[int, dict[str, str], bytes, bool] | None:
-        """Send ``message`` and read one reply.
-
-        ``None`` means EOF or a reset before any response byte: what a
-        socket the server closed while it was parked looks like.  A
-        status line or length the peer made up raises ``ValueError``.
-        """
-        reader = connection.reader
-        try:
-            connection.writer.write(message)
-            await connection.writer.drain()
-            status_line = await reader.readline()
-        except ConnectionError:
-            return None
-        if not status_line:
-            return None
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise ValueError(f"malformed status line {status_line!r}")
-        status = int(parts[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if line == b"":
-                raise ConnectionError("connection closed mid-headers")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        if not 0 <= length <= MAX_BODY_BYTES:
-            raise ValueError(f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]")
-        data = await reader.readexactly(length) if length else b""
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        return status, headers, data, keep_alive
+            connection.transport.close()
 
 
 __all__ = ["Address", "HttpPool", "TransportError"]

@@ -48,6 +48,7 @@ directory, so any shard must be able to answer
 from __future__ import annotations
 
 import json
+from collections.abc import Awaitable
 
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.redirector import RedirectorService
@@ -144,7 +145,7 @@ class LiveRedirector(TierMember):
         router.add("GET", "/healthz", self._healthz)
         return router
 
-    async def _route(self, request: Request, params: dict) -> Response:
+    def _route(self, request: Request, params: dict) -> Response | Awaitable[Response]:
         try:
             obj = int(request.query["obj"])
             gateway = int(request.query.get("gateway", 0))
@@ -156,7 +157,7 @@ class LiveRedirector(TierMember):
         except (KeyError, ValueError):
             return error_response(400, "route needs integer obj= and gateway=")
         if not self.owns(obj):
-            return await self._to_owner(obj, request)
+            return self._to_owner(obj, request)
         if self.route_gate is not None:
             wait = self.route_gate.try_acquire()
             if wait > 0.0:

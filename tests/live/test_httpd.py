@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.live.httpd import (
     BadRequest,
     HttpServer,
@@ -118,6 +120,27 @@ def test_malformed_request_line_is_400():
     async def exchange(host, port):
         raw = await _raw_exchange(host, port, b"NONSENSE\r\n\r\n")
         assert raw.startswith(b"HTTP/1.1 400 ")
+
+    run_round_trips(exchange)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"POST /echo HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+        b"POST /echo HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}",
+        b"GET /hello HTTP/1.1\nHost: t\n\n",
+    ],
+    ids=["length-and-transfer-encoding", "conflicting-lengths", "bare-lf-head"],
+)
+def test_a_smuggling_shaped_request_is_400(payload):
+    """One grammar on both sides of the gateway -> shard relay: a request
+    two parsers could frame differently is refused, not guessed at."""
+
+    async def exchange(host, port):
+        raw = await _raw_exchange(host, port, payload)
+        assert raw.startswith(b"HTTP/1.1 400 ")
+        assert raw.count(b"HTTP/1.1 ") == 1 and b"Connection: close" in raw
 
     run_round_trips(exchange)
 

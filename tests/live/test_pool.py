@@ -216,6 +216,9 @@ def test_timeout_on_a_reused_socket_is_not_sent_again():
         b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n",
         b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\nok",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\nok",
+        b"HTTP/1.1 200 OK\nContent-Length: 2\n\nok",
     ],
 )
 def test_a_reply_outside_the_envelope_is_a_transport_error(reply):

@@ -170,6 +170,7 @@ DOCUMENTS = (
     "EXPERIMENTS.md",
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
+    "benchmarks/live_smoke.py",  # ci.yml's live-smoke job, command lines as text
 )
 
 
@@ -184,7 +185,7 @@ def _command_lines(name):
 
 
 # One case per document, not per line: ids must survive a doc edit.
-@pytest.mark.parametrize("name, at_least", zip(DOCUMENTS, (6, 15, 7, 15)))
+@pytest.mark.parametrize("name, at_least", zip(DOCUMENTS, (6, 15, 2, 15, 5)))
 def test_documented_command_lines_parse(name, at_least):
     lines = list(_command_lines(name))
     assert len(lines) >= at_least

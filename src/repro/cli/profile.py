@@ -6,8 +6,10 @@ import argparse
 
 from repro.cli import write_json
 from repro.cli.sim import add_scenario_options, scenario_from_args
-from repro.obs.profile import profile_scenario, stage_walltimes
+from repro.obs.profile import memory_census, profile_scenario, stage_walltimes
+from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import large_topology_scenario
+from repro.topology.graph import Topology
 
 
 def populate_profile(parser: argparse.ArgumentParser) -> None:
@@ -19,11 +21,17 @@ def populate_profile(parser: argparse.ArgumentParser) -> None:
         "instead of the UUNET paper scenario",
     )
     parser.add_argument(
+        "--memory",
+        action="store_true",
+        help="census the heap instead of the time: one run under tracemalloc, "
+        "read at Simulator.run entry and at the horizon, by stage and by file",
+    )
+    parser.add_argument(
         "--top",
         type=int,
         default=25,
         metavar="N",
-        help="how many functions to list by cumulative time (default: %(default)s)",
+        help="how many functions (with --memory: files) to list (default: %(default)s)",
     )
     parser.add_argument(
         "--json",
@@ -42,6 +50,8 @@ def profile_main(args: argparse.Namespace) -> int:
     config = scenario_from_args(args, base)
 
     print(f"profiling {config.name} ({config.duration:g}s simulated)...")
+    if args.memory:
+        return _memory_main(args, config, topology)
     walls = stage_walltimes(config, topology=topology)
     breakdown = profile_scenario(config, topology=topology, top=args.top)
     breakdown["stage_walltimes"] = walls
@@ -74,4 +84,27 @@ def profile_main(args: argparse.Namespace) -> int:
     if args.json_out:
         write_json(args.json_out, breakdown)
         print(f"\nwrote stage breakdown to {args.json_out}")
+    return 0
+
+
+def _memory_main(
+    args: argparse.Namespace, config: ScenarioConfig, topology: Topology | None
+) -> int:
+    census = memory_census(config, topology=topology, top=args.top)
+    entry, horizon = census["run_entry"], census["horizon"]
+    print(f"engine: {census['engine_mode']}")
+    print(f"requests: {census['requests_completed']} completed")
+    print(
+        f"\ntraced heap: {entry['total_mb']:.1f} MB at Simulator.run entry, "
+        f"{horizon['total_mb']:.1f} MB at the horizon"
+    )
+    for title, key in (("pipeline stage", "stage_mb"), ("allocating file", "file_mb")):
+        print(f"\nby {title} (MB):{'run entry':>23s} {'horizon':>9s}")
+        names = list(entry[key]) + [n for n in horizon[key] if n not in entry[key]]
+        for name in names:
+            at_entry = entry[key].get(name, 0.0)
+            print(f"  {name:34s} {at_entry:9.2f} {horizon[key].get(name, 0.0):9.2f}")
+    if args.json_out:
+        write_json(args.json_out, census)
+        print(f"\nwrote memory census to {args.json_out}")
     return 0

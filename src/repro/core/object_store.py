@@ -9,6 +9,8 @@ and decremented by ``ReduceAffinity``; at affinity 0 the replica is gone.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.errors import ProtocolError
 from repro.types import ObjectId
 
@@ -48,6 +50,19 @@ class ObjectStore:
         new_affinity = self._affinity.get(obj, 0) + 1
         self._affinity[obj] = new_affinity
         return new_affinity
+
+    def add_new(self, objs: Iterable[ObjectId]) -> ObjectId | None:
+        """Create an affinity-1 replica of each of ``objs``, all or nothing.
+
+        Returns ``None``, or the first of ``objs`` already hosted here —
+        in which case nothing was added.  ``objs`` is iterated twice.
+        """
+        affinity = self._affinity
+        for obj in objs:
+            if obj in affinity:
+                return obj
+        affinity.update(dict.fromkeys(objs, 1))
+        return None
 
     def reduce(self, obj: ObjectId) -> int:
         """Decrement the affinity; drop the replica when it reaches 0.

@@ -30,7 +30,7 @@ dropped (:meth:`RedirectorService.request_drop` arbitrates).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.errors import ProtocolError
 from repro.obs.records import ChooseReplicaRecord
@@ -171,10 +171,24 @@ class RedirectorService:
 
     def register_initial(self, obj: ObjectId, host: NodeId) -> None:
         """Register an object's original placement (no reset semantics)."""
-        if obj in self._replicas:
-            raise ProtocolError(f"object {obj} already registered")
-        self._replicas[obj] = {host: ReplicaInfo(host=host)}
-        self._notify(obj, host, 1, True, False)
+        self.register_initial_many(((obj, host),))
+
+    def register_initial_many(
+        self, placements: Iterable[tuple[ObjectId, NodeId]]
+    ) -> None:
+        """Register original placements, one ``(obj, host)`` at a time.
+
+        The registry keeps insertion order (:meth:`objects_on` shows it),
+        so hand the pairs over in the order they should be listed.
+        """
+        replicas = self._replicas
+        observed = self._observers
+        for obj, host in placements:
+            if obj in replicas:
+                raise ProtocolError(f"object {obj} already registered")
+            replicas[obj] = {host: ReplicaInfo(host)}
+            if observed:
+                self._notify(obj, host, 1, True, False)
 
     def replica_created(self, obj: ObjectId, host: NodeId, affinity: int) -> None:
         """A host reports a new copy or an affinity increase (after the fact).
@@ -386,6 +400,18 @@ class RedirectorGroup:
     def for_object(self, obj: ObjectId) -> RedirectorService:
         """The redirector responsible for ``obj`` (stable hash partition)."""
         return self._services[obj % len(self._services)]
+
+    def partition(
+        self, objs: list[ObjectId]
+    ) -> list[tuple[RedirectorService, list[ObjectId]]]:
+        """``objs`` split by responsible service (:meth:`for_object`), order kept."""
+        stride = len(self._services)
+        if stride == 1:
+            return [(self._services[0], objs)]
+        return [
+            (service, [obj for obj in objs if obj % stride == index])
+            for index, service in enumerate(self._services)
+        ]
 
     def total_replicas(self) -> int:
         return sum(service.total_replicas() for service in self._services)

@@ -16,6 +16,12 @@ time?" with two complementary views of one run:
 cProfile inflates function-call-heavy code (its tracer charges every
 Python call), so stage wall-clock numbers are the truth and the
 attribution is the map; both are emitted so neither is over-read.
+
+``profile --memory`` asks the other question — "what is the heap made
+of?" — with the same map: one run under ``tracemalloc``, a snapshot at
+``Simulator.run`` entry (everything the build left behind) and one at the
+horizon, each rolled up by allocating module into the stage buckets
+above and into a per-file table (:func:`memory_census`).
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ from __future__ import annotations
 import cProfile
 import pstats
 import time
-from typing import Any
+import tracemalloc
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario, scenario_metrics
+from repro.sim.engine import Simulator
 from repro.topology.graph import Topology
 
 #: Module-path fragments mapped to pipeline stage buckets, first match
@@ -192,4 +201,93 @@ def stage_walltimes(
         "drain_estimate_s": round(max(run_s - build_s, 0.0), 3),
         "requests_completed": completed,
         "requests_per_sec": round(completed / run_s, 1) if run_s > 0 else 0.0,
+    }
+
+
+@contextmanager
+def _bracketed_run(probe: Callable[[str], None]) -> Iterator[None]:
+    """While active, every ``Simulator.run`` calls ``probe("run_entry")``
+    on the way in and ``probe("horizon")`` on the way out.
+
+    ``run_scenario`` builds its own simulator, so there is no instance to
+    hang a tracer on beforehand; this is the bracket ``bench/simplane.py``
+    cuts its phases with.
+    """
+    original = Simulator.run
+
+    def run(self: Simulator, until: float | None = None) -> float:
+        probe("run_entry")
+        try:
+            return original(self, until)
+        finally:
+            probe("horizon")
+
+    Simulator.run = run
+    try:
+        yield
+    finally:
+        Simulator.run = original
+
+
+def _heap_rollup(top: int) -> dict[str, Any]:
+    """The traced heap right now, by stage bucket and by allocating file."""
+    stages: dict[str, int] = {}
+    files: dict[str, int] = {}
+    for stat in tracemalloc.take_snapshot().statistics("filename"):
+        path = stat.traceback[0].filename.replace("\\", "/")
+        if path.startswith("<frozen importlib"):
+            # Code objects and module dicts of whatever was first imported
+            # under the census (networkx, mostly).
+            bucket = label = "imports"
+        else:
+            bucket = _bucket_for(path)
+            _, inside, rest = path.rpartition("/repro/")
+            label = rest if inside else "/".join(path.split("/")[-2:])
+        stages[bucket] = stages.get(bucket, 0) + stat.size
+        files[label] = files.get(label, 0) + stat.size
+
+    def table(sizes: dict[str, int], limit: int | None = None) -> dict[str, float]:
+        ordered = sorted(sizes.items(), key=lambda item: item[1], reverse=True)
+        return {name: round(size / 1e6, 2) for name, size in ordered[:limit]}
+
+    return {
+        "total_mb": round(sum(stages.values()) / 1e6, 2),
+        "stage_mb": table(stages),
+        "file_mb": table(files, top),
+    }
+
+
+def memory_census(
+    config: ScenarioConfig, *, topology: Topology | None = None, top: int = 25
+) -> dict[str, Any]:
+    """Run one scenario under ``tracemalloc``; return what the heap holds.
+
+    Two readings of the Python heap (MB = 10⁶ bytes, live blocks only):
+    ``run_entry`` — when ``Simulator.run`` is entered, i.e. what the
+    build, the collectors and the first arrival windows left behind — and
+    ``horizon``, when it returns.  Allocations made before the census
+    started (the interpreter, the modules the CLI had already imported)
+    are not in it, so totals sit well under the process's RSS; start the
+    interpreter with ``-X tracemalloc`` to have the imports counted too.
+    """
+    readings: dict[str, dict[str, Any]] = {}
+
+    def read(moment: str) -> None:
+        readings[moment] = _heap_rollup(top)
+
+    already_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        with _bracketed_run(read):
+            result = run_scenario(config, topology=topology)
+    finally:
+        if not already_tracing:
+            tracemalloc.stop()
+    return {
+        "schema": "memory-census/v1",
+        "scenario": config.name,
+        "duration_simulated_s": config.duration,
+        "engine_mode": result.engine_mode(),
+        "requests_completed": result.latency.completed,
+        **readings,
     }

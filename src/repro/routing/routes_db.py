@@ -8,10 +8,14 @@ protocol extracts from the platform routers (Section 2):
 * helper orderings (closest replica to a gateway, farthest-first candidate
   ordering) used by the request-distribution and placement algorithms.
 
-Distances are computed eagerly (one BFS per source); canonical paths are
-materialised lazily per ordered pair on first use — see
-:class:`~repro.routing.shortest_path.ShortestPathIndex` for why this is
-byte-identical to eager construction.
+Distances are computed eagerly (one BFS per source) and are the only
+thing the index stores per pair; canonical paths are walked lazily per
+ordered pair on first use, reading each step's equal-cost parents off the
+distance row — see :class:`~repro.routing.shortest_path.ShortestPathIndex`
+for why this is byte-identical to eager construction.  Node ids outside
+``0..n-1`` raise :class:`RoutingError` from :meth:`distance` and
+:meth:`route` (a negative id would otherwise index from the end);
+:meth:`distance_row` is the unchecked request-path accessor.
 
 Staleness: the paper extracts routes "asynchronously with client requests,
 thereby reducing request latency at the expense of potential staleness".
@@ -47,10 +51,12 @@ class RoutingDatabase:
 
     def distance(self, a: NodeId, b: NodeId) -> int:
         """Hop count between two platform nodes."""
-        try:
-            return self._dist[a][b]
-        except IndexError:
-            raise RoutingError(f"unknown node in distance({a}, {b})") from None
+        if a >= 0 and b >= 0:
+            try:
+                return self._dist[a][b]
+            except IndexError:
+                pass
+        raise RoutingError(f"unknown node in distance({a}, {b})")
 
     def distance_row(self, node: NodeId) -> list[int]:
         """The full distance row of ``node`` (read-only; hot-path helper)."""
@@ -62,10 +68,7 @@ class RoutingDatabase:
         All messages between the pair take this route ("one path is chosen
         for all requests from i to j").
         """
-        try:
-            return self._index.path(source, target)
-        except IndexError:
-            raise RoutingError(f"no route {source} -> {target}") from None
+        return self._index.path(source, target)
 
     def preference_path(self, server: NodeId, client: NodeId) -> tuple[NodeId, ...]:
         """Hosts on the route a response takes from ``server`` to ``client``.

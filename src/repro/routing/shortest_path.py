@@ -17,75 +17,67 @@ different pairs split across the equal-cost options.
 
 Laziness
 --------
-Distances (the hot per-request quantity) are computed eagerly: one BFS
-per source over plain adjacency lists.  Canonical *paths* are only walked
-on first use and cached per ordered pair: at 500 nodes the eager variant
-spends seconds hashing ~n³ tie-break candidates for 250k paths of which a
-scenario touches a tiny, workload-dependent subset (the request fast lane
-defers preference-path expansion to placement time, so short benchmark
-runs touch none at all).  The choice per pair depends only on the
-shortest-path DAG and the hash — never on when, or in what order, paths
-are materialised — so lazy and eager construction yield byte-identical
-routes.
+Distances (the hot per-request quantity) are computed eagerly, one
+level-synchronous BFS per source, and they are all that is stored: the
+parents of ``v`` in source ``s``'s shortest-path DAG are exactly the
+neighbours ``u`` with ``dist[s][u] == dist[s][v] - 1``, so a walk reads
+them off the distance row.  Canonical *paths* are only walked on first use
+and cached per ordered pair: at 500 nodes the eager variant spends seconds
+hashing ~n³ tie-break candidates for 250k paths of which a scenario
+touches a tiny, workload-dependent subset (the request fast lane defers
+preference-path expansion to placement time, so short benchmark runs
+touch none at all).  The choice per pair depends only on distances,
+adjacency and the hash — never on when, or in what order, paths are
+materialised — so lazy and eager construction yield byte-identical routes.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import deque
+from hashlib import blake2b
 
 from repro.errors import RoutingError
 from repro.topology.graph import Topology
 from repro.types import NodeId
 
 
-def _tie_key(source: NodeId, target: NodeId, candidate: NodeId) -> int:
-    digest = hashlib.blake2b(
-        f"{source}:{target}:{candidate}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 class ShortestPathIndex:
-    """Per-source BFS DAGs with lazily materialised canonical paths.
+    """All-pairs hop distances with lazily materialised canonical paths.
 
     ``dist_matrix[i][j]`` is the hop count between ``i`` and ``j``;
     :meth:`path` walks (and caches) the canonical node sequence for one
-    ordered pair using the hashed ECMP-style tie-break.  The index is
+    ordered pair, reading each step's equal-cost parents off the distance
+    row and breaking ties with the hashed ECMP-style rule.  The index is
     effectively immutable — the cache only ever fills in values that are
     a pure function of the topology — so it is safe to share between a
     routing database and its snapshots.
     """
 
-    __slots__ = ("dist_matrix", "_parents", "_paths")
+    __slots__ = ("dist_matrix", "_adjacency", "_node_bytes", "_paths")
 
     def __init__(self, topology: Topology) -> None:
         n = topology.num_nodes
-        adjacency = [list(topology.neighbors(node)) for node in range(n)]
+        adjacency = tuple(tuple(topology.neighbors(node)) for node in range(n))
         dist_matrix: list[list[int]] = []
-        all_parents: list[list[list[int]]] = []
         for source in range(n):
             dist = [-1] * n
-            parents: list[list[int]] = [[] for _ in range(n)]
-            dist[source] = 0
-            queue: deque[int] = deque([source])
-            while queue:
-                node = queue.popleft()
-                next_dist = dist[node] + 1
-                for neighbor in adjacency[node]:
-                    d = dist[neighbor]
-                    if d == -1:
-                        dist[neighbor] = next_dist
-                        parents[neighbor].append(node)
-                        queue.append(neighbor)
-                    elif d == next_dist:
-                        parents[neighbor].append(node)
+            dist[source] = level = 0
+            frontier = [source]
+            while frontier:
+                level += 1
+                reached = []
+                for node in frontier:
+                    for neighbor in adjacency[node]:
+                        if dist[neighbor] == -1:
+                            dist[neighbor] = level
+                            reached.append(neighbor)
+                frontier = reached
             if -1 in dist:
                 raise RoutingError(f"topology disconnected from node {source}")
             dist_matrix.append(dist)
-            all_parents.append(parents)
         self.dist_matrix = dist_matrix
-        self._parents = all_parents
+        self._adjacency = adjacency
+        #: What a tie candidate appends to its pair's ``b"s:t:"`` prefix.
+        self._node_bytes = tuple(str(node).encode() for node in range(n))
         self._paths: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
 
     def path(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
@@ -94,19 +86,31 @@ class ShortestPathIndex:
         cached = self._paths.get(key)
         if cached is not None:
             return cached
-        parents = self._parents[source]
+        adjacency = self._adjacency
+        if not (0 <= source < len(adjacency) and 0 <= target < len(adjacency)):
+            raise RoutingError(f"no route {source} -> {target}")
+        row = self.dist_matrix[source]
+        prefix = None
         chain = [target]
         node = target
-        while node != source:
-            options = parents[node]
-            if len(options) == 1:
-                node = options[0]
-            else:
-                node = min(options, key=lambda p: _tie_key(source, target, p))
+        for depth in range(row[target] - 1, -1, -1):
+            options = [u for u in adjacency[node] if row[u] == depth]
+            node = options[0]
+            if len(options) > 1:
+                # Candidate ``c``'s key is blake2b(f"{source}:{target}:{c}");
+                # 8-byte digests order as the big-endian ints they encode.
+                if prefix is None:
+                    prefix = blake2b(f"{source}:{target}:".encode(), digest_size=8)
+                    node_bytes = self._node_bytes
+                best = None
+                for candidate in options:
+                    tie = prefix.copy()
+                    tie.update(node_bytes[candidate])
+                    digest = tie.digest()
+                    if best is None or digest < best:
+                        best, node = digest, candidate
             chain.append(node)
-        chain.reverse()
-        path = tuple(chain)
-        self._paths[key] = path
+        path = self._paths[key] = tuple(reversed(chain))
         return path
 
 
@@ -115,25 +119,21 @@ def all_pairs_shortest_paths(
 ) -> tuple[list[list[int]], dict[tuple[NodeId, NodeId], tuple[NodeId, ...]]]:
     """Compute hop distances and one canonical path per ordered pair.
 
-    Returns
-    -------
-    (dist, paths):
-        ``dist[i][j]`` is the hop count between ``i`` and ``j``;
-        ``paths[(i, j)]`` is the canonical node sequence from ``i`` to
-        ``j`` inclusive of both endpoints (``(i,)`` when ``i == j``).
-        Among equal-length paths, the hashed ECMP-style tie-break picks
-        one deterministically per ``(i, j)`` pair.
+    Returns ``(dist, paths)``: ``dist[i][j]`` is the hop count between
+    ``i`` and ``j``; ``paths[(i, j)]`` is the canonical node sequence from
+    ``i`` to ``j`` inclusive of both endpoints (``(i,)`` when ``i == j``).
+    Among equal-length paths, the hashed ECMP-style tie-break picks one
+    deterministically per ``(i, j)`` pair.
 
     Raises :class:`RoutingError` if the topology is disconnected (which
     :class:`~repro.topology.graph.Topology` normally prevents).
 
     This eager variant exists for analysis tooling and tests; the
-    simulator routes through :class:`ShortestPathIndex`, which walks the
-    same DAGs lazily and produces byte-identical paths.
+    simulator routes through :class:`ShortestPathIndex`, which makes the
+    same walks lazily and produces byte-identical paths.
     """
     index = ShortestPathIndex(topology)
-    n = topology.num_nodes
-    for source in range(n):
-        for target in range(n):
+    for source in topology.nodes:
+        for target in topology.nodes:
             index.path(source, target)
     return index.dist_matrix, dict(index._paths)

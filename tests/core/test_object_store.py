@@ -49,3 +49,14 @@ def test_objects_and_total_affinity():
     store.add(2)
     assert store.objects() == [1, 2]
     assert store.total_affinity() == 3
+
+
+def test_add_new_is_all_or_nothing():
+    store = ObjectStore()
+    store.add(4)
+    assert store.add_new(range(5, 12, 3)) is None
+    assert store.objects() == [4, 5, 8, 11]
+    assert store.total_affinity() == 4
+    assert store.add_new([20, 8, 21, 4]) == 8
+    assert store.objects() == [4, 5, 8, 11]
+    assert store.affinity(8) == 1

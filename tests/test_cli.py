@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.__main__ import build_cli, main, run_config
+from repro.sim.engine import Simulator
 
 
 def test_parser_defaults():
@@ -409,6 +411,32 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
         for outcome in ("completed", "dropped", "failed", "lost")
     )
     assert f"{counters['requests_lost']} lost" in text
+
+
+def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, capsys):
+    run_before = Simulator.run
+    out = tmp_path / "census.json"
+    code = main(
+        ["profile", "--preset", "zipf", "--scale", "0.05", "--duration", "30",
+         "--memory", "--top", "5", "--json", str(out)]
+    )  # fmt: skip
+    assert code == 0
+    assert Simulator.run is run_before and not tracemalloc.is_tracing()
+    text = capsys.readouterr().out
+    assert "engine: fast lane: installed" in text
+    assert "by pipeline stage (MB):" in text and "by allocating file (MB):" in text
+    census = json.loads(out.read_text())
+    assert census["schema"] == "memory-census/v1"
+    assert census["requests_completed"] > 0
+    for reading in (census["run_entry"], census["horizon"]):
+        assert set(reading) == {"total_mb", "stage_mb", "file_mb"}
+        assert reading["total_mb"] == pytest.approx(
+            sum(reading["stage_mb"].values()), abs=0.01 * len(reading["stage_mb"])
+        )
+        assert len(reading["file_mb"]) <= 5
+    # The registry is built before the run and is its largest structure.
+    assert "core/redirector.py" in census["run_entry"]["file_mb"]
+    assert census["run_entry"]["stage_mb"]["request_pipeline"] > 0
 
 
 def test_golden_cli_flags_describe_the_golden_scenario():

@@ -18,13 +18,8 @@ class ClosestReplicaRedirector(RedirectorService):
     def choose_replica(
         self, gateway: NodeId, obj: ObjectId, *, exclude: NodeId | None = None
     ) -> NodeId | None:
-        replicas = self._entry(obj)
-        available = [
-            h for h in replicas if self.host_available(h) and h != exclude
-        ]
+        available = [h for h in self.available_replica_hosts(obj) if h != exclude]
         if not available:
             return None
         row = self._routes.distance_row(gateway)
-        chosen = min(available, key=lambda host: (row[host], host))
-        replicas[chosen].request_count += 1
-        return chosen
+        return min(available, key=lambda host: (row[host], host))

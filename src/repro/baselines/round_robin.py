@@ -22,14 +22,9 @@ class RoundRobinRedirector(RedirectorService):
     def choose_replica(
         self, gateway: NodeId, obj: ObjectId, *, exclude: NodeId | None = None
     ) -> NodeId | None:
-        replicas = self._entry(obj)
-        hosts = sorted(
-            h for h in replicas if self.host_available(h) and h != exclude
-        )
+        hosts = sorted(h for h in self.available_replica_hosts(obj) if h != exclude)
         if not hosts:
             return None
         index = self._cursor.get(obj, 0) % len(hosts)
         self._cursor[obj] = index + 1
-        chosen = hosts[index]
-        replicas[chosen].request_count += 1
-        return chosen
+        return hosts[index]

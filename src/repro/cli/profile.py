@@ -94,9 +94,12 @@ def _memory_main(
     entry, horizon = census["run_entry"], census["horizon"]
     print(f"engine: {census['engine_mode']}")
     print(f"requests: {census['requests_completed']} completed")
+    rss = census["rss_mb"]
     print(
-        f"\ntraced heap: {entry['total_mb']:.1f} MB at Simulator.run entry, "
-        f"{horizon['total_mb']:.1f} MB at the horizon"
+        f"\nheap: traced {entry['total_mb']:.1f} of {rss['run_entry']:.0f} MB RSS "
+        f"at Simulator.run entry, traced {horizon['total_mb']:.1f} of "
+        f"{rss['horizon']:.0f} MB RSS at the horizon "
+        f"({rss['start']:.0f} MB RSS before the census)"
     )
     for title, key in (("pipeline stage", "stage_mb"), ("allocating file", "file_mb")):
         print(f"\nby {title} (MB):{'run entry':>23s} {'horizon':>9s}")

@@ -210,14 +210,12 @@ class FastLane:
             service._entry(obj)  # raises ProtocolError with the right message
             raise  # pragma: no cover - _entry always raises
         if (
-            len(replicas) == 1
+            type(replicas) is not dict
             and service is self._service0
             and not self._down0
         ):
-            (info,) = replicas.values()
-            info.request_count += 1
             self._chose_sole += 1
-            server = info.host
+            server = replicas  # the flat form: the sole replica's host
         else:
             server = service.choose_replica(gateway, obj)
             if server is None:

@@ -30,7 +30,6 @@ against a 100 s placement interval.
 
 from __future__ import annotations
 
-import gc
 from functools import partial
 from typing import Callable, Sequence
 
@@ -313,27 +312,17 @@ class HostingSystem:
 
         :meth:`place_initial` for every object, done in bulk: each host's
         store is filled in one pass, then each redirector registers its
-        share in ascending object id.  The cyclic collector is paused for
-        the duration: the build allocates two long-lived, acyclic,
-        GC-tracked objects per hosted object and nothing it could free,
-        and at 100k objects its generational passes over that growing
-        heap cost more than the build itself (DESIGN §9).
+        share in ascending object id.
         """
         n = self.routes.num_nodes
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            # One int object per id, keyed by store and registry alike.
-            ids = list(range(self.num_objects))
-            for node, host in self.hosts.items():
-                clash = host.store.add_new(ids[node::n])
-                if clash is not None:
-                    raise ProtocolError(f"object {clash} already placed on {node}")
-            for service, objs in self.redirectors.partition(ids):
-                service.register_initial_many((obj, obj % n) for obj in objs)
-        finally:
-            if collecting:
-                gc.enable()
+        # One int object per id, keyed by store and registry alike.
+        ids = list(range(self.num_objects))
+        for node, host in self.hosts.items():
+            clash = host.store.add_new(ids[node::n])
+            if clash is not None:
+                raise ProtocolError(f"object {clash} already placed on {node}")
+        for service, objs in self.redirectors.partition(ids):
+            service.register_initial_many((obj, obj % n) for obj in objs)
 
     def start(self) -> None:
         """Launch the periodic measurement and placement processes."""
@@ -758,14 +747,16 @@ class HostingSystem:
         * Every object has at least one replica.
         * Every physically hosted replica is registered (no leaks).
         """
-        registered: set[tuple[ObjectId, NodeId]] = set()
+        # Registrations per host.  Each is looked up in its host's store, so a
+        # store holds an unregistered replica exactly when it is larger.
+        registered = dict.fromkeys(self.hosts, 0)
         for obj in range(self.num_objects):
             redirector = self.redirectors.for_object(obj)
             hosts = redirector.replica_hosts(obj)
             if not hosts:
                 raise ProtocolError(f"object {obj} has no registered replicas")
             for node in hosts:
-                registered.add((obj, node))
+                registered[node] += 1
                 store = self.hosts[node].store
                 if obj not in store:
                     raise ProtocolError(
@@ -776,8 +767,8 @@ class HostingSystem:
                         f"affinity mismatch for object {obj} on host {node}"
                     )
         for node, host in self.hosts.items():
+            if len(host.store) == registered[node]:
+                continue
             for obj in host.store.objects():
-                if (obj, node) not in registered:
-                    raise ProtocolError(
-                        f"host {node} holds unregistered replica of {obj}"
-                    )
+                if obj not in range(self.num_objects) or node not in self.replica_hosts(obj):
+                    raise ProtocolError(f"host {node} holds unregistered replica of {obj}")

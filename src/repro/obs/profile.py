@@ -27,6 +27,7 @@ above and into a per-file table (:func:`memory_census`).
 from __future__ import annotations
 
 import cProfile
+import os
 import pstats
 import time
 import tracemalloc
@@ -229,6 +230,19 @@ def _bracketed_run(probe: Callable[[str], None]) -> Iterator[None]:
         Simulator.run = original
 
 
+def _rss_mb() -> float:
+    """This process's resident set in the census's MB; without procfs, its peak."""
+    try:
+        with open("/proc/self/statm") as statm:
+            resident = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        resident = peak if os.uname().sysname == "Darwin" else peak * 1024  # bytes vs KB
+    return round(resident / 1e6, 1)
+
+
 def _heap_rollup(top: int) -> dict[str, Any]:
     """The traced heap right now, by stage bucket and by allocating file."""
     stages: dict[str, int] = {}
@@ -267,12 +281,16 @@ def memory_census(
     build, the collectors and the first arrival windows left behind — and
     ``horizon``, when it returns.  Allocations made before the census
     started (the interpreter, the modules the CLI had already imported)
-    are not in it, so totals sit well under the process's RSS; start the
-    interpreter with ``-X tracemalloc`` to have the imports counted too.
+    are not in it, nor is anything a C extension allocates for itself, so
+    totals sit well under the process's RSS: ``rss_mb`` gives that at the
+    start and at both readings (``tracemalloc``'s own tables included);
+    start the interpreter with ``-X tracemalloc`` to trace the imports too.
     """
     readings: dict[str, dict[str, Any]] = {}
+    rss_mb = {"start": _rss_mb()}
 
     def read(moment: str) -> None:
+        rss_mb[moment] = _rss_mb()  # before the snapshot's own allocations
         readings[moment] = _heap_rollup(top)
 
     already_tracing = tracemalloc.is_tracing()
@@ -289,5 +307,6 @@ def memory_census(
         "duration_simulated_s": config.duration,
         "engine_mode": result.engine_mode(),
         "requests_completed": result.latency.completed,
+        "rss_mb": rss_mb,
         **readings,
     }

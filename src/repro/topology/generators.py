@@ -240,15 +240,34 @@ def random_geometric_topology(
     """
     if n < 2:
         raise TopologyError("random geometric topology needs n >= 2")
-    rng = RngFactory(seed).stream("geometric")
-    positions = {i: (rng.random(), rng.random()) for i in range(n)}
     r = radius if radius is not None else 1.2 * math.sqrt(math.log(n) / (math.pi * n))
+    if not 0 < r < math.inf:
+        raise TopologyError(f"radius must be a positive finite number, got {r}")
+    rng = RngFactory(seed).stream("geometric")
+    points = [(rng.random(), rng.random()) for _ in range(n)]
     for _ in range(64):
-        graph = nx.random_geometric_graph(n, r, pos=positions)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(_pairs_within(points, r))
         if nx.is_connected(graph):
-            plain = nx.Graph()
-            plain.add_nodes_from(range(n))
-            plain.add_edges_from(graph.edges)
-            return Topology(plain, name=f"geo-{n}-r{r:.3f}")
+            return Topology(graph, name=f"geo-{n}-r{r:.3f}")
         r *= 1.15
     raise TopologyError(f"could not build a connected geometric graph on {n} nodes")
+
+
+def _pairs_within(points: list[tuple[float, float]], r: float) -> list[tuple[int, int]]:
+    """Sorted index pairs ``u < v`` no further apart than ``r``: the points are
+    binned into cells of side ``r`` and only 3 x 3 neighbourhoods compared."""
+    cells: dict[tuple[int, int], list[int]] = {}
+    for index, (x, y) in enumerate(points):
+        cells.setdefault((int(x // r), int(y // r)), []).append(index)
+    pairs = []
+    for (cx, cy), members in cells.items():
+        block = [(i, j) for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)]
+        near = [(v, *points[v]) for cell in block for v in cells.get(cell, ())]
+        for u in members:
+            x, y = points[u]
+            for v, vx, vy in near:
+                if u < v and (x - vx) * (x - vx) + (y - vy) * (y - vy) <= r * r:
+                    pairs.append((u, v))
+    return sorted(pairs)

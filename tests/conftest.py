@@ -13,6 +13,7 @@ from repro.routing.routes_db import RoutingDatabase
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology, two_cluster_topology
 from repro.topology.uunet import uunet_backbone
+from repro.types import ReplicaInfo
 
 
 @pytest.fixture
@@ -62,6 +63,16 @@ def make_system(
         **kwargs,
     )
     return system
+
+
+def replica_infos(service, obj) -> dict[int, ReplicaInfo]:
+    """The registry's per-replica state for ``obj``, whichever form holds it.
+
+    A sole replica at affinity 1 is registered as a bare host id and keeps
+    no request count; it reads as a fresh ``ReplicaInfo`` (count 1).
+    """
+    entry = service._replicas[obj]
+    return entry if isinstance(entry, dict) else {entry: ReplicaInfo(entry)}
 
 
 class Served(NamedTuple):

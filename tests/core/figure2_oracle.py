@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.core.redirector import RedirectorService
 from repro.types import NodeId, ObjectId, ReplicaInfo
+from tests.conftest import replica_infos
 
 
 def choose_replica_reference(
@@ -20,7 +21,7 @@ def choose_replica_reference(
     *,
     exclude: NodeId | None = None,
 ) -> NodeId | None:
-    replicas = service._entry(obj)
+    replicas = replica_infos(service, obj)
     if len(replicas) == 1 and not service._down_hosts and exclude is None:
         (info,) = replicas.values()
         info.request_count += 1

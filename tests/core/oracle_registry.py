@@ -1,34 +1,13 @@
-"""The redirector: request distribution and the replica-set registry.
+"""The retired dict-of-dicts registry, kept verbatim as an oracle (ISSUE 24).
 
-Implements the ChooseReplica algorithm of Figure 2.  For each object the
-redirector responsible for it keeps, per replica, a *request count*
-``rcnt`` and the replica's *affinity* ``aff``; the ratio ``rcnt/aff`` is
-the replica's *unit request count*.  On a request from a client behind
-gateway ``g``:
-
-* ``p`` = the replica closest to ``g``; ``ratio1 = rcnt(x_p)/aff(x_p)``;
-* ``q`` = the replica with the smallest unit request count ``ratio2``;
-* if ``ratio1 / C > ratio2`` choose ``q``, else choose ``p``
-  (``C`` is the distribution constant, 2 in the paper);
-* the chosen replica's request count is incremented.
-
-The pseudocode in the published figure is garbled by OCR; this reading
-follows the paper's prose and reproduces its worked examples exactly (the
-closest of two equally-requested replicas always wins; a locally swamped
-replica keeps only ``2N/(n+1)`` of ``N`` requests once ``n`` replicas
-exist) — both are asserted by the test-suite.
-
-All request counts for an object reset to 1 whenever its replica set
-changes, so a fresh replica is not flooded while it "catches up".  Hence
-the registry's two forms (DESIGN §9): an object with one replica at
-affinity 1 is held as that bare host id — its count would never be read
-before a reset — and as ``{host: ReplicaInfo}`` from its first change on.
-
-The registry preserves the invariant that the recorded replica set is a
-*subset* of replicas that actually exist (Section 4.2.1): creations are
-registered after the copy exists, deletions are approved *before* the
-host drops its copy, and the last replica of an object can never be
-dropped (:meth:`RedirectorService.request_drop` arbitrates).
+Until then ``RedirectorService._replicas`` was ``{obj: {host:
+ReplicaInfo}}`` for every object, 33 MB at 100k objects of which 98.5 %
+held one replica at affinity 1.  The production registry now holds such
+an object as a bare host id and expands it to the dict form on its first
+replica-set change; ``tests/core/test_registry_oracle.py`` drives both
+through the same operation sequences and requires every return value,
+error message, observer call and registry reading to agree.  The class
+below is the parent commit's ``RedirectorService`` with nothing edited.
 """
 
 from __future__ import annotations
@@ -69,8 +48,7 @@ class RedirectorService:
         self.node = node
         self._routes = routes
         self._constant = distribution_constant
-        #: Flat form ``host`` (sole replica, affinity 1) or ``{host: ReplicaInfo}``.
-        self._replicas: dict[ObjectId, NodeId | dict[NodeId, ReplicaInfo]] = {}
+        self._replicas: dict[ObjectId, dict[NodeId, ReplicaInfo]] = {}
         #: Hosts currently marked unavailable (failure masking): their
         #: replicas stay registered but are never chosen.
         self._down_hosts: set[NodeId] = set()
@@ -135,7 +113,7 @@ class RedirectorService:
                 return
             self._down_hosts.add(host)
         for replicas in self._replicas.values():
-            if type(replicas) is dict and host in replicas:  # flat: no counts
+            if host in replicas:
                 self._reset_counts(replicas)
 
     def host_available(self, host: NodeId) -> bool:
@@ -144,45 +122,34 @@ class RedirectorService:
     def available_replica_hosts(self, obj: ObjectId) -> list[NodeId]:
         """Hosts with a selectable (not failed) replica of ``obj``."""
         return [
-            host for host in self.replica_hosts(obj) if host not in self._down_hosts
+            host for host in self._entry(obj) if host not in self._down_hosts
         ]
 
     def replica_hosts(self, obj: ObjectId) -> list[NodeId]:
         """Hosts currently registered as holding ``obj``."""
-        replicas = self._entry(obj)
-        return list(replicas) if type(replicas) is dict else [replicas]
+        return list(self._entry(obj))
 
     def objects_on(self, host: NodeId) -> list[ObjectId]:
         """Objects with a registered replica on ``host`` (repair scans)."""
         return [
-            obj
-            for obj, replicas in self._replicas.items()
-            if (host in replicas if type(replicas) is dict else host == replicas)
+            obj for obj, replicas in self._replicas.items() if host in replicas
         ]
 
     def replica_count(self, obj: ObjectId) -> int:
-        return len(self.replica_hosts(obj))
+        return len(self._entry(obj))
 
     def affinity(self, obj: ObjectId, host: NodeId) -> int:
-        replicas = self._entry(obj)
-        return replicas[host].affinity if type(replicas) is dict else {replicas: 1}[host]
+        return self._entry(obj)[host].affinity
 
     def total_replicas(self) -> int:
         """Total physical replicas over all objects this redirector owns."""
-        return sum(len(r) if type(r) is dict else 1 for r in self._replicas.values())
+        return sum(len(replicas) for replicas in self._replicas.values())
 
-    def _entry(self, obj: ObjectId) -> NodeId | dict[NodeId, ReplicaInfo]:
+    def _entry(self, obj: ObjectId) -> dict[NodeId, ReplicaInfo]:
         try:
             return self._replicas[obj]
         except KeyError:
             raise ProtocolError(f"redirector knows no replicas of object {obj}") from None
-
-    def _expanded(self, obj: ObjectId) -> dict[NodeId, ReplicaInfo]:
-        """``obj``'s entry as a dict; a flat one converts under its own key (order stays)."""
-        replicas = self._entry(obj)
-        if type(replicas) is not dict:
-            replicas = self._replicas[obj] = {replicas: ReplicaInfo(replicas)}
-        return replicas
 
     def register_initial(self, obj: ObjectId, host: NodeId) -> None:
         """Register an object's original placement (no reset semantics)."""
@@ -201,7 +168,7 @@ class RedirectorService:
         for obj, host in placements:
             if obj in replicas:
                 raise ProtocolError(f"object {obj} already registered")
-            replicas[obj] = host
+            replicas[obj] = {host: ReplicaInfo(host)}
             if observed:
                 self._notify(obj, host, 1, True, False)
 
@@ -213,7 +180,7 @@ class RedirectorService:
         would discard the distribution state the Figure 2 algorithm has
         accumulated).
         """
-        replicas = self._expanded(obj)
+        replicas = self._entry(obj)
         created = host not in replicas
         if created:
             if affinity != 1:
@@ -233,7 +200,7 @@ class RedirectorService:
 
     def affinity_reduced(self, obj: ObjectId, host: NodeId, affinity: int) -> None:
         """A host reports a (non-final) affinity decrement."""
-        replicas = self._expanded(obj)
+        replicas = self._entry(obj)
         if host not in replicas:
             raise ProtocolError(f"host {host} holds no replica of {obj}")
         if affinity < 1:
@@ -257,12 +224,11 @@ class RedirectorService:
         preserving the subset invariant.
         """
         replicas = self._entry(obj)
-        hosts = replicas if type(replicas) is dict else (replicas,)
-        if host not in hosts:
+        if host not in replicas:
             raise ProtocolError(f"host {host} holds no replica of {obj}")
         survivors = [
             other
-            for other in hosts
+            for other in replicas
             if other != host and other not in self._down_hosts
         ]
         if not survivors:
@@ -271,7 +237,7 @@ class RedirectorService:
         probe = self.liveness_probe
         if probe is not None and not any(probe(other) for other in survivors):
             return False
-        del replicas[host]  # a survivor exists, so this is the dict form
+        del replicas[host]
         self._reset_counts(replicas)
         self._notify(obj, host, 0, False, True)
         return True
@@ -298,28 +264,24 @@ class RedirectorService:
         request retries under a stale view, where the redirector has not
         yet detected that the previously chosen host is dead.
         """
-        try:
-            replicas = self._replicas[obj]  # _entry, minus a call per request
-        except KeyError:
-            replicas = self._entry(obj)
+        replicas = self._entry(obj)
         tracer = self.tracer
-        flat = type(replicas) is not dict
-        if flat or len(replicas) == 1:
-            # A sole replica wins if it can be chosen at all, whatever other
-            # hosts are masked.  The flat form keeps no request count: nothing
-            # reads a sole replica's before the next change resets it.
-            (sole,) = (replicas,) if flat else replicas
-            chosen = None if sole in self._down_hosts or sole == exclude else sole
-            if chosen is not None:
-                self.chose_closest += 1
-                if not flat:
-                    replicas[sole].request_count += 1
+        if len(replicas) == 1 and not self._down_hosts and exclude is None:
+            # Fast path: a sole replica always wins; still counted.
+            (info,) = replicas.values()
+            info.request_count += 1
+            self.chose_closest += 1
             if tracer is not None:
-                reason = "unavailable" if chosen is None else "sole"
                 tracer.record(
-                    ChooseReplicaRecord(obj, gateway, chosen, reason, constant=self._constant)
+                    ChooseReplicaRecord(
+                        obj=obj,
+                        gateway=gateway,
+                        chosen=info.host,
+                        reason="sole",
+                        constant=self._constant,
+                    )
                 )
-            return chosen
+            return info.host
         row = self._routes.distance_row(gateway)
         down = self._down_hosts
         # The eligibility test is hoisted: with no failed hosts and no
@@ -398,40 +360,3 @@ class RedirectorService:
                 )
             )
         return chosen.host
-
-
-class RedirectorGroup:
-    """Hash-partitions the object namespace across redirectors.
-
-    "For scalability, the load is divided among multiple redirectors by
-    hash-partitioning the URL namespace" (Section 2).  The same redirector
-    is always used for all requests to the same object.
-    """
-
-    def __init__(self, services: list[RedirectorService]) -> None:
-        if not services:
-            raise ProtocolError("a redirector group needs at least one service")
-        self._services = list(services)
-
-    @property
-    def services(self) -> list[RedirectorService]:
-        return list(self._services)
-
-    def for_object(self, obj: ObjectId) -> RedirectorService:
-        """The redirector responsible for ``obj`` (stable hash partition)."""
-        return self._services[obj % len(self._services)]
-
-    def partition(
-        self, objs: list[ObjectId]
-    ) -> list[tuple[RedirectorService, list[ObjectId]]]:
-        """``objs`` split by responsible service (:meth:`for_object`), order kept."""
-        stride = len(self._services)
-        if stride == 1:
-            return [(self._services[0], objs)]
-        return [
-            (service, [obj for obj in objs if obj % stride == index])
-            for index, service in enumerate(self._services)
-        ]
-
-    def total_replicas(self) -> int:
-        return sum(service.total_replicas() for service in self._services)

@@ -2,8 +2,9 @@
 
 Until PR 22 ``initialize_round_robin`` *was* the loop below:
 ``place_initial(obj, obj % n)`` for every object.  It now fills each
-store in one pass and registers each redirector's share in one call, with
-the cyclic collector paused; the loop is the oracle.  With several
+store in one pass and registers each redirector's share in one call (ISSUE 24
+deleted the collector pause it had: the flat registry allocates nothing
+GC-tracked per object); the loop is the oracle.  With several
 redirector services each service (and each of its observers) still sees
 its own objects in ascending id — only the interleaving *across* services
 is service-major where the loop's was object-major.
@@ -16,7 +17,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.sim.engine import Simulator
 from repro.topology.generators import grid_topology
-from tests.conftest import make_system
+from tests.conftest import make_system, replica_infos
 
 NUM_OBJECTS = 41  # not a multiple of the 9 nodes or of 3 services
 
@@ -52,7 +53,7 @@ def observable_state(system):
             "replicas": {
                 obj: [
                     (host, info.affinity, info.request_count)
-                    for host, info in service._replicas[obj].items()
+                    for host, info in replica_infos(service, obj).items()
                 ]
                 for obj in service._replicas
             },

@@ -10,6 +10,7 @@ from repro.core.redirector import RedirectorGroup, RedirectorService
 from repro.errors import ProtocolError
 from repro.routing.routes_db import RoutingDatabase
 from repro.topology.generators import line_topology, two_cluster_topology
+from tests.conftest import replica_infos
 
 AMERICA_GW = 0  # a gateway in cluster A
 EUROPE_GW = 8  # a gateway in cluster B
@@ -127,13 +128,14 @@ def test_recovery_resets_counts(redirector):
 def test_availability_flip_only_resets_objects_on_host(redirector):
     """Objects with no replica on the flipped host keep their counts."""
     redirector.register_initial(5, AMERICA_HOST)
+    redirector.replica_created(5, 2, 1)  # a sole replica keeps no count
     drive(redirector, [AMERICA_GW], 50)
     for _ in range(50):
         redirector.choose_replica(AMERICA_GW, 5)
-    before = redirector._replicas[5][AMERICA_HOST].request_count
+    before = replica_infos(redirector, 5)[AMERICA_HOST].request_count
     assert before > 1
     redirector.set_host_available(EUROPE_HOST, False)
-    assert redirector._replicas[5][AMERICA_HOST].request_count == before
+    assert replica_infos(redirector, 5)[AMERICA_HOST].request_count == before
     for info in redirector._replicas[0].values():
         assert info.request_count == 1
 

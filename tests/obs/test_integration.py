@@ -104,6 +104,32 @@ def test_choose_replica_records_figure2_fields(traced_system):
     assert record.constant == 2.0
 
 
+def test_an_only_replica_is_traced_as_sole_whatever_else_is_masked(traced_system):
+    """Until ISSUE 24 the same request read ``"closest"`` with
+    ``closest_ratio = rcnt`` as soon as any host anywhere was down or a
+    retry passed ``exclude``; the decision counters never differed."""
+    system, tracer = traced_system
+    redirector = system.redirectors.for_object(0)
+    redirector.replica_created(1, 4, 1)
+    assert redirector.request_drop(1, 0) is True  # 1: one replica, dict form
+
+    def last(obj, **kwargs):
+        chosen = redirector.choose_replica(2, obj, **kwargs)
+        record = tracer.records("choose-replica")[-1]
+        assert record.chosen == chosen
+        return chosen, record.reason, record.closest, record.closest_ratio
+
+    redirector.set_host_available(3, False)  # holds nothing
+    assert last(0) == (0, "sole", None, None)
+    assert last(0, exclude=3) == (0, "sole", None, None)
+    assert last(1) == (4, "sole", None, None)
+    assert redirector.chose_closest == 3 and redirector.chose_least_requested == 0
+    redirector.set_host_available(0, False)
+    assert last(0) == (None, "unavailable", None, None)
+    assert last(1, exclude=4) == (None, "unavailable", None, None)
+    assert redirector.chose_closest == 3
+
+
 def test_build_system_attaches_tracer_when_traced():
     config = ScenarioConfig(
         num_objects=50, duration=100.0, traced=True, trace_capacity=128

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.redirector import RedirectorService
 from repro.routing.routes_db import RoutingDatabase
 from repro.topology.generators import ring_topology
+from tests.conftest import replica_infos
 
 N_NODES = 12
 
@@ -57,7 +58,7 @@ def test_factor2_fairness_invariant(replicas, gateways):
         service.choose_replica(gateway, 0)
         units = [
             info.request_count / info.affinity
-            for info in service._replicas[0].values()
+            for info in replica_infos(service, 0).values()
         ]
         assert max(units) <= 2 * min(units) + 1
 
@@ -69,9 +70,11 @@ def test_requests_are_conserved(replicas, gateways):
     for gateway in gateways:
         assert service.choose_replica(gateway, 0) in service.replica_hosts(0)
     total_increments = sum(
-        info.request_count - 1 for info in service._replicas[0].values()
+        info.request_count - 1 for info in replica_infos(service, 0).values()
     )
-    assert total_increments == len(gateways)
+    # A sole replica at affinity 1 is registered flat and keeps no count.
+    counted = len(replicas) > 1 or replicas[0][1] > 1
+    assert total_increments == (len(gateways) if counted else 0)
 
 
 @settings(max_examples=30, deadline=None)

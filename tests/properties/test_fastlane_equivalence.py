@@ -22,6 +22,7 @@ from repro.routing.routes_db import RoutingDatabase
 from repro.scenarios.presets import paper_scenario
 from repro.scenarios.runner import run_scenario, scenario_metrics
 from repro.topology.generators import ring_topology
+from tests.conftest import replica_infos
 from tests.core.figure2_oracle import choose_replica_reference
 
 
@@ -145,10 +146,10 @@ def test_choose_replica_matches_reference_oracle(replicas, gateways):
     assert optimised.chose_least_requested == oracle.chose_least_requested
     fast_state = {
         host: (info.request_count, info.affinity)
-        for host, info in optimised._replicas[0].items()
+        for host, info in replica_infos(optimised, 0).items()
     }
     oracle_state = {
         host: (info.request_count, info.affinity)
-        for host, info in oracle._replicas[0].items()
+        for host, info in replica_infos(oracle, 0).items()
     }
     assert fast_state == oracle_state

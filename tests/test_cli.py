@@ -439,6 +439,35 @@ def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, cap
     assert census["run_entry"]["stage_mb"]["request_pipeline"] > 0
 
 
+def test_memory_census_reports_rss_beside_the_traced_heap(tmp_path, capsys, monkeypatch):
+    """``tracemalloc`` cannot see what a C extension allocates for itself
+    (the 44 MB numpy + scipy cost the large preset until ISSUE 24), so the
+    census says how much of the process it did see."""
+    from repro.obs import profile
+
+    out = tmp_path / "census.json"
+    main(
+        ["profile", "--preset", "zipf", "--scale", "0.02", "--duration", "10",
+         "--memory", "--json", str(out)]
+    )  # fmt: skip
+    text = capsys.readouterr().out
+    census = json.loads(out.read_text())
+    rss = census["rss_mb"]
+    assert set(rss) == {"start", "run_entry", "horizon"}
+    assert all(reading > 5 for reading in rss.values())
+    for moment in ("run_entry", "horizon"):
+        traced = census[moment]["total_mb"]
+        assert traced < rss[moment]
+        assert f"traced {traced:.1f} of {rss[moment]:.0f} MB RSS" in text
+
+    def no_procfs(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/statm")
+
+    monkeypatch.setattr(profile, "open", no_procfs, raising=False)
+    # From ``resource``: the peak, which the kernel updates lazily.
+    assert 0.8 * rss["horizon"] < profile._rss_mb()
+
+
 def test_golden_cli_flags_describe_the_golden_scenario():
     """The golden file records the command line that reproduces it, so
     the flags must build exactly the refereed config."""

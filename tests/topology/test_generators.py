@@ -75,6 +75,33 @@ def test_random_geometric_always_connected(n):
     assert topology.num_nodes == n  # Topology validates connectivity
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.floats(min_value=0.02, max_value=1.5)),
+)
+def test_random_geometric_matches_the_retired_networkx_generator(n, seed, radius):
+    """Cell binning finds the edges the k-d tree found, in the same order."""
+    pytest.importorskip("scipy")
+    from tests.topology.oracle_geometric import random_geometric_topology as oracle
+
+    ours = random_geometric_topology(n, radius=radius, seed=seed)
+    theirs = oracle(n, radius=radius, seed=seed)
+    assert ours.name == theirs.name
+    assert list(ours.graph.edges) == list(theirs.graph.edges)
+    for node in range(n):
+        assert list(ours.graph.neighbors(node)) == list(theirs.graph.neighbors(node))
+
+
+@pytest.mark.parametrize("radius", [0, -0.5, float("nan"), float("inf")])
+def test_random_geometric_rejects_a_radius_it_cannot_bin_by(radius):
+    """A negative radius used to build a graph (networkx compared squares);
+    zero and nan spun 64 rounds before giving up."""
+    with pytest.raises(TopologyError, match="radius must be a positive finite"):
+        random_geometric_topology(50, radius=radius, seed=1)
+
+
 def test_generator_input_validation():
     with pytest.raises(TopologyError):
         line_topology(0)

@@ -6,6 +6,7 @@ Usage::
     python benchmarks/compare_baseline.py bench_smoke.json
     python benchmarks/compare_baseline.py --gap BENCH_optgap.json
     python benchmarks/compare_baseline.py --live BENCH_live.json
+    python benchmarks/compare_baseline.py --claims BENCH_claims.json
 
 Nothing here times the simulator: anything that times code goes through
 ``bench/run.py`` (calibrated, bounded in ``BENCHMARK.json``).  The gates
@@ -42,10 +43,7 @@ Live saturation gate
 * a configuration that sustained load in the baseline must still
   sustain *some* load (a sustained_rps collapse to zero means every
   step blew the latency SLA or error bound — a functional break, not
-  jitter);
-* the recorded ``speedup_4v1`` must not regress more than the
-  tolerance (one-core runners show ~1.0 and that is fine; the gate
-  catches a sharded tier that becomes *slower* than one shard).
+  jitter).
 
 Regenerate with ``python benchmarks/live_saturation.py --quick --out
 benchmarks/reports/live_baseline.json`` after an intentional change.
@@ -69,6 +67,16 @@ gap --quick`` against the committed
 
 Regenerate with ``python -m repro gap --quick --out
 benchmarks/reports/optgap_baseline.json`` after an intentional change.
+
+Paper-claims gate
+-----------------
+``--claims`` compares the verdicts of a ``python -m repro claims``
+scorecard against ``benchmarks/reports/claims_baseline.json``: schema,
+seeds and claim ids must match, and every (claim, seed) verdict that held
+in the baseline must still hold — one already failing there (a finding,
+such as Thm 5's) does not fail the gate.  Values are not compared (the
+smoke gate pins behaviour).  Regenerate with ``python -m repro claims
+--out benchmarks/reports/claims_baseline.json``.
 """
 
 from __future__ import annotations
@@ -155,20 +163,6 @@ def compare_live(current: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"(> {tolerance:.0%} tolerance): {rate:,.0f} vs "
                 f"baseline {base_rate:,.0f}"
             )
-
-    base_speedup = baseline.get("speedup_4v1")
-    speedup = current.get("speedup_4v1")
-    if base_speedup is not None:
-        if speedup is None:
-            problems.append("speedup_4v1 missing from current artifact")
-        else:
-            delta = _rel_delta(speedup, base_speedup)
-            if delta < -tolerance:
-                problems.append(
-                    f"speedup_4v1 regressed {-delta:.1%} "
-                    f"(> {tolerance:.0%} tolerance): {speedup:.2f}x vs "
-                    f"baseline {base_speedup:.2f}x"
-                )
     return problems
 
 
@@ -234,6 +228,26 @@ def compare_gap(current: dict, baseline: dict, tolerance: float) -> list[str]:
     return problems
 
 
+def compare_claims(current: dict, baseline: dict) -> list[str]:
+    """Gate a ``BENCH_claims.json`` scorecard (see module doc)."""
+    for key in ("schema", "seeds"):
+        if current.get(key) != baseline.get(key):
+            return [f"{key} mismatch: {current.get(key)!r} vs baseline {baseline.get(key)!r}"]
+    rows = {row["id"]: row for row in current.get("claims", [])}
+    base_rows = {row["id"]: row for row in baseline.get("claims", [])}
+    problems = [f"claim {c!r} missing from current scorecard" for c in base_rows.keys() - rows]
+    problems += [f"claim {c!r} is not in the baseline" for c in rows.keys() - base_rows]
+    for claim, base_row in base_rows.items():
+        row = rows.get(claim)  # a missing row is reported above
+        for seed, held in base_row["verdicts"].items():
+            if row is not None and held and not row["verdicts"].get(seed, False):
+                problems.append(
+                    f"{claim} ({seed}): held in the baseline, fails now — measured "
+                    f"{row['values'].get(seed)!r}, threshold {row['threshold']}"
+                )
+    return sorted(problems)
+
+
 def _summarise_smoke(current: dict, baseline: dict) -> None:
     means = sum(len(metrics) for metrics in baseline.get("points", {}).values())
     print(
@@ -252,8 +266,6 @@ def _summarise_live(current: dict, baseline: dict) -> None:
             f"{name}: sustained {rate:,.0f} rps "
             f"(baseline {base_rate:,.0f} rps, {delta:+.1%})"
         )
-    if current.get("speedup_4v1") is not None:
-        print(f"speedup 4v1: {current['speedup_4v1']:.2f}x")
 
 
 def _summarise_gap(current: dict, baseline: dict) -> None:
@@ -267,9 +279,18 @@ def _summarise_gap(current: dict, baseline: dict) -> None:
         )
 
 
+def _summarise_claims(current: dict, baseline: dict) -> None:
+    rows = current.get("claims", [])
+    print(f"{sum(row['holds'] for row in rows)} of {len(rows)} claims hold on every seed")
+    for row in baseline.get("claims", []):
+        failing = [seed for seed, held in row["verdicts"].items() if not held]
+        if failing:
+            print(f"known failure: {row['id']} ({', '.join(failing)})")
+
+
 #: What may fail the build, one row per gate: the committed baseline, the
 #: comparison and the per-entry summary printed before the verdict.  The
-#: smoke gate is exact, so ``--tolerance`` stops at its row.
+#: smoke and claims gates are exact, so ``--tolerance`` stops at their rows.
 GATES = {
     "smoke": (
         REPORTS / "baseline.json",
@@ -278,6 +299,9 @@ GATES = {
     ),
     "live": (REPORTS / "live_baseline.json", compare_live, _summarise_live),
     "gap": (REPORTS / "optgap_baseline.json", compare_gap, _summarise_gap),
+    "claims": (
+        REPORTS / "claims_baseline.json", lambda c, b, t: compare_claims(c, b), _summarise_claims
+    ),
 }
 
 
@@ -291,29 +315,18 @@ def main(argv: list[str] | None = None) -> int:
         f"{REPORTS})",
     )
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--live",
-        dest="mode",
-        action="store_const",
-        const="live",
-        help="compare a BENCH_live.json saturation artifact instead of "
-        "a smoke-sweep summary",
-    )
-    mode.add_argument(
-        "--gap",
-        dest="mode",
-        action="store_const",
-        const="gap",
-        help="compare a BENCH_optgap.json optimality-gap artifact instead "
-        "of a smoke-sweep summary",
-    )
+    for gate in [name for name in GATES if name != "smoke"]:
+        mode.add_argument(
+            f"--{gate}", dest="mode", action="store_const", const=gate,
+            help=f"check a {gate} artefact instead of a smoke-sweep summary (module doc)",
+        )
     parser.set_defaults(mode="smoke")
     parser.add_argument(
         "--tolerance",
         type=float,
         default=0.25,
         help="--live / --gap only: allowed relative regression or drift "
-        "(default: 0.25); the smoke gate is exact",
+        "(default: 0.25); the smoke and claims gates are exact",
     )
     args = parser.parse_args(argv)
 

@@ -315,11 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         "loadgen_processes": args.processes,
         "results": results,
     }
-    if "shards-1" in results and "shards-4" in results:
-        base = results["shards-1"]["sustained_rps"]
-        artifact["speedup_4v1"] = (
-            results["shards-4"]["sustained_rps"] / base if base else 0.0
-        )
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-One parser, seven subcommands, each command's ``populate`` and ``main``
+One parser, eight subcommands, each command's ``populate`` and ``main``
 in :mod:`repro.cli`.  ``run``, ``trace``, ``sweep`` and ``profile``
 describe their scenario with one shared option group (``--workload`` /
 ``--preset``, ``--scale``, ``--strategy``, the fault-injection and
@@ -39,6 +39,13 @@ field and derived by :mod:`repro.schema`:
         python -m repro gap --quick --out BENCH_optgap.json
         python -m repro gap --set gap.load_scale=0.5,1,2 \\
             --set gap.fault=none,600 --set gap.strategy=paper,static
+
+``claims``
+    The paper-claims scorecard: the Fig. 6–9 / Table 1–2 / Sec. 3 /
+    Thm 5 runs over seeds 1–3 on the sweep engine, every claim judged
+    per seed, one JSON artefact and one markdown table (stdout):
+
+        python -m repro claims --out BENCH_claims.json
 
 ``profile``
     One scenario run under ``cProfile`` with its wall time attributed
@@ -84,7 +91,7 @@ import argparse
 import sys
 
 from repro import __version__
-from repro.cli import gap, live, profile, sim, sweep
+from repro.cli import claims, gap, live, profile, sim, sweep
 from repro.cli.sim import scenario_from_args as run_config  # noqa: F401
 from repro.errors import ConfigurationError, TopologyError, WorkloadError
 
@@ -105,6 +112,11 @@ COMMANDS = {
         gap.populate_gap,
         gap.gap_main,
         "measure the protocol's optimality gap against the oracle",
+    ),
+    "claims": (
+        claims.populate_claims,
+        claims.claims_main,
+        "judge the paper's claims over seeds 1-3",
     ),
     "profile": (
         profile.populate_profile,

@@ -3,8 +3,8 @@
 :mod:`~repro.analysis.tables` assembles Table 2 rows
 (adjustment time, mean replicas) from scenario results;
 :mod:`~repro.analysis.figures` extracts the exact series each paper
-figure plots, in a renderer-independent form the benchmark harness
-prints and tests assert against.
+figure plots, in a renderer-independent form tests assert against;
+:mod:`~repro.analysis.claims` is the paper-claims scorecard.
 """
 
 from repro.analysis.links import (

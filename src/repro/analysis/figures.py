@@ -2,8 +2,8 @@
 
 Every extractor returns dictionaries of named
 :class:`~repro.metrics.collectors.TimeSeries`, renderer-independent so
-that benchmarks can print them, tests can assert on them, and users can
-feed them to any plotting library.
+that tests can assert on them and users can feed them to any plotting
+library.
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ PAPER_BANDWIDTH_REDUCTION: dict[str, float] = {
     "zipf": 0.601,
     "regional": 0.901,
 }
-
-#: Paper-reported mean-latency reductions (Figure 6, Section 6.2).
-PAPER_LATENCY_REDUCTION: dict[str, float] = {
-    "zipf": 0.20,
-    "hot-pages": 0.20,
-    "regional": 0.28,
-}
-
-#: Figure 7: overhead "always below 2.5% of total traffic".
-PAPER_MAX_OVERHEAD = 0.025
 
 
 def figure6_series(result: "ScenarioResult") -> dict[str, TimeSeries]:

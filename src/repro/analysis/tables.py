@@ -1,10 +1,11 @@
 """Paper tables as data (Table 1 parameters, Table 2 statistics).
 
 ``table1_rows`` renders the scenario configuration in the paper's
-Table 1 layout (the parameters bench asserts these reproduce the paper
-verbatim at full scale).  ``table2_row`` computes one workload's
-adjustment time and mean replica count from a finished run; the paper's
-reference values are embedded for side-by-side reporting.
+Table 1 layout (the ``table1.parameters`` claim checks it reproduces
+:data:`PAPER_TABLE1` verbatim at full scale).  ``table2_row`` computes
+one workload's adjustment time and mean replica count from a finished
+run; the paper's reference values are embedded for side-by-side
+reporting.
 """
 
 from __future__ import annotations
@@ -16,6 +17,18 @@ from repro.scenarios.config import ScenarioConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.scenarios.runner import ScenarioResult
 
+#: The paper's Table 1 without its watermark rows, verbatim.
+PAPER_TABLE1: tuple[tuple[str, str], ...] = (
+    ("Number of objects", "10000"),
+    ("Size of object", "12KB"),
+    ("Placement decision frequency", "Every 100 seconds"),
+    ("Node request rate", "40 requests per sec"),
+    ("Server capacity", "200 requests per sec"),
+    ("Network delay", "10ms per hop"),
+    ("Link bandwidth", "350 KBps"),
+    ("Deletion threshold u", "0.03 requests/sec"),
+    ("Replication threshold m", "6u, or 0.18 requests/sec"),
+)
 #: Table 2 of the paper: workload -> (adjustment minutes, mean replicas).
 PAPER_TABLE2: dict[str, tuple[float, float]] = {
     "hot-sites": (20.0, 2.62),

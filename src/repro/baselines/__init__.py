@@ -25,8 +25,8 @@ harness resolve baselines by name instead of ad-hoc imports.
 ADR (:class:`~repro.baselines.adr.AdrSystem`) is deliberately *not* a
 registry strategy: it is a different system class with its own logical
 tree, not a :class:`~repro.core.protocol.HostingSystem` variant, so the
-scenario runner cannot host it.  ``benchmarks/bench_adr_comparison.py``
-builds it directly.
+scenario runner cannot host it.  :func:`~repro.baselines.adr.run_adr`
+builds and drives it under a scenario's demand.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.baselines.adr import AdrSystem, LogicalTree
+from repro.baselines.adr import AdrSystem, LogicalTree, run_adr
 from repro.baselines.availability_aware import (
     AvailabilityAwarePlacer,
     replicas_for_availability,
@@ -155,4 +155,5 @@ __all__ = [
     "replicas_for_availability",
     "replicate_everywhere",
     "resolve_strategy",
+    "run_adr",
 ]

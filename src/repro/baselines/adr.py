@@ -32,12 +32,15 @@ measured rather than asserted:
     combined.
 
 Reads here are cache-miss requests exactly as in the host protocol; the
-read-one/write-all cost model is ADR's own.
+read-one/write-all cost model is ADR's own.  :func:`run_adr` drives one
+under a scenario's demand (the scorecard's ``adr.*`` claims,
+:mod:`repro.analysis.claims`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import TYPE_CHECKING
 
 from repro.errors import ProtocolError
 from repro.network.message import MessageClass
@@ -45,7 +48,13 @@ from repro.network.transport import Network
 from repro.routing.routes_db import RoutingDatabase
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicProcess
+from repro.sim.rng import RngFactory
+from repro.topology.uunet import uunet_backbone
 from repro.types import NodeId, ObjectId, Time
+from repro.workloads import SCENARIO_WORKLOADS
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.scenarios.config import ScenarioConfig
 
 
 class LogicalTree:
@@ -374,3 +383,40 @@ class AdrSystem:
     def mean_read_cost(self) -> float:
         """Mean physical byte-hops per read (the comparison metric)."""
         return self.read_byte_hops / self.reads if self.reads else 0.0
+
+
+def run_adr(config: "ScenarioConfig", *, write_fraction: float) -> tuple[AdrSystem, float]:
+    """Drive ADR with a scenario's per-gateway demand, a provider write in
+    place of a read at probability ``write_fraction``; return the system
+    and its mean byte-hops per read over the run's final third."""
+    sim = Simulator()
+    topology = uunet_backbone(config.topology_seed)
+    network = Network(sim, RoutingDatabase(topology), track_links=False)
+    system = AdrSystem(
+        sim,
+        network,
+        num_objects=config.num_objects,
+        object_size=config.object_size,
+        adjustment_interval=config.protocol.placement_interval,
+    )
+    system.initialize_round_robin()
+    system.start()
+    rng_factory = RngFactory(config.seed)
+    workload = SCENARIO_WORKLOADS[config.workload](config.num_objects, topology, rng_factory)
+    rng = rng_factory.stream("adr-driver")
+    interval = 1.0 / config.node_request_rate
+    for gateway in topology.nodes:
+        t = rng.random() * interval
+        while t < config.duration:
+            obj = workload.sample(gateway, rng)
+            if rng.random() < write_fraction:
+                sim.schedule_at(t, system.submit_write, obj)
+            else:
+                sim.schedule_at(t, system.submit_read, gateway, obj)
+            t += interval
+    sim.run(until=config.duration * 2 / 3)
+    reads, byte_hops = system.reads, system.read_byte_hops
+    sim.run(until=config.duration)
+    system.stop()
+    tail_reads = system.reads - reads
+    return system, (system.read_byte_hops - byte_hops) / tail_reads if tail_reads else 0.0

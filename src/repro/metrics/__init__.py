@@ -15,7 +15,7 @@ produce the exact quantities Section 6.2 reports:
 * :mod:`~repro.metrics.adjustment` — the adjustment-time statistic
   (Table 2): time until bandwidth first stays within 10% of equilibrium.
 * :mod:`~repro.metrics.report` — plain-text tables and series renderers
-  used by the benchmark harness.
+  used by the CLI and the examples.
 * :mod:`~repro.metrics.availability` — fault-plane scalars (retries,
   detection, repair, unavailability) for runs with faults enabled.
 """

@@ -1,7 +1,6 @@
 """Plain-text rendering of tables and figure series.
 
-The benchmark harness prints, for every paper table and figure, the rows
-or series the paper reports next to our measured values.  Output is plain
+The CLI and the examples print run summaries with these.  Output is plain
 monospace text (this library runs offline; no plotting dependencies).
 """
 

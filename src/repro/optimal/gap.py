@@ -58,13 +58,12 @@ class DemandTrace:
     """Served observer: the serviced demand of one run, aggregated.
 
     Records, per object, how many requests each gateway had serviced and
-    by which servers — plus the run's total assignment cost, measured as
-    backbone distance from serving host to gateway per serviced request
-    (the same distance matrix the oracle prices with).
+    by which servers — plus the run's total assignment cost: the response
+    hops of every serviced request, i.e. the backbone distance from
+    serving host to gateway (the distance matrix the oracle prices with).
     """
 
-    def __init__(self, routes: "RoutingDatabase") -> None:
-        self._routes = routes
+    def __init__(self) -> None:
         #: obj -> gateway -> serviced request count.
         self.demand: dict[ObjectId, dict[NodeId, int]] = {}
         #: obj -> servers that serviced at least one of its requests.
@@ -88,7 +87,7 @@ class DemandTrace:
         per_gateway[gateway] = per_gateway.get(gateway, 0) + 1
         self.servers.setdefault(obj, set()).add(server)
         self.served_by[server] = self.served_by.get(server, 0) + 1
-        self.cost += self._routes.distance(server, gateway)
+        self.cost += response_hops
         self.serviced += 1
 
 
@@ -385,12 +384,12 @@ def run_gap_point(
         topology = uunet_backbone(config.topology_seed)
     is_tree = topology.graph.number_of_edges() == topology.num_nodes - 1
     violations = CapacityViolationCounter()
-    # The trace needs the run's routing distances; build them the same
-    # way the runner will (RoutingDatabase is deterministic per topology).
+    # The oracle prices with the run's routing distances; build them the
+    # same way the runner does (RoutingDatabase is deterministic per topology).
     from repro.routing.routes_db import RoutingDatabase
 
     routes = RoutingDatabase(topology)
-    trace = DemandTrace(routes)
+    trace = DemandTrace()
     result = run_scenario(
         config,
         topology=topology,

@@ -8,16 +8,15 @@ system, attaches collectors, runs it, and returns a
 
 :mod:`~repro.scenarios.presets` provides the paper's exact configurations
 (low-load 90/80, high-load 50/40, each of the four workloads) and the
-*scaled* variants the benchmark harness uses by default — proportional
-scaling of objects, request rate, capacity and watermarks that preserves
-per-object request rates (hence placement dynamics) while shrinking the
-event count; set ``REPRO_FULL_SCALE=1`` to run paper scale.
+*scaled* variants ``paper_scenario`` returns by default — proportional
+scaling of request rate, capacity, watermarks and thresholds that
+preserves the placement dynamics while shrinking the event count; pass
+``scale=1.0`` to run paper scale.
 """
 
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import (
     WORKLOAD_NAMES,
-    bench_scale,
     paper_parameters,
     paper_scenario,
 )
@@ -30,6 +29,5 @@ __all__ = [
     "build_system",
     "paper_parameters",
     "paper_scenario",
-    "bench_scale",
     "WORKLOAD_NAMES",
 ]

@@ -5,16 +5,13 @@
 workload runs behind Figures 6–9 and Table 2.
 
 Scale: a full paper run is 53 gateways x 40 req/s x 2400 s ≈ 5 M
-requests, minutes of wall-clock per run in pure Python.  Benchmarks
-therefore default to a proportional scale factor (see
+requests, minutes of wall-clock per run in pure Python.
+``paper_scenario`` therefore defaults to a proportional scale factor (see
 :meth:`~repro.scenarios.config.ScenarioConfig.scaled`) of
-:data:`DEFAULT_BENCH_SCALE`; override with the ``REPRO_SCALE`` env var or
-``REPRO_FULL_SCALE=1`` for paper scale.
+:data:`DEFAULT_BENCH_SCALE`; pass ``scale=1.0`` for paper scale.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.consistency.config import ConsistencyConfig
 from repro.core.config import ProtocolConfig
@@ -28,7 +25,7 @@ from repro.workloads import SCENARIO_WORKLOADS
 #: The four evaluation workloads of Section 6.1, in the paper's order.
 WORKLOAD_NAMES = tuple(SCENARIO_WORKLOADS)[:4]
 
-#: Default load-axis scale for benchmark runs (12 req/s per node).  Below
+#: Default load-axis scale of ``paper_scenario`` (12 req/s per node).  Below
 #: ~0.2 the integer access counts in the [u, m] band get noisy enough to
 #: cause spurious replica drops that the full-scale system never sees.
 DEFAULT_BENCH_SCALE = 0.3
@@ -65,26 +62,6 @@ def paper_parameters(*, high_load: bool = False) -> ScenarioConfig:
     )
 
 
-def bench_scale() -> float:
-    """The scale factor benchmark runs should use.
-
-    ``REPRO_FULL_SCALE=1`` forces 1.0; ``REPRO_SCALE=<float>`` overrides;
-    otherwise :data:`DEFAULT_BENCH_SCALE`.
-    """
-    if os.environ.get("REPRO_FULL_SCALE") == "1":
-        return 1.0
-    override = os.environ.get("REPRO_SCALE")
-    if override is not None:
-        try:
-            value = float(override)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad REPRO_SCALE {override!r}") from exc
-        if value <= 0:
-            raise ConfigurationError(f"REPRO_SCALE must be positive, got {value}")
-        return value
-    return DEFAULT_BENCH_SCALE
-
-
 def paper_scenario(
     workload: str,
     *,
@@ -104,8 +81,7 @@ def paper_scenario(
     config = config.replace(
         name=f"{config.name}-{workload}", workload=workload, seed=seed
     )
-    factor = bench_scale() if scale is None else scale
-    config = config.scaled(factor)
+    config = config.scaled(DEFAULT_BENCH_SCALE if scale is None else scale)
     if duration is not None:
         config = config.replace(duration=duration)
     if not dynamic:

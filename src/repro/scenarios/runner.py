@@ -1,7 +1,7 @@
 """Build and run one scenario; collect the paper's metrics.
 
 ``run_scenario`` is the single entry point used by the examples, the
-integration tests and every benchmark: it assembles the simulator, the
+integration tests and the claims scorecard: it assembles the simulator, the
 synthetic UUNET backbone, the hosting system (or a baseline variant),
 the workload generators and the metric collectors, runs to the horizon,
 and returns a :class:`ScenarioResult`.
@@ -255,10 +255,6 @@ class ScenarioResult:
         if payload <= 0:
             return 0.0
         return overhead / (overhead + payload / scale)
-
-    def max_overhead_fraction(self) -> float:
-        series = self.bandwidth.overhead_fraction_series()
-        return series.max() if len(series) else 0.0
 
     # -- Figure 8 -------------------------------------------------------
 

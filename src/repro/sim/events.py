@@ -4,7 +4,7 @@ Events are ordered by ``(time, sequence)``: the sequence number is a
 monotonically increasing tie-breaker so that events scheduled for the same
 instant fire in scheduling order.  This makes simulations fully
 deterministic, which the test-suite and the reproducibility guarantees of
-the benchmark harness rely on.
+the gates rely on.
 
 Queue structure
 ---------------

@@ -38,8 +38,8 @@ def line_routes():
     return RoutingDatabase(line_topology(6))
 
 
-def test_demand_trace_aggregates_serviced_requests(line_routes):
-    trace = DemandTrace(line_routes)
+def test_demand_trace_aggregates_serviced_requests():
+    trace = DemandTrace()
     trace(*record(1, 0, 2))
     trace(*record(1, 0, 2))
     trace(*record(1, 5, 4))
@@ -52,7 +52,7 @@ def test_demand_trace_aggregates_serviced_requests(line_routes):
 
 def test_oracle_single_server_objects_are_forced(line_routes):
     """With one server per object the oracle must match the run exactly."""
-    trace = DemandTrace(line_routes)
+    trace = DemandTrace()
     for _ in range(4):
         trace(*record(1, 0, 3))
     trace(*record(2, 5, 3))
@@ -64,7 +64,7 @@ def test_oracle_single_server_objects_are_forced(line_routes):
 
 def test_oracle_improves_on_a_bad_assignment(line_routes):
     """Requests sent to the far replica when the near one had room."""
-    trace = DemandTrace(line_routes)
+    trace = DemandTrace()
     # Object 1 has replicas at 0 and 5.  The run serves gateway 0 from
     # node 5 (cost 5 each) even though node 0 also served it once.
     trace(*record(1, 0, 0))
@@ -79,7 +79,7 @@ def test_oracle_improves_on_a_bad_assignment(line_routes):
 
 
 def test_oracle_respects_host_budgets(line_routes):
-    trace = DemandTrace(line_routes)
+    trace = DemandTrace()
     # 10 requests from gateway 0; the run split them 5/5 between the
     # adjacent node 1 and the distant node 5.
     for _ in range(5):

@@ -5,9 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import (
-    DEFAULT_BENCH_SCALE,
     WORKLOAD_NAMES,
-    bench_scale,
     paper_parameters,
     paper_scenario,
 )
@@ -91,23 +89,6 @@ def test_paper_scenario_grid():
 def test_paper_scenario_rejects_unknown_workload():
     with pytest.raises(ConfigurationError):
         paper_scenario("nope")
-
-
-def test_bench_scale_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
-    monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert bench_scale() == DEFAULT_BENCH_SCALE
-    monkeypatch.setenv("REPRO_SCALE", "0.5")
-    assert bench_scale() == 0.5
-    monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-    assert bench_scale() == 1.0
-    monkeypatch.setenv("REPRO_FULL_SCALE", "0")
-    monkeypatch.setenv("REPRO_SCALE", "bogus")
-    with pytest.raises(ConfigurationError):
-        bench_scale()
-    monkeypatch.setenv("REPRO_SCALE", "-1")
-    with pytest.raises(ConfigurationError):
-        bench_scale()
 
 
 def test_config_validation():

@@ -2,7 +2,7 @@
 
 import copy
 
-from benchmarks.compare_baseline import compare, compare_gap, compare_live
+from benchmarks.compare_baseline import compare, compare_claims, compare_gap, compare_live
 
 BASELINE = {
     "spec_hash": "abc",
@@ -76,7 +76,6 @@ LIVE_BASELINE = {
         "shards-2": {"sustained_rps": 310.0},
         "shards-4": {"sustained_rps": 305.0},
     },
-    "speedup_4v1": 1.02,
 }
 
 
@@ -92,7 +91,6 @@ def test_live_improvement_and_small_regression_pass():
     current = copy.deepcopy(LIVE_BASELINE)
     current["results"]["shards-4"]["sustained_rps"] = 900.0  # 3x better
     current["results"]["shards-1"]["sustained_rps"] = 240.0  # -20%
-    current["speedup_4v1"] = 3.75
     assert _check_live(current) == []
 
 
@@ -107,16 +105,8 @@ def test_live_sustained_regression_fails():
 def test_live_sustained_collapse_to_zero_fails():
     current = copy.deepcopy(LIVE_BASELINE)
     current["results"]["shards-4"]["sustained_rps"] = 0.0
-    current["speedup_4v1"] = 0.0
     problems = _check_live(current)
     assert any("sustained no load at all" in p for p in problems)
-
-
-def test_live_speedup_regression_fails():
-    current = copy.deepcopy(LIVE_BASELINE)
-    current["speedup_4v1"] = 0.5  # the sharded tier got slower than 1 shard
-    problems = _check_live(current)
-    assert any("speedup_4v1 regressed" in p for p in problems)
 
 
 def test_live_missing_configuration_fails():
@@ -205,3 +195,74 @@ def test_gap_schema_mismatch_fails_fast():
     problems = _check_gap(current)
     assert len(problems) == 1
     assert "schema mismatch" in problems[0]
+
+
+# ----------------------------------------------------------------------
+# The --claims scorecard gate (verdicts only)
+# ----------------------------------------------------------------------
+
+
+def _claim(claim_id, verdicts):
+    return {
+        "id": claim_id,
+        "threshold": "> 0.9",
+        "values": {seed: 0.95 if held else 0.85 for seed, held in verdicts.items()},
+        "verdicts": verdicts,
+        "holds": all(verdicts.values()),
+    }
+
+
+CLAIMS_BASELINE = {
+    "schema": "claims/v1",
+    "seeds": [1, 2, 3],
+    "claims": [
+        _claim("fig6.regional", {"1": True, "2": True, "3": True}),
+        _claim("fig8b.bracket", {"1": True, "2": False, "3": True}),
+    ],
+}
+
+
+def _check_claims(current):
+    return compare_claims(current, CLAIMS_BASELINE)
+
+
+def test_claims_identical_passes():
+    assert _check_claims(copy.deepcopy(CLAIMS_BASELINE)) == []
+
+
+def test_claims_pass_to_fail_flip_fails():
+    current = copy.deepcopy(CLAIMS_BASELINE)
+    current["claims"][0]["verdicts"]["3"] = False
+    current["claims"][0]["values"]["3"] = 0.85
+    problems = _check_claims(current)
+    assert len(problems) == 1
+    assert "fig6.regional (3): held in the baseline, fails now" in problems[0]
+    assert "0.85" in problems[0] and "> 0.9" in problems[0]
+
+
+def test_claims_known_failure_that_stays_failing_passes():
+    current = copy.deepcopy(CLAIMS_BASELINE)
+    current["claims"][1]["values"]["2"] = 0.5  # worse, but failing already
+    assert _check_claims(current) == []
+    current["claims"][1]["verdicts"]["1"] = False  # seed 1 held: now it fails
+    assert len(_check_claims(current)) == 1
+
+
+def test_claims_id_set_must_match():
+    current = copy.deepcopy(CLAIMS_BASELINE)
+    del current["claims"][1]
+    problems = _check_claims(current)
+    assert len(problems) == 1 and "fig8b.bracket" in problems[0] and "missing" in problems[0]
+    current = copy.deepcopy(CLAIMS_BASELINE)
+    current["claims"].append(_claim("thm5.new", {"1": True, "2": True, "3": True}))
+    problems = _check_claims(current)
+    assert len(problems) == 1 and "not in the baseline" in problems[0]
+
+
+def test_claims_schema_or_seed_mismatch_fails_fast():
+    for key, value in (("schema", "claims/v2"), ("seeds", [1, 2])):
+        current = copy.deepcopy(CLAIMS_BASELINE)
+        current[key] = value
+        current["claims"] = []  # would also fail, but identity short-circuits
+        problems = _check_claims(current)
+        assert len(problems) == 1 and f"{key} mismatch" in problems[0]

@@ -37,6 +37,7 @@ CONFIGS = {
     "cli/sweep.py": SIM,
     "cli/profile.py": SIM,
     "cli/gap.py": (GapSettings,),
+    "cli/claims.py": SIM,
     "cli/live.py": LIVE,
 }
 

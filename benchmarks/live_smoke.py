@@ -1,21 +1,25 @@
 """CI's ``live-smoke`` job as one script: serve + loadgen over real sockets.
 
-A redirector and three hosts run as separate ``python -m repro serve``
+A front door and three hosts run as separate ``python -m repro serve``
 processes, every one on port 0 and found through its port file (hosts
-register themselves at the front door over the wire); ``python -m repro
-loadgen`` then replays a two-phase workload and the processes are
-stopped with SIGINT.  The run passes when every request completed, the
-hosts' placement histories hold at least one replicate/migrate *and* one
-drop — dynamic replication happened over real sockets — and every
-process exited 0 with its metrics flushed.
+register themselves at the front door over the wire).  The front door
+is one redirector, or with ``--shards N`` (N > 1) a gateway plus N ring
+shards that register there too.  ``python -m repro loadgen`` then
+replays a two-phase workload and the processes are stopped with SIGINT.
+The run passes when every request completed, the hosts' placement
+histories hold at least one replicate/migrate *and* one drop — dynamic
+replication happened over real sockets, driven by the hosts' wall-clock
+timers — and every process exited 0 with its metrics flushed.
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
     python benchmarks/live_smoke.py --out-dir smoke/
+    python benchmarks/live_smoke.py --shards 2 --out-dir smoke-sharded/
 
 Artefacts, all in ``--out-dir``: ``live.json`` (the config every process
-read), ``client.json`` (loadgen stats), ``redirector.json`` and
-``host{0,1,2}.json`` (each process's ``--metrics`` snapshot).
+read), ``client.json`` (loadgen stats), ``redirector.json`` — or
+``gateway.json`` and ``shard{0..N-1}.json`` — and ``host{0,1,2}.json``
+(each process's ``--metrics`` snapshot).
 """
 
 from __future__ import annotations
@@ -42,10 +46,13 @@ HOSTS = 3
 REQUESTS = 1500  # as spelt in COMMANDS below
 
 #: The deployment and its load, as the command lines one would type: the
-#: redirector, the hosts, the loadgen.  ``$OUT`` and ``$FRONT`` are filled
-#: in at run time; ``tests/test_schema.py`` checks that each line parses.
+#: front door (a redirector, or a gateway and its shards), the hosts, the
+#: loadgen.  ``$OUT``, ``$FRONT`` and ``$SHARD`` are filled in at run time;
+#: ``tests/test_schema.py`` checks that each line parses.
 COMMANDS = """
-python -m repro serve --config $OUT/live.json --role redirector --port-file $OUT/r.port --metrics $OUT/redirector.json
+python -m repro serve --config $OUT/live.json --role redirector --port-file $OUT/front.port --metrics $OUT/redirector.json
+python -m repro serve --config $OUT/live.json --role gateway --port-file $OUT/front.port --metrics $OUT/gateway.json
+python -m repro serve --config $OUT/live.json --role shard --shard $SHARD --gateway $FRONT --port-file $OUT/s$SHARD.port --metrics $OUT/shard$SHARD.json
 python -m repro serve --config $OUT/live.json --role host --node 0 --gateway $FRONT --port-file $OUT/h0.port --metrics $OUT/host0.json
 python -m repro serve --config $OUT/live.json --role host --node 1 --gateway $FRONT --port-file $OUT/h1.port --metrics $OUT/host1.json
 python -m repro serve --config $OUT/live.json --role host --node 2 --gateway $FRONT --port-file $OUT/h2.port --metrics $OUT/host2.json
@@ -57,37 +64,43 @@ def _argv(line: str, **values: object) -> list[str]:
     return [sys.executable, *shlex.split(Template(line).substitute(values))[1:]]
 
 
-def run(out: Path) -> dict[str, int]:
+def run(out: Path, shards: int = 1) -> dict[str, int]:
     protocol = live_protocol_config().replace(
         measurement_interval=0.5, placement_interval=1.0
     )
-    (out / "live.json").write_text(
-        json.dumps(LiveConfig(base_port=0, num_hosts=HOSTS, protocol=protocol).to_dict())
+    config = LiveConfig(
+        base_port=0, num_hosts=HOSTS, num_shards=shards, protocol=protocol
     )
+    (out / "live.json").write_text(json.dumps(config.to_dict()))
     for stale in out.glob("*.port"):  # a previous run's: would be read as this one's
         stale.unlink()
-    front_door, *hosts, loadgen = COMMANDS
+    redirector, gateway, shard, *hosts, loadgen = COMMANDS
     processes: list[subprocess.Popen] = []
     try:
         deadline = time.monotonic() + STARTUP_TIMEOUT
+        front_door = redirector if shards == 1 else gateway
         processes.append(subprocess.Popen(_argv(front_door, OUT=out)))
-        address = ("127.0.0.1", _read_port(out / "r.port", deadline))
+        address = ("127.0.0.1", _read_port(out / "front.port", deadline))
         front = f"{address[0]}:{address[1]}"
         print(f"front door at {front}")
+        for index in range(shards if shards > 1 else 0):
+            argv = _argv(shard, OUT=out, FRONT=front, SHARD=index)
+            processes.append(subprocess.Popen(argv))
         for line in hosts:
             processes.append(subprocess.Popen(_argv(line, OUT=out, FRONT=front)))
         ports = [address[1]] + [
             _read_port(out / f"h{node}.port", deadline) for node in range(HOSTS)
         ]
-        # All hosts must have registered at the front door (which they do
-        # once their own server is bound) before the loadgen starts, or
-        # early routes point nowhere.
-        _poll(
-            lambda: len(fetch_endpoints(address, timeout=1.0).get("hosts", {})) == HOSTS
-            or None,
-            deadline,
-            "host registration",
-        )
+
+        # Every host and shard must be in the front door's address book
+        # (a lone redirector lists itself as shard 0) before the loadgen
+        # starts, or early routes point nowhere.
+        def registered():
+            book = fetch_endpoints(address, timeout=1.0)
+            counts = (len(book.get("hosts", {})), len(book.get("shards", {})))
+            return counts == (HOSTS, shards) or None
+
+        _poll(registered, deadline, "registration")
         print("deployment up:", ports)
         subprocess.run(_argv(loadgen, OUT=out, FRONT=front), check=True)
         time.sleep(3)  # a placement round or two after the last request
@@ -110,19 +123,29 @@ def run(out: Path) -> dict[str, int]:
     ]
     assert actions.count("replicate") + actions.count("migrate") >= 1, actions
     assert actions.count("drop") >= 1, actions
-    redirector = json.loads((out / "redirector.json").read_text())["redirector"]
-    assert redirector["routed_total"] >= REQUESTS, redirector
-    assert redirector["unroutable_total"] == 0, redirector
+    names = [f"shard{index}.json" for index in range(shards)]
+    tier = [
+        json.loads((out / name).read_text())["redirector"]
+        for name in (names if shards > 1 else ["redirector.json"])
+    ]
+    assert sum(piece["routed_total"] for piece in tier) >= REQUESTS, tier
+    assert sum(piece["unroutable_total"] for piece in tier) == 0, tier
     return {action: actions.count(action) for action in sorted(set(actions))}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out-dir", default=".", help="where the artefacts go")
+    parser.add_argument(
+        "--shards", type=int, default=1,
+        help="redirector shards; above 1 the front door is a gateway",
+    )
     args = parser.parse_args(argv)
+    if args.shards < 1:
+        parser.error("--shards must be at least 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    print("live smoke ok:", run(out))
+    print("live smoke ok:", run(out, args.shards))
     return 0
 
 

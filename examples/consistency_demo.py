@@ -95,7 +95,7 @@ def main() -> None:
     )
     if migrated:
         # The source-side half of a migration: drop the local copy.
-        system.engine.reduce_affinity(0, CART_PAGE, record_drop=False)
+        system.drive(system.engine.reduce_affinity(0, CART_PAGE, record_drop=False))
     print(f"   MIGRATE   accepted? {migrated} "
           f"(replicas now on hosts {system.replica_hosts(CART_PAGE)} — "
           "count unchanged)")

@@ -1,7 +1,6 @@
 """Analysis helpers: paper tables and figures.
 
-:mod:`~repro.analysis.tables` assembles Table 2 rows
-(adjustment time, mean replicas) from scenario results;
+:mod:`~repro.analysis.tables` renders Table 1 from a scenario config;
 :mod:`~repro.analysis.figures` extracts the exact series each paper
 figure plots, in a renderer-independent form tests assert against;
 :mod:`~repro.analysis.claims` is the paper-claims scorecard.
@@ -19,12 +18,10 @@ from repro.analysis.figures import (
     figure8_series,
 )
 from repro.analysis.stats import across_seeds, summarize
-from repro.analysis.tables import table1_rows, table2_row, table2_rows
+from repro.analysis.tables import table1_rows
 
 __all__ = [
     "table1_rows",
-    "table2_row",
-    "table2_rows",
     "figure6_series",
     "figure7_series",
     "figure8_series",

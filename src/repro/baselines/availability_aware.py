@@ -209,7 +209,7 @@ class AvailabilityAwarePlacer:
         if obj not in system.hosts[node].store:
             return
         for _ in range(max(1, service.affinity(obj, node))):
-            outcome = system.engine.reduce_affinity(node, obj)
+            outcome = system.drive(system.engine.reduce_affinity(node, obj))
             if outcome is AffinityOutcome.REFUSED:
                 return
             if outcome is AffinityOutcome.DROPPED:

@@ -15,13 +15,18 @@ paths): objects mostly requested from elsewhere are the cheapest to evict
 proximity-wise.  Objects whose unit access rate exceeds the replication
 threshold ``m`` are only replicated, never load-migrated, because
 migrating them out "might undo a previous geo-replication".
+
+Like the placement engine, :func:`run_offload` is a protocol step: a
+generator that yields its conversations (:class:`FindRecipient`,
+:class:`CreateObj`, the source-side ``ReduceAffinity``) and is sent
+their answers by the runtime's drive loop.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.placement import PlacementEngine
+from repro.core.runtime import CreateObj, FindRecipient
 from repro.load.bounds import (
     migration_source_max_decrease,
     replication_source_max_decrease,
@@ -32,11 +37,12 @@ from repro.types import NodeId, ObjectId, PlacementAction, PlacementReason, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.host import HostServer
-    from repro.core.runtime import SystemPort
+    from repro.core.placement import PlacementEngine
+    from repro.core.runtime import Step, SystemPort
 
 #: How many board candidates an offloading host probes before giving up
 #: (each probe is a control round trip) — one bound for both planes'
-#: ``SystemPort.probe_offload_recipient``.
+#: answer to :class:`FindRecipient`.
 MAX_RECIPIENT_PROBES = 5
 
 
@@ -57,11 +63,11 @@ def _foreign_fraction(
 
 def run_offload(
     system: "SystemPort",
-    engine: PlacementEngine,
+    engine: "PlacementEngine",
     host: "HostServer",
     now: Time,
     elapsed: float,
-) -> int:
+) -> "Step[int]":
     """Shed objects from ``host`` to one recipient; return objects moved."""
 
     def trace(recipient: NodeId | None, moved: int, reason: str) -> None:
@@ -84,7 +90,7 @@ def run_offload(
     # expired (crashed-host) reports are not trusted.  The recipient
     # "responds to the requesting host with its load value": the running
     # upper-bound estimate starts from that response.
-    probe = system.probe_offload_recipient(host.node, now)
+    probe = yield FindRecipient(host.node, now)
     if probe is None:
         trace(None, 0, "no-recipient")
         return 0
@@ -112,7 +118,7 @@ def run_offload(
         obj_load = host.meter.object_load(obj)
         unit_load = obj_load / affinity
         if unit_rate <= config.replication_threshold:
-            accepted = system.create_obj(
+            accepted = yield CreateObj(
                 host.node,
                 recipient,
                 PlacementAction.MIGRATE,
@@ -123,14 +129,14 @@ def run_offload(
             if not accepted:
                 stop_reason = "refused"
                 break
-            engine.reduce_affinity(
+            yield from engine.reduce_affinity(
                 host.node,
                 obj,
                 shed_bound=migration_source_max_decrease(obj_load, affinity),
                 record_drop=False,
             )
         else:
-            accepted = system.create_obj(
+            accepted = yield CreateObj(
                 host.node,
                 recipient,
                 PlacementAction.REPLICATE,

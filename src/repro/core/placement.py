@@ -19,6 +19,10 @@ Per object, in order:
 If the host is in offloading mode and the pass moved nothing, the bulk
 ``Offload`` protocol (Figure 5, :mod:`repro.core.offload`) runs.
 
+The engine does no I/O: every round is a generator that yields its
+control conversations as :mod:`repro.core.runtime` messages and is sent
+their answers by the runtime driving it.
+
 Access counts reset at the end of every run ("since the last execution of
 the replica placement algorithm").  Outgoing moves update the host's
 lower-bound load estimate using Theorems 1/3, mirroring how incoming
@@ -30,6 +34,8 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING
 
+from repro.core.offload import run_offload
+from repro.core.runtime import AffinityReduced, CreateObj, RequestDrop
 from repro.load.bounds import (
     migration_source_max_decrease,
     replication_source_max_decrease,
@@ -39,7 +45,7 @@ from repro.types import NodeId, ObjectId, PlacementAction, PlacementReason, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.host import HostServer
-    from repro.core.runtime import SystemPort
+    from repro.core.runtime import Step, SystemPort
 
 
 class AffinityOutcome(enum.Enum):
@@ -55,9 +61,10 @@ class PlacementEngine:
 
     ``system`` is any :class:`~repro.core.runtime.SystemPort`: the
     simulated :class:`~repro.core.protocol.HostingSystem` or the live
-    runtime's :class:`~repro.live.system.LiveSystem` — the engine only
-    speaks the port's five control conversations, so the decision logic
-    is identical in both runtimes.
+    runtime's :class:`~repro.live.system.LiveSystem`.  Its two entry
+    points are protocol steps (generators over the runtime messages), so
+    the decision logic is identical in both runtimes; only the loop
+    that answers the messages differs.
     """
 
     def __init__(self, system: "SystemPort") -> None:
@@ -74,7 +81,7 @@ class PlacementEngine:
         *,
         shed_bound: float | None = None,
         record_drop: bool = True,
-    ) -> AffinityOutcome:
+    ) -> "Step[AffinityOutcome]":
         """Drop one affinity unit of ``obj`` on ``node``.
 
         When the local affinity exceeds 1 the host simply decrements it
@@ -92,12 +99,12 @@ class PlacementEngine:
         affinity = host.store.affinity(obj)
         if affinity > 1:
             new_affinity = host.store.reduce(obj)
-            system.notify_affinity_reduced(node, obj, new_affinity)
+            yield AffinityReduced(node, obj, new_affinity)
             outcome = AffinityOutcome.REDUCED
         else:
             # Intention-to-drop arbitration with the redirector (a
-            # persistent round trip; see SystemPort.request_drop).
-            if not system.request_drop(node, obj):
+            # persistent round trip).
+            if not (yield RequestDrop(node, obj)):
                 return AffinityOutcome.REFUSED
             host.store.drop(obj)
             host.clear_object_state(obj)
@@ -118,7 +125,7 @@ class PlacementEngine:
     # DecidePlacement (Figure 3)
     # ------------------------------------------------------------------
 
-    def run_host(self, node: NodeId, now: Time) -> bool:
+    def run_host(self, node: NodeId, now: Time) -> "Step[bool]":
         """One placement round for ``node``; returns True if anything moved."""
         system = self._system
         host = system.hosts[node]
@@ -142,7 +149,7 @@ class PlacementEngine:
             total = counts.get(node, 0)
             unit_rate = total / affinity / elapsed
             if unit_rate < config.deletion_threshold:
-                outcome = self.reduce_affinity(node, obj)
+                outcome = yield from self.reduce_affinity(node, obj)
                 if system.tracer is not None:
                     system.tracer.record(
                         PlacementRecord(
@@ -158,7 +165,9 @@ class PlacementEngine:
                 if outcome is not AffinityOutcome.REFUSED:
                     moved = True
                 continue
-            if self._try_geo_move(host, obj, affinity, counts, total, unit_rate):
+            if (yield from self._try_geo_move(
+                host, obj, affinity, counts, total, unit_rate
+            )):
                 moved = True
                 relieved = True
         # Figure 3 gates Offload on "no objects were dropped, migrated or
@@ -168,7 +177,7 @@ class PlacementEngine:
         # of near-zero-rate replicas would otherwise never reach its
         # relief valve (see DESIGN.md fidelity notes).
         if host.offloading and not relieved:
-            system.run_offload(host, now, elapsed)
+            yield from run_offload(system, self, host, now, elapsed)
         elif system.tracer is not None:
             # The gate evaluation itself is a protocol decision: record
             # why Offload did *not* run this round (run_offload records
@@ -197,7 +206,7 @@ class PlacementEngine:
         counts: dict[NodeId, int],
         total: int,
         unit_rate: float,
-    ) -> bool:
+    ) -> "Step[bool]":
         """Attempt geo-migration, then geo-replication.  True if moved."""
         system = self._system
         config = system.config
@@ -234,21 +243,21 @@ class PlacementEngine:
             )
         )
         for candidate in migration_candidates:
-            if system.create_obj(
+            if (yield CreateObj(
                 node,
                 candidate,
                 PlacementAction.MIGRATE,
                 obj,
                 unit_load,
                 PlacementReason.GEO,
-            ):
+            )):
                 trace(
                     "migrate", "accepted", config.migr_ratio,
                     migration_candidates, candidate,
                 )
                 # The source-side affinity reduction is part of the
                 # migration itself, not a separate drop event.
-                self.reduce_affinity(
+                yield from self.reduce_affinity(
                     node,
                     obj,
                     shed_bound=migration_source_max_decrease(obj_load, affinity),
@@ -271,14 +280,14 @@ class PlacementEngine:
                 )
             )
             for candidate in replication_candidates:
-                if system.create_obj(
+                if (yield CreateObj(
                     node,
                     candidate,
                     PlacementAction.REPLICATE,
                     obj,
                     unit_load,
                     PlacementReason.GEO,
-                ):
+                )):
                     trace(
                         "replicate", "accepted", config.replication_threshold,
                         replication_candidates, candidate,

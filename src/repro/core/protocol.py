@@ -31,15 +31,16 @@ against a 100 s placement interval.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import handle_create_obj  # re-exported for tests
 from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
-from repro.core.offload import MAX_RECIPIENT_PROBES, run_offload
+from repro.core.offload import MAX_RECIPIENT_PROBES
 from repro.core.placement import PlacementEngine
 from repro.core.redirector import RedirectorGroup, RedirectorService
+from repro.core.runtime import AffinityReduced, CreateObj, RequestDrop, Step
 from repro.errors import ProtocolError
 from repro.network.faults import FaultPlane
 from repro.network.message import (
@@ -67,6 +68,7 @@ __all__ = ["HostingSystem", "handle_create_obj"]
 ServedObserver = Callable[[ObjectId, NodeId, NodeId, Time, int], None]
 MeasurementObserver = Callable[[HostServer, Time], None]
 PlacementObserver = Callable[[PlacementEvent], None]
+R = TypeVar("R")
 
 #: How many times a request is re-routed to an alternate replica (after
 #: its chosen host proved dead or replica-less) before failing outright.
@@ -397,7 +399,7 @@ class HostingSystem:
     def _make_placement_tick(self, node: NodeId) -> Callable[[Time], None]:
         def tick(now: Time) -> None:
             if self.hosts[node].available:
-                self.engine.run_host(node, now)
+                self.drive(self.engine.run_host(node, now))
 
         return tick
 
@@ -603,75 +605,51 @@ class HostingSystem:
             observer(obj, gateway, server, issued_at, response_hops)
 
     # ------------------------------------------------------------------
-    # Placement support
+    # Placement support: the loop that answers a protocol step's
+    # messages (core/runtime.py seam) over the simulated backbone;
+    # repro.live.system.LiveSystem answers the same messages over HTTP.
     # ------------------------------------------------------------------
 
-    def find_offload_recipient(
-        self, source: NodeId, now: Time | None = None
-    ) -> NodeId | None:
-        """Probe board candidates for a recipient below its low watermark.
+    def drive(self, step: Step[R]) -> R:
+        """Run a protocol step to completion and return its result.
 
-        Each host is judged against its *own* watermark (heterogeneous
-        hosts have weight-scaled watermarks); probes are most-idle first
-        and each costs a control round trip.  Passing ``now`` lets the
-        board expire stale reports, so crashed hosts (which stop
-        reporting) fall out of the candidate list; an unreachable
-        candidate (dead, or lost to the fault plane) is skipped.
+        Each message the step yields is answered at once, in the order
+        it was yielded, so the conversation is exactly the synchronous
+        call sequence it stands for: same events, same RNG draws.
         """
-        probed = 0
-        for candidate, reported in self.board.candidates(exclude=source, now=now):
-            host = self.hosts[candidate]
-            if reported >= host.low_watermark:
-                continue
-            probed += 1
-            if probed > MAX_RECIPIENT_PROBES:
-                break
-            # Offload request/response round trip.
-            outcome = self.rpc.call(
-                source,
-                candidate,
-                request_bytes=self.control_bytes,
-                response_bytes=self.control_bytes,
-                target_alive=host.available,
-            )
-            if outcome.acked and host.upper_load < host.low_watermark:
-                return candidate
-        return None
+        answer = None
+        try:
+            while True:
+                message = step.send(answer)
+                kind = type(message)
+                if kind is CreateObj:
+                    answer = handle_create_obj(
+                        self,
+                        message.source,
+                        message.candidate,
+                        message.action,
+                        message.obj,
+                        message.unit_load,
+                        message.reason,
+                    )
+                elif kind is AffinityReduced:
+                    answer = self._affinity_reduced(
+                        message.node, message.obj, message.affinity
+                    )
+                elif kind is RequestDrop:
+                    answer = self._request_drop(message.node, message.obj)
+                else:  # FindRecipient
+                    answer = self.find_recipient(message.source, message.now)
+        except StopIteration as done:
+            return done.value
 
-    def run_offload(self, host: HostServer, now: Time, elapsed: float) -> int:
-        """Delegate to the Figure 5 offload protocol."""
-        return run_offload(self, self.engine, host, now, elapsed)
-
-    # ------------------------------------------------------------------
-    # The SystemPort control conversations (core/runtime.py seam).
-    # Each method is the simulated-backbone implementation of one
-    # protocol control exchange; repro.live.system.LiveSystem implements
-    # the same five over real HTTP.
-    # ------------------------------------------------------------------
-
-    def create_obj(
-        self,
-        source: NodeId,
-        candidate: NodeId,
-        action: PlacementAction,
-        obj: ObjectId,
-        unit_load: float,
-        reason: PlacementReason,
-    ) -> bool:
-        """Run the CreateObj handshake over the simulated backbone."""
-        return handle_create_obj(
-            self, source, candidate, action, obj, unit_load, reason
-        )
-
-    def notify_affinity_reduced(
-        self, node: NodeId, obj: ObjectId, new_affinity: int
-    ) -> None:
+    def _affinity_reduced(self, node: NodeId, obj: ObjectId, affinity: int) -> None:
         """Report a non-final affinity decrement to the redirector."""
         redirector = self.redirectors.for_object(obj)
         self.rpc.notify(node, redirector.node, self.control_bytes)
-        redirector.affinity_reduced(obj, node, new_affinity)
+        redirector.affinity_reduced(obj, node, affinity)
 
-    def request_drop(self, node: NodeId, obj: ObjectId) -> bool:
+    def _request_drop(self, node: NodeId, obj: ObjectId) -> bool:
         """Drop arbitration with the redirector (affinity 1 -> 0).
 
         The intention-to-drop exchange must not end ambiguously — a host
@@ -690,15 +668,39 @@ class HostingSystem:
         )
         return redirector.request_drop(obj, node)
 
-    def probe_offload_recipient(
+    def find_recipient(
         self, source: NodeId, now: Time | None = None
     ) -> tuple[NodeId, float, float] | None:
-        """Find an offload recipient and read back its load response."""
-        recipient = self.find_offload_recipient(source, now)
-        if recipient is None:
-            return None
-        host = self.hosts[recipient]
-        return recipient, host.upper_load, host.low_watermark
+        """Probe board candidates for a recipient below its low watermark.
+
+        Returns ``(recipient, upper_load, low_watermark)`` — the load
+        response the recipient sends back — or ``None``.  Each host is
+        judged against its *own* watermark (heterogeneous hosts have
+        weight-scaled watermarks); probes are most-idle first and each
+        costs a control round trip.  Passing ``now`` lets the board
+        expire stale reports, so crashed hosts (which stop reporting)
+        fall out of the candidate list; an unreachable candidate (dead,
+        or lost to the fault plane) is skipped.
+        """
+        probed = 0
+        for candidate, reported in self.board.candidates(exclude=source, now=now):
+            host = self.hosts[candidate]
+            if reported >= host.low_watermark:
+                continue
+            probed += 1
+            if probed > MAX_RECIPIENT_PROBES:
+                break
+            # Offload request/response round trip.
+            outcome = self.rpc.call(
+                source,
+                candidate,
+                request_bytes=self.control_bytes,
+                response_bytes=self.control_bytes,
+                target_alive=host.available,
+            )
+            if outcome.acked and host.upper_load < host.low_watermark:
+                return candidate, host.upper_load, host.low_watermark
+        return None
 
     def record_placement(
         self,

@@ -1,9 +1,9 @@
-"""The transport+clock seam between the protocol and its runtime.
+"""The seam between the protocol and its runtime: a clock and messages.
 
 The replication/migration protocol logic (:mod:`repro.core.placement`,
 :mod:`repro.core.create_obj`, :mod:`repro.core.offload`) is written
-against two small abstractions instead of the simulator directly, so the
-same decision code drives both runtimes:
+against this module instead of the simulator directly, so the same
+decision code drives both runtimes:
 
 * the **discrete-event simulator** (:class:`~repro.sim.engine.Simulator`
   inside :class:`~repro.core.protocol.HostingSystem`), where control
@@ -18,18 +18,24 @@ property measured in seconds.  The simulator satisfies it natively; the
 live runtime provides :class:`~repro.live.clock.WallClock` and the
 test-driven :class:`~repro.live.clock.ManualClock`.
 
-:class:`SystemPort` is the transport half: the exact surface the
-placement engine and the offload protocol require of "the system".
-:class:`~repro.core.protocol.HostingSystem` implements it over the
-simulated backbone; :class:`~repro.live.system.LiveSystem` implements it
-over HTTP.  Keeping the port explicit (and narrow) is what guarantees
-the two runtimes cannot drift apart: protocol decisions only ever see
-this interface.
+The conversations half is sans-I/O.  A protocol step —
+``PlacementEngine.run_host``, ``PlacementEngine.reduce_affinity``,
+``run_offload`` — is a generator that *yields* the control messages of
+Figures 3-5 below (``accepted = yield CreateObj(...)``) and never
+touches a transport; sub-steps compose with ``yield from``.  Each
+runtime drives the generator with its own loop:
+:meth:`HostingSystem.drive <repro.core.protocol.HostingSystem.drive>`
+answers every message synchronously over the simulated backbone, and
+:meth:`LiveSystem.drive <repro.live.system.LiveSystem.drive>` awaits
+each answer over HTTP on the host's event loop.  :class:`SystemPort` is
+what the step may read besides: configuration, clock, routes, tracer,
+the hosts the runtime owns, and the placement log.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Generator, Mapping, Protocol, TypeVar, runtime_checkable
 
 from repro.types import (
     NodeId,
@@ -67,12 +73,8 @@ class SystemPort(Protocol):
         process owns exactly its own entry — the protocol code only ever
         indexes it with the node currently making a decision.
 
-    Methods
-    -------
-    The five control conversations below are the complete transport
-    surface of the placement protocol.  Each is synchronous from the
-    caller's point of view; the simulated implementation accounts
-    message bytes, the live one performs real HTTP round trips.
+    The port has no conversation methods: the decision code *yields*
+    the messages below and its runtime's drive loop answers them.
     """
 
     config: "ProtocolConfig"
@@ -80,39 +82,6 @@ class SystemPort(Protocol):
     routes: "RoutingDatabase"
     tracer: object | None
     hosts: Mapping[NodeId, "HostServer"]
-
-    def create_obj(
-        self,
-        source: NodeId,
-        candidate: NodeId,
-        action: PlacementAction,
-        obj: ObjectId,
-        unit_load: float,
-        reason: PlacementReason,
-    ) -> bool:
-        """Run the Figure 4 CreateObj handshake with ``candidate``."""
-        ...  # pragma: no cover - protocol
-
-    def notify_affinity_reduced(
-        self, node: NodeId, obj: ObjectId, new_affinity: int
-    ) -> None:
-        """Tell the object's redirector about a non-final affinity drop."""
-        ...  # pragma: no cover - protocol
-
-    def request_drop(self, node: NodeId, obj: ObjectId) -> bool:
-        """Ask the object's redirector to approve dropping the replica."""
-        ...  # pragma: no cover - protocol
-
-    def probe_offload_recipient(
-        self, source: NodeId, now: Time | None = None
-    ) -> tuple[NodeId, float, float] | None:
-        """Find an under-loaded offload recipient (Figure 5, step 1).
-
-        Returns ``(recipient, reported_upper_load, low_watermark)`` — the
-        recipient "responds to the requesting host with its load value" —
-        or ``None`` when no candidate is below its low watermark.
-        """
-        ...  # pragma: no cover - protocol
 
     def record_placement(
         self,
@@ -127,6 +96,63 @@ class SystemPort(Protocol):
         """Log one replica-set change for metrics/observability."""
         ...  # pragma: no cover - protocol
 
-    def run_offload(self, host: "HostServer", now: Time, elapsed: float) -> int:
-        """Run the Figure 5 bulk offload protocol for ``host``."""
-        ...  # pragma: no cover - protocol
+
+# ----------------------------------------------------------------------
+# The control conversations (Figures 3-5), as messages.  A protocol step
+# is a generator: ``answer = yield Message(...)``; the runtime's loop
+# performs the conversation and sends the answer back in.  Slotted but
+# not frozen: a frozen dataclass's __init__ costs about four times as
+# much, paid per message on the simulator's placement path.
+# ----------------------------------------------------------------------
+
+
+@dataclass(slots=True)
+class CreateObj:
+    """Offer ``obj`` to ``candidate`` (Figure 4).  Answer: accepted?"""
+
+    source: NodeId
+    candidate: NodeId
+    action: PlacementAction
+    obj: ObjectId
+    unit_load: float
+    reason: PlacementReason
+
+
+@dataclass(slots=True)
+class AffinityReduced:
+    """Tell the object's redirector about a non-final affinity drop.
+    Answer: ``None`` (notify grade)."""
+
+    node: NodeId
+    obj: ObjectId
+    affinity: int
+
+
+@dataclass(slots=True)
+class RequestDrop:
+    """Ask the object's redirector to approve dropping the last local
+    affinity unit (a persistent round trip).  Answer: approved?"""
+
+    node: NodeId
+    obj: ObjectId
+
+
+@dataclass(slots=True)
+class FindRecipient:
+    """Find an under-loaded offload recipient (Figure 5, step 1).
+
+    Answer: ``(recipient, reported_upper_load, low_watermark)`` — the
+    recipient "responds to the requesting host with its load value" — or
+    ``None`` when no probed candidate is below its low watermark.
+    """
+
+    source: NodeId
+    now: Time
+
+
+#: Anything a protocol step may yield.
+Message = CreateObj | AffinityReduced | RequestDrop | FindRecipient
+
+R = TypeVar("R")
+#: A protocol step: yields messages, is sent their answers, returns ``R``.
+Step = Generator[Message, object, R]

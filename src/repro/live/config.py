@@ -130,9 +130,6 @@ class LiveConfig:
     #: Bounded-queue backpressure: max control requests in flight per
     #: shard before 429s start.
     control_max_inflight: int = 256
-    #: Optional token-bucket rate for ``GET /route`` (gateway and
-    #: shards); ``None`` leaves the data plane unthrottled.
-    route_rate_limit: float | None = None
     protocol: ProtocolConfig = field(default_factory=live_protocol_config)
 
     def __post_init__(self) -> None:
@@ -159,8 +156,6 @@ class LiveConfig:
             raise ConfigurationError("control_burst must be at least 1")
         if self.control_max_inflight < 1:
             raise ConfigurationError("control_max_inflight must be at least 1")
-        if self.route_rate_limit is not None and self.route_rate_limit <= 0:
-            raise ConfigurationError("route_rate_limit must be positive")
         ports_needed = self.num_hosts + self._shard_port_offset()
         if self.base_port != 0 and not 1024 <= self.base_port <= 65535 - ports_needed:
             raise ConfigurationError(

@@ -315,14 +315,13 @@ async def serve_role(
         banner += f" ({config.num_shards} shards expected)"
     elif role == "shard" and gateway is not None:
         control = ControlPlane(directory)
-        control.bind(asyncio.get_running_loop())
         try:
-            await asyncio.to_thread(control.register_shard, index, address)
+            await control.register_shard(index, address)
         finally:
             await control.close()
     elif role == "host":
         if config.base_port == 0:
-            await asyncio.to_thread(server.control.register_host, index, address)
+            await server.control.register_host(index, address)
         server.start_timers()
     print(banner, file=sys.stderr)
     try:

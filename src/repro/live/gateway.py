@@ -77,10 +77,6 @@ class LiveGateway(TierMember):
             obj = int(request.query["obj"])
         except (KeyError, ValueError):
             return error_response(400, "route needs integer obj=")
-        if self.route_gate is not None:
-            wait = self.route_gate.try_acquire()
-            if wait > 0.0:
-                return throttle_response(wait)
         self.route_forwards += 1
         return await self._forward(self.ring.owner(obj), request)
 

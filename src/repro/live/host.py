@@ -13,32 +13,31 @@ and load probes, and runs the two wall-clock protocol timers:
   DecidePlacement round, which may fan out CreateObj offers, drop
   arbitration and bulk Offload over the control plane.
 
-Timer ticks and the CreateObj handler hold blocking control
-conversations, so they run on ``asyncio.to_thread`` workers: each
-:class:`~repro.live.client.ControlPlane` call hands its exchange to this
-process's event loop (bound in :meth:`LiveHostNode.start`) and waits off
-it.  Request-path handlers touch only in-process state and stay on the
-event loop.  Shared host state is mutated under the GIL without extra
-locks — every mutation is a small pure-Python operation, and the
-alternative (one lock spanning an outbound control call) deadlocks
-single-process deployments where the callee lives on the same event
-loop.
+Everything runs on the process's one event loop.  The timers and the
+CreateObj handler await their control conversations
+(:class:`~repro.live.client.ControlPlane` coroutines); request-path
+handlers touch only in-process state and answer inline.  Host state
+needs no locks: it changes only between awaits, and a round that is
+waiting on a peer sees the same interleaving a simulated host would see
+from requests arriving mid-conversation.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from functools import partial
 
 from repro.core.host import HostServer
-from repro.core.runtime import Clock
+from repro.core.runtime import Clock, CreateObj
 from repro.obs.tracer import ProtocolTracer
 from repro.routing.routes_db import RoutingDatabase
-from repro.types import NodeId, ObjectId
+from repro.types import NodeId, ObjectId, PlacementAction, PlacementReason
 
 from repro.live.client import ControlPlane
 from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.httpd import (
+    BadRequest,
     HttpServer,
     Request,
     Response,
@@ -47,6 +46,11 @@ from repro.live.httpd import (
     json_response,
 )
 from repro.live.system import LiveSystem
+
+
+#: What a CreateObj offer may ask for, and why.
+OFFER_ACTIONS = (PlacementAction.MIGRATE.value, PlacementAction.REPLICATE.value)
+OFFER_REASONS = tuple(reason.value for reason in PlacementReason)
 
 
 def object_payload(obj: ObjectId, size: int) -> bytes:
@@ -114,9 +118,58 @@ class LiveHostNode:
         router.add("GET", "/healthz", self._healthz)
         return router
 
+    def _object_id(self, text: str) -> ObjectId:
+        """An object id from a request path, checked before anything uses it."""
+        limit = self.config.num_objects
+        if not (text.isdecimal() and int(text) < limit):
+            raise BadRequest(f"object id must be an integer in [0, {limit}), got {text!r}")
+        return int(text)
+
+    def _offer(self, payload: dict) -> tuple[CreateObj, tuple[str, int] | None]:
+        """Validate a CreateObj offer field by field (400 names the field)."""
+
+        def field(key: str, valid, expected: str):
+            value = payload.get(key)
+            if not valid(value):
+                raise BadRequest(f"create_obj {key} must be {expected}, got {value!r}")
+            return value
+
+        nodes, objects = self.routes.num_nodes, self.config.num_objects
+        source = field(
+            "source", lambda v: type(v) is int and 0 <= v < nodes,
+            f"a node id in [0, {nodes})",
+        )
+        obj = field(
+            "obj", lambda v: type(v) is int and 0 <= v < objects,
+            f"an object id in [0, {objects})",
+        )
+        unit_load = field(
+            "unit_load", lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+            "a finite number >= 0",
+        )
+        action = field("action", OFFER_ACTIONS.__contains__, f"one of {OFFER_ACTIONS}")
+        reason = field("reason", OFFER_REASONS.__contains__, f"one of {OFFER_REASONS}")
+        addr = field(
+            "source_addr",
+            lambda v: v is None or (
+                isinstance(v, list) and len(v) == 2
+                and isinstance(v[0], str) and type(v[1]) is int
+            ),
+            "[host, port]",
+        )
+        offer = CreateObj(
+            source,
+            self.node,
+            PlacementAction(action),
+            obj,
+            float(unit_load),
+            PlacementReason(reason),
+        )
+        return offer, (addr[0], addr[1]) if addr is not None else None
+
     def _serve_object(self, request: Request, params: dict) -> Response:
         """The data plane: service one client request for an object."""
-        obj = int(params["obj"])
+        obj = self._object_id(params["obj"])
         host = self.host
         if not host.available:
             return error_response(503, "host unavailable")
@@ -147,20 +200,14 @@ class LiveHostNode:
 
     async def _serve_data(self, request: Request, params: dict) -> Response:
         """The bulk copy: a peer pulls the object during CreateObj."""
-        obj = int(params["obj"])
+        obj = self._object_id(params["obj"])
         if obj not in self.host.store:
             return error_response(404, f"no replica of object {obj} here")
         return Response(status=200, body=object_payload(obj, self.config.object_size))
 
     async def _create_obj(self, request: Request, params: dict) -> Response:
-        payload = request.json()
-        for key in ("source", "obj", "action", "reason", "unit_load"):
-            if key not in payload:
-                return error_response(400, f"create_obj missing {key!r}")
-        # The handler pulls bytes from the source and registers with the
-        # redirector — blocking control calls, so off the event loop it goes.
-        reply = await asyncio.to_thread(self.system.handle_create_obj, payload)
-        return json_response(reply)
+        offer, source_addr = self._offer(request.json())
+        return json_response(await self.system.handle_create_obj(offer, source_addr))
 
     async def _load_probe(self, request: Request, params: dict) -> Response:
         host = self.host
@@ -189,7 +236,7 @@ class LiveHostNode:
     async def start(self, *, timers: bool = True) -> int:
         """Bind the server (returning the port) and start the timers."""
         port = await self.server.start()
-        self.control.bind(asyncio.get_running_loop())
+        self.system.loop = asyncio.get_running_loop()
         # Advertise the bound address: our own directory entry (local
         # single-process deployments read it directly) and the CreateObj
         # source address (peers pull the bulk copy from it).
@@ -216,7 +263,7 @@ class LiveHostNode:
                 self._timer(
                     protocol.measurement_interval,
                     protocol.measurement_interval,
-                    self.system.measurement_tick,
+                    self.system.measurement_round,
                 ),
                 name=f"host{self.node}-measurement",
             ),
@@ -224,17 +271,17 @@ class LiveHostNode:
                 self._timer(
                     first_placement,
                     protocol.placement_interval,
-                    self.system.placement_tick,
+                    self.system.placement_round,
                 ),
                 name=f"host{self.node}-placement",
             ),
         ]
 
     @staticmethod
-    async def _timer(first_delay: float, interval: float, tick) -> None:
+    async def _timer(first_delay: float, interval: float, round_) -> None:
         await asyncio.sleep(first_delay)
         while True:
-            await asyncio.to_thread(tick)
+            await round_()
             await asyncio.sleep(interval)
 
     async def stop(self) -> None:

@@ -11,10 +11,10 @@ reads requests with it and :class:`~repro.live.pool.HttpPool` replies.
 
 Handlers are ``handler(request, params) -> Response`` and run on the
 event loop: a plain function answers in the callback that framed its
-request, an ``async def`` may wait first.  Blocking work (outbound
-synchronous control calls) must be pushed to a thread with
-:func:`asyncio.to_thread` so a handler never stalls the loop that its
-peers in the same process are served from.
+request, an ``async def`` may wait first (an outbound control
+conversation is awaited, never blocked on — the loop also serves the
+handler's peers in the same process).  A handler that raises
+:class:`BadRequest` answers 400 with its message.
 """
 
 from __future__ import annotations

@@ -158,10 +158,6 @@ class LiveRedirector(TierMember):
             return error_response(400, "route needs integer obj= and gateway=")
         if not self.owns(obj):
             return self._to_owner(obj, request)
-        if self.route_gate is not None:
-            wait = self.route_gate.try_acquire()
-            if wait > 0.0:
-                return throttle_response(wait)
         if not self.service.knows(obj):
             return error_response(404, f"unknown object {obj}")
         server = self.service.choose_replica(gateway, obj, exclude=exclude)

@@ -11,16 +11,30 @@ fault plane, the live system holds exactly one host and pays for its
 conversations with real sockets; transport failures map onto the same
 refusal reasons the simulator's fault plane produces (``rpc-timeout``),
 so traces from both runtimes read identically.
+
+Everything here runs on the host process's event loop: :meth:`drive`
+awaits the answer to each message a protocol step yields, and the
+CreateObj handler awaits its bulk copy and registration.  The one
+off-loop entry is the pair of tick shims at the bottom.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import apply_create_obj, decide_create_obj
 from repro.core.host import HostServer
-from repro.core.offload import MAX_RECIPIENT_PROBES, run_offload
+from repro.core.offload import MAX_RECIPIENT_PROBES
 from repro.core.placement import PlacementEngine
-from repro.core.runtime import Clock
+from repro.core.runtime import (
+    AffinityReduced,
+    Clock,
+    CreateObj,
+    FindRecipient,
+    RequestDrop,
+    Step,
+)
 from repro.obs.records import CreateObjRecord
 from repro.obs.tracer import ProtocolTracer
 from repro.routing.routes_db import RoutingDatabase
@@ -30,11 +44,10 @@ from repro.types import (
     PlacementAction,
     PlacementEvent,
     PlacementReason,
-    Time,
 )
 
 from repro.live.client import ControlPlane
-from repro.live.pool import TransportError
+from repro.live.pool import Address, TransportError
 
 
 class LiveSystem:
@@ -72,45 +85,57 @@ class LiveSystem:
         #: Replica-set changes this host initiated or accepted, exported
         #: with the live metrics.
         self.placement_events: list[PlacementEvent] = []
+        #: The host's event loop, read only by the off-loop tick shims.
+        self.loop: asyncio.AbstractEventLoop | None = None
 
     # ------------------------------------------------------------------
-    # SystemPort: the five control conversations
+    # The drive loop: a protocol step's messages, answered over HTTP
     # ------------------------------------------------------------------
 
-    def create_obj(
-        self,
-        source: NodeId,
-        candidate: NodeId,
-        action: PlacementAction,
-        obj: ObjectId,
-        unit_load: float,
-        reason: PlacementReason,
-    ) -> bool:
-        """Offer ``obj`` to ``candidate`` over HTTP (Figure 4, source side)."""
+    async def drive(self, step: Step):
+        """Run a protocol step to completion on this loop; return its result."""
+        answer = None
+        while True:
+            try:
+                message = step.send(answer)
+            except StopIteration as done:
+                return done.value
+            kind = type(message)
+            if kind is CreateObj:
+                answer = await self._create_obj(message)
+            elif kind is AffinityReduced:
+                answer = await self._affinity_reduced(message)
+            elif kind is RequestDrop:
+                answer = await self._request_drop(message)
+            else:  # FindRecipient
+                answer = await self._find_recipient(message)
+
+    async def _create_obj(self, offer: CreateObj) -> bool:
+        """Offer the object to the candidate (Figure 4, source side)."""
         payload = {
-            "source": source,
-            "obj": obj,
-            "action": action.value,
-            "reason": reason.value,
-            "unit_load": unit_load,
+            "source": offer.source,
+            "obj": offer.obj,
+            "action": offer.action.value,
+            "reason": offer.reason.value,
+            "unit_load": offer.unit_load,
         }
         if self.advertised is not None:
             payload["source_addr"] = list(self.advertised)
         try:
-            reply = self.control.create_obj(candidate, payload)
+            reply = await self.control.create_obj(offer.candidate, payload)
         except TransportError:
             reply = {"accepted": False, "reason": "rpc-timeout"}
         accepted = bool(reply.get("accepted"))
         if self.tracer is not None:
             self.tracer.record(
                 CreateObjRecord(
-                    source=source,
-                    candidate=candidate,
-                    obj=obj,
-                    action=action.value,
+                    source=offer.source,
+                    candidate=offer.candidate,
+                    obj=offer.obj,
+                    action=offer.action.value,
                     accepted=accepted,
                     reason=str(reply.get("reason", "unknown")),
-                    unit_load=unit_load,
+                    unit_load=offer.unit_load,
                     upper_load=float(reply.get("upper_load", 0.0)),
                     low_watermark=float(reply.get("low_watermark", 0.0)),
                     high_watermark=float(reply.get("high_watermark", 0.0)),
@@ -121,37 +146,33 @@ class LiveSystem:
         # deployment-wide aggregation counts each move exactly once.
         return accepted
 
-    def notify_affinity_reduced(
-        self, node: NodeId, obj: ObjectId, new_affinity: int
-    ) -> None:
+    async def _affinity_reduced(self, notice: AffinityReduced) -> None:
         try:
-            self.control.affinity_reduced(node, obj, new_affinity)
+            await self.control.affinity_reduced(
+                notice.node, notice.obj, notice.affinity
+            )
         except TransportError:
             # Notify grade: a lost report leaves the redirector with a
             # stale (higher) affinity, never an unsafe registry state.
             pass
 
-    def request_drop(self, node: NodeId, obj: ObjectId) -> bool:
+    async def _request_drop(self, request: RequestDrop) -> bool:
         try:
-            reply = self.control.request_drop(node, obj)
+            reply = await self.control.request_drop(request.node, request.obj)
         except TransportError:
             # Arbitration unreachable: conservatively keep the replica.
             return False
         return bool(reply.get("approved"))
 
-    def probe_offload_recipient(
-        self, source: NodeId, now: Time | None = None
+    async def _find_recipient(
+        self, search: FindRecipient
     ) -> tuple[NodeId, float, float] | None:
         try:
-            candidates = self.control.offload_candidates(exclude=source)
+            candidates = await self.control.offload_candidates(exclude=search.source)
         except TransportError:
             return None
-        probed = 0
-        for entry in candidates:
+        for entry in candidates[:MAX_RECIPIENT_PROBES]:
             candidate = int(entry["node"])
-            probed += 1
-            if probed > MAX_RECIPIENT_PROBES:
-                break
             # "The recipient responds to the requesting host with its
             # load value": the fresh probe, not the board report, seeds
             # the running upper-bound estimate.  The board entry may
@@ -159,7 +180,7 @@ class LiveSystem:
             # it); fall back to the local directory otherwise.
             addr = entry.get("addr")
             try:
-                reply = self.control.host_load(
+                reply = await self.control.host_load(
                     candidate,
                     address=(str(addr[0]), int(addr[1])) if addr else None,
                 )
@@ -193,26 +214,23 @@ class LiveSystem:
             )
         )
 
-    def run_offload(self, host: HostServer, now: Time, elapsed: float) -> int:
-        return run_offload(self, self.engine, host, now, elapsed)
-
     # ------------------------------------------------------------------
-    # Candidate side of CreateObj (invoked by the HTTP handler)
+    # Candidate side of CreateObj (awaited by the HTTP handler)
     # ------------------------------------------------------------------
 
-    def handle_create_obj(self, payload: dict) -> dict:
-        """Decide a CreateObj offer against local state (Figure 4).
+    async def handle_create_obj(
+        self, offer: CreateObj, source_addr: Address | None = None
+    ) -> dict:
+        """Decide a validated CreateObj offer against local state (Figure 4).
 
-        Runs on a worker thread.  On acceptance the bytes are pulled from
-        the source (the bulk copy) before local state changes, and the
-        redirector registration happens before the accept is returned —
-        the registry-subset invariant needs the copy to exist first and
-        the source to only trust an accept that is already registered.
+        On acceptance the bytes are pulled from the source (the bulk
+        copy, from ``source_addr`` when the offer carried one) before
+        local state changes, and the redirector registration happens
+        before the accept is returned — the registry-subset invariant
+        needs the copy to exist first and the source to only trust an
+        accept that is already registered.
         """
-        source = int(payload["source"])
-        obj = int(payload["obj"])
-        action = PlacementAction(payload["action"])
-        unit_load = float(payload["unit_load"])
+        obj = offer.obj
         host = self.host
 
         def refuse(reason: str) -> dict:
@@ -224,28 +242,21 @@ class LiveSystem:
                 "high_watermark": host.high_watermark,
             }
 
-        refusal = decide_create_obj(host, action, obj, unit_load)
+        refusal = decide_create_obj(host, offer.action, obj, offer.unit_load)
         if refusal is not None:
             return refuse(refusal)
         copied = 0
         if obj not in host.store:
-            source_addr = payload.get("source_addr")
             try:
-                data = self.control.fetch_object(
-                    source,
-                    obj,
-                    address=(
-                        (str(source_addr[0]), int(source_addr[1]))
-                        if source_addr
-                        else None
-                    ),
+                data = await self.control.fetch_object(
+                    offer.source, obj, address=source_addr
                 )
             except TransportError:
                 return refuse("copy-failed")
             copied = len(data)
-        affinity = apply_create_obj(host, obj, unit_load, self.clock.now)
+        affinity = apply_create_obj(host, obj, offer.unit_load, self.clock.now)
         try:
-            self.control.replica_created(self.node, obj, affinity)
+            await self.control.replica_created(self.node, obj, affinity)
         except TransportError:
             # Registration never landed: undo so no unregistered replica
             # lingers (it could never be dropped — the redirector would
@@ -257,10 +268,10 @@ class LiveSystem:
                 host.store.reduce(obj)
             return refuse("register-failed")
         self.record_placement(
-            PlacementAction(payload["action"]),
-            PlacementReason(payload["reason"]),
+            offer.action,
+            offer.reason,
             obj,
-            source=source,
+            source=offer.source,
             target=self.node,
             copied_bytes=copied,
         )
@@ -275,19 +286,37 @@ class LiveSystem:
         }
 
     # ------------------------------------------------------------------
-    # Wall-clock protocol timers
+    # The wall-clock protocol rounds
     # ------------------------------------------------------------------
 
-    def measurement_tick(self) -> float:
+    async def measurement_round(self) -> float:
         """Fold the meter into the estimator and report to the board."""
-        now = self.clock.now
-        load = self.host.measure(now)
+        load = self.host.measure(self.clock.now)
         try:
-            self.control.load_report(self.node, load)
+            await self.control.load_report(self.node, load)
         except TransportError:
             pass  # next interval's report supersedes this one anyway
         return load
 
-    def placement_tick(self) -> bool:
+    async def placement_round(self) -> bool:
         """One DecidePlacement round (Figure 3) for this host."""
-        return self.engine.run_host(self.node, self.clock.now)
+        return await self.drive(self.engine.run_host(self.node, self.clock.now))
+
+    # ------------------------------------------------------------------
+    # The off-loop tick shims, the one sanctioned thread crossing.
+    # ``bench/liveplane.py`` calls them through ``asyncio.to_thread``;
+    # the benchmark change that awaits the rounds instead deletes them
+    # and ``loop``.  Called on the loop itself they would deadlock.
+    # ------------------------------------------------------------------
+
+    def measurement_tick(self) -> float:
+        """Off-loop shim: run :meth:`measurement_round` on ``loop``."""
+        return self._run_on_loop(self.measurement_round())
+
+    def placement_tick(self) -> bool:
+        """Off-loop shim: run :meth:`placement_round` on ``loop``."""
+        return self._run_on_loop(self.placement_round())
+
+    def _run_on_loop(self, round_):
+        """Hand ``round_`` to the host's loop; block this thread until it ends."""
+        return asyncio.run_coroutine_threadsafe(round_, self.loop).result()

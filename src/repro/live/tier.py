@@ -3,7 +3,7 @@
 Both are members of the sharded redirector tier (DESIGN §10): each holds
 the same consistent-hash ring, relays a conversation it does not own to
 the shard that does over its pooled keep-alive client, sheds control
-load through the same gates, and folds the gateway's peers broadcast
+load through the same gate, and folds the gateway's peers broadcast
 into its address book.  Written once here; what differs between the two
 (who is asked, what is applied locally) stays in their own modules.
 """
@@ -14,7 +14,7 @@ from urllib.parse import urlencode
 
 from repro.routing.hashring import HashRing
 
-from repro.live.backpressure import Backpressure, TokenBucket
+from repro.live.backpressure import Backpressure
 from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.httpd import (
     HttpServer,
@@ -27,7 +27,7 @@ from repro.live.pool import HttpPool, TransportError
 
 
 class TierMember:
-    """The ring, the relay onto it, the gates and the peers handler."""
+    """The ring, the relay onto it, the control gate and the peers handler."""
 
     server: HttpServer
 
@@ -40,11 +40,6 @@ class TierMember:
             rate=config.control_rate_limit,
             burst=config.control_burst,
             max_inflight=config.control_max_inflight,
-        )
-        self.route_gate = (
-            TokenBucket(config.route_rate_limit, config.control_burst)
-            if config.route_rate_limit is not None
-            else None
         )
 
     async def _forward(self, shard: int, request: Request) -> Response:

@@ -6,8 +6,7 @@ that?" with three solvers of increasing generality:
 
 * :mod:`repro.optimal.tree_dp` — exact single-object replica placement
   on annotated trees under the Closest allocation policy (capacity and
-  QoS constrained), certified by the exhaustive search in
-  :mod:`repro.optimal.brute_force`;
+  QoS constrained), certified in its tests by an exhaustive search;
 * :mod:`repro.optimal.transport` — an exact min-cost-flow transportation
   solver, the engine behind the gap harness's per-run lower bound;
 * :mod:`repro.optimal.multi_object` — a capacity-aware greedy placer for
@@ -20,7 +19,6 @@ computes the offline-optimal cost for the demand each run actually saw,
 and reports the ratio.
 """
 
-from repro.optimal.brute_force import MAX_BRUTE_FORCE_NODES, brute_force_tree_placement
 from repro.optimal.gap import (
     CapacityViolationCounter,
     DemandTrace,
@@ -54,7 +52,6 @@ __all__ = [
     "DemandTrace",
     "GapSettings",
     "INF_SLACK",
-    "MAX_BRUTE_FORCE_NODES",
     "MinCostFlow",
     "MultiObjectPlacement",
     "OracleBound",
@@ -62,7 +59,6 @@ __all__ = [
     "TransportPlan",
     "TreeInstance",
     "TreePlacement",
-    "brute_force_tree_placement",
     "evaluate_tree_placement",
     "greedy_multi_object_placement",
     "greedy_replica_set",

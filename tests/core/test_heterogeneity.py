@@ -132,4 +132,4 @@ def test_offload_recipient_respects_per_host_watermarks():
     system.board.report(3, 8.0, 0.0)
     system.hosts[2].estimator.on_measurement(8.0, 0.0)
     system.hosts[3].estimator.on_measurement(8.0, 0.0)
-    assert system.find_offload_recipient(0) == 3
+    assert system.find_recipient(0)[0] == 3

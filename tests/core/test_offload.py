@@ -2,6 +2,7 @@
 
 
 from repro.core.config import ProtocolConfig
+from repro.core.offload import run_offload
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
 from repro.types import PlacementAction, PlacementReason
@@ -44,6 +45,13 @@ def report_idle(system, nodes, load=2.0, at=100.0):
         system.hosts[node].estimator.on_measurement(load, 0.0)
 
 
+def offload(system, *, now=100.0, elapsed=100.0):
+    """Drive one Offload run for host 0 and return the objects moved."""
+    return system.drive(
+        run_offload(system, system.engine, system.hosts[0], now, elapsed)
+    )
+
+
 def feed_foreign(system, obj, gateway, count):
     host = system.hosts[0]
     for _ in range(count):
@@ -57,7 +65,7 @@ def test_offload_migrates_cold_objects_to_recipient():
     # Low unit access rates (below m): offload uses MIGRATE.
     for obj in range(8):
         feed_foreign(system, obj, 4, 1)
-    moved = system.run_offload(system.hosts[0], 100.0, 100.0)
+    moved = offload(system)
     assert moved >= 1
     migrations = [
         e
@@ -76,7 +84,7 @@ def test_offload_replicates_hot_objects():
     report_idle(system, [4])
     feed_foreign(system, 0, 4, 50)  # 0.5 req/s > m
     feed_foreign(system, 1, 4, 60)
-    system.run_offload(system.hosts[0], 100.0, 100.0)
+    offload(system)
     load_events = [
         e for e in system.placement_events if e.reason is PlacementReason.LOAD
     ]
@@ -95,7 +103,7 @@ def test_offload_orders_by_foreign_fraction():
     feed_foreign(system, 1, 0, 1)  # 90% foreign
     feed_foreign(system, 2, 4, 5)
     feed_foreign(system, 2, 0, 5)  # 50% foreign
-    system.run_offload(system.hosts[0], 100.0, 100.0)
+    offload(system)
     moved_order = [
         e.obj for e in system.placement_events if e.reason is PlacementReason.LOAD
     ]
@@ -110,7 +118,7 @@ def test_offload_stops_when_recipient_budget_exhausted():
     report_idle(system, [4], load=8.0)  # close to lw=10
     for obj in range(8):
         feed_foreign(system, obj, 4, 1)
-    moved = system.run_offload(system.hosts[0], 100.0, 100.0)
+    moved = offload(system)
     # First transfer bumps the estimate to 8 + 4*3 = 20 >= lw: stop there.
     assert moved == 1
 
@@ -129,7 +137,7 @@ def test_offload_stops_when_sender_relieved():
     report_idle(system, [4], load=0.0)
     for obj in range(8):
         feed_foreign(system, obj, 4, 1)
-    system.run_offload(system.hosts[0], 100.0, 100.0)
+    offload(system)
     moved = [e for e in system.placement_events if e.reason is PlacementReason.LOAD]
     assert len(moved) == 2
     assert system.hosts[0].lower_load <= CONFIG.low_watermark
@@ -141,7 +149,7 @@ def test_offload_without_recipient_is_noop():
     # Nobody reported below lw.
     for node in range(1, 5):
         system.board.report(node, 15.0, 0.0)
-    assert system.run_offload(system.hosts[0], 100.0, 100.0) == 0
+    assert offload(system) == 0
 
 
 def test_offload_revalidates_stale_board_reports():
@@ -151,7 +159,7 @@ def test_offload_revalidates_stale_board_reports():
     saturate(system, per_object={obj: 3.0 for obj in range(8)})
     system.board.report(4, 2.0, 0.0)  # stale: host 4 is actually loaded
     system.hosts[4].estimator.on_measurement(15.0, 0.0)
-    assert system.find_offload_recipient(0) is None
+    assert system.find_recipient(0) is None
 
 
 def test_placement_round_triggers_offload_when_geo_moves_fail():
@@ -164,7 +172,7 @@ def test_placement_round_triggers_offload_when_geo_moves_fail():
     feed_foreign(system, 1, 0, 50)
     system.sim.schedule_at(100.0, lambda: None)
     system.sim.run(until=100.0)
-    system.engine.run_host(0, 100.0)
+    system.drive(system.engine.run_host(0, 100.0))
     assert any(
         e.reason is PlacementReason.LOAD for e in system.placement_events
     )

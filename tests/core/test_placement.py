@@ -44,7 +44,7 @@ def advance_to(system, t):
 
 def run_placement(system, *, host=0, at=100.0):
     advance_to(system, at)
-    return system.engine.run_host(host, at)
+    return system.drive(system.engine.run_host(host, at))
 
 
 def test_cold_object_drops_one_affinity_unit(system):
@@ -137,18 +137,18 @@ def test_reduce_affinity_outcomes(system):
     engine = system.engine
     system.hosts[0].store.add(2)
     system.redirectors.for_object(2).replica_created(2, 0, 2)
-    assert engine.reduce_affinity(0, 2) is AffinityOutcome.REDUCED
-    assert engine.reduce_affinity(0, 2) is AffinityOutcome.REFUSED
+    assert system.drive(engine.reduce_affinity(0, 2)) is AffinityOutcome.REDUCED
+    assert system.drive(engine.reduce_affinity(0, 2)) is AffinityOutcome.REFUSED
     # With a second replica elsewhere, the drop is approved.
     system.hosts[3].store.add(2)
     system.redirectors.for_object(2).replica_created(2, 3, 1)
-    assert engine.reduce_affinity(0, 2) is AffinityOutcome.DROPPED
+    assert system.drive(engine.reduce_affinity(0, 2)) is AffinityOutcome.DROPPED
     assert 2 not in system.hosts[0].store
     system.check_invariants()
 
 
 def test_zero_elapsed_round_is_noop(system):
-    assert system.engine.run_host(0, 0.0) is False
+    assert system.drive(system.engine.run_host(0, 0.0)) is False
 
 
 def test_own_node_never_a_candidate(system):

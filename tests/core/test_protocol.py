@@ -139,7 +139,13 @@ def test_placement_processes_staggered(system):
     """Host placement rounds must not all fire at the same instant, and
     none may fire before one full interval has elapsed."""
     fired = []
-    system.engine.run_host = lambda node, now: fired.append((node, now))
+
+    def run_host(node, now):  # a protocol step that records and yields nothing
+        fired.append((node, now))
+        return False
+        yield
+
+    system.engine.run_host = run_host
     system.start()
     system.sim.run(until=210.0)
     times = sorted(t for _, t in fired)

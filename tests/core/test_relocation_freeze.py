@@ -54,13 +54,13 @@ def test_frozen_host_skips_placement_round(system):
     host.dirty_intervals = 2
     system.sim.schedule_at(100.0, lambda: None)
     system.sim.run(until=100.0)
-    assert system.engine.run_host(0, 100.0) is False
+    assert system.drive(system.engine.run_host(0, 100.0)) is False
     assert system.placement_events == []
     # The observation window was preserved, not reset.
     assert host.total_access_count(0) == 100
     # Once clean, the same state relocates immediately.
     host.dirty_intervals = 0
-    assert system.engine.run_host(0, 100.0 + 1e-9) is True
+    assert system.drive(system.engine.run_host(0, 100.0 + 1e-9)) is True
     assert system.placement_events
 
 

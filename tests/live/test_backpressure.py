@@ -158,8 +158,8 @@ def test_flooded_control_plane_answers_429_with_retry_after():
 
 def test_persistent_client_honours_retry_after_and_dedup_keeps_one_apply():
     """The registry-update-exactly-once guarantee under throttled retry:
-    the blocking client sleeps out 429 hints until the mutation lands,
-    and a duplicate msg_id is answered from cache, not re-applied."""
+    the client waits out 429 hints until the mutation lands, and a
+    duplicate msg_id is answered from cache, not re-applied."""
     config = throttled_config()
 
     async def main():
@@ -170,26 +170,18 @@ def test_persistent_client_honours_retry_after_and_dedup_keeps_one_apply():
         directory = deployment.directory
 
         control = ControlPlane(directory)
-        control.bind(asyncio.get_running_loop())
-
-        def blocking_part():
-            # Drain the burst so the next persistent call meets a 429
-            # first and must sleep out the Retry-After hint.
-            throttled = 0
-            for _ in range(8):
-                try:
-                    control.load_report(0, 1.0)
-                except TransportError as exc:
-                    assert exc.status == 429
-                    assert exc.retry_after is not None
-                    throttled += 1
-            assert throttled >= 1
-            control.replica_created(1, 0, 1)
-
-        # The deployment serves on this loop, and so do the control
-        # plane's sockets: the blocking client must run on a thread
-        # (same discipline the live hosts use).
-        await asyncio.to_thread(blocking_part)
+        # Drain the burst so the next persistent call meets a 429 first
+        # and must wait out the Retry-After hint.
+        throttled = 0
+        for _ in range(8):
+            try:
+                await control.load_report(0, 1.0)
+            except TransportError as exc:
+                assert exc.status == 429
+                assert exc.retry_after is not None
+                throttled += 1
+        assert throttled >= 1
+        await control.replica_created(1, 0, 1)
         await control.close()
         assert 1 in redirector.service.replica_hosts(0)
         assert redirector.service.affinity(0, 1) == 1
@@ -228,24 +220,16 @@ def test_throttled_registration_is_not_lost():
         await deployment.start(timers=False)
         redirector = deployment.redirector
         directory = deployment.directory
-        errors: list[Exception] = []
         control = ControlPlane(directory)
-        control.bind(asyncio.get_running_loop())
 
-        def register_many():
-            try:
-                for host in (1, 2):
-                    # obj 3 starts on host 0 (3 mod 3); register two new
-                    # replicas through a bucket sized to throttle them.
-                    control.replica_created(host, 3, 1)
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
+        async def register_many():
+            for host in (1, 2):
+                # obj 3 starts on host 0 (3 mod 3); register two new
+                # replicas through a bucket sized to throttle them.
+                await control.replica_created(host, 3, 1)
 
-        # Run the blocking clients off-loop while the servers spin here.
-        await asyncio.gather(
-            *(asyncio.to_thread(register_many) for _ in range(2))
-        )
-        assert not errors
+        # Two clients interleave with the servers on this one loop.
+        await asyncio.gather(register_many(), register_many())
         replicas = redirector.service.replica_hosts(3)
         assert {1, 2}.issubset(set(replicas))
         assert redirector.service.affinity(3, 1) == 1

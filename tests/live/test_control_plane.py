@@ -1,15 +1,13 @@
 """Tests for the control plane's ride on the keep-alive pool.
 
-A ``ControlPlane`` call blocks a worker thread while the exchange runs
-on the event loop that owns the sockets; these tests pin the two ends of
-that bridge — the conversations of a placement round reuse a handful of
-parked sockets instead of dialling per message, and a call made *on* the
-loop thread is refused at once rather than deadlocking.
+A ``ControlPlane`` call is a coroutine on the event loop that owns the
+sockets and serves the process's own endpoints; these tests pin that —
+the conversations of a placement round reuse a handful of parked sockets
+instead of dialling per message, and a call awaited on the loop that
+also serves its peer completes.
 """
 
 import asyncio
-
-import pytest
 
 from repro.live import LocalDeployment, ManualClock
 from repro.live.client import ControlPlane
@@ -40,9 +38,9 @@ def test_placement_round_reuses_pooled_control_sockets():
                     assert status == 200
                 if second % 10 == 9:
                     clock.set(second + 1.0)
-                    await asyncio.to_thread(source.system.measurement_tick)
+                    await source.system.measurement_round()
             clock.set(34.667)
-            await asyncio.to_thread(source.system.placement_tick)
+            await source.system.placement_round()
         finally:
             await client.close()
             await deployment.stop()
@@ -60,25 +58,25 @@ def test_placement_round_reuses_pooled_control_sockets():
     asyncio.run(main())
 
 
-def test_control_call_on_the_loop_thread_raises_at_once():
+def test_control_call_on_the_loop_completes():
     async def main():
         deployment = LocalDeployment(CONFIG)
         await deployment.start(timers=False)
         try:
+            # The front door is served by this very loop: awaiting the
+            # conversation lets it answer.
             control = deployment.hosts[0].control
-            # On the loop thread the reply could only be read by the
-            # thread that is waiting for it.
-            with pytest.raises(RuntimeError, match="off that loop's thread"):
-                control.load_report(0, 1.0)
-            # ...and a plane nobody bound has no loop to run on.
-            with pytest.raises(RuntimeError, match="bound event loop"):
-                await asyncio.to_thread(
-                    ControlPlane(deployment.directory).load_report, 0, 1.0
-                )
-            assert control.pool.dials == 0
-            # The same call from a worker thread goes through.
-            await asyncio.to_thread(control.load_report, 0, 1.0)
+            await control.load_report(0, 1.0)
             assert control.pool.dials == 1
+            # A plane nobody started needs nothing but a running loop.
+            fresh = ControlPlane(deployment.directory)
+            try:
+                await fresh.load_report(1, 2.0)
+                assert fresh.pool.dials == 1
+            finally:
+                await fresh.close()
+            board = deployment.redirector.board
+            assert board.candidates(exclude=None) == [(0, 1.0), (1, 2.0)]
         finally:
             await deployment.stop()
 

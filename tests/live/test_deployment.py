@@ -15,6 +15,7 @@ from repro.live.config import live_protocol_config
 from repro.live.deploy import serve_all, serve_role
 from repro.live.host import object_payload
 from repro.live.loadgen import _http_get
+from repro.live.pool import HttpPool
 from repro.live.metrics import summarize_deployment
 
 
@@ -77,10 +78,40 @@ def test_request_path_and_control_endpoints():
     asyncio.run(main())
 
 
+#: A well-formed CreateObj offer for object 3 from host 1; each bad case
+#: below spoils one field.
+GOOD_OFFER = {
+    "source": 1, "obj": 3, "action": "replicate", "reason": "geo", "unit_load": 0.5,
+}
+
+#: ``(method, path, create_obj body, word the 400 must name)``.
+BAD_REQUESTS = [
+    ("GET", "/obj/abc", None, "object id"),
+    ("GET", "/obj/-1", None, "object id"),
+    ("GET", "/data/x1", None, "object id"),
+    *(
+        ("POST", "/control/create_obj", {**GOOD_OFFER, field: value}, field)
+        for field, value in (
+            ("source", "zero"),
+            ("source", 99),
+            ("obj", 10**6),
+            ("obj", True),
+            ("unit_load", "heavy"),
+            ("unit_load", -1.0),
+            ("action", "teleport"),
+            ("action", "drop"),
+            ("reason", "whim"),
+        )
+    ),
+    ("POST", "/control/create_obj", {"source": 1}, "obj"),
+]
+
+
 def test_host_rejects_a_bad_gateway_before_counting_it():
     """``?gateway=`` is client input that is only walked into a preference
     path at the next placement round: a bad one must be a 400 at the
-    door, with nothing recorded."""
+    door, with nothing recorded.  So must a bad object id in a data-plane
+    path and every bad field of a CreateObj offer (``BAD_REQUESTS``)."""
     config = demo_config()
 
     async def main():
@@ -96,9 +127,21 @@ def test_host_rejects_a_bad_gateway_before_counting_it():
                 )
                 assert status == 400, bad
                 assert b"gateway" in body and bad.encode() in body
+            pool = HttpPool()
+            try:
+                for method, path, offer, word in BAD_REQUESTS:
+                    status, _h, body = await pool.request(
+                        (host, port), method, path, payload=offer
+                    )
+                    assert status == 400, (path, offer, body)
+                    assert word.encode() in body, (path, offer, body)
+            finally:
+                await pool.close()
             assert live_host.serviced_total == 0
             assert live_host.pending_access == {}
             assert live_host.object_access_counts(3) == {}
+            assert live_host.store.affinity(3) == 1
+            assert deployment.hosts[node].system.placement_events == []
             # A good gateway (and the default, the host itself) still serve.
             for query in ("?gateway=0", ""):
                 status, _h, _b = await _http_get(host, port, f"/obj/3{query}", 5.0)

@@ -168,13 +168,9 @@ def run_live() -> tuple[dict, list]:
             for time_, kind, node, payload in timeline:
                 clock.set(time_)
                 if kind == 0:
-                    await asyncio.to_thread(
-                        deployment.hosts[node].system.measurement_tick
-                    )
+                    await deployment.hosts[node].system.measurement_round()
                 elif kind == 1:
-                    await asyncio.to_thread(
-                        deployment.hosts[node].system.placement_tick
-                    )
+                    await deployment.hosts[node].system.placement_round()
                 else:
                     gateway, obj = payload
                     status, _h, body = await _http_get(

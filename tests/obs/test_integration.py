@@ -67,7 +67,7 @@ def test_driven_round_emits_all_decision_kinds(traced_system):
     feed(system, 3, {0: 1})
     sim.schedule_at(100.0, lambda: None)
     sim.run(until=100.0)
-    system.engine.run_host(0, 100.0)
+    system.drive(system.engine.run_host(0, 100.0))
 
     kinds = set(tracer.kinds())
     assert {"choose-replica", "placement", "create-obj", "offload"} <= kinds

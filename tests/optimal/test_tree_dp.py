@@ -12,16 +12,16 @@ import random
 
 import pytest
 
-from repro.optimal.brute_force import (
-    MAX_BRUTE_FORCE_NODES,
-    brute_force_tree_placement,
-)
 from repro.optimal.instance import TreeInstance, evaluate_tree_placement
 from repro.optimal.tree_dp import solve_tree_placement
 from repro.errors import ConfigurationError
 from repro.topology.generators import (
     balanced_tree_topology,
     random_tree_topology,
+)
+from tests.optimal.brute_force import (
+    MAX_BRUTE_FORCE_NODES,
+    brute_force_tree_placement,
 )
 
 

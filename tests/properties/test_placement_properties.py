@@ -68,7 +68,7 @@ def build_system(accesses, loads):
 def test_placement_round_preserves_invariants(accesses, loads):
     system = build_system(accesses, loads)
     for node in range(N_NODES):
-        system.engine.run_host(node, 100.0)
+        system.drive(system.engine.run_host(node, 100.0))
     system.check_invariants()
     # Every object still reachable.
     for obj in range(N_OBJECTS):
@@ -90,7 +90,7 @@ def test_placement_round_respects_candidate_load_caps(accesses, loads):
         node: set(system.hosts[node].store.objects()) for node in range(N_NODES)
     }
     for node in range(N_NODES):
-        system.engine.run_host(node, 100.0)
+        system.drive(system.engine.run_host(node, 100.0))
     for node in overloaded_before:
         gained = set(system.hosts[node].store.objects()) - before[node]
         assert not gained, (node, gained)
@@ -102,8 +102,8 @@ def test_placement_round_is_deterministic(accesses, loads):
     a = build_system(accesses, loads)
     b = build_system(accesses, loads)
     for node in range(N_NODES):
-        a.engine.run_host(node, 100.0)
-        b.engine.run_host(node, 100.0)
+        a.drive(a.engine.run_host(node, 100.0))
+        b.drive(b.engine.run_host(node, 100.0))
     for obj in range(N_OBJECTS):
         assert sorted(a.replica_hosts(obj)) == sorted(b.replica_hosts(obj))
     assert len(a.placement_events) == len(b.placement_events)
@@ -118,7 +118,7 @@ def test_deciding_host_never_raises_own_affinity(accesses):
     system = build_system(accesses, [0.0] * N_NODES)
     host = system.hosts[0]
     before = {obj: host.store.affinity(obj) for obj in host.store.objects()}
-    system.engine.run_host(0, 100.0)
+    system.drive(system.engine.run_host(0, 100.0))
     for obj, affinity in before.items():
         if obj in host.store:
             assert host.store.affinity(obj) <= affinity

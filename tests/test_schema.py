@@ -181,7 +181,8 @@ def _command_lines(name):
         match = re.match(r"\s*(?:run: |PYTHONPATH=src )?python -m repro (.*)", line)
         if match is not None:
             command = re.split(r" [&>#]|\$\(", match.group(1))[0]
-            yield shlex.split(command.replace("$FRONT", "127.0.0.1:1"))
+            command = command.replace("$FRONT", "127.0.0.1:1")
+            yield shlex.split(command.replace("$SHARD", "0"))
 
 
 # One case per document, not per line: ids must survive a doc edit.

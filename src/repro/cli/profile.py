@@ -59,7 +59,9 @@ def profile_main(args: argparse.Namespace) -> int:
     print(
         f"wall (unprofiled): build {walls['build_s']}s + "
         f"drain ~{walls['drain_estimate_s']}s = {walls['run_s']}s "
-        f"-> {walls['requests_per_sec']:,.0f} req/s"
+        f"-> {walls['requests_per_sec']:,.0f} req/s; "
+        f"placement rounds {walls['placement_s']}s; "
+        f"{walls['cyclic_objects']} cyclic objects at the horizon"
     )
     counters = breakdown["counters"]
     print(f"engine: {breakdown['engine_mode']}")
@@ -94,6 +96,7 @@ def _memory_main(
     entry, horizon = census["run_entry"], census["horizon"]
     print(f"engine: {census['engine_mode']}")
     print(f"requests: {census['requests_completed']} completed")
+    print(f"cyclic objects at the horizon: {census['cyclic_objects']}")
     rss = census["rss_mb"]
     print(
         f"\nheap: traced {entry['total_mb']:.1f} of {rss['run_entry']:.0f} MB RSS "

@@ -241,7 +241,10 @@ class ConsistencyPlane:
             # Category-2: the serve is itself a commuting update,
             # tallied locally and merged to the board later.
             self.category2_served += 1
-            self._pending.setdefault(server, Counter())[obj] += 1
+            pending = self._pending.get(server)
+            if pending is None:
+                pending = self._pending[server] = Counter()
+            pending[obj] += 1
         stale = self.tracker.note_read(obj, server, now)
         if not stale:
             return

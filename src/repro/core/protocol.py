@@ -200,7 +200,7 @@ class HostingSystem:
         self.fault_plane = fault_plane
         network.faults = fault_plane
         #: Control-plane messaging shim; a pure pass-through to
-        #: ``network.account`` when no fault plane is attached.
+        #: ``network.transmit`` when no fault plane is attached.
         self.rpc = RpcLayer(network, fault_plane)
         #: Heartbeat failure detector and repair daemon (fault plane only).
         self.failure_detector = None

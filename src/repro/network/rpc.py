@@ -43,9 +43,11 @@ Reliability grades
     leaves the replica stale for anti-entropy or read-repair to catch up.
 
 With no fault plane attached every operation degenerates to exactly the
-``Network.account`` calls the protocol made before this layer existed —
-same legs, same order, same arithmetic — preserving byte-identical
-behaviour for fault-free runs.
+charges the protocol made before this layer existed — same legs, same
+order, same arithmetic — preserving byte-identical behaviour for
+fault-free runs.  They go through :meth:`Network.transmit`, whose
+fault-free path is :meth:`Network.account`'s accounting read off the
+pre-bound distance rows and delay tables.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ class RpcLayer:
         network = self._network
         plane = self._plane
         if plane is None:
-            network.account(source, target, request_bytes, message_class)
-            network.account(target, source, response_bytes, message_class)
+            network.transmit(source, target, request_bytes, message_class)
+            network.transmit(target, source, response_bytes, message_class)
             return _RELIABLE
         self.calls += 1
         config = plane.config
@@ -275,14 +277,14 @@ class RpcLayer:
         (partition, crashed target) reports ``False`` and the replica
         stays stale until anti-entropy or read-repair catches it up.
 
-        With no fault plane the push degenerates to the single
-        ``Network.account`` UPDATE charge the primary-copy manager made
-        before this channel existed, and always applies.
+        With no fault plane the push degenerates to the single UPDATE
+        charge the primary-copy manager made before this channel existed,
+        and always applies.
         """
         network = self._network
         plane = self._plane
         if plane is None:
-            network.account(source, target, size, MessageClass.UPDATE)
+            network.transmit(source, target, size, MessageClass.UPDATE)
             return True
         self.update_pushes += 1
         config = plane.config
@@ -326,7 +328,7 @@ class RpcLayer:
     ) -> bool:
         """Best-effort datagram; returns whether it was delivered."""
         if self._plane is None:
-            self._network.account(source, target, size, message_class)
+            self._network.transmit(source, target, size, message_class)
             return True
         _, _, delivered = self._network.transmit(source, target, size, message_class)
         if not delivered:
@@ -346,7 +348,7 @@ class RpcLayer:
         the redirector's replica view from the hosts' stores.
         """
         if self._plane is None:
-            self._network.account(source, target, size, message_class)
+            self._network.transmit(source, target, size, message_class)
             return 1
         attempts = 0
         while attempts < FORCED_DELIVERY_CAP:
@@ -368,7 +370,7 @@ class RpcLayer:
         the backbone: a lost transfer round is retransmitted wholesale.
         """
         if self._plane is None:
-            self._network.account(source, target, size, MessageClass.RELOCATION)
+            self._network.transmit(source, target, size, MessageClass.RELOCATION)
             return 1
         rounds = 0
         while rounds < FORCED_DELIVERY_CAP:

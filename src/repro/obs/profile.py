@@ -27,6 +27,7 @@ above and into a per-file table (:func:`memory_census`).
 from __future__ import annotations
 
 import cProfile
+import gc
 import os
 import pstats
 import time
@@ -34,6 +35,7 @@ import tracemalloc
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from repro.core.protocol import HostingSystem
 from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario, scenario_metrics
@@ -183,8 +185,13 @@ def stage_walltimes(
     """Wall-clock the scenario lifecycle stages without the profiler.
 
     These are the honest numbers (no tracer overhead): build the system,
-    run it to the horizon, and the requests-per-wall-second that the
-    perf trajectory tracks.
+    run it to the horizon, the requests-per-wall-second that the perf
+    trajectory tracks, and the seconds spent in placement rounds
+    (``placement_s``), which the stage buckets split across placement,
+    routing, transport and the protocol.  ``cyclic_objects`` is what a
+    full collection finds unreachable at the horizon: the runner pauses
+    the collector over the drain on the premise that it is 0.  That
+    collection is not counted in ``run_s``.
     """
     from repro.scenarios.runner import build_system
 
@@ -192,17 +199,55 @@ def stage_walltimes(
     build_system(config, topology=topology)
     build_s = time.perf_counter() - t0
 
+    placement_s = [0.0]
+    horizon: dict[str, float] = {}
+
+    def collect(moment: str) -> None:
+        if moment == "horizon":
+            began = time.perf_counter()
+            horizon["cyclic_objects"] = gc.collect()
+            horizon["collect_s"] = time.perf_counter() - began
+
+    gc.collect()  # the discarded build's garbage is not the run's
     t1 = time.perf_counter()
-    result = run_scenario(config, topology=topology)
-    run_s = time.perf_counter() - t1
+    with _bracketed_run(collect), _timed_placement_rounds(placement_s):
+        result = run_scenario(config, topology=topology)
+    run_s = time.perf_counter() - t1 - horizon["collect_s"]
     completed = result.latency.completed
     return {
         "build_s": round(build_s, 3),
         "run_s": round(run_s, 3),
         "drain_estimate_s": round(max(run_s - build_s, 0.0), 3),
+        "placement_s": round(placement_s[0], 3),
+        "cyclic_objects": int(horizon["cyclic_objects"]),
         "requests_completed": completed,
         "requests_per_sec": round(completed / run_s, 1) if run_s > 0 else 0.0,
     }
+
+
+@contextmanager
+def _timed_placement_rounds(spent: list[float]) -> Iterator[None]:
+    """While active, every placement round of a :class:`HostingSystem`
+    started meanwhile adds its wall time to ``spent[0]``."""
+    original = HostingSystem._make_placement_tick
+
+    def make_tick(self: HostingSystem, node: int) -> Callable[[float], None]:
+        tick = original(self, node)
+
+        def timed(now: float) -> None:
+            began = time.perf_counter()
+            try:
+                tick(now)
+            finally:
+                spent[0] += time.perf_counter() - began
+
+        return timed
+
+    HostingSystem._make_placement_tick = make_tick
+    try:
+        yield
+    finally:
+        HostingSystem._make_placement_tick = original
 
 
 @contextmanager
@@ -285,11 +330,16 @@ def memory_census(
     totals sit well under the process's RSS: ``rss_mb`` gives that at the
     start and at both readings (``tracemalloc``'s own tables included);
     start the interpreter with ``-X tracemalloc`` to trace the imports too.
+    ``cyclic_objects`` is what a full collection finds unreachable at the
+    horizon, before that reading (see :func:`stage_walltimes`).
     """
     readings: dict[str, dict[str, Any]] = {}
     rss_mb = {"start": _rss_mb()}
+    cyclic_objects: list[int] = []
 
     def read(moment: str) -> None:
+        if moment == "horizon":
+            cyclic_objects.append(gc.collect())
         rss_mb[moment] = _rss_mb()  # before the snapshot's own allocations
         readings[moment] = _heap_rollup(top)
 
@@ -307,6 +357,7 @@ def memory_census(
         "duration_simulated_s": config.duration,
         "engine_mode": result.engine_mode(),
         "requests_completed": result.latency.completed,
+        "cyclic_objects": cyclic_objects[0],
         "rss_mb": rss_mb,
         **readings,
     }

@@ -52,7 +52,14 @@ class ShortestPathIndex:
     routing database and its snapshots.
     """
 
-    __slots__ = ("dist_matrix", "_adjacency", "_node_bytes", "_paths")
+    __slots__ = (
+        "dist_matrix",
+        "_adjacency",
+        "_node_bytes",
+        "_paths",
+        "_options_source",
+        "_options",
+    )
 
     def __init__(self, topology: Topology) -> None:
         n = topology.num_nodes
@@ -79,6 +86,12 @@ class ShortestPathIndex:
         #: What a tie candidate appends to its pair's ``b"s:t:"`` prefix.
         self._node_bytes = tuple(str(node).encode() for node in range(n))
         self._paths: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
+        #: Equal-cost parents in one source's DAG, ``node -> [u, ...]`` in
+        #: adjacency order, kept for the last source walked from only: a
+        #: placement round walks one host's paths to many gateways, which
+        #: share their upper steps.  At most n entries.
+        self._options_source: NodeId | None = None
+        self._options: dict[NodeId, list[NodeId]] = {}
 
     def path(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
         """The canonical ``source -> target`` node sequence, inclusive."""
@@ -90,11 +103,17 @@ class ShortestPathIndex:
         if not (0 <= source < len(adjacency) and 0 <= target < len(adjacency)):
             raise RoutingError(f"no route {source} -> {target}")
         row = self.dist_matrix[source]
+        if source != self._options_source:
+            self._options_source = source
+            self._options = {}
+        known = self._options
         prefix = None
         chain = [target]
         node = target
         for depth in range(row[target] - 1, -1, -1):
-            options = [u for u in adjacency[node] if row[u] == depth]
+            options = known.get(node)
+            if options is None:
+                options = known[node] = [u for u in adjacency[node] if row[u] == depth]
             node = options[0]
             if len(options) > 1:
                 # Candidate ``c``'s key is blake2b(f"{source}:{target}:{c}");

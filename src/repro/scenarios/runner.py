@@ -9,6 +9,7 @@ and returns a :class:`ScenarioResult`.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -422,7 +423,17 @@ def run_scenario(
             RngFactory(config.seed).stream("writes"),
             poisson=config.poisson,
         )
-    sim.run(until=config.duration)
+    # The drain makes no reference cycles (tests/scenarios/test_runner.py
+    # pins it), so the cyclic collector's passes over the growing heap
+    # find nothing to free: pause it for the drain, then hand the caller
+    # back the state it had.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        sim.run(until=config.duration)
+    finally:
+        if collecting:
+            gc.enable()
     for generator in generators:
         generator.stop()
     if writer is not None:

@@ -250,19 +250,24 @@ class EventQueue:
         near = self._near
         far = self._far
         far_keys = self._far_keys
+        # A window's arrivals fall into few buckets, in runs: look a far
+        # bucket up only when the key changes.
+        bucket_key = None
+        bucket: list[tuple] = []
         for time, args in zip(times, args_list):
             entry = (time, seq, None, callback, args)
             seq += 1
             key = int(time / width)
             if key <= cur_key:
                 heappush(near, entry)
-            else:
+                continue
+            if key != bucket_key:
+                bucket_key = key
                 bucket = far.get(key)
                 if bucket is None:
-                    far[key] = [entry]
+                    bucket = far[key] = []
                     heappush(far_keys, key)
-                else:
-                    bucket.append(entry)
+            bucket.append(entry)
         self._live += seq - self._seq
         self._seq = seq
 

@@ -74,20 +74,30 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def zipf_reeds(rng: random.Random, n: int) -> int:
-    """Sample a 1-based page rank from Reeds' closed-form Zipf approximation.
+def zipf_reeds_many(rng: random.Random, n: int, count: int) -> list[int]:
+    """Sample ``count`` 1-based page ranks from Reeds' closed-form Zipf
+    approximation, one ``rng.random()`` each, in order.
 
-    The value is ``round(exp(u * ln n))`` for ``u ~ U(0,1)``, clamped into
-    ``[1, n]``.  Rank 1 is the most popular page.
+    Each value is ``round(exp(u * ln n))`` for ``u ~ U(0,1)``, clamped into
+    ``[1, n]``.  Rank 1 is the most popular page.  ``n == 1`` draws
+    nothing: its only rank is certain.
     """
     if n < 1:
         raise SimulationError(f"zipf_reeds needs n >= 1, got {n}")
-    value = int(round(math.exp(rng.random() * math.log(n)))) if n > 1 else 1
-    if value < 1:
-        return 1
-    if value > n:
-        return n
-    return value
+    if n == 1:
+        return [1] * count
+    log_n = math.log(n)
+    exp = math.exp
+    draw = rng.random
+    values = [round(exp(draw() * log_n)) for _ in range(count)]
+    if values and (min(values) < 1 or max(values) > n):
+        values = [min(max(value, 1), n) for value in values]
+    return values
+
+
+def zipf_reeds(rng: random.Random, n: int) -> int:
+    """Sample one 1-based page rank: :func:`zipf_reeds_many`'s count-1 case."""
+    return zipf_reeds_many(rng, n, 1)[0]
 
 
 def zipf_exact_cdf(n: int, alpha: float = 1.0) -> list[float]:

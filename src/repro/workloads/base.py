@@ -54,6 +54,18 @@ class Workload(abc.ABC):
     def sample(self, gateway: NodeId, rng: random.Random) -> ObjectId:
         """Draw the object requested by a client behind ``gateway``."""
 
+    def sample_many(
+        self, gateway: NodeId, rng: random.Random, count: int
+    ) -> list[ObjectId]:
+        """Draw ``count`` objects for ``gateway`` in one call.
+
+        Must return exactly what ``count`` consecutive :meth:`sample`
+        calls would, leaving ``rng`` in the same state; this default is
+        that loop.  Workloads override it only to hoist per-draw work.
+        """
+        sample = self.sample
+        return [sample(gateway, rng) for _ in range(count)]
+
     @property
     def name(self) -> str:
         return type(self).__name__.removesuffix("Workload").lower()
@@ -80,7 +92,9 @@ class RequestGenerator:
     handed to :meth:`~repro.sim.engine.Simulator.post_batch`: one refill
     event per window instead of one scheduler event per request.  The
     RNG stream is consumed in per-arrival order (the gap to the *next*
-    arrival, then the *current* arrival's object), so times and objects
+    arrival, then the *current* arrival's object; evenly spaced windows
+    draw no gaps, so one :meth:`Workload.sample_many` call takes all of
+    their objects), so times and objects
     are those of a generator that schedules one event per request
     (``tests/workloads/per_event_oracle.py`` is that generator, kept as
     the oracle).  Arrivals get their sequence numbers at fill time; only
@@ -147,27 +161,38 @@ class RequestGenerator:
         end = sim.now + self._window
         t = self._next_time
         times: list[Time] = []
-        pairs: list[tuple[NodeId, ObjectId]] = []
         append_time = times.append
-        append_pair = pairs.append
         rng = self._rng
-        expovariate = rng.expovariate
-        rate = self.rate
-        step = 1.0 / rate
-        poisson = self._poisson
-        sample = self._workload.sample
         gateway = self.gateway
-        objects = self._objects
-        while t < end:
-            # Per-arrival draw order: the gap to the next arrival first,
-            # then this arrival's object.
-            nxt = t + (expovariate(rate) if poisson else step)
-            append_time(t)
-            append_pair((gateway, objects[sample(gateway, rng)]))
-            t = nxt
+        if self._poisson:
+            drawn: list[ObjectId] = []
+            append_drawn = drawn.append
+            sample = self._workload.sample
+            expovariate = rng.expovariate
+            rate = self.rate
+            while t < end:
+                # Per-arrival draw order: the gap to the next arrival
+                # first, then this arrival's object.
+                nxt = t + expovariate(rate)
+                append_time(t)
+                append_drawn(sample(gateway, rng))
+                t = nxt
+        else:
+            # Even spacing draws no gaps, so the window's objects are
+            # consecutive draws: one call takes them all.
+            step = 1.0 / self.rate
+            while t < end:
+                append_time(t)
+                t += step
+            drawn = self._workload.sample_many(gateway, rng, len(times))
         self._next_time = t
         if times:
-            sim.post_batch(times, self._system.submit_request, pairs)
+            objects = self._objects
+            sim.post_batch(
+                times,
+                self._system.submit_request,
+                [(gateway, objects[obj]) for obj in drawn],
+            )
             self.generated += len(times)
         self._refill_event = sim.schedule_after(self._window, self._fill)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from repro.errors import WorkloadError
-from repro.sim.rng import zipf_exact, zipf_exact_cdf, zipf_reeds
+from repro.sim.rng import zipf_exact, zipf_exact_cdf, zipf_reeds, zipf_reeds_many
 from repro.types import NodeId, ObjectId
 from repro.workloads.base import Workload
 
@@ -41,6 +41,13 @@ class ZipfWorkload(Workload):
         else:
             rank = zipf_reeds(rng, self.num_objects)
         return rank - 1
+
+    def sample_many(
+        self, gateway: NodeId, rng: random.Random, count: int
+    ) -> list[ObjectId]:
+        if self._cdf is not None:
+            return super().sample_many(gateway, rng, count)
+        return [rank - 1 for rank in zipf_reeds_many(rng, self.num_objects, count)]
 
     @property
     def name(self) -> str:

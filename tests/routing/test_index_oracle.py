@@ -23,6 +23,7 @@ from repro.topology.generators import (
     star_topology,
 )
 from repro.topology.graph import Topology
+from repro.topology.uunet import uunet_backbone
 from tests.routing import oracle_parents
 
 sizes = st.integers(min_value=2, max_value=40)
@@ -47,6 +48,38 @@ def test_distances_and_every_route_match_the_parent_list_index(topology):
     assert index.dist_matrix == oracle.dist_matrix
     for source in topology.nodes:
         for target in topology.nodes:
+            assert index.path(source, target) == oracle.path(source, target)
+
+
+#: Graphs for the interleaving property, each with its oracle built once.
+INTERLEAVED = {
+    "uunet": uunet_backbone(),
+    "geometric-200": random_geometric_topology(200, seed=11),
+    "random-tree-200": random_tree_topology(200, seed=11),
+}
+ORACLES = {name: oracle_parents.ShortestPathIndex(t) for name, t in INTERLEAVED.items()}
+
+
+@pytest.mark.parametrize("name", INTERLEAVED)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_walks_under_random_source_interleavings_match_the_oracle(name, data):
+    """The index keeps the last source's parent scans between walks and
+    drops them when the source changes: runs of one source, switches and
+    returns to an earlier source must all walk the oracle's routes."""
+    topology = INTERLEAVED[name]
+    node = st.integers(min_value=0, max_value=topology.num_nodes - 1)
+    runs = data.draw(
+        st.lists(
+            st.tuples(node, st.lists(node, min_size=1, max_size=25)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    index = ShortestPathIndex(topology)
+    oracle = ORACLES[name]
+    for source, targets in runs:
+        for target in targets:
             assert index.path(source, target) == oracle.path(source, target)
 
 

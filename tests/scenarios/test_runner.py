@@ -1,7 +1,11 @@
 """Tests for the scenario runner on short, small-scale runs."""
 
+import gc
+
+import pytest
 
 from repro.baselines.round_robin import RoundRobinRedirector
+from repro.consistency.config import ConsistencyConfig
 from repro.network.faults import FaultConfig
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import paper_scenario
@@ -11,6 +15,7 @@ from repro.scenarios.runner import (
     run_scenario,
     scenario_metrics,
 )
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.topology.generators import two_cluster_topology
 from repro.topology.uunet import uunet_backbone
@@ -135,3 +140,80 @@ def test_random_outages_driven_by_config():
     assert result.injector is not None
     metrics = scenario_metrics(result)
     assert metrics["host_failures"] >= 1.0
+
+
+# -- the collector pause ---------------------------------------------------
+
+
+def _wrap_run(monkeypatch, before=None, after=None):
+    """Bracket ``Simulator.run`` with ``before()`` / ``after()`` calls."""
+    original = Simulator.run
+
+    def run(self, until=None):
+        if before is not None:
+            before()
+        try:
+            return original(self, until)
+        finally:
+            if after is not None:
+                after()
+
+    monkeypatch.setattr(Simulator, "run", run)
+
+
+NO_CYCLE_RUNS = {
+    "fault-free": lambda: tiny_config(),
+    "faults, consistency and outages": lambda: faulted_config().replace(
+        consistency=ConsistencyConfig(
+            write_rate=2.0,
+            category_mix=(0.6, 0.3, 0.1),
+            epidemic_interval=10.0,
+            anti_entropy_interval=15.0,
+        )
+    ),
+    "traced": lambda: tiny_config(traced=True),
+}
+
+
+@pytest.mark.parametrize("name", NO_CYCLE_RUNS)
+def test_the_drain_leaves_no_cyclic_garbage(monkeypatch, name):
+    """The premise of pausing the collector over ``Simulator.run``: a
+    full collection right after it finds nothing unreachable."""
+    found = []
+    _wrap_run(monkeypatch, before=gc.collect, after=lambda: found.append(gc.collect()))
+    run_scenario(NO_CYCLE_RUNS[name]())
+    assert found == [0]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_scenario_pauses_the_collector_and_restores_the_callers_state(
+    monkeypatch, enabled
+):
+    during = []
+    _wrap_run(monkeypatch, before=lambda: during.append(gc.isenabled()))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        run_scenario(tiny_config(duration=30.0))
+        assert during == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class _StopAtEntry(Exception):
+    pass
+
+
+def test_run_scenario_restores_the_collector_when_the_run_raises(monkeypatch):
+    """The benchmark's set-up-only samples raise at ``Simulator.run`` entry."""
+
+    def stop():
+        assert not gc.isenabled()
+        raise _StopAtEntry
+
+    _wrap_run(monkeypatch, before=stop)
+    assert gc.isenabled()
+    with pytest.raises(_StopAtEntry):
+        run_scenario(tiny_config(duration=30.0))
+    assert gc.isenabled()

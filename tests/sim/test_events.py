@@ -289,6 +289,39 @@ def test_order_equivalent_to_binary_heap(ops, width):
     assert len(queue) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    batches=st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False), max_size=40),
+        max_size=6,
+    ),
+    width=st.sampled_from([0.1, 0.25, 1.0, 3.7]),
+)
+def test_push_batch_runs_and_jumps_match_a_binary_heap(batches, width):
+    """``push_batch`` looks a far bucket up once per run of equal keys;
+    batches whose keys repeat, jump back to an earlier bucket or fall in
+    the current one, pushed between partial drains, still pop in exact
+    ``(time, seq)`` order."""
+    queue = EventQueue(bucket_width=width)
+    heap, seq, got, expected = [], 0, [], []
+    for batch in batches:
+        floor = queue.peek_time() or 0.0
+        times = [floor + t for t in batch]
+        queue.push_batch(times, lambda: None, [()] * len(times))
+        for t in times:
+            heapq.heappush(heap, (t, seq))
+            seq += 1
+        for _ in range(len(times) // 2):  # drain some: advances the bucket
+            entry = queue.pop_until(None)
+            got.append((entry[ENTRY_TIME], entry[ENTRY_SEQ]))
+            expected.append(heapq.heappop(heap))
+    while queue:
+        entry = queue.pop_until(None)
+        got.append((entry[ENTRY_TIME], entry[ENTRY_SEQ]))
+    expected.extend(heapq.heappop(heap) for _ in range(len(heap)))
+    assert got == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_pop_until_horizon_sweep_matches_heap(seed):

@@ -12,8 +12,8 @@ Route-only mode measures the redirector tier's own capacity — the
 object fetch would fold the hosts' service time into every sample and
 hide the tier under test.  ``--direct`` partition-aware routing sends
 each ``/route`` straight to the owning shard (the same consistent-hash
-ring the gateway uses), so added shards show up as added capacity rather
-than as load on a single gateway loop.
+ring the shards use), so added shards show up as added capacity rather
+than as relays through the front door's loop.
 
 Usage::
 
@@ -95,7 +95,7 @@ def _poll(fn, deadline: float, what: str):
 
 
 class LiveTier:
-    """A gateway + shards + hosts deployment run as child processes."""
+    """Shards (shard 0 the front door) + hosts run as child processes."""
 
     def __init__(self, num_shards: int, num_hosts: int, num_objects: int):
         self.num_shards = num_shards
@@ -131,21 +131,15 @@ class LiveTier:
 
     def start(self) -> None:
         deadline = time.monotonic() + STARTUP_TIMEOUT
-        if self.num_shards == 1:
-            port_file = self._dir / "front.port"
-            self._spawn("redirector", "--port-file", str(port_file))
-            self.front = (BIND, _read_port(port_file, deadline))
-        else:
-            port_file = self._dir / "gateway.port"
-            self._spawn("gateway", "--port-file", str(port_file))
-            self.front = (BIND, _read_port(port_file, deadline))
-            gateway = f"{self.front[0]}:{self.front[1]}"
-            for shard in range(self.num_shards):
-                self._spawn(
-                    "shard", "--shard", str(shard), "--gateway", gateway,
-                    "--port-file", str(self._dir / f"shard-{shard}.port"),
-                )
+        port_file = self._dir / "shard-0.port"
+        self._spawn("shard", "--shard", "0", "--port-file", str(port_file))
+        self.front = (BIND, _read_port(port_file, deadline))
         front = f"{self.front[0]}:{self.front[1]}"
+        for shard in range(1, self.num_shards):
+            self._spawn(
+                "shard", "--shard", str(shard), "--gateway", front,
+                "--port-file", str(self._dir / f"shard-{shard}.port"),
+            )
         for node in range(self.num_hosts):
             self._spawn(
                 "host", "--node", str(node), "--gateway", front,

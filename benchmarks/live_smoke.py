@@ -1,15 +1,15 @@
 """CI's ``live-smoke`` job as one script: serve + loadgen over real sockets.
 
-A front door and three hosts run as separate ``python -m repro serve``
-processes, every one on port 0 and found through its port file (hosts
-register themselves at the front door over the wire).  The front door
-is one redirector, or with ``--shards N`` (N > 1) a gateway plus N ring
-shards that register there too.  ``python -m repro loadgen`` then
-replays a two-phase workload and the processes are stopped with SIGINT.
-The run passes when every request completed, the hosts' placement
-histories hold at least one replicate/migrate *and* one drop — dynamic
-replication happened over real sockets, driven by the hosts' wall-clock
-timers — and every process exited 0 with its metrics flushed.
+The redirector shards and three hosts run as separate ``python -m repro
+serve`` processes, every one on port 0 and found through its port file.
+Shard 0 is the front door: the other shards (``--shards N``) and the
+hosts register themselves there over the wire.  ``python -m repro
+loadgen`` then replays a two-phase workload and the processes are
+stopped with SIGINT.  The run passes when every request completed, the
+hosts' placement histories hold at least one replicate/migrate *and* one
+drop — dynamic replication happened over real sockets, driven by the
+hosts' wall-clock timers — and every process exited 0 with its metrics
+flushed.
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
@@ -17,9 +17,8 @@ Usage (``PYTHONPATH=src`` unless the package is installed)::
     python benchmarks/live_smoke.py --shards 2 --out-dir smoke-sharded/
 
 Artefacts, all in ``--out-dir``: ``live.json`` (the config every process
-read), ``client.json`` (loadgen stats), ``redirector.json`` — or
-``gateway.json`` and ``shard{0..N-1}.json`` — and ``host{0,1,2}.json``
-(each process's ``--metrics`` snapshot).
+read), ``client.json`` (loadgen stats), ``shard{0..N-1}.json`` and
+``host{0,1,2}.json`` (each process's ``--metrics`` snapshot).
 """
 
 from __future__ import annotations
@@ -45,14 +44,13 @@ from repro.live.config import live_protocol_config  # noqa: E402
 HOSTS = 3
 REQUESTS = 1500  # as spelt in COMMANDS below
 
-#: The deployment and its load, as the command lines one would type: the
-#: front door (a redirector, or a gateway and its shards), the hosts, the
-#: loadgen.  ``$OUT``, ``$FRONT`` and ``$SHARD`` are filled in at run time;
+#: The deployment and its load, as the command lines one would type: a
+#: shard (shard 0 is the front door; every other shard also gets
+#: ``--gateway $FRONT`` to join it), the hosts, the loadgen.  ``$OUT``,
+#: ``$FRONT`` and ``$SHARD`` are filled in at run time;
 #: ``tests/test_schema.py`` checks that each line parses.
 COMMANDS = """
-python -m repro serve --config $OUT/live.json --role redirector --port-file $OUT/front.port --metrics $OUT/redirector.json
-python -m repro serve --config $OUT/live.json --role gateway --port-file $OUT/front.port --metrics $OUT/gateway.json
-python -m repro serve --config $OUT/live.json --role shard --shard $SHARD --gateway $FRONT --port-file $OUT/s$SHARD.port --metrics $OUT/shard$SHARD.json
+python -m repro serve --config $OUT/live.json --role shard --shard $SHARD --port-file $OUT/s$SHARD.port --metrics $OUT/shard$SHARD.json
 python -m repro serve --config $OUT/live.json --role host --node 0 --gateway $FRONT --port-file $OUT/h0.port --metrics $OUT/host0.json
 python -m repro serve --config $OUT/live.json --role host --node 1 --gateway $FRONT --port-file $OUT/h1.port --metrics $OUT/host1.json
 python -m repro serve --config $OUT/live.json --role host --node 2 --gateway $FRONT --port-file $OUT/h2.port --metrics $OUT/host2.json
@@ -74,17 +72,16 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     (out / "live.json").write_text(json.dumps(config.to_dict()))
     for stale in out.glob("*.port"):  # a previous run's: would be read as this one's
         stale.unlink()
-    redirector, gateway, shard, *hosts, loadgen = COMMANDS
+    shard, *hosts, loadgen = COMMANDS
     processes: list[subprocess.Popen] = []
     try:
         deadline = time.monotonic() + STARTUP_TIMEOUT
-        front_door = redirector if shards == 1 else gateway
-        processes.append(subprocess.Popen(_argv(front_door, OUT=out)))
-        address = ("127.0.0.1", _read_port(out / "front.port", deadline))
+        processes.append(subprocess.Popen(_argv(shard, OUT=out, SHARD=0)))
+        address = ("127.0.0.1", _read_port(out / "s0.port", deadline))
         front = f"{address[0]}:{address[1]}"
         print(f"front door at {front}")
-        for index in range(shards if shards > 1 else 0):
-            argv = _argv(shard, OUT=out, FRONT=front, SHARD=index)
+        for index in range(1, shards):
+            argv = _argv(shard, OUT=out, SHARD=index) + ["--gateway", front]
             processes.append(subprocess.Popen(argv))
         for line in hosts:
             processes.append(subprocess.Popen(_argv(line, OUT=out, FRONT=front)))
@@ -93,8 +90,7 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
         ]
 
         # Every host and shard must be in the front door's address book
-        # (a lone redirector lists itself as shard 0) before the loadgen
-        # starts, or early routes point nowhere.
+        # before the loadgen starts, or early routes point nowhere.
         def registered():
             book = fetch_endpoints(address, timeout=1.0)
             counts = (len(book.get("hosts", {})), len(book.get("shards", {})))
@@ -123,10 +119,9 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     ]
     assert actions.count("replicate") + actions.count("migrate") >= 1, actions
     assert actions.count("drop") >= 1, actions
-    names = [f"shard{index}.json" for index in range(shards)]
     tier = [
-        json.loads((out / name).read_text())["redirector"]
-        for name in (names if shards > 1 else ["redirector.json"])
+        json.loads((out / f"shard{index}.json").read_text())["redirector"]
+        for index in range(shards)
     ]
     assert sum(piece["routed_total"] for piece in tier) >= REQUESTS, tier
     assert sum(piece["unroutable_total"] for piece in tier) == 0, tier
@@ -138,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default=".", help="where the artefacts go")
     parser.add_argument(
         "--shards", type=int, default=1,
-        help="redirector shards; above 1 the front door is a gateway",
+        help="redirector shards; shard 0 is the front door",
     )
     args = parser.parse_args(argv)
     if args.shards < 1:

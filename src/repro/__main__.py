@@ -59,10 +59,10 @@ field and derived by :mod:`repro.schema`:
 ``serve``
     The live asyncio serving runtime — the same protocol over real
     sockets.  Runs a whole deployment in one process (optionally
-    sharded: ``--shards N`` puts N redirector shards behind a gateway),
-    or a single role (``redirector``, ``gateway``, ``shard``, ``host``)
-    for multi-process deployments.  With ``--base-port 0`` every role
-    binds an ephemeral port, publishes it via ``--port-file``, and
+    sharded: ``--shards N`` runs N redirector shards, shard 0 the front
+    door), or a single role (``shard``, ``host``) for multi-process
+    deployments.  With ``--base-port 0`` every role binds an ephemeral
+    port, publishes it via ``--port-file``, and every role but shard 0
     registers with the front door given by ``--gateway``.  Exits
     cleanly on SIGINT/SIGTERM, exporting metrics (and the trace) on
     the way down:

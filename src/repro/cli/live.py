@@ -54,7 +54,7 @@ def populate_serve(parser: argparse.ArgumentParser) -> None:
     _add_deployment_options(parser)
     parser.add_argument(
         "--role",
-        choices=("all", "redirector", "gateway", "shard", "host"),
+        choices=("all", "shard", "host"),
         default="all",
         help="which role this process runs; all is the single-process "
         "deployment (default: %(default)s)",
@@ -68,8 +68,8 @@ def populate_serve(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--gateway",
         metavar="HOST:PORT",
-        help="front-door address to register with (ephemeral-port "
-        "shard/host roles)",
+        help="the front door (shard 0) to join: the other shards and the "
+        "hosts register there when ports are ephemeral",
     )
     parser.add_argument(
         "--port-file",
@@ -114,7 +114,7 @@ def serve_main(args: argparse.Namespace) -> int:
             "deployment-wide decision tracer to write"
         )
     else:
-        index = {"shard": args.shard, "host": args.node}.get(args.role)
+        index = {"shard": args.shard, "host": args.node}[args.role]
         coroutine = serve_role(
             config, args.role, index=index, gateway=gateway, **outputs
         )

@@ -16,7 +16,6 @@ Entry points: ``python -m repro serve`` and ``python -m repro loadgen``.
 from repro.live.clock import ManualClock, WallClock
 from repro.live.config import LiveConfig
 from repro.live.deploy import LocalDeployment
-from repro.live.gateway import LiveGateway
 from repro.live.histogram import LatencyHistogram
 from repro.live.loadgen import (
     LoadgenOptions,
@@ -28,7 +27,6 @@ from repro.live.loadgen import (
 __all__ = [
     "LatencyHistogram",
     "LiveConfig",
-    "LiveGateway",
     "LoadgenOptions",
     "LoadgenStats",
     "LocalDeployment",

@@ -238,7 +238,7 @@ class ControlPlane:
         )
 
     async def register_shard(self, shard: int, address: Address) -> None:
-        """Announce a shard's bound address to the gateway (persistent)."""
+        """Announce a shard's bound address to the front door, shard 0 (persistent)."""
         await self._front(
             "POST",
             "/admin/register_shard",

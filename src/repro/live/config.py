@@ -95,14 +95,11 @@ class LiveConfig:
         default="127.0.0.1",
         metadata=flag("--bind", "HOST", "listen/connect address"),
     )
-    #: Port layout.  With one shard (the PR-4 shape): the redirector
-    #: listens on ``base_port`` and host ``i`` on ``base_port + 1 + i``.
-    #: With ``num_shards > 1``: the gateway takes ``base_port``, shard
-    #: ``s`` takes ``base_port + 1 + s`` and host ``i`` follows at
-    #: ``base_port + 1 + num_shards + i``.  0 means "ephemeral ports":
-    #: every server binds port 0 and addresses travel by registration
-    #: (single-process deployments, tests, and the port-conflict-proof
-    #: CI flow).
+    #: Port layout: shard ``s`` listens on ``base_port + s`` (shard 0 is
+    #: the front door) and host ``i`` on ``base_port + num_shards + i``.
+    #: 0 means "ephemeral ports": every server binds port 0 and
+    #: addresses travel by registration (single-process deployments,
+    #: tests, and the port-conflict-proof CI flow).
     base_port: int = field(
         default=8100,
         metadata=flag(
@@ -156,21 +153,12 @@ class LiveConfig:
             raise ConfigurationError("control_burst must be at least 1")
         if self.control_max_inflight < 1:
             raise ConfigurationError("control_max_inflight must be at least 1")
-        ports_needed = self.num_hosts + self._shard_port_offset()
+        ports_needed = self.num_shards + self.num_hosts
         if self.base_port != 0 and not 1024 <= self.base_port <= 65535 - ports_needed:
             raise ConfigurationError(
                 f"base port must be 0 (ephemeral) or leave room for "
                 f"{ports_needed} ports below 65536, got {self.base_port}"
             )
-
-    def _shard_port_offset(self) -> int:
-        """Host ports start this far above ``base_port``.
-
-        One shard keeps the PR-4 layout (redirector at base, hosts at
-        +1); a sharded tier inserts the gateway at base and the shards
-        at +1..+num_shards.
-        """
-        return 1 if self.num_shards == 1 else 1 + self.num_shards
 
     # ------------------------------------------------------------------
     # World model
@@ -194,37 +182,21 @@ class LiveConfig:
     # ------------------------------------------------------------------
 
     def redirector_address(self) -> tuple[str, int]:
-        """The deployment's front door: the gateway when sharded, the
-        single redirector otherwise.  Hosts and clients contact this."""
-        return self.bind_host, self.base_port
-
-    def gateway_address(self) -> tuple[str, int]:
-        if self.num_shards == 1:
-            raise ConfigurationError(
-                "a single-shard deployment has no gateway; the redirector "
-                "is the front door"
-            )
-        return self.bind_host, self.base_port
+        """The deployment's front door, shard 0.  Hosts and clients
+        contact this."""
+        return self.shard_address(0)
 
     def shard_address(self, shard: int) -> tuple[str, int]:
         if not 0 <= shard < self.num_shards:
             raise ConfigurationError(
                 f"no shard {shard} in a {self.num_shards}-shard deployment"
             )
-        if self.num_shards == 1:
-            return self.redirector_address()
-        port = 0 if self.base_port == 0 else self.base_port + 1 + shard
-        return self.bind_host, port
+        return self.bind_host, self.base_port and self.base_port + shard
 
     def host_address(self, node: NodeId) -> tuple[str, int]:
         if not 0 <= node < self.num_hosts:
             raise ConfigurationError(f"no host {node} in a {self.num_hosts}-host deployment")
-        port = (
-            0
-            if self.base_port == 0
-            else self.base_port + self._shard_port_offset() + node
-        )
-        return self.bind_host, port
+        return self.bind_host, self.base_port and self.base_port + self.num_shards + node
 
     # ------------------------------------------------------------------
     # Serialisation (multi-process role handoff)
@@ -258,6 +230,16 @@ class LiveConfig:
 
     def replace(self, **changes: Any) -> "LiveConfig":
         return dataclasses.replace(self, **changes)
+
+
+def peer_address(value: Any, what: str) -> tuple[str, int]:
+    """A ``[host, port]`` pair off the wire, checked before anyone dials it."""
+    if not (
+        isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+        and type(value[1]) is int and 0 < value[1] < 65536
+    ):
+        raise ConfigurationError(f"{what} must be [host, port], got {value!r}")
+    return value[0], value[1]
 
 
 class PeerDirectory:
@@ -328,19 +310,32 @@ class PeerDirectory:
         return dict(self._shards)
 
     def apply_peers(self, payload: dict) -> None:
-        """Fold a ``/control/peers`` announcement in (gateway fan-out).
+        """Fold a ``/control/peers`` announcement in (shard 0's fan-out).
 
         The payload carries JSON-shaped maps (string keys, two-element
         address lists); unknown sections are ignored so old and new
-        processes can coexist in one deployment.
+        processes can coexist in one deployment.  Every entry is checked
+        before any is applied: a bad one raises
+        :class:`ConfigurationError` and leaves the book as it was.
         """
-        for shard, address in (payload.get("shards") or {}).items():
-            self.set_shard(int(shard), (str(address[0]), int(address[1])))
-        for node, address in (payload.get("hosts") or {}).items():
-            self.set_host(int(node), (str(address[0]), int(address[1])))
+        shards, hosts = (
+            self._address_book(payload.get(section) or {}, section)
+            for section in ("shards", "hosts")
+        )
         redirector = payload.get("redirector")
         if redirector:
-            self.set_redirector((str(redirector[0]), int(redirector[1])))
+            self._redirector = peer_address(redirector, "peers redirector")
+        self._shards.update(shards)
+        self._hosts.update(hosts)
+
+    @staticmethod
+    def _address_book(entries: Any, section: str) -> dict[int, tuple[str, int]]:
+        if not (isinstance(entries, dict) and all(map(str.isdecimal, entries))):
+            raise ConfigurationError(f"peers {section} must map integer ids to addresses")
+        return {
+            int(key): peer_address(address, f"peers {section}.{key}")
+            for key, address in entries.items()
+        }
 
     def peers_payload(self) -> dict:
         """The JSON shape :meth:`apply_peers` consumes."""

@@ -1,21 +1,21 @@
 """Deployment orchestration: wiring roles, signals, and shutdown export.
 
-:class:`LocalDeployment` runs the whole deployment — the redirector tier
-(one shard, or a gateway plus ``num_shards`` shards) and every replica
-host — on a single event loop, which is how the demo, the CI smoke job
-and the tests run it.  The same component classes also run
-one-per-process (``python -m repro serve --role
-redirector|gateway|shard|host``) for a genuinely distributed deployment.
+:class:`LocalDeployment` runs the whole deployment — the redirector
+shards, shard 0 the front door, and every replica host — on a single
+event loop, which is how the demo, the CI smoke job and the tests run
+it.  The same component classes also run one-per-process (``python -m
+repro serve --role shard|host``) for a genuinely distributed deployment.
 
 Multi-process deployments resolve addresses one of two ways:
 
 * **fixed ports** (``base_port != 0``): every process derives the same
   peer directory from the shared config, no coordination needed;
 * **ephemeral ports** (``base_port == 0``): each server binds port 0,
-  writes its bound port to ``--port-file``, and *registers* with the
-  front door (``/admin/register_shard`` / ``/admin/register_host``),
-  which re-broadcasts the merged address book to every shard.  This is
-  the port-conflict-proof flow CI uses: nothing guesses a free port.
+  writes its bound port to ``--port-file``, and every process but
+  shard 0 *registers* there (``/admin/register_shard`` /
+  ``/admin/register_host``); shard 0 re-announces the merged address
+  book to every other shard.  This is the port-conflict-proof flow CI
+  uses: nothing guesses a free port.
 
 Shutdown is signal-driven: SIGINT/SIGTERM set a stop event, the servers
 and timers are torn down in order (hosts first, so no control call races
@@ -38,7 +38,6 @@ from repro.routing.routes_db import RoutingDatabase
 from repro.live.client import ControlPlane
 from repro.live.clock import WallClock
 from repro.live.config import LiveConfig, PeerDirectory
-from repro.live.gateway import LiveGateway
 from repro.live.host import LiveHostNode
 from repro.live.metrics import summarize_deployment, write_metrics
 from repro.live.redirector import LiveRedirector
@@ -72,9 +71,6 @@ class LocalDeployment:
             )
             for shard in range(config.num_shards)
         ]
-        self.gateway = (
-            LiveGateway(config, self.directory) if config.num_shards > 1 else None
-        )
         self.hosts = [
             LiveHostNode(
                 node, config, self.routes, self.clock, self.directory,
@@ -85,7 +81,7 @@ class LocalDeployment:
 
     @property
     def redirector(self) -> LiveRedirector:
-        """The first shard — *the* redirector in single-shard mode."""
+        """Shard 0, the front door."""
         return self.shards[0]
 
     async def start(self, *, timers: bool = True) -> None:
@@ -98,10 +94,7 @@ class LocalDeployment:
         """
         for shard in self.shards:
             await shard.start()
-        if self.gateway is not None:
-            await self.gateway.start()
-        else:
-            self.directory.set_redirector(self.shards[0].server.address)
+        self.directory.set_redirector(self.shards[0].server.address)
         for host in self.hosts:
             port = await host.start(timers=False)
             self.directory.set_host(host.node, (self.config.bind_host, port))
@@ -112,54 +105,48 @@ class LocalDeployment:
     async def stop(self) -> None:
         for host in self.hosts:
             await host.stop()
-        if self.gateway is not None:
-            await self.gateway.stop()
         for shard in self.shards:
             await shard.stop()
 
     def snapshot(self) -> dict:
         """Deployment-wide state, read in-process (no HTTP)."""
-        snapshot = {
+        shards = [shard.snapshot() for shard in self.shards]
+        return {
             "kind": "live-deployment",
             "time": self.clock.now,
             "config": self.config.to_dict(),
-            "redirector": self._merged_redirector_snapshot(),
+            "redirector": _merged(shards),
+            "shards": shards,
             "hosts": [host.snapshot() for host in self.hosts],
         }
-        if self.config.num_shards > 1:
-            snapshot["shards"] = [shard.snapshot() for shard in self.shards]
-            if self.gateway is not None:
-                snapshot["gateway"] = self.gateway.snapshot()
-        return snapshot
-
-    def _merged_redirector_snapshot(self) -> dict:
-        """One redirector-shaped view of the whole tier.
-
-        Shards partition the namespace, so registries merge by union and
-        the counters add; single-shard deployments pass through as-is
-        (the PR-4 snapshot shape).
-        """
-        merged = dict(self.shards[0].snapshot())
-        for shard in self.shards[1:]:
-            piece = shard.snapshot()
-            merged["registry"].update(piece["registry"])
-            for key in (
-                "owned_objects", "total_replicas", "routed_total",
-                "unroutable_total", "forwarded_total", "deduplicated_total",
-                "throttled_total", "chose_closest", "chose_least_requested",
-            ):
-                merged[key] += piece[key]
-        merged.pop("shard", None)
-        return merged
 
     def replica_placement(self) -> dict[int, dict[int, int]]:
         """``{obj: {host: affinity}}`` from the redirector registry
         (the quantity the sim-vs-live parity test compares)."""
-        registry = self._merged_redirector_snapshot()["registry"]
+        registry = _merged([shard.snapshot() for shard in self.shards])["registry"]
         return {
             int(obj): {int(host): affinity for host, affinity in replicas.items()}
             for obj, replicas in registry.items()
         }
+
+
+def _merged(pieces: list[dict]) -> dict:
+    """One redirector-shaped view of the whole tier.
+
+    Shards partition the namespace, so registries merge by union and
+    the counters add.
+    """
+    merged = {**pieces[0], "registry": dict(pieces[0]["registry"])}
+    for piece in pieces[1:]:
+        merged["registry"].update(piece["registry"])
+        for key in (
+            "owned_objects", "total_replicas", "routed_total",
+            "unroutable_total", "forwarded_total", "deduplicated_total",
+            "throttled_total", "chose_closest", "chose_least_requested",
+        ):
+            merged[key] += piece[key]
+    del merged["shard"]
+    return merged
 
 
 async def _wait(duration: float | None) -> None:
@@ -227,11 +214,10 @@ async def serve_all(
     await deployment.start()
     addr = deployment.directory.redirector()
     _write_port_file(port_file, addr[1])
-    front = "gateway" if config.num_shards > 1 else "redirector"
-    shards = f" x {config.num_shards} shards" if config.num_shards > 1 else ""
     print(
-        f"live deployment up: {front} http://{addr[0]}:{addr[1]}{shards} "
-        f"+ {config.num_hosts} hosts ({config.topology})",
+        f"live deployment up: front door http://{addr[0]}:{addr[1]} "
+        f"({config.num_shards} shard(s)) + {config.num_hosts} hosts "
+        f"({config.topology})",
         file=sys.stderr,
     )
     try:
@@ -247,27 +233,16 @@ def _check_role(
     config: LiveConfig, role: str, index: int | None, gateway: tuple[str, int] | None
 ) -> None:
     """Reject a role this config (or these arguments) cannot run."""
-    if role == "redirector" and config.num_shards > 1:
-        raise ConfigurationError(
-            "a sharded tier runs --role gateway plus --role shard processes; "
-            "--role redirector is the single-shard front door"
-        )
-    if role == "gateway" and config.num_shards < 2:
-        raise ConfigurationError("--role gateway needs --shards >= 2")
-    if role not in ("shard", "host"):
-        return
-    option, count, front = (
-        ("--shard", config.num_shards, "")
-        if role == "shard"
-        else ("--node", config.num_hosts, " (the front door)")
+    option, count = (
+        ("--shard", config.num_shards) if role == "shard" else ("--node", config.num_hosts)
     )
     if index is None:
         raise ConfigurationError(f"--role {role} needs {option}")
     if not 0 <= index < count:
         raise ConfigurationError(f"{option} must be in [0, {count}), got {index}")
-    if config.base_port == 0 and gateway is None:
+    if config.base_port == 0 and gateway is None and (role, index) != ("shard", 0):
         raise ConfigurationError(
-            f"ephemeral ports need --gateway HOST:PORT{front} to register with"
+            "ephemeral ports need --gateway HOST:PORT (the front door) to register with"
         )
 
 
@@ -282,38 +257,29 @@ async def serve_role(
     duration: float | None = None,
 ) -> dict:
     """Run one role of a multi-process deployment until signalled (or for
-    ``duration`` s): ``redirector`` (the single-shard front door),
-    ``gateway``, ``shard`` ``index`` or ``host`` ``index``.
+    ``duration`` s): ``shard`` ``index`` or ``host`` ``index``.
 
-    ``gateway`` is the deployment's front door (the gateway when
-    sharded, the redirector otherwise).  With ephemeral ports a shard or
-    host starts from an address book holding only that, and registers
-    its bound address there — the gateway's peers broadcast then teaches
-    every shard the full book; with fixed ports the book is complete
-    from the config.
+    Shard 0 is the front door; ``gateway`` is its address, which every
+    other process joins.  With ephemeral ports a shard or host starts
+    from an address book holding only that and registers its bound
+    address there — shard 0 then re-announces the full book to every
+    other shard; with fixed ports the book is complete from the config.
     """
     _check_role(config, role, index, gateway)
     directory = _role_directory(config, front=gateway)
-    if role == "gateway":
-        server = LiveGateway(config, directory)
+    routes = RoutingDatabase(config.build_topology())
+    front_door = (role, index) == ("shard", 0)
+    if role == "host":
+        server = LiveHostNode(index, config, routes, WallClock(), directory)
+        port = await server.start(timers=False)
     else:
-        routes = RoutingDatabase(config.build_topology())
-        if role == "host":
-            server = LiveHostNode(index, config, routes, WallClock(), directory)
-        else:
-            server = LiveRedirector(
-                config, routes, WallClock(), directory, shard=index or 0
-            )
-    port = await (server.start(timers=False) if role == "host" else server.start())
+        server = LiveRedirector(config, routes, WallClock(), directory, shard=index)
+        port = await server.start()
     address = (config.bind_host, port)
-    _write_port_file(port_file, port)
-    name = role if index is None else f"{role} {index}"
-    banner = f"{name} up on {address[0]}:{port}"
-    if role == "redirector":
+    if front_door:
         directory.set_redirector(address)
-    elif role == "gateway":
-        banner += f" ({config.num_shards} shards expected)"
-    elif role == "shard" and gateway is not None:
+    _write_port_file(port_file, port)
+    if role == "shard" and not front_door and gateway is not None:
         control = ControlPlane(directory)
         try:
             await control.register_shard(index, address)
@@ -323,17 +289,15 @@ async def serve_role(
         if config.base_port == 0:
             await server.control.register_host(index, address)
         server.start_timers()
-    print(banner, file=sys.stderr)
+    print(f"{role} {index} up on {address[0]}:{port}", file=sys.stderr)
     try:
         await _wait(duration)
     finally:
         piece = server.snapshot()
-        if role == "gateway":
-            snapshot = {"kind": "live-gateway", "gateway": piece}
-        elif role == "host":
+        if role == "host":
             snapshot = {"kind": "live-host", "redirector": {}, "hosts": [piece]}
         else:
-            snapshot = {"kind": f"live-{role}", "redirector": piece, "hosts": []}
+            snapshot = {"kind": "live-shard", "redirector": piece, "hosts": []}
         await server.stop()
         if metrics_path:
             write_metrics(metrics_path, snapshot)

@@ -181,7 +181,7 @@ class LoadgenOptions:
     #: Partition-aware routing: ``{shard: (host, port)}``.  When set the
     #: loadgen consults the same consistent-hash ring as the tier and
     #: sends each ``/route`` straight to the owning shard, skipping the
-    #: gateway hop (how the saturation benchmark exposes shard scaling).
+    #: front door's relay (how the saturation benchmark exposes shard scaling).
     shard_endpoints: dict[int, tuple[str, int]] | None = None
     #: Phase permutations use this seed when set (multiprocess workers
     #: share it so every worker sees the same popularity shift while

@@ -65,24 +65,11 @@ def summarize_deployment(snapshot: dict[str, Any]) -> dict[str, Any]:
         ),
         "chose_closest": int(redirector.get("chose_closest", 0)),
         "chose_least_requested": int(redirector.get("chose_least_requested", 0)),
+        "num_shards": int(redirector.get("num_shards", 0)),
+        "cross_shard_forwards": int(redirector.get("forwarded_total", 0)),
+        "control_deduplicated": int(redirector.get("deduplicated_total", 0)),
+        "control_throttled": int(redirector.get("throttled_total", 0)),
     }
-    # Sharded-tier counters, present only when the tier is sharded so a
-    # single-redirector summary keeps its PR-4 shape exactly.
-    shards = snapshot.get("shards")
-    if shards:
-        summary["num_shards"] = len(shards)
-        summary["cross_shard_forwards"] = int(
-            redirector.get("forwarded_total", 0)
-        )
-        summary["control_deduplicated"] = int(
-            redirector.get("deduplicated_total", 0)
-        )
-        summary["control_throttled"] = int(redirector.get("throttled_total", 0))
-        gateway = snapshot.get("gateway") or {}
-        summary["gateway_route_forwards"] = int(gateway.get("route_forwards", 0))
-        summary["gateway_control_forwards"] = int(
-            gateway.get("control_forwards", 0)
-        )
     return summary
 
 

@@ -1,6 +1,6 @@
 """The repository's one HTTP client: asyncio HTTP/1.1 over pooled keep-alive sockets.
 
-The gateway forwards every request it receives, the load generator
+The front-door shard relays every request it does not own, the load generator
 issues tens of thousands of requests per second and the protocol ticks
 hold a handful of small control conversations per round — at those
 rates a fresh TCP connection per exchange spends more time in
@@ -24,8 +24,8 @@ and (through :meth:`HttpPool.fetch`) an error status — is one exception,
 :class:`TransportError`.
 
 The pool is deliberately not a semaphore: concurrency limits belong to
-the caller (the loadgen's open-loop concurrency bound, the gateway's
-in-flight gate), the pool only amortises connection setup.
+the caller (the loadgen's open-loop concurrency bound, a shard's
+control gate), the pool only amortises connection setup.
 """
 
 from __future__ import annotations

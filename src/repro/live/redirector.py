@@ -13,24 +13,25 @@ HTTP endpoints:
 * ``POST /control/replica_created|affinity_reduced|request_drop`` — the
   registry notices and drop arbitration of Section 4.2.1;
 * ``POST /control/load_report`` / ``GET /control/offload_candidates`` —
-  the load board feeding Offload recipient discovery.
+  the load board feeding Offload recipient discovery;
+* ``POST /admin/register_shard|register_host`` and ``/control/peers`` —
+  membership on ephemeral ports.
 
-Sharding changes three things relative to the PR-4 single redirector:
+Every deployment has one shape: shard 0 is the front door that hosts and
+clients contact, and any further shards sit beside it.
 
-**Ownership and forwarding.**  Every conversation keyed by an object id
-is decided at the object's owning shard.  A request that lands on the
-wrong shard — a host was configured with one endpoint, the gateway's
-view was stale — is transparently forwarded to the owner over the
-pooled async client, so registry updates reach the owner *regardless of
-which endpoint the sender contacted*.  With ``num_shards == 1`` the
-ring owns everything and no forward ever fires: the PR-4 behaviour is
-preserved exactly.
+**Ownership and relay.**  Every conversation keyed by an object id is
+decided at the object's owning shard.  One that lands elsewhere — at the
+front door, or at a shard a stale sender picked — is relayed to the
+owner over the pooled keep-alive client, so registry updates reach the
+owner *regardless of which endpoint the sender contacted*.  With one
+shard the ring owns everything and no relay ever fires.
 
 **Idempotent registry mutations.**  Clients stamp every registry
 mutation with a ``msg_id``; the owner runs it through a
 :class:`~repro.network.rpc.DedupCache` (the same idempotent-receive
 discipline the simulator's RPC layer applies), so a retried or
-re-forwarded ``replica_created`` is applied exactly once and the
+re-relayed ``replica_created`` is applied exactly once and the
 duplicate gets the original reply.
 
 **Backpressure.**  Control-plane POSTs pass a token-bucket +
@@ -38,28 +39,38 @@ bounded-in-flight gate; rejected requests get ``429`` with a fractional
 ``Retry-After`` that clients honour, so a flooded shard sheds control
 load cheaply while its data plane keeps answering.
 
-Load reports are stamped with the *shard's* clock on receipt, not the
-sender's, and are broadcast to every peer shard (best-effort, marked
-``forwarded`` to stop loops): the offload board is a deployment-wide
-directory, so any shard must be able to answer
-``offload_candidates``.
+**Broadcasts.**  Load reports are stamped with the *receiving* shard's
+clock, not the sender's, and re-announced to every peer shard
+(best-effort, marked ``forwarded`` to stop loops): the offload board is
+a deployment-wide directory, so any shard answers
+``offload_candidates``.  A registration re-announces the merged address
+book the same way, so shards that joined at the front door learn every
+host.
+
+Every body field is checked before anything uses it: a bad one is a 400
+naming it, with nothing relayed, counted or applied.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Awaitable
+from urllib.parse import urlencode
 
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.redirector import RedirectorService
 from repro.core.runtime import Clock
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.network.rpc import DedupCache
 from repro.obs.tracer import ProtocolTracer
+from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 
-from repro.live.config import LiveConfig, PeerDirectory
+from repro.live.backpressure import Backpressure
+from repro.live.config import LiveConfig, PeerDirectory, peer_address
 from repro.live.httpd import (
+    BadRequest,
     HttpServer,
     Request,
     Response,
@@ -68,11 +79,18 @@ from repro.live.httpd import (
     json_response,
     throttle_response,
 )
-from repro.live.pool import TransportError
-from repro.live.tier import TierMember
+from repro.live.pool import HttpPool, TransportError
 
 
-class LiveRedirector(TierMember):
+def _id(payload: dict, key: str, limit: int) -> int:
+    """An integer id field of a control body, in ``[0, limit)``."""
+    value = payload.get(key)
+    if type(value) is not int or not 0 <= value < limit:
+        raise BadRequest(f"{key} must be an integer in [0, {limit}), got {value!r}")
+    return value
+
+
+class LiveRedirector:
     """One redirector shard process for a live deployment."""
 
     def __init__(
@@ -85,9 +103,17 @@ class LiveRedirector(TierMember):
         shard: int = 0,
         tracer: ProtocolTracer | None = None,
     ) -> None:
-        super().__init__(config, directory)
+        self.config = config
+        self.directory = directory
         self.clock = clock
         self.shard = shard
+        self.ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+        self.pool = HttpPool(timeout=5.0)
+        self.control_gate = Backpressure(
+            rate=config.control_rate_limit,
+            burst=config.control_burst,
+            max_inflight=config.control_max_inflight,
+        )
         # The paper's evaluation places the (single) redirector at the
         # node with minimum mean distance; its node id only labels the
         # service here, the process listens on its own port.
@@ -114,17 +140,60 @@ class LiveRedirector(TierMember):
         self.server = HttpServer(self._build_router(), host=bind_host, port=port)
 
     # ------------------------------------------------------------------
-    # Ownership
+    # Ownership and relay
     # ------------------------------------------------------------------
 
     def owns(self, obj: int) -> bool:
         return self.ring.owner(obj) == self.shard
 
     async def _to_owner(self, obj: int, request: Request) -> Response:
-        """Relay a mis-addressed conversation to the owning shard."""
+        """Relay a conversation about ``obj`` to the owning shard.
+
+        The status, body, content type and a 429's ``Retry-After`` are
+        the owner's; 503 before it has registered, 502 when the exchange
+        itself fails.
+        """
         owner = self.ring.owner(obj)
-        self.forwarded_total += self.directory.knows_shard(owner)
-        return await self._forward(owner, request)
+        if not self.directory.knows_shard(owner):
+            return error_response(503, f"shard {owner} not registered yet")
+        self.forwarded_total += 1
+        path = request.path
+        if request.query:
+            path += "?" + urlencode(request.query)
+        try:
+            status, headers, body = await self.pool.request(
+                self.directory.shard(owner),
+                request.method,
+                path,
+                body=request.body or None,
+            )
+        except TransportError as exc:
+            return error_response(502, f"shard {owner} unreachable: {exc}")
+        response = Response(
+            status=status,
+            body=body,
+            content_type=headers.get("content-type", "application/json"),
+        )
+        if "retry-after" in headers:
+            response.headers["Retry-After"] = headers["retry-after"]
+        return response
+
+    async def _tell_peers(self, path: str, payload: dict) -> None:
+        """Post ``payload`` to every other registered shard.
+
+        Best-effort, like the simulator's oneway grade: a lost load
+        report is superseded by next interval's, a lost address book by
+        the next registration (and hosts re-pull it on a miss).
+        """
+        for peer, address in self.directory.shards().items():
+            if peer == self.shard:
+                continue
+            try:
+                await self.pool.request(
+                    address, "POST", path, payload=payload, timeout=2.0
+                )
+            except TransportError:
+                continue
 
     # ------------------------------------------------------------------
     # Routes
@@ -139,6 +208,7 @@ class LiveRedirector(TierMember):
         router.add("POST", "/control/load_report", self._load_report)
         router.add("GET", "/control/offload_candidates", self._offload_candidates)
         router.add("POST", "/control/peers", self._peers)
+        router.add("POST", "/admin/register_shard", self._register_shard)
         router.add("POST", "/admin/register_host", self._register_host)
         router.add("GET", "/admin/endpoints", self._endpoints)
         router.add("GET", "/metrics", self._metrics)
@@ -148,14 +218,22 @@ class LiveRedirector(TierMember):
     def _route(self, request: Request, params: dict) -> Response | Awaitable[Response]:
         try:
             obj = int(request.query["obj"])
-            gateway = int(request.query.get("gateway", 0))
             exclude = (
                 int(request.query["exclude"])
                 if "exclude" in request.query
                 else None
             )
         except (KeyError, ValueError):
-            return error_response(400, "route needs integer obj= and gateway=")
+            return error_response(400, "route needs integer obj=")
+        # The gateway id indexes a distance row: reject a bad one before
+        # it is relayed, counted or looked up.
+        raw_gateway = request.query.get("gateway", "0")
+        hosts = self.config.num_hosts
+        if not (raw_gateway.isdecimal() and int(raw_gateway) < hosts):
+            return error_response(
+                400, f"gateway must be a node id in [0, {hosts}), got {raw_gateway!r}"
+            )
+        gateway = int(raw_gateway)
         if not self.owns(obj):
             return self._to_owner(obj, request)
         if not self.service.knows(obj):
@@ -173,78 +251,66 @@ class LiveRedirector(TierMember):
             }
         )
 
-    # -- registry mutations (gated, owner-forwarded, deduplicated) ------
+    # -- registry mutations (gated, owner-relayed, deduplicated) --------
 
-    async def _registry_mutation(self, request: Request, apply) -> Response:
+    async def _registry_mutation(
+        self, request: Request, apply, *, affinity: bool = False
+    ) -> Response:
         """The shared wrapper for object-keyed control mutations.
 
-        Gate (backpressure) → ownership (forward to the owner) → dedup
-        (answer retries from cache) → apply.  ``apply`` runs only at the
-        owning shard, exactly once per ``msg_id``.
+        Gate (backpressure) → check ``obj``, ``host`` (and ``affinity``)
+        → ownership (relay to the owner) → dedup (answer retries from
+        cache) → ``apply``, which runs only at the owning shard, exactly
+        once per ``msg_id``.
         """
         wait = self.control_gate.admit()
         if wait > 0.0:
             return throttle_response(wait)
         try:
             payload = request.json()
-            try:
-                obj = int(payload["obj"])
-            except (KeyError, ValueError):
-                return error_response(400, "control mutation needs integer obj")
-            if not self.owns(obj):
-                return await self._to_owner(obj, request)
+            args = [
+                _id(payload, "obj", self.config.num_objects),
+                _id(payload, "host", self.config.num_hosts),
+            ]
+            if affinity:
+                args.append(payload.get("affinity"))
+                if type(args[-1]) is not int:
+                    raise BadRequest(f"affinity must be an integer, got {args[-1]!r}")
+            if not self.owns(args[0]):
+                return await self._to_owner(args[0], request)
             msg_id = payload.get("msg_id")
             if msg_id is not None:
                 cached = self.dedup.get(msg_id)
                 if cached is not None:
                     self.deduplicated_total += 1
                     return json_response(cached)
-            response = apply(payload)
-            if msg_id is not None and response.status < 500:
+            try:
+                response = json_response(apply(*args))
+            except ProtocolError as exc:
+                response = error_response(409, str(exc))
+            if msg_id is not None:
                 self.dedup.put(msg_id, json.loads(response.body))
             return response
         finally:
             self.control_gate.release()
 
     async def _replica_created(self, request: Request, params: dict) -> Response:
-        def apply(payload: dict) -> Response:
-            try:
-                self.service.replica_created(
-                    int(payload["obj"]), int(payload["host"]), int(payload["affinity"])
-                )
-            except (KeyError, ValueError):
-                return error_response(400, "replica_created needs obj, host, affinity")
-            except ProtocolError as exc:
-                return error_response(409, str(exc))
-            return json_response({"ok": True})
+        def apply(obj: int, host: int, affinity: int) -> dict:
+            self.service.replica_created(obj, host, affinity)
+            return {"ok": True}
 
-        return await self._registry_mutation(request, apply)
+        return await self._registry_mutation(request, apply, affinity=True)
 
     async def _affinity_reduced(self, request: Request, params: dict) -> Response:
-        def apply(payload: dict) -> Response:
-            try:
-                self.service.affinity_reduced(
-                    int(payload["obj"]), int(payload["host"]), int(payload["affinity"])
-                )
-            except (KeyError, ValueError):
-                return error_response(400, "affinity_reduced needs obj, host, affinity")
-            except ProtocolError as exc:
-                return error_response(409, str(exc))
-            return json_response({"ok": True})
+        def apply(obj: int, host: int, affinity: int) -> dict:
+            self.service.affinity_reduced(obj, host, affinity)
+            return {"ok": True}
 
-        return await self._registry_mutation(request, apply)
+        return await self._registry_mutation(request, apply, affinity=True)
 
     async def _request_drop(self, request: Request, params: dict) -> Response:
-        def apply(payload: dict) -> Response:
-            try:
-                approved = self.service.request_drop(
-                    int(payload["obj"]), int(payload["host"])
-                )
-            except (KeyError, ValueError):
-                return error_response(400, "request_drop needs obj and host")
-            except ProtocolError as exc:
-                return error_response(409, str(exc))
-            return json_response({"approved": approved})
+        def apply(obj: int, host: int) -> dict:
+            return {"approved": self.service.request_drop(obj, host)}
 
         return await self._registry_mutation(request, apply)
 
@@ -256,36 +322,20 @@ class LiveRedirector(TierMember):
             return throttle_response(wait)
         try:
             payload = request.json()
-            try:
-                node = int(payload["node"])
-                load = float(payload["load"])
-            except (KeyError, ValueError):
-                return error_response(400, "load_report needs node and load")
+            node = _id(payload, "node", self.config.num_hosts)
+            load = payload.get("load")
+            if type(load) not in (int, float) or not 0 <= load < math.inf:
+                raise BadRequest(f"load must be a finite number >= 0, got {load!r}")
+            load = float(load)
             self.board.report(node, load, self.clock.now)
-            if not payload.get("forwarded") and self.config.num_shards > 1:
-                await self._broadcast_load_report(node, load)
+            if not payload.get("forwarded"):
+                await self._tell_peers(
+                    "/control/load_report",
+                    {"node": node, "load": load, "forwarded": True},
+                )
             return json_response({"ok": True})
         finally:
             self.control_gate.release()
-
-    async def _broadcast_load_report(self, node: int, load: float) -> None:
-        """Replicate a first-hand load report to every peer shard.
-
-        Best-effort, like the simulator's oneway grade: a lost copy is
-        superseded by next interval's report.  The ``forwarded`` flag
-        stops a peer from re-broadcasting.
-        """
-        payload = {"node": node, "load": load, "forwarded": True}
-        for peer, address in self.directory.shards().items():
-            if peer == self.shard:
-                continue
-            try:
-                await self.pool.request(
-                    address, "POST", "/control/load_report", payload=payload,
-                    timeout=2.0,
-                )
-            except TransportError:
-                continue
 
     async def _offload_candidates(self, request: Request, params: dict) -> Response:
         try:
@@ -305,23 +355,41 @@ class LiveRedirector(TierMember):
 
     # -- membership -----------------------------------------------------
 
-    async def _register_host(self, request: Request, params: dict) -> Response:
-        """A host announcing its bound address (single-shard front door;
-        the gateway handles this for sharded tiers)."""
+    async def _register_shard(self, request: Request, params: dict) -> Response:
+        """A shard announcing its bound address at the front door."""
         payload = request.json()
+        shard = _id(payload, "shard", self.config.num_shards)
+        self.directory.set_shard(shard, self._announced(payload))
+        await self._tell_peers("/control/peers", self.directory.peers_payload())
+        return json_response({"ok": True})
+
+    async def _register_host(self, request: Request, params: dict) -> Response:
+        """A host announcing its bound address at the front door."""
+        payload = request.json()
+        node = _id(payload, "node", self.config.num_hosts)
+        self.directory.set_host(node, self._announced(payload))
+        await self._tell_peers("/control/peers", self.directory.peers_payload())
+        return json_response({"ok": True})
+
+    @staticmethod
+    def _announced(payload: dict) -> tuple[str, int]:
         try:
-            node = int(payload["node"])
-            address = (str(payload["host"]), int(payload["port"]))
-        except (KeyError, ValueError):
-            return error_response(400, "register_host needs node, host, port")
-        self.directory.set_host(node, address)
+            return peer_address(
+                [payload.get("host"), payload.get("port")], "registered host and port"
+            )
+        except ConfigurationError as exc:
+            raise BadRequest(str(exc)) from None
+
+    async def _peers(self, request: Request, params: dict) -> Response:
+        """The front door's address book, re-announced after a registration."""
+        try:
+            self.directory.apply_peers(request.json())
+        except ConfigurationError as exc:
+            raise BadRequest(str(exc)) from None
         return json_response({"ok": True})
 
     async def _endpoints(self, request: Request, params: dict) -> Response:
         payload = self.directory.peers_payload()
-        payload.setdefault("shards", {})[str(self.shard)] = [
-            self.server.host, self.server.port
-        ]
         payload["num_shards"] = self.config.num_shards
         return json_response(payload)
 
@@ -341,6 +409,10 @@ class LiveRedirector(TierMember):
         port = await self.server.start()
         self.directory.set_shard(self.shard, (self.server.host, port))
         return port
+
+    async def stop(self) -> None:
+        await self.server.stop()
+        await self.pool.close()
 
     def snapshot(self) -> dict:
         service = self.service

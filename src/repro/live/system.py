@@ -79,7 +79,7 @@ class LiveSystem:
         #: Travels inside CreateObj offers so the candidate can pull the
         #: bulk copy even when its own directory has no entry for the
         #: source yet (ephemeral-port deployments converge via the
-        #: gateway's peers broadcast, which may still be in flight).
+        #: front door's peers broadcast, which may still be in flight).
         self.advertised: tuple[str, int] | None = None
         self.engine = PlacementEngine(self)
         #: Replica-set changes this host initiated or accepted, exported

@@ -70,6 +70,13 @@ def test_addresses_derive_from_base_port():
         config.host_address(2)
 
 
+def test_port_layout_is_one_formula():
+    config = LiveConfig(base_port=9000, num_hosts=2, num_shards=3)
+    assert config.redirector_address() == ("127.0.0.1", 9000)
+    assert [config.shard_address(s)[1] for s in range(3)] == [9000, 9001, 9002]
+    assert [config.host_address(n)[1] for n in range(2)] == [9003, 9004]
+
+
 def test_ephemeral_ports_zero_out_host_addresses():
     config = LiveConfig(base_port=0)
     assert config.host_address(1) == ("127.0.0.1", 0)

@@ -17,6 +17,7 @@ from repro.live.host import object_payload
 from repro.live.loadgen import _http_get
 from repro.live.pool import HttpPool
 from repro.live.metrics import summarize_deployment
+from repro.routing.hashring import HashRing
 
 
 def demo_config(**protocol_changes) -> LiveConfig:
@@ -246,37 +247,43 @@ def test_serve_all_shuts_down_cleanly_on_sigint(tmp_path):
     assert metrics_path.exists()
 
 
+async def _read_port(path):
+    for _ in range(200):
+        if path.exists():
+            return int(path.read_text())
+        await asyncio.sleep(0.02)
+    raise AssertionError(f"{path} never appeared")
+
+
+def _role(config, tmp_path, name, seconds, **where):
+    """One ``serve_role`` task, its port and metrics files under ``tmp_path``."""
+    label = f"{name}{where.get('index', '')}"
+    return asyncio.create_task(
+        serve_role(
+            config, name, duration=seconds,
+            port_file=str(tmp_path / f"{label}.port"),
+            metrics_path=str(tmp_path / f"{label}.json"),
+            **where,
+        )
+    )
+
+
 def test_serve_role_processes_find_each_other_through_the_front_door(tmp_path):
-    """The multi-process shape on one loop: a redirector and two hosts,
-    each its own ``serve_role``, ephemeral ports published through port
-    files, the hosts registering at the front door they were pointed at,
-    every role leaving after its ``duration``."""
+    """The multi-process shape on one loop: shard 0 (the front door) and
+    two hosts, each its own ``serve_role``, ephemeral ports published
+    through port files, the hosts registering at the front door they were
+    pointed at, every role leaving after its ``duration``."""
     config = demo_config().replace(num_hosts=2, topology="line")
 
-    async def read_port(path):
-        for _ in range(200):
-            if path.exists():
-                return int(path.read_text())
-            await asyncio.sleep(0.02)
-        raise AssertionError(f"{path} never appeared")
-
     async def main():
-        def role(name, seconds, **where):
-            label = f"{name}{where.get('index', '')}"
-            return asyncio.create_task(
-                serve_role(
-                    config, name, duration=seconds,
-                    port_file=str(tmp_path / f"{label}.port"),
-                    metrics_path=str(tmp_path / f"{label}.json"),
-                    **where,
-                )
-            )
-
-        # The hosts leave first, so no tick talks to a closed redirector.
-        tasks = [role("redirector", 2.0)]
-        front = (config.bind_host, await read_port(tmp_path / "redirector.port"))
-        tasks += [role("host", 1.2, index=node, gateway=front) for node in (0, 1)]
-        ports = [await read_port(tmp_path / f"host{node}.port") for node in (0, 1)]
+        # The hosts leave first, so no tick talks to a closed shard.
+        tasks = [_role(config, tmp_path, "shard", 2.0, index=0)]
+        front = (config.bind_host, await _read_port(tmp_path / "shard0.port"))
+        tasks += [
+            _role(config, tmp_path, "host", 1.2, index=node, gateway=front)
+            for node in (0, 1)
+        ]
+        ports = [await _read_port(tmp_path / f"host{node}.port") for node in (0, 1)]
         for _ in range(100):
             status, _h, body = await _http_get(*front, "/admin/endpoints", 5.0)
             book = json.loads(body)["hosts"]
@@ -294,11 +301,50 @@ def test_serve_role_processes_find_each_other_through_the_front_door(tmp_path):
         assert status == 200 and body == object_payload(1, config.object_size)
         return await asyncio.gather(*tasks)
 
-    redirector, host0, host1 = asyncio.run(asyncio.wait_for(main(), 30.0))
-    assert [s["kind"] for s in (redirector, host0, host1)] == [
-        "live-redirector", "live-host", "live-host",
+    shard0, host0, host1 = asyncio.run(asyncio.wait_for(main(), 30.0))
+    assert [s["kind"] for s in (shard0, host0, host1)] == [
+        "live-shard", "live-host", "live-host",
     ]
-    assert redirector["redirector"]["routed_total"] == 1
+    assert shard0["redirector"]["routed_total"] == 1
     assert host1["hosts"][0]["serviced_total"] == 1
-    for label in ("redirector", "host0", "host1"):
+    for label in ("shard0", "host0", "host1"):
         assert json.loads((tmp_path / f"{label}.json").read_text())["kind"]
+
+
+def test_serve_role_shards_learn_the_hosts_from_the_front_door(tmp_path):
+    """The same with two shards, every role with its own address book:
+    shard 0, then shard 1 and two hosts, each registering at shard 0.
+    Shard 1 hears of the hosts only through shard 0's re-announced
+    address book, and then routes one of its own objects to a registered
+    host's URL."""
+    config = demo_config().replace(num_hosts=2, topology="line", num_shards=2)
+    ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+    obj = next(o for o in range(config.num_objects) if ring.owner(o) == 1)
+
+    async def main():
+        tasks = [_role(config, tmp_path, "shard", 2.0, index=0)]
+        front = (config.bind_host, await _read_port(tmp_path / "shard0.port"))
+        tasks.append(_role(config, tmp_path, "shard", 1.6, index=1, gateway=front))
+        shard1 = (config.bind_host, await _read_port(tmp_path / "shard1.port"))
+        tasks += [
+            _role(config, tmp_path, "host", 1.2, index=node, gateway=front)
+            for node in (0, 1)
+        ]
+        ports = [await _read_port(tmp_path / f"host{node}.port") for node in (0, 1)]
+        for _ in range(100):
+            status, _h, body = await _http_get(*shard1, "/admin/endpoints", 5.0)
+            if len(json.loads(body)["hosts"]) == 2:
+                break
+            await asyncio.sleep(0.02)
+        status, _h, body = await _http_get(*shard1, f"/route?obj={obj}&gateway=0", 5.0)
+        assert status == 200, body
+        home = ports[obj % config.num_hosts]
+        assert json.loads(body)["url"].startswith(f"http://127.0.0.1:{home}/obj/{obj}")
+        return await asyncio.gather(*tasks)
+
+    shard0, shard1, *hosts = asyncio.run(asyncio.wait_for(main(), 30.0))
+    assert [s["kind"] for s in (shard0, shard1, *hosts)] == [
+        "live-shard", "live-shard", "live-host", "live-host",
+    ]
+    assert shard1["redirector"]["routed_total"] == 1
+    assert shard0["redirector"]["routed_total"] == 0

@@ -134,7 +134,7 @@ def test_malformed_request_line_is_400():
     ids=["length-and-transfer-encoding", "conflicting-lengths", "bare-lf-head"],
 )
 def test_a_smuggling_shaped_request_is_400(payload):
-    """One grammar on both sides of the gateway -> shard relay: a request
+    """One grammar on both sides of the shard -> shard relay: a request
     two parsers could frame differently is refused, not guessed at."""
 
     async def exchange(host, port):

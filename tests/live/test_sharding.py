@@ -1,9 +1,10 @@
 """Tests for the sharded redirector tier: ring routing, registry sync.
 
-Every test runs a real 2-shard deployment (gateway + shards + hosts) on
-ephemeral loopback ports and drives it over actual sockets — ownership
-forwarding, cross-shard registry sync, dedup and the load-report
-broadcast are wire-level behaviours, not unit seams.
+Every test runs a real 2-shard deployment (shard 0 the front door, shard
+1 beside it, hosts) on ephemeral loopback ports and drives it over
+actual sockets — ownership relay, cross-shard registry sync, dedup,
+input checks and the load-report broadcast are wire-level behaviours,
+not unit seams.
 """
 
 import asyncio
@@ -25,7 +26,7 @@ def sharded_config(**changes) -> LiveConfig:
     return LiveConfig(base_port=0, num_shards=2, protocol=protocol, **changes)
 
 
-def test_gateway_forwards_each_object_to_its_owning_shard():
+def test_front_shard_relays_each_object_to_its_owning_shard():
     config = sharded_config()
     ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
 
@@ -35,26 +36,116 @@ def test_gateway_forwards_each_object_to_its_owning_shard():
         pool = HttpPool()
         try:
             front = deployment.directory.redirector()
+            assert front == deployment.shards[0].server.address
             for obj in range(config.num_objects):
                 status, _h, body = await pool.request(
                     front, "GET", f"/route?obj={obj}&gateway=0"
                 )
                 assert status == 200
-                route = json.loads(body)
-                assert route["server"] == obj % config.num_hosts
+                assert json.loads(body)["server"] == obj % config.num_hosts
             owned0 = len(ring.owned_by(0, range(config.num_objects)))
-            # Each shard answered exactly its own partition: the gateway
-            # forwarded by ownership, so no shard-to-shard relay fired.
-            assert deployment.shards[0].routed_total == owned0
-            assert (
-                deployment.shards[1].routed_total
-                == config.num_objects - owned0
-            )
-            assert deployment.gateway.route_forwards == config.num_objects
-            assert all(s.forwarded_total == 0 for s in deployment.shards)
+            # Each shard routed exactly its own partition: the front door
+            # answered its own objects and relayed the rest, once each.
+            front_shard, other = deployment.shards
+            assert front_shard.routed_total == owned0
+            assert other.routed_total == config.num_objects - owned0
+            assert front_shard.forwarded_total == config.num_objects - owned0
+            assert other.forwarded_total == 0
             # Both shards own a non-trivial slice (the test would be
             # vacuous if the ring degenerated to one owner).
             assert 0 < owned0 < config.num_objects
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
+def test_route_rejects_a_bad_gateway_before_counting_it():
+    """``?gateway=`` indexes a distance row: -1 read the last node's row
+    (and a sole replica was routed and counted before its host refused
+    the request), an id past the end was a 500.  Every shard now answers
+    400 before relaying, counting or looking anything up."""
+    config = sharded_config()
+    ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            objects = [
+                next(o for o in range(config.num_objects) if ring.owner(o) == shard)
+                for shard in (0, 1)
+            ]
+            for shard in deployment.shards:
+                for obj in objects:
+                    for bad in ("-1", str(config.num_hosts), "99", "abc", ""):
+                        status, _h, body = await pool.request(
+                            shard.server.address, "GET", f"/route?obj={obj}&gateway={bad}"
+                        )
+                        assert status == 400, (obj, bad, body)
+                        assert b"gateway" in body
+            for shard in deployment.shards:
+                counters = (shard.routed_total, shard.forwarded_total, shard.unroutable_total)
+                assert counters == (0, 0, 0)
+                assert shard.service.chose_closest == shard.service.chose_least_requested == 0
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
+#: ``(path, body, word the 400 must name)``: each spoils one field with a
+#: value ``int()`` used to choke on (``null``, a list, an object) or one
+#: out of range.
+BAD_CONTROL = [
+    ("/control/replica_created", {"obj": None, "host": 1, "affinity": 1}, "obj"),
+    ("/control/replica_created", {"obj": [0], "host": 1, "affinity": 1}, "obj"),
+    ("/control/replica_created", {"obj": 0, "host": {}, "affinity": 1}, "host"),
+    ("/control/replica_created", {"obj": 0, "host": 1, "affinity": None}, "affinity"),
+    ("/control/affinity_reduced", {"obj": 1, "host": [1], "affinity": 1}, "host"),
+    ("/control/request_drop", {"obj": 1, "host": None}, "host"),
+    ("/control/request_drop", {"obj": 10**6, "host": 0}, "obj"),
+    ("/control/load_report", {"node": None, "load": 1.0}, "node"),
+    ("/control/load_report", {"node": 0, "load": [1.0]}, "load"),
+    ("/admin/register_host", {"node": {}, "host": "127.0.0.1", "port": 1}, "node"),
+    ("/admin/register_host", {"node": 0, "host": ["x"], "port": 1}, "host and port"),
+    ("/admin/register_shard", {"shard": None, "host": "127.0.0.1", "port": 1}, "shard"),
+    ("/admin/register_shard", {"shard": 5, "host": "127.0.0.1", "port": 1}, "shard"),
+    ("/admin/register_shard", {"shard": 1, "host": "127.0.0.1", "port": None}, "host and port"),
+    ("/control/peers", {"hosts": {"0": ["127.0.0.1", 1], "1": None}}, "hosts.1"),
+    ("/control/peers", {"shards": {"x": ["127.0.0.1", 1]}}, "shards"),
+    ("/control/peers", {"hosts": [["127.0.0.1", 1]]}, "hosts"),
+]
+
+
+def test_malformed_control_bodies_are_400_and_change_nothing():
+    """Every bad body is a 400 naming the field at either shard, with
+    nothing relayed, counted or applied — a peers announcement with one
+    bad entry leaves the whole address book as it was."""
+    config = sharded_config()
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            book = deployment.directory.peers_payload()
+            placement = deployment.replica_placement()
+            for shard in deployment.shards:
+                for path, body, word in BAD_CONTROL:
+                    status, _h, reply = await pool.request(
+                        shard.server.address, "POST", path, payload=body
+                    )
+                    assert status == 400, (path, body, reply)
+                    assert word.encode() in reply, (path, body, reply)
+            assert deployment.directory.peers_payload() == book
+            assert deployment.replica_placement() == placement
+            for shard in deployment.shards:
+                assert shard.board.candidates(exclude=None) == []
+                assert (shard.forwarded_total, shard.deduplicated_total) == (0, 0)
         finally:
             await pool.close()
             await deployment.stop()
@@ -117,10 +208,11 @@ def test_notice_posted_to_wrong_shard_reaches_the_owner():
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("relayer", ["gateway", "shard"])
+@pytest.mark.parametrize("relayer", ["front", "shard"])
 def test_relayed_429_keeps_the_owners_retry_after(relayer):
-    """Both callers of the shared relay pass the owner's backpressure
-    hint through untouched, so a client sleeps what the *owner* asked."""
+    """The front door relaying for shard 1, and shard 1 relaying for
+    shard 0, pass the owner's backpressure hint through untouched, so a
+    client sleeps what the *owner* asked."""
     config = sharded_config(control_rate_limit=1.0, control_burst=2.0)
     ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
 
@@ -129,8 +221,9 @@ def test_relayed_429_keeps_the_owners_retry_after(relayer):
         await deployment.start(timers=False)
         pool = HttpPool()
         try:
-            owner, other = deployment.shards
-            obj = next(o for o in range(config.num_objects) if ring.owner(o) == 0)
+            owner_id = 1 if relayer == "front" else 0
+            owner, via = deployment.shards[owner_id], deployment.shards[1 - owner_id]
+            obj = next(o for o in range(config.num_objects) if ring.owner(o) == owner_id)
             # Empty the owner's bucket directly (``forwarded`` stops the
             # report from spending the peer's tokens on a re-broadcast).
             for _ in range(4):
@@ -139,7 +232,6 @@ def test_relayed_429_keeps_the_owners_retry_after(relayer):
                     payload={"node": 0, "load": 1.0, "forwarded": True},
                 )
             assert owner.control_gate.rejected_total >= 1
-            via = deployment.gateway if relayer == "gateway" else other
             status, headers, _b = await pool.request(
                 via.server.address, "POST", "/control/replica_created",
                 payload={"obj": obj, "host": 1, "affinity": 1, "msg_id": "relay-429"},
@@ -204,8 +296,8 @@ def test_load_report_broadcast_reaches_every_shard():
         await deployment.start(timers=False)
         pool = HttpPool()
         try:
-            # Report straight to shard 1; the broadcast must make the
-            # entry visible from shard 0 and through the gateway.
+            # Report straight to shard 1; its broadcast must make the
+            # entry visible at shard 0, the front door.
             status, _h, _b = await pool.request(
                 deployment.shards[1].server.address,
                 "POST",
@@ -213,28 +305,22 @@ def test_load_report_broadcast_reaches_every_shard():
                 payload={"node": 2, "load": 3.5},
             )
             assert status == 200
-            for address in (
-                deployment.shards[0].server.address,
-                deployment.directory.redirector(),
-            ):
-                status, _h, body = await pool.request(
-                    address, "GET", "/control/offload_candidates?exclude=99"
-                )
-                assert status == 200
-                nodes = [
-                    c["node"] for c in json.loads(body)["candidates"]
-                ]
-                assert 2 in nodes
-            # The gateway's own broadcast path: report via the front
-            # door, check both shards' boards directly.
             status, _h, body = await pool.request(
+                deployment.directory.redirector(),
+                "GET",
+                "/control/offload_candidates?exclude=99",
+            )
+            assert status == 200
+            assert 2 in [c["node"] for c in json.loads(body)["candidates"]]
+            # The front door's own broadcast: report there, check both
+            # shards' boards directly.
+            status, _h, _b = await pool.request(
                 deployment.directory.redirector(),
                 "POST",
                 "/control/load_report",
                 payload={"node": 1, "load": 9.0},
             )
             assert status == 200
-            assert json.loads(body)["delivered"] == 2
             for shard in deployment.shards:
                 assert any(
                     node == 1
@@ -249,7 +335,7 @@ def test_load_report_broadcast_reaches_every_shard():
     asyncio.run(main())
 
 
-def test_endpoints_and_aggregated_metrics_via_gateway():
+def test_endpoints_via_the_front_door():
     config = sharded_config()
 
     async def main():
@@ -265,15 +351,10 @@ def test_endpoints_and_aggregated_metrics_via_gateway():
             endpoints = json.loads(body)
             assert len(endpoints["shards"]) == config.num_shards
             assert len(endpoints["hosts"]) == config.num_hosts
-            status, _h, body = await pool.request(front, "GET", "/metrics")
-            assert status == 200
-            metrics = json.loads(body)
-            assert metrics["role"] == "gateway"
-            assert set(metrics["shards"]) == {"0", "1"}
-            owned = sum(
-                metrics["shards"][s]["owned_objects"] for s in ("0", "1")
-            )
-            assert owned == config.num_objects
+            assert endpoints["redirector"] == list(front)
+            assert endpoints["num_shards"] == config.num_shards
+            status, _h, body = await pool.request(front, "GET", "/healthz")
+            assert status == 200 and json.loads(body)["shard"] == 0
         finally:
             await pool.close()
             await deployment.stop()
@@ -282,7 +363,7 @@ def test_endpoints_and_aggregated_metrics_via_gateway():
 
 
 def test_sharded_deployment_replicates_under_load():
-    """End to end: hosts talk only to the gateway, yet replication
+    """End to end: hosts talk only to the front door, yet replication
     registrations land on the right shards and every request completes."""
     config = sharded_config()
 

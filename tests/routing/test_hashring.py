@@ -7,7 +7,7 @@ from repro.routing.hashring import HashRing
 
 
 def test_ownership_deterministic_across_instances():
-    # The gateway, every shard, the loadgen and the tests each rebuild
+    # Every shard, the loadgen and the tests each rebuild
     # the ring independently; they must agree on every key.
     a = HashRing(4)
     b = HashRing(4)

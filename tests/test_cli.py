@@ -303,7 +303,7 @@ def test_gap_rejects_multi_valued_scalar():
         (["loadgen", "--processes", "0"], "--processes must be at least 1"),
         (["loadgen", "--direct", "--redirector", "127.0.0.1:1"],
          "--direct: cannot read the front door's endpoints"),
-        (["serve", "--role", "gateway", "--shards", "2", "--trace", "t.jsonl"],
+        (["serve", "--role", "shard", "--shard", "1", "--shards", "2", "--trace", "t.jsonl"],
          "--trace needs --role all"),
         (["serve", "--role", "shard", "--shard", "2", "--shards", "2"],
          "--shard must be in [0, 2), got 2"),
@@ -332,14 +332,14 @@ def test_serve_duration_ends_a_single_role(tmp_path, capsys):
     port_file = tmp_path / "r.port"
     metrics = tmp_path / "r.json"
     code = main(
-        ["serve", "--role", "redirector", "--base-port", "0", "--serve-duration",
+        ["serve", "--role", "shard", "--shard", "0", "--base-port", "0", "--serve-duration",
          "0.2", "--port-file", str(port_file), "--metrics", str(metrics)]
     )  # fmt: skip
     assert code == 0
-    assert f"redirector up on 127.0.0.1:{int(port_file.read_text())}" in (
+    assert f"shard 0 up on 127.0.0.1:{int(port_file.read_text())}" in (
         capsys.readouterr().err
     )
-    assert json.loads(metrics.read_text())["kind"] == "live-redirector"
+    assert json.loads(metrics.read_text())["kind"] == "live-shard"
 
 
 def test_protocol_errors_stay_loud(monkeypatch):

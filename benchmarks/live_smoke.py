@@ -9,7 +9,9 @@ stopped with SIGINT.  The run passes when every request completed, the
 hosts' placement histories hold at least one replicate/migrate *and* one
 drop — dynamic replication happened over real sockets, driven by the
 hosts' wall-clock timers — and every process exited 0 with its metrics
-flushed.
+flushed.  With more than one shard, the other shards must also have
+received registry mutations straight from the hosts, more of them than
+the front door relayed.
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
@@ -125,6 +127,15 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     ]
     assert sum(piece["routed_total"] for piece in tier) >= REQUESTS, tier
     assert sum(piece["unroutable_total"] for piece in tier) == 0, tier
+    # Hosts send registry mutations straight to the owning shard; the
+    # front door's relay is only the fallback for a stale sender.
+    relayed = tier[0]["forwarded_control_total"]
+    print("registry mutations relayed by the front door:", relayed)
+    if shards > 1:
+        direct = sum(piece["mutations_total"] for piece in tier[1:]) - relayed
+        print("registry mutations sent straight to shards 1..:", direct)
+        assert direct > 0, tier
+        assert relayed < direct, tier
     return {action: actions.count(action) for action in sorted(set(actions))}
 
 

@@ -6,7 +6,12 @@ import argparse
 
 from repro.cli import write_json
 from repro.cli.sim import add_scenario_options, scenario_from_args
-from repro.obs.profile import memory_census, profile_scenario, stage_walltimes
+from repro.obs.profile import (
+    event_census,
+    memory_census,
+    profile_scenario,
+    stage_walltimes,
+)
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.presets import large_topology_scenario
 from repro.topology.graph import Topology
@@ -55,6 +60,7 @@ def profile_main(args: argparse.Namespace) -> int:
     walls = stage_walltimes(config, topology=topology)
     breakdown = profile_scenario(config, topology=topology, top=args.top)
     breakdown["stage_walltimes"] = walls
+    census = breakdown["event_census"] = event_census(config, topology=topology)
 
     print(
         f"wall (unprofiled): build {walls['build_s']}s + "
@@ -83,6 +89,12 @@ def profile_main(args: argparse.Namespace) -> int:
             f"  {entry['cumtime_s']:8.3f}s  {entry['calls']:>9} calls  "
             f"{entry['function']}"
         )
+    print(
+        f"\nevent census: {census['events_per_request']:g} events per completed "
+        f"request ({census['engine_mode']}); per request, share of drain wall:"
+    )
+    for label, row in list(census["callbacks"].items())[: args.top]:
+        print(f"  {row['per_request']:8.4f}  {row['time_share']:6.1%}  {label}")
     if args.json_out:
         write_json(args.json_out, breakdown)
         print(f"\nwrote stage breakdown to {args.json_out}")

@@ -13,8 +13,12 @@ sim's fault plane), while *persistent* calls — drop arbitration and the
 replica-created registration, whose loss would desynchronise the
 redirector registry — retry with backoff before giving up.
 
-Two behaviours support the sharded tier (DESIGN §10):
+Three behaviours support the sharded tier (DESIGN §10):
 
+* every registry mutation goes straight to the shard owning its object,
+  looked up in the deployment ring's owner table.  An owner missing from
+  the address book triggers one refresh from the front door; if it is
+  still missing, the front door gets the mutation and relays it;
 * every registry mutation carries a unique ``msg_id``; the owning shard
   deduplicates on it, so a persistent retry whose first attempt *did*
   land (the reply was lost, or the forwarding hop failed after the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import uuid
+from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -58,9 +63,19 @@ def fetch_endpoints(front: Address, *, timeout: float = 5.0) -> dict[str, Any]:
 class ControlPlane:
     """Typed client for the deployment's JSON-over-HTTP control plane."""
 
-    def __init__(self, directory: PeerDirectory, *, timeout: float = 5.0) -> None:
+    def __init__(
+        self,
+        directory: PeerDirectory,
+        *,
+        timeout: float = 5.0,
+        owners: Sequence[int] = (),
+    ) -> None:
         self.directory = directory
         self.timeout = timeout
+        #: ``owners[obj]`` is the shard owning object ``obj`` (the ring's
+        #: table, :meth:`~repro.routing.hashring.HashRing.owners`).  An
+        #: object outside it is sent to the front door.
+        self.owners = owners
         self.pool = HttpPool(timeout=timeout)
         # Registry-mutation ids: unique across processes (uuid origin)
         # and cheap per message (a counter).  The owning shard dedups
@@ -111,15 +126,38 @@ class ControlPlane:
         payload: dict[str, Any] | None = None,
         *,
         persistent: bool = False,
-        stamped: bool = False,
     ) -> dict[str, Any]:
-        """A conversation with the front door; ``stamped`` registry
-        mutations carry the ``msg_id`` the owning shard dedups on."""
-        if stamped:
-            payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
+        """A conversation with the front door."""
         return await self._call(
             self.directory.redirector(), method, path, payload, persistent=persistent
         )
+
+    async def _mutation(
+        self, path: str, payload: dict[str, Any], *, persistent: bool = False
+    ) -> dict[str, Any]:
+        """A registry mutation, stamped with the ``msg_id`` the owning
+        shard dedups on and sent to that shard."""
+        payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
+        return await self._call(
+            await self._owner(payload["obj"]), "POST", path, payload,
+            persistent=persistent,
+        )
+
+    async def _owner(self, obj: ObjectId) -> Address:
+        """The address of the shard owning ``obj``, refreshing the address
+        book from the front door once when it is unknown; failing that,
+        the front door's, which relays."""
+        directory = self.directory
+        if obj < len(self.owners):
+            shard = self.owners[obj]
+            if not directory.knows_shard(shard):
+                try:
+                    await self.refresh_peers()
+                except (ConfigurationError, TransportError):
+                    pass
+            if directory.knows_shard(shard):
+                return directory.shard(shard)
+        return directory.redirector()
 
     async def refresh_peers(self) -> None:
         """Re-pull the peer address book from the front door.
@@ -185,33 +223,25 @@ class ControlPlane:
         self, node: NodeId, obj: ObjectId, affinity: int
     ) -> None:
         """Register a new copy / affinity increase (persistent)."""
-        await self._front(
-            "POST",
+        await self._mutation(
             "/control/replica_created",
             {"obj": obj, "host": node, "affinity": affinity},
             persistent=True,
-            stamped=True,
         )
 
     async def affinity_reduced(
         self, node: NodeId, obj: ObjectId, affinity: int
     ) -> None:
         """Report a non-final affinity decrement (notify grade)."""
-        await self._front(
-            "POST",
+        await self._mutation(
             "/control/affinity_reduced",
             {"obj": obj, "host": node, "affinity": affinity},
-            stamped=True,
         )
 
     async def request_drop(self, node: NodeId, obj: ObjectId) -> dict[str, Any]:
         """Intention-to-drop arbitration (persistent round trip)."""
-        return await self._front(
-            "POST",
-            "/control/request_drop",
-            {"obj": obj, "host": node},
-            persistent=True,
-            stamped=True,
+        return await self._mutation(
+            "/control/request_drop", {"obj": obj, "host": node}, persistent=True
         )
 
     async def load_report(self, node: NodeId, load: float) -> None:

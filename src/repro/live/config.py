@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
+from repro.routing.hashring import HashRing
 from repro.schema import apply_overrides, flag
 from repro.topology.generators import (
     line_topology,
@@ -177,13 +178,22 @@ class LiveConfig:
             obj for obj in range(self.num_objects) if self.initial_host(obj) == node
         ]
 
+    def ring(self) -> HashRing:
+        """The ring partitioning the object namespace across the shards.
+
+        A process builds it once and hands it to every shard and host it
+        runs; ``ring.owners(num_objects)`` is then the one owner table
+        they all index.
+        """
+        return HashRing(self.num_shards, vnodes=self.ring_vnodes)
+
     # ------------------------------------------------------------------
     # Addresses
     # ------------------------------------------------------------------
 
     def redirector_address(self) -> tuple[str, int]:
-        """The deployment's front door, shard 0.  Hosts and clients
-        contact this."""
+        """The deployment's front door, shard 0.  Clients and joining
+        processes contact this."""
         return self.shard_address(0)
 
     def shard_address(self, shard: int) -> tuple[str, int]:

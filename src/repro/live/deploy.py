@@ -64,17 +64,19 @@ class LocalDeployment:
             self.directory = PeerDirectory()
         else:
             self.directory = PeerDirectory.from_config(config)
+        #: The one ring every shard and host reads ownership from.
+        self.ring = config.ring()
         self.shards = [
             LiveRedirector(
                 config, self.routes, self.clock, self.directory,
-                shard=shard, tracer=self.tracer,
+                shard=shard, ring=self.ring, tracer=self.tracer,
             )
             for shard in range(config.num_shards)
         ]
         self.hosts = [
             LiveHostNode(
                 node, config, self.routes, self.clock, self.directory,
-                tracer=self.tracer,
+                ring=self.ring, tracer=self.tracer,
             )
             for node in range(config.num_hosts)
         ]
@@ -141,7 +143,8 @@ def _merged(pieces: list[dict]) -> dict:
         merged["registry"].update(piece["registry"])
         for key in (
             "owned_objects", "total_replicas", "routed_total",
-            "unroutable_total", "forwarded_total", "deduplicated_total",
+            "unroutable_total", "forwarded_total", "forwarded_control_total",
+            "mutations_total", "deduplicated_total",
             "throttled_total", "chose_closest", "chose_least_requested",
         ):
             merged[key] += piece[key]
@@ -268,12 +271,15 @@ async def serve_role(
     _check_role(config, role, index, gateway)
     directory = _role_directory(config, front=gateway)
     routes = RoutingDatabase(config.build_topology())
+    ring = config.ring()
     front_door = (role, index) == ("shard", 0)
     if role == "host":
-        server = LiveHostNode(index, config, routes, WallClock(), directory)
+        server = LiveHostNode(index, config, routes, WallClock(), directory, ring=ring)
         port = await server.start(timers=False)
     else:
-        server = LiveRedirector(config, routes, WallClock(), directory, shard=index)
+        server = LiveRedirector(
+            config, routes, WallClock(), directory, shard=index, ring=ring
+        )
         port = await server.start()
     address = (config.bind_host, port)
     if front_door:
@@ -311,13 +317,15 @@ def _role_directory(
 
     Fixed ports: complete from the config.  Ephemeral ports: empty but
     for the front door, which must then be given explicitly
-    (``--gateway HOST:PORT``) — it is the registration rendezvous.
+    (``--gateway HOST:PORT``) — it is the registration rendezvous, and
+    shard 0.
     """
     directory = (
         PeerDirectory.from_config(config) if config.base_port != 0 else PeerDirectory()
     )
     if front is not None:
         directory.set_redirector(front)
+        directory.set_shard(0, front)
     return directory
 
 

@@ -31,6 +31,7 @@ from functools import partial
 from repro.core.host import HostServer
 from repro.core.runtime import Clock, CreateObj
 from repro.obs.tracer import ProtocolTracer
+from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 from repro.types import NodeId, ObjectId, PlacementAction, PlacementReason
 
@@ -72,6 +73,7 @@ class LiveHostNode:
         clock: Clock,
         directory: PeerDirectory,
         *,
+        ring: HashRing,
         tracer: ProtocolTracer | None = None,
     ) -> None:
         self.node = node
@@ -86,7 +88,7 @@ class LiveHostNode:
             storage_limit=config.storage_limit,
             start=clock.now,
         )
-        self.control = ControlPlane(directory)
+        self.control = ControlPlane(directory, owners=ring.owners(config.num_objects))
         self.system = LiveSystem(
             node,
             self.host,

@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.routing.hashring import HashRing
 from repro.schema import flag
 from repro.sim.rng import derive_seed
 from repro.topology.graph import Topology
@@ -352,15 +351,11 @@ async def run_loadgen(
     stats = LoadgenStats()
     semaphore = asyncio.Semaphore(options.concurrency)
     pool = HttpPool(timeout=options.timeout, max_idle_per_peer=options.concurrency)
-    ring = (
-        HashRing(config.num_shards, vnodes=config.ring_vnodes)
-        if options.shard_endpoints
-        else None
-    )
+    owners = config.ring().owners(config.num_objects) if options.shard_endpoints else ()
 
     def route_address(obj: ObjectId) -> tuple[str, int]:
-        if ring is not None and options.shard_endpoints:
-            endpoint = options.shard_endpoints.get(ring.owner(obj))
+        if owners:
+            endpoint = options.shard_endpoints.get(owners[obj])
             if endpoint is not None:
                 return endpoint
         return redirector

@@ -17,22 +17,26 @@ HTTP endpoints:
 * ``POST /admin/register_shard|register_host`` and ``/control/peers`` —
   membership on ephemeral ports.
 
-Every deployment has one shape: shard 0 is the front door that hosts and
-clients contact, and any further shards sit beside it.
+Every deployment has one shape: shard 0 is the front door that clients
+and registering processes contact, and any further shards sit beside it.
 
 **Ownership and relay.**  Every conversation keyed by an object id is
-decided at the object's owning shard.  One that lands elsewhere — at the
-front door, or at a shard a stale sender picked — is relayed to the
-owner over the pooled keep-alive client, so registry updates reach the
-owner *regardless of which endpoint the sender contacted*.  With one
-shard the ring owns everything and no relay ever fires.
+decided at the object's owning shard.  Senders that know the ring (the
+hosts' control planes) address the owner directly; one that lands
+elsewhere — at the front door, or at a shard a stale sender picked — is
+relayed to the owner over the pooled keep-alive client, so registry
+updates reach the owner *regardless of which endpoint the sender
+contacted*.  With one shard the ring owns everything and no relay ever
+fires.  Ownership is read from the ring's owner table
+(:meth:`~repro.routing.hashring.HashRing.owners`), built once per process.
 
 **Idempotent registry mutations.**  Clients stamp every registry
 mutation with a ``msg_id``; the owner runs it through a
 :class:`~repro.network.rpc.DedupCache` (the same idempotent-receive
 discipline the simulator's RPC layer applies), so a retried or
 re-relayed ``replica_created`` is applied exactly once and the
-duplicate gets the original reply.
+duplicate gets the original reply, status included.  An owned mutation
+is answered in the callback that framed it; only a relay waits.
 
 **Backpressure.**  Control-plane POSTs pass a token-bucket +
 bounded-in-flight gate; rejected requests get ``429`` with a fractional
@@ -53,7 +57,6 @@ naming it, with nothing relayed, counted or applied.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Awaitable
 from urllib.parse import urlencode
@@ -81,6 +84,10 @@ from repro.live.httpd import (
 )
 from repro.live.pool import HttpPool, TransportError
 
+#: A handler's answer: the response itself, or an awaitable of it when
+#: the handler has to wait on a peer.
+Answer = Response | Awaitable[Response]
+
 
 def _id(payload: dict, key: str, limit: int) -> int:
     """An integer id field of a control body, in ``[0, limit)``."""
@@ -101,13 +108,15 @@ class LiveRedirector:
         directory: PeerDirectory,
         *,
         shard: int = 0,
+        ring: HashRing,
         tracer: ProtocolTracer | None = None,
     ) -> None:
         self.config = config
         self.directory = directory
         self.clock = clock
         self.shard = shard
-        self.ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+        #: ``owners[obj]`` is the shard owning object ``obj``.
+        self.owners = ring.owners(config.num_objects)
         self.pool = HttpPool(timeout=5.0)
         self.control_gate = Backpressure(
             rate=config.control_rate_limit,
@@ -124,16 +133,22 @@ class LiveRedirector:
         )
         self.service.tracer = tracer
         self.board = LoadReportBoard(expiry=expiry_from_protocol(config.protocol))
-        self.owned_objects = self.ring.owned_by(shard, range(config.num_objects))
+        self.owned_objects = [
+            obj for obj, owner in enumerate(self.owners) if owner == shard
+        ]
         for obj in self.owned_objects:
             self.service.register_initial(obj, config.initial_host(obj))
         #: Requests routed, for the metrics snapshot.
         self.routed_total = 0
         self.unroutable_total = 0
-        #: Requests this shard relayed to the owning shard.
+        #: Conversations this shard relayed to the owning shard ...
         self.forwarded_total = 0
-        #: Registry mutations recognised as retries and answered from
-        #: the dedup cache without re-applying.
+        #: ... of which registry mutations (the rest are routes).
+        self.forwarded_control_total = 0
+        #: Registry mutations this shard decided as the owner (applied
+        #: or refused), and those recognised as retries and answered
+        #: from the dedup cache without re-applying.
+        self.mutations_total = 0
         self.deduplicated_total = 0
         self.dedup = DedupCache()
         bind_host, port = config.shard_address(shard)
@@ -143,20 +158,20 @@ class LiveRedirector:
     # Ownership and relay
     # ------------------------------------------------------------------
 
-    def owns(self, obj: int) -> bool:
-        return self.ring.owner(obj) == self.shard
-
-    async def _to_owner(self, obj: int, request: Request) -> Response:
+    def _to_owner(self, obj: int, request: Request) -> Answer:
         """Relay a conversation about ``obj`` to the owning shard.
 
         The status, body, content type and a 429's ``Retry-After`` are
-        the owner's; 503 before it has registered, 502 when the exchange
-        itself fails.
+        the owner's; 503 (answered at once) before it has registered,
+        502 when the exchange itself fails.
         """
-        owner = self.ring.owner(obj)
+        owner = self.owners[obj]
         if not self.directory.knows_shard(owner):
             return error_response(503, f"shard {owner} not registered yet")
         self.forwarded_total += 1
+        return self._relay(owner, request)
+
+    async def _relay(self, owner: int, request: Request) -> Response:
         path = request.path
         if request.query:
             path += "?" + urlencode(request.query)
@@ -215,7 +230,7 @@ class LiveRedirector:
         router.add("GET", "/healthz", self._healthz)
         return router
 
-    def _route(self, request: Request, params: dict) -> Response | Awaitable[Response]:
+    def _route(self, request: Request, params: dict) -> Answer:
         try:
             obj = int(request.query["obj"])
             exclude = (
@@ -234,7 +249,9 @@ class LiveRedirector:
                 400, f"gateway must be a node id in [0, {hosts}), got {raw_gateway!r}"
             )
         gateway = int(raw_gateway)
-        if not self.owns(obj):
+        if not 0 <= obj < len(self.owners):
+            return error_response(404, f"unknown object {obj}")
+        if self.owners[obj] != self.shard:
             return self._to_owner(obj, request)
         if not self.service.knows(obj):
             return error_response(404, f"unknown object {obj}")
@@ -253,19 +270,21 @@ class LiveRedirector:
 
     # -- registry mutations (gated, owner-relayed, deduplicated) --------
 
-    async def _registry_mutation(
+    def _registry_mutation(
         self, request: Request, apply, *, affinity: bool = False
-    ) -> Response:
+    ) -> Answer:
         """The shared wrapper for object-keyed control mutations.
 
         Gate (backpressure) → check ``obj``, ``host`` (and ``affinity``)
-        → ownership (relay to the owner) → dedup (answer retries from
-        cache) → ``apply``, which runs only at the owning shard, exactly
-        once per ``msg_id``.
+        → ownership (relay to the owner) → dedup (replay a retry's first
+        answer) → ``apply``, which runs only at the owning shard, exactly
+        once per ``msg_id``.  Everything but a relay is answered inline;
+        the gate is released when the answer is in hand, on either path.
         """
         wait = self.control_gate.admit()
         if wait > 0.0:
             return throttle_response(wait)
+        relaying = False
         try:
             payload = request.json()
             args = [
@@ -276,43 +295,61 @@ class LiveRedirector:
                 args.append(payload.get("affinity"))
                 if type(args[-1]) is not int:
                     raise BadRequest(f"affinity must be an integer, got {args[-1]!r}")
-            if not self.owns(args[0]):
-                return await self._to_owner(args[0], request)
+            if self.owners[args[0]] != self.shard:
+                answer = self._to_owner(args[0], request)
+                if isinstance(answer, Response):
+                    return answer
+                self.forwarded_control_total += 1
+                relaying = True
+                return self._released(answer)
             msg_id = payload.get("msg_id")
             if msg_id is not None:
                 cached = self.dedup.get(msg_id)
                 if cached is not None:
                     self.deduplicated_total += 1
-                    return json_response(cached)
+                    return cached
+            self.mutations_total += 1
             try:
                 response = json_response(apply(*args))
             except ProtocolError as exc:
                 response = error_response(409, str(exc))
             if msg_id is not None:
-                self.dedup.put(msg_id, json.loads(response.body))
+                self.dedup.put(msg_id, response)
             return response
+        finally:
+            if not relaying:
+                self.control_gate.release()
+
+    async def _released(self, relay: Awaitable[Response]) -> Response:
+        """A relayed mutation's answer, releasing the gate once it is in."""
+        try:
+            return await relay
         finally:
             self.control_gate.release()
 
-    async def _replica_created(self, request: Request, params: dict) -> Response:
-        def apply(obj: int, host: int, affinity: int) -> dict:
-            self.service.replica_created(obj, host, affinity)
-            return {"ok": True}
+    def _replica_created(self, request: Request, params: dict) -> Answer:
+        return self._registry_mutation(
+            request, self._apply_replica_created, affinity=True
+        )
 
-        return await self._registry_mutation(request, apply, affinity=True)
+    def _affinity_reduced(self, request: Request, params: dict) -> Answer:
+        return self._registry_mutation(
+            request, self._apply_affinity_reduced, affinity=True
+        )
 
-    async def _affinity_reduced(self, request: Request, params: dict) -> Response:
-        def apply(obj: int, host: int, affinity: int) -> dict:
-            self.service.affinity_reduced(obj, host, affinity)
-            return {"ok": True}
+    def _request_drop(self, request: Request, params: dict) -> Answer:
+        return self._registry_mutation(request, self._apply_request_drop)
 
-        return await self._registry_mutation(request, apply, affinity=True)
+    def _apply_replica_created(self, obj: int, host: int, affinity: int) -> dict:
+        self.service.replica_created(obj, host, affinity)
+        return {"ok": True}
 
-    async def _request_drop(self, request: Request, params: dict) -> Response:
-        def apply(obj: int, host: int) -> dict:
-            return {"approved": self.service.request_drop(obj, host)}
+    def _apply_affinity_reduced(self, obj: int, host: int, affinity: int) -> dict:
+        self.service.affinity_reduced(obj, host, affinity)
+        return {"ok": True}
 
-        return await self._registry_mutation(request, apply)
+    def _apply_request_drop(self, obj: int, host: int) -> dict:
+        return {"approved": self.service.request_drop(obj, host)}
 
     # -- load board (gated, peer-broadcast) -----------------------------
 
@@ -433,6 +470,8 @@ class LiveRedirector:
             "routed_total": self.routed_total,
             "unroutable_total": self.unroutable_total,
             "forwarded_total": self.forwarded_total,
+            "forwarded_control_total": self.forwarded_control_total,
+            "mutations_total": self.mutations_total,
             "deduplicated_total": self.deduplicated_total,
             "throttled_total": self.control_gate.rejected_total,
             "chose_closest": service.chose_closest,

@@ -17,6 +17,10 @@ cProfile inflates function-call-heavy code (its tracer charges every
 Python call), so stage wall-clock numbers are the truth and the
 attribution is the map; both are emitted so neither is over-read.
 
+A third run counts what the drain *is* (:func:`event_census`): events
+per request by callback, and the share of the drain between one event
+and the next that each callback takes.
+
 ``profile --memory`` asks the other question — "what is the heap made
 of?" — with the same map: one run under ``tracemalloc``, a snapshot at
 ``Simulator.run`` entry (everything the build left behind) and one at the
@@ -33,6 +37,7 @@ import pstats
 import time
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Callable, Iterator
 
 from repro.core.protocol import HostingSystem
@@ -40,6 +45,8 @@ from repro.errors import ConfigurationError
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario, scenario_metrics
 from repro.sim.engine import Simulator
+from repro.sim.events import Event
+from repro.sim.process import PeriodicProcess
 from repro.topology.graph import Topology
 
 #: Module-path fragments mapped to pipeline stage buckets, first match
@@ -202,7 +209,7 @@ def stage_walltimes(
     placement_s = [0.0]
     horizon: dict[str, float] = {}
 
-    def collect(moment: str) -> None:
+    def collect(moment: str, sim: Simulator) -> None:
         if moment == "horizon":
             began = time.perf_counter()
             horizon["cyclic_objects"] = gc.collect()
@@ -251,9 +258,9 @@ def _timed_placement_rounds(spent: list[float]) -> Iterator[None]:
 
 
 @contextmanager
-def _bracketed_run(probe: Callable[[str], None]) -> Iterator[None]:
-    """While active, every ``Simulator.run`` calls ``probe("run_entry")``
-    on the way in and ``probe("horizon")`` on the way out.
+def _bracketed_run(probe: Callable[[str, Simulator], None]) -> Iterator[None]:
+    """While active, every ``Simulator.run`` calls ``probe("run_entry",
+    sim)`` on the way in and ``probe("horizon", sim)`` on the way out.
 
     ``run_scenario`` builds its own simulator, so there is no instance to
     hang a tracer on beforehand; this is the bracket ``bench/simplane.py``
@@ -262,17 +269,101 @@ def _bracketed_run(probe: Callable[[str], None]) -> Iterator[None]:
     original = Simulator.run
 
     def run(self: Simulator, until: float | None = None) -> float:
-        probe("run_entry")
+        probe("run_entry", self)
         try:
             return original(self, until)
         finally:
-            probe("horizon")
+            probe("horizon", self)
 
     Simulator.run = run
     try:
         yield
     finally:
         Simulator.run = original
+
+
+def _callback_label(callback: Callable[..., Any]) -> str:
+    """A callback's ``__qualname__``; a periodic process's tick is named
+    by the callback it runs, a ``partial`` by its function."""
+    owner = getattr(callback, "__self__", None)
+    if isinstance(owner, PeriodicProcess):
+        return f"PeriodicProcess({_callback_label(owner._callback)})"
+    if isinstance(callback, partial):
+        return _callback_label(callback.func)
+    return getattr(callback, "__qualname__", type(callback).__qualname__)
+
+
+class _EventCensus:
+    """A simulator tracer counting fired events by callback.
+
+    The wall between one event's hook and the next is charged to the
+    first: its callback plus the engine's step to the next event.
+    """
+
+    def __init__(self) -> None:
+        self.events: dict[str, int] = {}
+        self.seconds: dict[str, float] = {}
+        self._last: str | None = None
+        self._since = 0.0
+
+    def on_event(self, event: Event) -> None:
+        now = time.perf_counter()
+        label = _callback_label(event.callback)
+        if self._last is not None:
+            self.seconds[self._last] += now - self._since
+        self.events[label] = self.events.get(label, 0) + 1
+        self.seconds.setdefault(label, 0.0)
+        self._last = label
+        self._since = time.perf_counter()
+
+    def on_run_end(self, sim: Simulator, fired: int) -> None:
+        if self._last is not None:
+            self.seconds[self._last] += time.perf_counter() - self._since
+            self._last = None
+
+
+def event_census(
+    config: ScenarioConfig, *, topology: Topology | None = None
+) -> dict[str, Any]:
+    """Run one scenario counting its events by callback.
+
+    The counting tracer is attached at ``Simulator.run`` entry, after
+    the runner has decided the engine mode, so the run takes the same
+    request pipeline as an unprofiled one (a tracer attached earlier
+    would stand the fast lane down).  ``time_share`` is each callback's
+    share of the traced drain's wall (see :class:`_EventCensus`).
+    """
+    census = _EventCensus()
+
+    def attach(moment: str, sim: Simulator) -> None:
+        if moment == "run_entry":
+            sim.add_tracer(census)
+        else:
+            sim.remove_tracer(census)
+
+    with _bracketed_run(attach):
+        result = run_scenario(config, topology=topology)
+    completed = result.latency.completed
+    total_events = sum(census.events.values())
+    total_seconds = sum(census.seconds.values()) or 1.0
+    per_request = completed or 1
+    callbacks = {
+        label: {
+            "events": count,
+            "per_request": round(count / per_request, 4),
+            "time_share": round(census.seconds[label] / total_seconds, 4),
+        }
+        for label, count in sorted(
+            census.events.items(), key=lambda item: item[1], reverse=True
+        )
+    }
+    return {
+        "engine_mode": result.engine_mode(),
+        "requests_completed": completed,
+        "events": total_events,
+        "events_per_request": round(total_events / per_request, 4),
+        "callbacks": callbacks,
+    }
 
 
 def _rss_mb() -> float:
@@ -337,7 +428,7 @@ def memory_census(
     rss_mb = {"start": _rss_mb()}
     cyclic_objects: list[int] = []
 
-    def read(moment: str) -> None:
+    def read(moment: str, sim: Simulator) -> None:
         if moment == "horizon":
             cyclic_objects.append(gc.collect())
         rss_mb[moment] = _rss_mb()  # before the snapshot's own allocations

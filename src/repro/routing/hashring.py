@@ -6,9 +6,10 @@ every control-plane conversation about an object (``replica_created``,
 ``affinity_reduced``, drop arbitration) must land on that owner.  The
 mapping therefore has to be
 
-* **deterministic across processes** — the gateway, every shard, the
-  load generator and the tests each rebuild the ring independently from
-  the deployment config and must agree on every key.  Hashes come from
+* **deterministic across processes** — every process of a deployment
+  (the front door, every other shard, each host's control plane), the
+  load generator and the tests rebuild the ring independently from the
+  deployment config and must agree on every key.  Hashes come from
   :mod:`hashlib` (never :func:`hash`, which is salted per process);
 * **stable under resharding** — growing the tier from *n* to *n+1*
   shards must move only ~``1/(n+1)`` of the keys, so a rebalance does
@@ -18,6 +19,9 @@ Classic consistent hashing: each shard contributes ``vnodes`` points on
 a 64-bit ring, a key is owned by the first point at or clockwise after
 its own hash.  Instances are immutable; :meth:`with_shard` /
 :meth:`without_shard` build resized rings for rebalance planning.
+:meth:`owners` tabulates a namespace of integer ids once, so a process
+that looks the same ids up on every request indexes a tuple instead of
+hashing.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _hash64(data: str) -> int:
 class HashRing:
     """Immutable consistent-hash ring mapping keys to shard ids."""
 
-    __slots__ = ("_points", "_owners", "shards", "vnodes")
+    __slots__ = ("_points", "_owners", "_table", "shards", "vnodes")
 
     def __init__(self, shards: int | Iterable[int], *, vnodes: int = DEFAULT_VNODES) -> None:
         if isinstance(shards, int):
@@ -64,6 +68,7 @@ class HashRing:
         points.sort()
         self._points = [position for position, _ in points]
         self._owners = [shard for _, shard in points]
+        self._table: tuple[int, ...] = ()
 
     def owner(self, key: int | str) -> int:
         """The shard owning ``key`` (first point clockwise of its hash)."""
@@ -72,6 +77,16 @@ class HashRing:
         if index == len(self._points):  # wrap past the top of the ring
             index = 0
         return self._owners[index]
+
+    def owners(self, count: int) -> tuple[int, ...]:
+        """``owner(key)`` for every key in ``range(count)``, by index.
+
+        Built on the first call and kept: one ring serves one namespace,
+        so every later call for the same ``count`` returns the same table.
+        """
+        if len(self._table) != count:
+            self._table = tuple(self.owner(key) for key in range(count))
+        return self._table
 
     def owned_by(self, shard: int, keys: Iterable[int | str]) -> list:
         """The subset of ``keys`` owned by ``shard`` (order preserved)."""

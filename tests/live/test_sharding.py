@@ -201,6 +201,8 @@ def test_notice_posted_to_wrong_shard_reaches_the_owner():
             )
             assert status == 200
             assert json.loads(body)["approved"] is False  # last copy
+            # Both gates were released once the relayed answers were in.
+            assert wrong.control_gate.inflight == owner.control_gate.inflight == 0
         finally:
             await pool.close()
             await deployment.stop()
@@ -288,6 +290,47 @@ def test_duplicate_msg_id_applied_once_with_cached_reply():
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("via", ["owner", "front"])
+def test_replayed_msg_id_keeps_its_refusal(via):
+    """A duplicate is answered with the first answer's status as well as
+    its body: a refused ``replica_created`` (a new copy cannot start at
+    affinity 3) stays refused on retry.  The cache used to keep only the
+    body and replay it as a 200, so a persistent retry "succeeded" and
+    the host kept a copy the registry had rejected."""
+    config = sharded_config()
+    ring = HashRing(config.num_shards, vnodes=config.ring_vnodes)
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            obj = next(o for o in range(config.num_objects) if ring.owner(o) == 1)
+            owner = deployment.shards[1]
+            address = (
+                owner.server.address
+                if via == "owner"
+                else deployment.directory.redirector()
+            )
+            new_host = (obj % config.num_hosts + 1) % config.num_hosts
+            payload = {"obj": obj, "host": new_host, "affinity": 3, "msg_id": "m-1"}
+            answers = []
+            for _ in range(2):
+                status, _h, body = await pool.request(
+                    address, "POST", "/control/replica_created", payload=payload
+                )
+                answers.append((status, body))
+            assert answers[0][0] == 409, answers
+            assert answers[1] == answers[0]
+            assert owner.deduplicated_total == 1
+            assert new_host not in owner.service.replica_hosts(obj)
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
 def test_load_report_broadcast_reaches_every_shard():
     config = sharded_config()
 
@@ -363,8 +406,9 @@ def test_endpoints_via_the_front_door():
 
 
 def test_sharded_deployment_replicates_under_load():
-    """End to end: hosts talk only to the front door, yet replication
-    registrations land on the right shards and every request completes."""
+    """End to end: hosts send each registration straight to the shard
+    owning its object, the front door relays none of them, and every
+    request completes."""
     config = sharded_config()
 
     async def main():
@@ -386,6 +430,7 @@ def test_sharded_deployment_replicates_under_load():
     stats, snapshot = asyncio.run(main())
     assert stats.completed == 900
     assert stats.failed == 0
+    assert [shard["forwarded_control_total"] for shard in snapshot["shards"]] == [0, 0]
     summary = summarize_deployment(snapshot)
     assert summary["requests_serviced"] == 900
     assert summary["requests_unroutable"] == 0

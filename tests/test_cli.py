@@ -413,6 +413,38 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
     assert f"{counters['requests_lost']} lost" in text
 
 
+def test_profile_event_census_counts_each_lane_stage_once_per_request(tmp_path, capsys):
+    """The census tracer joins at ``Simulator.run`` entry, after the lane
+    was installed: the run keeps the fast lane, and each of its three
+    stages and the response leg fire about once per request."""
+    run_before = Simulator.run
+    out = tmp_path / "profile.json"
+    code = main(
+        ["profile", "--preset", "zipf", "--scale", "0.05", "--duration", "60",
+         "--json", str(out)]
+    )  # fmt: skip
+    assert code == 0
+    assert Simulator.run is run_before
+    text = capsys.readouterr().out
+    census = json.loads(out.read_text())["event_census"]
+    assert census["engine_mode"] == "fast lane: installed"
+    assert census["requests_completed"] > 1000
+    callbacks = census["callbacks"]
+    for stage in (
+        "FastLane.submit_request", "FastLane._arrive", "FastLane._complete",
+        "HostingSystem._finish_request",
+    ):
+        assert callbacks[stage]["per_request"] == pytest.approx(1.0, abs=0.05), stage
+        assert f"  {stage}" in text
+    # Periodic ticks are named by what they run, not as one lump.
+    ticks = [label for label in callbacks if label.startswith("PeriodicProcess(")]
+    assert len(ticks) >= 2 and "PeriodicProcess._tick" not in callbacks
+    assert sum(row["events"] for row in callbacks.values()) == census["events"]
+    shares = sum(row["time_share"] for row in callbacks.values())
+    assert shares == pytest.approx(1.0, abs=0.01)
+    assert f"event census: {census['events_per_request']:g} events" in text
+
+
 def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, capsys):
     run_before = Simulator.run
     out = tmp_path / "census.json"

@@ -11,7 +11,9 @@ drop — dynamic replication happened over real sockets, driven by the
 hosts' wall-clock timers — and every process exited 0 with its metrics
 flushed.  With more than one shard, the other shards must also have
 received registry mutations straight from the hosts, more of them than
-the front door relayed.
+the front door relayed, and the shards must have judged more drop
+requests than they held registry conversations (a placement round sends
+a run of them as one).
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
@@ -131,11 +133,21 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     # front door's relay is only the fallback for a stale sender.
     relayed = tier[0]["forwarded_control_total"]
     print("registry mutations relayed by the front door:", relayed)
+    # A placement round asks about a run of cold objects in one
+    # request_drop conversation per owning shard.
+    arbitrated = sum(piece["drops_arbitrated_total"] for piece in tier)
+    conversations = sum(piece["drop_conversations_total"] for piece in tier)
+    mutations = sum(piece["mutations_total"] for piece in tier)
+    print(
+        "drop requests judged:", arbitrated, "in", conversations,
+        "request_drop conversations, of", mutations, "registry mutations",
+    )
     if shards > 1:
         direct = sum(piece["mutations_total"] for piece in tier[1:]) - relayed
         print("registry mutations sent straight to shards 1..:", direct)
         assert direct > 0, tier
         assert relayed < direct, tier
+        assert arbitrated > conversations, tier
     return {action: actions.count(action) for action in sorted(set(actions))}
 
 

@@ -9,6 +9,8 @@ Per object, in order:
    requests/sec over the observation window) is below the deletion
    threshold ``u``, one affinity unit is dropped via ``ReduceAffinity``
    (the redirector arbitrates so the last replica system-wide survives).
+   Consecutive objects whose last unit goes form a *run*, arbitrated by
+   one ``RequestDrop`` before the round acts on any other object.
 2. **Geo-migration**: otherwise, candidates ``p`` appearing on more than
    ``MIGR_RATIO`` of the object's preference paths are offered the object
    farthest-first; the first to accept receives one affinity unit.
@@ -104,22 +106,27 @@ class PlacementEngine:
         else:
             # Intention-to-drop arbitration with the redirector (a
             # persistent round trip).
-            if not (yield RequestDrop(node, obj)):
+            (approved,) = yield RequestDrop(node, (obj,))
+            if not approved:
                 return AffinityOutcome.REFUSED
-            host.store.drop(obj)
-            host.clear_object_state(obj)
-            if record_drop:
-                system.record_placement(
-                    PlacementAction.DROP,
-                    PlacementReason.GEO,
-                    obj,
-                    source=node,
-                    target=None,
-                )
+            self._drop(host, obj, record_drop)
             outcome = AffinityOutcome.DROPPED
         if shed_bound is not None:
             host.estimator.note_shed(shed_bound, system.clock.now)
         return outcome
+
+    def _drop(self, host: "HostServer", obj: ObjectId, record: bool) -> None:
+        """Remove an approved last affinity unit of ``obj`` from ``host``."""
+        host.store.drop(obj)
+        host.clear_object_state(obj)
+        if record:
+            self._system.record_placement(
+                PlacementAction.DROP,
+                PlacementReason.GEO,
+                obj,
+                source=host.node,
+                target=None,
+            )
 
     # ------------------------------------------------------------------
     # DecidePlacement (Figure 3)
@@ -141,6 +148,11 @@ class PlacementEngine:
         host.update_mode()
         moved = False
         relieved = False
+        # The pending run: cold objects at affinity 1 and their unit
+        # rates, whose drops are arbitrated together before anything else
+        # moves.
+        run: list[ObjectId] = []
+        rates: list[float] = []
         for obj in host.store.objects():
             if obj not in host.store:
                 continue  # removed earlier in this very round
@@ -148,28 +160,29 @@ class PlacementEngine:
             counts = host.object_access_counts(obj)
             total = counts.get(node, 0)
             unit_rate = total / affinity / elapsed
-            if unit_rate < config.deletion_threshold:
+            cold = unit_rate < config.deletion_threshold
+            if cold and affinity == 1:
+                run.append(obj)
+                rates.append(unit_rate)
+                continue
+            if run:
+                approvals = yield RequestDrop(node, tuple(run))
+                moved |= self._apply_drops(host, run, rates, approvals)
+                run = []
+                rates = []
+            if cold:
                 outcome = yield from self.reduce_affinity(node, obj)
-                if system.tracer is not None:
-                    system.tracer.record(
-                        PlacementRecord(
-                            node=node,
-                            obj=obj,
-                            action="drop",
-                            outcome=outcome.value,
-                            affinity=affinity,
-                            unit_rate=unit_rate,
-                            threshold=config.deletion_threshold,
-                        )
-                    )
-                if outcome is not AffinityOutcome.REFUSED:
-                    moved = True
+                self._trace_drop(node, obj, outcome, affinity, unit_rate)
+                moved = True  # affinity > 1: a plain decrement, never refused
                 continue
             if (yield from self._try_geo_move(
                 host, obj, affinity, counts, total, unit_rate
             )):
                 moved = True
                 relieved = True
+        if run:
+            approvals = yield RequestDrop(node, tuple(run))
+            moved |= self._apply_drops(host, run, rates, approvals)
         # Figure 3 gates Offload on "no objects were dropped, migrated or
         # replicated".  We deliberately exclude drops from the gate: a
         # dropped affinity unit had a unit access rate below u and sheds
@@ -197,6 +210,49 @@ class PlacementEngine:
             )
         host.reset_access_counts(now)
         return moved
+
+    def _apply_drops(
+        self,
+        host: "HostServer",
+        run: list[ObjectId],
+        rates: list[float],
+        approvals: list[bool],
+    ) -> bool:
+        """Apply a run's approvals in store order.  True if anything was
+        dropped."""
+        node = host.node
+        tracer = self._system.tracer
+        dropped = False
+        for obj, approved, unit_rate in zip(run, approvals, rates):
+            if approved:
+                self._drop(host, obj, True)
+                dropped = True
+            if tracer is not None:
+                outcome = AffinityOutcome.DROPPED if approved else AffinityOutcome.REFUSED
+                self._trace_drop(node, obj, outcome, 1, unit_rate)
+        return dropped
+
+    def _trace_drop(
+        self,
+        node: NodeId,
+        obj: ObjectId,
+        outcome: AffinityOutcome,
+        affinity: int,
+        unit_rate: float,
+    ) -> None:
+        tracer = self._system.tracer
+        if tracer is not None:
+            tracer.record(
+                PlacementRecord(
+                    node=node,
+                    obj=obj,
+                    action="drop",
+                    outcome=outcome.value,
+                    affinity=affinity,
+                    unit_rate=unit_rate,
+                    threshold=self._system.config.deletion_threshold,
+                )
+            )
 
     def _try_geo_move(
         self,

@@ -637,7 +637,10 @@ class HostingSystem:
                         message.node, message.obj, message.affinity
                     )
                 elif kind is RequestDrop:
-                    answer = self._request_drop(message.node, message.obj)
+                    # One arbitration per object, in order: the paper's
+                    # message, whatever framing the live tier gives a run.
+                    node = message.node
+                    answer = [self._request_drop(node, obj) for obj in message.objs]
                 else:  # FindRecipient
                     answer = self.find_recipient(message.source, message.now)
         except StopIteration as done:

@@ -130,11 +130,19 @@ class AffinityReduced:
 
 @dataclass(slots=True)
 class RequestDrop:
-    """Ask the object's redirector to approve dropping the last local
-    affinity unit (a persistent round trip).  Answer: approved?"""
+    """Ask the redirectors to approve dropping the last local affinity
+    unit of each of ``objs`` (a persistent round trip).
+
+    ``objs`` is a *run*: every object a placement round judged in a row
+    whose last unit goes (``reduce_affinity`` yields a one-tuple).
+    Answer: one approval per object, in order.  A runtime may frame the
+    run as it likes — the simulator arbitrates object by object, the
+    live tier posts one conversation per owning shard — as long as each
+    redirector judges its objects in this order.
+    """
 
     node: NodeId
-    obj: ObjectId
+    objs: tuple[ObjectId, ...]
 
 
 @dataclass(slots=True)

@@ -133,14 +133,19 @@ class ControlPlane:
         )
 
     async def _mutation(
-        self, path: str, payload: dict[str, Any], *, persistent: bool = False
+        self,
+        path: str,
+        obj: ObjectId,
+        payload: dict[str, Any],
+        *,
+        persistent: bool = False,
     ) -> dict[str, Any]:
-        """A registry mutation, stamped with the ``msg_id`` the owning
-        shard dedups on and sent to that shard."""
+        """A registry mutation about ``obj`` (and its shard-mates),
+        stamped with the ``msg_id`` the owning shard dedups on and sent
+        to that shard."""
         payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
         return await self._call(
-            await self._owner(payload["obj"]), "POST", path, payload,
-            persistent=persistent,
+            await self._owner(obj), "POST", path, payload, persistent=persistent
         )
 
     async def _owner(self, obj: ObjectId) -> Address:
@@ -225,6 +230,7 @@ class ControlPlane:
         """Register a new copy / affinity increase (persistent)."""
         await self._mutation(
             "/control/replica_created",
+            obj,
             {"obj": obj, "host": node, "affinity": affinity},
             persistent=True,
         )
@@ -235,14 +241,23 @@ class ControlPlane:
         """Report a non-final affinity decrement (notify grade)."""
         await self._mutation(
             "/control/affinity_reduced",
+            obj,
             {"obj": obj, "host": node, "affinity": affinity},
         )
 
-    async def request_drop(self, node: NodeId, obj: ObjectId) -> dict[str, Any]:
-        """Intention-to-drop arbitration (persistent round trip)."""
-        return await self._mutation(
-            "/control/request_drop", {"obj": obj, "host": node}, persistent=True
+    async def request_drop(self, node: NodeId, objs: list[ObjectId]) -> list[bool]:
+        """Intention-to-drop arbitration for ``objs``, which one shard owns
+        (persistent round trip): one approval per object, in order."""
+        reply = await self._mutation(
+            "/control/request_drop",
+            objs[0],
+            {"objs": objs, "host": node},
+            persistent=True,
         )
+        approved = reply.get("approved")
+        if type(approved) is not list or len(approved) != len(objs):
+            raise TransportError(f"malformed request_drop answer {reply!r}")
+        return [answer is True for answer in approved]
 
     async def load_report(self, node: NodeId, load: float) -> None:
         """Post this measurement interval's load to the board."""

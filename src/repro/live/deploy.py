@@ -144,7 +144,8 @@ def _merged(pieces: list[dict]) -> dict:
         for key in (
             "owned_objects", "total_replicas", "routed_total",
             "unroutable_total", "forwarded_total", "forwarded_control_total",
-            "mutations_total", "deduplicated_total",
+            "mutations_total", "drop_conversations_total",
+            "drops_arbitrated_total", "deduplicated_total",
             "throttled_total", "chose_closest", "chose_least_requested",
         ):
             merged[key] += piece[key]

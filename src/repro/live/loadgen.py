@@ -63,7 +63,7 @@ from repro.workloads.zipf import ZipfWorkload
 
 from repro.live.config import LiveConfig
 from repro.live.histogram import LatencyHistogram
-from repro.live.pool import HttpPool, TransportError
+from repro.live.pool import HttpPool, TransportError, retry_after_hint
 
 WORKLOADS = ("uniform", "zipf", "hot_sites", "regional")
 
@@ -369,11 +369,8 @@ async def run_loadgen(
             if status != 429 or attempt == MAX_THROTTLE_RETRIES:
                 return status, headers, body
             stats.throttled += 1
-            try:
-                retry_after = float(headers.get("retry-after", "0.01"))
-            except ValueError:
-                retry_after = 0.01
-            await asyncio.sleep(min(retry_after, 1.0))
+            retry_after = retry_after_hint(headers, 1.0)
+            await asyncio.sleep(0.01 if retry_after is None else retry_after)
         raise AssertionError("unreachable")  # pragma: no cover
 
     async def one_request(obj: ObjectId, gateway: NodeId) -> None:

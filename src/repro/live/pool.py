@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any
 
 from repro.live.httpd import BadRequest, parse_head
@@ -57,6 +58,24 @@ class TransportError(Exception):
         super().__init__(message)
         self.status = status
         self.retry_after = retry_after
+
+
+def retry_after_hint(headers: dict[str, str], limit: float) -> float | None:
+    """A 429's ``Retry-After`` hint in seconds, at most ``limit``.
+
+    Only a finite number >= 0 is a hint; anything else (absent, not a
+    number, negative, ``nan``, ``inf``) is ``None``, and the caller backs
+    off blind.  A relay copies the owner's header verbatim, so a caller
+    cannot trust it to be sane, and an unbounded hint would stall a
+    persistent conversation — and the placement round awaiting it.
+    """
+    try:
+        hint = float(headers.get("retry-after", ""))
+    except ValueError:
+        return None
+    if not 0.0 <= hint < math.inf:  # nan fails both comparisons
+        return None
+    return min(hint, limit)
 
 
 def _take_reply(buffer: bytearray) -> tuple[int, dict[str, str], bytes, bool] | None:
@@ -229,10 +248,9 @@ class HttpPool:
         if status >= 400:
             retry_after = None
             if status == 429:
-                try:
-                    retry_after = float(headers.get("retry-after", ""))
-                except ValueError:
-                    pass
+                retry_after = retry_after_hint(
+                    headers, timeout if timeout is not None else self.timeout
+                )
             raise TransportError(
                 f"{method} {address[0]}:{address[1]}{path} -> {status} {data[:200]!r}",
                 status=status,
@@ -300,4 +318,4 @@ class HttpPool:
             connection.transport.close()
 
 
-__all__ = ["Address", "HttpPool", "TransportError"]
+__all__ = ["Address", "HttpPool", "TransportError", "retry_after_hint"]

@@ -11,7 +11,8 @@ HTTP endpoints:
   chosen host's URL (the live analogue of the simulator handing a
   request straight to the chosen host);
 * ``POST /control/replica_created|affinity_reduced|request_drop`` — the
-  registry notices and drop arbitration of Section 4.2.1;
+  registry notices and drop arbitration of Section 4.2.1 (one drop
+  request judges a run of objects the same shard owns, in order);
 * ``POST /control/load_report`` / ``GET /control/offload_candidates`` —
   the load board feeding Offload recipient discovery;
 * ``POST /admin/register_shard|register_host`` and ``/control/peers`` —
@@ -150,6 +151,10 @@ class LiveRedirector:
         #: from the dedup cache without re-applying.
         self.mutations_total = 0
         self.deduplicated_total = 0
+        #: The ``request_drop`` conversations among those mutations
+        #: judged, and the objects they judged (each carries a run).
+        self.drop_conversations_total = 0
+        self.drops_arbitrated_total = 0
         self.dedup = DedupCache()
         bind_host, port = config.shard_address(shard)
         self.server = HttpServer(self._build_router(), host=bind_host, port=port)
@@ -270,16 +275,15 @@ class LiveRedirector:
 
     # -- registry mutations (gated, owner-relayed, deduplicated) --------
 
-    def _registry_mutation(
-        self, request: Request, apply, *, affinity: bool = False
-    ) -> Answer:
+    def _registry_mutation(self, request: Request, parse, apply) -> Answer:
         """The shared wrapper for object-keyed control mutations.
 
-        Gate (backpressure) → check ``obj``, ``host`` (and ``affinity``)
-        → ownership (relay to the owner) → dedup (replay a retry's first
-        answer) → ``apply``, which runs only at the owning shard, exactly
-        once per ``msg_id``.  Everything but a relay is answered inline;
-        the gate is released when the answer is in hand, on either path.
+        Gate (backpressure) → ``parse`` the body into the object that
+        picks the owner and ``apply``'s arguments → ownership (relay to
+        the owner) → dedup (replay a retry's first answer) → ``apply``,
+        which runs only at the owning shard, exactly once per
+        ``msg_id``.  Everything but a relay is answered inline; the gate
+        is released when the answer is in hand, on either path.
         """
         wait = self.control_gate.admit()
         if wait > 0.0:
@@ -287,16 +291,9 @@ class LiveRedirector:
         relaying = False
         try:
             payload = request.json()
-            args = [
-                _id(payload, "obj", self.config.num_objects),
-                _id(payload, "host", self.config.num_hosts),
-            ]
-            if affinity:
-                args.append(payload.get("affinity"))
-                if type(args[-1]) is not int:
-                    raise BadRequest(f"affinity must be an integer, got {args[-1]!r}")
-            if self.owners[args[0]] != self.shard:
-                answer = self._to_owner(args[0], request)
+            key, args = parse(payload)
+            if self.owners[key] != self.shard:
+                answer = self._to_owner(key, request)
                 if isinstance(answer, Response):
                     return answer
                 self.forwarded_control_total += 1
@@ -329,16 +326,45 @@ class LiveRedirector:
 
     def _replica_created(self, request: Request, params: dict) -> Answer:
         return self._registry_mutation(
-            request, self._apply_replica_created, affinity=True
+            request, self._notice, self._apply_replica_created
         )
 
     def _affinity_reduced(self, request: Request, params: dict) -> Answer:
         return self._registry_mutation(
-            request, self._apply_affinity_reduced, affinity=True
+            request, self._notice, self._apply_affinity_reduced
         )
 
     def _request_drop(self, request: Request, params: dict) -> Answer:
-        return self._registry_mutation(request, self._apply_request_drop)
+        return self._registry_mutation(
+            request, self._drop_batch, self._apply_request_drop
+        )
+
+    def _notice(self, payload: dict) -> tuple[int, tuple[int, int, int]]:
+        """A replica notice's ``obj``, ``host`` and ``affinity``."""
+        obj = _id(payload, "obj", self.config.num_objects)
+        host = _id(payload, "host", self.config.num_hosts)
+        affinity = payload.get("affinity")
+        if type(affinity) is not int:
+            raise BadRequest(f"affinity must be an integer, got {affinity!r}")
+        return obj, (obj, host, affinity)
+
+    def _drop_batch(self, payload: dict) -> tuple[int, tuple[list[int], int]]:
+        """A drop request's ``objs`` — distinct object ids, at least one,
+        all owned by one shard — and ``host``."""
+        objs = payload.get("objs")
+        limit = self.config.num_objects
+        if type(objs) is not list or not objs:
+            raise BadRequest(f"objs must be a non-empty list of object ids, got {objs!r}")
+        for obj in objs:
+            if type(obj) is not int or not 0 <= obj < limit:
+                raise BadRequest(f"objs must hold integers in [0, {limit}), got {obj!r}")
+        if len(set(objs)) != len(objs):
+            raise BadRequest(f"objs holds a duplicate: {objs!r}")
+        owners = self.owners
+        owner = owners[objs[0]]
+        if any(owners[obj] != owner for obj in objs):
+            raise BadRequest(f"objs spans more than one shard: {objs!r}")
+        return objs[0], (objs, _id(payload, "host", self.config.num_hosts))
 
     def _apply_replica_created(self, obj: int, host: int, affinity: int) -> dict:
         self.service.replica_created(obj, host, affinity)
@@ -348,8 +374,16 @@ class LiveRedirector:
         self.service.affinity_reduced(obj, host, affinity)
         return {"ok": True}
 
-    def _apply_request_drop(self, obj: int, host: int) -> dict:
-        return {"approved": self.service.request_drop(obj, host)}
+    def _apply_request_drop(self, objs: list[int], host: int) -> dict:
+        """Judge each of ``objs`` in order — or none, unless ``host``
+        holds every one of them."""
+        service = self.service
+        for obj in objs:
+            if host not in service.replica_hosts(obj):
+                raise ProtocolError(f"host {host} holds no replica of {obj}")
+        self.drop_conversations_total += 1
+        self.drops_arbitrated_total += len(objs)
+        return {"approved": [service.request_drop(obj, host) for obj in objs]}
 
     # -- load board (gated, peer-broadcast) -----------------------------
 
@@ -472,6 +506,8 @@ class LiveRedirector:
             "forwarded_total": self.forwarded_total,
             "forwarded_control_total": self.forwarded_control_total,
             "mutations_total": self.mutations_total,
+            "drop_conversations_total": self.drop_conversations_total,
+            "drops_arbitrated_total": self.drops_arbitrated_total,
             "deduplicated_total": self.deduplicated_total,
             "throttled_total": self.control_gate.rejected_total,
             "chose_closest": service.chose_closest,

@@ -156,13 +156,25 @@ class LiveSystem:
             # stale (higher) affinity, never an unsafe registry state.
             pass
 
-    async def _request_drop(self, request: RequestDrop) -> bool:
-        try:
-            reply = await self.control.request_drop(request.node, request.obj)
-        except TransportError:
-            # Arbitration unreachable: conservatively keep the replica.
-            return False
-        return bool(reply.get("approved"))
+    async def _request_drop(self, request: RequestDrop) -> list[bool]:
+        """Arbitrate a run: one conversation per owning shard, each
+        keeping the run's order; an object outside the owner table goes
+        alone, to the front door."""
+        owners = self.control.owners
+        groups: dict[object, list[ObjectId]] = {}
+        for obj in request.objs:
+            key = owners[obj] if obj < len(owners) else (None, obj)
+            groups.setdefault(key, []).append(obj)
+        approved: dict[ObjectId, bool] = {}
+        for objs in groups.values():
+            try:
+                answers = await self.control.request_drop(request.node, objs)
+            except TransportError:
+                # Arbitration unreachable: conservatively keep every
+                # replica the conversation asked about.
+                answers = [False] * len(objs)
+            approved.update(zip(objs, answers))
+        return [approved[obj] for obj in request.objs]
 
     async def _find_recipient(
         self, search: FindRecipient

@@ -1,13 +1,18 @@
 """Unit tests for DecidePlacement and ReduceAffinity (Figure 3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ProtocolConfig
-from repro.core.placement import AffinityOutcome
+from repro.core.placement import AffinityOutcome, PlacementEngine
+from repro.core.runtime import AffinityReduced, CreateObj, RequestDrop
+from repro.obs.records import PlacementRecord
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
 from repro.types import PlacementAction
 from tests.conftest import make_system
+from tests.core.oracle_placement import PerObjectEngine
 
 CONFIG = ProtocolConfig(
     high_watermark=20.0,
@@ -159,3 +164,168 @@ def test_own_node_never_a_candidate(system):
     run_placement(system)
     assert 1 in system.hosts[0].store
     assert all(e.obj != 1 for e in system.placement_events)
+
+
+# ----------------------------------------------------------------------
+# Runs: consecutive last-unit drops share one RequestDrop
+# ----------------------------------------------------------------------
+
+
+def recorded(step, messages):
+    """Drive-transparent wrapper logging every message ``step`` yields."""
+    answer = None
+    try:
+        while True:
+            message = step.send(answer)
+            messages.append(message)
+            answer = yield message
+    except StopIteration as done:
+        return done.value
+
+
+class ListTracer:
+    def __init__(self):
+        self.records = []
+
+    def record(self, record):
+        self.records.append(record)
+
+    def record_message(self, *args):
+        pass
+
+
+def second_copy(system, obj, host=3):
+    """Give ``obj`` a replica on ``host`` so its drop elsewhere is approved."""
+    system.hosts[host].store.add(obj)
+    system.redirectors.for_object(obj).replica_created(obj, host, 1)
+
+
+def test_a_run_of_cold_objects_is_one_request():
+    """Store ``[cold, cold, hot, cold]`` at affinity 1: the two leading
+    cold objects are asked about together, the hot one's offer ends the
+    run, and the trailing cold object is asked about before the round
+    ends.  The refused object stays; the approved ones go, with events
+    and trace records in store order."""
+    sim = Simulator()
+    system = make_system(sim, line_topology(5), num_objects=4, config=CONFIG)
+    for obj in range(4):
+        system.place_initial(obj, 0)
+    second_copy(system, 0)  # approved
+    second_copy(system, 3)  # approved; object 1 is a sole copy: refused
+    feed(system, 2, {4: 30, 0: 70})  # replicates to node 4
+    system.tracer = tracer = ListTracer()
+    advance_to(system, 100.0)
+    messages = []
+    assert system.drive(recorded(system.engine.run_host(0, 100.0), messages))
+    assert messages[0] == RequestDrop(0, (0, 1))
+    assert messages[-1] == RequestDrop(0, (3,))
+    offers = messages[1:-1]
+    assert offers and all(type(m) is CreateObj and m.obj == 2 for m in offers)
+    assert system.hosts[0].store.objects() == [1, 2]
+    assert [(e.action, e.obj) for e in system.placement_events] == [
+        (PlacementAction.DROP, 0),
+        (PlacementAction.REPLICATE, 2),
+        (PlacementAction.DROP, 3),
+    ]
+    drops = [r for r in tracer.records if type(r) is PlacementRecord and r.action == "drop"]
+    assert [(r.obj, r.outcome) for r in drops] == [
+        (0, "dropped"), (1, "refused"), (3, "dropped"),
+    ]
+    system.check_invariants()
+
+
+def test_a_cold_object_with_spare_affinity_ends_the_run():
+    sim = Simulator()
+    system = make_system(sim, line_topology(5), num_objects=3, config=CONFIG)
+    for obj in range(3):
+        system.place_initial(obj, 0)
+    system.hosts[0].store.add(1)
+    system.redirectors.for_object(1).replica_created(1, 0, 2)
+    advance_to(system, 100.0)
+    messages = []
+    system.drive(recorded(system.engine.run_host(0, 100.0), messages))
+    assert messages == [
+        RequestDrop(0, (0,)), AffinityReduced(0, 1, 1), RequestDrop(0, (2,)),
+    ]
+
+
+@st.composite
+def rounds(draw):
+    """A host-0 store with affinities and gateway counts, plus the
+    redirector's scripted answers."""
+    size = draw(st.integers(1, 7))
+    affinities = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    counts = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from([0, 2, 4]), st.integers(0, 60), max_size=3),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    script = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    return affinities, counts, script
+
+
+def scripted_round(engine_type, affinities, counts, script):
+    """Run one host-0 round under ``engine_type``; the redirector's drop
+    answers come from ``script``.  Returns what the round did."""
+    sim = Simulator()
+    system = make_system(
+        sim, line_topology(5), num_objects=len(affinities), config=CONFIG
+    )
+    system.engine = engine_type(system)
+    for obj, affinity in enumerate(affinities):
+        system.place_initial(obj, 0)
+        if affinity > 1:
+            system.hosts[0].store.add(obj)
+            system.redirectors.for_object(obj).replica_created(obj, 0, affinity)
+        feed(system, obj, counts[obj])
+    calls = []
+
+    def request_drop(node, obj):
+        calls.append((node, obj))
+        return script[len(calls) % len(script)]
+
+    system._request_drop = request_drop
+    advance_to(system, 100.0)
+    host = system.hosts[0]
+    cold = [
+        obj
+        for obj in host.store.objects()
+        if host.store.affinity(obj) == 1
+        and host.total_access_count(obj) / 100.0 < CONFIG.deletion_threshold
+    ]
+    messages = []
+    moved = system.drive(recorded(system.engine.run_host(0, 100.0), messages))
+    events = [(e.action, e.obj, e.source, e.target) for e in system.placement_events]
+    stores = {node: server.store.objects() for node, server in system.hosts.items()}
+    return cold, messages, (moved, calls, events, stores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds())
+def test_runs_change_the_framing_not_the_arbitration(case):
+    """Over random stores, counts and answers: the runs' ``RequestDrop``
+    messages list exactly the cold affinity-1 objects in store order
+    (any other ``RequestDrop`` is a move's one-object drop), and the
+    simulator makes the same arbitration calls in the same order, with
+    the same outcome, as the per-object round it replaced."""
+    affinities, counts, script = case
+    cold, messages, outcome = scripted_round(PlacementEngine, affinities, counts, script)
+    _, oracle_messages, oracle_outcome = scripted_round(
+        PerObjectEngine, affinities, counts, script
+    )
+    assert outcome == oracle_outcome
+    drops = [m for m in messages if type(m) is RequestDrop]
+    assert [obj for m in drops for obj in m.objs if obj in cold] == cold
+    assert all(
+        set(m.objs) <= set(cold) or len(m.objs) == 1 for m in drops
+    )
+    # Only the grouping differs: the oracle sends the same messages
+    # once every run is split into one-object requests.
+    split = [
+        RequestDrop(m.node, (obj,)) if type(m) is RequestDrop else m
+        for m in messages
+        for obj in (m.objs if type(m) is RequestDrop else (None,))
+    ]
+    assert split == oracle_messages

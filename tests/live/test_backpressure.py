@@ -18,9 +18,10 @@ from repro.live.backpressure import (
     Backpressure,
     TokenBucket,
 )
-from repro.live.client import ControlPlane, TransportError
-from repro.live.config import live_protocol_config
-from repro.live.pool import HttpPool
+from repro.live.client import PERSISTENT_ATTEMPTS, ControlPlane, TransportError
+from repro.live.config import PeerDirectory, live_protocol_config
+from repro.live.httpd import HttpServer, Response, Router
+from repro.live.pool import HttpPool, retry_after_hint
 from repro.network.rpc import DedupCache
 
 
@@ -238,3 +239,49 @@ def test_throttled_registration_is_not_lost():
         await deployment.stop()
 
     asyncio.run(main())
+
+
+@pytest.mark.parametrize(
+    "header, hint",
+    [("0.25", 0.25), ("0", 0.0), ("1e9", 2.0), ("nan", None), ("inf", None),
+     ("-inf", None), ("-1", None), ("soon", None), (None, None)],
+)
+def test_retry_after_hint_keeps_finite_values_up_to_the_limit(header, hint):
+    headers = {} if header is None else {"retry-after": header}
+    assert retry_after_hint(headers, 2.0) == hint
+
+
+@pytest.mark.parametrize("header", ["nan", "inf", "1e9", "-1", "soon"])
+def test_insane_retry_after_cannot_stall_a_persistent_call(header):
+    """A 429 whose ``Retry-After`` is not a finite number >= 0 (a relay
+    passes the owner's header on verbatim) must not park a persistent
+    conversation — and the placement round awaiting it — for ever: the
+    call spends its attempt budget and fails."""
+    calls = []
+
+    def throttled(request, params):
+        calls.append(request.path)
+        response = Response(status=429, body=b'{"error": "throttled"}')
+        response.headers["Retry-After"] = header
+        return response
+
+    async def main():
+        router = Router()
+        router.add("POST", "/admin/register_host", throttled)
+        server = HttpServer(router, port=0)
+        port = await server.start()
+        directory = PeerDirectory()
+        directory.set_redirector(("127.0.0.1", port))
+        control = ControlPlane(directory, timeout=0.2)
+        try:
+            with pytest.raises(TransportError) as failure:
+                await asyncio.wait_for(
+                    control.register_host(0, ("127.0.0.1", 1)), timeout=10.0
+                )
+            assert failure.value.status == 429
+        finally:
+            await control.close()
+            await server.stop()
+
+    asyncio.run(main())
+    assert len(calls) == PERSISTENT_ATTEMPTS

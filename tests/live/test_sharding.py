@@ -97,17 +97,33 @@ def test_route_rejects_a_bad_gateway_before_counting_it():
     asyncio.run(main())
 
 
+def _owned(shard: int, count: int = 1) -> list[int]:
+    """The first ``count`` objects ``shard`` owns in the 2-shard tier."""
+    config = sharded_config()
+    owners = HashRing(config.num_shards, vnodes=config.ring_vnodes).owners(
+        config.num_objects
+    )
+    return [obj for obj, owner in enumerate(owners) if owner == shard][:count]
+
+
 #: ``(path, body, word the 400 must name)``: each spoils one field with a
 #: value ``int()`` used to choke on (``null``, a list, an object) or one
-#: out of range.
+#: out of range; a drop request's ``objs`` must be distinct ids, at least
+#: one, that one shard owns.
 BAD_CONTROL = [
     ("/control/replica_created", {"obj": None, "host": 1, "affinity": 1}, "obj"),
     ("/control/replica_created", {"obj": [0], "host": 1, "affinity": 1}, "obj"),
     ("/control/replica_created", {"obj": 0, "host": {}, "affinity": 1}, "host"),
     ("/control/replica_created", {"obj": 0, "host": 1, "affinity": None}, "affinity"),
     ("/control/affinity_reduced", {"obj": 1, "host": [1], "affinity": 1}, "host"),
-    ("/control/request_drop", {"obj": 1, "host": None}, "host"),
-    ("/control/request_drop", {"obj": 10**6, "host": 0}, "obj"),
+    ("/control/request_drop", {"objs": [1], "host": None}, "host"),
+    ("/control/request_drop", {"objs": None, "host": 0}, "objs"),
+    ("/control/request_drop", {"obj": 1, "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": [], "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": [1, 1], "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": [1, 10**6], "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": [1, "2"], "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": _owned(0) + _owned(1), "host": 0}, "objs"),
     ("/control/load_report", {"node": None, "load": 1.0}, "node"),
     ("/control/load_report", {"node": 0, "load": [1.0]}, "load"),
     ("/admin/register_host", {"node": {}, "host": "127.0.0.1", "port": 1}, "node"),
@@ -182,25 +198,42 @@ def test_notice_posted_to_wrong_shard_reaches_the_owner():
             # never applied anything locally.
             assert new_host in owner.service.replica_hosts(obj)
             assert obj not in wrong.owned_objects
-            # request_drop forwards the same way and arbitration still
-            # protects the last copy at the owner.
+            # A drop request is relayed whole, and arbitration still
+            # protects the last copy at the owner: the new replica goes,
+            # then the original — now the last — stays.
             initial = obj % config.num_hosts
             status, _h, body = await pool.request(
                 wrong.server.address,
                 "POST",
                 "/control/request_drop",
-                payload={"obj": obj, "host": new_host, "msg_id": "wrong-shard-2"},
+                payload={"objs": [obj], "host": new_host, "msg_id": "wrong-shard-2"},
             )
             assert status == 200
-            assert json.loads(body)["approved"] is True
+            assert json.loads(body)["approved"] == [True]
+            other = next(
+                o for o in range(config.num_objects)
+                if ring.owner(o) == 0 and o != obj
+                and o % config.num_hosts == initial
+            )
             status, _h, body = await pool.request(
                 wrong.server.address,
                 "POST",
                 "/control/request_drop",
-                payload={"obj": obj, "host": initial, "msg_id": "wrong-shard-3"},
+                payload={
+                    "objs": [obj, other], "host": initial,
+                    "msg_id": "wrong-shard-3",
+                },
             )
             assert status == 200
-            assert json.loads(body)["approved"] is False  # last copy
+            assert json.loads(body)["approved"] == [False, False]  # last copies
+            assert wrong.forwarded_control_total == 3
+            assert wrong.mutations_total == wrong.drops_arbitrated_total == 0
+            # One registration and two drop conversations judging three objects.
+            assert (
+                owner.mutations_total,
+                owner.drop_conversations_total,
+                owner.drops_arbitrated_total,
+            ) == (3, 2, 3)
             # Both gates were released once the relayed answers were in.
             assert wrong.control_gate.inflight == owner.control_gate.inflight == 0
         finally:
@@ -283,6 +316,60 @@ def test_duplicate_msg_id_applied_once_with_cached_reply():
             assert second == first
             assert owner.service.affinity(obj, new_host) == 1
             assert owner.deduplicated_total == 1
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(main())
+
+
+def test_drop_batch_is_judged_whole_or_not_at_all():
+    """The owner checks that the host holds every object of a drop
+    request before it judges any: one non-holder is a 409 and leaves the
+    registry as it was.  A held batch is judged in order, and its replay
+    gets the first answer's status and list."""
+    config = sharded_config()
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            owner = deployment.shards[1]
+            held, sole, foreign = (
+                [o for o in _owned(1, 40) if o % config.num_hosts == 0][:2]
+                + [next(o for o in _owned(1, 40) if o % config.num_hosts == 1)]
+            )
+            # ``held`` gains a second copy, so its drop at host 0 would
+            # be approved; ``sole`` is host 0's last copy.
+            owner.service.replica_created(held, 2, 1)
+            placement = deployment.replica_placement()
+            status, _h, body = await pool.request(
+                owner.server.address, "POST", "/control/request_drop",
+                payload={"objs": [held, foreign], "host": 0, "msg_id": "b-1"},
+            )
+            assert status == 409, body
+            assert f"holds no replica of {foreign}".encode() in body
+            assert deployment.replica_placement() == placement
+            assert owner.drops_arbitrated_total == 0
+            answers = []
+            for _ in range(2):
+                status, _h, body = await pool.request(
+                    owner.server.address, "POST", "/control/request_drop",
+                    payload={"objs": [held, sole], "host": 0, "msg_id": "b-2"},
+                )
+                answers.append((status, json.loads(body)))
+            assert answers[0] == (200, {"approved": [True, False]})
+            assert answers[1] == answers[0]
+            assert owner.deduplicated_total == 1
+            # The 409 was a conversation, but judged nothing.
+            assert (
+                owner.mutations_total,
+                owner.drop_conversations_total,
+                owner.drops_arbitrated_total,
+            ) == (2, 1, 2)
+            assert owner.service.replica_hosts(held) == [2]
+            assert owner.service.replica_hosts(sole) == [0]
         finally:
             await pool.close()
             await deployment.stop()

@@ -25,7 +25,7 @@ import logging
 from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
 from functools import partial
-from urllib.parse import parse_qsl
+from urllib.parse import unquote
 
 log = logging.getLogger(__name__)
 
@@ -88,16 +88,15 @@ class Response:
     headers: dict[str, str] = field(default_factory=dict)
 
     def encode(self, *, keep_alive: bool) -> bytes:
-        phrase = _STATUS_PHRASES.get(self.status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {self.status} {phrase}",
-            f"Content-Type: {self.content_type}",
-            f"Content-Length: {len(self.body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        lines.extend(f"{name}: {value}" for name, value in self.headers.items())
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-        return head + self.body
+        head = (
+            f"HTTP/1.1 {self.status} {_STATUS_PHRASES.get(self.status, 'Unknown')}\r\n"
+            f"Content-Type: {self.content_type}\r\n"
+            f"Content-Length: {len(self.body)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        )
+        for name, value in self.headers.items():
+            head += f"{name}: {value}\r\n"
+        return (head + "\r\n").encode("ascii") + self.body
 
 
 def json_response(payload: object, status: int = 200) -> Response:
@@ -128,27 +127,54 @@ Handler = Callable[[Request, dict[str, str]], Response | Awaitable[Response]]
 
 
 class Router:
-    """Maps ``METHOD /path/{capture}`` patterns to async handlers."""
+    """Maps ``METHOD /path/{capture}`` patterns to handlers; the first route
+    registered for a path and method wins.  A path that a capture-free
+    pattern spells is answered from a table (DESIGN §8 "Codec")."""
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, tuple[str, ...], Handler]] = []
+        self._captures: list[tuple[str, tuple[str, ...], Handler]] = []
+        #: Static path -> method -> (handler, params) of the first route matching it.
+        self._exact: dict[str, dict[str, tuple[Handler, dict[str, str]]]] = {}
 
     def add(self, method: str, pattern: str, handler: Handler) -> None:
         segments = tuple(pattern.strip("/").split("/")) if pattern.strip("/") else ()
-        self._routes.append((method.upper(), segments, handler))
+        route = (method.upper(), segments, handler)
+        if any(s.startswith("{") and s.endswith("}") for s in segments):
+            self._captures.append(route)
+            for path in self._exact:
+                self._enter(path, route)
+            return
+        path = "/".join(segments)
+        if path not in self._exact:  # the captures registered before it come first
+            self._exact[path] = {}
+            for capture in self._captures:
+                self._enter(path, capture)
+        self._exact[path].setdefault(route[0], (handler, {}))
+
+    def _enter(self, path: str, route: tuple[str, tuple[str, ...], Handler]) -> None:
+        method, segments, handler = route
+        params = _match_segments(segments, tuple(path.split("/")) if path else ())
+        if params is not None:
+            self._exact[path].setdefault(method, (handler, params))
 
     def resolve(
         self, method: str, path: str
     ) -> tuple[Handler, dict[str, str]] | int:
         """Find a handler, or the error status (404/405) to return."""
-        segments = tuple(path.strip("/").split("/")) if path.strip("/") else ()
+        method = method.upper()
+        key = path.strip("/")
+        methods = self._exact.get(key)
+        if methods is not None:
+            route = methods.get(method)
+            return 405 if route is None else (route[0], dict(route[1]))
+        segments = tuple(key.split("/")) if key else ()
         path_matched = False
-        for route_method, route_segments, handler in self._routes:
+        for route_method, route_segments, handler in self._captures:
             params = _match_segments(route_segments, segments)
             if params is None:
                 continue
             path_matched = True
-            if route_method == method.upper():
+            if route_method == method:
                 return handler, params
         return 405 if path_matched else 404
 
@@ -216,7 +242,7 @@ def parse_head(buffer: bytes | bytearray) -> tuple[str, dict[str, str], int, int
 
 def _take_request(buffer: bytearray) -> Request | None:
     """Pop one complete request off the front of ``buffer``, if there is one."""
-    head = parse_head(buffer)
+    head = parse_head(buffer) if buffer else None  # drained: the usual case after an answer
     if head is None:
         return None
     request_line, headers, body_start, end = head
@@ -228,8 +254,20 @@ def _take_request(buffer: bytearray) -> Request | None:
     body = bytes(buffer[body_start:end])
     del buffer[:end]
     path, _, query = parts[1].partition("?")
-    query_pairs = dict(parse_qsl(query, keep_blank_values=True))
-    return Request(parts[0].upper(), path or "/", query_pairs, headers, body)
+    return Request(parts[0].upper(), path or "/", _split_query(query), headers, body)
+
+
+def _split_query(query: str) -> dict[str, str]:
+    """``dict(parse_qsl(query, keep_blank_values=True))``: only a pair
+    holding ``%`` or ``+`` pays for unquoting (DESIGN §8 "Codec")."""
+    pairs: dict[str, str] = {}
+    for pair in query.split("&"):
+        if pair:
+            name, _, value = pair.partition("=")
+            if "%" in pair or "+" in pair:
+                name, value = unquote(name.replace("+", " ")), unquote(value.replace("+", " "))
+            pairs[name] = value
+    return pairs
 
 
 class _Connection(asyncio.Protocol):

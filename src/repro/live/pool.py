@@ -197,16 +197,12 @@ class HttpPool:
             body = json.dumps(payload).encode("utf-8")
         deadline = timeout if timeout is not None else self.timeout
         host, port = address
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: keep-alive",
-        ]
+        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: keep-alive\r\n"
         if payload is not None:
-            head.append("Content-Type: application/json")
+            head += "Content-Type: application/json\r\n"
         if body is not None:
-            head.append(f"Content-Length: {len(body)}")
-        message = ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + (body or b"")
+            head += f"Content-Length: {len(body)}\r\n"
+        message = (head + "\r\n").encode("ascii") + (body or b"")
         stale = False
         while True:
             connection, reused = await self._acquire(address, deadline)

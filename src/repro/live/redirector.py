@@ -344,8 +344,8 @@ class LiveRedirector:
         obj = _id(payload, "obj", self.config.num_objects)
         host = _id(payload, "host", self.config.num_hosts)
         affinity = payload.get("affinity")
-        if type(affinity) is not int:
-            raise BadRequest(f"affinity must be an integer, got {affinity!r}")
+        if type(affinity) is not int or affinity < 1:
+            raise BadRequest(f"affinity must be an integer >= 1, got {affinity!r}")
         return obj, (obj, host, affinity)
 
     def _drop_batch(self, payload: dict) -> tuple[int, tuple[list[int], int]]:

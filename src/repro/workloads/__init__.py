@@ -14,9 +14,8 @@ Four request-pattern families drive the paper's evaluation:
 All workloads expose ``sample(gateway, rng) -> ObjectId``;
 :class:`~repro.workloads.base.RequestGenerator` turns a workload into a
 constant-rate request stream per gateway node.
-:class:`~repro.workloads.mixture.MixtureWorkload` and
-:class:`~repro.workloads.mixture.PhasedWorkload` compose workloads (for
-demand-shift / responsiveness experiments).
+:class:`~repro.workloads.mixture.PhasedWorkload` switches workloads at set
+times (for demand-shift / responsiveness experiments).
 """
 
 from repro.workloads.base import (
@@ -28,7 +27,7 @@ from repro.workloads.base import (
 )
 from repro.workloads.hot_pages import HotPagesWorkload
 from repro.workloads.hot_sites import HotSitesWorkload
-from repro.workloads.mixture import MixtureWorkload, PhasedWorkload
+from repro.workloads.mixture import PhasedWorkload
 from repro.workloads.regional import RegionalWorkload
 from repro.workloads.zipf import ZipfWorkload
 
@@ -54,7 +53,6 @@ __all__ = [
     "HotSitesWorkload",
     "HotPagesWorkload",
     "RegionalWorkload",
-    "MixtureWorkload",
     "PhasedWorkload",
     "RequestGenerator",
     "attach_generators",

@@ -1,4 +1,4 @@
-"""Composite workloads: mixtures and time-phased demand shifts.
+"""Composite workloads: time-phased demand shifts.
 
 The paper notes "one can expect that a real-life workload would be some
 mix of workloads similar to the ones considered" and measures the
@@ -18,41 +18,6 @@ from typing import Callable, Sequence
 from repro.errors import WorkloadError
 from repro.types import NodeId, ObjectId, Time
 from repro.workloads.base import Workload
-
-
-class MixtureWorkload(Workload):
-    """A convex combination of workloads over the same namespace."""
-
-    def __init__(
-        self, components: Sequence[tuple[float, Workload]]
-    ) -> None:
-        if not components:
-            raise WorkloadError("a mixture needs at least one component")
-        sizes = {workload.num_objects for _, workload in components}
-        if len(sizes) != 1:
-            raise WorkloadError(
-                f"mixture components disagree on namespace size: {sorted(sizes)}"
-            )
-        total = sum(weight for weight, _ in components)
-        if total <= 0 or any(weight < 0 for weight, _ in components):
-            raise WorkloadError("mixture weights must be non-negative, sum > 0")
-        super().__init__(next(iter(sizes)))
-        self._cumulative: list[tuple[float, Workload]] = []
-        acc = 0.0
-        for weight, workload in components:
-            acc += weight / total
-            self._cumulative.append((acc, workload))
-
-    def sample(self, gateway: NodeId, rng: random.Random) -> ObjectId:
-        point = rng.random()
-        for threshold, workload in self._cumulative:
-            if point <= threshold:
-                return workload.sample(gateway, rng)
-        return self._cumulative[-1][1].sample(gateway, rng)
-
-    @property
-    def name(self) -> str:
-        return "mixture(" + ",".join(w.name for _, w in self._cumulative) + ")"
 
 
 class PhasedWorkload(Workload):

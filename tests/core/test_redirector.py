@@ -235,6 +235,30 @@ def test_affinity_reduced_to_zero_rejected(redirector):
         redirector.affinity_reduced(0, AMERICA_HOST, 0)
 
 
+@pytest.mark.parametrize("affinity", [0, -3])
+def test_replica_report_below_affinity_one_rejected_untouched(redirector, affinity):
+    """A re-report below 1 would make Figure 2 divide by zero (0) or send
+    every request to the replica (a negative unit count is always the
+    minimum): it is refused and both entry shapes stay as they were."""
+
+    def state():
+        return {
+            host: (info.affinity, info.request_count)
+            for host, info in replica_infos(redirector, 0).items()
+        }
+
+    redirector.register_initial(5, 3)
+    drive(redirector, [AMERICA_GW], 10)
+    before = state()
+    with pytest.raises(ProtocolError):
+        redirector.replica_created(0, EUROPE_HOST, affinity)
+    with pytest.raises(ProtocolError):
+        redirector.replica_created(5, 3, affinity)
+    assert state() == before
+    assert redirector._replicas[5] == 3  # the sole replica's entry stays flat
+    assert redirector.choose_replica(AMERICA_GW, 0) == AMERICA_HOST
+
+
 def test_new_replica_must_have_affinity_one(redirector):
     with pytest.raises(ProtocolError):
         redirector.replica_created(0, 3, 2)

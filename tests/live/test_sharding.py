@@ -115,6 +115,10 @@ BAD_CONTROL = [
     ("/control/replica_created", {"obj": [0], "host": 1, "affinity": 1}, "obj"),
     ("/control/replica_created", {"obj": 0, "host": {}, "affinity": 1}, "host"),
     ("/control/replica_created", {"obj": 0, "host": 1, "affinity": None}, "affinity"),
+    ("/control/replica_created", {"obj": 0, "host": 0, "affinity": 0}, "affinity"),
+    ("/control/replica_created", {"obj": 0, "host": 0, "affinity": -3}, "affinity"),
+    ("/control/affinity_reduced", {"obj": 0, "host": 0, "affinity": 0}, "affinity"),
+    ("/control/affinity_reduced", {"obj": 0, "host": 0, "affinity": -3}, "affinity"),
     ("/control/affinity_reduced", {"obj": 1, "host": [1], "affinity": 1}, "host"),
     ("/control/request_drop", {"objs": [1], "host": None}, "host"),
     ("/control/request_drop", {"objs": None, "host": 0}, "objs"),

@@ -1,12 +1,11 @@
-"""Tests for mixture and phased workloads."""
+"""Tests for phased workloads."""
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.sim.rng import RngFactory
 from repro.workloads.base import UniformWorkload
-from repro.workloads.mixture import MixtureWorkload, PhasedWorkload
-from repro.workloads.zipf import ZipfWorkload
+from repro.workloads.mixture import PhasedWorkload
 
 
 class FixedWorkload(UniformWorkload):
@@ -19,32 +18,6 @@ class FixedWorkload(UniformWorkload):
     def sample(self, gateway, rng):
         rng.random()  # consume entropy like a real workload
         return self.value
-
-
-def test_mixture_weights_respected():
-    mixture = MixtureWorkload(
-        [(0.8, FixedWorkload(10, 1)), (0.2, FixedWorkload(10, 2))]
-    )
-    rng = RngFactory(1).stream("m")
-    samples = [mixture.sample(0, rng) for _ in range(10_000)]
-    share = samples.count(1) / len(samples)
-    assert share == pytest.approx(0.8, abs=0.02)
-
-
-def test_mixture_validation():
-    with pytest.raises(WorkloadError):
-        MixtureWorkload([])
-    with pytest.raises(WorkloadError):
-        MixtureWorkload([(1.0, FixedWorkload(10, 1)), (1.0, FixedWorkload(20, 2))])
-    with pytest.raises(WorkloadError):
-        MixtureWorkload([(0.0, FixedWorkload(10, 1))])
-    with pytest.raises(WorkloadError):
-        MixtureWorkload([(-1.0, FixedWorkload(10, 1)), (2.0, FixedWorkload(10, 2))])
-
-
-def test_mixture_name_lists_components():
-    mixture = MixtureWorkload([(1.0, ZipfWorkload(10)), (1.0, UniformWorkload(10))])
-    assert mixture.name == "mixture(zipf,uniform)"
 
 
 def test_phased_switches_at_boundaries():

@@ -11,7 +11,8 @@ Reliability grades mirror :mod:`repro.network.rpc`: plain calls and
 notifies are single attempts (a loss degrades gracefully, as in the
 sim's fault plane), while *persistent* calls — drop arbitration and the
 replica-created registration, whose loss would desynchronise the
-redirector registry — retry with backoff before giving up.
+redirector registry — retry a lost exchange, a 429 or a 5xx with
+backoff before giving up; any other status is final.
 
 Three behaviours support the sharded tier (DESIGN §10):
 
@@ -109,7 +110,9 @@ class ControlPlane:
             try:
                 return await send(address, method, path, payload=payload)
             except TransportError as failure:
-                if attempt == attempts:
+                # A 4xx other than 429 is a refusal: it would be refused again.
+                status = failure.status
+                if attempt == attempts or status not in (None, 429) and status < 500:
                     raise
                 # Honour the shard's backpressure hint: it knows when the
                 # next token arrives, blind backoff doesn't.

@@ -103,36 +103,47 @@ def _take_reply(buffer: bytearray) -> tuple[int, dict[str, str], bytes, bool] | 
 
 
 class _Connection(asyncio.Protocol):
-    """One dialled socket, one exchange at a time, the reply framed as it arrives."""
+    """One dialled socket, one exchange at a time, the reply framed as it arrives.
+
+    It keeps at most one armed deadline timer, re-armed only when it fires.
+    """
 
     def __init__(self) -> None:
         self.transport = None  # set by connection_made
         self.buffer = bytearray()
         self.waiter: asyncio.Future | None = None
+        self.deadline = 0.0  # loop time by which the exchange in hand must end
+        self.timer: asyncio.TimerHandle | None = None
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
 
-    async def exchange(
-        self, message: bytes, deadline: float
-    ) -> tuple[int, dict[str, str], bytes, bool] | None:
-        """Send ``message`` and await one reply.
+    def send(self, message: bytes, timeout: float) -> asyncio.Future:
+        """Send ``message``; the future resolves to one reply.
 
         ``None`` means EOF or a reset before any response byte: what a
         socket the server closed while it was parked looks like.
         """
         loop = asyncio.get_running_loop()
-        self.waiter = loop.create_future()
-        timer = loop.call_later(deadline, self._expire)
+        self.waiter = waiter = loop.create_future()
+        self.deadline = deadline = loop.time() + timeout
+        timer = self.timer
+        if timer is None or timer.when() > deadline:
+            if timer is not None:
+                timer.cancel()
+            self.timer = loop.call_at(deadline, self._expire)
         self.transport.write(message)
-        try:
-            return await self.waiter
-        finally:
-            timer.cancel()
+        return waiter
 
     def _expire(self) -> None:
-        if not self.waiter.done():
-            self.waiter.set_exception(TimeoutError())
+        when, self.timer = self.timer.when(), None
+        waiter = self.waiter
+        if waiter is None or waiter.done():
+            return
+        if self.deadline > when:  # a later exchange's deadline: wait for it
+            self.timer = asyncio.get_running_loop().call_at(self.deadline, self._expire)
+        else:
+            waiter.set_exception(TimeoutError())
 
     def data_received(self, data: bytes) -> None:
         waiter = self.waiter
@@ -149,6 +160,8 @@ class _Connection(asyncio.Protocol):
                 waiter.set_result(reply)
 
     def connection_lost(self, exc: Exception | None) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
         waiter = self.waiter
         if waiter is None or waiter.done():
             return
@@ -195,7 +208,8 @@ class HttpPool:
         """
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
-        deadline = timeout if timeout is not None else self.timeout
+        if timeout is None:
+            timeout = self.timeout
         host, port = address
         head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: keep-alive\r\n"
         if payload is not None:
@@ -205,10 +219,18 @@ class HttpPool:
         message = (head + "\r\n").encode("ascii") + (body or b"")
         stale = False
         while True:
-            connection, reused = await self._acquire(address, deadline)
+            idle = self._idle.get(address)
+            while idle and idle[-1].transport.is_closing():
+                idle.pop()  # the server hung up while it was parked
+            reused = bool(idle)
+            if reused:
+                connection = idle.pop()
+                self.reuses += 1
+            else:
+                connection = await self._dial(address, timeout)
             reply = None
             try:
-                reply = await connection.exchange(message, deadline)
+                reply = await connection.send(message, timeout)
             except (OSError, BadRequest) as exc:
                 raise TransportError(f"{method} {host}:{port}{path}: {exc}") from exc
             finally:
@@ -286,25 +308,16 @@ class HttpPool:
     # Internals
     # ------------------------------------------------------------------
 
-    async def _acquire(
-        self, address: Address, deadline: float
-    ) -> tuple[_Connection, bool]:
-        idle = self._idle.get(address)
-        while idle:
-            connection = idle.pop()
-            if connection.transport.is_closing():
-                continue  # the server hung up while it was parked
-            self.reuses += 1
-            return connection, True
+    async def _dial(self, address: Address, timeout: float) -> _Connection:
         try:
-            async with asyncio.timeout(deadline):
+            async with asyncio.timeout(timeout):
                 _, connection = await asyncio.get_running_loop().create_connection(
                     _Connection, *address
                 )
         except OSError as exc:
             raise TransportError(f"connect {address[0]}:{address[1]}: {exc}") from exc
         self.dials += 1
-        return connection, False
+        return connection
 
     def _release(self, address: Address, connection: _Connection) -> None:
         idle = self._idle.setdefault(address, [])

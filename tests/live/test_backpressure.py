@@ -285,3 +285,45 @@ def test_insane_retry_after_cannot_stall_a_persistent_call(header):
 
     asyncio.run(main())
     assert len(calls) == PERSISTENT_ATTEMPTS
+
+
+@pytest.mark.parametrize(
+    "status, exchanges",
+    [(400, 1), (404, 1), (409, 1), (429, PERSISTENT_ATTEMPTS),
+     (502, PERSISTENT_ATTEMPTS), (503, PERSISTENT_ATTEMPTS)],
+)
+def test_a_persistent_call_retries_only_what_another_attempt_could_change(
+    status, exchanges
+):
+    """A refusal (400/404/409) is final: the call raises after one
+    exchange, without backing off.  A 429 or a 5xx is retried to the
+    attempt budget, as a lost exchange is."""
+    calls = []
+
+    def answer(request, params):
+        calls.append(request.path)
+        response = Response(status=status, body=b'{"error": "no"}')
+        response.headers["Retry-After"] = "0"
+        return response
+
+    async def main():
+        router = Router()
+        router.add("POST", "/control/request_drop", answer)
+        server = HttpServer(router, port=0)
+        directory = PeerDirectory()
+        directory.set_redirector(("127.0.0.1", await server.start()))
+        control = ControlPlane(directory, timeout=1.0)
+        loop = asyncio.get_running_loop()
+        try:
+            began = loop.time()
+            with pytest.raises(TransportError) as failure:
+                await control.request_drop(0, [7])
+            assert failure.value.status == status
+            if exchanges == 1:
+                assert loop.time() - began < 0.05
+        finally:
+            await control.close()
+            await server.stop()
+
+    asyncio.run(main())
+    assert len(calls) == exchanges

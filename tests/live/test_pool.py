@@ -255,3 +255,93 @@ def test_a_reply_outside_the_envelope_is_a_transport_error(reply):
             await server.wait_closed()
 
     asyncio.run(main())
+
+
+def slow_router(seconds: float) -> Router:
+    router = echo_router()
+
+    async def slow(request, params):
+        await asyncio.sleep(seconds)
+        return json_response({"slept": seconds})
+
+    router.add("GET", "/slow", slow)
+    return router
+
+
+def test_a_shorter_timeout_on_a_parked_connection_fires_at_its_own_deadline():
+    """The connection's timer was armed for a 5 s exchange; a 0.2 s one
+    after it must not wait for that timer."""
+
+    async def main():
+        server = HttpServer(slow_router(0.6), port=0)
+        address = ("127.0.0.1", await server.start())
+        pool = HttpPool()
+        try:
+            assert (await pool.request(address, "GET", "/ping", timeout=5.0))[0] == 200
+            began = asyncio.get_running_loop().time()
+            with pytest.raises(TransportError):
+                await pool.request(address, "GET", "/slow", timeout=0.2)
+            waited = asyncio.get_running_loop().time() - began
+            assert pool.reuses == 1
+            assert 0.2 <= waited < 0.38, waited
+        finally:
+            await pool.close()
+            await server.stop()
+
+    asyncio.run(main())
+
+
+def test_a_longer_timeout_on_a_parked_connection_outlives_the_old_deadline():
+    """The connection's timer was armed for a 0.2 s exchange; when it
+    fires, a 1 s exchange in hand is re-armed, not cut."""
+
+    async def main():
+        server = HttpServer(slow_router(0.4), port=0)
+        address = ("127.0.0.1", await server.start())
+        pool = HttpPool()
+        try:
+            assert (await pool.request(address, "GET", "/ping", timeout=0.2))[0] == 200
+            status, _h, _b = await pool.request(address, "GET", "/slow", timeout=1.0)
+            assert status == 200
+            assert pool.reuses == 1
+        finally:
+            await pool.close()
+            await server.stop()
+
+    asyncio.run(main())
+
+
+def test_a_pooled_connection_arms_one_timer_not_one_per_exchange():
+    """200 sequential exchanges schedule the dial's timer and one
+    deadline timer, and closing the pool cancels what it armed."""
+
+    async def main():
+        server = HttpServer(echo_router(), port=0)
+        address = ("127.0.0.1", await server.start())
+        pool = HttpPool()
+        loop = asyncio.get_running_loop()
+        scheduled = []
+        call_at = loop.call_at
+
+        def counting_call_at(when, callback, *args, **kwargs):
+            scheduled.append(call_at(when, callback, *args, **kwargs))
+            return scheduled[-1]
+
+        loop.call_at = counting_call_at
+        loop.call_later = lambda delay, callback, *args, **kwargs: counting_call_at(
+            loop.time() + delay, callback, *args, **kwargs
+        )
+        try:
+            for _ in range(200):
+                assert (await pool.request(address, "GET", "/ping"))[0] == 200
+            assert (pool.dials, pool.reuses) == (1, 199)
+            assert len(scheduled) <= 2, len(scheduled)
+            await pool.close()
+            await asyncio.sleep(0)  # connection_lost runs
+            assert all(handle.cancelled() for handle in scheduled)
+        finally:
+            del loop.call_at, loop.call_later
+            await pool.close()
+            await server.stop()
+
+    asyncio.run(main())

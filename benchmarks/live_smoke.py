@@ -9,11 +9,11 @@ stopped with SIGINT.  The run passes when every request completed, the
 hosts' placement histories hold at least one replicate/migrate *and* one
 drop — dynamic replication happened over real sockets, driven by the
 hosts' wall-clock timers — and every process exited 0 with its metrics
-flushed.  With more than one shard, the other shards must also have
-received registry mutations straight from the hosts, more of them than
-the front door relayed, and the shards must have judged more drop
-requests than they held registry conversations (a placement round sends
-a run of them as one).
+flushed.  With more than one shard, the front door must have relayed
+routes, the other shards must have received more registry mutations
+straight from the hosts than the front door relayed, and the shards must
+have judged more drop requests than they held registry conversations (a
+placement round sends a run of them as one).
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
@@ -132,7 +132,8 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     # Hosts send registry mutations straight to the owning shard; the
     # front door's relay is only the fallback for a stale sender.
     relayed = tier[0]["forwarded_control_total"]
-    print("registry mutations relayed by the front door:", relayed)
+    routes = tier[0]["forwarded_total"] - relayed
+    print("relayed by the front door:", routes, "routes,", relayed, "registry mutations")
     # A placement round asks about a run of cold objects in one
     # request_drop conversation per owning shard.
     arbitrated = sum(piece["drops_arbitrated_total"] for piece in tier)
@@ -146,6 +147,7 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
         direct = sum(piece["mutations_total"] for piece in tier[1:]) - relayed
         print("registry mutations sent straight to shards 1..:", direct)
         assert direct > 0, tier
+        assert routes > 0, tier  # the relay works across processes
         assert relayed < direct, tier
         assert arbitrated > conversations, tier
     return {action: actions.count(action) for action in sorted(set(actions))}

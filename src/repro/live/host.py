@@ -200,7 +200,7 @@ class LiveHostNode:
             headers={"X-Served-By": str(self.node)},
         )
 
-    async def _serve_data(self, request: Request, params: dict) -> Response:
+    def _serve_data(self, request: Request, params: dict) -> Response:
         """The bulk copy: a peer pulls the object during CreateObj."""
         obj = self._object_id(params["obj"])
         if obj not in self.host.store:
@@ -211,7 +211,7 @@ class LiveHostNode:
         offer, source_addr = self._offer(request.json())
         return json_response(await self.system.handle_create_obj(offer, source_addr))
 
-    async def _load_probe(self, request: Request, params: dict) -> Response:
+    def _load_probe(self, request: Request, params: dict) -> Response:
         host = self.host
         return json_response(
             {
@@ -225,7 +225,7 @@ class LiveHostNode:
             }
         )
 
-    async def _metrics(self, request: Request, params: dict) -> Response:
+    def _metrics(self, request: Request, params: dict) -> Response:
         return json_response(self.snapshot())
 
     def _healthz(self, request: Request, params: dict) -> Response:

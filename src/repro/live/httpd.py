@@ -9,12 +9,12 @@ A message is framed where its bytes arrive (``data_received``) by
 :func:`parse_head`, the one HTTP grammar in the repository: the server
 reads requests with it and :class:`~repro.live.pool.HttpPool` replies.
 
-Handlers are ``handler(request, params) -> Response`` and run on the
-event loop: a plain function answers in the callback that framed its
-request, an ``async def`` may wait first (an outbound control
-conversation is awaited, never blocked on — the loop also serves the
-handler's peers in the same process).  A handler that raises
-:class:`BadRequest` answers 400 with its message.
+Handlers run on the event loop and answer with a :class:`Response`,
+written in the callback that framed the request; an awaitable of one
+(an ``async def`` awaiting a peer — never blocking, the loop serves that
+peer too), which gets one Task; or a :data:`Deferred`, called with a
+``respond`` function for a later callback to answer through, no Task at
+all (DESIGN §8 "Answering").  :class:`BadRequest` answers 400.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class Request:
     query: dict[str, str]
     headers: dict[str, str]
     body: bytes = b""
+    #: The request target as sent (``/path?query``), for a relay to forward.
+    target: str = field(default="", compare=False, init=False)
 
     def json(self) -> dict:
         """Decode the body as a JSON object (400 on anything else)."""
@@ -123,7 +125,9 @@ def throttle_response(retry_after: float) -> Response:
     return response
 
 
-Handler = Callable[[Request, dict[str, str]], Response | Awaitable[Response]]
+Deferred = Callable[[Callable[[Response | Awaitable[Response]], None]], None]
+Answer = Response | Awaitable[Response] | Deferred
+Handler = Callable[[Request, dict[str, str]], Answer]
 
 
 class Router:
@@ -254,7 +258,9 @@ def _take_request(buffer: bytearray) -> Request | None:
     body = bytes(buffer[body_start:end])
     del buffer[:end]
     path, _, query = parts[1].partition("?")
-    return Request(parts[0].upper(), path or "/", _split_query(query), headers, body)
+    request = Request(parts[0].upper(), path or "/", _split_query(query), headers, body)
+    request.target = parts[1]
+    return request
 
 
 def _split_query(query: str) -> dict[str, str]:
@@ -277,9 +283,9 @@ class _Connection(asyncio.Protocol):
         self.server = server
         self.transport = None  # set by connection_made
         self.buffer = bytearray()
-        #: The handler answering the request in hand; requests behind it
-        #: wait in ``buffer`` until its answer is written.
-        self.task: asyncio.Task | None = None
+        #: The answer pending for the request in hand (a Task, or a deferred
+        #: answer's Future); requests behind it wait in ``buffer``.
+        self.task: asyncio.Future | None = None
         self.write_paused = False
         self.eof = False
         #: The server is stopping: the answer in hand closes the socket.
@@ -335,8 +341,30 @@ class _Connection(asyncio.Protocol):
             answer = self.server._dispatch(request)
             if isinstance(answer, Response):
                 self._answer(answer, keep_alive)
+            elif callable(answer):
+                self._defer(request, answer, keep_alive)
             else:
                 self.task = asyncio.create_task(self._respond(request, answer, keep_alive))
+
+    def _defer(self, request: Request, answer: Deferred, keep_alive: bool) -> None:
+        """Busy until ``answer`` calls ``respond`` with a response or an awaitable."""
+        pending = self.task = asyncio.get_running_loop().create_future()
+
+        def respond(response: Response | Awaitable[Response]) -> None:
+            if pending.done():
+                return
+            pending.set_result(None)
+            if not isinstance(response, Response):
+                self.task = asyncio.create_task(self._respond(request, response, keep_alive))
+                return
+            self.task = None
+            self._answer(response, keep_alive and not self.last)
+            self._advance()
+
+        try:
+            answer(respond)
+        except Exception as exc:  # noqa: BLE001 - server must answer, not die
+            respond(_failure(request, exc))
 
     async def _respond(
         self, request: Request, answer: Awaitable[Response], keep_alive: bool
@@ -389,14 +417,13 @@ class HttpServer:
         if self._server is None:
             return
         self._server.close()
-        answering = []
         for connection in self._connections:  # closing only schedules the removal
             if connection.task is None:
                 connection.transport.close()
             else:
                 connection.last = True
-                answering.append(connection.task)
-        if answering:
+        # A deferred answer may hand over to a Task: wait until none is pending.
+        while answering := [c.task for c in self._connections if c.task is not None]:
             await asyncio.wait(answering)
         await self._server.wait_closed()
         self._server = None
@@ -405,8 +432,8 @@ class HttpServer:
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    def _dispatch(self, request: Request) -> Response | Awaitable[Response]:
-        """The answer, or an awaitable of it when the handler has to wait."""
+    def _dispatch(self, request: Request) -> Answer:
+        """The handler's answer: a response, an awaitable or a deferred one."""
         resolved = self.router.resolve(request.method, request.path)
         if isinstance(resolved, int):
             return error_response(resolved, f"no route for {request.path}")

@@ -8,9 +8,9 @@ connect/teardown than in the request itself and exhausts ephemeral
 ports.  :class:`HttpPool` keeps idle connections per peer and reuses
 them:
 
-* ``request()`` borrows an idle connection (or dials a new one), sends
-  one ``Connection: keep-alive`` exchange, and returns the connection to
-  the idle list unless the server answered ``Connection: close``;
+* ``request()`` sends one exchange on an idle connection (``start``) or a
+  new one, and ``complete`` parks it again unless the server answered
+  ``Connection: close`` (a relay answers from ``start``'s callback);
 * a connection that fails mid-exchange is discarded.  The request is
   sent a second time only when a *reused* socket hit EOF or a reset
   before any response byte — the server closed it while it was parked —
@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+from collections.abc import Callable
 from typing import Any
 
 from repro.live.httpd import BadRequest, parse_head
@@ -112,18 +113,33 @@ class _Connection(asyncio.Protocol):
         self.transport = None  # set by connection_made
         self.buffer = bytearray()
         self.waiter: asyncio.Future | None = None
+        self.on_settled: Callable[[], None] | None = None  # called once waiter settles
         self.deadline = 0.0  # loop time by which the exchange in hand must end
         self.timer: asyncio.TimerHandle | None = None
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self.transport = transport
 
-    def send(self, message: bytes, timeout: float) -> asyncio.Future:
-        """Send ``message``; the future resolves to one reply.
+    def send(
+        self, address: Address, method: str, target: str, payload: Any, body: bytes | None,
+        timeout: float,
+    ) -> asyncio.Future:
+        """Send one request; the future resolves to one reply.
 
-        ``None`` means EOF or a reset before any response byte: what a
-        socket the server closed while it was parked looks like.
+        ``payload`` is JSON-encoded, ``body`` sent raw.  The head is latin-1,
+        as :func:`parse_head` reads it, so a relayed target goes out byte for
+        byte.  ``None`` means EOF or a reset before any response byte: what
+        a socket the server closed while it was parked looks like.
         """
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+        host, port = address
+        head = f"{method} {target} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: keep-alive\r\n"
+        if payload is not None:
+            head += "Content-Type: application/json\r\n"
+        if body is not None:
+            head += f"Content-Length: {len(body)}\r\n"
+        message = (head + "\r\n").encode("latin-1") + (body or b"")
         loop = asyncio.get_running_loop()
         self.waiter = waiter = loop.create_future()
         self.deadline = deadline = loop.time() + timeout
@@ -143,7 +159,16 @@ class _Connection(asyncio.Protocol):
         if self.deadline > when:  # a later exchange's deadline: wait for it
             self.timer = asyncio.get_running_loop().call_at(self.deadline, self._expire)
         else:
-            waiter.set_exception(TimeoutError())
+            self._settle(None, TimeoutError())
+
+    def _settle(self, reply: tuple | None, failure: BaseException | None = None) -> None:
+        if failure is None:
+            self.waiter.set_result(reply)
+        else:
+            self.waiter.set_exception(failure)
+        if self.on_settled is not None:
+            on_settled, self.on_settled = self.on_settled, None
+            on_settled()
 
     def data_received(self, data: bytes) -> None:
         waiter = self.waiter
@@ -154,10 +179,10 @@ class _Connection(asyncio.Protocol):
         try:
             reply = _take_reply(self.buffer)
         except BadRequest as exc:
-            waiter.set_exception(exc)
+            self._settle(None, exc)
         else:
             if reply is not None:
-                waiter.set_result(reply)
+                self._settle(reply)
 
     def connection_lost(self, exc: Exception | None) -> None:
         if self.timer is not None:
@@ -166,9 +191,9 @@ class _Connection(asyncio.Protocol):
         if waiter is None or waiter.done():
             return
         if self.buffer:
-            waiter.set_exception(exc or ConnectionError("connection closed mid-reply"))
+            self._settle(None, exc or ConnectionError("connection closed mid-reply"))
         else:
-            waiter.set_result(None)
+            self._settle(None)
 
 
 class HttpPool:
@@ -206,43 +231,57 @@ class HttpPool:
         outside the HTTP envelope, never on an HTTP error status — that
         is :meth:`fetch`, or the caller's own protocol.
         """
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
         if timeout is None:
             timeout = self.timeout
-        host, port = address
-        head = f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\nConnection: keep-alive\r\n"
-        if payload is not None:
-            head += "Content-Type: application/json\r\n"
-        if body is not None:
-            head += f"Content-Length: {len(body)}\r\n"
-        message = (head + "\r\n").encode("ascii") + (body or b"")
-        stale = False
+        connection = self.start(address, method, path, payload, body, timeout)
+        reused = connection is not None
         while True:
-            idle = self._idle.get(address)
-            while idle and idle[-1].transport.is_closing():
-                idle.pop()  # the server hung up while it was parked
-            reused = bool(idle)
-            if reused:
-                connection = idle.pop()
-                self.reuses += 1
-            else:
+            if not reused:
                 connection = await self._dial(address, timeout)
-            reply = None
+                connection.send(address, method, path, payload, body, timeout)
             try:
-                reply = await connection.send(message, timeout)
-            except (OSError, BadRequest) as exc:
-                raise TransportError(f"{method} {host}:{port}{path}: {exc}") from exc
-            finally:
-                if reply is None:  # failed, cancelled, or the parked socket was stale
-                    connection.transport.close()
+                await connection.waiter
+            except asyncio.CancelledError:
+                connection.transport.close()
+                raise
+            except Exception:  # noqa: BLE001 - complete() reads it off the waiter
+                pass
+            reply = self.complete(address, connection, method, path, reused)
             if reply is not None:
-                break
-            if stale or not reused:
-                raise TransportError(
-                    f"{method} {host}:{port}{path}: closed before any response byte"
-                )
-            stale = True  # one more attempt, on a fresh dial
+                return reply
+            reused = False  # the parked socket was stale: one resend, on a fresh dial
+
+    def start(
+        self, address: Address, method: str, path: str, payload: Any, body: bytes | None,
+        timeout: float, on_settled: Callable | None = None,
+    ) -> _Connection | None:
+        """Send a request on a parked connection, if any; ``on_settled`` runs in
+        the callback that settles its ``waiter``, then :meth:`complete` finishes."""
+        idle = self._idle.get(address)
+        while idle and idle[-1].transport.is_closing():
+            idle.pop()  # the server hung up while it was parked
+        if not idle:
+            return None
+        connection = idle[-1]  # popped once sent: a body that cannot be encoded leaves it parked
+        connection.on_settled = on_settled
+        connection.send(address, method, path, payload, body, timeout)
+        self.reuses += 1
+        return idle.pop()
+
+    def complete(
+        self, address: Address, connection: _Connection, method: str, path: str, reused: bool = True
+    ) -> tuple[int, dict[str, str], bytes] | None:
+        """The settled exchange's ``(status, headers, body)``, its socket parked
+        again unless the reply said close; ``None`` if a reused socket closed
+        before any response byte.  Any other failure is a TransportError."""
+        failure = connection.waiter.exception()
+        reply = None if failure is not None else connection.waiter.result()
+        if reply is None:  # failed, or the socket closed before any reply byte
+            connection.transport.close()
+            if failure is None and reused:
+                return None
+            why = failure or "closed before any response byte"
+            raise TransportError(f"{method} {address[0]}:{address[1]}{path}: {why}") from failure
         status, headers, data, keep_alive = reply
         if keep_alive:
             self._release(address, connection)

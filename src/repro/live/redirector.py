@@ -37,7 +37,7 @@ mutation with a ``msg_id``; the owner runs it through a
 discipline the simulator's RPC layer applies), so a retried or
 re-relayed ``replica_created`` is applied exactly once and the
 duplicate gets the original reply, status included.  An owned mutation
-is answered in the callback that framed it; only a relay waits.
+is answered in the callback that framed it; a relay, in the one framing the owner's reply.
 
 **Backpressure.**  Control-plane POSTs pass a token-bucket +
 bounded-in-flight gate; rejected requests get ``429`` with a fractional
@@ -59,8 +59,7 @@ naming it, with nothing relayed, counted or applied.
 from __future__ import annotations
 
 import math
-from collections.abc import Awaitable
-from urllib.parse import urlencode
+from functools import partial
 
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.redirector import RedirectorService
@@ -74,6 +73,7 @@ from repro.routing.routes_db import RoutingDatabase
 from repro.live.backpressure import Backpressure
 from repro.live.config import LiveConfig, PeerDirectory, peer_address
 from repro.live.httpd import (
+    Answer,
     BadRequest,
     HttpServer,
     Request,
@@ -84,10 +84,6 @@ from repro.live.httpd import (
     throttle_response,
 )
 from repro.live.pool import HttpPool, TransportError
-
-#: A handler's answer: the response itself, or an awaitable of it when
-#: the handler has to wait on a peer.
-Answer = Response | Awaitable[Response]
 
 
 def _id(payload: dict, key: str, limit: int) -> int:
@@ -163,40 +159,54 @@ class LiveRedirector:
     # Ownership and relay
     # ------------------------------------------------------------------
 
-    def _to_owner(self, obj: int, request: Request) -> Answer:
+    def _to_owner(self, obj: int, request: Request, mutation: bool = False) -> Answer:
         """Relay a conversation about ``obj`` to the owning shard.
 
         The status, body, content type and a 429's ``Retry-After`` are
         the owner's; 503 (answered at once) before it has registered,
-        502 when the exchange itself fails.
+        502 when the exchange fails.  A relayed registry ``mutation`` is
+        counted as one, and its answer releases the control gate.
         """
         owner = self.owners[obj]
         if not self.directory.knows_shard(owner):
             return error_response(503, f"shard {owner} not registered yet")
         self.forwarded_total += 1
-        return self._relay(owner, request)
+        self.forwarded_control_total += mutation
+        return partial(self._relay, owner, request, mutation)
 
-    async def _relay(self, owner: int, request: Request) -> Response:
-        path = request.path
-        if request.query:
-            path += "?" + urlencode(request.query)
-        try:
-            status, headers, body = await self.pool.request(
-                self.directory.shard(owner),
-                request.method,
-                path,
-                body=request.body or None,
-            )
-        except TransportError as exc:
-            return error_response(502, f"shard {owner} unreachable: {exc}")
-        response = Response(
-            status=status,
-            body=body,
-            content_type=headers.get("content-type", "application/json"),
-        )
-        if "retry-after" in headers:
-            response.headers["Retry-After"] = headers["retry-after"]
-        return response
+    def _relay(self, owner: int, request: Request, mutation: bool, respond) -> None:
+        """Answer from the callback that frames the owner's reply on a parked
+        connection; with none parked, or a stale one, from one Task."""
+        pool, address = self.pool, self.directory.shard(owner)
+        method, target, body = request.method, request.target, request.body or None
+
+        def answer(outcome: tuple | TransportError) -> Response:
+            if mutation:
+                self.control_gate.release()
+            if isinstance(outcome, TransportError):
+                return error_response(502, f"shard {owner} unreachable: {outcome}")
+            status, headers, data = outcome
+            response = Response(status, data, headers.get("content-type", "application/json"))
+            if "retry-after" in headers:
+                response.headers["Retry-After"] = headers["retry-after"]
+            return response
+
+        async def dialled() -> Response:
+            try:
+                return answer(await pool.request(address, method, target, body=body))
+            except TransportError as exc:
+                return answer(exc)
+
+        def settled() -> None:
+            try:
+                outcome = pool.complete(address, connection, method, target)
+            except TransportError as exc:
+                outcome = exc
+            respond(dialled() if outcome is None else answer(outcome))  # None: stale
+
+        connection = pool.start(address, method, target, None, body, pool.timeout, settled)
+        if connection is None:
+            respond(dialled())
 
     async def _tell_peers(self, path: str, payload: dict) -> None:
         """Post ``payload`` to every other registered shard.
@@ -264,8 +274,12 @@ class LiveRedirector:
         if server is None:
             self.unroutable_total += 1
             return error_response(503, f"no available replica of {obj}")
+        try:
+            host, port = self.directory.host(server)
+        except ConfigurationError:  # chosen before the host registered
+            self.unroutable_total += 1
+            return error_response(503, f"host {server} not registered yet")
         self.routed_total += 1
-        host, port = self.directory.host(server)
         return json_response(
             {
                 "server": server,
@@ -293,12 +307,9 @@ class LiveRedirector:
             payload = request.json()
             key, args = parse(payload)
             if self.owners[key] != self.shard:
-                answer = self._to_owner(key, request)
-                if isinstance(answer, Response):
-                    return answer
-                self.forwarded_control_total += 1
-                relaying = True
-                return self._released(answer)
+                answer = self._to_owner(key, request, mutation=True)
+                relaying = not isinstance(answer, Response)
+                return answer
             msg_id = payload.get("msg_id")
             if msg_id is not None:
                 cached = self.dedup.get(msg_id)
@@ -316,13 +327,6 @@ class LiveRedirector:
         finally:
             if not relaying:
                 self.control_gate.release()
-
-    async def _released(self, relay: Awaitable[Response]) -> Response:
-        """A relayed mutation's answer, releasing the gate once it is in."""
-        try:
-            return await relay
-        finally:
-            self.control_gate.release()
 
     def _replica_created(self, request: Request, params: dict) -> Answer:
         return self._registry_mutation(
@@ -387,10 +391,11 @@ class LiveRedirector:
 
     # -- load board (gated, peer-broadcast) -----------------------------
 
-    async def _load_report(self, request: Request, params: dict) -> Response:
+    def _load_report(self, request: Request, params: dict) -> Answer:
         wait = self.control_gate.admit()
         if wait > 0.0:
             return throttle_response(wait)
+        broadcasting = False
         try:
             payload = request.json()
             node = _id(payload, "node", self.config.num_hosts)
@@ -399,16 +404,22 @@ class LiveRedirector:
                 raise BadRequest(f"load must be a finite number >= 0, got {load!r}")
             load = float(load)
             self.board.report(node, load, self.clock.now)
-            if not payload.get("forwarded"):
-                await self._tell_peers(
-                    "/control/load_report",
-                    {"node": node, "load": load, "forwarded": True},
-                )
-            return json_response({"ok": True})
+            broadcasting = not payload.get("forwarded")  # a peer's copy is answered inline
+            return self._broadcast_load(node, load) if broadcasting else json_response({"ok": True})
+        finally:
+            if not broadcasting:
+                self.control_gate.release()
+
+    async def _broadcast_load(self, node: int, load: float) -> Response:
+        """Re-announce a load report to every peer shard, then release the gate."""
+        try:
+            forwarded = {"node": node, "load": load, "forwarded": True}
+            await self._tell_peers("/control/load_report", forwarded)
         finally:
             self.control_gate.release()
+        return json_response({"ok": True})
 
-    async def _offload_candidates(self, request: Request, params: dict) -> Response:
+    def _offload_candidates(self, request: Request, params: dict) -> Response:
         try:
             exclude = int(request.query.get("exclude", -1))
         except ValueError:
@@ -451,7 +462,7 @@ class LiveRedirector:
         except ConfigurationError as exc:
             raise BadRequest(str(exc)) from None
 
-    async def _peers(self, request: Request, params: dict) -> Response:
+    def _peers(self, request: Request, params: dict) -> Response:
         """The front door's address book, re-announced after a registration."""
         try:
             self.directory.apply_peers(request.json())
@@ -459,15 +470,15 @@ class LiveRedirector:
             raise BadRequest(str(exc)) from None
         return json_response({"ok": True})
 
-    async def _endpoints(self, request: Request, params: dict) -> Response:
+    def _endpoints(self, request: Request, params: dict) -> Response:
         payload = self.directory.peers_payload()
         payload["num_shards"] = self.config.num_shards
         return json_response(payload)
 
-    async def _metrics(self, request: Request, params: dict) -> Response:
+    def _metrics(self, request: Request, params: dict) -> Response:
         return json_response(self.snapshot())
 
-    async def _healthz(self, request: Request, params: dict) -> Response:
+    def _healthz(self, request: Request, params: dict) -> Response:
         return json_response(
             {"ok": True, "role": "redirector", "shard": self.shard}
         )

@@ -13,7 +13,8 @@ flushed.  With more than one shard, the front door must have relayed
 routes, the other shards must have received more registry mutations
 straight from the hosts than the front door relayed, and the shards must
 have judged more drop requests than they held registry conversations (a
-placement round sends a run of them as one).
+placement round sends a run of them as one).  No process may have answered
+a 400 or a 500, even where the protocol swallows the failure.
 
 Usage (``PYTHONPATH=src`` unless the package is installed)::
 
@@ -115,20 +116,16 @@ def run(out: Path, shards: int = 1) -> dict[str, int]:
     client = json.loads((out / "client.json").read_text())
     assert client["requests_completed"] == REQUESTS, client
     assert client["requests_failed"] == 0, client
-    actions = [
-        event["action"]
-        for node in range(HOSTS)
-        for host in json.loads((out / f"host{node}.json").read_text())["hosts"]
-        for event in host["placement_events"]
-    ]
+    hosts = [json.loads((out / f"host{n}.json").read_text())["hosts"][0] for n in range(HOSTS)]
+    actions = [event["action"] for host in hosts for event in host["placement_events"]]
     assert actions.count("replicate") + actions.count("migrate") >= 1, actions
     assert actions.count("drop") >= 1, actions
-    tier = [
-        json.loads((out / f"shard{index}.json").read_text())["redirector"]
-        for index in range(shards)
-    ]
+    tier = [json.loads((out / f"shard{i}.json").read_text())["redirector"] for i in range(shards)]
     assert sum(piece["routed_total"] for piece in tier) >= REQUESTS, tier
     assert sum(piece["unroutable_total"] for piece in tier) == 0, tier
+    # No role wrote a 400 (a body it could not decode) or a 500 (a crash).
+    for piece in tier + hosts:
+        assert piece["bad_requests_total"] == piece["server_errors_total"] == 0, piece
     # Hosts send registry mutations straight to the owning shard; the
     # front door's relay is only the fallback for a stale sender.
     relayed = tier[0]["forwarded_control_total"]

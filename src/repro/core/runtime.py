@@ -34,9 +34,11 @@ the hosts the runtime owns, and the placement log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Mapping, Protocol, TypeVar, runtime_checkable
 
+from repro.errors import ReproError
 from repro.types import (
     NodeId,
     ObjectId,
@@ -98,6 +100,75 @@ class SystemPort(Protocol):
 
 
 # ----------------------------------------------------------------------
+# The wire form.  A message the live tier sends declares its JSON body
+# once, as ``WIRE = ((wire key, attribute, kind), ...)``, which
+# :func:`to_wire` encodes and :func:`from_wire` decodes and checks in that
+# order.  A kind is a constant below (its text says what a bad value must
+# be) or an enum subset ``{value: member}``.  The simulator encodes nothing.
+# ----------------------------------------------------------------------
+
+NODE = "a node id in [0, {nodes})"
+OBJ = "an object id in [0, {objects})"
+OBJS = "a non-empty list of distinct object ids in [0, {objects})"
+AFFINITY = "an integer >= 1"
+LOAD = "a finite number >= 0"
+
+
+class WireError(ReproError):
+    """A missing, mistyped or out-of-range field of a control body, named
+    by ``key`` (a live server answers it 400)."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(message)
+        self.key = key
+
+
+def to_wire(message) -> dict:
+    """``message``'s JSON body, one entry per ``WIRE`` field."""
+    body = {}
+    for key, attr, kind in message.WIRE:
+        value = getattr(message, attr)
+        body[key] = list(value) if kind is OBJS else value.value if type(kind) is dict else value
+    return body
+
+
+def from_wire(cls, payload: dict, limits: tuple[int, int], **fields):
+    """A ``cls`` from its JSON body, each ``WIRE`` field checked in order
+    against ``limits`` = ``(nodes, objects)``; ``fields`` supplies the rest
+    (the receiver's own).  The first bad field raises :class:`WireError`.
+    The kinds are checked inline: a live server decodes every control body.
+    """
+    nodes, objects = limits
+    for key, attr, kind in cls.WIRE:
+        value = payload.get(key)
+        if kind is NODE:
+            ok = type(value) is int and 0 <= value < nodes
+        elif kind is OBJ:
+            ok = type(value) is int and 0 <= value < objects
+        elif kind is AFFINITY:
+            ok = type(value) is int and value >= 1
+        elif kind is LOAD:
+            ok = type(value) in (int, float) and 0 <= value < math.inf
+            value = float(value) if ok else value
+        elif kind is OBJS:  # element types before set(): a dict is unhashable
+            ok = (
+                type(value) is list and len(value) > 0
+                and all(type(obj) is int and 0 <= obj < objects for obj in value)
+                and len(set(value)) == len(value)
+            )
+            value = tuple(value) if ok else value
+        else:
+            ok = type(value) is str and value in kind
+            value = kind[value] if ok else value
+        if not ok:
+            expected = (f"one of {tuple(kind)}" if type(kind) is dict
+                        else kind.format(nodes=nodes, objects=objects))
+            raise WireError(key, f"{key} must be {expected}, got {value!r}")
+        fields[attr] = value
+    return cls(**fields)
+
+
+# ----------------------------------------------------------------------
 # The control conversations (Figures 3-5), as messages.  A protocol step
 # is a generator: ``answer = yield Message(...)``; the runtime's loop
 # performs the conversation and sends the answer back in.  Slotted but
@@ -108,7 +179,16 @@ class SystemPort(Protocol):
 
 @dataclass(slots=True)
 class CreateObj:
-    """Offer ``obj`` to ``candidate`` (Figure 4).  Answer: accepted?"""
+    """Offer ``obj`` to ``candidate``, the receiver (Figure 4).  Answer: accepted?"""
+
+    WIRE = (
+        ("source", "source", NODE),
+        ("obj", "obj", OBJ),
+        ("unit_load", "unit_load", LOAD),
+        ("action", "action", {a.value: a for a in (PlacementAction.MIGRATE,
+                                                   PlacementAction.REPLICATE)}),
+        ("reason", "reason", {r.value: r for r in PlacementReason}),
+    )
 
     source: NodeId
     candidate: NodeId
@@ -122,6 +202,8 @@ class CreateObj:
 class AffinityReduced:
     """Tell the object's redirector about a non-final affinity drop.
     Answer: ``None`` (notify grade)."""
+
+    WIRE = (("obj", "obj", OBJ), ("host", "node", NODE), ("affinity", "affinity", AFFINITY))
 
     node: NodeId
     obj: ObjectId
@@ -141,6 +223,8 @@ class RequestDrop:
     redirector judges its objects in this order.
     """
 
+    WIRE = (("objs", "objs", OBJS), ("host", "node", NODE))
+
     node: NodeId
     objs: tuple[ObjectId, ...]
 
@@ -156,6 +240,29 @@ class FindRecipient:
 
     source: NodeId
     now: Time
+
+
+@dataclass(slots=True)
+class ReplicaCreated:
+    """Register a new copy of ``obj`` at ``node``, or an affinity increase
+    (sent by the CreateObj candidate, not yielded by a step)."""
+
+    WIRE = (("obj", "obj", OBJ), ("host", "node", NODE), ("affinity", "affinity", AFFINITY))
+
+    obj: ObjectId
+    node: NodeId
+    affinity: int
+
+
+@dataclass(slots=True)
+class LoadReport:
+    """``node``'s load this measurement interval, posted to the board that
+    Offload searches (Figure 5)."""
+
+    WIRE = (("node", "node", NODE), ("load", "load", LOAD))
+
+    node: NodeId
+    load: float
 
 
 #: Anything a protocol step may yield.

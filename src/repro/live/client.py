@@ -37,6 +37,7 @@ import uuid
 from collections.abc import Sequence
 from typing import Any
 
+from repro.core.runtime import AffinityReduced, LoadReport, ReplicaCreated, RequestDrop, to_wire
 from repro.errors import ConfigurationError
 from repro.types import NodeId, ObjectId
 
@@ -46,6 +47,14 @@ from repro.live.pool import Address, HttpPool, TransportError
 #: Attempts for persistent (must-not-be-lost) control conversations.
 PERSISTENT_ATTEMPTS = 4
 PERSISTENT_BACKOFF = 0.05
+
+#: The registry mutations: message -> (path at the owning shard, persistent).
+#: A lost ``AffinityReduced`` only leaves a stale (higher) affinity behind.
+MUTATIONS = {
+    ReplicaCreated: ("/control/replica_created", True),
+    AffinityReduced: ("/control/affinity_reduced", False),
+    RequestDrop: ("/control/request_drop", True),
+}
 
 
 def fetch_endpoints(front: Address, *, timeout: float = 5.0) -> dict[str, Any]:
@@ -135,18 +144,15 @@ class ControlPlane:
             self.directory.redirector(), method, path, payload, persistent=persistent
         )
 
-    async def _mutation(
-        self,
-        path: str,
-        obj: ObjectId,
-        payload: dict[str, Any],
-        *,
-        persistent: bool = False,
+    async def mutate(
+        self, message: ReplicaCreated | AffinityReduced | RequestDrop
     ) -> dict[str, Any]:
-        """A registry mutation about ``obj`` (and its shard-mates),
-        stamped with the ``msg_id`` the owning shard dedups on and sent
-        to that shard."""
+        """Send a registry mutation (one of :data:`MUTATIONS`) to the shard
+        owning its object(s), stamped with the ``msg_id`` it dedups on."""
+        path, persistent = MUTATIONS[type(message)]
+        payload = to_wire(message)
         payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
+        obj = message.objs[0] if type(message) is RequestDrop else message.obj
         return await self._call(
             await self._owner(obj), "POST", path, payload, persistent=persistent
         )
@@ -227,36 +233,13 @@ class ControlPlane:
 
     # -- host-to-redirector ---------------------------------------------
 
-    async def replica_created(
-        self, node: NodeId, obj: ObjectId, affinity: int
-    ) -> None:
-        """Register a new copy / affinity increase (persistent)."""
-        await self._mutation(
-            "/control/replica_created",
-            obj,
-            {"obj": obj, "host": node, "affinity": affinity},
-            persistent=True,
-        )
-
-    async def affinity_reduced(
-        self, node: NodeId, obj: ObjectId, affinity: int
-    ) -> None:
-        """Report a non-final affinity decrement (notify grade)."""
-        await self._mutation(
-            "/control/affinity_reduced",
-            obj,
-            {"obj": obj, "host": node, "affinity": affinity},
-        )
+    async def replica_created(self, node: NodeId, obj: ObjectId, affinity: int) -> None:
+        await self.mutate(ReplicaCreated(obj, node, affinity))
 
     async def request_drop(self, node: NodeId, objs: list[ObjectId]) -> list[bool]:
-        """Intention-to-drop arbitration for ``objs``, which one shard owns
-        (persistent round trip): one approval per object, in order."""
-        reply = await self._mutation(
-            "/control/request_drop",
-            objs[0],
-            {"objs": objs, "host": node},
-            persistent=True,
-        )
+        """Intention-to-drop arbitration for ``objs``, which one shard owns:
+        one approval per object, in order."""
+        reply = await self.mutate(RequestDrop(node, tuple(objs)))
         approved = reply.get("approved")
         if type(approved) is not list or len(approved) != len(objs):
             raise TransportError(f"malformed request_drop answer {reply!r}")
@@ -264,7 +247,7 @@ class ControlPlane:
 
     async def load_report(self, node: NodeId, load: float) -> None:
         """Post this measurement interval's load to the board."""
-        await self._front("POST", "/control/load_report", {"node": node, "load": load})
+        await self._front("POST", "/control/load_report", to_wire(LoadReport(node, load)))
 
     async def offload_candidates(self, exclude: NodeId) -> list[dict[str, Any]]:
         """Fresh load-board entries, most idle first (Offload, Figure 5)."""

@@ -147,6 +147,7 @@ def _merged(pieces: list[dict]) -> dict:
             "mutations_total", "drop_conversations_total",
             "drops_arbitrated_total", "deduplicated_total",
             "throttled_total", "chose_closest", "chose_least_requested",
+            "bad_requests_total", "server_errors_total",
         ):
             merged[key] += piece[key]
     del merged["shard"]

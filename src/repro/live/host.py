@@ -25,18 +25,18 @@ from requests arriving mid-conversation.
 from __future__ import annotations
 
 import asyncio
-import math
 from functools import partial
 
 from repro.core.host import HostServer
-from repro.core.runtime import Clock, CreateObj
+from repro.core.runtime import Clock, CreateObj, from_wire
+from repro.errors import ConfigurationError
 from repro.obs.tracer import ProtocolTracer
 from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
-from repro.types import NodeId, ObjectId, PlacementAction, PlacementReason
+from repro.types import NodeId, ObjectId
 
 from repro.live.client import ControlPlane
-from repro.live.config import LiveConfig, PeerDirectory
+from repro.live.config import LiveConfig, PeerDirectory, peer_address
 from repro.live.httpd import (
     BadRequest,
     HttpServer,
@@ -47,11 +47,6 @@ from repro.live.httpd import (
     json_response,
 )
 from repro.live.system import LiveSystem
-
-
-#: What a CreateObj offer may ask for, and why.
-OFFER_ACTIONS = (PlacementAction.MIGRATE.value, PlacementAction.REPLICATE.value)
-OFFER_REASONS = tuple(reason.value for reason in PlacementReason)
 
 
 def object_payload(obj: ObjectId, size: int) -> bytes:
@@ -102,6 +97,8 @@ class LiveHostNode:
         # redirector's register_initial from the same config.
         for obj in config.objects_for(node):
             self.host.store.add(obj)
+        #: The wire limits of a control body: ``(nodes, objects)``.
+        self.limits = (routes.num_nodes, config.num_objects)
         bind_host, port = config.host_address(node)
         self.server = HttpServer(self._build_router(), host=bind_host, port=port)
         self._timers: list[asyncio.Task] = []
@@ -126,48 +123,6 @@ class LiveHostNode:
         if not (text.isdecimal() and int(text) < limit):
             raise BadRequest(f"object id must be an integer in [0, {limit}), got {text!r}")
         return int(text)
-
-    def _offer(self, payload: dict) -> tuple[CreateObj, tuple[str, int] | None]:
-        """Validate a CreateObj offer field by field (400 names the field)."""
-
-        def field(key: str, valid, expected: str):
-            value = payload.get(key)
-            if not valid(value):
-                raise BadRequest(f"create_obj {key} must be {expected}, got {value!r}")
-            return value
-
-        nodes, objects = self.routes.num_nodes, self.config.num_objects
-        source = field(
-            "source", lambda v: type(v) is int and 0 <= v < nodes,
-            f"a node id in [0, {nodes})",
-        )
-        obj = field(
-            "obj", lambda v: type(v) is int and 0 <= v < objects,
-            f"an object id in [0, {objects})",
-        )
-        unit_load = field(
-            "unit_load", lambda v: type(v) in (int, float) and 0 <= v < math.inf,
-            "a finite number >= 0",
-        )
-        action = field("action", OFFER_ACTIONS.__contains__, f"one of {OFFER_ACTIONS}")
-        reason = field("reason", OFFER_REASONS.__contains__, f"one of {OFFER_REASONS}")
-        addr = field(
-            "source_addr",
-            lambda v: v is None or (
-                isinstance(v, list) and len(v) == 2
-                and isinstance(v[0], str) and type(v[1]) is int
-            ),
-            "[host, port]",
-        )
-        offer = CreateObj(
-            source,
-            self.node,
-            PlacementAction(action),
-            obj,
-            float(unit_load),
-            PlacementReason(reason),
-        )
-        return offer, (addr[0], addr[1]) if addr is not None else None
 
     def _serve_object(self, request: Request, params: dict) -> Response:
         """The data plane: service one client request for an object."""
@@ -208,8 +163,14 @@ class LiveHostNode:
         return Response(status=200, body=object_payload(obj, self.config.object_size))
 
     async def _create_obj(self, request: Request, params: dict) -> Response:
-        offer, source_addr = self._offer(request.json())
-        return json_response(await self.system.handle_create_obj(offer, source_addr))
+        payload = request.json()
+        offer = from_wire(CreateObj, payload, self.limits, candidate=self.node)
+        addr = payload.get("source_addr")
+        try:
+            addr = None if addr is None else peer_address(addr, "create_obj source_addr")
+        except ConfigurationError as exc:
+            raise BadRequest(str(exc)) from None
+        return json_response(await self.system.handle_create_obj(offer, addr))
 
     def _load_probe(self, request: Request, params: dict) -> Response:
         host = self.host
@@ -318,6 +279,8 @@ class LiveHostNode:
             "upper_load": host.upper_load,
             "lower_load": host.lower_load,
             "offloading": host.offloading,
+            "bad_requests_total": self.server.errors[400],
+            "server_errors_total": self.server.errors[500],
             "placement_events": [
                 placement_event_dict(event)
                 for event in self.system.placement_events

@@ -14,7 +14,8 @@ written in the callback that framed the request; an awaitable of one
 (an ``async def`` awaiting a peer — never blocking, the loop serves that
 peer too), which gets one Task; or a :data:`Deferred`, called with a
 ``respond`` function for a later callback to answer through, no Task at
-all (DESIGN §8 "Answering").  :class:`BadRequest` answers 400.
+all (DESIGN §8 "Answering").  :class:`BadRequest` and a control body's
+:class:`~repro.core.runtime.WireError` answer 400.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from collections.abc import Awaitable, Callable
 from dataclasses import dataclass, field
 from functools import partial
 from urllib.parse import unquote
+
+from repro.core.runtime import WireError
 
 log = logging.getLogger(__name__)
 
@@ -382,12 +385,14 @@ class _Connection(asyncio.Protocol):
         if transport.is_closing():
             return  # peer went away mid-exchange; nothing to answer
         transport.write(response.encode(keep_alive=keep_alive))
+        if response.status in self.server.errors:
+            self.server.errors[response.status] += 1
         if not keep_alive:
             transport.close()
 
 
 def _failure(request: Request, exc: Exception) -> Response:
-    if isinstance(exc, BadRequest):
+    if isinstance(exc, (BadRequest, WireError)):
         return error_response(400, str(exc))
     log.error("handler error for %s %s", request.method, request.path, exc_info=exc)
     return error_response(500, "internal error")
@@ -402,6 +407,8 @@ class HttpServer:
         self.port = port
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
+        #: Answers written with status 400 (malformed) and 500 (a handler crashed).
+        self.errors = {400: 0, 500: 0}
 
     async def start(self) -> int:
         """Bind and start accepting; returns the bound port."""

@@ -52,18 +52,25 @@ a deployment-wide directory, so any shard answers
 book the same way, so shards that joined at the front door learn every
 host.
 
-Every body field is checked before anything uses it: a bad one is a 400
-naming it, with nothing relayed, counted or applied.
+Every body field is checked before anything uses it (a control message's by
+``from_wire``): a bad one is a 400 naming it, with nothing relayed, counted or applied.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.redirector import RedirectorService
-from repro.core.runtime import Clock
+from repro.core.runtime import (
+    AffinityReduced,
+    Clock,
+    LoadReport,
+    ReplicaCreated,
+    RequestDrop,
+    from_wire,
+    to_wire,
+)
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.rpc import DedupCache
 from repro.obs.tracer import ProtocolTracer
@@ -71,6 +78,7 @@ from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 
 from repro.live.backpressure import Backpressure
+from repro.live.client import MUTATIONS
 from repro.live.config import LiveConfig, PeerDirectory, peer_address
 from repro.live.httpd import (
     Answer,
@@ -84,14 +92,6 @@ from repro.live.httpd import (
     throttle_response,
 )
 from repro.live.pool import HttpPool, TransportError
-
-
-def _id(payload: dict, key: str, limit: int) -> int:
-    """An integer id field of a control body, in ``[0, limit)``."""
-    value = payload.get(key)
-    if type(value) is not int or not 0 <= value < limit:
-        raise BadRequest(f"{key} must be an integer in [0, {limit}), got {value!r}")
-    return value
 
 
 class LiveRedirector:
@@ -114,6 +114,8 @@ class LiveRedirector:
         self.shard = shard
         #: ``owners[obj]`` is the shard owning object ``obj``.
         self.owners = ring.owners(config.num_objects)
+        #: The wire limits of a control body: ``(nodes, objects)``.
+        self.limits = (config.num_hosts, config.num_objects)
         self.pool = HttpPool(timeout=5.0)
         self.control_gate = Backpressure(
             rate=config.control_rate_limit,
@@ -232,14 +234,17 @@ class LiveRedirector:
     def _build_router(self) -> Router:
         router = Router()
         router.add("GET", "/route", self._route)
-        router.add("POST", "/control/replica_created", self._replica_created)
-        router.add("POST", "/control/affinity_reduced", self._affinity_reduced)
-        router.add("POST", "/control/request_drop", self._request_drop)
+        for message, (path, _persistent) in MUTATIONS.items():
+            router.add("POST", path, partial(self._mutation, message))
         router.add("POST", "/control/load_report", self._load_report)
         router.add("GET", "/control/offload_candidates", self._offload_candidates)
         router.add("POST", "/control/peers", self._peers)
-        router.add("POST", "/admin/register_shard", self._register_shard)
-        router.add("POST", "/admin/register_host", self._register_host)
+        config, directory = self.config, self.directory
+        for path, role, limit, enter in (
+            ("/admin/register_shard", "shard", config.num_shards, directory.set_shard),
+            ("/admin/register_host", "node", config.num_hosts, directory.set_host),
+        ):
+            router.add("POST", path, partial(self._register, role, limit, enter))
         router.add("GET", "/admin/endpoints", self._endpoints)
         router.add("GET", "/metrics", self._metrics)
         router.add("GET", "/healthz", self._healthz)
@@ -289,15 +294,14 @@ class LiveRedirector:
 
     # -- registry mutations (gated, owner-relayed, deduplicated) --------
 
-    def _registry_mutation(self, request: Request, parse, apply) -> Answer:
-        """The shared wrapper for object-keyed control mutations.
+    def _mutation(self, cls: type, request: Request, params: dict) -> Answer:
+        """A registry mutation ``cls`` (one of :data:`MUTATIONS`).
 
-        Gate (backpressure) → ``parse`` the body into the object that
-        picks the owner and ``apply``'s arguments → ownership (relay to
-        the owner) → dedup (replay a retry's first answer) → ``apply``,
-        which runs only at the owning shard, exactly once per
-        ``msg_id``.  Everything but a relay is answered inline; the gate
-        is released when the answer is in hand, on either path.
+        Gate (backpressure) → decode the body → ownership (relay to the
+        owner) → dedup (replay a retry's first answer) → :meth:`_apply`,
+        which runs only at the owning shard, exactly once per ``msg_id``.
+        Everything but a relay is answered inline; the gate is released
+        when the answer is in hand, on either path.
         """
         wait = self.control_gate.admit()
         if wait > 0.0:
@@ -305,9 +309,14 @@ class LiveRedirector:
         relaying = False
         try:
             payload = request.json()
-            key, args = parse(payload)
-            if self.owners[key] != self.shard:
-                answer = self._to_owner(key, request, mutation=True)
+            message = from_wire(cls, payload, self.limits)
+            owners = self.owners
+            objs = message.objs if cls is RequestDrop else (message.obj,)
+            obj = objs[0]
+            if any(owners[other] != owners[obj] for other in objs):
+                raise BadRequest(f"objs spans more than one shard: {list(objs)!r}")
+            if owners[obj] != self.shard:
+                answer = self._to_owner(obj, request, mutation=True)
                 relaying = not isinstance(answer, Response)
                 return answer
             msg_id = payload.get("msg_id")
@@ -318,7 +327,7 @@ class LiveRedirector:
                     return cached
             self.mutations_total += 1
             try:
-                response = json_response(apply(*args))
+                response = json_response(self._apply(message))
             except ProtocolError as exc:
                 response = error_response(409, str(exc))
             if msg_id is not None:
@@ -328,66 +337,23 @@ class LiveRedirector:
             if not relaying:
                 self.control_gate.release()
 
-    def _replica_created(self, request: Request, params: dict) -> Answer:
-        return self._registry_mutation(
-            request, self._notice, self._apply_replica_created
-        )
-
-    def _affinity_reduced(self, request: Request, params: dict) -> Answer:
-        return self._registry_mutation(
-            request, self._notice, self._apply_affinity_reduced
-        )
-
-    def _request_drop(self, request: Request, params: dict) -> Answer:
-        return self._registry_mutation(
-            request, self._drop_batch, self._apply_request_drop
-        )
-
-    def _notice(self, payload: dict) -> tuple[int, tuple[int, int, int]]:
-        """A replica notice's ``obj``, ``host`` and ``affinity``."""
-        obj = _id(payload, "obj", self.config.num_objects)
-        host = _id(payload, "host", self.config.num_hosts)
-        affinity = payload.get("affinity")
-        if type(affinity) is not int or affinity < 1:
-            raise BadRequest(f"affinity must be an integer >= 1, got {affinity!r}")
-        return obj, (obj, host, affinity)
-
-    def _drop_batch(self, payload: dict) -> tuple[int, tuple[list[int], int]]:
-        """A drop request's ``objs`` — distinct object ids, at least one,
-        all owned by one shard — and ``host``."""
-        objs = payload.get("objs")
-        limit = self.config.num_objects
-        if type(objs) is not list or not objs:
-            raise BadRequest(f"objs must be a non-empty list of object ids, got {objs!r}")
-        for obj in objs:
-            if type(obj) is not int or not 0 <= obj < limit:
-                raise BadRequest(f"objs must hold integers in [0, {limit}), got {obj!r}")
-        if len(set(objs)) != len(objs):
-            raise BadRequest(f"objs holds a duplicate: {objs!r}")
-        owners = self.owners
-        owner = owners[objs[0]]
-        if any(owners[obj] != owner for obj in objs):
-            raise BadRequest(f"objs spans more than one shard: {objs!r}")
-        return objs[0], (objs, _id(payload, "host", self.config.num_hosts))
-
-    def _apply_replica_created(self, obj: int, host: int, affinity: int) -> dict:
-        self.service.replica_created(obj, host, affinity)
+    def _apply(self, message: ReplicaCreated | AffinityReduced | RequestDrop) -> dict:
+        """Apply an owned mutation to the registry.  A drop request judges
+        each of its objects in order — or none, unless the host holds
+        every one of them."""
+        service, host = self.service, message.node
+        if type(message) is ReplicaCreated:
+            service.replica_created(message.obj, host, message.affinity)
+        elif type(message) is AffinityReduced:
+            service.affinity_reduced(message.obj, host, message.affinity)
+        else:
+            for obj in message.objs:
+                if host not in service.replica_hosts(obj):
+                    raise ProtocolError(f"host {host} holds no replica of {obj}")
+            self.drop_conversations_total += 1
+            self.drops_arbitrated_total += len(message.objs)
+            return {"approved": [service.request_drop(obj, host) for obj in message.objs]}
         return {"ok": True}
-
-    def _apply_affinity_reduced(self, obj: int, host: int, affinity: int) -> dict:
-        self.service.affinity_reduced(obj, host, affinity)
-        return {"ok": True}
-
-    def _apply_request_drop(self, objs: list[int], host: int) -> dict:
-        """Judge each of ``objs`` in order — or none, unless ``host``
-        holds every one of them."""
-        service = self.service
-        for obj in objs:
-            if host not in service.replica_hosts(obj):
-                raise ProtocolError(f"host {host} holds no replica of {obj}")
-        self.drop_conversations_total += 1
-        self.drops_arbitrated_total += len(objs)
-        return {"approved": [service.request_drop(obj, host) for obj in objs]}
 
     # -- load board (gated, peer-broadcast) -----------------------------
 
@@ -398,23 +364,18 @@ class LiveRedirector:
         broadcasting = False
         try:
             payload = request.json()
-            node = _id(payload, "node", self.config.num_hosts)
-            load = payload.get("load")
-            if type(load) not in (int, float) or not 0 <= load < math.inf:
-                raise BadRequest(f"load must be a finite number >= 0, got {load!r}")
-            load = float(load)
-            self.board.report(node, load, self.clock.now)
+            report = from_wire(LoadReport, payload, self.limits)
+            self.board.report(report.node, report.load, self.clock.now)
             broadcasting = not payload.get("forwarded")  # a peer's copy is answered inline
-            return self._broadcast_load(node, load) if broadcasting else json_response({"ok": True})
+            return self._broadcast_load(report) if broadcasting else json_response({"ok": True})
         finally:
             if not broadcasting:
                 self.control_gate.release()
 
-    async def _broadcast_load(self, node: int, load: float) -> Response:
+    async def _broadcast_load(self, report: LoadReport) -> Response:
         """Re-announce a load report to every peer shard, then release the gate."""
         try:
-            forwarded = {"node": node, "load": load, "forwarded": True}
-            await self._tell_peers("/control/load_report", forwarded)
+            await self._tell_peers("/control/load_report", {**to_wire(report), "forwarded": True})
         finally:
             self.control_gate.release()
         return json_response({"ok": True})
@@ -429,7 +390,7 @@ class LiveRedirector:
         )
         entries = []
         for node, load in candidates:
-            entry = {"node": node, "load": load}
+            entry = to_wire(LoadReport(node, load))
             if self.directory.knows_host(node):
                 entry["addr"] = list(self.directory.host(node))
             entries.append(entry)
@@ -437,30 +398,24 @@ class LiveRedirector:
 
     # -- membership -----------------------------------------------------
 
-    async def _register_shard(self, request: Request, params: dict) -> Response:
-        """A shard announcing its bound address at the front door."""
+    async def _register(
+        self, role: str, limit: int, enter, request: Request, params: dict
+    ) -> Response:
+        """A shard or a host announcing its bound address at the front door:
+        ``payload[role]`` is its id, below ``limit``, and ``enter`` books it."""
         payload = request.json()
-        shard = _id(payload, "shard", self.config.num_shards)
-        self.directory.set_shard(shard, self._announced(payload))
-        await self._tell_peers("/control/peers", self.directory.peers_payload())
-        return json_response({"ok": True})
-
-    async def _register_host(self, request: Request, params: dict) -> Response:
-        """A host announcing its bound address at the front door."""
-        payload = request.json()
-        node = _id(payload, "node", self.config.num_hosts)
-        self.directory.set_host(node, self._announced(payload))
-        await self._tell_peers("/control/peers", self.directory.peers_payload())
-        return json_response({"ok": True})
-
-    @staticmethod
-    def _announced(payload: dict) -> tuple[str, int]:
+        index = payload.get(role)
+        if type(index) is not int or not 0 <= index < limit:
+            raise BadRequest(f"{role} must be an integer in [0, {limit}), got {index!r}")
         try:
-            return peer_address(
+            address = peer_address(
                 [payload.get("host"), payload.get("port")], "registered host and port"
             )
         except ConfigurationError as exc:
             raise BadRequest(str(exc)) from None
+        enter(index, address)
+        await self._tell_peers("/control/peers", self.directory.peers_payload())
+        return json_response({"ok": True})
 
     def _peers(self, request: Request, params: dict) -> Response:
         """The front door's address book, re-announced after a registration."""
@@ -521,6 +476,8 @@ class LiveRedirector:
             "drops_arbitrated_total": self.drops_arbitrated_total,
             "deduplicated_total": self.deduplicated_total,
             "throttled_total": self.control_gate.rejected_total,
+            "bad_requests_total": self.server.errors[400],
+            "server_errors_total": self.server.errors[500],
             "chose_closest": service.chose_closest,
             "chose_least_requested": service.chose_least_requested,
         }

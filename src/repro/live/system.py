@@ -34,6 +34,7 @@ from repro.core.runtime import (
     FindRecipient,
     RequestDrop,
     Step,
+    to_wire,
 )
 from repro.obs.records import CreateObjRecord
 from repro.obs.tracer import ProtocolTracer
@@ -104,7 +105,13 @@ class LiveSystem:
             if kind is CreateObj:
                 answer = await self._create_obj(message)
             elif kind is AffinityReduced:
-                answer = await self._affinity_reduced(message)
+                answer = None
+                try:
+                    await self.control.mutate(message)
+                except TransportError:
+                    # Notify grade: a lost report leaves the redirector with a
+                    # stale (higher) affinity, never an unsafe registry state.
+                    pass
             elif kind is RequestDrop:
                 answer = await self._request_drop(message)
             else:  # FindRecipient
@@ -112,13 +119,7 @@ class LiveSystem:
 
     async def _create_obj(self, offer: CreateObj) -> bool:
         """Offer the object to the candidate (Figure 4, source side)."""
-        payload = {
-            "source": offer.source,
-            "obj": offer.obj,
-            "action": offer.action.value,
-            "reason": offer.reason.value,
-            "unit_load": offer.unit_load,
-        }
+        payload = to_wire(offer)
         if self.advertised is not None:
             payload["source_addr"] = list(self.advertised)
         try:
@@ -145,16 +146,6 @@ class LiveSystem:
         # one process that knows the copy really happened), so a
         # deployment-wide aggregation counts each move exactly once.
         return accepted
-
-    async def _affinity_reduced(self, notice: AffinityReduced) -> None:
-        try:
-            await self.control.affinity_reduced(
-                notice.node, notice.obj, notice.affinity
-            )
-        except TransportError:
-            # Notify grade: a lost report leaves the redirector with a
-            # stale (higher) affinity, never an unsafe registry state.
-            pass
 
     async def _request_drop(self, request: RequestDrop) -> list[bool]:
         """Arbitrate a run: one conversation per owning shard, each
@@ -245,10 +236,11 @@ class LiveSystem:
         obj = offer.obj
         host = self.host
 
-        def refuse(reason: str) -> dict:
+        def answer(reason: str, **accepted) -> dict:
             return {
-                "accepted": False,
+                "accepted": reason == "accepted",
                 "reason": reason,
+                **accepted,
                 "upper_load": host.upper_load,
                 "low_watermark": host.low_watermark,
                 "high_watermark": host.high_watermark,
@@ -256,7 +248,7 @@ class LiveSystem:
 
         refusal = decide_create_obj(host, offer.action, obj, offer.unit_load)
         if refusal is not None:
-            return refuse(refusal)
+            return answer(refusal)
         copied = 0
         if obj not in host.store:
             try:
@@ -264,7 +256,7 @@ class LiveSystem:
                     offer.source, obj, address=source_addr
                 )
             except TransportError:
-                return refuse("copy-failed")
+                return answer("copy-failed")
             copied = len(data)
         affinity = apply_create_obj(host, obj, offer.unit_load, self.clock.now)
         try:
@@ -278,7 +270,7 @@ class LiveSystem:
                 host.clear_object_state(obj)
             else:
                 host.store.reduce(obj)
-            return refuse("register-failed")
+            return answer("register-failed")
         self.record_placement(
             offer.action,
             offer.reason,
@@ -287,15 +279,7 @@ class LiveSystem:
             target=self.node,
             copied_bytes=copied,
         )
-        return {
-            "accepted": True,
-            "reason": "accepted",
-            "affinity": affinity,
-            "copied_bytes": copied,
-            "upper_load": host.upper_load,
-            "low_watermark": host.low_watermark,
-            "high_watermark": host.high_watermark,
-        }
+        return answer("accepted", affinity=affinity, copied_bytes=copied)
 
     # ------------------------------------------------------------------
     # The wall-clock protocol rounds

@@ -102,6 +102,11 @@ BAD_REQUESTS = [
             ("action", "teleport"),
             ("action", "drop"),
             ("reason", "whim"),
+            ("action", ["x"]),
+            ("unit_load", float("nan")),
+            ("source_addr", ["127.0.0.1", 70000]),
+            ("source_addr", ["127.0.0.1", -1]),
+            ("source_addr", ["127.0.0.1", 2**70]),
         )
     ),
     ("POST", "/control/create_obj", {"source": 1}, "obj"),

@@ -68,6 +68,7 @@ class CapturingServer:
 
     def __init__(self) -> None:
         self._connections: set = set()
+        self.errors = {400: 0, 500: 0}
         self.requests: list[httpd.Request] = []
 
     def _dispatch(self, request: httpd.Request) -> Response:

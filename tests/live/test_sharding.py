@@ -127,9 +127,11 @@ BAD_CONTROL = [
     ("/control/request_drop", {"objs": [1, 1], "host": 0}, "objs"),
     ("/control/request_drop", {"objs": [1, 10**6], "host": 0}, "objs"),
     ("/control/request_drop", {"objs": [1, "2"], "host": 0}, "objs"),
+    ("/control/request_drop", {"objs": [{}], "host": 0}, "objs"),
     ("/control/request_drop", {"objs": _owned(0) + _owned(1), "host": 0}, "objs"),
     ("/control/load_report", {"node": None, "load": 1.0}, "node"),
     ("/control/load_report", {"node": 0, "load": [1.0]}, "load"),
+    ("/control/load_report", {"node": 0, "load": float("inf")}, "load"),
     ("/admin/register_host", {"node": {}, "host": "127.0.0.1", "port": 1}, "node"),
     ("/admin/register_host", {"node": 0, "host": ["x"], "port": 1}, "host and port"),
     ("/admin/register_shard", {"shard": None, "host": "127.0.0.1", "port": 1}, "shard"),

@@ -12,7 +12,13 @@ import-ban rule, so this test *is* the lint:
 * nothing under ``src/repro/live/`` hands work to a thread
   (``to_thread``, ``run_coroutine_threadsafe``, ``import threading``)
   except the one documented off-loop tick shim,
-  ``LiveSystem._run_on_loop``.
+  ``LiveSystem._run_on_loop``;
+* no module under ``src/repro/live/`` writes a control message's body by
+  hand (a dict literal holding every wire key of a message) or reads one
+  (``.get()`` of a wire key on a request body): ``to_wire`` /
+  ``from_wire`` are the one codec.  The envelope keys (``msg_id``,
+  ``forwarded``, ``source_addr``) stay outside it, and a registration's
+  ``host`` is an address, read only inside ``peer_address(...)``.
 """
 
 import ast
@@ -20,6 +26,13 @@ import inspect
 import pathlib
 
 from repro.core import offload, placement, runtime
+from repro.core.runtime import (
+    AffinityReduced,
+    CreateObj,
+    LoadReport,
+    ReplicaCreated,
+    RequestDrop,
+)
 from repro.live import system as live_system
 
 CORE_DIR = pathlib.Path(inspect.getfile(placement)).parent
@@ -104,3 +117,62 @@ def test_protocol_steps_are_generators_and_the_port_has_no_conversations():
         if callable(member) and not name.startswith("_")
     }
     assert methods == {"record_placement"}
+
+
+WIRE_MESSAGES = (CreateObj, ReplicaCreated, AffinityReduced, RequestDrop, LoadReport)
+WIRE_KEYS = {key for cls in WIRE_MESSAGES for key, _attr, _kind in cls.WIRE}
+
+
+def _hand_codecs(tree: ast.AST):
+    """Yield ``(line, what)`` for every hand-written control body.
+
+    A request body is a name bound to a ``.json()`` call or a parameter
+    called ``payload``; a ``.get()`` inside a ``peer_address(...)`` call
+    reads an address, not a message field.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+            for cls in WIRE_MESSAGES:
+                if {key for key, _attr, _kind in cls.WIRE} <= keys:
+                    yield node.lineno, f"a {cls.__name__} body built by hand"
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bodies = {arg.arg for arg in function.args.args if arg.arg == "payload"}
+        addresses = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if getattr(node.value.func, "attr", None) == "json":
+                    bodies.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "peer_address":
+                addresses.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(function):
+            if not (
+                isinstance(node, ast.Call) and id(node) not in addresses
+                and getattr(node.func, "attr", None) == "get" and node.args
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in bodies
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value in WIRE_KEYS
+            ):
+                continue
+            yield node.lineno, f"{node.args[0].value!r} read off a body by hand"
+
+
+def test_live_tier_writes_and_reads_control_bodies_only_through_the_codec():
+    found = [
+        (path.name, line, what)
+        for path in sorted(LIVE_DIR.glob("*.py"))
+        for line, what in _hand_codecs(ast.parse(path.read_text()))
+    ]
+    assert found == [], f"hand-written control bodies under live/: {found}"
+    # ...and the guard still sees the shapes the codec replaced.
+    retired = ast.parse(
+        "def notice(self, payload):\n"
+        "    affinity = payload.get('affinity')\n"
+        "def send(obj, node):\n"
+        "    return {'obj': obj, 'host': node, 'affinity': 1, 'msg_id': 'x'}\n"
+        "async def handler(self, request, params):\n"
+        "    body = request.json()\n"
+        "    return body.get('load'), body.get('msg_id'), peer_address(body.get('host'))\n"
+    )
+    assert [line for line, _what in _hand_codecs(retired)] == [4, 4, 2, 7]

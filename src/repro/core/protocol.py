@@ -76,6 +76,10 @@ R = TypeVar("R")
 #: view can repeatedly select dead hosts.
 MAX_REQUEST_RETRIES = 3
 
+#: The request stages' message classes as globals: on CPython 3.11 every
+#: ``MessageClass.X`` read goes through ``EnumType.__getattr__``'s hook.
+_REQUEST, _RESPONSE = MessageClass.REQUEST, MessageClass.RESPONSE
+
 
 class HostingSystem:
     """A complete simulated Internet hosting platform.
@@ -159,6 +163,8 @@ class HostingSystem:
         #: set by :meth:`enable_fast_lane`, which also rebinds
         #: :meth:`submit_request` to the lane's entry point.
         self.fast_lane = None
+        # The request stages schedule handle-free, at times never past.
+        self._push = sim._queue.push_fast
 
         topology = self.routes.topology
         weights = host_weights or {}
@@ -190,6 +196,8 @@ class HostingSystem:
             for node in redirector_nodes
         ]
         self.redirectors = RedirectorGroup(services)
+        #: The request stages pick ``_services[obj % len(_services)]``.
+        self._services = self.redirectors.services
         self.board = LoadReportBoard(expiry=expiry_from_protocol(config))
         #: Node receiving load reports (co-located with the first redirector).
         self.board_node: NodeId = redirector_nodes[0]
@@ -447,12 +455,12 @@ class HostingSystem:
         """A client request enters the platform at ``gateway``."""
         # Each stage reads the clock once and straight from the slot:
         # ``sim.now`` is a Python-level property, paid per read.
-        sim = self.sim
-        now = sim._now
-        redirector = self.redirectors.for_object(obj)
+        now = self.sim._now
+        services = self._services
+        redirector = services[obj % len(services)]
         transmit = self.network.transmit
         _, delay1, delivered = transmit(
-            gateway, redirector.node, self.request_bytes, MessageClass.REQUEST
+            gateway, redirector.node, self.request_bytes, _REQUEST
         )
         if not delivered:
             self.lost_requests += 1
@@ -462,18 +470,18 @@ class HostingSystem:
             self.failed_requests += 1
             return
         _, delay2, delivered = transmit(
-            redirector.node, server, self.request_bytes, MessageClass.REQUEST
+            redirector.node, server, self.request_bytes, _REQUEST
         )
         if not delivered:
             self.lost_requests += 1
             return
-        delay = delay1 + delay2
-        # Pipeline hops are never cancelled: the handle-free post_* paths
-        # skip the Event allocation on every request.
-        if delay > 0:
-            sim.post_after(delay, self._arrive_at_host, server, obj, gateway, now, 0)
-        else:
-            sim.post_at(now, self._arrive_at_host, server, obj, gateway, now, 0)
+        # Pipeline hops are never cancelled: the handle-free push skips
+        # the Event allocation on every request.
+        self._push(
+            now + (delay1 + delay2),
+            self._arrive_at_host,
+            (server, obj, gateway, now, 0),
+        )
 
     def _arrive_at_host(
         self,
@@ -532,8 +540,8 @@ class HostingSystem:
             # (Section 6.1's real-world behaviour).
             self._drop_request(now)
             return
-        self.sim.post_at(
-            admitted[1], self._complete_service, host, obj, gateway, issued_at
+        self._push(
+            admitted[1], self._complete_service, (host, obj, gateway, issued_at)
         )
 
     def _drop_request(self, now: Time) -> None:
@@ -554,15 +562,17 @@ class HostingSystem:
             return
         host.record_service(obj, gateway)
         hops, delay, delivered = self.network.transmit(
-            host.node, gateway, self.object_size, MessageClass.RESPONSE
+            host.node, gateway, self.object_size, _RESPONSE
         )
         if not delivered:
             # Serviced, but the response vanished on the backbone.
             self.lost_requests += 1
             return
         if delay > 0:
-            self.sim.post_after(
-                delay, self._finish_request, obj, gateway, host.node, issued_at, hops
+            self._push(
+                self.sim._now + delay,
+                self._finish_request,
+                (obj, gateway, host.node, issued_at, hops),
             )
         else:
             self._finish_request(obj, gateway, host.node, issued_at, hops)

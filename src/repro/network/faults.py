@@ -18,18 +18,19 @@ one ``is None`` check.
 
 Verdict contract
 ----------------
-:meth:`FaultPlane.verdict` decides one message's fate and returns two
-plain scalars ``(copies, extra_delay)``: ``copies`` is how many times
-the message is *delivered* — 0 dropped, 1 normal, 2 duplicated — and
-``extra_delay`` the jitter to add to its base delay.  The transport
-charges the message's bytes ``max(copies, 1)`` times: a dropped message
-still charges its bytes once (it was transmitted and lost en route —
-the granularity of the per-link model is whole messages); a duplicated
-message charges them twice.  Link and partition outages are checked
-first and drop deterministically (no RNG draw is consumed for them);
-then the draws happen in a fixed order — drop, duplicate, jitter — and
-each only when its probability (or the jitter fraction and the base
-delay) is non-zero, so a fixed seed yields a fixed fault history.
+:meth:`Network.transmit <repro.network.transport.Network.transmit>`
+decides one message's fate from this plane's tables and counters, in
+the frame that charges its bytes.  ``copies`` is how many times the
+message is *delivered* — 0 dropped, 1 normal, 2 duplicated — and jitter
+is added to its base delay.  The transport charges the message's bytes
+``max(copies, 1)`` times: a dropped message still charges its bytes
+once (it was transmitted and lost en route — the granularity of the
+per-link model is whole messages); a duplicated message charges them
+twice.  Link and partition outages are checked first and drop
+deterministically (no RNG draw is consumed for them); then the draws
+happen in a fixed order — drop, duplicate, jitter — and each only when
+its probability (or the jitter fraction and the base delay) is
+non-zero, so a fixed seed yields a fixed fault history.
 Jitter is uniform in ``[0, delay_jitter * delay]``.
 """
 
@@ -262,10 +263,6 @@ class FaultConfig:
         return dataclasses.replace(self, **changes)
 
 
-#: The verdict on a dropped message (see the module docstring).
-_DROPPED = (0, 0.0)
-
-
 class FaultPlane:
     """Runtime fault state: RNG draws, counters, link/partition schedules.
 
@@ -279,8 +276,9 @@ class FaultPlane:
         self.config = config
         self._rng = rng
         # The config is frozen, so everything the per-message verdict
-        # reads is tabulated once: no attribute chain, no per-class
-        # ``getattr`` by name, no bound-method creation per draw.
+        # (``Network.transmit``) reads is tabulated once: no attribute
+        # chain, no per-class ``getattr`` by name, no bound-method
+        # creation per draw.
         self._random = rng.random
         self._drop_prob: dict[MessageClass, float] = {
             cls: config.drop_for(cls) for cls in MessageClass
@@ -380,43 +378,8 @@ class FaultPlane:
         return False
 
     # ------------------------------------------------------------------
-    # Per-message verdicts
+    # RPC draws
     # ------------------------------------------------------------------
-
-    def verdict(
-        self,
-        routes: "RoutingDatabase",
-        source: NodeId,
-        target: NodeId,
-        message_class: MessageClass,
-        delay: Time,
-    ) -> tuple[int, float]:
-        """Roll the fate of one message: ``(copies, extra_delay)``.
-
-        ``copies`` counts deliveries (0 = dropped, 2 = duplicated); see
-        the module docstring for the full contract.  Counters are
-        updated in place.
-        """
-        if (self._partitions or self._down_links) and self.crosses_fault(
-            source, target, routes
-        ):
-            self.link_drops += 1
-            return _DROPPED
-        random = self._random
-        prob = self._drop_prob[message_class]
-        if prob > 0.0 and random() < prob:
-            self.dropped[message_class] += 1
-            return _DROPPED
-        prob = self._duplicate_prob
-        if prob > 0.0 and random() < prob:
-            self.duplicated += 1
-            copies = 2
-        else:
-            copies = 1
-        jitter = self._delay_jitter
-        if jitter > 0.0 and delay > 0.0:
-            return copies, delay * jitter * random()
-        return copies, 0.0
 
     def backoff_jitter(self) -> float:
         """One uniform draw in [0, 1) for RPC backoff jitter."""

@@ -98,7 +98,7 @@ class Network:
         self.tracer: Any | None = None
         #: Optional :class:`~repro.network.faults.FaultPlane`.  ``None``
         #: (the default) is the reliable backbone: :meth:`transmit` then
-        #: takes exactly the :meth:`account` code path, so fault-free
+        #: draws nothing and delivers every message once, so fault-free
         #: runs stay byte-identical to the pre-fault transport.
         self.faults: FaultPlane | None = None
         self._links: dict[tuple[NodeId, NodeId], Link] | None = None
@@ -149,7 +149,7 @@ class Network:
         return self.traffic
 
     def _open_bucket(self, bucket: int) -> None:
-        """Make ``bucket`` the one :meth:`_account` writes without a lookup."""
+        """Make ``bucket`` the one :meth:`transmit` writes without a lookup."""
         cells = self.traffic.get(bucket)
         if cells is None:
             cells = self.traffic[bucket] = {cls: [0, 0] for cls in MessageClass}
@@ -220,17 +220,16 @@ class Network:
         callback: Callable[..., Any] | None = None,
         *args: Any,
     ) -> tuple[int, Time]:
-        """Transmit a message, account its traffic, schedule delivery.
+        """:meth:`transmit` a message and schedule its delivery.
 
         Returns ``(hops, delay)``.  A ``None`` callback performs
         accounting and delay computation only (useful when the caller
-        folds several legs into one scheduled event for efficiency).
-        Local delivery (``source == target``) is free and immediate.
+        folds several legs into one scheduled event for efficiency); so
+        does a message the attached fault plane drops.  Local delivery
+        (``source == target``) is free and immediate.
         """
-        hops = self._routes.distance(source, target)
-        delay = self.delay(hops, size)
-        self._account(source, target, hops, size, message_class)
-        if callback is not None:
+        hops, delay, delivered = self.transmit(source, target, size, message_class)
+        if callback is not None and delivered:
             # The handle is never exposed to callers, so delivery events
             # are uncancellable by construction: use the handle-free path.
             if delay > 0:
@@ -258,14 +257,18 @@ class Network:
     ) -> tuple[int, Time, bool]:
         """Transmit one message subject to the attached fault plane.
 
-        Returns ``(hops, delay, delivered)``.  With no fault plane this
-        is :meth:`account` plus ``delivered=True`` — same accounting,
-        same arithmetic.  Under faults the message may be dropped (bytes
-        still charged: it was transmitted and lost en route), duplicated
-        (bytes charged twice) or jittered (``delay`` grows).  Local
-        delivery (zero hops) crosses no links and cannot be dropped.
+        Returns ``(hops, delay, delivered)``.  The one per-message
+        function: hop and delay lookup, fault verdict (see
+        :mod:`repro.network.faults`) and byte charges in one frame.
+        Under faults a message may be dropped (bytes still charged once:
+        it was transmitted and lost en route), duplicated (charged
+        twice) or jittered (``delay`` grows); a zero-hop one crosses no
+        link and cannot be dropped.  A node id outside ``0..n-1`` raises
+        :class:`~repro.errors.RoutingError`.
         """
         try:
+            if source < 0 or target < 0:  # a negative index would wrap
+                raise IndexError
             hops = self._dist[source][target]
         except IndexError:
             hops = self._routes.distance(source, target)  # names the bad node
@@ -276,17 +279,49 @@ class Network:
                 delay = self.delay_table(size, hops)[hops]
             else:
                 delay = self.delay(hops, size)
+        copies = 1
         faults = self.faults
-        if faults is None or not hops:
+        if faults is not None and hops:
+            # The verdict: outages first (no draw), then drop, duplicate
+            # and jitter, each drawn only when it can happen.
+            if (faults._partitions or faults._down_links) and faults.crosses_fault(
+                source, target, self._routes
+            ):
+                faults.link_drops += 1
+                copies = 0
+            else:
+                random = faults._random
+                prob = faults._drop_prob[message_class]
+                if prob > 0.0 and random() < prob:
+                    faults.dropped[message_class] += 1
+                    copies = 0
+                else:
+                    prob = faults._duplicate_prob
+                    if prob > 0.0 and random() < prob:
+                        faults.duplicated += 1
+                        copies = 2
+                    jitter = faults._delay_jitter
+                    if jitter > 0.0 and delay > 0.0:
+                        delay += delay * jitter * random()
+        if hops:
+            # Charged max(copies, 1) times; byte-hops are integers, so one
+            # add of the double charge equals two adds of the single one.
+            charges = copies or 1
+            amount = size * hops * charges
+            self.byte_hops[message_class] += amount
+            width = self.traffic_bucket
+            if width is not None:
+                bucket = int(self._sim._now // width)
+                if bucket != self._bucket:
+                    self._open_bucket(bucket)
+                cell = self._cells[message_class]
+                cell[0] += amount
+                cell[1] += charges
+        if self._links is not None or self.tracer is not None or self._observers:
             self._account(source, target, hops, size, message_class)
-            return hops, delay, True
-        copies, extra_delay = faults.verdict(
-            self._routes, source, target, message_class, delay
-        )
-        self._account(source, target, hops, size, message_class)
-        if copies == 2:
-            self._account(source, target, hops, size, message_class)
-        return hops, delay + extra_delay, copies != 0
+            if copies == 2:
+                self._account(source, target, hops, size, message_class)
+        return hops, delay, copies != 0
 
     def _account(
         self,
@@ -296,22 +331,13 @@ class Network:
         size: int,
         message_class: MessageClass,
     ) -> None:
-        if hops:
-            amount = size * hops
-            self.byte_hops[message_class] += amount
-            width = self.traffic_bucket
-            if width is not None:
-                bucket = int(self._sim._now // width)
-                if bucket != self._bucket:
-                    self._open_bucket(bucket)
-                cell = self._cells[message_class]
-                cell[0] += amount
-                cell[1] += 1
-            if self._links is not None:
-                route = self._routes.route(source, target)
-                for a, b in zip(route, route[1:]):
-                    key = (a, b) if a < b else (b, a)
-                    self._links[key].record(size, message_class)
+        """The instrumented extras of one charge (:meth:`transmit` counts
+        the bytes): per-link counters, the tracer, observers."""
+        if hops and self._links is not None:
+            route = self._routes.route(source, target)
+            for a, b in zip(route, route[1:]):
+                key = (a, b) if a < b else (b, a)
+                self._links[key].record(size, message_class)
         if self.tracer is not None:
             self.tracer.record_message(source, target, hops, size, message_class)
         if self._observers:

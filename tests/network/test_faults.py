@@ -1,4 +1,10 @@
-"""Unit tests for the network fault model (FaultConfig / FaultPlane)."""
+"""Unit tests for the network fault model (FaultConfig / FaultPlane).
+
+The per-message verdict is ``Network.transmit``'s: every verdict-level
+test here sends through a network over ``ROUTES`` with the plane
+attached, and reads the fate back from what ``transmit`` returns and
+charges.
+"""
 
 import random
 
@@ -6,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.network.faults import FaultConfig, FaultPlane
 from repro.network.message import MessageClass
+from repro.network.transport import Network
 from repro.routing.routes_db import RoutingDatabase
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
@@ -17,14 +24,24 @@ from tests.network.transit_oracle import TransitOracle
 #: A six-node path 0-1-2-3-4-5: every route is the obvious one.
 ROUTES = RoutingDatabase(line_topology(6))
 
+#: The size of the messages the verdict-level tests send.
+SIZE = 100
+
 
 def plane(config=None, seed=7):
     return FaultPlane(config or FaultConfig(enabled=True), random.Random(seed))
 
 
-def verdict(p, source, target, message_class=MessageClass.CONTROL, delay=0.0):
-    """``(copies, extra_delay)`` for one message over ``ROUTES``."""
-    return p.verdict(ROUTES, source, target, message_class, delay)
+def verdict(p, source, target, message_class=MessageClass.CONTROL):
+    """``(copies, extra_delay)`` for one ``SIZE``-byte message over
+    ``ROUTES`` with the plane ``p`` attached: ``copies`` is 0 when
+    dropped, else the times its bytes were charged; ``extra_delay`` is
+    what the plane added to the delay."""
+    network = Network(Simulator(), ROUTES, track_links=False)
+    network.faults = p
+    hops, delay, delivered = network.transmit(source, target, SIZE, message_class)
+    charges = network.byte_hops[message_class] // (SIZE * hops)
+    return (charges if delivered else 0), delay - network.delay(hops, SIZE)
 
 
 def dropped(p, source, target, **kwargs):
@@ -75,7 +92,7 @@ def test_drop_for_class_overrides():
 def test_verdict_deterministic_per_seed():
     def history(seed):
         p = plane(FaultConfig(enabled=True, drop_prob=0.3), seed=seed)
-        return [dropped(p, 0, 1, delay=0.01) for _ in range(200)]
+        return [dropped(p, 0, 1) for _ in range(200)]
 
     assert history(11) == history(11)
     assert history(11) != history(12)
@@ -99,10 +116,11 @@ def test_duplication_charges_two_copies():
 
 def test_jitter_bounded_by_fraction_of_delay():
     p = plane(FaultConfig(enabled=True, delay_jitter=0.5))
+    base = Network(Simulator(), ROUTES).delay(1, SIZE)
     for _ in range(100):
-        copies, extra_delay = verdict(p, 0, 1, delay=1.0)
+        copies, extra_delay = verdict(p, 0, 1)
         assert copies == 1
-        assert 0.0 <= extra_delay <= 0.5
+        assert 0.0 <= extra_delay <= 0.5 * base * (1 + 1e-12)
 
 
 def test_link_outage_drops_crossing_messages():
@@ -154,11 +172,13 @@ def test_scheduled_link_outage_and_partition():
 
 
 # ----------------------------------------------------------------------
-# verdict() against the old transit() (tests/network/transit_oracle.py)
+# Network.transmit against the old transit() (tests/network/transit_oracle.py)
 # ----------------------------------------------------------------------
 
 _PROB = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0))
 _NODE = st.integers(min_value=0, max_value=5)
+#: Ids outside ``0..5``: negative ones would wrap if unchecked.
+_BAD_NODE = st.sampled_from([-7, -6, -1, 6, 99])
 
 _CONFIGS = st.builds(
     FaultConfig,
@@ -180,51 +200,133 @@ _STEPS = st.lists(
             _NODE,
             _NODE,
             st.sampled_from(list(MessageClass)),
-            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+            # Size 0 over a zero hop delay is a zero base delay: no jitter draw.
+            st.sampled_from([0, 1, SIZE, 12 * 1024]),
+        ),
+        st.tuples(st.just("zero-hop"), _NODE, st.sampled_from(list(MessageClass))),
+        st.tuples(
+            st.just("bad-node"),
+            st.one_of(st.tuples(_BAD_NODE, _NODE), st.tuples(_NODE, _BAD_NODE)),
         ),
         st.tuples(st.just("fail-link"), st.integers(min_value=0, max_value=4)),
         st.tuples(st.just("restore-links")),
         st.tuples(st.just("partition"), st.sets(_NODE, min_size=1, max_size=5)),
         st.tuples(st.just("heal")),
+        st.tuples(st.just("tick")),
     ),
     max_size=80,
 )
 
 
+class _Recorder:
+    """A tracer and an observer in one: every charge it is offered."""
+
+    def __init__(self):
+        self.traced = []
+        self.observed = []
+
+    def record_message(self, *args):
+        self.traced.append(args)
+
+    def __call__(self, now, *args):
+        self.observed.append(args)
+
+
 @settings(max_examples=300, deadline=None)
-@given(config=_CONFIGS, steps=_STEPS, seed=st.integers(min_value=0, max_value=2**32))
-def test_verdict_agrees_with_the_old_transit(config, steps, seed):
-    """Message for message: same drop/copies/extra-delay, same counters,
-    and the RNG left in the same state (same draws in the same order)."""
-    new = FaultPlane(config, random.Random(seed))
+@given(
+    config=_CONFIGS,
+    steps=_STEPS,
+    seed=st.integers(min_value=0, max_value=2**32),
+    hop_delay=st.sampled_from([0.0, 0.01]),
+)
+def test_verdict_agrees_with_the_old_transit(config, steps, seed, hop_delay):
+    """Message for message, ``Network.transmit`` with a plane attached
+    agrees with the old plane's ``transit``: same delivery, delay plus
+    the same extra delay, bytes charged ``max(copies, 1)`` times to the
+    byte-hop totals and the metered cells; same counters, and the RNG left
+    in the same state (same draws in the same order).  Zero-hop sends
+    draw nothing; an out-of-range id raises and draws nothing.  A second
+    network with a tracer, an observer and link tracking on (the
+    instrumented branch) is held to the same answers, and offers every
+    charge to each of them and to every link on the route."""
+    sim = Simulator()
     old = TransitOracle(config, random.Random(seed))
+    plain = Network(sim, ROUTES, hop_delay=hop_delay, track_links=False)
+    instrumented = Network(sim, ROUTES, hop_delay=hop_delay, track_links=True)
+    recorder = _Recorder()
+    instrumented.tracer = recorder
+    instrumented.add_observer(recorder)
+    networks = (plain, instrumented)
+    planes = []
+    for network in networks:
+        network.faults = FaultPlane(config, random.Random(seed))
+        network.meter_traffic(1.0)
+        planes.append(network.faults)
     for step in steps:
-        if step[0] == "message":
-            _, source, target, message_class, delay = step
-            copies, extra_delay = new.verdict(
-                ROUTES, source, target, message_class, delay
-            )
-            expected = old.transit(
-                source, target, message_class, delay,
-                lambda: ROUTES.route(source, target),
-            )  # fmt: skip
-            assert (copies == 0) == expected.dropped
-            assert max(copies, 1) == expected.copies
-            assert extra_delay == expected.extra_delay
+        if step[0] in ("message", "zero-hop"):
+            if step[0] == "message":
+                _, source, target, message_class, size = step
+            else:
+                _, source, message_class = step
+                target, size = source, SIZE
+            hops = ROUTES.distance(source, target)
+            base = plain.delay(hops, size)
+            if hops:
+                expected = old.transit(
+                    source, target, message_class, base,
+                    lambda: ROUTES.route(source, target),
+                )  # fmt: skip
+                delivered = not expected.dropped
+                copies, extra_delay = expected.copies, expected.extra_delay
+            else:
+                delivered, copies, extra_delay = True, 1, 0.0
+            amount = size * hops * copies
+            bucket = int(sim.now)
+            seen = (len(recorder.traced), len(recorder.observed))
+            for network in networks:
+                byte_hops = network.byte_hops[message_class]
+                cell = list(network.traffic.get(bucket, {}).get(message_class, [0, 0]))
+                answer = network.transmit(source, target, size, message_class)
+                assert answer == (hops, base + extra_delay, delivered)
+                assert network.byte_hops[message_class] == byte_hops + amount
+                if hops:
+                    cell = [cell[0] + amount, cell[1] + copies]
+                    assert network.traffic[bucket][message_class] == cell
+            charge = (source, target, hops, size, message_class)
+            assert recorder.traced[seen[0]:] == [charge] * copies
+            assert recorder.observed[seen[1]:] == [charge] * copies
+        elif step[0] == "bad-node":
+            source, target = step[1]
+            for network in networks:
+                with pytest.raises(RoutingError, match=r"distance\("):
+                    network.transmit(source, target, SIZE, MessageClass.REQUEST)
         elif step[0] == "fail-link":
             a = step[1]
             if (a, a + 1) not in old.down_links:
-                new.fail_link(a, a + 1)
+                for p in planes:
+                    p.fail_link(a, a + 1)
                 old.down_links.add((a, a + 1))
         elif step[0] == "restore-links":
             for a, b in old.down_links:
-                new.restore_link(a, b)
+                for p in planes:
+                    p.restore_link(a, b)
             old.down_links.clear()
         elif step[0] == "partition":
-            group = new.start_partition(step[1])
+            group = frozenset(step[1])
+            for p in planes:
+                p.start_partition(group)
             old.partitions.append(group)
+        elif step[0] == "tick":
+            sim.run(until=sim.now + 1.0)
         elif old.partitions:
-            new.heal_partition(old.partitions.pop())
-    assert new._rng.getstate() == old._rng.getstate()
-    assert new.dropped == old.dropped
-    assert (new.link_drops, new.duplicated) == (old.link_drops, old.duplicated)
+            group = old.partitions.pop()
+            for p in planes:
+                p.heal_partition(group)
+    for p in planes:
+        assert p._rng.getstate() == old._rng.getstate()
+        assert p.dropped == old.dropped
+        assert (p.link_drops, p.duplicated) == (old.link_drops, old.duplicated)
+    assert plain.traffic == instrumented.traffic
+    assert plain.byte_hops == instrumented.byte_hops
+    linked = sum(link.total_bytes for link in instrumented.links())
+    assert linked == sum(instrumented.byte_hops.values())

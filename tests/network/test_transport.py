@@ -160,6 +160,21 @@ def test_transmit_unknown_node_names_the_pair(net):
         network.transmit(0, 99, 10, MessageClass.REQUEST)
 
 
+@pytest.mark.parametrize(
+    "source, target", [(-1, 2), (2, -1), (-4, -4), (4, 0), (0, 4)]
+)
+def test_transmit_rejects_node_ids_outside_the_topology(net, source, target):
+    """A negative id would index the distance rows from the end (``-1``
+    is node 3 here): every id outside ``0..n-1`` is a ``RoutingError``
+    naming the pair, and nothing is charged."""
+    _, network = net
+    traffic = network.meter_traffic(1.0)
+    with pytest.raises(RoutingError, match=rf"distance\({source}, {target}\)"):
+        network.transmit(source, target, 10, MessageClass.REQUEST)
+    assert network.total_byte_hops() == 0
+    assert traffic == {}
+
+
 def test_rare_sizes_beyond_the_table_cap_are_computed(net):
     _, network = net
     for size in range(1, MAX_TABULATED_SIZES + 50):

@@ -162,6 +162,40 @@ REQUEST_STAGES = (
 )
 
 
+def _calls_outside(function, marker):
+    """Names ``function`` calls outside every ``if`` whose test's source
+    contains ``marker`` (that branch and its ``else`` are left out)."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    for node in ast.walk(tree):
+        for name in ("body", "orelse"):
+            block = getattr(node, name, None)
+            if isinstance(block, list):
+                block[:] = [
+                    statement
+                    for statement in block
+                    if not (
+                        isinstance(statement, ast.If)
+                        and marker in ast.unparse(statement.test)
+                    )
+                ]
+    return set(_called_names(tree))
+
+
+@pytest.mark.parametrize(
+    "stage", REQUEST_STAGES[:3], ids=lambda f: f.__qualname__
+)
+def test_request_stages_push_straight_onto_the_queue(stage):
+    """On the path a request takes when its replica is present, the
+    stages index the redirector list and push the next stage with the
+    queue's ``push_fast``: no ``for_object``, ``post_after`` or
+    ``post_at`` frame.  (``_arrive_at_host``'s rerouting branch, the one
+    that tests the store, may keep them.)"""
+    called = _calls_outside(stage, ".store")
+    assert called & {"for_object", "post_after", "post_at"} == set()
+    if stage is protocol.HostingSystem._arrive_at_host:
+        assert "enqueue" in called  # one FCFS admission: HostServer's
+
+
 def test_request_stages_are_record_free():
     """A request between stages is scalars in the event args: no stage
     may construct a dataclass (or anything called a record) for it."""
@@ -231,7 +265,6 @@ def test_engine_knobs_stay_retired():
 PER_MESSAGE_FUNCTIONS = (
     transport.Network.transmit,
     transport.Network._account,
-    faults.FaultPlane.verdict,
     faults.FaultPlane.crosses_fault,
 )
 
@@ -241,6 +274,16 @@ def _called_names(tree):
         if isinstance(node, ast.Call):
             func = node.func
             yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def test_transmit_is_one_frame_outside_its_instrumented_branch():
+    """``Network.transmit`` rolls the fault verdict and charges the bytes
+    itself: only the instrumented branch (per-link counters, tracer,
+    observers) calls ``_account``, and nothing calls a separate
+    verdict."""
+    called = _calls_outside(transport.Network.transmit, "tracer")
+    assert called & {"verdict", "_account"} == set()
+    assert not hasattr(faults.FaultPlane, "verdict")
 
 
 @pytest.mark.parametrize(

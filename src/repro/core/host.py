@@ -42,6 +42,7 @@ class HostServer:
         "access_counts",
         "pending_access",
         "path_resolver",
+        "_paths",
         "last_placement_time",
         "_busy_until",
         "serviced_total",
@@ -96,6 +97,9 @@ class HostServer:
         self.pending_access: dict[ObjectId, dict[NodeId, int]] = {}
         #: ``resolver(gateway) -> preference path from this host``.
         self.path_resolver = path_resolver
+        #: gateway -> its preference path, resolved once: a path is a pure
+        #: function of the immutable topology.
+        self._paths: dict[NodeId, tuple[NodeId, ...]] = {}
         self.last_placement_time: Time = start
         self._busy_until: Time = 0.0
         #: Total requests ever serviced (monotonic, for sanity checks).
@@ -195,13 +199,16 @@ class HostServer:
         by_gateway = self.pending_access.pop(obj, None)
         if by_gateway is None:
             return
-        resolver = self.path_resolver
+        paths = self._paths
         counts = self.access_counts.get(obj)
         if counts is None:
             counts = {}
             self.access_counts[obj] = counts
         for gateway, pending_count in by_gateway.items():
-            for node in resolver(gateway):
+            path = paths.get(gateway)
+            if path is None:
+                path = paths[gateway] = self.path_resolver(gateway)
+            for node in path:
                 counts[node] = counts.get(node, 0) + pending_count
 
     def object_access_counts(self, obj: ObjectId) -> dict[NodeId, int]:
@@ -211,8 +218,14 @@ class HostServer:
         return self.access_counts.get(obj, {})
 
     def total_access_count(self, obj: ObjectId) -> int:
-        """``cnt(s, x_s)`` — the object's total access count here."""
-        return self.object_access_counts(obj).get(self.node, 0)
+        """``cnt(s, x_s)`` — the object's total access count here.
+
+        This host is on every one of its own preference paths, so the
+        count is the expanded one plus every pending one: no path walk.
+        """
+        total = self.access_counts.get(obj, {}).get(self.node, 0)
+        pending = self.pending_access.get(obj)
+        return total if pending is None else total + sum(pending.values())
 
     def reset_access_counts(self, now: Time) -> None:
         """Start a fresh placement observation window."""

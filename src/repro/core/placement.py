@@ -157,8 +157,7 @@ class PlacementEngine:
             if obj not in host.store:
                 continue  # removed earlier in this very round
             affinity = host.store.affinity(obj)
-            counts = host.object_access_counts(obj)
-            total = counts.get(node, 0)
+            total = host.total_access_count(obj)
             unit_rate = total / affinity / elapsed
             cold = unit_rate < config.deletion_threshold
             if cold and affinity == 1:
@@ -175,6 +174,8 @@ class PlacementEngine:
                 self._trace_drop(node, obj, outcome, affinity, unit_rate)
                 moved = True  # affinity > 1: a plain decrement, never refused
                 continue
+            # Only a geo move reads the other nodes' counts: expand its paths.
+            counts = host.object_access_counts(obj)
             if (yield from self._try_geo_move(
                 host, obj, affinity, counts, total, unit_rate
             )):

@@ -1,11 +1,11 @@
 """A minimal asyncio HTTP/1.1 server with pattern routing.
 
 The container ships no third-party HTTP stack, so the live runtime
-carries its own: just enough HTTP/1.1 over :class:`asyncio.Protocol`
+carries its own: just enough HTTP/1.1 over :class:`asyncio.BufferedProtocol`
 for the control plane and data plane — request-line + headers parsing,
 ``Content-Length`` bodies, keep-alive, JSON helpers, and a router with
 ``{name}`` path captures.  Anything outside that envelope gets a 400.
-A message is framed where its bytes arrive (``data_received``) by
+A message is framed where its bytes arrive (``buffer_updated``) by
 :func:`parse_head`, the one HTTP grammar in the repository: the server
 reads requests with it and :class:`~repro.live.pool.HttpPool` replies.
 
@@ -39,6 +39,12 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Bytes a peer may send ahead of the answer in hand before its socket
 #: stops being read.
 MAX_READ_AHEAD = 64 * 1024
+#: The receive buffer each server (and each pool) owns, allocated once and
+#: shared by its connections, since a read is copied out before the loop
+#: runs anything else: a plain ``Protocol`` is handed a fresh 256 KiB
+#: ``recv`` per read, and the allocator maps (and page-faults) that afresh
+#: each time (DESIGN §8 "Receive path").
+RECV_BUFFER = 16 * 1024
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -279,12 +285,13 @@ def _split_query(query: str) -> dict[str, str]:
     return pairs
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One accepted socket: requests framed as they arrive, answered in order."""
 
     def __init__(self, server: HttpServer) -> None:
         self.server = server
         self.transport = None  # set by connection_made
+        self.scratch = server.scratch
         self.buffer = bytearray()
         #: The answer pending for the request in hand (a Task, or a deferred
         #: answer's Future); requests behind it wait in ``buffer``.
@@ -303,8 +310,11 @@ class _Connection(asyncio.Protocol):
         # whether or not the peer waits); its answer is then dropped.
         self.server._connections.discard(self)
 
-    def data_received(self, data: bytes) -> None:
-        self.buffer += data
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.scratch
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.buffer += self.scratch[:nbytes]
         if self.task is None and not self.write_paused:
             self._advance()
         elif len(self.buffer) > MAX_READ_AHEAD:
@@ -407,6 +417,7 @@ class HttpServer:
         self.port = port
         self._server: asyncio.Server | None = None
         self._connections: set[_Connection] = set()
+        self.scratch = memoryview(bytearray(RECV_BUFFER))
         #: Answers written with status 400 (malformed) and 500 (a handler crashed).
         self.errors = {400: 0, 500: 0}
 

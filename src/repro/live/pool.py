@@ -34,9 +34,10 @@ import asyncio
 import json
 import math
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
-from repro.live.httpd import BadRequest, parse_head
+from repro.live.httpd import RECV_BUFFER, BadRequest, parse_head
 
 Address = tuple[str, int]
 
@@ -103,14 +104,15 @@ def _take_reply(buffer: bytearray) -> tuple[int, dict[str, str], bytes, bool] | 
     return status, headers, body, keep_alive
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One dialled socket, one exchange at a time, the reply framed as it arrives.
 
     It keeps at most one armed deadline timer, re-armed only when it fires.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, scratch: memoryview) -> None:
         self.transport = None  # set by connection_made
+        self.scratch = scratch  # the pool's one receive buffer
         self.buffer = bytearray()
         self.waiter: asyncio.Future | None = None
         self.on_settled: Callable[[], None] | None = None  # called once waiter settles
@@ -170,12 +172,15 @@ class _Connection(asyncio.Protocol):
             on_settled, self.on_settled = self.on_settled, None
             on_settled()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.scratch
+
+    def buffer_updated(self, nbytes: int) -> None:
         waiter = self.waiter
         if waiter is None or waiter.done():
             self.transport.close()  # bytes nobody asked for: never park this again
             return
-        self.buffer += data
+        self.buffer += self.scratch[:nbytes]
         try:
             reply = _take_reply(self.buffer)
         except BadRequest as exc:
@@ -205,6 +210,7 @@ class HttpPool:
         self.timeout = timeout
         self.max_idle_per_peer = max_idle_per_peer
         self._idle: dict[Address, list[_Connection]] = {}
+        self._scratch = memoryview(bytearray(RECV_BUFFER))
         #: Connections dialled / exchanges served over a reused socket,
         #: for tests and the loadgen's efficiency metrics.
         self.dials = 0
@@ -351,7 +357,7 @@ class HttpPool:
         try:
             async with asyncio.timeout(timeout):
                 _, connection = await asyncio.get_running_loop().create_connection(
-                    _Connection, *address
+                    partial(_Connection, self._scratch), *address
                 )
         except OSError as exc:
             raise TransportError(f"connect {address[0]}:{address[1]}: {exc}") from exc

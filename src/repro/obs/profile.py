@@ -387,7 +387,8 @@ def _heap_rollup(top: int) -> dict[str, Any]:
         path = stat.traceback[0].filename.replace("\\", "/")
         if path.startswith("<frozen importlib"):
             # Code objects and module dicts of whatever was first imported
-            # under the census (networkx, mostly).
+            # under the census (the package's own modules: it needs no
+            # third-party one).
             bucket = label = "imports"
         else:
             bucket = _bucket_for(path)

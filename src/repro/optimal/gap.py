@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.errors import ConfigurationError
 from repro.network.faults import FaultConfig
 from repro.scenarios.config import ScenarioConfig
@@ -204,7 +202,7 @@ def tree_replica_gap(
     summed optimal replica count against the protocol's final replica
     counts for the same objects.
     """
-    if topology.graph.number_of_edges() != topology.num_nodes - 1:
+    if topology.num_links != topology.num_nodes - 1:
         raise ConfigurationError(f"{topology.name!r} is not a tree")
     config = result.config
     budget = config.capacity * config.duration
@@ -331,15 +329,12 @@ def uunet_slice(num_nodes: int, seed: int) -> Topology:
                 seen.add(neighbour)
                 visit.append(neighbour)
     relabel = {old: new for new, old in enumerate(visit)}
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    for u, v in full.graph.subgraph(visit).edges:
-        graph.add_edge(relabel[u], relabel[v])
+    edges = [(relabel[u], relabel[v]) for u, v in full.links() if u in seen and v in seen]
     regions = None
     if full.has_regions:
         regions = {relabel[old]: full.region(old) for old in visit}
     return Topology(
-        graph, regions=regions, name=f"uunet-slice-{num_nodes}-s{seed}"
+        num_nodes, edges, regions=regions, name=f"uunet-slice-{num_nodes}-s{seed}"
     )
 
 
@@ -382,7 +377,7 @@ def run_gap_point(
 
     if topology is None:
         topology = uunet_backbone(config.topology_seed)
-    is_tree = topology.graph.number_of_edges() == topology.num_nodes - 1
+    is_tree = topology.num_links == topology.num_nodes - 1
     violations = CapacityViolationCounter()
     # The oracle prices with the run's routing distances; build them the
     # same way the runner does (RoutingDatabase is deterministic per topology).

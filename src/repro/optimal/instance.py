@@ -96,10 +96,10 @@ class TreeInstance:
         optimum's cost).
         """
         n = topology.num_nodes
-        if topology.graph.number_of_edges() != n - 1:
+        if topology.num_links != n - 1:
             raise ConfigurationError(
                 f"{topology.name!r} is not a tree "
-                f"({topology.graph.number_of_edges()} edges on {n} nodes)"
+                f"({topology.num_links} edges on {n} nodes)"
             )
         if demand_unit <= 0:
             raise ConfigurationError("demand unit must be positive")

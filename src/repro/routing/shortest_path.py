@@ -64,23 +64,10 @@ class ShortestPathIndex:
     def __init__(self, topology: Topology) -> None:
         n = topology.num_nodes
         adjacency = tuple(tuple(topology.neighbors(node)) for node in range(n))
-        dist_matrix: list[list[int]] = []
-        for source in range(n):
-            dist = [-1] * n
-            dist[source] = level = 0
-            frontier = [source]
-            while frontier:
-                level += 1
-                reached = []
-                for node in frontier:
-                    for neighbor in adjacency[node]:
-                        if dist[neighbor] == -1:
-                            dist[neighbor] = level
-                            reached.append(neighbor)
-                frontier = reached
+        dist_matrix = [topology.hops_from(source) for source in range(n)]
+        for source, dist in enumerate(dist_matrix):
             if -1 in dist:
                 raise RoutingError(f"topology disconnected from node {source}")
-            dist_matrix.append(dist)
         self.dist_matrix = dist_matrix
         self._adjacency = adjacency
         #: What a tie candidate appends to its pair's ``b"s:t:"`` prefix.

@@ -49,6 +49,7 @@ is a thin delegating convenience, so calling either is equivalent.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -61,6 +62,7 @@ ENTRY_SEQ = 1
 ENTRY_HANDLE = 2
 ENTRY_CALLBACK = 3
 ENTRY_ARGS = 4
+_TIME = itemgetter(ENTRY_TIME)
 
 #: Default bucket width, seconds.  Small enough that a near bucket holds
 #: at most a few hundred entries under paper-scale request rates, large
@@ -280,16 +282,17 @@ class EventQueue:
 
         Returns False when no far bucket exists.  Called only with the
         current bucket fully consumed (sorted run exhausted, near heap
-        empty).  The poured bucket is sorted once — the in-bucket
-        ordering fallback that preserves exact ``(time, seq)`` order —
-        and then consumed by cursor.
+        empty).  The poured bucket is sorted once and then consumed by
+        cursor.  Sorting by time alone gives the exact ``(time, seq)``
+        order: the push paths are a far bucket's only writers and append
+        in ascending ``seq``, and the sort is stable.
         """
         far_keys = self._far_keys
         if not far_keys:
             return False
         key = heappop(far_keys)
         bucket = self._far.pop(key)
-        bucket.sort()
+        bucket.sort(key=_TIME)
         self._sorted = bucket
         self._sorted_pos = 0
         self._cur_key = key

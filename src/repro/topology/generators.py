@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.sim.rng import RngFactory
 from repro.topology.graph import Topology
@@ -24,40 +22,36 @@ def line_topology(n: int) -> Topology:
     """``n`` nodes in a path: 0 - 1 - ... - n-1."""
     if n < 1:
         raise TopologyError("line topology needs n >= 1")
-    graph = nx.path_graph(n)
-    return Topology(graph, name=f"line-{n}")
+    return Topology(n, zip(range(n - 1), range(1, n)), name=f"line-{n}")
 
 
 def ring_topology(n: int) -> Topology:
     """``n`` nodes in a cycle."""
     if n < 3:
         raise TopologyError("ring topology needs n >= 3")
-    graph = nx.cycle_graph(n)
-    return Topology(graph, name=f"ring-{n}")
+    return Topology(n, [(i, (i + 1) % n) for i in range(n)], name=f"ring-{n}")
 
 
 def star_topology(n: int) -> Topology:
     """Node 0 is the hub; nodes 1..n-1 are spokes."""
     if n < 2:
         raise TopologyError("star topology needs n >= 2")
-    graph = nx.star_graph(n - 1)
-    return Topology(graph, name=f"star-{n}")
+    return Topology(n, [(0, spoke) for spoke in range(1, n)], name=f"star-{n}")
 
 
 def grid_topology(rows: int, cols: int) -> Topology:
     """A ``rows x cols`` 4-neighbour mesh, nodes numbered row-major."""
     if rows < 1 or cols < 1:
         raise TopologyError("grid topology needs positive dimensions")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(rows * cols))
+    edges = []
     for r in range(rows):
         for c in range(cols):
             node = r * cols + c
             if c + 1 < cols:
-                graph.add_edge(node, node + 1)
+                edges.append((node, node + 1))
             if r + 1 < rows:
-                graph.add_edge(node, node + cols)
-    return Topology(graph, name=f"grid-{rows}x{cols}")
+                edges.append((node, node + cols))
+    return Topology(rows * cols, edges, name=f"grid-{rows}x{cols}")
 
 
 def two_cluster_topology(
@@ -75,18 +69,15 @@ def two_cluster_topology(
         raise TopologyError("cluster size and bridge length must be >= 1")
     relay_count = bridge_length - 1
     total = 2 * cluster_size + relay_count
-    graph = nx.Graph()
-    graph.add_nodes_from(range(total))
     cluster_a = list(range(cluster_size))
     relays = list(range(cluster_size, cluster_size + relay_count))
     cluster_b = list(range(cluster_size + relay_count, total))
-    for u, v in itertools.combinations(cluster_a, 2):
-        graph.add_edge(u, v)
-    for u, v in itertools.combinations(cluster_b, 2):
-        graph.add_edge(u, v)
     chain = [cluster_a[-1], *relays, cluster_b[0]]
-    for u, v in zip(chain, chain[1:]):
-        graph.add_edge(u, v)
+    edges = [
+        *itertools.combinations(cluster_a, 2),
+        *itertools.combinations(cluster_b, 2),
+        *zip(chain, chain[1:]),
+    ]
     regions: dict[int, Region] = {}
     for node in cluster_a:
         regions[node] = Region.WESTERN_NA
@@ -95,7 +86,7 @@ def two_cluster_topology(
     for node in cluster_b:
         regions[node] = Region.EUROPE
     return Topology(
-        graph, regions=regions, name=f"two-cluster-{cluster_size}x2+{bridge_length}"
+        total, edges, regions=regions, name=f"two-cluster-{cluster_size}x2+{bridge_length}"
     )
 
 
@@ -106,22 +97,12 @@ def two_cluster_topology(
 DEFAULT_TREE_CAPACITY = 200.0
 
 
-def _annotate_nodes(
-    graph: nx.Graph, capacities: dict[int, float], qos: dict[int, int]
-) -> None:
-    for node, value in capacities.items():
-        graph.nodes[node]["capacity"] = value
-    for node, value in qos.items():
-        graph.nodes[node]["qos"] = value
-
-
 def node_capacities(
     topology: Topology, default: float = DEFAULT_TREE_CAPACITY
 ) -> dict[int, float]:
     """Per-node service capacity annotations (``default`` where absent)."""
-    graph = topology.graph
     return {
-        node: float(graph.nodes[node].get("capacity", default))
+        node: float(topology.capacities.get(node, default))
         for node in topology.nodes
     }
 
@@ -133,10 +114,9 @@ def node_qos(topology: Topology, default: int | None = None) -> dict[int, int]:
     "unbounded" and is reported as the topology's diameter (always a
     valid bound on a connected graph).
     """
-    graph = topology.graph
     fallback = topology.diameter() if default is None else default
     return {
-        node: int(graph.nodes[node].get("qos", fallback))
+        node: int(topology.qos.get(node, fallback))
         for node in topology.nodes
     }
 
@@ -163,21 +143,15 @@ def balanced_tree_topology(
     if capacity <= 0:
         raise TopologyError("tree capacity must be positive")
     n = sum(branching**level for level in range(height + 1))
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for node in range(n):
-        for k in range(1, branching + 1):
-            child = branching * node + k
-            if child >= n:
-                break
-            graph.add_edge(node, child)
+    edges = [((child - 1) // branching, child) for child in range(1, n)]
     bound = qos if qos is not None else max(1, 2 * height)
-    _annotate_nodes(
-        graph,
-        {node: capacity for node in range(n)},
-        {node: bound for node in range(n)},
+    return Topology(
+        n,
+        edges,
+        name=f"ktree-{branching}x{height}",
+        capacities=dict.fromkeys(range(n), capacity),
+        qos=dict.fromkeys(range(n), bound),
     )
-    return Topology(graph, name=f"ktree-{branching}x{height}")
 
 
 def random_tree_topology(
@@ -205,27 +179,16 @@ def random_tree_topology(
     if lo <= 0 or hi < lo:
         raise TopologyError(f"bad capacity range {capacity_range!r}")
     rng = RngFactory(seed).stream("random-tree")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for node in range(1, n):
-        graph.add_edge(rng.randrange(node), node)
+    edges = [(rng.randrange(node), node) for node in range(1, n)]
     capacities = {node: rng.uniform(lo, hi) for node in range(n)}
     if qos_range is None:
-        diameter = (
-            max(
-                max(lengths.values())
-                for _, lengths in nx.shortest_path_length(graph)
-            )
-            if n > 1
-            else 1
-        )
+        diameter = Topology(n, edges).diameter() if n > 1 else 1
         qos_range = (min(2, diameter), max(2, diameter))
     q_lo, q_hi = qos_range
     if q_lo < 0 or q_hi < q_lo:
         raise TopologyError(f"bad qos range {qos_range!r}")
     qos = {node: rng.randint(q_lo, q_hi) for node in range(n)}
-    _annotate_nodes(graph, capacities, qos)
-    return Topology(graph, name=f"rtree-{n}-s{seed}")
+    return Topology(n, edges, name=f"rtree-{n}-s{seed}", capacities=capacities, qos=qos)
 
 
 def random_geometric_topology(
@@ -246,12 +209,10 @@ def random_geometric_topology(
     rng = RngFactory(seed).stream("geometric")
     points = [(rng.random(), rng.random()) for _ in range(n)]
     for _ in range(64):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(_pairs_within(points, r))
-        if nx.is_connected(graph):
-            return Topology(graph, name=f"geo-{n}-r{r:.3f}")
-        r *= 1.15
+        try:
+            return Topology(n, _pairs_within(points, r), name=f"geo-{n}-r{r:.3f}")
+        except TopologyError:  # not connected yet
+            r *= 1.15
     raise TopologyError(f"could not build a connected geometric graph on {n} nodes")
 
 

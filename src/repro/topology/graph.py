@@ -1,4 +1,4 @@
-"""The :class:`Topology` wrapper around an undirected backbone graph.
+"""The :class:`Topology`: a validated undirected backbone graph.
 
 A topology is the static substrate of a scenario: a connected, undirected
 graph whose vertices are backbone nodes (router + co-located hosting
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.regions import Region
 from repro.types import NodeId
@@ -23,59 +21,92 @@ class Topology:
 
     Parameters
     ----------
-    graph:
-        An undirected :class:`networkx.Graph` over integer node ids
-        ``0..n-1``.  Must be connected, simple and free of self-loops.
+    num_nodes:
+        Node ids are ``0..num_nodes-1``.
+    edges:
+        Undirected links as ``(u, v)`` pairs between those ids.  They must
+        connect every node and hold no self-loop; a repeated link counts
+        once.  Their order is kept: it is the order of :meth:`links`.
     regions:
         Optional mapping of node id to :class:`Region`; required by the
         regional workload and the synthetic UUNET builder, optional for
         toy topologies.
     name:
         Human-readable label used in reports.
+    capacities, qos:
+        Optional per-node service capacity (requests/sec) and QoS hop-bound
+        annotations, read by the optimal solvers' tree families through
+        :func:`~repro.topology.generators.node_capacities` and
+        :func:`~repro.topology.generators.node_qos`.
     """
 
     def __init__(
         self,
-        graph: nx.Graph,
+        num_nodes: int,
+        edges: Iterable[tuple[NodeId, NodeId]],
         *,
         regions: Mapping[NodeId, Region] | None = None,
         name: str = "topology",
+        capacities: Mapping[NodeId, float] | None = None,
+        qos: Mapping[NodeId, int] | None = None,
     ) -> None:
-        self._validate(graph, regions)
-        self._graph = graph
-        self._regions = dict(regions) if regions is not None else {}
-        self.name = name
-
-    @staticmethod
-    def _validate(
-        graph: nx.Graph, regions: Mapping[NodeId, Region] | None
-    ) -> None:
-        n = graph.number_of_nodes()
-        if n == 0:
+        if num_nodes < 1:
             raise TopologyError("topology must contain at least one node")
-        if sorted(graph.nodes) != list(range(n)):
-            raise TopologyError("node ids must be contiguous integers 0..n-1")
-        if any(u == v for u, v in graph.edges):
-            raise TopologyError("self-loops are not allowed")
-        if n > 1 and not nx.is_connected(graph):
+        adjacency: list[list[NodeId]] = [[] for _ in range(num_nodes)]
+        seen: set[tuple[NodeId, NodeId]] = set()
+        for u, v in edges:
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise TopologyError("node ids must be contiguous integers 0..n-1")
+            if u == v:
+                raise TopologyError("self-loops are not allowed")
+            key = (u, v) if u < v else (v, u)
+            if key not in seen:
+                seen.add(key)
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        self._adjacency = tuple(tuple(row) for row in adjacency)
+        if num_nodes > 1 and -1 in self.hops_from(0):
             raise TopologyError("topology must be connected")
         if regions is not None:
-            missing = set(graph.nodes) - set(regions)
+            missing = set(range(num_nodes)) - set(regions)
             if missing:
                 raise TopologyError(f"nodes missing region assignment: {sorted(missing)}")
+        # Node by node, each neighbour in the order its link was first
+        # given, skipping links already listed: networkx's edge order,
+        # which the network's per-link table inherits.
+        self._links = tuple(
+            (u, v) for u, row in enumerate(self._adjacency) for v in row if v > u
+        )
+        self._regions = dict(regions) if regions is not None else {}
+        self.capacities = dict(capacities) if capacities is not None else {}
+        self.qos = dict(qos) if qos is not None else {}
+        self.name = name
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` (treat as read-only)."""
-        return self._graph
+    def hops_from(self, source: NodeId) -> list[int]:
+        """Hop counts from ``source`` to every node, by one breadth-first
+        search (-1 for a node it cannot reach)."""
+        adjacency = self._adjacency
+        hops = [-1] * len(adjacency)
+        hops[source] = level = 0
+        frontier = [source]
+        while frontier:
+            level += 1
+            reached = []
+            for node in frontier:
+                for neighbor in adjacency[node]:
+                    if hops[neighbor] == -1:
+                        hops[neighbor] = level
+                        reached.append(neighbor)
+            frontier = reached
+        return hops
 
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adjacency)
 
     @property
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._links)
 
     @property
     def nodes(self) -> range:
@@ -84,13 +115,13 @@ class Topology:
 
     def links(self) -> Iterable[tuple[NodeId, NodeId]]:
         """All undirected links as ``(min_id, max_id)`` pairs."""
-        return ((min(u, v), max(u, v)) for u, v in self._graph.edges)
+        return self._links
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
-        return sorted(self._graph.neighbors(node))
+        return sorted(self._adjacency[node])
 
     def degree(self, node: NodeId) -> int:
-        return self._graph.degree(node)
+        return len(self._adjacency[node])
 
     def region(self, node: NodeId) -> Region:
         """The region of ``node``; raises if regions were not assigned."""
@@ -108,7 +139,7 @@ class Topology:
 
     def diameter(self) -> int:
         """Hop-count diameter of the backbone."""
-        return nx.diameter(self._graph)
+        return max(max(self.hops_from(node)) for node in self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

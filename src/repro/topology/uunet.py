@@ -26,8 +26,6 @@ paper's bandwidth results depend on.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.sim.rng import RngFactory
 from repro.topology.graph import Topology
@@ -69,8 +67,7 @@ def uunet_backbone(seed: int = 1999) -> Topology:
     """
     rng = RngFactory(seed).stream("uunet")
     ranges = region_ranges()
-    graph = nx.Graph()
-    graph.add_nodes_from(range(sum(REGION_SIZES.values())))
+    edges: list[tuple[int, int]] = []
 
     hubs: dict[Region, list[int]] = {}
     for region in REGIONS:
@@ -82,7 +79,7 @@ def uunet_backbone(seed: int = 1999) -> Topology:
         hubs[region] = region_hubs
         # Hub core: a small cycle (equals a single link for two hubs).
         for i, hub in enumerate(region_hubs):
-            graph.add_edge(hub, region_hubs[(i + 1) % n_hubs])
+            edges.append((hub, region_hubs[(i + 1) % n_hubs]))
         # Metro POPs in _TIERS layers: tier-1 POPs dual-home to hubs,
         # deeper tiers dual-home to the tier above.  Dual parents keep
         # any single node off the overwhelming majority of a POP's
@@ -96,9 +93,9 @@ def uunet_backbone(seed: int = 1999) -> Topology:
             for index, spoke in enumerate(layer):
                 parent_a = previous_layer[index % len(previous_layer)]
                 parent_b = previous_layer[(index + 1) % len(previous_layer)]
-                graph.add_edge(spoke, parent_a)
+                edges.append((spoke, parent_a))
                 if parent_b != parent_a:
-                    graph.add_edge(spoke, parent_b)
+                    edges.append((spoke, parent_b))
             previous_layer = layer
         # Intra-region POP shortcut links for path diversity.
         added = 0
@@ -106,14 +103,16 @@ def uunet_backbone(seed: int = 1999) -> Topology:
         while added < _CROSS_LINKS_PER_REGION and attempts < 200 and len(spokes) >= 4:
             attempts += 1
             a, b = rng.sample(spokes, 2)
-            if not graph.has_edge(a, b):
-                graph.add_edge(a, b)
+            if (a, b) not in edges and (b, a) not in edges:
+                edges.append((a, b))
                 added += 1
 
     for (region_a, region_b), count in _TRUNKS.items():
         hubs_a, hubs_b = hubs[region_a], hubs[region_b]
         for k in range(count):
-            graph.add_edge(hubs_a[k % len(hubs_a)], hubs_b[k % len(hubs_b)])
+            edges.append((hubs_a[k % len(hubs_a)], hubs_b[k % len(hubs_b)]))
 
     regions = {node: region for region in REGIONS for node in ranges[region]}
-    return Topology(graph, regions=regions, name=f"uunet-synthetic-{seed}")
+    return Topology(
+        sum(REGION_SIZES.values()), edges, regions=regions, name=f"uunet-synthetic-{seed}"
+    )

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -110,3 +114,22 @@ def small_system(sim, clusters):
     system = make_system(sim, topology, num_objects=20)
     system.initialize_round_robin()
     return system
+
+
+def run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter with ``src`` importable and
+    return its stdout: this one has hypothesis (and so numpy) loaded."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()

@@ -129,6 +129,24 @@ def test_access_counts_reset_after_round(system):
     assert system.hosts[0].last_placement_time == 100.0
 
 
+def test_a_round_over_only_cold_objects_walks_no_path(system):
+    """The drop/keep decision reads ``cnt(s, x)`` without expanding a
+    path; an object that reaches a geo move has its paths walked, each
+    gateway's once for the life of the host."""
+    server = system.hosts[0]
+    walked = []
+    resolver = server.path_resolver
+    server.path_resolver = lambda gateway: walked.append(gateway) or resolver(gateway)
+    feed(system, 2, {4: 1, 3: 1})  # 0.02 req/s < u
+    run_placement(system)
+    assert walked == []
+    feed(system, 1, {4: 60, 3: 40})
+    run_placement(system, at=200.0)
+    feed(system, 3, {4: 50, 3: 50})
+    run_placement(system, at=300.0)
+    assert walked == [4, 3]
+
+
 def test_candidate_refusal_falls_through_to_closer_candidate(system):
     # All of nodes 1..4 qualify; 4 and 3 are overloaded, so 2 gets it.
     feed(system, 1, {4: 100})

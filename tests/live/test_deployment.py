@@ -14,6 +14,7 @@ from repro.live import (
 from repro.live.config import live_protocol_config
 from repro.live.deploy import serve_all, serve_role
 from repro.live.host import object_payload
+from repro.live.httpd import RECV_BUFFER
 from repro.live.loadgen import _http_get
 from repro.live.pool import HttpPool
 from repro.live.metrics import summarize_deployment
@@ -26,6 +27,28 @@ def demo_config(**protocol_changes) -> LiveConfig:
         measurement_interval=0.5, placement_interval=1.0, **protocol_changes
     )
     return LiveConfig(base_port=0, protocol=protocol)
+
+
+def test_an_object_three_receive_buffers_long_is_fetched_whole():
+    """``--object-size`` past the connections' receive buffer: the pool
+    frames a reply that takes several reads, twice on one socket."""
+    config = demo_config().replace(object_size=3 * RECV_BUFFER)
+
+    async def main():
+        deployment = LocalDeployment(config)
+        await deployment.start(timers=False)
+        pool = HttpPool()
+        try:
+            home = deployment.directory.host(config.initial_host(4))
+            for _ in range(2):
+                body = await pool.fetch(home, "GET", "/obj/4?gateway=2")
+                assert body == object_payload(4, config.object_size)
+            assert (pool.dials, pool.reuses) == (1, 1)
+        finally:
+            await pool.close()
+            await deployment.stop()
+
+    asyncio.run(asyncio.wait_for(main(), 20.0))
 
 
 def test_request_path_and_control_endpoints():

@@ -1,4 +1,4 @@
-"""The ``asyncio.Protocol`` framing against the retired stream parsers.
+"""The ``asyncio.BufferedProtocol`` framing against the retired stream parsers.
 
 ``tests/live/oracle_streams.py`` holds the readers ``live/httpd.py`` and
 ``live/pool.py`` used until PR 21.  Hypothesis builds requests and
@@ -68,12 +68,25 @@ class CapturingServer:
 
     def __init__(self) -> None:
         self._connections: set = set()
+        self.scratch = memoryview(bytearray(httpd.RECV_BUFFER))
         self.errors = {400: 0, 500: 0}
         self.requests: list[httpd.Request] = []
 
     def _dispatch(self, request: httpd.Request) -> Response:
         self.requests.append(request)
         return Response()
+
+
+def feed(connection, chunk: bytes) -> None:
+    """Deliver ``chunk`` as the transport does: ``recv_into`` the
+    connection's buffer, as many reads as the buffer's size takes."""
+    view = memoryview(chunk)
+    while view and not connection.transport.is_closing():
+        buffer = connection.get_buffer(-1)
+        nbytes = min(len(buffer), len(view))
+        buffer[:nbytes] = view[:nbytes]
+        connection.buffer_updated(nbytes)
+        view = view[nbytes:]
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -87,7 +100,7 @@ def new_request_verdict(chunks: list[bytes]):
     for chunk in chunks:
         if transport.closed:
             break
-        connection.data_received(chunk)
+        feed(connection, chunk)
     if not transport.closed:
         connection.eof_received()
     assert transport.closed  # EOF always ends the conversation
@@ -111,13 +124,13 @@ def old_request_verdict(loop, data: bytes):
 
 def new_reply_verdict(loop, chunks: list[bytes]):
     """The reply tuple, ``None`` (stale socket) or ``FAILED``."""
-    connection = pool._Connection()
+    connection = pool._Connection(memoryview(bytearray(httpd.RECV_BUFFER)))
     connection.connection_made(FakeTransport())
     connection.waiter = waiter = loop.create_future()
     for chunk in chunks:
         if waiter.done():
             break
-        connection.data_received(chunk)
+        feed(connection, chunk)
     if not waiter.done():
         connection.connection_lost(None)  # EOF: the transport closes itself
     failure = waiter.exception()

@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.live.httpd import HttpServer, Router, json_response
+from repro.live.httpd import RECV_BUFFER, HttpServer, Router, json_response
 from repro.live.pool import HttpPool, TransportError
 
 
@@ -74,6 +74,38 @@ def test_pool_concurrent_requests_dial_separate_connections():
             )
             assert pool.dials == 8
             assert pool.reuses == 8
+        finally:
+            await pool.close()
+            await server.stop()
+
+    asyncio.run(main())
+
+
+def test_connections_read_into_their_owners_one_buffer():
+    """A server's connections share its one receive buffer, and a pool's
+    share the pool's, so the heap does not churn as sockets come and go.
+    Eight exchanges in flight at once, each body longer than the buffer,
+    so reads on different sockets interleave; each answer is still its
+    own request's."""
+
+    async def main():
+        server = HttpServer(echo_router(), port=0)
+        port = await server.start()
+        pool = HttpPool()
+        try:
+            payloads = [{"n": n, "pad": str(n) * (RECV_BUFFER + 100)} for n in range(8)]
+            answers = await asyncio.gather(
+                *(
+                    pool.fetch_json(("127.0.0.1", port), "POST", "/echo", payload=payload)
+                    for payload in payloads
+                )
+            )
+            assert answers == [{"got": payload} for payload in payloads]
+            (parked,) = pool._idle.values()
+            assert len(parked) == len(server._connections) == 8
+            assert {id(c.get_buffer(-1)) for c in parked} == {id(pool._scratch)}
+            buffers = {id(c.get_buffer(-1)) for c in server._connections}
+            assert buffers == {id(server.scratch)}
         finally:
             await pool.close()
             await server.stop()

@@ -1,6 +1,6 @@
 """What ``asyncio`` streams gave the HTTP server for free, now its own job.
 
-``live/httpd.py`` sits directly on ``asyncio.Protocol``: ordering of
+``live/httpd.py`` sits directly on ``asyncio.BufferedProtocol``: ordering of
 pipelined requests, reassembly of trickled ones, flow control in both
 directions, EOF in the middle of a message and the lifetime of accepted
 sockets are the server's code, so each gets a test over a real socket.
@@ -18,6 +18,7 @@ import pytest
 
 from repro.live.httpd import (
     MAX_READ_AHEAD,
+    RECV_BUFFER,
     HttpServer,
     Response,
     Router,
@@ -109,6 +110,33 @@ def test_pipelined_requests_are_answered_in_order_one_at_a_time():
         ]
         assert harness.calls == ["park", "now", "now"]
         assert await reader.read() == b""  # Connection: close was honoured
+        writer.close()
+
+    run(scenario)
+
+
+def test_pipelined_requests_split_across_reads_are_framed_in_order():
+    """Two requests in three writes: the first's body spans three receive
+    buffers and the second's head is cut in two."""
+
+    async def scenario(harness, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        body = b"b" * (3 * RECV_BUFFER)
+        stream = (
+            b"POST /size HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+            + b"GET /now?n=2 HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        cut = len(stream) - 30
+        for part in (stream[: RECV_BUFFER + 7], stream[RECV_BUFFER + 7 : cut], stream[cut:]):
+            writer.write(part)
+            await writer.drain()
+            await turns(1)
+        status, _, reply = await read_reply(reader)
+        assert (status, json.loads(reply)) == (200, {"size": len(body)})
+        status, _, reply = await read_reply(reader)
+        assert (status, json.loads(reply)) == (200, {"now": True, "query": {"n": "2"}})
+        assert harness.calls == ["size", "now"]
+        assert await reader.read() == b""
         writer.close()
 
     run(scenario)

@@ -6,7 +6,6 @@ distances only.  Same distances and same route for every ordered pair, on
 every graph shape the suite builds.
 """
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,8 +86,7 @@ class _TwoIslands(Topology):
     """0 - 1 and 2 - 3: what ``Topology`` itself refuses to build."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph([(0, 1), (2, 3)])
-        self._regions = {}
+        self._adjacency = ((1,), (0,), (3,), (2,))
         self.name = "two-islands"
 
 

@@ -60,11 +60,8 @@ def test_mean_distance_line():
 
 def test_mean_distance_single_node():
     from repro.topology.graph import Topology
-    import networkx as nx
 
-    graph = nx.Graph()
-    graph.add_node(0)
-    routes = RoutingDatabase(Topology(graph))
+    routes = RoutingDatabase(Topology(1, []))
     assert routes.mean_distance() == 0.0
 
 

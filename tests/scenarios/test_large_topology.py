@@ -7,11 +7,7 @@ drift means the engine changed simulation behaviour, not speed (speed
 is ``bench/run.py --workload sim-large``).
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +17,7 @@ from repro.scenarios.presets import LARGE_TOPOLOGY_OBJECTS, large_topology_scena
 from repro.scenarios.runner import run_scenario
 from repro.sim.engine import Simulator
 from repro.topology.generators import grid_topology
-from tests.conftest import make_system
+from tests.conftest import make_system, run_fresh
 
 
 def test_large_preset_completes_exactly_and_keeps_invariants():
@@ -52,8 +48,7 @@ def test_routing_index_holds_distances_only():
 def test_large_preset_loads_no_array_library():
     """A module budget: until ISSUE 24 drawing the preset's ~2,000 edges
     imported numpy and 175 scipy modules (44 MB resident) through
-    ``nx.random_geometric_graph``.  Needs a fresh interpreter: this one
-    has hypothesis (and so numpy) loaded."""
+    ``nx.random_geometric_graph``."""
     script = """
 import sys
 from repro.scenarios.presets import large_topology_scenario
@@ -64,20 +59,7 @@ result.system.check_invariants()
 assert result.latency.completed > 5000, result.latency.completed
 print([name for name in ("numpy", "scipy") if name in sys.modules])
 """
-    root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert run_fresh(script) == "[]"
 
 
 def test_registry_and_invariant_check_stay_inside_their_byte_budgets():

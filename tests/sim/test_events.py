@@ -322,6 +322,65 @@ def test_push_batch_runs_and_jumps_match_a_binary_heap(batches, width):
     assert got == expected
 
 
+#: Few distinct times, so one bucket holds many entries of equal time.
+TIED_TIMES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 1.0, 2.5, 4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["push", "push_fast"]), TIED_TIMES),
+            st.tuples(st.just("push_batch"), st.lists(TIED_TIMES, max_size=8)),
+            st.tuples(st.sampled_from(["cancel", "pop"]), st.integers(0, 50)),
+        ),
+        max_size=80,
+    ),
+    width=st.sampled_from([0.1, 0.25, 1.0]),
+)
+def test_equal_times_across_every_push_path_pop_in_seq_order(ops, width):
+    """A poured bucket is sorted by time alone; its ties must still pop in
+    ``seq`` order, whichever push paths wrote them, with cancellations and
+    partial drains between the pushes."""
+    queue = EventQueue(bucket_width=width)
+    heap, handles, cancelled, got, expected = [], {}, set(), [], []
+    seq = 0
+
+    def pop_both():
+        entry = queue.pop_until(None)
+        got.append((entry[ENTRY_TIME], entry[ENTRY_SEQ]))
+        while heap[0][1] in cancelled:
+            heapq.heappop(heap)
+        expected.append(heapq.heappop(heap))
+
+    for op, value in ops:
+        floor = queue.peek_time() or 0.0
+        if op in ("push", "push_fast"):
+            handle = getattr(queue, op)(floor + value, lambda: None, ())
+            if handle is not None:
+                handles[seq] = handle
+            heapq.heappush(heap, (floor + value, seq))
+            seq += 1
+        elif op == "push_batch":
+            times = [floor + t for t in value]
+            queue.push_batch(times, lambda: None, [()] * len(times))
+            for t in times:
+                heapq.heappush(heap, (t, seq))
+                seq += 1
+        elif op == "cancel":
+            live = [s for s, h in handles.items() if s not in cancelled and h._queue is queue]
+            if live:
+                victim = live[value % len(live)]
+                handles[victim].cancel()
+                cancelled.add(victim)
+        else:
+            for _ in range(min(value % 4, len(queue))):
+                pop_both()
+    while queue:
+        pop_both()
+    assert got == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_pop_until_horizon_sweep_matches_heap(seed):

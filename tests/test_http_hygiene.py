@@ -9,8 +9,8 @@ local class, each then needing its own retry rule, status mapping and
 ``except`` clauses at every caller; this test *is* the lint that keeps
 them out, in the manner of ``tests/test_cli_hygiene.py``.
 
-Since PR 21 both halves sit on ``asyncio.Protocol`` and frame messages
-in ``data_received``; the streams layer they replaced (a Task and an
+Both halves sit on ``asyncio.BufferedProtocol`` and frame messages
+where their bytes arrive; the streams layer they replaced (a Task and an
 ``await`` per line, ``wait_for``'s Task per exchange) must not come back
 under ``live/`` beside them, so its names are banned there too.  The
 retired parsers live on as ``tests/live/oracle_streams.py``.

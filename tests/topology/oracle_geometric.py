@@ -36,6 +36,6 @@ def random_geometric_topology(
             plain = nx.Graph()
             plain.add_nodes_from(range(n))
             plain.add_edges_from(graph.edges)
-            return Topology(plain, name=f"geo-{n}-r{r:.3f}")
+            return Topology(n, plain.edges, name=f"geo-{n}-r{r:.3f}")
         r *= 1.15
     raise TopologyError(f"could not build a connected geometric graph on {n} nodes")

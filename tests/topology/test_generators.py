@@ -89,9 +89,7 @@ def test_random_geometric_matches_the_retired_networkx_generator(n, seed, radius
     ours = random_geometric_topology(n, radius=radius, seed=seed)
     theirs = oracle(n, radius=radius, seed=seed)
     assert ours.name == theirs.name
-    assert list(ours.graph.edges) == list(theirs.graph.edges)
-    for node in range(n):
-        assert list(ours.graph.neighbors(node)) == list(theirs.graph.neighbors(node))
+    assert list(ours.links()) == list(theirs.links())
 
 
 @pytest.mark.parametrize("radius", [0, -0.5, float("nan"), float("inf")])
@@ -171,11 +169,11 @@ def test_random_tree_is_a_tree(n, seed):
 def test_random_tree_is_deterministic():
     one = random_tree_topology(12, seed=99)
     two = random_tree_topology(12, seed=99)
-    assert set(one.graph.edges) == set(two.graph.edges)
+    assert list(one.links()) == list(two.links())
     assert node_capacities(one) == node_capacities(two)
     assert node_qos(one) == node_qos(two)
     other = random_tree_topology(12, seed=100)
-    assert set(one.graph.edges) != set(other.graph.edges) or node_capacities(
+    assert set(one.links()) != set(other.links()) or node_capacities(
         one
     ) != node_capacities(other)
 

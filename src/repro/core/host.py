@@ -13,7 +13,7 @@ and when — but owns all per-host protocol state.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Mapping
 
 from repro.core.config import ProtocolConfig
 from repro.core.object_store import ObjectStore
@@ -41,8 +41,7 @@ class HostServer:
         "offloading",
         "access_counts",
         "pending_access",
-        "path_resolver",
-        "_paths",
+        "paths",
         "last_placement_time",
         "_busy_until",
         "serviced_total",
@@ -53,7 +52,7 @@ class HostServer:
         self,
         node: NodeId,
         config: ProtocolConfig,
-        path_resolver: Callable[[NodeId], tuple[NodeId, ...]],
+        paths: Mapping[NodeId, tuple[NodeId, ...]],
         *,
         capacity: float = 200.0,
         max_queue_delay: float = 30.0,
@@ -95,11 +94,10 @@ class HostServer:
         #: per request; integer counts make the expansion order-free, so
         #: the totals are those of per-request path walks.
         self.pending_access: dict[ObjectId, dict[NodeId, int]] = {}
-        #: ``resolver(gateway) -> preference path from this host``.
-        self.path_resolver = path_resolver
-        #: gateway -> its preference path, resolved once: a path is a pure
-        #: function of the immutable topology.
-        self._paths: dict[NodeId, tuple[NodeId, ...]] = {}
+        #: ``gateway -> preference path from this host``: the routing
+        #: index's own row for this node (``routes.preference_paths``),
+        #: which walks a path on first use and keeps it — the one cache.
+        self.paths = paths
         self.last_placement_time: Time = start
         self._busy_until: Time = 0.0
         #: Total requests ever serviced (monotonic, for sanity checks).
@@ -199,16 +197,13 @@ class HostServer:
         by_gateway = self.pending_access.pop(obj, None)
         if by_gateway is None:
             return
-        paths = self._paths
+        paths = self.paths
         counts = self.access_counts.get(obj)
         if counts is None:
             counts = {}
             self.access_counts[obj] = counts
         for gateway, pending_count in by_gateway.items():
-            path = paths.get(gateway)
-            if path is None:
-                path = paths[gateway] = self.path_resolver(gateway)
-            for node in path:
+            for node in paths[gateway]:
                 counts[node] = counts.get(node, 0) + pending_count
 
     def object_access_counts(self, obj: ObjectId) -> dict[NodeId, int]:

@@ -30,7 +30,6 @@ against a 100 s placement interval.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 from repro.core.config import ProtocolConfig
@@ -59,6 +58,7 @@ from repro.types import (
     PlacementEvent,
     PlacementReason,
     Time,
+    canonical_object_ids,
 )
 
 __all__ = ["HostingSystem", "handle_create_obj"]
@@ -173,7 +173,7 @@ class HostingSystem:
             node: HostServer(
                 node,
                 config,
-                partial(self.routes.preference_path, node),
+                self.routes.preference_paths(node),
                 # A host's power weight scales both its service capacity
                 # and its watermarks (Section 2's heterogeneity note).
                 capacity=capacity * weights.get(node, 1.0),
@@ -324,15 +324,15 @@ class HostingSystem:
         store is filled in one pass, then each redirector registers its
         share in ascending object id.
         """
-        n = self.routes.num_nodes
-        # One int object per id, keyed by store and registry alike.
-        ids = list(range(self.num_objects))
+        # One int per id and per node: the generators' table, the hosts' own.
+        ids, nodes = canonical_object_ids(self.num_objects), tuple(self.hosts)
+        n = len(nodes)
         for node, host in self.hosts.items():
             clash = host.store.add_new(ids[node::n])
             if clash is not None:
                 raise ProtocolError(f"object {clash} already placed on {node}")
         for service, objs in self.redirectors.partition(ids):
-            service.register_initial_many((obj, obj % n) for obj in objs)
+            service.register_initial_many((obj, nodes[obj % n]) for obj in objs)
 
     def start(self) -> None:
         """Launch the periodic measurement and placement processes."""

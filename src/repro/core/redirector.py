@@ -33,7 +33,7 @@ dropped (:meth:`RedirectorService.request_drop` arbitrates).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ProtocolError
 from repro.obs.records import ChooseReplicaRecord
@@ -424,8 +424,8 @@ class RedirectorGroup:
         return self._services[obj % len(self._services)]
 
     def partition(
-        self, objs: list[ObjectId]
-    ) -> list[tuple[RedirectorService, list[ObjectId]]]:
+        self, objs: Sequence[ObjectId]
+    ) -> list[tuple[RedirectorService, Sequence[ObjectId]]]:
         """``objs`` split by responsible service (:meth:`for_object`), order kept."""
         stride = len(self._services)
         if stride == 1:

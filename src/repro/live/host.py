@@ -25,7 +25,6 @@ from requests arriving mid-conversation.
 from __future__ import annotations
 
 import asyncio
-from functools import partial
 
 from repro.core.host import HostServer
 from repro.core.runtime import Clock, CreateObj, from_wire
@@ -78,7 +77,7 @@ class LiveHostNode:
         self.host = HostServer(
             node,
             config.protocol,
-            partial(routes.preference_path, node),
+            routes.preference_paths(node),
             capacity=config.capacity,
             storage_limit=config.storage_limit,
             start=clock.now,

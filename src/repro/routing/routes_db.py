@@ -5,29 +5,24 @@ protocol extracts from the platform routers (Section 2):
 
 * hop distances between any two platform nodes,
 * the canonical route (and hence the *preference path*) between nodes,
-* helper orderings (closest replica to a gateway, farthest-first candidate
-  ordering) used by the request-distribution and placement algorithms.
+* the farthest-first candidate ordering the placement algorithm uses.
 
 Distances are computed eagerly (one BFS per source) and are the only
-thing the index stores per pair; canonical paths are walked lazily per
-ordered pair on first use, reading each step's equal-cost parents off the
-distance row — see :class:`~repro.routing.shortest_path.ShortestPathIndex`
-for why this is byte-identical to eager construction.  Node ids outside
-``0..n-1`` raise :class:`RoutingError` from :meth:`distance` and
-:meth:`route` (a negative id would otherwise index from the end);
-:meth:`distance_row` is the unchecked request-path accessor.
-
-Staleness: the paper extracts routes "asynchronously with client requests,
-thereby reducing request latency at the expense of potential staleness".
-:meth:`RoutingDatabase.snapshot` returns a frozen copy so scenarios can
-model stale routing views refreshed by a periodic process, while the live
-instance always reflects the current topology.
+thing the index stores per pair; canonical paths are walked lazily on
+first use and kept in one row per source, the one path cache: a host
+reads its preference paths through :meth:`preference_paths` — see
+:class:`~repro.routing.shortest_path.ShortestPathIndex` for why this is
+byte-identical to eager construction.  Node ids outside ``0..n-1`` raise
+:class:`RoutingError` from :meth:`distance`, :meth:`route`,
+:meth:`preference_paths` and :meth:`farthest_first` (a negative id would
+otherwise index from the end); :meth:`distance_row` is the unchecked
+request-path accessor.
 """
 
 from __future__ import annotations
 
 from repro.errors import RoutingError
-from repro.routing.shortest_path import ShortestPathIndex
+from repro.routing.shortest_path import PathRow, ShortestPathIndex
 from repro.topology.graph import Topology
 from repro.types import NodeId
 
@@ -62,6 +57,13 @@ class RoutingDatabase:
         """The full distance row of ``node`` (read-only; hot-path helper)."""
         return self._dist[node]
 
+    def preference_paths(self, server: NodeId) -> PathRow:
+        """``client -> preference_path(server, client)``, walked on first use.
+
+        The index's own row for ``server``: a hit is one dict lookup.
+        """
+        return self._index.row(server)
+
     def route(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
         """The canonical route from ``source`` to ``target``, inclusive.
 
@@ -87,13 +89,6 @@ class RoutingDatabase:
         """Number of backbone links traversed between the nodes."""
         return self.distance(source, target)
 
-    def closest(self, to: NodeId, candidates: list[NodeId]) -> NodeId:
-        """The candidate closest to ``to`` (ties broken by node id)."""
-        if not candidates:
-            raise RoutingError("closest() needs at least one candidate")
-        row = self._dist[to]
-        return min(candidates, key=lambda node: (row[node], node))
-
     def farthest_first(
         self, frm: NodeId, candidates: list[NodeId]
     ) -> list[NodeId]:
@@ -103,6 +98,9 @@ class RoutingDatabase:
         farthest among all qualified candidates" (Section 4.2.1); ties are
         broken by ascending node id for determinism.
         """
+        n = len(self._dist)
+        if not (0 <= frm < n and all(0 <= node < n for node in candidates)):
+            raise RoutingError(f"unknown node in farthest_first({frm}, {candidates})")
         row = self._dist[frm]
         return sorted(candidates, key=lambda node: (-row[node], node))
 
@@ -135,16 +133,3 @@ class RoutingDatabase:
         if n < 2:
             return 0.0
         return sum(self._distance_row_sums()) / (n * (n - 1))
-
-    def snapshot(self) -> "RoutingDatabase":
-        """A frozen copy of the current routes (staleness modelling).
-
-        The path index is shared: it is a pure function of the (immutable)
-        topology, so the clone sees exactly the routes the original does.
-        """
-        clone = object.__new__(RoutingDatabase)
-        clone._topology = self._topology
-        clone._index = self._index
-        clone._dist = [row[:] for row in self._dist]
-        clone._row_sums = None
-        return clone

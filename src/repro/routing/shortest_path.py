@@ -22,11 +22,12 @@ level-synchronous BFS per source, and they are all that is stored: the
 parents of ``v`` in source ``s``'s shortest-path DAG are exactly the
 neighbours ``u`` with ``dist[s][u] == dist[s][v] - 1``, so a walk reads
 them off the distance row.  Canonical *paths* are only walked on first use
-and cached per ordered pair: at 500 nodes the eager variant spends seconds
-hashing ~n³ tie-break candidates for 250k paths of which a scenario
-touches a tiny, workload-dependent subset (the request fast lane defers
-preference-path expansion to placement time, so short benchmark runs
-touch none at all).  The choice per pair depends only on distances,
+and kept in their source's :class:`PathRow`, the one path cache (hosts read
+their preference paths from it): at 500 nodes the eager variant spends
+seconds hashing ~n³ tie-break candidates for 250k paths of which a
+scenario touches a tiny, workload-dependent subset (the request fast lane
+defers preference-path expansion to placement time, so short benchmark
+runs touch none at all).  The choice per pair depends only on distances,
 adjacency and the hash — never on when, or in what order, paths are
 materialised — so lazy and eager construction yield byte-identical routes.
 """
@@ -40,23 +41,38 @@ from repro.topology.graph import Topology
 from repro.types import NodeId
 
 
+class PathRow(dict):
+    """One source's canonical paths, ``target -> path``: a hit is one C dict
+    lookup; a miss walks the path (the index refuses an unknown target)."""
+
+    __slots__ = ("_index", "_source")
+
+    def __init__(self, index: "ShortestPathIndex", source: NodeId) -> None:
+        self._index = index
+        self._source = source
+
+    def __missing__(self, target: NodeId) -> tuple[NodeId, ...]:
+        path = self[target] = self._index._walk(self._source, target)
+        return path
+
+
 class ShortestPathIndex:
     """All-pairs hop distances with lazily materialised canonical paths.
 
     ``dist_matrix[i][j]`` is the hop count between ``i`` and ``j``;
-    :meth:`path` walks (and caches) the canonical node sequence for one
-    ordered pair, reading each step's equal-cost parents off the distance
-    row and breaking ties with the hashed ECMP-style rule.  The index is
-    effectively immutable — the cache only ever fills in values that are
-    a pure function of the topology — so it is safe to share between a
-    routing database and its snapshots.
+    ``rows[i]`` is source ``i``'s :class:`PathRow`.  :meth:`path` walks
+    (and caches) the canonical node sequence for one ordered pair, reading
+    each step's equal-cost parents off the distance row and breaking ties
+    with the hashed ECMP-style rule.  The index is effectively immutable —
+    the rows only ever fill in values that are a pure function of the
+    topology.
     """
 
     __slots__ = (
         "dist_matrix",
+        "rows",
         "_adjacency",
         "_node_bytes",
-        "_paths",
         "_options_source",
         "_options",
     )
@@ -69,10 +85,10 @@ class ShortestPathIndex:
             if -1 in dist:
                 raise RoutingError(f"topology disconnected from node {source}")
         self.dist_matrix = dist_matrix
+        self.rows = tuple(PathRow(self, source) for source in range(n))
         self._adjacency = adjacency
         #: What a tie candidate appends to its pair's ``b"s:t:"`` prefix.
         self._node_bytes = tuple(str(node).encode() for node in range(n))
-        self._paths: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
         #: Equal-cost parents in one source's DAG, ``node -> [u, ...]`` in
         #: adjacency order, kept for the last source walked from only: a
         #: placement round walks one host's paths to many gateways, which
@@ -80,14 +96,20 @@ class ShortestPathIndex:
         self._options_source: NodeId | None = None
         self._options: dict[NodeId, list[NodeId]] = {}
 
+    def row(self, source: NodeId) -> PathRow:
+        """Source ``source``'s path row; checked, as a negative index wraps."""
+        if 0 <= source < len(self.rows):
+            return self.rows[source]
+        raise RoutingError(f"no route from unknown node {source}")
+
     def path(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
         """The canonical ``source -> target`` node sequence, inclusive."""
-        key = (source, target)
-        cached = self._paths.get(key)
-        if cached is not None:
-            return cached
+        return self.row(source)[target]
+
+    def _walk(self, source: NodeId, target: NodeId) -> tuple[NodeId, ...]:
+        """Walk one pair's path (uncached; :class:`PathRow` keeps it)."""
         adjacency = self._adjacency
-        if not (0 <= source < len(adjacency) and 0 <= target < len(adjacency)):
+        if not 0 <= target < len(adjacency):
             raise RoutingError(f"no route {source} -> {target}")
         row = self.dist_matrix[source]
         if source != self._options_source:
@@ -116,8 +138,7 @@ class ShortestPathIndex:
                     if best is None or digest < best:
                         best, node = digest, candidate
             chain.append(node)
-        path = self._paths[key] = tuple(reversed(chain))
-        return path
+        return tuple(reversed(chain))
 
 
 def all_pairs_shortest_paths(
@@ -139,7 +160,6 @@ def all_pairs_shortest_paths(
     same walks lazily and produces byte-identical paths.
     """
     index = ShortestPathIndex(topology)
-    for source in topology.nodes:
-        for target in topology.nodes:
-            index.path(source, target)
-    return index.dist_matrix, dict(index._paths)
+    nodes = topology.nodes
+    paths = {(s, t): index.path(s, t) for s in nodes for t in nodes}
+    return index.dist_matrix, paths

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 #: A backbone node identifier (router + co-located hosting server).
 NodeId = int
@@ -22,6 +23,20 @@ ObjectId = int
 
 #: Simulated time, in seconds.
 Time = float
+
+
+@lru_cache(maxsize=8)
+def canonical_object_ids(num_objects: int) -> tuple[ObjectId, ...]:
+    """One canonical ``int`` object per object id.
+
+    Workload samplers produce fresh ``int`` boxes on every draw; mapping
+    them through this table interns them, and the initial placement keys
+    every store and the registry by it, so the whole system hashes and
+    compares one shared object per id (dict lookups short-circuit on
+    identity) and holds one box per id.  Pure value mapping — RNG draw
+    order and sampled values are untouched.
+    """
+    return tuple(range(num_objects))
 
 
 class PlacementAction(enum.Enum):

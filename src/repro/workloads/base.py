@@ -14,32 +14,16 @@ from __future__ import annotations
 
 import abc
 import random
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import WorkloadError
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.rng import RngFactory
-from repro.types import NodeId, ObjectId, Time
+from repro.types import NodeId, ObjectId, Time, canonical_object_ids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.protocol import HostingSystem
-
-
-@lru_cache(maxsize=8)
-def canonical_object_ids(num_objects: int) -> tuple[ObjectId, ...]:
-    """One canonical ``int`` object per object id.
-
-    Workload samplers produce fresh ``int`` boxes on every draw; mapping
-    them through this table interns them so the hot
-    ``submit_request → choose_replica → host`` path hashes/compares one
-    shared object per id (dict lookups short-circuit on identity) and the
-    millions of queued event-argument tuples reference rather than
-    duplicate them.  Pure value mapping — RNG draw order and sampled
-    values are untouched.
-    """
-    return tuple(range(num_objects))
 
 
 class Workload(abc.ABC):

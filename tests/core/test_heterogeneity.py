@@ -23,9 +23,14 @@ from repro.types import PlacementAction, PlacementReason
 CONFIG = ProtocolConfig(high_watermark=20.0, low_watermark=10.0)
 
 
-def no_paths(gateway):
-    """Path resolver for bare hosts whose access counts are never read."""
-    raise AssertionError("no test here expands access counts")
+class NoPaths(dict):
+    """Preference paths for bare hosts whose access counts are never read."""
+
+    def __missing__(self, gateway):
+        raise AssertionError("no test here expands access counts")
+
+
+no_paths = NoPaths()
 
 
 def build(weights=None, limits=None):

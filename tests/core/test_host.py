@@ -13,7 +13,7 @@ PATHS = {0: (0,), 1: (0, 1), 7: (0, 3, 7), 9: (0, 3, 9)}
 
 @pytest.fixture
 def host():
-    return HostServer(0, ProtocolConfig(), PATHS.__getitem__, capacity=10.0)
+    return HostServer(0, ProtocolConfig(), PATHS, capacity=10.0)
 
 
 def test_fcfs_service_times(host):
@@ -75,7 +75,7 @@ def test_measurement_feeds_estimator(host):
 
 def test_mode_transitions_use_watermarks():
     config = ProtocolConfig(high_watermark=10.0, low_watermark=5.0)
-    host = HostServer(0, config, PATHS.__getitem__, capacity=100.0)
+    host = HostServer(0, config, PATHS, capacity=100.0)
     host.estimator.on_measurement(12.0, 0.0)
     host.update_mode()
     assert host.offloading
@@ -94,9 +94,9 @@ def test_mode_transitions_use_watermarks():
 
 def test_invalid_capacity():
     with pytest.raises(ProtocolError):
-        HostServer(0, ProtocolConfig(), PATHS.__getitem__, capacity=0.0)
+        HostServer(0, ProtocolConfig(), PATHS, capacity=0.0)
     with pytest.raises(ProtocolError):
-        HostServer(0, ProtocolConfig(), PATHS.__getitem__, max_queue_delay=0.0)
+        HostServer(0, ProtocolConfig(), PATHS, max_queue_delay=0.0)
 
 
 def test_clear_object_state(host):

@@ -135,8 +135,15 @@ def test_a_round_over_only_cold_objects_walks_no_path(system):
     gateway's once for the life of the host."""
     server = system.hosts[0]
     walked = []
-    resolver = server.path_resolver
-    server.path_resolver = lambda gateway: walked.append(gateway) or resolver(gateway)
+    row = server.paths
+
+    class Walked(dict):
+        def __missing__(self, gateway):
+            walked.append(gateway)
+            path = self[gateway] = row[gateway]
+            return path
+
+    server.paths = Walked()
     feed(system, 2, {4: 1, 3: 1})  # 0.02 req/s < u
     run_placement(system)
     assert walked == []
@@ -145,6 +152,22 @@ def test_a_round_over_only_cold_objects_walks_no_path(system):
     feed(system, 3, {4: 50, 3: 50})
     run_placement(system, at=300.0)
     assert walked == [4, 3]
+
+
+def test_every_host_reads_its_paths_from_the_routing_index_row(system):
+    """One path cache: a host keeps no copy of the index's paths."""
+    for node, server in system.hosts.items():
+        assert server.paths is system.routes.preference_paths(node)
+        assert server.paths is system.routes._index.rows[node]
+
+
+def test_expanded_paths_are_the_routes_the_index_returns(system):
+    feed(system, 1, {4: 60, 3: 40})
+    run_placement(system)
+    expanded = system.hosts[0].paths
+    assert {3, 4} <= expanded.keys()
+    for gateway, path in expanded.items():
+        assert path is system.routes.route(0, gateway)
 
 
 def test_candidate_refusal_falls_through_to_closer_candidate(system):

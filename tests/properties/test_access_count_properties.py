@@ -54,7 +54,7 @@ def test_deferred_counts_equal_per_request_path_walks(routes, host_fraction, ops
     n = routes.num_nodes
     node = int(host_fraction * n)
     resolver = partial(routes.preference_path, node)
-    host = HostServer(node, ProtocolConfig(), resolver)
+    host = HostServer(node, ProtocolConfig(), routes.preference_paths(node))
     oracle = PathWalkCounts(node, resolver)
     serviced = 0
     for op, *args in ops:

@@ -97,14 +97,21 @@ def test_disconnected_topology_is_refused(index_class):
 
 
 @pytest.mark.parametrize("bad", [-1, -5, 5, 99])
-@pytest.mark.parametrize("method", ["distance", "route", "preference_path", "hops"])
+@pytest.mark.parametrize(
+    "method", ["distance", "route", "preference_path", "hops", "farthest_first"]
+)
 def test_out_of_range_node_ids_raise_on_either_side(method, bad):
-    """Negative ids used to wrap (``distance(-1, 0) == 1`` on a line) or,
-    as a route target, get cached as ``(0, -1)``."""
+    """Negative ids used to wrap (``distance(-1, 0) == 1`` on a line,
+    ``farthest_first(-1, ...)`` ranked by node 4's row) or, as a route
+    target, get cached under source 0."""
     routes = RoutingDatabase(line_topology(5))
     lookup = getattr(routes, method)
-    message = "unknown node in distance" if method in ("distance", "hops") else "no route"
-    for pair in ((bad, 0), (0, bad)):
+    message = {
+        "distance": "unknown node in distance",
+        "hops": "unknown node in distance",
+        "farthest_first": "unknown node in farthest_first",
+    }.get(method, "no route")
+    for a, b in ((bad, 0), (0, bad)):
         with pytest.raises(RoutingError, match=message):
-            lookup(*pair)
-    assert not routes._index._paths
+            lookup(a, [b]) if method == "farthest_first" else lookup(a, b)
+    assert not any(routes._index.rows)

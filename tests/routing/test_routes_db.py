@@ -29,16 +29,6 @@ def test_self_route(line_routes):
     assert line_routes.distance(2, 2) == 0
 
 
-def test_closest_prefers_distance_then_id(line_routes):
-    assert line_routes.closest(0, [2, 4]) == 2
-    assert line_routes.closest(2, [1, 3]) == 1  # tie broken by id
-
-
-def test_closest_requires_candidates(line_routes):
-    with pytest.raises(RoutingError):
-        line_routes.closest(0, [])
-
-
 def test_farthest_first_ordering(line_routes):
     assert line_routes.farthest_first(0, [1, 3, 2]) == [3, 2, 1]
     # Ties broken by ascending id.
@@ -68,15 +58,6 @@ def test_mean_distance_single_node():
 def test_unknown_node_raises(line_routes):
     with pytest.raises(RoutingError):
         line_routes.distance(0, 99)
-
-
-def test_snapshot_is_frozen_copy(line_routes):
-    snapshot = line_routes.snapshot()
-    assert snapshot.distance(0, 4) == 4
-    assert snapshot.route(0, 2) == line_routes.route(0, 2)
-    # Mutating the snapshot's internals must not touch the original.
-    snapshot._dist[0][4] = 99
-    assert line_routes.distance(0, 4) == 4
 
 
 def test_distance_row_matches_distance(line_routes):

@@ -17,6 +17,7 @@ from repro.scenarios.presets import LARGE_TOPOLOGY_OBJECTS, large_topology_scena
 from repro.scenarios.runner import run_scenario
 from repro.sim.engine import Simulator
 from repro.topology.generators import grid_topology
+from repro.workloads import canonical_object_ids
 from tests.conftest import make_system, run_fresh
 
 
@@ -40,9 +41,9 @@ def test_routing_index_holds_distances_only():
     finally:
         tracemalloc.stop()
     assert held < 6e6
-    assert len(index._paths) == 0
+    assert sum(map(len, index.rows)) == 0
     index.path(0, topology.num_nodes - 1)
-    assert len(index._paths) == 1
+    assert sum(map(len, index.rows)) == 1
 
 
 def test_large_preset_loads_no_array_library():
@@ -85,6 +86,35 @@ def test_registry_and_invariant_check_stay_inside_their_byte_budgets():
         tracemalloc.stop()
     assert 1e6 < registry < 8e6
     assert peak - before < 1e6
+
+
+def test_initial_placement_keys_everything_by_one_int_per_object_and_node():
+    """An identity check and a byte budget: stores and registry share the
+    request generators' id table, and the registry's host values are the
+    hosts' own node ints.  While ``initialize_round_robin`` built its own
+    100k ids and a fresh int per ``obj % n`` above 256, ~4.5 MB was traced
+    to ``core/protocol.py``."""
+    _, topology = large_topology_scenario()
+    system = make_system(Simulator(), topology, num_objects=LARGE_TOPOLOGY_OBJECTS)
+    ids = canonical_object_ids(LARGE_TOPOLOGY_OBJECTS)
+    tracemalloc.start()
+    try:
+        system.initialize_round_robin()
+        placement = sum(
+            stat.size
+            for stat in tracemalloc.take_snapshot().statistics("filename")
+            if stat.traceback[0].filename.replace("\\", "/").endswith("core/protocol.py")
+        )
+    finally:
+        tracemalloc.stop()
+    assert placement < 5e5
+    for host in system.hosts.values():
+        assert all(obj is ids[obj] for obj in host.store.objects())
+    (service,) = system.redirectors.services
+    assert len(service._replicas) == LARGE_TOPOLOGY_OBJECTS
+    for obj, host in service._replicas.items():
+        assert obj is ids[obj]
+        assert host is system.hosts[host].node
 
 
 @pytest.mark.parametrize(

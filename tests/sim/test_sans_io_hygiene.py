@@ -9,6 +9,9 @@ import-ban rule, so this test *is* the lint:
 
 * the decision modules import nothing from ``asyncio`` or
   ``repro.live`` — they cannot reach a socket or an event loop;
+* no module under ``src/repro/core/`` imports a layer built on it
+  (workloads, scenarios, sweep, cli, live): shared tables such as the
+  object-id table live in ``repro.types`` or the core itself;
 * nothing under ``src/repro/live/`` hands work to a thread
   (``to_thread``, ``run_coroutine_threadsafe``, ``import threading``)
   except the one documented off-loop tick shim,
@@ -39,6 +42,8 @@ CORE_DIR = pathlib.Path(inspect.getfile(placement)).parent
 LIVE_DIR = pathlib.Path(inspect.getfile(live_system)).parent
 
 THREAD_CALLS = {"to_thread", "run_coroutine_threadsafe"}
+#: Packages layered on the protocol core, which the core never imports.
+OUTER_LAYERS = ("repro.workloads", "repro.scenarios", "repro.sweep", "repro.cli", "repro.live")
 #: ``(module, enclosing function)`` allowed to cross threads.
 SANCTIONED_SHIM = {("system.py", "_run_on_loop")}
 
@@ -49,7 +54,9 @@ def _imported_modules(tree: ast.AST) -> set[str]:
         if isinstance(node, ast.Import):
             modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
+            # ``from repro import live`` imports ``repro.live``.
             modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
     return modules
 
 
@@ -82,6 +89,20 @@ def test_decision_modules_import_no_event_loop_or_live_code():
             if name.split(".")[0] == "asyncio" or name.startswith("repro.live")
         )
         assert banned == [], f"core/{module} imports {banned}"
+
+
+def test_core_imports_no_layer_built_on_it():
+    found = {}
+    for path in sorted(CORE_DIR.rglob("*.py")):
+        imported = _imported_modules(ast.parse(path.read_text()))
+        banned = sorted(
+            name
+            for name in imported
+            if any(name == layer or name.startswith(layer + ".") for layer in OUTER_LAYERS)
+        )
+        if banned:
+            found[str(path.relative_to(CORE_DIR))] = banned
+    assert found == {}, f"core/ modules importing outer layers: {found}"
 
 
 def test_live_tier_crosses_threads_only_in_the_tick_shim():

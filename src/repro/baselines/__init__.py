@@ -1,8 +1,8 @@
 """Baseline policies and the strategy registry.
 
 The paper argues against several simpler policies (Sections 1, 3 and 4);
-this package implements them, plus two offline-informed baselines for
-the optimality-gap benchmark, and exposes them all through a single
+this package implements them, plus an availability-informed baseline
+for the optimality-gap benchmark, and exposes them all through a single
 :data:`STRATEGIES` registry so the CLI, the sweep engine and the gap
 harness resolve baselines by name instead of ad-hoc imports.
 
@@ -15,9 +15,6 @@ harness resolve baselines by name instead of ad-hoc imports.
   distribution (:class:`~repro.baselines.closest.ClosestReplicaRedirector`).
 * ``full-replication`` — Section 4's "trivial solution": every object
   everywhere, no dynamics.
-* ``offline-greedy`` — static placement chosen by a capacity-aware
-  greedy from the workload *distribution* (not the trace); see
-  :mod:`repro.baselines.offline_greedy`.
 * ``availability-aware`` — placement re-solved each interval from
   observed demand and host MTBF/MTTR; see
   :mod:`repro.baselines.availability_aware`.
@@ -41,7 +38,6 @@ from repro.baselines.availability_aware import (
 )
 from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.full_replication import replicate_everywhere
-from repro.baselines.offline_greedy import place_offline_greedy
 from repro.baselines.round_robin import RoundRobinRedirector
 from repro.errors import ConfigurationError
 
@@ -117,12 +113,6 @@ STRATEGIES: dict[str, Strategy] = {
             initial_placement=_full_replication,
         ),
         Strategy(
-            name="offline-greedy",
-            description="static greedy placement from the workload distribution",
-            overrides=(("dynamic", False),),
-            initial_placement=place_offline_greedy,
-        ),
-        Strategy(
             name="availability-aware",
             description="periodic re-solve from observed demand and MTBF/MTTR",
             overrides=(("dynamic", False),),
@@ -151,7 +141,6 @@ __all__ = [
     "RoundRobinRedirector",
     "STRATEGIES",
     "Strategy",
-    "place_offline_greedy",
     "replicas_for_availability",
     "replicate_everywhere",
     "resolve_strategy",

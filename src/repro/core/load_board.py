@@ -56,15 +56,13 @@ class LoadReportBoard:
 
     Boundary semantics (pinned): expiry is **inclusive** — a report aged
     *exactly* ``expiry`` seconds is still fresh; only strictly older
-    reports are filtered.  Every query path (:meth:`candidates`,
-    :meth:`candidates_below`) goes through the single :meth:`is_fresh`
-    predicate, so the boundary cannot diverge between paths.  Inclusive
-    is the behaviour-preserving choice: a healthy host re-reports every
-    measurement interval, and with the default expiry of
-    ``report_expiry_intervals`` x ``measurement_interval`` an exact-age
-    report only occurs when a query instant coincides with a report
-    instant — treating it stale would spuriously filter a live host whose
-    report is about to be refreshed at that very tick.
+    reports are filtered (:meth:`is_fresh`, which :meth:`candidates`
+    applies).  Inclusive is the behaviour-preserving choice: a healthy
+    host re-reports every measurement interval, and with the default
+    expiry of ``report_expiry_intervals`` x ``measurement_interval`` an
+    exact-age report only occurs when a query instant coincides with a
+    report instant — treating it stale would spuriously filter a live
+    host whose report is about to be refreshed at that very tick.
     """
 
     __slots__ = ("_reports", "expiry")
@@ -100,30 +98,14 @@ class LoadReportBoard:
         """
         return now is None or self.expiry is None or now - time <= self.expiry
 
-    def candidates_below(
-        self, threshold: float, *, exclude: NodeId | None, now: Time | None = None
-    ) -> list[NodeId]:
-        """Hosts whose last fresh report was below ``threshold``, most
-        idle first.
-
-        The excluded node (the offloader itself) is never returned.  Ties
-        are broken by node id for determinism.
-        """
-        eligible = [
-            (load, node)
-            for node, (time, load) in self._reports.items()
-            if node != exclude and load < threshold and self.is_fresh(time, now)
-        ]
-        eligible.sort()
-        return [node for _, node in eligible]
-
     def candidates(
         self, *, exclude: NodeId | None, now: Time | None = None
     ) -> list[tuple[NodeId, float]]:
-        """All freshly-reporting hosts (except ``exclude``) most idle first.
+        """All freshly-reporting hosts (except ``exclude``) most idle
+        first, ties broken by node id.
 
-        Used with per-host thresholds (heterogeneous watermarks): the
-        caller filters each candidate against its own low watermark.
+        Each candidate is judged against its own low watermark
+        (heterogeneous hosts), by :func:`repro.core.offload.find_recipient`.
         """
         eligible = [
             (load, node)

@@ -17,16 +17,18 @@ threshold ``m`` are only replicated, never load-migrated, because
 migrating them out "might undo a previous geo-replication".
 
 Like the placement engine, :func:`run_offload` is a protocol step: a
-generator that yields its conversations (:class:`FindRecipient`,
-:class:`CreateObj`, the source-side ``ReduceAffinity``) and is sent
-their answers by the runtime's drive loop.
+generator that yields its conversations (the recipient search of
+:func:`find_recipient`, :class:`CreateObj`, the source-side
+``ReduceAffinity``) and is sent their answers by the runtime's drive
+loop.  The search's whole policy lives here: a runtime answers only a
+board read and a load probe.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.runtime import CreateObj, FindRecipient
+from repro.core.runtime import CreateObj, ProbeLoad, ReadBoard
 from repro.load.bounds import (
     migration_source_max_decrease,
     replication_source_max_decrease,
@@ -41,8 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import Step, SystemPort
 
 #: How many board candidates an offloading host probes before giving up
-#: (each probe is a control round trip) — one bound for both planes'
-#: answer to :class:`FindRecipient`.
+#: (each probe is a control round trip).
 MAX_RECIPIENT_PROBES = 5
 
 
@@ -59,6 +60,29 @@ def _foreign_fraction(
         default=0,
     )
     return best / total
+
+
+def find_recipient(source: NodeId, now: Time) -> "Step[tuple[NodeId, float, float] | None]":
+    """Find a host r with load(r) < lw (Figure 5, step 1).
+
+    Returns ``(recipient, upper_load, low_watermark)`` as its probe
+    answered, or ``None``.  Candidates are the fresh board reports, most
+    idle first, each judged against its own watermark: one reporting
+    itself at or above it costs no probe, at most
+    :data:`MAX_RECIPIENT_PROBES` are probed, and the probe, not the
+    (possibly stale) report, decides.
+    """
+    probed = 0
+    for candidate, reported, low_watermark in (yield ReadBoard(source, now)):
+        if reported >= low_watermark:
+            continue
+        if probed == MAX_RECIPIENT_PROBES:
+            break
+        probed += 1
+        load = yield ProbeLoad(source, candidate)
+        if load is not None and load[0] < load[1]:
+            return candidate, *load
+    return None
 
 
 def run_offload(
@@ -86,11 +110,9 @@ def run_offload(
                 )
             )
 
-    # Recipient discovery consults the load board as of ``now`` so
-    # expired (crashed-host) reports are not trusted.  The recipient
-    # "responds to the requesting host with its load value": the running
-    # upper-bound estimate starts from that response.
-    probe = yield FindRecipient(host.node, now)
+    # The running upper-bound estimate starts from the load value the
+    # recipient responded with.
+    probe = yield from find_recipient(host.node, now)
     if probe is None:
         trace(None, 0, "no-recipient")
         return 0

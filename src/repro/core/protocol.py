@@ -36,10 +36,9 @@ from repro.core.config import ProtocolConfig
 from repro.core.create_obj import handle_create_obj  # re-exported for tests
 from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
-from repro.core.offload import MAX_RECIPIENT_PROBES
 from repro.core.placement import PlacementEngine
 from repro.core.redirector import RedirectorGroup, RedirectorService
-from repro.core.runtime import AffinityReduced, CreateObj, RequestDrop, Step
+from repro.core.runtime import AffinityReduced, CreateObj, ReadBoard, RequestDrop, Step
 from repro.errors import ProtocolError
 from repro.network.faults import FaultPlane
 from repro.network.message import (
@@ -651,8 +650,19 @@ class HostingSystem:
                     # message, whatever framing the live tier gives a run.
                     node = message.node
                     answer = [self._request_drop(node, obj) for obj in message.objs]
-                else:  # FindRecipient
-                    answer = self.find_recipient(message.source, message.now)
+                elif kind is ReadBoard:
+                    board = self.board.candidates(exclude=message.source, now=message.now)
+                    answer = [(node, load, self.hosts[node].low_watermark) for node, load in board]
+                else:  # ProbeLoad: the offload request/response round trip
+                    host = self.hosts[message.candidate]
+                    acked = self.rpc.call(
+                        message.source,
+                        message.candidate,
+                        request_bytes=self.control_bytes,
+                        response_bytes=self.control_bytes,
+                        target_alive=host.available,
+                    ).acked
+                    answer = (host.upper_load, host.low_watermark) if acked else None
         except StopIteration as done:
             return done.value
 
@@ -680,40 +690,6 @@ class HostingSystem:
             persistent=True,
         )
         return redirector.request_drop(obj, node)
-
-    def find_recipient(
-        self, source: NodeId, now: Time | None = None
-    ) -> tuple[NodeId, float, float] | None:
-        """Probe board candidates for a recipient below its low watermark.
-
-        Returns ``(recipient, upper_load, low_watermark)`` — the load
-        response the recipient sends back — or ``None``.  Each host is
-        judged against its *own* watermark (heterogeneous hosts have
-        weight-scaled watermarks); probes are most-idle first and each
-        costs a control round trip.  Passing ``now`` lets the board
-        expire stale reports, so crashed hosts (which stop reporting)
-        fall out of the candidate list; an unreachable candidate (dead,
-        or lost to the fault plane) is skipped.
-        """
-        probed = 0
-        for candidate, reported in self.board.candidates(exclude=source, now=now):
-            host = self.hosts[candidate]
-            if reported >= host.low_watermark:
-                continue
-            probed += 1
-            if probed > MAX_RECIPIENT_PROBES:
-                break
-            # Offload request/response round trip.
-            outcome = self.rpc.call(
-                source,
-                candidate,
-                request_bytes=self.control_bytes,
-                response_bytes=self.control_bytes,
-                target_alive=host.available,
-            )
-            if outcome.acked and host.upper_load < host.low_watermark:
-                return candidate, host.upper_load, host.low_watermark
-        return None
 
     def record_placement(
         self,

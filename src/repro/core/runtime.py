@@ -22,8 +22,9 @@ The conversations half is sans-I/O.  A protocol step —
 ``PlacementEngine.run_host``, ``PlacementEngine.reduce_affinity``,
 ``run_offload`` — is a generator that *yields* the control messages of
 Figures 3-5 below (``accepted = yield CreateObj(...)``) and never
-touches a transport; sub-steps compose with ``yield from``.  Each
-runtime drives the generator with its own loop:
+touches a transport; sub-steps compose with ``yield from``.  The step
+owns every decision rule; a runtime only answers with what it sees.
+Each runtime drives the generator with its own loop:
 :meth:`HostingSystem.drive <repro.core.protocol.HostingSystem.drive>`
 answers every message synchronously over the simulated backbone, and
 :meth:`LiveSystem.drive <repro.live.system.LiveSystem.drive>` awaits
@@ -76,7 +77,8 @@ class SystemPort(Protocol):
         indexes it with the node currently making a decision.
 
     The port has no conversation methods: the decision code *yields*
-    the messages below and its runtime's drive loop answers them.
+    the messages below and its runtime's drive loop answers them with
+    facts, never with a decision of its own.
     """
 
     config: "ProtocolConfig"
@@ -230,16 +232,22 @@ class RequestDrop:
 
 
 @dataclass(slots=True)
-class FindRecipient:
-    """Find an under-loaded offload recipient (Figure 5, step 1).
-
-    Answer: ``(recipient, reported_upper_load, low_watermark)`` — the
-    recipient "responds to the requesting host with its load value" — or
-    ``None`` when no probed candidate is below its low watermark.
-    """
+class ReadBoard:
+    """Read the load board as of ``now`` (Figure 5).  Answer: ``[(node,
+    reported_load, low_watermark)]``, fresh reports but ``source``'s, most
+    idle first."""
 
     source: NodeId
     now: Time
+
+
+@dataclass(slots=True)
+class ProbeLoad:
+    """Ask ``candidate`` for its load (Figure 5).  Answer: ``(upper_load,
+    low_watermark)``, or ``None`` if it is unreachable or unavailable."""
+
+    source: NodeId
+    candidate: NodeId
 
 
 @dataclass(slots=True)
@@ -266,7 +274,7 @@ class LoadReport:
 
 
 #: Anything a protocol step may yield.
-Message = CreateObj | AffinityReduced | RequestDrop | FindRecipient
+Message = CreateObj | AffinityReduced | RequestDrop | ReadBoard | ProbeLoad
 
 R = TypeVar("R")
 #: A protocol step: yields messages, is sent their answers, returns ``R``.

@@ -210,15 +210,9 @@ class ControlPlane:
             await self._host_address(candidate), "POST", "/control/create_obj", payload
         )
 
-    async def host_load(
-        self, node: NodeId, *, address: Address | None = None
-    ) -> dict[str, Any]:
+    async def host_load(self, node: NodeId) -> dict[str, Any]:
         """The offload probe: ask a host for its current load estimate."""
-        return await self._call(
-            address if address is not None else await self._host_address(node),
-            "GET",
-            "/control/load",
-        )
+        return await self._call(await self._host_address(node), "GET", "/control/load")
 
     async def fetch_object(
         self, node: NodeId, obj: ObjectId, *, address: Address | None = None
@@ -253,7 +247,7 @@ class ControlPlane:
         """Fresh load-board entries, most idle first (Offload, Figure 5)."""
         reply = await self._front("GET", f"/control/offload_candidates?exclude={exclude}")
         candidates = reply.get("candidates", [])
-        if not isinstance(candidates, list):
+        if not (isinstance(candidates, list) and all(type(e) is dict for e in candidates)):
             raise TransportError("malformed offload candidate list")
         return candidates
 

@@ -21,21 +21,26 @@ off-loop entry is the pair of tick shims at the bottom.
 from __future__ import annotations
 
 import asyncio
+from typing import NamedTuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import apply_create_obj, decide_create_obj
 from repro.core.host import HostServer
-from repro.core.offload import MAX_RECIPIENT_PROBES
 from repro.core.placement import PlacementEngine
 from repro.core.runtime import (
+    LOAD,
     AffinityReduced,
     Clock,
     CreateObj,
-    FindRecipient,
+    LoadReport,
+    ReadBoard,
     RequestDrop,
     Step,
+    WireError,
+    from_wire,
     to_wire,
 )
+from repro.errors import ConfigurationError
 from repro.obs.records import CreateObjRecord
 from repro.obs.tracer import ProtocolTracer
 from repro.routing.routes_db import RoutingDatabase
@@ -48,7 +53,16 @@ from repro.types import (
 )
 
 from repro.live.client import ControlPlane
+from repro.live.config import peer_address
 from repro.live.pool import Address, TransportError
+
+
+class _ProbedLoad(NamedTuple):
+    """A load probe's answer; both loads are the codec's :data:`LOAD`."""
+
+    WIRE = (("upper_load", "upper_load", LOAD), ("low_watermark", "low_watermark", LOAD))
+    upper_load: float
+    low_watermark: float
 
 
 class LiveSystem:
@@ -82,6 +96,8 @@ class LiveSystem:
         #: source yet (ephemeral-port deployments converge via the
         #: front door's peers broadcast, which may still be in flight).
         self.advertised: tuple[str, int] | None = None
+        #: The wire limits of a peer's answer: ``(nodes, objects)``.
+        self.limits = (routes.num_nodes, len(control.owners))
         self.engine = PlacementEngine(self)
         #: Replica-set changes this host initiated or accepted, exported
         #: with the live metrics.
@@ -114,8 +130,10 @@ class LiveSystem:
                     pass
             elif kind is RequestDrop:
                 answer = await self._request_drop(message)
-            else:  # FindRecipient
-                answer = await self._find_recipient(message)
+            elif kind is ReadBoard:
+                answer = await self._read_board(message.source)
+            else:  # ProbeLoad
+                answer = await self._probe_load(message.candidate)
 
     async def _create_obj(self, offer: CreateObj) -> bool:
         """Offer the object to the candidate (Figure 4, source side)."""
@@ -167,33 +185,30 @@ class LiveSystem:
             approved.update(zip(objs, answers))
         return [approved[obj] for obj in request.objs]
 
-    async def _find_recipient(
-        self, search: FindRecipient
-    ) -> tuple[NodeId, float, float] | None:
+    async def _read_board(self, source: NodeId) -> list[tuple[NodeId, float, float]]:
+        """The board, each report judged against this host's ``lw`` (every
+        live host runs ``config`` at weight 1).  An entry's ``addr`` enters
+        the peer directory; an unreachable or malformed board reads as empty."""
         try:
-            candidates = await self.control.offload_candidates(exclude=search.source)
-        except TransportError:
+            entries = await self.control.offload_candidates(exclude=source)
+            reports = [from_wire(LoadReport, entry, self.limits) for entry in entries]
+            addresses = [(entry["node"], peer_address(entry["addr"], "candidate addr"))
+                         for entry in entries if entry.get("addr") is not None]
+        except (TransportError, WireError, ConfigurationError):
+            return []
+        for node, address in addresses:
+            self.control.directory.set_host(node, address)
+        low_watermark = self.host.low_watermark
+        return [(report.node, report.load, low_watermark) for report in reports]
+
+    async def _probe_load(self, candidate: NodeId) -> _ProbedLoad | None:
+        """``candidate``'s loads; ``None`` if unreachable, unavailable or malformed."""
+        try:
+            reply = await self.control.host_load(candidate)
+            load = from_wire(_ProbedLoad, reply, self.limits)
+        except (TransportError, WireError):
             return None
-        for entry in candidates[:MAX_RECIPIENT_PROBES]:
-            candidate = int(entry["node"])
-            # "The recipient responds to the requesting host with its
-            # load value": the fresh probe, not the board report, seeds
-            # the running upper-bound estimate.  The board entry may
-            # carry the candidate's address (sharded deployments attach
-            # it); fall back to the local directory otherwise.
-            addr = entry.get("addr")
-            try:
-                reply = await self.control.host_load(
-                    candidate,
-                    address=(str(addr[0]), int(addr[1])) if addr else None,
-                )
-            except TransportError:
-                continue
-            upper = float(reply.get("upper_load", 0.0))
-            low_watermark = float(reply.get("low_watermark", 0.0))
-            if reply.get("available", True) and upper < low_watermark:
-                return candidate, upper, low_watermark
-        return None
+        return load if reply.get("available") is True else None
 
     def record_placement(
         self,

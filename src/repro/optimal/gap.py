@@ -247,7 +247,7 @@ def tree_replica_gap(
 
 #: Strategies a default gap run compares (ADR excluded: different system
 #: class, see the registry docstring).
-DEFAULT_STRATEGIES = ("paper", "static", "offline-greedy", "availability-aware")
+DEFAULT_STRATEGIES = ("paper", "static", "availability-aware")
 
 
 @dataclass(frozen=True)

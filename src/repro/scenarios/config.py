@@ -61,7 +61,7 @@ class ScenarioConfig:
         ),
     )
     #: Non-"paper" strategies ("static", "round-robin", "closest",
-    #: "full-replication", "offline-greedy", "availability-aware") may
+    #: "full-replication", "availability-aware") may
     #: override build-time fields (``dynamic``, ``distribution``), swap
     #: the initial placement, or attach a placer to the run.  "paper"
     #: describes every run made before the registry existed.

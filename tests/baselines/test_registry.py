@@ -54,7 +54,6 @@ def test_registry_names():
         "round-robin",
         "closest",
         "full-replication",
-        "offline-greedy",
         "availability-aware",
     }
     for name, strategy in STRATEGIES.items():
@@ -125,15 +124,6 @@ def test_full_replication_places_everything_everywhere(small_topology):
     assert result.replicas_per_object() == small_topology.num_nodes
     assert len(result.system.placement_events) == 0
     assert result.placer is None
-
-
-def test_offline_greedy_installs_a_static_placement(small_topology):
-    result = run_scenario(_config("offline-greedy"), topology=small_topology)
-    # Static by design: the greedy placement is installed up front and
-    # never moves.
-    assert len(result.system.placement_events) == 0
-    assert result.replicas_per_object() >= 1.0
-    assert result.latency.completed > 0
 
 
 def test_availability_aware_tracks_fault_rates(small_topology):

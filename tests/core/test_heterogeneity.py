@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.create_obj import handle_create_obj
 from repro.core.host import HostServer
+from repro.core.offload import find_recipient
 from repro.errors import ProtocolError
 from repro.network.transport import Network
 from repro.core.protocol import HostingSystem
@@ -137,4 +138,4 @@ def test_offload_recipient_respects_per_host_watermarks():
     system.board.report(3, 8.0, 0.0)
     system.hosts[2].estimator.on_measurement(8.0, 0.0)
     system.hosts[3].estimator.on_measurement(8.0, 0.0)
-    assert system.find_recipient(0)[0] == 3
+    assert system.drive(find_recipient(0, 0.0))[0] == 3

@@ -25,9 +25,10 @@ def test_candidates_below_sorted_most_idle_first():
     board.report(2, 2.0, 0.0)
     board.report(3, 9.0, 0.0)
     board.report(4, 2.0, 0.0)
-    assert board.candidates_below(8.0, exclude=0) == [2, 4, 1]
+    # Ties on load break by node id.
+    assert board.candidates(exclude=0) == [(2, 2.0), (4, 2.0), (1, 5.0), (3, 9.0)]
     # The offloader itself never appears.
-    assert board.candidates_below(8.0, exclude=2) == [4, 1]
+    assert board.candidates(exclude=2) == [(4, 2.0), (1, 5.0), (3, 9.0)]
 
 
 def test_candidates_full_listing():
@@ -43,7 +44,6 @@ def test_expired_reports_filtered_from_queries():
     board.report(1, 2.0, 0.0)  # stale: e.g. a crashed host's last report
     board.report(2, 5.0, 80.0)  # fresh
     assert board.candidates(exclude=None, now=100.0) == [(2, 5.0)]
-    assert board.candidates_below(8.0, exclude=None, now=100.0) == [2]
     # A report exactly at the expiry horizon still counts.
     assert board.candidates(exclude=None, now=60.0) == [(1, 2.0), (2, 5.0)]
 
@@ -52,7 +52,6 @@ def test_queries_without_now_never_filter():
     board = LoadReportBoard(expiry=60.0)
     board.report(1, 2.0, 0.0)
     assert board.candidates(exclude=None) == [(1, 2.0)]
-    assert board.candidates_below(8.0, exclude=None) == [1]
 
 
 def test_no_expiry_board_never_filters():
@@ -71,16 +70,13 @@ def test_fresh_report_restores_candidacy():
 
 
 def test_expiry_boundary_inclusive_on_every_query_path():
-    """The pinned semantic: a report aged *exactly* ``expiry`` is fresh,
-    and every query path agrees (inclusive everywhere)."""
+    """The pinned semantic: a report aged *exactly* ``expiry`` is fresh."""
     board = LoadReportBoard(expiry=60.0)
     board.report(1, 2.0, 40.0)
     assert board.is_fresh(40.0, 100.0)  # age == expiry: fresh
     assert not board.is_fresh(40.0, 100.0 + 1e-9)  # any older: stale
     assert board.candidates(exclude=None, now=100.0) == [(1, 2.0)]
-    assert board.candidates_below(8.0, exclude=None, now=100.0) == [1]
     assert board.candidates(exclude=None, now=100.5) == []
-    assert board.candidates_below(8.0, exclude=None, now=100.5) == []
 
 
 def test_sim_and_live_expiry_horizons_agree():

@@ -2,7 +2,7 @@
 
 
 from repro.core.config import ProtocolConfig
-from repro.core.offload import run_offload
+from repro.core.offload import find_recipient, run_offload
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
 from repro.types import PlacementAction, PlacementReason
@@ -159,7 +159,7 @@ def test_offload_revalidates_stale_board_reports():
     saturate(system, per_object={obj: 3.0 for obj in range(8)})
     system.board.report(4, 2.0, 0.0)  # stale: host 4 is actually loaded
     system.hosts[4].estimator.on_measurement(15.0, 0.0)
-    assert system.find_recipient(0) is None
+    assert system.drive(find_recipient(0, 0.0)) is None
 
 
 def test_placement_round_triggers_offload_when_geo_moves_fail():

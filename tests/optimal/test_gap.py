@@ -138,8 +138,7 @@ def _point_config(strategy: str) -> ScenarioConfig:
 
 @pytest.mark.parametrize(
     "strategy",
-    ["paper", "static", "round-robin", "closest", "offline-greedy",
-     "availability-aware"],
+    ["paper", "static", "round-robin", "closest", "availability-aware"],
 )
 def test_oracle_lower_bounds_every_strategy(strategy):
     """The structural invariant, on real runs of every registry strategy."""

@@ -16,6 +16,8 @@ import-ban rule, so this test *is* the lint:
   (``to_thread``, ``run_coroutine_threadsafe``, ``import threading``)
   except the one documented off-loop tick shim,
   ``LiveSystem._run_on_loop``;
+* the offload recipient search's probe budget, ``MAX_RECIPIENT_PROBES``,
+  is named in ``core/offload.py`` alone: no runtime holds its policy;
 * no module under ``src/repro/live/`` writes a control message's body by
   hand (a dict literal holding every wire key of a message) or reads one
   (``.get()`` of a wire key on a request body): ``to_wire`` /
@@ -130,6 +132,7 @@ def test_protocol_steps_are_generators_and_the_port_has_no_conversations():
         placement.PlacementEngine.run_host,
         placement.PlacementEngine.reduce_affinity,
         offload.run_offload,
+        offload.find_recipient,
     ):
         assert inspect.isgeneratorfunction(step), step
     methods = {
@@ -138,6 +141,15 @@ def test_protocol_steps_are_generators_and_the_port_has_no_conversations():
         if callable(member) and not name.startswith("_")
     }
     assert methods == {"record_placement"}
+
+
+def test_the_probe_budget_is_named_only_by_the_recipient_search():
+    named = sorted(
+        str(path.relative_to(CORE_DIR.parent))
+        for path in CORE_DIR.parent.rglob("*.py")
+        if "MAX_RECIPIENT_PROBES" in path.read_text()
+    )
+    assert named == ["core/offload.py"]
 
 
 WIRE_MESSAGES = (CreateObj, ReplicaCreated, AffinityReduced, RequestDrop, LoadReport)

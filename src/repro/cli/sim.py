@@ -116,7 +116,11 @@ def run_main(args: argparse.Namespace) -> int:
     # Start/equilibrium statistics need two full buckets; a short run
     # reports them as n/a instead of failing after the simulation.
     metrics = safe_metrics(result)
-    engine_mode = result.engine_mode()
+    extra = {"engine_mode": result.engine_mode()}
+    # The loadgen summary's names; absent, as there, when nothing completed.
+    if result.latency.completed:
+        extra["latency_p50_ms"] = result.latency.percentile(50) * 1e3
+        extra["latency_p99_ms"] = result.latency.percentile(99) * 1e3
 
     def shown(name: str, spec: str, unit: str = "") -> str:
         value = metrics.get(name)
@@ -126,9 +130,12 @@ def run_main(args: argparse.Namespace) -> int:
     print(series_summary("bandwidth (byte-hops/min)", result.bandwidth.payload_series()))
     print(series_summary("mean latency (s)", result.latency.mean_latency_series()))
     rows = [
-        ["engine", engine_mode],
+        ["engine", extra["engine_mode"]],
         ["requests serviced / dropped",
          f"{result.latency.completed} / {result.latency.dropped}"],
+        ["latency p50 / p99",
+         f"{extra['latency_p50_ms']:.1f} / {extra['latency_p99_ms']:.1f} ms"
+         if result.latency.completed else "n/a"],
         ["bandwidth reduction", shown("bandwidth_reduction", ".1%")],
         ["per-request bandwidth reduction", shown("proximity_reduction", ".1%")],
         ["latency equilibrium", shown("latency_equilibrium", ".3f", " s")],
@@ -178,7 +185,7 @@ def run_main(args: argparse.Namespace) -> int:
     print()
     print(format_table(["metric", "value"], rows))
     if args.json_out:
-        write_json(args.json_out, {**metrics, "engine_mode": engine_mode})
+        write_json(args.json_out, {**metrics, **extra})
         print(f"wrote metrics to {args.json_out}")
     return 0
 

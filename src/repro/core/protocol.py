@@ -40,6 +40,7 @@ from repro.core.placement import PlacementEngine
 from repro.core.redirector import RedirectorGroup, RedirectorService
 from repro.core.runtime import AffinityReduced, CreateObj, ReadBoard, RequestDrop, Step
 from repro.errors import ProtocolError
+from repro.metrics.histogram import LatencyHistogram
 from repro.network.faults import FaultPlane
 from repro.network.message import (
     DEFAULT_CONTROL_BYTES,
@@ -248,21 +249,19 @@ class HostingSystem:
         #: host crash mid-service; the client never saw an answer.
         self.lost_requests = 0
         #: The completion ledger: every served request is written here by
-        #: :meth:`_finish_request`, in event order.  The scalars always;
-        #: the per-bucket cells from :meth:`meter_completions` on.
+        #: :meth:`_finish_request`, in event order.  The latency histogram
+        #: (its count, total and max are the run's completions, latency sum
+        #: and worst latency) and the hop sum always; the per-bucket cells
+        #: from :meth:`meter_completions` on.
         #: :class:`~repro.metrics.latency.LatencyCollector` is the
         #: read-time view.
-        self.completed = 0
-        self.total_latency = 0.0
+        self.latency_histogram = LatencyHistogram()
         self.total_response_hops = 0
-        self.max_latency = 0.0
         #: Bucket index -> ``[count, latency_sum, response_hops_sum]``.
         self.completions: dict[int, list] = {}
         #: Bucket index -> requests dropped by saturated hosts.
         self.drop_counts: dict[int, int] = {}
         self.completion_bucket: float | None = None
-        #: Every completion's latency, in event order, when asked for.
-        self.latency_samples: list[float] | None = None
 
     # ------------------------------------------------------------------
     # Setup
@@ -425,10 +424,9 @@ class HostingSystem:
 
         return install_fast_lane(self, bandwidth=bandwidth)
 
-    def meter_completions(self, bucket: float, keep_samples: bool = False) -> None:
+    def meter_completions(self, bucket: float) -> None:
         """Meter every later completion and drop into ``bucket``-second
-        time buckets (:attr:`completions`, :attr:`drop_counts`), and keep
-        every latency sample when ``keep_samples`` is set.
+        time buckets (:attr:`completions`, :attr:`drop_counts`).
 
         A system meters at one width; asking for a second one is an
         error (attach a served observer for a differently bucketed view).
@@ -442,8 +440,6 @@ class HostingSystem:
                 "completions are already metered in "
                 f"{self.completion_bucket:g} s buckets"
             )
-        if keep_samples and self.latency_samples is None:
-            self.latency_samples = []
 
     # ------------------------------------------------------------------
     # Request flow.  A request between stages is five scalars in the
@@ -593,23 +589,19 @@ class HostingSystem:
         """
         now = self.sim._now
         latency = now - issued_at
-        self.completed += 1
-        self.total_latency += latency
+        self.latency_histogram.record(latency)
         self.total_response_hops += response_hops
-        if latency > self.max_latency:
-            self.max_latency = latency
         width = self.completion_bucket
         if width is not None:
             bucket = int(now // width)
-            cell = self.completions.get(bucket)
-            if cell is None:
+            try:
+                cell = self.completions[bucket]
+            except KeyError:
                 self.completions[bucket] = [1, latency, response_hops]
             else:
                 cell[0] += 1
                 cell[1] += latency
                 cell[2] += response_hops
-            if self.latency_samples is not None:
-                self.latency_samples.append(latency)
         for observer in self.served_observers:
             observer(obj, gateway, server, issued_at, response_hops)
 

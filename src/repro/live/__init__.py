@@ -16,13 +16,13 @@ Entry points: ``python -m repro serve`` and ``python -m repro loadgen``.
 from repro.live.clock import ManualClock, WallClock
 from repro.live.config import LiveConfig
 from repro.live.deploy import LocalDeployment
-from repro.live.histogram import LatencyHistogram
 from repro.live.loadgen import (
     LoadgenOptions,
     LoadgenStats,
     run_loadgen,
     run_loadgen_multiprocess,
 )
+from repro.metrics.histogram import LatencyHistogram
 
 __all__ = [
     "LatencyHistogram",

@@ -37,7 +37,7 @@ demo show dynamic drops as well as replications.
 
 For rates beyond a single event loop, :func:`run_loadgen_multiprocess`
 forks worker processes that each drive a slice of the schedule and
-merge their latency histograms (:mod:`repro.live.histogram`) at the end.
+merge their latency histograms (:mod:`repro.metrics.histogram`) at the end.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.metrics.histogram import LatencyHistogram
 from repro.schema import flag
 from repro.sim.rng import derive_seed
 from repro.topology.graph import Topology
@@ -62,7 +63,6 @@ from repro.workloads.regional import RegionalWorkload
 from repro.workloads.zipf import ZipfWorkload
 
 from repro.live.config import LiveConfig
-from repro.live.histogram import LatencyHistogram
 from repro.live.pool import HttpPool, TransportError, retry_after_hint
 
 WORKLOADS = ("uniform", "zipf", "hot_sites", "regional")

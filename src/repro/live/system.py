@@ -57,12 +57,20 @@ from repro.live.config import peer_address
 from repro.live.pool import Address, TransportError
 
 
-class _ProbedLoad(NamedTuple):
-    """A load probe's answer; both loads are the codec's :data:`LOAD`."""
+class _HostLoads(NamedTuple):
+    """A host's loads as its probe answer or its CreateObj answer reports
+    them, each the codec's :data:`LOAD`."""
 
-    WIRE = (("upper_load", "upper_load", LOAD), ("low_watermark", "low_watermark", LOAD))
+    WIRE = (("upper_load", "upper_load", LOAD), ("low_watermark", "low_watermark", LOAD),
+            ("high_watermark", "high_watermark", LOAD))
     upper_load: float
     low_watermark: float
+    high_watermark: float
+
+
+#: What a CreateObj refusal the candidate never sent (it was unreachable
+#: or its answer malformed) records.
+_UNHEARD = _HostLoads(0.0, 0.0, 0.0)
 
 
 class LiveSystem:
@@ -136,15 +144,20 @@ class LiveSystem:
                 answer = await self._probe_load(message.candidate)
 
     async def _create_obj(self, offer: CreateObj) -> bool:
-        """Offer the object to the candidate (Figure 4, source side)."""
+        """Offer the object to the candidate (Figure 4, source side).  Only
+        a well-formed answer whose ``accepted`` is JSON ``true`` accepts:
+        anything else keeps the source's copy."""
         payload = to_wire(offer)
         if self.advertised is not None:
             payload["source_addr"] = list(self.advertised)
         try:
             reply = await self.control.create_obj(offer.candidate, payload)
+            loads = from_wire(_HostLoads, reply, self.limits)
         except TransportError:
-            reply = {"accepted": False, "reason": "rpc-timeout"}
-        accepted = bool(reply.get("accepted"))
+            reply, loads = {"reason": "rpc-timeout"}, _UNHEARD
+        except WireError:
+            reply, loads = {"reason": "malformed-answer"}, _UNHEARD
+        accepted = reply.get("accepted") is True
         if self.tracer is not None:
             self.tracer.record(
                 CreateObjRecord(
@@ -155,9 +168,9 @@ class LiveSystem:
                     accepted=accepted,
                     reason=str(reply.get("reason", "unknown")),
                     unit_load=offer.unit_load,
-                    upper_load=float(reply.get("upper_load", 0.0)),
-                    low_watermark=float(reply.get("low_watermark", 0.0)),
-                    high_watermark=float(reply.get("high_watermark", 0.0)),
+                    upper_load=loads.upper_load,
+                    low_watermark=loads.low_watermark,
+                    high_watermark=loads.high_watermark,
                 )
             )
         # The accepting candidate records the placement event (it is the
@@ -201,11 +214,11 @@ class LiveSystem:
         low_watermark = self.host.low_watermark
         return [(report.node, report.load, low_watermark) for report in reports]
 
-    async def _probe_load(self, candidate: NodeId) -> _ProbedLoad | None:
+    async def _probe_load(self, candidate: NodeId) -> _HostLoads | None:
         """``candidate``'s loads; ``None`` if unreachable, unavailable or malformed."""
         try:
             reply = await self.control.host_load(candidate)
-            load = from_wire(_ProbedLoad, reply, self.limits)
+            load = from_wire(_HostLoads, reply, self.limits)
         except (TransportError, WireError):
             return None
         return load if reply.get("available") is True else None

@@ -7,7 +7,9 @@ produce the exact quantities Section 6.2 reports:
   in byte-hops, bucketed over time and split into payload vs relocation
   overhead (Figures 6 and 7).
 * :class:`~repro.metrics.latency.LatencyCollector` — mean response
-  latency over time (Figure 6, right).
+  latency over time (Figure 6, right) and percentiles off
+  :class:`~repro.metrics.histogram.LatencyHistogram`, the one latency
+  structure (the live loadgen merges it too).
 * :class:`~repro.metrics.replicas.ReplicaCollector` — replica census over
   time and the mean replicas-per-object statistic (Table 2).
 * :class:`~repro.metrics.loadstats.LoadCollector` — maximum host load and
@@ -24,6 +26,7 @@ from repro.metrics.adjustment import adjustment_time, equilibrium_level
 from repro.metrics.availability import fault_metrics
 from repro.metrics.bandwidth import BandwidthCollector
 from repro.metrics.collectors import BucketedSeries, TimeSeries
+from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.latency import LatencyCollector
 from repro.metrics.loadstats import LoadCollector
 from repro.metrics.replicas import ReplicaCollector
@@ -33,6 +36,7 @@ __all__ = [
     "BucketedSeries",
     "BandwidthCollector",
     "LatencyCollector",
+    "LatencyHistogram",
     "LoadCollector",
     "ReplicaCollector",
     "adjustment_time",

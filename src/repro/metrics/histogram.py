@@ -1,43 +1,41 @@
-"""Mergeable log-bucketed latency histograms for the load generator.
+"""The one latency structure: mergeable log-bucketed histograms.
 
-A multi-process loadgen cannot ship every sample back to the parent —
-at tens of thousands of rps the sample list dominates the run — so each
-worker folds latencies into a fixed geometric histogram and the parent
-merges the bucket counts.  Geometric (log-spaced) buckets give constant
-*relative* resolution: with the default 5% growth factor every quantile
-is accurate to ±2.5% across the whole 0.05 ms – 120 s span, which is far
-below run-to-run noise on a saturation curve.
+Both planes fold latencies in instead of keeping every sample, which at
+the paper's millions of simulated completions (or a loadgen's tens of
+thousands of rps) would dominate the run: the simulator's completion
+ledger records each completion into its system's histogram, and each
+loadgen worker keeps one that the parent merges by bucket counts.
+Geometric (log-spaced) buckets give constant *relative* resolution: with
+the 5% growth factor every nearest-rank quantile (``ceil(q·n)``) is
+accurate to ±2.5% across the whole 0.05 ms – 120 s span, which is far
+below run-to-run noise.
 
 Buckets are kept sparse (a dict index → count), so an idle histogram
 costs nothing and serialisation ships only occupied buckets.  Exact
-``sum``/``min``/``max`` ride alongside the buckets, so the mean stays
+``total``/``min``/``max`` ride alongside the buckets, so the mean stays
 exact and only the quantiles are bucket-resolved.
 """
 
 from __future__ import annotations
 
 import math
+from math import log
 from typing import Any
 
-#: Default bucket geometry: resolution is ±(growth-1)/2 per quantile.
-DEFAULT_BASE = 50e-6  # 0.05 ms: below any real network round trip
-DEFAULT_GROWTH = 1.05
+#: The bucket geometry: bucket 0 holds everything up to ``BASE``, bucket
+#: ``i >= 1`` the latencies from ``BASE·GROWTH^(i-1)`` up to
+#: ``BASE·GROWTH^i``; resolution is ±(GROWTH-1)/2 per quantile.
+BASE = 50e-6  # 0.05 ms: below any real network round trip
+GROWTH = 1.05
+_LOG_GROWTH = math.log(GROWTH)
 
 
 class LatencyHistogram:
     """Sparse geometric histogram over positive latencies (seconds)."""
 
-    __slots__ = ("_buckets", "_log_growth", "base", "count", "growth",
-                 "max", "min", "total")
+    __slots__ = ("_buckets", "count", "max", "min", "total")
 
-    def __init__(
-        self, *, base: float = DEFAULT_BASE, growth: float = DEFAULT_GROWTH
-    ) -> None:
-        if base <= 0 or growth <= 1.0:
-            raise ValueError("need base > 0 and growth > 1")
-        self.base = base
-        self.growth = growth
-        self._log_growth = math.log(growth)
+    def __init__(self) -> None:
         self._buckets: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -49,9 +47,12 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def record(self, latency: float) -> None:
-        """Fold one sample (seconds) in."""
-        index = self._index(latency)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
+        """Fold one sample (seconds) in; once per simulated completion."""
+        index = 0 if latency <= BASE else 1 + int(log(latency / BASE) / _LOG_GROWTH)
+        try:  # a bucket's first sample is the only miss
+            self._buckets[index] += 1
+        except KeyError:
+            self._buckets[index] = 1
         self.count += 1
         self.total += latency
         if latency < self.min:
@@ -60,9 +61,7 @@ class LatencyHistogram:
             self.max = latency
 
     def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same geometry) into this one."""
-        if (other.base, other.growth) != (self.base, self.growth):
-            raise ValueError("cannot merge histograms with different geometry")
+        """Fold another histogram into this one."""
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
         self.count += other.count
@@ -75,12 +74,15 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
 
     def percentile(self, q: float) -> float:
-        """The nearest-rank ``q`` quantile (seconds); 0.0 when empty.
+        """The nearest-rank ``q`` quantile (seconds), ``q`` in [0, 1];
+        0.0 when empty.
 
         Resolved to the matching bucket's geometric midpoint, clamped
         into the exact observed [min, max] so single-sample and extreme
         quantiles never leave the data's range.
         """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self.count:
             return 0.0
         rank = max(1, math.ceil(q * self.count))
@@ -88,8 +90,8 @@ class LatencyHistogram:
         for index in sorted(self._buckets):
             seen += self._buckets[index]
             if seen >= rank:
-                return min(self.max, max(self.min, self._midpoint(index)))
-        return self.max  # pragma: no cover - rank <= count always hits
+                break
+        return min(self.max, max(self.min, self._midpoint(index)))
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -100,8 +102,6 @@ class LatencyHistogram:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "base": self.base,
-            "growth": self.growth,
             "count": self.count,
             "total": self.total,
             "min": self.min if self.count else None,
@@ -111,7 +111,7 @@ class LatencyHistogram:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "LatencyHistogram":
-        histogram = cls(base=payload["base"], growth=payload["growth"])
+        histogram = cls()
         histogram._buckets = {
             int(index): int(count)
             for index, count in payload.get("buckets", {}).items()
@@ -127,16 +127,11 @@ class LatencyHistogram:
     # Geometry
     # ------------------------------------------------------------------
 
-    def _index(self, latency: float) -> int:
-        if latency <= self.base:
-            return 0
-        return 1 + int(math.log(latency / self.base) / self._log_growth)
-
-    def _midpoint(self, index: int) -> float:
+    @staticmethod
+    def _midpoint(index: int) -> float:
         if index == 0:
-            return self.base / 2
-        lower = self.base * self.growth ** (index - 1)
-        return lower * math.sqrt(self.growth)
+            return BASE / 2
+        return BASE * GROWTH ** (index - 1) * math.sqrt(GROWTH)
 
 
 __all__ = ["LatencyHistogram"]

@@ -4,39 +4,38 @@ A request's latency is queueing plus service at the host plus all network
 delays, including the distributor-to-redirector detour (the reason the
 paper's latency win is smaller than its bandwidth win).  The hosting
 system writes every completion into its own ledger
-(:meth:`HostingSystem.meter_completions`: run scalars plus per-bucket
-``[count, latency_sum, response_hops_sum]`` cells and drop counts); this
-collector is the read-time view over it, so a completion costs a few adds
-whichever pipeline carried the request.  Raw samples can optionally be
-retained for percentile analysis in small runs.
+(:meth:`HostingSystem.meter_completions`: a latency histogram plus
+per-bucket ``[count, latency_sum, response_hops_sum]`` cells and drop
+counts); this collector is the read-time view over it, so a completion
+costs a few adds whichever pipeline carried the request.  Percentiles
+come from the histogram (:mod:`repro.metrics.histogram`), the structure
+the live loadgen merges: nearest rank, to ±2.5%.
 """
 
 from __future__ import annotations
 
-from repro.core.protocol import HostingSystem
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
 from repro.metrics.collectors import BucketedSeries, TimeSeries
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.protocol import HostingSystem
 
 
 class LatencyCollector:
     """Mean response latency per time bucket plus run aggregates."""
 
-    def __init__(
-        self,
-        system: HostingSystem,
-        *,
-        bucket: float = 60.0,
-        keep_samples: bool = False,
-    ) -> None:
+    def __init__(self, system: HostingSystem, *, bucket: float = 60.0) -> None:
         self.bucket = bucket
         self._system = system
-        system.meter_completions(bucket, keep_samples)
+        system.meter_completions(bucket)
 
     # -- run aggregates: the system's own counters --------------------
 
     @property
     def completed(self) -> int:
-        return self._system.completed
+        return self._system.latency_histogram.count
 
     @property
     def dropped(self) -> int:
@@ -57,7 +56,7 @@ class LatencyCollector:
 
     @property
     def total_latency(self) -> float:
-        return self._system.total_latency
+        return self._system.latency_histogram.total
 
     @property
     def total_response_hops(self) -> int:
@@ -65,11 +64,7 @@ class LatencyCollector:
 
     @property
     def max_latency(self) -> float:
-        return self._system.max_latency
-
-    @property
-    def samples(self) -> list[float] | None:
-        return self._system.latency_samples
+        return self._system.latency_histogram.max
 
     # -- per-bucket series --------------------------------------------
 
@@ -111,14 +106,10 @@ class LatencyCollector:
         return self.total_response_hops / self.completed
 
     def percentile(self, q: float) -> float:
-        """Latency percentile ``q`` in [0, 100]; needs ``keep_samples``."""
-        samples = self.samples
-        if samples is None:
-            raise ConfigurationError("collector built without keep_samples")
-        if not samples:
+        """Latency percentile ``q`` in [0, 100] (seconds), read off the
+        system's latency histogram."""
+        if not self.completed:
             raise ConfigurationError("no completed requests")
         if not 0.0 <= q <= 100.0:
             raise ConfigurationError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(samples)
-        index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[index]
+        return self._system.latency_histogram.percentile(q / 100.0)

@@ -8,10 +8,14 @@ stays bracketed.  The collector observes every measurement tick.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.core.host import HostServer
-from repro.core.protocol import HostingSystem
 from repro.metrics.collectors import TimeSeries
 from repro.types import LoadSample, NodeId, Time
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.protocol import HostingSystem
 
 
 class LoadCollector:

@@ -8,10 +8,14 @@ recorded each placement interval for plots and equilibrium statistics.
 
 from __future__ import annotations
 
-from repro.core.protocol import HostingSystem
+from typing import TYPE_CHECKING
+
 from repro.metrics.collectors import TimeSeries
 from repro.sim.process import PeriodicProcess
 from repro.types import NodeId, ObjectId, Time
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.protocol import HostingSystem
 
 
 class ReplicaCollector:

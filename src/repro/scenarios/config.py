@@ -78,8 +78,6 @@ class ScenarioConfig:
     poisson: bool = False
     #: Maintain per-link byte counters (off by default for speed).
     track_links: bool = False
-    #: Keep every latency sample (percentiles) — memory-heavy at scale.
-    keep_latency_samples: bool = False
     #: Load-axis scale factor relative to the paper's Table 1 (set by
     #: :meth:`scaled`); used to report full-scale-equivalent overhead.
     load_scale: float = 1.0

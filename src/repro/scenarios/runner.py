@@ -379,9 +379,7 @@ def run_scenario(
     system.served_observers.extend(served_observers)
     system.measurement_observers.extend(measurement_observers)
     bandwidth = BandwidthCollector(system.network, bucket=config.bucket)
-    latency = LatencyCollector(
-        system, bucket=config.bucket, keep_samples=config.keep_latency_samples
-    )
+    latency = LatencyCollector(system, bucket=config.bucket)
     loads = LoadCollector(system)
     replicas = ReplicaCollector(system, sample_interval=config.bucket)
     faults = config.faults

@@ -48,8 +48,9 @@ def test_request_flow_end_to_end(system):
         legs + 1 / 200 + network.delay(3, system.object_size)
     )
     # The same completion, as the ledger holds it.
-    assert system.completed == 1
-    assert system.total_latency == record.latency == system.max_latency
+    ledger = system.latency_histogram
+    assert ledger.count == 1
+    assert ledger.total == record.latency == ledger.max == ledger.min
     assert system.total_response_hops == 3
     assert system.hosts[0].serviced_total == 1
 
@@ -73,13 +74,13 @@ def test_response_bytes_dominate_accounting(system):
 
 
 def test_queueing_is_fcfs(system):
-    system.meter_completions(60.0, keep_samples=True)
+    served = served_log(system)
     for _ in range(3):
         system.submit_request(gateway=0, obj=0)
     system.sim.run()
     # Same legs and service time for all three: what separates their
     # latencies is the time each spent queued behind the others.
-    samples = system.latency_samples
+    samples = [record.latency for record in served]
     delays = [latency - samples[0] for latency in samples]
     assert delays[0] == 0.0
     assert delays[1] == pytest.approx(1 / 200, abs=1e-9)
@@ -98,7 +99,7 @@ def test_dropped_request_is_reported(system):
     assert system.dropped_requests == 2
     assert host.dropped_total == 2
     assert system.drop_counts == {0: 2}
-    assert len(served) == system.completed == 1
+    assert len(served) == system.latency_histogram.count == 1
 
 
 def test_request_rerouted_if_replica_vanished(system):

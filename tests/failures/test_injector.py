@@ -42,7 +42,7 @@ def test_request_fails_when_all_replicas_down(setup):
     system.submit_request(0, 1)
     assert system.failed_requests == 1
     sim.run()
-    assert served == [] and system.completed == 0
+    assert served == [] and system.latency_histogram.count == 0
 
 
 def test_recovery_restores_service(setup):

@@ -112,6 +112,6 @@ def test_no_requests_are_lost():
     system.stop()  # halt periodic processes so the queue can drain
     sim.run()  # drain in-flight requests
     generated = sum(g.generated for g in generators)
-    assert len(completed) == system.completed
-    assert system.completed + system.dropped_requests == generated
+    assert len(completed) == system.latency_histogram.count
+    assert len(completed) + system.dropped_requests == generated
     assert system.failed_requests == system.lost_requests == 0

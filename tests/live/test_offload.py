@@ -6,7 +6,9 @@ that the live tier applies the same skip rule as the simulator (a
 candidate reporting itself at or above its low watermark costs no probe)
 and that a malformed answer from a peer about recipients is decoded as
 "no board" or "unreachable candidate" instead of ending the host's
-placement rounds.
+placement rounds.  The CreateObj offer an offload (or any move) makes
+is held to the same rule: only a well-formed answer that says JSON
+``true`` accepts.
 """
 
 import asyncio
@@ -15,7 +17,9 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.offload import run_offload
+from repro.core.runtime import CreateObj
 from repro.live import LiveConfig, LocalDeployment, ManualClock
+from repro.types import PlacementAction, PlacementReason
 
 #: Nothing is ever cold (u = 0) and nothing is requested, so a round of
 #: an offloading host has no geo move and reaches Offload.
@@ -112,3 +116,48 @@ def test_a_malformed_recipient_answer_ends_no_placement_round(shape):
         assert [h.system.placement_events for h in deployment.hosts] == [[], [], []]
 
     asyncio.run(asyncio.wait_for(main(), 20.0))
+
+
+#: CreateObj answers a candidate may send: the first used to read as an
+#: accept (a migrating source then sheds its copy), the second to raise
+#: out of ``drive`` once a tracer is attached.
+MALFORMED_OFFER_ANSWERS = {
+    "accepted-not-true": {"accepted": "no", "reason": "accepted", "upper_load": 1.0,
+                          "low_watermark": 10.0, "high_watermark": 20.0},
+    "load-not-a-number": {"accepted": True, "reason": "accepted", "upper_load": "x",
+                          "low_watermark": 10.0, "high_watermark": 20.0},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_OFFER_ANSWERS))
+def test_a_malformed_offer_answer_reads_as_a_refusal(shape):
+    records = []
+
+    class Tracer:
+        def record(self, record):
+            records.append(record)
+
+    def offer():
+        return (yield CreateObj(0, 1, PlacementAction.MIGRATE, 0, 1.0, PlacementReason.LOAD))
+
+    async def main():
+        deployment = await deployed()
+        control = deployment.hosts[0].control
+        call = control._call
+
+        async def candidate_answers(address, method, path, *args, **kwargs):
+            if path == "/control/create_obj":
+                return MALFORMED_OFFER_ANSWERS[shape]
+            return await call(address, method, path, *args, **kwargs)
+
+        control._call = candidate_answers
+        system = deployment.hosts[0].system
+        system.tracer = Tracer()
+        try:
+            return await system.drive(offer())
+        finally:
+            await deployment.stop()
+
+    assert asyncio.run(asyncio.wait_for(main(), 20.0)) is False
+    (record,) = records
+    assert record.accepted is False

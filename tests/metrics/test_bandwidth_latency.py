@@ -17,7 +17,7 @@ def setup():
     system = make_system(sim, line_topology(4), num_objects=4)
     system.initialize_round_robin()
     bandwidth = BandwidthCollector(system.network, bucket=10.0)
-    latency = LatencyCollector(system, bucket=10.0, keep_samples=True)
+    latency = LatencyCollector(system, bucket=10.0)
     return sim, system, bandwidth, latency
 
 

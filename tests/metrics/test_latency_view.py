@@ -6,7 +6,8 @@ through the system's ledger writers (``_finish_request``,
 feeds the same outcomes to the old observer-based collector
 (``observer_latency_oracle``), and demands equality bit for bit — float
 latency sums included — at bucket widths that do and do not divide the
-timestamps evenly.
+timestamps evenly.  The oracle keeps every sample; the system keeps a
+histogram, which must equal one built from those samples in order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.latency import LatencyCollector
 from repro.sim.engine import Simulator
 from repro.topology.generators import line_topology
@@ -43,7 +45,7 @@ def _series(series):
 def test_latency_view_equals_observer_collector(width, sequence):
     sim = Simulator()
     system = make_system(sim, line_topology(3), num_objects=3)
-    view = LatencyCollector(system, bucket=width, keep_samples=True)
+    view = LatencyCollector(system, bucket=width)
     oracle = ObserverLatencyCollector(bucket=width, keep_samples=True)
 
     def settle(kind, issued_at, hops):
@@ -67,8 +69,12 @@ def test_latency_view_equals_observer_collector(width, sequence):
         sim.schedule_at(at, settle, kind, max(0.0, at - in_platform), hops)
     sim.run()
 
-    for name in ("completed", "dropped", "failed", "lost", "samples"):
+    for name in ("completed", "dropped", "failed", "lost"):
         assert getattr(view, name) == getattr(oracle, name), name
+    expected = LatencyHistogram()
+    for latency in oracle.samples:
+        expected.record(latency)
+    assert system.latency_histogram.to_dict() == expected.to_dict()
     # Floats: ``==`` is exact equality, which is the claim.
     assert view.total_latency == oracle.total_latency
     assert view.max_latency == oracle.max_latency

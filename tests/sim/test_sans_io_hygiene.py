@@ -18,6 +18,11 @@ import-ban rule, so this test *is* the lint:
   ``LiveSystem._run_on_loop``;
 * the offload recipient search's probe budget, ``MAX_RECIPIENT_PROBES``,
   is named in ``core/offload.py`` alone: no runtime holds its policy;
+* both runtimes measure latency with one structure,
+  ``metrics/histogram.py``'s ``LatencyHistogram``: it is defined nowhere
+  else, nothing imports its retired home ``repro.live.histogram``, and no
+  module keeps a sample list beside it (``latency_samples``,
+  ``keep_samples``, ``keep_latency_samples``);
 * no module under ``src/repro/live/`` writes a control message's body by
   hand (a dict literal holding every wire key of a message) or reads one
   (``.get()`` of a wire key on a request body): ``to_wire`` /
@@ -150,6 +155,39 @@ def test_the_probe_budget_is_named_only_by_the_recipient_search():
         if "MAX_RECIPIENT_PROBES" in path.read_text()
     )
     assert named == ["core/offload.py"]
+
+
+def test_latency_has_one_structure():
+    package = CORE_DIR.parent
+    sources = {path: path.read_text() for path in package.rglob("*.py")}
+    sample_lists = sorted(
+        f"{path.relative_to(package)}: {name}"
+        for path, source in sources.items()
+        for name in ("latency_samples", "keep_samples", "keep_latency_samples")
+        if name in source
+    )
+    assert sample_lists == []
+    defined = sorted(
+        str(path.relative_to(package))
+        for path, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "LatencyHistogram"
+    )
+    assert defined == ["metrics/histogram.py"]
+    root = package.parent.parent
+    retired = []
+    for path in root.glob("*/**/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                modules.append(str(node.module))
+            else:
+                continue
+            if "repro.live.histogram" in modules:
+                retired.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert retired == []
 
 
 WIRE_MESSAGES = (CreateObj, ReplicaCreated, AffinityReduced, RequestDrop, LoadReport)

@@ -357,6 +357,15 @@ def test_protocol_errors_stay_loud(monkeypatch):
         main(["run"])
 
 
+def _rows(text: str) -> dict[str, str]:
+    """The ``run`` table's rows, metric -> value."""
+    return {
+        line.split("  ")[0]: line.split("  ", 1)[1].strip()
+        for line in text.splitlines()
+        if "  " in line
+    }
+
+
 def test_short_faulted_run_reports_na_and_engine_mode(tmp_path, capsys):
     """A run shorter than two buckets used to simulate to the end and
     then die in ``bandwidth_reduction()``."""
@@ -366,12 +375,7 @@ def test_short_faulted_run_reports_na_and_engine_mode(tmp_path, capsys):
          "--json", str(out)]
     )  # fmt: skip
     assert code == 0
-    text = capsys.readouterr().out
-    rows = {
-        line.split("  ")[0]: line.split("  ", 1)[1].strip()
-        for line in text.splitlines()
-        if "  " in line
-    }
+    rows = _rows(capsys.readouterr().out)
     assert rows["bandwidth reduction"] == "n/a"
     assert rows["per-request bandwidth reduction"] == "n/a"
     assert rows["engine"].startswith("stood down: fault plane attached")
@@ -379,6 +383,42 @@ def test_short_faulted_run_reports_na_and_engine_mode(tmp_path, capsys):
     assert "bandwidth_reduction" not in metrics
     assert metrics["engine_mode"] == rows["engine"]
     assert metrics["requests_completed"] > 0
+
+
+def test_run_reports_latency_percentiles_off_the_histogram(tmp_path, capsys, monkeypatch):
+    from repro.cli import sim as cli_sim
+
+    results = []
+    run_scenario = cli_sim.run_scenario
+
+    def kept(config):
+        results.append(run_scenario(config))
+        return results[-1]
+
+    monkeypatch.setattr(cli_sim, "run_scenario", kept)
+    out = tmp_path / "run.json"
+    code = main(["run", "--preset", "zipf", "--scale", "0.05", "--duration", "60",
+                 "--json", str(out)])  # fmt: skip
+    assert code == 0
+    rows = _rows(capsys.readouterr().out)
+    metrics = json.loads(out.read_text())
+    (result,) = results
+    p50, p99 = metrics["latency_p50_ms"], metrics["latency_p99_ms"]
+    assert 0 < p50 <= p99
+    assert p50 == result.latency.percentile(50) * 1e3
+    assert p99 == result.latency.percentile(99) * 1e3
+    assert rows["latency p50 / p99"] == f"{p50:.1f} / {p99:.1f} ms"
+
+
+def test_run_without_completions_omits_the_percentiles(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    code = main(["run", "--preset", "zipf", "--scale", "0.05", "--duration", "0.01",
+                 "--json", str(out)])  # fmt: skip
+    assert code == 0
+    assert _rows(capsys.readouterr().out)["latency p50 / p99"] == "n/a"
+    metrics = json.loads(out.read_text())
+    assert metrics["requests_completed"] == 0
+    assert "latency_p50_ms" not in metrics and "latency_p99_ms" not in metrics
 
 
 def test_fault_free_run_reports_fast_lane(capsys):

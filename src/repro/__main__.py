@@ -48,10 +48,11 @@ field and derived by :mod:`repro.schema`:
         python -m repro claims --out BENCH_claims.json
 
 ``profile``
-    One scenario run under ``cProfile`` with its wall time attributed
-    to pipeline stages (request pipeline, event engine, workload
-    generation, metrics, placement), plus honest unprofiled stage
-    wall-clocks.  For looking; numbers to quote come from ``bench/run.py``:
+    One scenario run under ``cProfile`` with its calls and self time
+    attributed to the benchmark's layers (``sim``, ``core.fastlane``,
+    ``core.placement``, ``network``, ...; :mod:`repro.obs.layers`), plus
+    honest unprofiled stage wall-clocks.  For looking; numbers to quote
+    come from ``bench/run.py``:
 
         python -m repro profile --large --duration 20 --json profile.json
         python -m repro profile --preset zipf --loss 0.02
@@ -121,7 +122,7 @@ COMMANDS = {
     "profile": (
         profile.populate_profile,
         profile.profile_main,
-        "attribute a scenario's wall time to pipeline stages",
+        "attribute a scenario's calls and time to the benchmark's layers",
     ),
     "serve": (
         live.populate_serve,

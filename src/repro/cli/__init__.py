@@ -9,6 +9,8 @@ field's declaration through :mod:`repro.schema` (DESIGN §4).
 from __future__ import annotations
 
 import json
+import os
+import sys
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -27,7 +29,20 @@ def parse_axes(pairs: list[str] | None) -> dict[str, list[str]]:
     return axes
 
 
+def output_path(path: str) -> str:
+    """An output ``PATH`` flag's type: its directory must exist ('-' is
+    stdout), checked when the flags are parsed rather than after the run."""
+    directory = os.path.dirname(path) or "."
+    if path != "-" and not os.path.isdir(directory):
+        raise ConfigurationError(f"cannot write {path}: no directory {directory}")
+    return path
+
+
 def write_json(path: str, payload: Any) -> None:
+    """``payload`` as indented, key-sorted JSON at ``path`` ('-': stdout)."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+        return
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)

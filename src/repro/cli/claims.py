@@ -6,13 +6,13 @@ import argparse
 import sys
 
 from repro.analysis.claims import markdown, run_claims
-from repro.cli import write_json
+from repro.cli import output_path, write_json
 from repro.sweep import default_workers
 
 
 def populate_claims(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--out", default="BENCH_claims.json", metavar="PATH",
+        "--out", default="BENCH_claims.json", type=output_path, metavar="PATH",
         help="output JSON scorecard (default: %(default)s)",
     )
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from repro.cli import parse_axes
+from repro.cli import output_path, parse_axes, write_json
 from repro.errors import ConfigurationError
 from repro.optimal.gap import GapSettings, quick_settings, run_gap_benchmark
 from repro.schema import apply_overrides, set_keys
@@ -22,6 +21,7 @@ def populate_gap(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out",
         default="BENCH_optgap.json",
+        type=output_path,
         metavar="PATH",
         help="output JSON artifact, '-' for stdout (default: %(default)s)",
     )
@@ -76,12 +76,8 @@ def gap_main(args: argparse.Namespace) -> int:
     )
     print(f"gap campaign: {total} points ...", file=sys.stderr)
     payload = run_gap_benchmark(settings, progress=progress)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+    write_json(args.out, payload)
+    if args.out != "-":
         print(f"wrote {len(payload['points'])} gap points to {args.out}")
     worst = max(payload["points"], key=lambda p: p["gap_ratio"])
     print(

@@ -6,7 +6,7 @@ import argparse
 import asyncio
 import sys
 
-from repro.cli import write_json
+from repro.cli import output_path, write_json
 from repro.errors import ConfigurationError
 from repro.live.client import fetch_endpoints
 from repro.live.config import LiveConfig
@@ -151,6 +151,7 @@ def populate_loadgen(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         dest="json_out",
+        type=output_path,
         metavar="PATH",
         help="write the client-side metrics as JSON here",
     )

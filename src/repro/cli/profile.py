@@ -1,11 +1,12 @@
-"""``profile``: one scenario under cProfile, attributed to pipeline stages."""
+"""``profile``: one scenario under cProfile, attributed to the benchmark's layers."""
 
 from __future__ import annotations
 
 import argparse
 
-from repro.cli import write_json
+from repro.cli import output_path, write_json
 from repro.cli.sim import add_scenario_options, scenario_from_args
+from repro.errors import ConfigurationError
 from repro.obs.profile import (
     event_census,
     memory_census,
@@ -29,7 +30,7 @@ def populate_profile(parser: argparse.ArgumentParser) -> None:
         "--memory",
         action="store_true",
         help="census the heap instead of the time: one run under tracemalloc, "
-        "read at Simulator.run entry and at the horizon, by stage and by file",
+        "read at Simulator.run entry and at the horizon, by layer and by file",
     )
     parser.add_argument(
         "--top",
@@ -41,12 +42,15 @@ def populate_profile(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         dest="json_out",
+        type=output_path,
         metavar="PATH",
-        help="write the full stage breakdown as JSON here",
+        help="write the full layer breakdown as JSON here",
     )
 
 
 def profile_main(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise ConfigurationError(f"--top must be at least 1, got {args.top}")
     base = topology = None
     if args.large:
         base, topology = large_topology_scenario(
@@ -61,12 +65,13 @@ def profile_main(args: argparse.Namespace) -> int:
     breakdown = profile_scenario(config, topology=topology, top=args.top)
     breakdown["stage_walltimes"] = walls
     census = breakdown["event_census"] = event_census(config, topology=topology)
+    walls["placement_s"] = census["placement_s"]
 
     print(
         f"wall (unprofiled): build {walls['build_s']}s + "
-        f"drain ~{walls['drain_estimate_s']}s = {walls['run_s']}s "
+        f"drain {walls['drain_s']}s, {walls['run_s']}s in all "
         f"-> {walls['requests_per_sec']:,.0f} req/s; "
-        f"placement rounds {walls['placement_s']}s; "
+        f"placement rounds {walls['placement_s']}s (event census); "
         f"{walls['cyclic_objects']} cyclic objects at the horizon"
     )
     counters = breakdown["counters"]
@@ -79,12 +84,16 @@ def profile_main(args: argparse.Namespace) -> int:
         f"{counters['requests_failed']} failed, "
         f"{counters['requests_lost']} lost"
     )
-    print("\nprofiled time by pipeline stage (cProfile, inflated but mapped):")
-    total = breakdown["profiled_seconds_total"] or 1.0
-    for bucket, seconds in breakdown["stage_seconds"].items():
-        print(f"  {bucket:24s} {seconds:8.3f}s  {seconds / total:6.1%}")
+    print(
+        f"\nby layer (cProfile: {breakdown['profiled_calls_total']:,} calls, "
+        f"{breakdown['profiled_seconds_total']}s, inflated but mapped):"
+        f"\n  {'layer':16s} {'calls/request':>13s} {'self share':>10s}"
+    )
+    shares = breakdown["self_share"]
+    for layer, per_request in breakdown["calls_per_request"].items():
+        print(f"  {layer:16s} {per_request:13.2f} {shares[layer]:10.1%}")
     print(f"\ntop functions by cumulative time (top {args.top}):")
-    for entry in breakdown["top_functions"][:10]:
+    for entry in breakdown["top_functions"]:
         print(
             f"  {entry['cumtime_s']:8.3f}s  {entry['calls']:>9} calls  "
             f"{entry['function']}"
@@ -97,7 +106,7 @@ def profile_main(args: argparse.Namespace) -> int:
         print(f"  {row['per_request']:8.4f}  {row['time_share']:6.1%}  {label}")
     if args.json_out:
         write_json(args.json_out, breakdown)
-        print(f"\nwrote stage breakdown to {args.json_out}")
+        print(f"\nwrote layer breakdown to {args.json_out}")
     return 0
 
 
@@ -116,7 +125,7 @@ def _memory_main(
         f"{rss['horizon']:.0f} MB RSS at the horizon "
         f"({rss['start']:.0f} MB RSS before the census)"
     )
-    for title, key in (("pipeline stage", "stage_mb"), ("allocating file", "file_mb")):
+    for title, key in (("layer", "stage_mb"), ("allocating file", "file_mb")):
         print(f"\nby {title} (MB):{'run entry':>23s} {'horizon':>9s}")
         names = list(entry[key]) + [n for n in horizon[key] if n not in entry[key]]
         for name in names:

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import write_json
+from repro.cli import output_path, write_json
 from repro.consistency.config import ConsistencyConfig
 from repro.metrics.availability import fault_metrics
 from repro.metrics.report import format_table, series_summary
@@ -104,6 +104,7 @@ def populate_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json",
         dest="json_out",
+        type=output_path,
         metavar="PATH",
         help="also write the run's scalar metrics as JSON here",
     )
@@ -207,6 +208,7 @@ def populate_trace(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out",
         default="-",
+        type=output_path,
         help="output path for the JSONL trace ('-', stdout, when omitted)",
     )
 

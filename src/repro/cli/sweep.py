@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import parse_axes, write_json
+from repro.cli import output_path, parse_axes, write_json
 from repro.cli.sim import add_scenario_options, scenario_from_args
 from repro.errors import ConfigurationError
 from repro.metrics.report import format_table
@@ -61,11 +61,12 @@ def populate_sweep(parser: argparse.ArgumentParser) -> None:
         help="retries for a run whose worker crashed (default: %(default)s)",
     )
     parser.add_argument(
-        "--manifest", metavar="PATH", help="write the JSONL run manifest here"
+        "--manifest", type=output_path, metavar="PATH", help="write the JSONL run manifest here"
     )
     parser.add_argument(
         "--json",
         dest="json_out",
+        type=output_path,
         metavar="PATH",
         help="write the aggregate sweep summary as JSON here",
     )

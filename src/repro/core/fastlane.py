@@ -69,7 +69,7 @@ def fast_lane_blockers(system: "HostingSystem", bandwidth: Any) -> list[str]:
         blockers.append("failure detector/repair daemon attached")
     if network._links is not None:
         blockers.append("per-link byte tracking enabled")
-    if sim._tracers or sim.trace is not None:
+    if sim._tracers:
         blockers.append("simulator tracing enabled")
     if system.served_observers:
         blockers.append("served-request observers attached")

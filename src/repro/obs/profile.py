@@ -1,31 +1,22 @@
-"""Pipeline profiling: attribute a scenario's wall time to its stages.
+"""Pipeline profiling: where a scenario's calls, time and heap go.
 
-``python -m repro profile`` answers "where does the simulation spend its
-time?" with two complementary views of one run:
+``python -m repro profile`` reads one scenario four ways:
 
-* **Stage wall clock** — ``perf_counter`` brackets around the scenario
-  lifecycle (build the system, attach collectors/generators, drain the
-  event queue, finalize), plus per-stage counters (requests completed,
-  fast-lane vs general-path requests, events drained) so each stage's
-  time can be read as a per-unit cost.
-* **Function attribution** — a ``cProfile`` capture of the drain phase,
-  with cumulative time rolled up into pipeline buckets by module
-  (request pipeline, event engine, workload generation, metrics,
-  placement/offload, routing) alongside the usual top-function table.
+* **Stage wall clock** (:func:`stage_walltimes`) — ``perf_counter`` at
+  the start, at ``Simulator.run`` entry and at the horizon, without the
+  profiler: the honest numbers.
+* **Layer attribution** (:func:`profile_scenario`) — a ``cProfile`` run
+  rolled up by the benchmark's layers (:mod:`repro.obs.layers`): calls
+  per request, exact, and self-time shares, which the profiler inflates
+  for call-heavy code — the map, not the measurement.
+* **Event census** (:func:`event_census`) — events per request by
+  callback, and each callback's share of the drain.
+* **Heap census** (``--memory``, :func:`memory_census`) — the traced
+  heap at run entry and at the horizon, by layer and by file.
 
-cProfile inflates function-call-heavy code (its tracer charges every
-Python call), so stage wall-clock numbers are the truth and the
-attribution is the map; both are emitted so neither is over-read.
-
-A third run counts what the drain *is* (:func:`event_census`): events
-per request by callback, and the share of the drain between one event
-and the next that each callback takes.
-
-``profile --memory`` asks the other question — "what is the heap made
-of?" — with the same map: one run under ``tracemalloc``, a snapshot at
-``Simulator.run`` entry (everything the build left behind) and one at the
-horizon, each rolled up by allocating module into the stage buckets
-above and into a per-file table (:func:`memory_census`).
+Every run-entry or horizon reading is a simulator tracer passed as
+``run_scenario(..., sim_tracers=...)``, which the runner adds after the
+engine mode is decided: no reading stands the fast lane down.
 """
 
 from __future__ import annotations
@@ -33,15 +24,14 @@ from __future__ import annotations
 import cProfile
 import gc
 import os
-import pstats
 import time
 import tracemalloc
-from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Iterator
+from types import SimpleNamespace
+from typing import Any, Callable
 
-from repro.core.protocol import HostingSystem
 from repro.errors import ConfigurationError
+from repro.obs.layers import LAYERS, layer_of, rollup
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario, scenario_metrics
 from repro.sim.engine import Simulator
@@ -49,33 +39,8 @@ from repro.sim.events import Event
 from repro.sim.process import PeriodicProcess
 from repro.topology.graph import Topology
 
-#: Module-path fragments mapped to pipeline stage buckets, first match
-#: wins.  Paths use forward slashes (normalised before matching).
-STAGE_BUCKETS: tuple[tuple[str, str], ...] = (
-    ("repro/core/fastlane", "request_pipeline"),
-    ("repro/core/protocol", "request_pipeline"),
-    ("repro/core/redirector", "request_pipeline"),
-    ("repro/core/host", "request_pipeline"),
-    ("repro/sim/", "event_engine"),
-    ("repro/workloads/", "workload_generation"),
-    ("repro/metrics/", "metrics_collection"),
-    ("repro/core/placement", "placement_protocol"),
-    ("repro/core/offload", "placement_protocol"),
-    ("repro/core/load_board", "placement_protocol"),
-    ("repro/core/create_obj", "placement_protocol"),
-    ("repro/load/", "placement_protocol"),
-    ("repro/routing/", "routing"),
-    ("repro/network/", "network_transport"),
-    ("repro/", "other_repro"),
-)
-
-
-def _bucket_for(filename: str) -> str:
-    path = filename.replace("\\", "/")
-    for fragment, bucket in STAGE_BUCKETS:
-        if fragment in path:
-            return bucket
-    return "runtime_other"
+#: The event census's label for a host's placement round.
+PLACEMENT_TICK = "PeriodicProcess(HostingSystem._make_placement_tick.<locals>.tick)"
 
 
 def safe_metrics(result: Any) -> dict[str, float]:
@@ -102,13 +67,10 @@ def profile_scenario(
     topology: Topology | None = None,
     top: int = 25,
 ) -> dict[str, Any]:
-    """Run one scenario under the profiler; return the stage breakdown.
-
-    The returned dict is JSON-safe: stage wall times and counters,
-    cProfile bucket attribution, the top functions by cumulative time,
-    and the run's scalar metrics (so a profile artifact also documents
-    *what* ran).
-    """
+    """Run one scenario under the profiler; return a JSON-safe breakdown:
+    counters, calls per request (a request being any outcome) and self
+    share for every layer, the top functions by cumulative time, and the
+    run's scalar metrics (so a profile artifact documents *what* ran)."""
     profiler = cProfile.Profile()
     wall_start = time.perf_counter()
     profiler.enable()
@@ -116,56 +78,27 @@ def profile_scenario(
     profiler.disable()
     wall = time.perf_counter() - wall_start
 
-    stats = pstats.Stats(profiler)
-    total_profiled = stats.total_tt
-
-    buckets: dict[str, float] = {}
-    for (filename, _line, _name), (
-        _cc,
-        _nc,
-        tottime,
-        _cumtime,
-        _callers,
-    ) in stats.stats.items():
-        bucket = _bucket_for(filename)
-        buckets[bucket] = buckets.get(bucket, 0.0) + tottime
-
-    top_functions = []
-    ordered = sorted(
-        stats.stats.items(), key=lambda item: item[1][3], reverse=True
-    )
-    for (filename, line, name), (cc, nc, tottime, cumtime, _callers) in ordered:
-        if len(top_functions) >= top:
-            break
-        top_functions.append(
-            {
-                "function": f"{filename}:{line}({name})",
-                "bucket": _bucket_for(filename),
-                "calls": nc,
-                "tottime_s": round(tottime, 4),
-                "cumtime_s": round(cumtime, 4),
-            }
-        )
+    entries = profiler.getstats()
+    calls, seconds = rollup(entries)
+    total_profiled = sum(seconds.values())
+    ordered = sorted(entries, key=lambda entry: entry.totaltime, reverse=True)
 
     lane = result.system.fast_lane
     latency = result.latency
     completed = latency.completed
+    requests = completed + latency.dropped + latency.failed + latency.lost
     counters = {
         "requests_completed": completed,
         "requests_dropped": latency.dropped,
         "requests_failed": latency.failed,
         "requests_lost": latency.lost,
         "requests_fast_lane": lane.requests_fast if lane is not None else 0,
-        "requests_general_path": (
-            lane.requests_slow
-            if lane is not None
-            else completed + latency.dropped + latency.failed + latency.lost
-        ),
+        "requests_general_path": lane.requests_slow if lane is not None else requests,
         "fast_lane_installed": lane is not None,
         "placement_events": len(result.system.placement_events),
     }
     return {
-        "schema": "pipeline-profile/v1",
+        "schema": "pipeline-profile/v2",
         "scenario": config.name,
         "duration_simulated_s": config.duration,
         "wall_s": round(wall, 3),
@@ -174,112 +107,70 @@ def profile_scenario(
         ),
         "counters": counters,
         "engine_mode": result.engine_mode(),
-        "stage_seconds": {
-            bucket: round(seconds, 4)
-            for bucket, seconds in sorted(
-                buckets.items(), key=lambda item: item[1], reverse=True
-            )
+        "profiled_calls_total": sum(calls.values()),
+        "calls_per_request": {
+            layer: round(calls[layer] / (requests or 1), 4) for layer in LAYERS
+        },
+        "self_share": {
+            layer: round(seconds[layer] / (total_profiled or 1.0), 4)
+            for layer in LAYERS
         },
         "profiled_seconds_total": round(total_profiled, 3),
-        "top_functions": top_functions,
+        "top_functions": [_function_row(entry) for entry in ordered[:top]],
         "metrics": safe_metrics(result),
+    }
+
+
+def _function_row(entry: Any) -> dict[str, Any]:
+    """One ``top_functions`` row from a raw profiler entry."""
+    code = entry.code
+    if isinstance(code, str):  # a builtin, named by its description
+        function, layer = code, "other"
+    else:
+        function = f"{code.co_filename}:{code.co_firstlineno}({code.co_name})"
+        layer = layer_of(code.co_filename)
+    return {
+        "function": function,
+        "layer": layer,
+        "calls": entry.callcount,
+        "tottime_s": round(entry.inlinetime, 4),
+        "cumtime_s": round(entry.totaltime, 4),
     }
 
 
 def stage_walltimes(
     config: ScenarioConfig, *, topology: Topology | None = None
 ) -> dict[str, Any]:
-    """Wall-clock the scenario lifecycle stages without the profiler.
+    """Wall-clock the scenario's stages without the profiler: everything
+    before ``Simulator.run`` entry (``build_s``), the drain, and requests
+    per wall second.  ``cyclic_objects`` is what a full collection finds
+    at the horizon (not counted in ``run_s``): the runner pauses the
+    collector over the drain on the premise that it is 0."""
+    marks: dict[str, float] = {}
 
-    These are the honest numbers (no tracer overhead): build the system,
-    run it to the horizon, the requests-per-wall-second that the perf
-    trajectory tracks, and the seconds spent in placement rounds
-    (``placement_s``), which the stage buckets split across placement,
-    routing, transport and the protocol.  ``cyclic_objects`` is what a
-    full collection finds unreachable at the horizon: the runner pauses
-    the collector over the drain on the premise that it is 0.  That
-    collection is not counted in ``run_s``.
-    """
-    from repro.scenarios.runner import build_system
+    def enter(sim: Simulator, until: float | None) -> None:
+        marks["run_entry"] = time.perf_counter()
 
-    t0 = time.perf_counter()
-    build_system(config, topology=topology)
-    build_s = time.perf_counter() - t0
+    def horizon(sim: Simulator, fired: int) -> None:
+        marks["horizon"] = time.perf_counter()
+        marks["cyclic_objects"] = gc.collect()
+        marks["collect_s"] = time.perf_counter() - marks["horizon"]
 
-    placement_s = [0.0]
-    horizon: dict[str, float] = {}
-
-    def collect(moment: str, sim: Simulator) -> None:
-        if moment == "horizon":
-            began = time.perf_counter()
-            horizon["cyclic_objects"] = gc.collect()
-            horizon["collect_s"] = time.perf_counter() - began
-
-    gc.collect()  # the discarded build's garbage is not the run's
-    t1 = time.perf_counter()
-    with _bracketed_run(collect), _timed_placement_rounds(placement_s):
-        result = run_scenario(config, topology=topology)
-    run_s = time.perf_counter() - t1 - horizon["collect_s"]
+    gc.collect()  # the previous run's garbage is not this one's
+    start = time.perf_counter()
+    # Run hooks only: the drain stays on the engine's untraced path.
+    bracket = SimpleNamespace(on_run_start=enter, on_run_end=horizon)
+    result = run_scenario(config, topology=topology, sim_tracers=(bracket,))
+    run_s = time.perf_counter() - start - marks["collect_s"]
     completed = result.latency.completed
     return {
-        "build_s": round(build_s, 3),
+        "build_s": round(marks["run_entry"] - start, 3),
+        "drain_s": round(marks["horizon"] - marks["run_entry"], 3),
         "run_s": round(run_s, 3),
-        "drain_estimate_s": round(max(run_s - build_s, 0.0), 3),
-        "placement_s": round(placement_s[0], 3),
-        "cyclic_objects": int(horizon["cyclic_objects"]),
+        "cyclic_objects": int(marks["cyclic_objects"]),
         "requests_completed": completed,
         "requests_per_sec": round(completed / run_s, 1) if run_s > 0 else 0.0,
     }
-
-
-@contextmanager
-def _timed_placement_rounds(spent: list[float]) -> Iterator[None]:
-    """While active, every placement round of a :class:`HostingSystem`
-    started meanwhile adds its wall time to ``spent[0]``."""
-    original = HostingSystem._make_placement_tick
-
-    def make_tick(self: HostingSystem, node: int) -> Callable[[float], None]:
-        tick = original(self, node)
-
-        def timed(now: float) -> None:
-            began = time.perf_counter()
-            try:
-                tick(now)
-            finally:
-                spent[0] += time.perf_counter() - began
-
-        return timed
-
-    HostingSystem._make_placement_tick = make_tick
-    try:
-        yield
-    finally:
-        HostingSystem._make_placement_tick = original
-
-
-@contextmanager
-def _bracketed_run(probe: Callable[[str, Simulator], None]) -> Iterator[None]:
-    """While active, every ``Simulator.run`` calls ``probe("run_entry",
-    sim)`` on the way in and ``probe("horizon", sim)`` on the way out.
-
-    ``run_scenario`` builds its own simulator, so there is no instance to
-    hang a tracer on beforehand; this is the bracket ``bench/simplane.py``
-    cuts its phases with.
-    """
-    original = Simulator.run
-
-    def run(self: Simulator, until: float | None = None) -> float:
-        probe("run_entry", self)
-        try:
-            return original(self, until)
-        finally:
-            probe("horizon", self)
-
-    Simulator.run = run
-    try:
-        yield
-    finally:
-        Simulator.run = original
 
 
 def _callback_label(callback: Callable[..., Any]) -> str:
@@ -325,24 +216,12 @@ class _EventCensus:
 def event_census(
     config: ScenarioConfig, *, topology: Topology | None = None
 ) -> dict[str, Any]:
-    """Run one scenario counting its events by callback.
-
-    The counting tracer is attached at ``Simulator.run`` entry, after
-    the runner has decided the engine mode, so the run takes the same
-    request pipeline as an unprofiled one (a tracer attached earlier
-    would stand the fast lane down).  ``time_share`` is each callback's
-    share of the traced drain's wall (see :class:`_EventCensus`).
-    """
+    """Run one scenario counting its events by callback (on the engine
+    mode an unprofiled run takes).  ``time_share`` is each callback's
+    share of the traced drain's wall (see :class:`_EventCensus`), and
+    ``placement_s`` the seconds of the :data:`PLACEMENT_TICK` row."""
     census = _EventCensus()
-
-    def attach(moment: str, sim: Simulator) -> None:
-        if moment == "run_entry":
-            sim.add_tracer(census)
-        else:
-            sim.remove_tracer(census)
-
-    with _bracketed_run(attach):
-        result = run_scenario(config, topology=topology)
+    result = run_scenario(config, topology=topology, sim_tracers=(census,))
     completed = result.latency.completed
     total_events = sum(census.events.values())
     total_seconds = sum(census.seconds.values()) or 1.0
@@ -362,6 +241,7 @@ def event_census(
         "requests_completed": completed,
         "events": total_events,
         "events_per_request": round(total_events / per_request, 4),
+        "placement_s": round(census.seconds.get(PLACEMENT_TICK, 0.0), 3),
         "callbacks": callbacks,
     }
 
@@ -380,8 +260,8 @@ def _rss_mb() -> float:
 
 
 def _heap_rollup(top: int) -> dict[str, Any]:
-    """The traced heap right now, by stage bucket and by allocating file."""
-    stages: dict[str, int] = {}
+    """The traced heap right now, by layer and by allocating file."""
+    layers = dict.fromkeys(LAYERS, 0)
     files: dict[str, int] = {}
     for stat in tracemalloc.take_snapshot().statistics("filename"):
         path = stat.traceback[0].filename.replace("\\", "/")
@@ -389,12 +269,11 @@ def _heap_rollup(top: int) -> dict[str, Any]:
             # Code objects and module dicts of whatever was first imported
             # under the census (the package's own modules: it needs no
             # third-party one).
-            bucket = label = "imports"
+            label = "imports"
         else:
-            bucket = _bucket_for(path)
             _, inside, rest = path.rpartition("/repro/")
             label = rest if inside else "/".join(path.split("/")[-2:])
-        stages[bucket] = stages.get(bucket, 0) + stat.size
+        layers[layer_of(path)] += stat.size
         files[label] = files.get(label, 0) + stat.size
 
     def table(sizes: dict[str, int], limit: int | None = None) -> dict[str, float]:
@@ -402,8 +281,8 @@ def _heap_rollup(top: int) -> dict[str, Any]:
         return {name: round(size / 1e6, 2) for name, size in ordered[:limit]}
 
     return {
-        "total_mb": round(sum(stages.values()) / 1e6, 2),
-        "stage_mb": table(stages),
+        "total_mb": round(sum(layers.values()) / 1e6, 2),
+        "stage_mb": table(layers),
         "file_mb": table(files, top),
     }
 
@@ -413,33 +292,33 @@ def memory_census(
 ) -> dict[str, Any]:
     """Run one scenario under ``tracemalloc``; return what the heap holds.
 
-    Two readings of the Python heap (MB = 10⁶ bytes, live blocks only):
-    ``run_entry`` — when ``Simulator.run`` is entered, i.e. what the
-    build, the collectors and the first arrival windows left behind — and
-    ``horizon``, when it returns.  Allocations made before the census
-    started (the interpreter, the modules the CLI had already imported)
-    are not in it, nor is anything a C extension allocates for itself, so
-    totals sit well under the process's RSS: ``rss_mb`` gives that at the
-    start and at both readings (``tracemalloc``'s own tables included);
-    start the interpreter with ``-X tracemalloc`` to trace the imports too.
-    ``cyclic_objects`` is what a full collection finds unreachable at the
-    horizon, before that reading (see :func:`stage_walltimes`).
+    Two readings of the Python heap (MB = 10⁶ bytes, live blocks only), by
+    layer (``stage_mb``) and by file: ``run_entry`` — what the build, the
+    collectors and the first arrival windows left behind — and
+    ``horizon``, after a full collection (``cyclic_objects``).  What was
+    allocated before the census (start the interpreter with ``-X
+    tracemalloc`` for the imports) or by a C extension is not traced, so
+    ``rss_mb`` gives the process's RSS at the start and at both readings.
     """
     readings: dict[str, dict[str, Any]] = {}
     rss_mb = {"start": _rss_mb()}
     cyclic_objects: list[int] = []
 
-    def read(moment: str, sim: Simulator) -> None:
-        if moment == "horizon":
-            cyclic_objects.append(gc.collect())
+    def read(moment: str) -> None:
         rss_mb[moment] = _rss_mb()  # before the snapshot's own allocations
         readings[moment] = _heap_rollup(top)
 
+    def horizon(sim: Simulator, fired: int) -> None:
+        cyclic_objects.append(gc.collect())
+        read("horizon")
+
+    bracket = SimpleNamespace(
+        on_run_start=lambda sim, until: read("run_entry"), on_run_end=horizon
+    )
     already_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        with _bracketed_run(read):
-            result = run_scenario(config, topology=topology)
+        result = run_scenario(config, topology=topology, sim_tracers=(bracket,))
     finally:
         if not already_tracing:
             tracemalloc.stop()

@@ -366,13 +366,18 @@ def run_scenario(
     tracer: DecisionTracer | None = None,
     served_observers: tuple = (),
     measurement_observers: tuple = (),
+    sim_tracers: tuple = (),
 ) -> ScenarioResult:
     """Run a scenario start-to-finish and return its measurements.
 
     ``served_observers`` / ``measurement_observers`` are extra callbacks
     attached to the system before it starts (see
     ``HostingSystem.served_observers``); the optimality-gap harness uses
-    them to record the demand trace.  Defaults leave the run untouched.
+    them to record the demand trace.  ``sim_tracers`` are
+    :class:`~repro.sim.engine.SimTracer` objects added to the simulator
+    after the engine mode is decided (so they never stand the fast lane
+    down) and removed at the horizon; the profiler brackets the drain
+    with their run hooks.  Defaults leave the run untouched.
     """
     strategy = resolve_strategy(config.strategy)
     sim, system, workload = build_system(config, topology=topology, tracer=tracer)
@@ -421,6 +426,8 @@ def run_scenario(
             RngFactory(config.seed).stream("writes"),
             poisson=config.poisson,
         )
+    for sim_tracer in sim_tracers:
+        sim.add_tracer(sim_tracer)
     # The drain makes no reference cycles (tests/scenarios/test_runner.py
     # pins it), so the cyclic collector's passes over the growing heap
     # find nothing to free: pause it for the drain, then hand the caller
@@ -432,6 +439,8 @@ def run_scenario(
     finally:
         if collecting:
             gc.enable()
+        for sim_tracer in sim_tracers:
+            sim.remove_tracer(sim_tracer)
     for generator in generators:
         generator.stop()
     if writer is not None:

@@ -9,16 +9,10 @@ request and millions of requests per run, so a low-overhead core matters.
 
 Tracing
 -------
-Two observation mechanisms exist, both free when unused:
-
-* :attr:`Simulator.trace` — a single ``trace(event)`` callback invoked
-  just before each event fires (the original debugging hook, kept for
-  convenience and backwards compatibility).
-* :meth:`Simulator.add_tracer` — pluggable tracer objects implementing
-  any subset of the :class:`SimTracer` protocol: per-event hooks plus
-  run-level timing hooks (``on_run_start`` / ``on_run_end``), which the
-  observability layer (:mod:`repro.obs`) uses to stamp wall-clock timing
-  onto decision traces.
+:meth:`Simulator.add_tracer` is the one observation mechanism, free when
+unused: a :class:`SimTracer` implements any of its hooks (:mod:`repro.obs`
+stamps decision traces and brackets profiles with the run hooks), and one
+without ``on_event`` leaves the drain on the untraced path.
 """
 
 from __future__ import annotations
@@ -36,8 +30,7 @@ class SimTracer(Protocol):
     """Pluggable simulator tracer.
 
     All methods are optional — implement any subset; the simulator probes
-    with ``getattr`` when the tracer is registered, so absent hooks cost
-    nothing.
+    with ``getattr`` when a run starts, so absent hooks cost nothing.
 
     * ``on_event(event)`` — called just before each event fires.
     * ``on_run_start(sim, until)`` — called when :meth:`Simulator.run`
@@ -69,7 +62,7 @@ class Simulator:
     [1.0, 2.0]
     """
 
-    __slots__ = ("_queue", "_now", "_running", "_stopped", "_tracers", "trace")
+    __slots__ = ("_queue", "_now", "_running", "_stopped", "_tracers")
 
     def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
         self._queue = EventQueue(bucket_width)
@@ -77,9 +70,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._tracers: list[Any] = []
-        #: Optional hook called as ``trace(event)`` just before each event
-        #: fires; used by tests and debugging tooling.  ``None`` disables.
-        self.trace: Callable[[Event], None] | None = None
 
     @property
     def now(self) -> Time:
@@ -182,17 +172,6 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
-    def _event_hooks(self) -> list[Callable[[Event], None]] | None:
-        """Per-event hook list for this run, or ``None`` when untraced."""
-        hooks: list[Callable[[Event], None]] = []
-        for tracer in self._tracers:
-            on_event = getattr(tracer, "on_event", None)
-            if on_event is not None:
-                hooks.append(on_event)
-        if self.trace is not None:
-            hooks.append(self.trace)
-        return hooks or None
-
     def run(self, until: Time | None = None) -> Time:
         """Drain the event queue in time order.
 
@@ -214,13 +193,16 @@ class Simulator:
         self._running = True
         self._stopped = False
         queue = self._queue
-        hooks = self._event_hooks()
-        for tracer in self._tracers:
-            on_run_start = getattr(tracer, "on_run_start", None)
-            if on_run_start is not None:
-                on_run_start(self, until)
+        # Per-event hooks for this run; None keeps the drain untraced.
+        hooks = [hook for hook in (getattr(t, "on_event", None) for t in self._tracers)
+                 if hook is not None] or None
         fired = 0
         try:
+            # Inside the ``try``: a start hook that raises still ends the run.
+            for tracer in self._tracers:
+                on_run_start = getattr(tracer, "on_run_start", None)
+                if on_run_start is not None:
+                    on_run_start(self, until)
             if hooks is None:
                 # Untraced fast path: drain the queue inline.  Entries
                 # are raw ``(time, seq, handle, callback, args)`` tuples

@@ -168,10 +168,17 @@ def test_run_until_boundary_semantics():
     assert fired == ["at", "after"]
 
 
+class _EventHook:
+    """A tracer with ``on_event`` only."""
+
+    def __init__(self, on_event):
+        self.on_event = on_event
+
+
 def test_trace_hook_sees_events():
     sim = Simulator()
     traced = []
-    sim.trace = traced.append
+    sim.add_tracer(_EventHook(traced.append))
     sim.schedule_at(1.0, lambda: None)
     sim.run()
     assert len(traced) == 1
@@ -204,16 +211,22 @@ def test_pluggable_tracer_sees_events_and_run_boundaries():
     assert tracer.runs == [("start", 0.0, 5.0), ("end", 5.0, 2)]
 
 
-def test_tracer_composes_with_trace_attribute():
+def test_tracers_compose_in_registration_order():
     sim = Simulator()
     tracer = _RecordingTracer()
-    plain = []
+    seen = []
     sim.add_tracer(tracer)
-    sim.trace = lambda event: plain.append(event.time)
+    sim.add_tracer(_EventHook(lambda event: seen.append((event.time, list(tracer.events)))))
     sim.schedule_at(1.0, lambda: None)
     sim.run()
     assert tracer.events == [1.0]
-    assert plain == [1.0]
+    assert seen == [(1.0, [1.0])]
+
+
+def test_simulator_has_one_tracing_mechanism():
+    sim = Simulator()
+    with pytest.raises(AttributeError):
+        sim.trace = lambda event: None
 
 
 def test_partial_tracer_hooks_are_optional():
@@ -231,6 +244,29 @@ def test_partial_tracer_hooks_are_optional():
     sim.run()
     # No on_event hook attached: the loop stays untraced, fired count 0.
     assert tracer.fired == 0
+
+
+def test_a_failing_start_hook_ends_the_run():
+    class Refusing:
+        def __init__(self):
+            self.ended = 0
+
+        def on_run_start(self, sim, until):
+            raise RuntimeError("not now")
+
+        def on_run_end(self, sim, fired):
+            self.ended += 1
+
+    sim = Simulator()
+    tracer = Refusing()
+    sim.add_tracer(tracer)
+    fired = []
+    sim.schedule_at(1.0, fired.append, 1.0)
+    with pytest.raises(RuntimeError, match="not now"):
+        sim.run()
+    assert tracer.ended == 1 and fired == []
+    sim.remove_tracer(tracer)
+    assert sim.run() == 1.0 and fired == [1.0]
 
 
 def test_remove_tracer():
@@ -263,7 +299,7 @@ def _scripted_run(seed: int, width: float, traced: bool):
     rng = random.Random(seed)
     sim = Simulator(bucket_width=width)
     if traced:
-        sim.trace = lambda event: None  # forces the pop_until-only loop
+        sim.add_tracer(_EventHook(lambda event: None))  # forces the pop_until-only loop
     log = []
     handles = []
 

@@ -453,6 +453,71 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
     assert f"{counters['requests_lost']} lost" in text
 
 
+def test_profile_reports_the_benchmark_layers_from_raw_entries(tmp_path, capsys):
+    """Calls per request and self share, keyed by the benchmark's layers;
+    the calls add up to the profiler's raw total."""
+    from repro.obs.layers import LAYERS
+
+    out = tmp_path / "profile.json"
+    code = main(["profile", "--preset", "zipf", "--scale", "0.05", "--duration", "120",
+                 "--top", "12", "--json", str(out)])  # fmt: skip
+    assert code == 0
+    text = capsys.readouterr().out
+    breakdown = json.loads(out.read_text())
+    assert breakdown["schema"] == "pipeline-profile/v2"
+    per_request, shares = breakdown["calls_per_request"], breakdown["self_share"]
+    assert set(per_request) == set(shares) == set(LAYERS)
+    counters = breakdown["counters"]
+    requests = sum(counters[f"requests_{outcome}"]
+                   for outcome in ("completed", "dropped", "failed", "lost"))
+    assert sum(per_request.values()) * requests == pytest.approx(
+        breakdown["profiled_calls_total"], rel=1e-4
+    )
+    assert per_request["core.fastlane"] > per_request["network"]
+    assert sum(shares.values()) == pytest.approx(1.0, abs=0.01)
+    assert len(breakdown["top_functions"]) == 12
+    table = text.partition("top functions by cumulative time (top 12):\n")[2]
+    assert len(table.split("\n\n")[0].splitlines()) == 12
+    assert {row["layer"] for row in breakdown["top_functions"]} <= set(LAYERS)
+    assert f"{breakdown['profiled_calls_total']:,} calls" in text
+    # Placement rounds ran (the first is at 100 s) and are timed by the
+    # event census's placement-tick row.
+    walls, census = breakdown["stage_walltimes"], breakdown["event_census"]
+    assert walls["placement_s"] == census["placement_s"] > 0
+    assert walls["cyclic_objects"] == 0
+    assert walls["build_s"] > 0 and walls["drain_s"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--duration", "1", "--json", "{missing}/run.json"],
+        ["trace", "--duration", "1", "--out", "{missing}/t.jsonl"],
+        ["sweep", "--duration", "1", "--json", "{missing}/s.json"],
+        ["sweep", "--duration", "1", "--manifest", "{missing}/m.jsonl"],
+        ["profile", "--duration", "1", "--json", "{missing}/p.json"],
+        ["gap", "--out", "{missing}/g.json"],
+        ["claims", "--out", "{missing}/c.json"],
+        ["loadgen", "--json", "{missing}/l.json"],
+    ],
+)
+def test_an_output_path_without_a_directory_fails_before_the_run(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: error: cannot write {argv[-1]}: no directory {missing}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_profile_rejects_a_top_below_one(top, capsys):
+    assert main(["profile", "--duration", "1", "--top", top]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"repro: error: --top must be at least 1, got {top}\n"
+    assert captured.out == ""
+
+
 def test_profile_event_census_counts_each_lane_stage_once_per_request(tmp_path, capsys):
     """The census tracer joins at ``Simulator.run`` entry, after the lane
     was installed: the run keeps the fast lane, and each of its three
@@ -496,7 +561,7 @@ def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, cap
     assert Simulator.run is run_before and not tracemalloc.is_tracing()
     text = capsys.readouterr().out
     assert "engine: fast lane: installed" in text
-    assert "by pipeline stage (MB):" in text and "by allocating file (MB):" in text
+    assert "by layer (MB):" in text and "by allocating file (MB):" in text
     census = json.loads(out.read_text())
     assert census["schema"] == "memory-census/v1"
     assert census["requests_completed"] > 0
@@ -508,7 +573,7 @@ def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, cap
         assert len(reading["file_mb"]) <= 5
     # The registry is built before the run and is its largest structure.
     assert "core/redirector.py" in census["run_entry"]["file_mb"]
-    assert census["run_entry"]["stage_mb"]["request_pipeline"] > 0
+    assert census["run_entry"]["stage_mb"]["core.redirector"] > 0
 
 
 def test_memory_census_reports_rss_beside_the_traced_heap(tmp_path, capsys, monkeypatch):

@@ -181,7 +181,9 @@ def _command_lines(name):
         match = re.match(r"\s*(?:run: |PYTHONPATH=src )?python -m repro (.*)", line)
         if match is not None:
             command = re.split(r" [&>#]|\$\(", match.group(1))[0]
-            command = command.replace("$FRONT", "127.0.0.1:1")
+            # Placeholders as live_smoke.py fills them: $OUT is a directory
+            # that exists (output paths are checked when parsed).
+            command = command.replace("$FRONT", "127.0.0.1:1").replace("$OUT", ".")
             yield shlex.split(command.replace("$SHARD", "0"))
 
 

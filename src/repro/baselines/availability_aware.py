@@ -22,6 +22,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.core.placement import AffinityOutcome
+from repro.core.runtime import ReplicaCreated
 from repro.errors import ConfigurationError
 from repro.optimal.multi_object import greedy_replica_set
 from repro.sim.process import PeriodicProcess
@@ -173,12 +174,12 @@ class AvailabilityAwarePlacer:
         # Never orphan the object: keep current replicas the greedy set
         # dropped only once the desired ones exist (adds before removes).
         for target in sorted(desired - current):
-            self._create_replica(service, obj, target, current)
+            self._create_replica(obj, target, current)
             current.add(target)
         for node in sorted(current - desired):
             self._remove_replica(service, obj, node)
 
-    def _create_replica(self, service, obj: ObjectId, target: NodeId, current) -> None:
+    def _create_replica(self, obj: ObjectId, target: NodeId, current) -> None:
         system = self._system
         host = system.hosts[target]
         if obj in host.store or not host.has_storage_room(obj):
@@ -189,10 +190,11 @@ class AvailabilityAwarePlacer:
             if live
             else system.board_node
         )
-        system.rpc.bulk(origin, target, system.object_size)
+        if not system.rpc.bulk(origin, target, system.object_size, "ObjectCopy"):
+            return
         affinity = system.hosts[target].store.add(obj)
-        system.rpc.notify(target, service.node, system.control_bytes)
-        service.replica_created(obj, target, affinity)
+        if not system.notice(ReplicaCreated(obj, target, affinity)):
+            return
         self.replications += 1
         system.record_placement(
             PlacementAction.REPLICATE,

@@ -127,13 +127,14 @@ class AntiEntropyDaemon:
             outcome = system.rpc.call(
                 primary,
                 replica,
+                "Digest",
                 request_bytes=digest,
                 response_bytes=digest,
                 target_alive=system.hosts[replica].available,
             )
             self.digest_exchanges += 1
             self.digest_bytes += 2 * digest
-            if not outcome.ok:
+            if not outcome.acked:
                 self.digest_failures += 1
                 self._trace(primary, replica, len(objs), 0, 0, ok=False)
                 continue

@@ -298,8 +298,9 @@ class ConsistencyPlane:
                 # (and die with the host if it crashes again) until it
                 # recovers and reports normally.
                 continue
-            delivered = system.rpc.oneway(
-                node, system.board_node, system.control_bytes
+            # The tallies ride the load-report channel.
+            delivered = system.rpc.notify(
+                node, system.board_node, system.control_bytes, "LoadReport"
             )
             if not delivered:
                 continue  # Stays pending; retried next tick.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.runtime import ReplicaCreated
 from repro.load.bounds import replication_target_max_increase
 from repro.obs.records import CreateObjRecord
 from repro.types import (
@@ -125,12 +126,13 @@ def handle_create_obj(
         raise ValueError(f"CreateObj only handles MIGRATE/REPLICATE, got {action}")
     control = system.control_bytes
     host = system.hosts[candidate]
-    # Request datagram s -> p and response p -> s, over the RPC layer:
-    # bounded retries with backoff under a fault plane, a plain pair of
-    # accounted datagrams without one.
+    # Request datagram s -> p and response p -> s, over the RPC layer: one
+    # attempt under a fault plane, a plain pair of accounted datagrams
+    # without one.
     outcome = system.rpc.call(
         source,
         candidate,
+        "CreateObj",
         request_bytes=control,
         response_bytes=control,
         target_alive=host.available,
@@ -156,9 +158,8 @@ def handle_create_obj(
         return accepted
 
     if not outcome.executed:
-        # The request never reached the candidate (every retransmission
-        # was dropped, or the candidate is down): the source gives up
-        # after the retry budget and no state changed anywhere.
+        # The request never reached the candidate (it was dropped, or the
+        # candidate is down): no state changed anywhere.
         return verdict(False, "rpc-timeout")
     refusal = decide_create_obj(
         host,
@@ -171,22 +172,16 @@ def handle_create_obj(
     if refusal is not None:
         return verdict(False, refusal)
 
-    if obj in host.store:
-        copied_bytes = 0
-    else:
-        # Copy the object's bytes from the source host across the
-        # backbone.  Under a fault plane the bulk transfer retransmits
-        # whole-payload rounds until one arrives intact.
-        copied_bytes = system.object_size
-        system.rpc.bulk(source, candidate, copied_bytes)
+    copied_bytes = 0 if obj in host.store else system.object_size
+    # Copy the object's bytes from the source host across the backbone; a
+    # lost transfer applies nothing.
+    if copied_bytes and not system.rpc.bulk(source, candidate, copied_bytes, "ObjectCopy"):
+        return verdict(False, "copy-failed")
     affinity = apply_create_obj(host, obj, unit_load, system.clock.now)
-
-    # Notify the redirector of the new copy / affinity *after* the fact.
-    # The notification is eventually reliable: the copy exists, so the
-    # registry must learn of it to preserve the subset invariant.
-    redirector = system.redirectors.for_object(obj)
-    system.rpc.notify(candidate, redirector.node, control)
-    redirector.replica_created(obj, candidate, affinity)
+    # Register the new copy / affinity *after* the fact.  If that gives up
+    # the copy stays, unlisted, until its drop request lists it again.
+    if not system.notice(ReplicaCreated(obj, candidate, affinity)):
+        return verdict(False, "register-failed")
     system.record_placement(
         action, reason, obj, source=source, target=candidate, copied_bytes=copied_bytes
     )

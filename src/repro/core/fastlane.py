@@ -154,7 +154,7 @@ class FastLane:
         # dicts track replica adds/drops for the whole run.
         self._stores = [host.store._affinity for host in self._hosts]
         self._dist = dist
-        services = system.redirectors.services
+        services = system._services  # one per object id, or the sole service
         self._services = services
         self._num_services = len(services)
         self._service0 = services[0]

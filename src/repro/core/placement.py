@@ -37,7 +37,7 @@ import enum
 from typing import TYPE_CHECKING
 
 from repro.core.offload import run_offload
-from repro.core.runtime import AffinityReduced, CreateObj, RequestDrop
+from repro.core.runtime import AffinityReduced, CreateObj, ReplicaCreated, RequestDrop
 from repro.load.bounds import (
     migration_source_max_decrease,
     replication_source_max_decrease,
@@ -104,9 +104,8 @@ class PlacementEngine:
             yield AffinityReduced(node, obj, new_affinity)
             outcome = AffinityOutcome.REDUCED
         else:
-            # Intention-to-drop arbitration with the redirector (a
-            # persistent round trip).
-            (approved,) = yield RequestDrop(node, (obj,))
+            # Intention-to-drop arbitration with the redirector.
+            (approved,) = yield from self._arbitrate(node, (obj,))
             if not approved:
                 return AffinityOutcome.REFUSED
             self._drop(host, obj, record_drop)
@@ -114,6 +113,17 @@ class PlacementEngine:
         if shed_bound is not None:
             host.estimator.note_shed(shed_bound, system.clock.now)
         return outcome
+
+    def _arbitrate(self, node: NodeId, run) -> "Step[list[bool | None]]":
+        """``RequestDrop`` for ``run``.  A copy the arbiter does not list
+        (``None``: its registration gave up, or an approval's answer was
+        lost) is still held at affinity 1: register it again, to be judged
+        like any other next round."""
+        approvals = yield RequestDrop(node, tuple(run))
+        for obj, approved in zip(run, approvals):
+            if approved is None:
+                yield ReplicaCreated(obj, node, 1)
+        return approvals
 
     def _drop(self, host: "HostServer", obj: ObjectId, record: bool) -> None:
         """Remove an approved last affinity unit of ``obj`` from ``host``."""
@@ -165,7 +175,7 @@ class PlacementEngine:
                 rates.append(unit_rate)
                 continue
             if run:
-                approvals = yield RequestDrop(node, tuple(run))
+                approvals = yield from self._arbitrate(node, run)
                 moved |= self._apply_drops(host, run, rates, approvals)
                 run = []
                 rates = []
@@ -182,7 +192,7 @@ class PlacementEngine:
                 moved = True
                 relieved = True
         if run:
-            approvals = yield RequestDrop(node, tuple(run))
+            approvals = yield from self._arbitrate(node, run)
             moved |= self._apply_drops(host, run, rates, approvals)
         # Figure 3 gates Offload on "no objects were dropped, migrated or
         # replicated".  We deliberately exclude drops from the gate: a
@@ -217,7 +227,7 @@ class PlacementEngine:
         host: "HostServer",
         run: list[ObjectId],
         rates: list[float],
-        approvals: list[bool],
+        approvals: list[bool | None],
     ) -> bool:
         """Apply a run's approvals in store order.  True if anything was
         dropped."""

@@ -37,8 +37,8 @@ from repro.core.create_obj import handle_create_obj  # re-exported for tests
 from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.placement import PlacementEngine
-from repro.core.redirector import RedirectorGroup, RedirectorService
-from repro.core.runtime import AffinityReduced, CreateObj, ReadBoard, RequestDrop, Step
+from repro.core.redirector import NotListed, RedirectorGroup, RedirectorService
+from repro.core.runtime import AffinityReduced, CreateObj, ReadBoard, ReplicaCreated, RequestDrop, Step
 from repro.errors import ProtocolError
 from repro.metrics.histogram import LatencyHistogram
 from repro.network.faults import FaultPlane
@@ -197,7 +197,7 @@ class HostingSystem:
         ]
         self.redirectors = RedirectorGroup(services)
         #: The request stages pick ``_services[obj % len(_services)]``.
-        self._services = self.redirectors.services
+        self._services = self.redirectors.table(num_objects)
         self.board = LoadReportBoard(expiry=expiry_from_protocol(config))
         #: Node receiving load reports (co-located with the first redirector).
         self.board_node: NodeId = redirector_nodes[0]
@@ -299,6 +299,7 @@ class HostingSystem:
             outcome = self.rpc.call(
                 origin,
                 host,
+                "Liveness",
                 request_bytes=self.control_bytes,
                 response_bytes=self.control_bytes,
                 target_alive=self.hosts[host].available,
@@ -392,8 +393,8 @@ class HostingSystem:
             load = host.measure(now)
             # Load report to the board: a best-effort control datagram.
             # A lost report just leaves the board one interval staler.
-            delivered = self.rpc.oneway(
-                host.node, self.board_node, self.control_bytes, MessageClass.CONTROL
+            delivered = self.rpc.notify(
+                host.node, self.board_node, self.control_bytes, "LoadReport"
             )
             if delivered:
                 self.board.report(host.node, load, now)
@@ -633,10 +634,9 @@ class HostingSystem:
                         message.unit_load,
                         message.reason,
                     )
-                elif kind is AffinityReduced:
-                    answer = self._affinity_reduced(
-                        message.node, message.obj, message.affinity
-                    )
+                elif kind is AffinityReduced or kind is ReplicaCreated:
+                    answer = None
+                    self.notice(message)
                 elif kind is RequestDrop:
                     # One arbitration per object, in order: the paper's
                     # message, whatever framing the live tier gives a run.
@@ -650,6 +650,7 @@ class HostingSystem:
                     acked = self.rpc.call(
                         message.source,
                         message.candidate,
+                        "ProbeLoad",
                         request_bytes=self.control_bytes,
                         response_bytes=self.control_bytes,
                         target_alive=host.available,
@@ -658,30 +659,40 @@ class HostingSystem:
         except StopIteration as done:
             return done.value
 
-    def _affinity_reduced(self, node: NodeId, obj: ObjectId, affinity: int) -> None:
-        """Report a non-final affinity decrement to the redirector."""
-        redirector = self.redirectors.for_object(obj)
-        self.rpc.notify(node, redirector.node, self.control_bytes)
-        redirector.affinity_reduced(obj, node, affinity)
+    def notice(self, message: AffinityReduced | ReplicaCreated) -> bool:
+        """A host's registry notice, one-way to the redirector: True if it
+        arrived and the registry took it (it refuses one about a copy it
+        does not list)."""
+        redirector = self.redirectors.for_object(message.obj)
+        kind = type(message)
+        if not self.rpc.notify(message.node, redirector.node, self.control_bytes, kind.__name__):
+            return False
+        apply = redirector.affinity_reduced if kind is AffinityReduced else redirector.replica_created
+        try:
+            apply(message.obj, message.node, message.affinity)
+        except NotListed:
+            return False
+        return True
 
-    def _request_drop(self, node: NodeId, obj: ObjectId) -> bool:
-        """Drop arbitration with the redirector (affinity 1 -> 0).
-
-        The intention-to-drop exchange must not end ambiguously — a host
-        that drops the bytes without the redirector knowing (or vice
-        versa) breaks the registry-subset invariant — so the conversation
-        is persistent: it retries past the normal budget until the answer
-        is known on both sides.
-        """
+    def _request_drop(self, node: NodeId, obj: ObjectId) -> bool | None:
+        """Drop arbitration with the redirector (affinity 1 -> 0): ``None``
+        if it does not list ``node`` as a holder (a live owner's 409).  A
+        lost answer keeps the copy, even one the redirector approved."""
         redirector = self.redirectors.for_object(obj)
-        self.rpc.call(
+        outcome = self.rpc.call(
             node,
             redirector.node,
+            "RequestDrop",
             request_bytes=self.control_bytes,
             response_bytes=self.control_bytes,
-            persistent=True,
         )
-        return redirector.request_drop(obj, node)
+        if not outcome.executed:
+            return False
+        try:
+            approved = redirector.request_drop(obj, node)
+        except NotListed:
+            approved = None
+        return approved if outcome.acked else False
 
     def record_placement(
         self,
@@ -726,10 +737,14 @@ class HostingSystem:
         """Assert cross-component invariants (used heavily by tests).
 
         * The redirector's replica set is a subset of replicas that
-          physically exist, with matching affinities.
-        * Every object has at least one replica.
-        * Every physically hosted replica is registered (no leaks).
+          physically exist.
+        * Every object has at least one registered replica.
+        * Without a fault plane, also: the affinities match, and every
+          physically hosted replica is registered (no leaks).  Under
+          faults a notice may give up, leaving a stale affinity or an
+          unlisted copy (DESIGN §7's fidelity note).
         """
+        exact = self.fault_plane is None
         # Registrations per host.  Each is looked up in its host's store, so a
         # store holds an unregistered replica exactly when it is larger.
         registered = dict.fromkeys(self.hosts, 0)
@@ -745,12 +760,12 @@ class HostingSystem:
                     raise ProtocolError(
                         f"redirector lists {obj} on {node} but host lacks it"
                     )
-                if store.affinity(obj) != redirector.affinity(obj, node):
+                if exact and store.affinity(obj) != redirector.affinity(obj, node):
                     raise ProtocolError(
                         f"affinity mismatch for object {obj} on host {node}"
                     )
         for node, host in self.hosts.items():
-            if len(host.store) == registered[node]:
+            if not exact or len(host.store) == registered[node]:
                 continue
             for obj in host.store.objects():
                 if obj not in range(self.num_objects) or node not in self.replica_hosts(obj):

@@ -37,8 +37,16 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import ProtocolError
 from repro.obs.records import ChooseReplicaRecord
+from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 from repro.types import NodeId, ObjectId, ReplicaInfo
+
+
+class NotListed(ProtocolError):
+    """A notice about a copy the registry does not list (a new one above
+    affinity 1, or a decrement or drop request from a non-holder): a
+    refusal, which a live owner answers 409 (DESIGN §8)."""
+
 
 #: Observer signature for replica-set changes:
 #: ``(obj, host, affinity, created, dropped)``.
@@ -219,7 +227,7 @@ class RedirectorService:
         created = host not in replicas
         if created:
             if affinity != 1:
-                raise ProtocolError(
+                raise NotListed(
                     f"new replica of {obj} on {host} must have affinity 1, "
                     f"got {affinity}"
                 )
@@ -237,7 +245,7 @@ class RedirectorService:
         """A host reports a (non-final) affinity decrement."""
         replicas = self._expanded(obj)
         if host not in replicas:
-            raise ProtocolError(f"host {host} holds no replica of {obj}")
+            raise NotListed(f"host {host} holds no replica of {obj}")
         if affinity < 1:
             raise ProtocolError("use request_drop to remove the last affinity unit")
         replicas[host].affinity = affinity
@@ -261,7 +269,7 @@ class RedirectorService:
         replicas = self._entry(obj)
         hosts = replicas if type(replicas) is dict else (replicas,)
         if host not in hosts:
-            raise ProtocolError(f"host {host} holds no replica of {obj}")
+            raise NotListed(f"host {host} holds no replica of {obj}")
         survivors = [
             other
             for other in hosts
@@ -407,33 +415,44 @@ class RedirectorGroup:
 
     "For scalability, the load is divided among multiple redirectors by
     hash-partitioning the URL namespace" (Section 2).  The same redirector
-    is always used for all requests to the same object.
+    is always used for all requests to the same object: the one the
+    consistent-hash ring (:class:`~repro.routing.hashring.HashRing`, the
+    live tier's partition too) names, or the only one.
     """
 
     def __init__(self, services: list[RedirectorService]) -> None:
         if not services:
             raise ProtocolError("a redirector group needs at least one service")
         self._services = list(services)
+        self._ring = HashRing(len(services)) if len(services) > 1 else None
 
     @property
     def services(self) -> list[RedirectorService]:
         return list(self._services)
 
+    def table(self, count: int) -> tuple[RedirectorService, ...]:
+        """The service responsible for each object id below ``count``, for
+        the request path to index ``table[obj % len(table)]``."""
+        if self._ring is None:
+            return (self._services[0],)
+        return tuple(self._services[shard] for shard in self._ring.owners(count))
+
     def for_object(self, obj: ObjectId) -> RedirectorService:
         """The redirector responsible for ``obj`` (stable hash partition)."""
-        return self._services[obj % len(self._services)]
+        if self._ring is None:
+            return self._services[0]
+        return self._services[self._ring.owner(obj)]
 
     def partition(
         self, objs: Sequence[ObjectId]
     ) -> list[tuple[RedirectorService, Sequence[ObjectId]]]:
         """``objs`` split by responsible service (:meth:`for_object`), order kept."""
-        stride = len(self._services)
-        if stride == 1:
+        if self._ring is None:
             return [(self._services[0], objs)]
-        return [
-            (service, [obj for obj in objs if obj % stride == index])
-            for index, service in enumerate(self._services)
-        ]
+        shares: list[list[ObjectId]] = [[] for _ in self._services]
+        for obj in objs:
+            shares[self._ring.owner(obj)].append(obj)
+        return list(zip(self._services, shares))
 
     def total_replicas(self) -> int:
         return sum(service.total_replicas() for service in self._services)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Mapping, Protocol, TypeVar, runtime_checkable
+from typing import TYPE_CHECKING, Generator, Mapping, NamedTuple, Protocol, TypeVar, runtime_checkable
 
 from repro.errors import ReproError
 from repro.types import (
@@ -171,6 +171,58 @@ def from_wire(cls, payload: dict, limits: tuple[int, int], **fields):
 
 
 # ----------------------------------------------------------------------
+# The retry table (DESIGN §8), which the simulator's ``RpcLayer`` and the
+# live ``ControlPlane`` both read: per conversation, one attempt or the
+# bounded budget, and ``give_up``, what the caller does when its last
+# attempt fails.  Only what another attempt could change is re-sent
+# (:func:`retryable`), after :func:`backoff`.
+# ----------------------------------------------------------------------
+
+#: The bounded budget (``FaultConfig.rpc_max_attempts``'s default), the
+#: factor each backoff wait grows by, and the live tier's first wait in
+#: seconds (the simulator's is ``FaultConfig.rpc_timeout``).
+BOUNDED_ATTEMPTS = 4
+BACKOFF_FACTOR = 2.0
+LIVE_BACKOFF = 0.05
+Retry = NamedTuple("Retry", [("attempts", int), ("give_up", str)])
+RETRIES = {
+    "CreateObj": Retry(1, "refuse with rpc-timeout; an offer that executed keeps the candidate's registered copy (lost-ack)"),
+    "ProbeLoad": Retry(1, "the candidate reads as unreachable"),
+    "ReadBoard": Retry(1, "the board reads as empty"),
+    "ObjectCopy": Retry(1, "refuse with copy-failed; nothing is applied"),
+    "AffinityReduced": Retry(1, "the registry keeps a stale, higher affinity"),
+    "ReplicaCreated": Retry(BOUNDED_ATTEMPTS, "the candidate keeps the copy and answers register-failed"),
+    "RequestDrop": Retry(BOUNDED_ATTEMPTS, "keep every replica the request asked about"),
+    "Register": Retry(BOUNDED_ATTEMPTS, "the process does not start"),
+    "Endpoints": Retry(1, "the address book stays as it was"),
+    "LoadReport": Retry(1, "the next interval's report supersedes it"),
+    "Heartbeat": Retry(1, "a missed beat, which the detector's deadline counts"),
+    "Liveness": Retry(BOUNDED_ATTEMPTS, "the survivor reads as dead, so the drop is refused"),
+    "Digest": Retry(BOUNDED_ATTEMPTS, "the pair waits for the next anti-entropy round"),
+    "UpdatePush": Retry(BOUNDED_ATTEMPTS, "the replica stays stale until anti-entropy or read-repair"),
+    "RepairCopy": Retry(BOUNDED_ATTEMPTS, "the window stays open until the next repair round"),
+    "RepairNotify": Retry(BOUNDED_ATTEMPTS, "the copy stays unlisted and the window open until the next repair round"),
+}
+
+
+def attempts(conversation: str, bounded: int = BOUNDED_ATTEMPTS) -> int:
+    """1, or ``bounded`` if ``conversation``'s row retries (the simulator
+    passes its ``FaultConfig.rpc_max_attempts``)."""
+    return bounded if RETRIES[conversation].attempts > 1 else 1
+
+
+def retryable(status: int | None) -> bool:
+    """A loss or a timeout (no status), a 429 or a 5xx; any other status is
+    a refusal the peer would repeat."""
+    return status is None or status == 429 or status >= 500
+
+
+def backoff(retry: int, base: float, factor: float = BACKOFF_FACTOR) -> float:
+    """The wait before re-sending after ``retry`` failed attempts."""
+    return base * factor ** (retry - 1)
+
+
+# ----------------------------------------------------------------------
 # The control conversations (Figures 3-5), as messages.  A protocol step
 # is a generator: ``answer = yield Message(...)``; the runtime's loop
 # performs the conversation and sends the answer back in.  Slotted but
@@ -215,11 +267,13 @@ class AffinityReduced:
 @dataclass(slots=True)
 class RequestDrop:
     """Ask the redirectors to approve dropping the last local affinity
-    unit of each of ``objs`` (a persistent round trip).
+    unit of each of ``objs`` (a bounded round trip, :data:`RETRIES`).
 
     ``objs`` is a *run*: every object a placement round judged in a row
     whose last unit goes (``reduce_affinity`` yields a one-tuple).
-    Answer: one approval per object, in order.  A runtime may frame the
+    Answer: one approval per object, in order: ``True``, ``False``, or
+    ``None`` when the arbiter does not list ``node`` as a holder (the step
+    then re-registers the copy).  A runtime may frame the
     run as it likes — the simulator arbitrates object by object, the
     live tier posts one conversation per owning shard — as long as each
     redirector judges its objects in this order.
@@ -253,7 +307,8 @@ class ProbeLoad:
 @dataclass(slots=True)
 class ReplicaCreated:
     """Register a new copy of ``obj`` at ``node``, or an affinity increase
-    (sent by the CreateObj candidate, not yielded by a step)."""
+    (sent by the CreateObj candidate; a step yields one to list again a
+    copy whose drop the arbiter refused as unlisted).  Answer: ``None``."""
 
     WIRE = (("obj", "obj", OBJ), ("host", "node", NODE), ("affinity", "affinity", AFFINITY))
 
@@ -274,7 +329,7 @@ class LoadReport:
 
 
 #: Anything a protocol step may yield.
-Message = CreateObj | AffinityReduced | RequestDrop | ReadBoard | ProbeLoad
+Message = CreateObj | AffinityReduced | RequestDrop | ReadBoard | ProbeLoad | ReplicaCreated
 
 R = TypeVar("R")
 #: A protocol step: yields messages, is sent their answers, returns ``R``.

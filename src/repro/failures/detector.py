@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.network.faults import FaultConfig
-from repro.network.message import MessageClass
 from repro.obs.records import FailureDetectRecord
 from repro.sim.process import PeriodicProcess
 from repro.types import NodeId, Time
@@ -88,9 +87,7 @@ class HeartbeatMonitor:
         for node, host in system.hosts.items():
             if not host.available:
                 continue
-            delivered = rpc.oneway(
-                node, monitor_node, system.control_bytes, MessageClass.CONTROL
-            )
+            delivered = rpc.notify(node, monitor_node, system.control_bytes, "Heartbeat")
             if delivered:
                 self._last_seen[node] = now
                 if node in self._down:

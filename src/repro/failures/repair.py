@@ -107,9 +107,11 @@ class RepairDaemon:
             if target is None:
                 continue  # no live host has room; retry next round
             origin = system.board_node
-            system.rpc.bulk(origin, target, system.object_size)
+            if not system.rpc.bulk(origin, target, system.object_size, "RepairCopy"):
+                continue  # the window stays open until the next round
             affinity = system.hosts[target].store.add(obj)
-            system.rpc.notify(target, service.node, system.control_bytes)
+            if not system.rpc.notify(target, service.node, system.control_bytes, "RepairNotify"):
+                continue  # the copy stays unlisted until its drop request
             service.replica_created(obj, target, affinity)
             window = self._close_window(obj, now)
             self.repairs += 1
@@ -143,6 +145,7 @@ class RepairDaemon:
             return (
                 host.available
                 and node not in registered
+                and obj not in host.store  # an unlisted copy: its drop lists it
                 and host.has_storage_room(obj)
             )
 

@@ -7,12 +7,10 @@ awaits the conversation; nothing blocks and no thread is involved, so a
 conversation with a peer served on the same loop (a single-process
 deployment) simply interleaves with that peer's handler.
 
-Reliability grades mirror :mod:`repro.network.rpc`: plain calls and
-notifies are single attempts (a loss degrades gracefully, as in the
-sim's fault plane), while *persistent* calls — drop arbitration and the
-replica-created registration, whose loss would desynchronise the
-redirector registry — retry a lost exchange, a 429 or a 5xx with
-backoff before giving up; any other status is final.
+Each conversation makes the attempts its row of the retry table allows
+(:data:`repro.core.runtime.RETRIES`, which the simulator reads too): a
+bounded row re-sends only what another attempt could change (a lost
+exchange, a 429 or a 5xx) and raises when its budget is spent.
 
 Three behaviours support the sharded tier (DESIGN §10):
 
@@ -21,12 +19,12 @@ Three behaviours support the sharded tier (DESIGN §10):
   the address book triggers one refresh from the front door; if it is
   still missing, the front door gets the mutation and relays it;
 * every registry mutation carries a unique ``msg_id``; the owning shard
-  deduplicates on it, so a persistent retry whose first attempt *did*
+  deduplicates on it, so a retry whose first attempt *did*
   land (the reply was lost, or the forwarding hop failed after the
   owner applied it) is recognised and not applied twice;
 * a ``429 Too Many Requests`` reply carries the shard's backpressure
-  hint in ``Retry-After`` (fractional seconds); persistent calls wait
-  that long — instead of the blind backoff — before retrying.
+  hint in ``Retry-After`` (fractional seconds); a retry waits that long
+  instead of the blind backoff.
 """
 
 from __future__ import annotations
@@ -37,23 +35,19 @@ import uuid
 from collections.abc import Sequence
 from typing import Any
 
-from repro.core.runtime import AffinityReduced, LoadReport, ReplicaCreated, RequestDrop, to_wire
+from repro.core.runtime import (LIVE_BACKOFF, AffinityReduced, LoadReport, ReplicaCreated,
+                                RequestDrop, attempts, backoff, retryable, to_wire)
 from repro.errors import ConfigurationError
 from repro.types import NodeId, ObjectId
 
 from repro.live.config import PeerDirectory
 from repro.live.pool import Address, HttpPool, TransportError
 
-#: Attempts for persistent (must-not-be-lost) control conversations.
-PERSISTENT_ATTEMPTS = 4
-PERSISTENT_BACKOFF = 0.05
-
-#: The registry mutations: message -> (path at the owning shard, persistent).
-#: A lost ``AffinityReduced`` only leaves a stale (higher) affinity behind.
+#: The registry mutations: message -> path at the owning shard.
 MUTATIONS = {
-    ReplicaCreated: ("/control/replica_created", True),
-    AffinityReduced: ("/control/affinity_reduced", False),
-    RequestDrop: ("/control/request_drop", True),
+    ReplicaCreated: "/control/replica_created",
+    AffinityReduced: "/control/affinity_reduced",
+    RequestDrop: "/control/request_drop",
 }
 
 
@@ -89,7 +83,7 @@ class ControlPlane:
         self.pool = HttpPool(timeout=timeout)
         # Registry-mutation ids: unique across processes (uuid origin)
         # and cheap per message (a counter).  The owning shard dedups
-        # on these, making persistent retries idempotent end to end.
+        # on these, making retries idempotent end to end.
         self._msg_origin = uuid.uuid4().hex[:12]
         self._msg_seq = itertools.count()
 
@@ -105,57 +99,45 @@ class ControlPlane:
         path: str,
         payload: dict[str, Any] | None = None,
         *,
-        persistent: bool = False,
+        conversation: str,
         raw: bool = False,
     ) -> Any:
-        """One conversation: the reply's JSON object (its bytes when
-        ``raw``).  Every failure, error statuses included, is a
-        :class:`TransportError`; the pool bounds each attempt by
-        ``timeout``.
+        """One ``conversation`` (a row of the retry table): the reply's JSON
+        object (its bytes when ``raw``).  Every failure, error statuses
+        included, is a :class:`TransportError`; the pool bounds each
+        attempt by ``timeout``.
         """
         send = self.pool.fetch if raw else self.pool.fetch_json
-        attempts = PERSISTENT_ATTEMPTS if persistent else 1
-        for attempt in range(1, attempts + 1):
+        budget = attempts(conversation)
+        for attempt in range(1, budget + 1):
             try:
                 return await send(address, method, path, payload=payload)
             except TransportError as failure:
-                # A 4xx other than 429 is a refusal: it would be refused again.
-                status = failure.status
-                if attempt == attempts or status not in (None, 429) and status < 500:
+                if attempt == budget or not retryable(failure.status):
                     raise
                 # Honour the shard's backpressure hint: it knows when the
                 # next token arrives, blind backoff doesn't.
-                await asyncio.sleep(
-                    failure.retry_after
-                    if failure.retry_after is not None
-                    else PERSISTENT_BACKOFF * attempt
-                )
+                hint = failure.retry_after
+                await asyncio.sleep(backoff(attempt, LIVE_BACKOFF) if hint is None else hint)
 
     async def _front(
-        self,
-        method: str,
-        path: str,
-        payload: dict[str, Any] | None = None,
-        *,
-        persistent: bool = False,
+        self, conversation: str, method: str, path: str, payload: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         """A conversation with the front door."""
-        return await self._call(
-            self.directory.redirector(), method, path, payload, persistent=persistent
-        )
+        address = self.directory.redirector()
+        return await self._call(address, method, path, payload, conversation=conversation)
 
     async def mutate(
         self, message: ReplicaCreated | AffinityReduced | RequestDrop
     ) -> dict[str, Any]:
         """Send a registry mutation (one of :data:`MUTATIONS`) to the shard
         owning its object(s), stamped with the ``msg_id`` it dedups on."""
-        path, persistent = MUTATIONS[type(message)]
+        kind = type(message)
         payload = to_wire(message)
         payload["msg_id"] = f"{self._msg_origin}-{next(self._msg_seq)}"
-        obj = message.objs[0] if type(message) is RequestDrop else message.obj
-        return await self._call(
-            await self._owner(obj), "POST", path, payload, persistent=persistent
-        )
+        obj = message.objs[0] if kind is RequestDrop else message.obj
+        address = await self._owner(obj)
+        return await self._call(address, "POST", MUTATIONS[kind], payload, conversation=kind.__name__)
 
     async def _owner(self, obj: ObjectId) -> Address:
         """The address of the shard owning ``obj``, refreshing the address
@@ -180,7 +162,7 @@ class ControlPlane:
         process announces its bound port to the front door, which
         aggregates the address book at ``/admin/endpoints``.
         """
-        self.directory.apply_peers(await self._front("GET", "/admin/endpoints"))
+        self.directory.apply_peers(await self._front("Endpoints", "GET", "/admin/endpoints"))
 
     async def _host_address(self, node: NodeId) -> Address:
         """Resolve a host's address, refreshing from the front door once.
@@ -207,12 +189,15 @@ class ControlPlane:
     ) -> dict[str, Any]:
         """Offer a replica/affinity unit to ``candidate`` (Figure 4)."""
         return await self._call(
-            await self._host_address(candidate), "POST", "/control/create_obj", payload
+            await self._host_address(candidate), "POST", "/control/create_obj", payload,
+            conversation="CreateObj",
         )
 
     async def host_load(self, node: NodeId) -> dict[str, Any]:
         """The offload probe: ask a host for its current load estimate."""
-        return await self._call(await self._host_address(node), "GET", "/control/load")
+        return await self._call(
+            await self._host_address(node), "GET", "/control/load", conversation="ProbeLoad"
+        )
 
     async def fetch_object(
         self, node: NodeId, obj: ObjectId, *, address: Address | None = None
@@ -222,6 +207,7 @@ class ControlPlane:
             address if address is not None else await self._host_address(node),
             "GET",
             f"/data/{obj}",
+            conversation="ObjectCopy",
             raw=True,
         )
 
@@ -241,11 +227,11 @@ class ControlPlane:
 
     async def load_report(self, node: NodeId, load: float) -> None:
         """Post this measurement interval's load to the board."""
-        await self._front("POST", "/control/load_report", to_wire(LoadReport(node, load)))
+        await self._front("LoadReport", "POST", "/control/load_report", to_wire(LoadReport(node, load)))
 
     async def offload_candidates(self, exclude: NodeId) -> list[dict[str, Any]]:
         """Fresh load-board entries, most idle first (Offload, Figure 5)."""
-        reply = await self._front("GET", f"/control/offload_candidates?exclude={exclude}")
+        reply = await self._front("ReadBoard", "GET", f"/control/offload_candidates?exclude={exclude}")
         candidates = reply.get("candidates", [])
         if not (isinstance(candidates, list) and all(type(e) is dict for e in candidates)):
             raise TransportError("malformed offload candidate list")
@@ -254,19 +240,15 @@ class ControlPlane:
     # -- membership (ephemeral-port deployments) ------------------------
 
     async def register_host(self, node: NodeId, address: Address) -> None:
-        """Announce a host's bound address to the front door (persistent)."""
+        """Announce a host's bound address to the front door."""
         await self._front(
-            "POST",
-            "/admin/register_host",
+            "Register", "POST", "/admin/register_host",
             {"node": node, "host": address[0], "port": address[1]},
-            persistent=True,
         )
 
     async def register_shard(self, shard: int, address: Address) -> None:
-        """Announce a shard's bound address to the front door, shard 0 (persistent)."""
+        """Announce a shard's bound address to the front door, shard 0."""
         await self._front(
-            "POST",
-            "/admin/register_shard",
+            "Register", "POST", "/admin/register_shard",
             {"shard": shard, "host": address[0], "port": address[1]},
-            persistent=True,
         )

@@ -26,6 +26,7 @@ trace, when enabled) is written before the process exits 0.
 from __future__ import annotations
 
 import asyncio
+import logging
 import signal
 import sys
 from pathlib import Path
@@ -41,6 +42,20 @@ from repro.live.config import LiveConfig, PeerDirectory
 from repro.live.host import LiveHostNode
 from repro.live.metrics import summarize_deployment, write_metrics
 from repro.live.redirector import LiveRedirector
+
+
+class _Stderr(logging.Handler):
+    """Writes each message to the ``sys.stderr`` of the moment, as ``print`` did."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        sys.stderr.write(self.format(record) + "\n")
+
+
+#: A deployment's progress lines, on stderr.
+log = logging.getLogger(__name__)
+log.addHandler(_Stderr())
+log.setLevel(logging.INFO)
+log.propagate = False
 
 
 class LocalDeployment:
@@ -193,17 +208,17 @@ def _export(
 ) -> None:
     if metrics_path:
         payload = write_metrics(metrics_path, snapshot)
-        print(f"metrics -> {metrics_path}", file=sys.stderr)
+        log.info("metrics -> %s", metrics_path)
         summary = payload["summary"]
     else:
         summary = summarize_deployment(snapshot)
     for key in ("requests_serviced", "relocations", "replica_drops",
                 "replicas_total"):
         if key in summary:
-            print(f"  {key}: {summary[key]}", file=sys.stderr)
+            log.info("  %s: %s", key, summary[key])
     if trace_path and tracer is not None:
         count = write_jsonl(tracer.records(), trace_path)
-        print(f"trace -> {trace_path} ({count} records)", file=sys.stderr)
+        log.info("trace -> %s (%d records)", trace_path, count)
 
 
 async def serve_all(
@@ -219,11 +234,9 @@ async def serve_all(
     await deployment.start()
     addr = deployment.directory.redirector()
     _write_port_file(port_file, addr[1])
-    print(
-        f"live deployment up: front door http://{addr[0]}:{addr[1]} "
-        f"({config.num_shards} shard(s)) + {config.num_hosts} hosts "
-        f"({config.topology})",
-        file=sys.stderr,
+    log.info(
+        "live deployment up: front door http://%s:%s (%d shard(s)) + %d hosts (%s)",
+        addr[0], addr[1], config.num_shards, config.num_hosts, config.topology,
     )
     try:
         await _wait(duration)
@@ -297,7 +310,7 @@ async def serve_role(
         if config.base_port == 0:
             await server.control.register_host(index, address)
         server.start_timers()
-    print(f"{role} {index} up on {address[0]}:{port}", file=sys.stderr)
+    log.info("%s %s up on %s:%s", role, index, address[0], port)
     try:
         await _wait(duration)
     finally:

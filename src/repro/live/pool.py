@@ -69,7 +69,7 @@ def retry_after_hint(headers: dict[str, str], limit: float) -> float | None:
     number, negative, ``nan``, ``inf``) is ``None``, and the caller backs
     off blind.  A relay copies the owner's header verbatim, so a caller
     cannot trust it to be sane, and an unbounded hint would stall a
-    persistent conversation — and the placement round awaiting it.
+    bounded conversation — and the placement round awaiting it.
     """
     try:
         hint = float(headers.get("retry-after", ""))

@@ -213,7 +213,7 @@ class LiveRedirector:
     async def _tell_peers(self, path: str, payload: dict) -> None:
         """Post ``payload`` to every other registered shard.
 
-        Best-effort, like the simulator's oneway grade: a lost load
+        Best-effort, one attempt as the retry table's ``LoadReport``: a lost load
         report is superseded by next interval's, a lost address book by
         the next registration (and hosts re-pull it on a miss).
         """
@@ -234,7 +234,7 @@ class LiveRedirector:
     def _build_router(self) -> Router:
         router = Router()
         router.add("GET", "/route", self._route)
-        for message, (path, _persistent) in MUTATIONS.items():
+        for message, path in MUTATIONS.items():
             router.add("POST", path, partial(self._mutation, message))
         router.add("POST", "/control/load_report", self._load_report)
         router.add("GET", "/control/offload_candidates", self._offload_candidates)

@@ -34,6 +34,7 @@ from repro.core.runtime import (
     CreateObj,
     LoadReport,
     ReadBoard,
+    ReplicaCreated,
     RequestDrop,
     Step,
     WireError,
@@ -128,13 +129,13 @@ class LiveSystem:
             kind = type(message)
             if kind is CreateObj:
                 answer = await self._create_obj(message)
-            elif kind is AffinityReduced:
+            elif kind is AffinityReduced or kind is ReplicaCreated:
                 answer = None
                 try:
                     await self.control.mutate(message)
                 except TransportError:
-                    # Notify grade: a lost report leaves the redirector with a
-                    # stale (higher) affinity, never an unsafe registry state.
+                    # A lost notice changes nothing at the registry: a stale
+                    # affinity, or a copy left unlisted until its next drop.
                     pass
             elif kind is RequestDrop:
                 answer = await self._request_drop(message)
@@ -178,7 +179,7 @@ class LiveSystem:
         # deployment-wide aggregation counts each move exactly once.
         return accepted
 
-    async def _request_drop(self, request: RequestDrop) -> list[bool]:
+    async def _request_drop(self, request: RequestDrop) -> list[bool | None]:
         """Arbitrate a run: one conversation per owning shard, each
         keeping the run's order; an object outside the owner table goes
         alone, to the front door."""
@@ -191,10 +192,11 @@ class LiveSystem:
         for objs in groups.values():
             try:
                 answers = await self.control.request_drop(request.node, objs)
-            except TransportError:
-                # Arbitration unreachable: conservatively keep every
-                # replica the conversation asked about.
-                answers = [False] * len(objs)
+            except TransportError as failure:
+                # Keep every replica the conversation asked about.  A 409
+                # says the owner does not list this host for one of them:
+                # ``None`` has the step list the whole run again.
+                answers = [None if failure.status == 409 else False] * len(objs)
             approved.update(zip(objs, answers))
         return [approved[obj] for obj in request.objs]
 
@@ -290,14 +292,9 @@ class LiveSystem:
         try:
             await self.control.replica_created(self.node, obj, affinity)
         except TransportError:
-            # Registration never landed: undo so no unregistered replica
-            # lingers (it could never be dropped — the redirector would
-            # reject arbitration for a replica it does not know).
-            if affinity == 1:
-                host.store.drop(obj)
-                host.clear_object_state(obj)
-            else:
-                host.store.reduce(obj)
+            # The copy stays: the owner may have applied an attempt whose
+            # replies were lost.  If it did not, the copy is unlisted until
+            # its drop request is refused with 409 and lists it again.
             return answer("register-failed")
         self.record_placement(
             offer.action,

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+from repro.core.runtime import BACKOFF_FACTOR, BOUNDED_ATTEMPTS
 from repro.errors import ConfigurationError
 from repro.network.message import MessageClass
 from repro.schema import AT_DEFAULT, flag
@@ -49,12 +50,6 @@ from repro.types import NodeId, Time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.routing.routes_db import RoutingDatabase
-
-#: Hard cap on attempts for "eventually reliable" channels (registry
-#: notifications, bulk transfers): after this many losses the delivery is
-#: forced so a pathological ``drop_prob=1`` configuration cannot hang the
-#: protocol's consistency-critical paths.
-FORCED_DELIVERY_CAP = 64
 
 
 def _schedule_entry(text: str, shape: str, who: Callable[[str], Any]) -> tuple:
@@ -83,9 +78,8 @@ class FaultConfig:
     drop_prob_request, drop_prob_response, drop_prob_control,
     drop_prob_relocation, drop_prob_update:
         Per-class overrides (``None`` = use ``drop_prob``).  Relocation
-        "drops" model failed bulk-transfer rounds: the bytes are
-        retransmitted (and re-charged) rather than lost, because object
-        copies ride a reliable stream.
+        "drops" model failed bulk-transfer rounds: the bytes are charged,
+        and the copy is re-sent or given up as its retry row says.
     duplicate_prob:
         Probability a delivered message arrives twice (its bytes are
         charged twice; receivers deduplicate).
@@ -93,9 +87,11 @@ class FaultConfig:
         Maximum extra delivery delay as a fraction of the base delay
         (uniform in ``[0, delay_jitter * delay]``).
     rpc_timeout, rpc_max_attempts, rpc_backoff, rpc_backoff_jitter:
-        Control-RPC retry envelope: per-attempt timeout in seconds, the
-        bounded attempt budget, the exponential backoff multiplier, and
-        the uniform jitter fraction applied to each backoff wait.
+        Control-RPC retry envelope: per-attempt timeout in seconds (also
+        the first backoff wait), the attempt budget of the conversations
+        :data:`~repro.core.runtime.RETRIES` retries, the exponential
+        backoff multiplier, and the uniform jitter fraction applied to
+        each backoff wait.
     detection, heartbeat_interval, heartbeat_miss_threshold,
     request_failure_threshold:
         Heartbeat-based failure detection: hosts heartbeat the monitor
@@ -143,8 +139,8 @@ class FaultConfig:
         ),
     )
     rpc_timeout: float = 1.0
-    rpc_max_attempts: int = 4
-    rpc_backoff: float = 2.0
+    rpc_max_attempts: int = BOUNDED_ATTEMPTS
+    rpc_backoff: float = BACKOFF_FACTOR
     rpc_backoff_jitter: float = 0.1
     detection: bool = True
     heartbeat_interval: float = 5.0

@@ -3,11 +3,14 @@
 The placement protocol's control conversations — the CreateObj handshake,
 offload-recipient probes, drop arbitration, registry notifications, load
 reports — were written against a reliable transport.  :class:`RpcLayer`
-is the thin shim that keeps them correct over a lossy one: per-attempt
-timeouts, a bounded retry budget with exponential backoff plus jitter,
-and idempotent receive handling (a retransmitted request that already
+is the thin shim that runs them over a lossy one: per-attempt timeouts,
+the attempt budget of each conversation's row of the retry table
+(:data:`repro.core.runtime.RETRIES`, which the live tier's
+``ControlPlane`` reads too), exponential backoff plus jitter, and
+idempotent receive handling (a retransmitted request that already
 executed is deduplicated at the receiver, which simply resends its
-response).
+response).  A conversation whose budget runs out gives up; its caller
+applies the row's give-up rule.  Nothing is delivered by fiat.
 
 The layer keeps the simulation's decision-time modelling (see the timing
 note in :mod:`repro.core.protocol`): a call's outcome is resolved
@@ -16,31 +19,24 @@ charged to the backbone in full, and the accumulated latency (timeouts,
 backoff waits, message delays) is reported on the outcome for callers
 that want to model it.
 
-Reliability grades
-------------------
+Channels
+--------
 ``call``
-    Bounded request/response.  May fail: the caller observes
-    ``executed`` (did the request reach a live target?) and ``acked``
-    (did the caller see the response?) separately, because a lost ack
-    leaves the side effect applied at the target.
-``call(..., persistent=True)``
-    Eventually-reliable request/response for consistency-critical
-    conversations (replica-drop arbitration): retries continue past the
-    normal budget and delivery is forced at
-    :data:`~repro.network.faults.FORCED_DELIVERY_CAP` so the registry
-    invariant cannot be wedged by an adversarial loss configuration.
+    Request/response.  May fail: the caller observes ``executed`` (did
+    the request reach a live target?) and ``acked`` (did the caller see
+    the response?) separately, because a lost ack leaves the side effect
+    applied at the target.
 ``notify``
-    Eventually-reliable one-way datagram (registry notifications).
+    One-way datagram (registry notifications, load reports, heartbeats);
+    returns whether a copy arrived.
 ``bulk``
-    Eventually-reliable object-copy transfer; lost rounds retransmit the
-    full payload and every round's bytes are charged (RELOCATION class).
-``oneway``
-    Best-effort datagram (load reports, heartbeats): fire and forget.
+    Object-copy transfer; every round's bytes are charged (RELOCATION
+    class), lost ones included.
 ``update_push``
     Category-1 update propagation (primary → replica): UPDATE payload
-    plus CONTROL ack, bounded retries, receiver-side dedup so the update
-    applies exactly once.  Best-effort within the budget — a failed push
-    leaves the replica stale for anti-entropy or read-repair to catch up.
+    plus CONTROL ack, receiver-side dedup so the update applies exactly
+    once.  A failed push leaves the replica stale for anti-entropy or
+    read-repair to catch up.
 
 With no fault plane attached every operation degenerates to exactly the
 charges the protocol made before this layer existed — same legs, same
@@ -56,7 +52,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.network.faults import FORCED_DELIVERY_CAP, FaultPlane
+from repro.core.runtime import attempts, backoff
+from repro.network.faults import FaultPlane
 from repro.network.message import MessageClass
 from repro.types import NodeId, Time
 
@@ -131,10 +128,6 @@ class RpcOutcome:
     attempts: int
     latency: Time
 
-    @property
-    def ok(self) -> bool:
-        return self.executed and self.acked
-
 
 _RELIABLE = RpcOutcome(executed=True, acked=True, attempts=1, latency=0.0)
 
@@ -156,11 +149,9 @@ class RpcLayer:
         self.timeouts = 0
         #: Calls executed at the target whose response never came back.
         self.lost_acks = 0
-        #: Persistent calls that hit the forced-delivery cap.
-        self.forced_deliveries = 0
-        #: Best-effort datagrams lost in transit.
+        #: One-way datagrams that never arrived within their budget.
         self.oneway_dropped = 0
-        #: Retransmissions of eventually-reliable notifications.
+        #: Retransmissions of one-way datagrams.
         self.notify_retransmits = 0
         #: Retransmitted bulk-transfer rounds.
         self.bulk_retransmits = 0
@@ -177,10 +168,6 @@ class RpcLayer:
         self.dedup = DedupCache()
         self._update_seq = 0
 
-    @property
-    def plane(self) -> FaultPlane | None:
-        return self._plane
-
     # ------------------------------------------------------------------
     # Request/response
     # ------------------------------------------------------------------
@@ -189,14 +176,14 @@ class RpcLayer:
         self,
         source: NodeId,
         target: NodeId,
+        conversation: str,
         *,
         request_bytes: int,
         response_bytes: int,
         message_class: MessageClass = MessageClass.CONTROL,
         target_alive: bool = True,
-        persistent: bool = False,
     ) -> RpcOutcome:
-        """One request/response conversation, with retries under faults.
+        """One request/response ``conversation`` (a row of the retry table).
 
         ``target_alive`` is the physical truth about the receiving
         process — a crashed host never executes or responds, so every
@@ -212,18 +199,15 @@ class RpcLayer:
             return _RELIABLE
         self.calls += 1
         config = plane.config
-        budget = FORCED_DELIVERY_CAP if persistent else config.rpc_max_attempts
-        executed = False
-        acked = False
-        attempts = 0
+        budget = attempts(conversation, config.rpc_max_attempts)
+        executed = acked = False
         latency = 0.0
-        while attempts < budget:
-            attempts += 1
-            if attempts > 1:
+        for tries in range(1, budget + 1):
+            if tries > 1:
                 self.retries += 1
-                backoff = config.rpc_timeout * config.rpc_backoff ** (attempts - 2)
-                backoff *= 1.0 + config.rpc_backoff_jitter * plane.backoff_jitter()
-                latency += backoff
+                latency += backoff(tries - 1, config.rpc_timeout, config.rpc_backoff) * (
+                    1.0 + config.rpc_backoff_jitter * plane.backoff_jitter()
+                )
             _, request_delay, delivered = network.transmit(
                 source, target, request_bytes, message_class
             )
@@ -239,22 +223,17 @@ class RpcLayer:
                     latency += request_delay + response_delay
                     break
             latency += config.rpc_timeout
-        if persistent and not acked:
-            # Consistency-critical conversations may not end ambiguous;
-            # see FORCED_DELIVERY_CAP.
-            self.forced_deliveries += 1
-            executed = executed or target_alive
-            acked = executed
         if not executed:
             self.timeouts += 1
         elif not acked:
             self.lost_acks += 1
-        self._trace(
-            source, target, message_class, attempts, executed, acked, persistent
-        )
-        return RpcOutcome(
-            executed=executed, acked=acked, attempts=attempts, latency=latency
-        )
+        if self.tracer is not None:
+            from repro.obs.records import RpcRecord
+
+            self.tracer.record(RpcRecord(
+                source, target, message_class.value, tries, executed, acked, conversation
+            ))
+        return RpcOutcome(executed=executed, acked=acked, attempts=tries, latency=latency)
 
     def update_push(
         self,
@@ -269,13 +248,12 @@ class RpcLayer:
 
         The category-1 propagation channel (primary → replica): the full
         update payload travels as UPDATE traffic and a small ack returns
-        as CONTROL.  Retries follow the standard envelope; a
+        as CONTROL.  Retries follow the ``UpdatePush`` row; a
         retransmitted push is recognised at the receiver through the
         dedup ledger, so the update applies exactly once and duplicates
-        merely re-ack.  Unlike ``notify``/``bulk`` the channel is
-        best-effort within the retry budget — a push that keeps losing
-        (partition, crashed target) reports ``False`` and the replica
-        stays stale until anti-entropy or read-repair catches it up.
+        merely re-ack.  A push that keeps losing (partition, crashed
+        target) reports ``False`` and the replica stays stale until
+        anti-entropy or read-repair catches it up.
 
         With no fault plane the push degenerates to the single UPDATE
         charge the primary-copy manager made before this channel existed,
@@ -291,10 +269,8 @@ class RpcLayer:
         self._update_seq += 1
         msg_id = f"u{self._update_seq}"
         applied = False
-        attempts = 0
-        while attempts < config.rpc_max_attempts:
-            attempts += 1
-            if attempts > 1:
+        for tries in range(attempts("UpdatePush", config.rpc_max_attempts)):
+            if tries:
                 self.update_retransmits += 1
             _, _, delivered = network.transmit(
                 source, target, size, MessageClass.UPDATE
@@ -319,101 +295,39 @@ class RpcLayer:
     # One-way variants
     # ------------------------------------------------------------------
 
-    def oneway(
-        self,
-        source: NodeId,
-        target: NodeId,
-        size: int,
-        message_class: MessageClass = MessageClass.CONTROL,
-    ) -> bool:
-        """Best-effort datagram; returns whether it was delivered."""
-        if self._plane is None:
-            self._network.transmit(source, target, size, message_class)
-            return True
-        _, _, delivered = self._network.transmit(source, target, size, message_class)
-        if not delivered:
-            self.oneway_dropped += 1
-        return delivered
-
     def notify(
         self,
         source: NodeId,
         target: NodeId,
         size: int,
+        conversation: str,
         message_class: MessageClass = MessageClass.CONTROL,
-    ) -> int:
-        """Eventually-reliable one-way datagram; returns attempts used.
-
-        Used for registry notifications, whose loss would desynchronise
-        the redirector's replica view from the hosts' stores.
-        """
+    ) -> bool:
+        """One-way ``conversation``; returns whether a copy arrived.  Every
+        round's bytes are charged, lost ones included."""
+        network = self._network
         if self._plane is None:
-            self._network.transmit(source, target, size, message_class)
-            return 1
-        attempts = 0
-        while attempts < FORCED_DELIVERY_CAP:
-            attempts += 1
-            _, _, delivered = self._network.transmit(
-                source, target, size, message_class
-            )
-            if delivered:
-                break
+            network.transmit(source, target, size, message_class)
+            return True
+        budget = attempts(conversation, self._plane.config.rpc_max_attempts)
+        tries, delivered = 0, False
+        while not delivered and tries < budget:
+            tries += 1
+            _, _, delivered = network.transmit(source, target, size, message_class)
+        if message_class is MessageClass.RELOCATION:
+            self.bulk_retransmits += tries - 1
         else:
-            self.forced_deliveries += 1
-        self.notify_retransmits += attempts - 1
-        return attempts
+            self.notify_retransmits += tries - 1
+            self.oneway_dropped += not delivered
+        return delivered
 
-    def bulk(self, source: NodeId, target: NodeId, size: int) -> int:
-        """Eventually-reliable object-copy transfer; returns rounds used.
-
-        Every round — including failed ones — charges the full payload to
-        the backbone: a lost transfer round is retransmitted wholesale.
-        """
-        if self._plane is None:
-            self._network.transmit(source, target, size, MessageClass.RELOCATION)
-            return 1
-        rounds = 0
-        while rounds < FORCED_DELIVERY_CAP:
-            rounds += 1
-            _, _, delivered = self._network.transmit(
-                source, target, size, MessageClass.RELOCATION
-            )
-            if delivered:
-                break
-        else:
-            self.forced_deliveries += 1
-        self.bulk_retransmits += rounds - 1
-        return rounds
+    def bulk(self, source: NodeId, target: NodeId, size: int, conversation: str) -> bool:
+        """Object-copy ``conversation``: :meth:`notify` in the RELOCATION class."""
+        return self.notify(source, target, size, conversation, MessageClass.RELOCATION)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def _trace(
-        self,
-        source: NodeId,
-        target: NodeId,
-        message_class: MessageClass,
-        attempts: int,
-        executed: bool,
-        acked: bool,
-        persistent: bool,
-    ) -> None:
-        if self.tracer is None:
-            return
-        from repro.obs.records import RpcRecord
-
-        self.tracer.record(
-            RpcRecord(
-                source=source,
-                target=target,
-                message_class=message_class.value,
-                attempts=attempts,
-                executed=executed,
-                acked=acked,
-                persistent=persistent,
-            )
-        )
 
     def summary(self) -> dict[str, float]:
         """Counter snapshot for metrics export."""
@@ -422,7 +336,6 @@ class RpcLayer:
             "rpc_retries": float(self.retries),
             "rpc_timeouts": float(self.timeouts),
             "rpc_lost_acks": float(self.lost_acks),
-            "rpc_forced_deliveries": float(self.forced_deliveries),
             "oneway_dropped": float(self.oneway_dropped),
             "notify_retransmits": float(self.notify_retransmits),
             "bulk_retransmits": float(self.bulk_retransmits),

@@ -211,8 +211,8 @@ class RpcRecord:
     #: Whether the caller saw a response.  ``executed and not acked`` is
     #: a lost ack: the target acted but the caller observed a failure.
     acked: bool
-    #: Whether the call was eventually-reliable (drop arbitration).
-    persistent: bool = False
+    #: Its row of the retry table (:data:`repro.core.runtime.RETRIES`).
+    conversation: str
     time: Time = 0.0
     seq: int = 0
 

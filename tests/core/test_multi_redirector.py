@@ -11,6 +11,7 @@ from repro.errors import ProtocolError
 from repro.network.message import MessageClass
 from repro.network.transport import Network
 from repro.core.protocol import HostingSystem
+from repro.routing.hashring import HashRing
 from repro.routing.routes_db import RoutingDatabase
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
@@ -44,9 +45,10 @@ def system():
 
 def test_objects_partitioned_across_redirectors(system):
     assert len(system.redirectors.services) == 3
+    ring = HashRing(3)  # the live tier's partition
     for obj in range(12):
         service = system.redirectors.for_object(obj)
-        assert service.node == [0, 4, 8][obj % 3]
+        assert service.node == [0, 4, 8][ring.owner(obj)]
         assert service.knows(obj)
         # The other services know nothing about this object.
         for other in system.redirectors.services:
@@ -76,7 +78,7 @@ def test_full_run_with_three_redirectors(system):
 
 def test_requests_route_via_owning_redirector(system):
     served = served_log(system)
-    system.submit_request(gateway=8, obj=1)  # redirector at node 4
+    system.submit_request(gateway=8, obj=10)  # redirector at node 4, host 1
     system.sim.run()
     # Request hops: gateway(8)->redirector(4) is 2 hops on a 3x3 grid,
     # then redirector(4)->host(1) is 1 hop.

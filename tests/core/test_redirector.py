@@ -294,10 +294,13 @@ def test_group_hash_partitioning():
     routes = RoutingDatabase(topology)
     services = [RedirectorService(n, routes) for n in (0, 1, 2)]
     group = RedirectorGroup(services)
-    assert group.for_object(0) is services[0]
-    assert group.for_object(4) is services[1]
+    # The ring the live tier partitions by: HashRing(3).owners(5).
+    assert [services.index(group.for_object(obj)) for obj in range(5)] == [1, 0, 0, 2, 2]
     # Stable: the same object always maps to the same redirector.
     assert group.for_object(7) is group.for_object(7)
+    assert group.table(5) == tuple(group.for_object(obj) for obj in range(5))
+    # One service needs no ring: every object is its own.
+    assert RedirectorGroup(services[:1]).table(5) == (services[0],)
 
 
 def test_group_requires_services():

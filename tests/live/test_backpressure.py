@@ -18,7 +18,8 @@ from repro.live.backpressure import (
     Backpressure,
     TokenBucket,
 )
-from repro.live.client import PERSISTENT_ATTEMPTS, ControlPlane, TransportError
+from repro.core.runtime import BOUNDED_ATTEMPTS
+from repro.live.client import ControlPlane, TransportError
 from repro.live.config import PeerDirectory, live_protocol_config
 from repro.live.httpd import HttpServer, Response, Router
 from repro.live.pool import HttpPool, retry_after_hint
@@ -284,13 +285,13 @@ def test_insane_retry_after_cannot_stall_a_persistent_call(header):
             await server.stop()
 
     asyncio.run(main())
-    assert len(calls) == PERSISTENT_ATTEMPTS
+    assert len(calls) == BOUNDED_ATTEMPTS
 
 
 @pytest.mark.parametrize(
     "status, exchanges",
-    [(400, 1), (404, 1), (409, 1), (429, PERSISTENT_ATTEMPTS),
-     (502, PERSISTENT_ATTEMPTS), (503, PERSISTENT_ATTEMPTS)],
+    [(400, 1), (404, 1), (409, 1), (429, BOUNDED_ATTEMPTS),
+     (502, BOUNDED_ATTEMPTS), (503, BOUNDED_ATTEMPTS)],
 )
 def test_a_persistent_call_retries_only_what_another_attempt_could_change(
     status, exchanges

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.network.faults import FORCED_DELIVERY_CAP, FaultConfig, FaultPlane
+from repro.core.runtime import BOUNDED_ATTEMPTS, RETRIES
+from repro.network.faults import FaultConfig, FaultPlane
 from repro.network.message import MessageClass
 from repro.network.rpc import DedupCache, RpcLayer
 from repro.network.transport import Network
@@ -30,21 +31,21 @@ def test_no_plane_is_pure_accounting():
     reference.account(2, 0, 100, MessageClass.CONTROL)
 
     network, rpc = build()
-    outcome = rpc.call(0, 2, request_bytes=100, response_bytes=100)
-    assert outcome.ok
+    outcome = rpc.call(0, 2, "CreateObj", request_bytes=100, response_bytes=100)
+    assert outcome.executed and outcome.acked
     assert outcome.attempts == 1
     assert outcome.latency == 0.0
     assert network.total_byte_hops() == reference.total_byte_hops()
     assert rpc.calls == 0  # counters untouched on the reliable path
-    assert rpc.oneway(0, 2, 50) is True
-    assert rpc.notify(0, 2, 50) == 1
-    assert rpc.bulk(0, 2, 5000) == 1
+    assert rpc.notify(0, 2, 50, "LoadReport") is True
+    assert rpc.notify(0, 2, 50, "ReplicaCreated") is True
+    assert rpc.bulk(0, 2, 5000, "ObjectCopy") is True
 
 
 def test_reliable_plane_single_attempt():
     _, rpc = build(FaultConfig(enabled=True, drop_prob=0.0))
-    outcome = rpc.call(0, 2, request_bytes=100, response_bytes=100)
-    assert outcome.ok
+    outcome = rpc.call(0, 2, "RequestDrop", request_bytes=100, response_bytes=100)
+    assert outcome.executed and outcome.acked
     assert outcome.attempts == 1
     assert rpc.calls == 1
     assert rpc.retries == 0
@@ -54,7 +55,8 @@ def test_lossy_call_retries_until_delivered():
     config = FaultConfig(enabled=True, drop_prob=0.6, rpc_max_attempts=10)
     _, rpc = build(config, seed=5)
     outcomes = [
-        rpc.call(0, 2, request_bytes=100, response_bytes=100) for _ in range(50)
+        rpc.call(0, 2, "RequestDrop", request_bytes=100, response_bytes=100)
+        for _ in range(50)
     ]
     assert any(o.attempts > 1 for o in outcomes)
     assert rpc.retries > 0
@@ -65,7 +67,9 @@ def test_lossy_call_retries_until_delivered():
 
 def test_dead_target_times_out():
     _, rpc = build(FaultConfig(enabled=True, drop_prob=0.0, rpc_max_attempts=3))
-    outcome = rpc.call(0, 2, request_bytes=10, response_bytes=10, target_alive=False)
+    outcome = rpc.call(
+        0, 2, "Liveness", request_bytes=10, response_bytes=10, target_alive=False
+    )
     assert not outcome.executed
     assert not outcome.acked
     assert outcome.attempts == 3
@@ -79,7 +83,8 @@ def test_lost_ack_reports_executed_not_acked():
     config = FaultConfig(enabled=True, drop_prob=0.5, rpc_max_attempts=2)
     _, rpc = build(config, seed=1)
     outcomes = [
-        rpc.call(0, 2, request_bytes=10, response_bytes=10) for _ in range(200)
+        rpc.call(0, 2, "RequestDrop", request_bytes=10, response_bytes=10)
+        for _ in range(200)
     ]
     lost_acks = [o for o in outcomes if o.executed and not o.acked]
     assert lost_acks
@@ -87,46 +92,63 @@ def test_lost_ack_reports_executed_not_acked():
     assert rpc.timeouts == sum(1 for o in outcomes if not o.executed)
 
 
-def test_persistent_call_forces_delivery_under_total_loss():
+def test_persistent_call_gives_up_under_total_loss():
+    """A bounded conversation spends its budget and gives up: no channel
+    delivers by fiat, whatever the conversation."""
     _, rpc = build(FaultConfig(enabled=True, drop_prob=1.0))
-    outcome = rpc.call(
-        0, 2, request_bytes=10, response_bytes=10, persistent=True
-    )
-    assert outcome.ok  # forced: consistency-critical paths never wedge
-    assert outcome.attempts == FORCED_DELIVERY_CAP
-    assert rpc.forced_deliveries == 1
+    outcome = rpc.call(0, 2, "RequestDrop", request_bytes=10, response_bytes=10)
+    assert not outcome.executed and not outcome.acked
+    assert outcome.attempts == BOUNDED_ATTEMPTS
+    assert rpc.timeouts == 1
+    assert rpc.retries == BOUNDED_ATTEMPTS - 1
 
 
 def test_persistent_call_against_dead_target_fails_cleanly():
     _, rpc = build(FaultConfig(enabled=True, drop_prob=1.0))
     outcome = rpc.call(
-        0, 2, request_bytes=10, response_bytes=10,
-        persistent=True, target_alive=False,
+        0, 2, "RequestDrop", request_bytes=10, response_bytes=10, target_alive=False
     )
-    assert not outcome.executed  # a crashed process cannot be forced
+    assert not outcome.executed
+
+
+@pytest.mark.parametrize("conversation", sorted(RETRIES))
+def test_every_channel_spends_its_rows_budget_under_total_loss(conversation):
+    """Each channel reads its conversation's row: one attempt, or the
+    plane's bounded budget (``rpc_max_attempts``)."""
+    budget = 1 if RETRIES[conversation].attempts == 1 else 6
+    network, rpc = build(FaultConfig(enabled=True, drop_prob=1.0, rpc_max_attempts=6))
+    assert rpc.call(
+        0, 2, conversation, request_bytes=10, response_bytes=10
+    ).attempts == budget
+    before = network.total_byte_hops()
+    assert rpc.notify(0, 2, 10, conversation) is False
+    assert rpc.bulk(0, 2, 100, conversation) is False
+    assert network.total_byte_hops() - before == budget * (10 + 100) * 2
+    assert rpc.notify_retransmits == rpc.bulk_retransmits == budget - 1
 
 
 def test_notify_and_bulk_retransmit_and_charge_every_round():
     config = FaultConfig(enabled=True, drop_prob=0.7)
     network, rpc = build(config, seed=9)
     baseline = network.total_byte_hops()
-    attempts = rpc.notify(0, 2, 100)
-    assert attempts >= 1
-    assert rpc.notify_retransmits == attempts - 1
+    assert rpc.notify(0, 2, 100, "ReplicaCreated") is True
+    attempts = rpc.notify_retransmits + 1
     charged = network.total_byte_hops() - baseline
     # Every round's bytes cross the backbone (2 hops on the line).
     assert charged == attempts * 100 * 2
 
     before = network.total_byte_hops()
-    rounds = rpc.bulk(0, 2, 1000)
+    rpc.bulk(0, 2, 1000, "RepairCopy")
+    rounds = rpc.bulk_retransmits + 1
     assert network.total_byte_hops() - before == rounds * 1000 * 2
-    assert rpc.bulk_retransmits == rounds - 1
+    assert rpc.notify_retransmits + rpc.bulk_retransmits > 0
 
 
 def test_oneway_loss_counted():
     _, rpc = build(FaultConfig(enabled=True, drop_prob=1.0))
-    assert rpc.oneway(0, 2, 10) is False
+    assert rpc.notify(0, 2, 10, "Heartbeat") is False
     assert rpc.oneway_dropped == 1
+    assert rpc.notify_retransmits == 0
 
 
 def test_update_push_without_plane_is_single_update_datagram():
@@ -203,14 +225,13 @@ def test_dedup_cache_lru_eviction_replays_surviving_replies():
 def test_summary_exports_all_counters():
     _, rpc = build(FaultConfig(enabled=True, drop_prob=0.5), seed=2)
     for _ in range(10):
-        rpc.call(0, 2, request_bytes=10, response_bytes=10)
+        rpc.call(0, 2, "CreateObj", request_bytes=10, response_bytes=10)
     summary = rpc.summary()
     assert set(summary) == {
         "rpc_calls",
         "rpc_retries",
         "rpc_timeouts",
         "rpc_lost_acks",
-        "rpc_forced_deliveries",
         "oneway_dropped",
         "notify_retransmits",
         "bulk_retransmits",

@@ -9,14 +9,22 @@ branches at every message over a finite answer set:
 * ``CreateObj`` — accepted; refused; or executed with the ack lost (the
   candidate holds and registers the copy, the source sees a refusal);
 * ``RequestDrop`` — every subset of approvals the registry can grant
-  (an object whose only registered copy is the asker's is refused);
+  (an object whose only registered copy is the asker's is refused),
+  answered or with the answer lost (the registry applied it, the asker
+  sees refusals); a run naming a copy the registry does not list is
+  refused whole, as a live owner's 409, or object by object, as the
+  simulator's arbiter does (``None`` for the unlisted copy);
+* ``ReplicaCreated`` (the step listing such a copy again) — registered
+  or lost;
 * ``AffinityReduced`` — delivered (the registry takes the new affinity)
   or lost.
 
 ``ReadBoard`` / ``ProbeLoad`` get one fixed answer (an empty board): no
 host in this scope is offloading.  The scope is every host of a 3-host
 line holding 2 objects at affinity 1 or 2, each cold one perhaps with
-one more copy elsewhere, and per-gateway access counts at the deciding host
+one more copy elsewhere (and then perhaps unlisted at the deciding host:
+its registration gave up, or an approval's answer was lost), and
+per-gateway access counts at the deciding host
 from {0, u/2, 2u, 7u} (as rates over the round).  A round depends on the
 counts only through its *view* — per object in store order: affinity,
 the other copy, cold or not, and the migration and replication
@@ -33,7 +41,9 @@ Invariants, after every answer:
 * every stored affinity is at least 1;
 * a ``RequestDrop`` lists only objects that were cold at affinity 1,
   in store order, each once in the round — or exactly the object whose
-  migration was just accepted (the source's hand-off).
+  migration was just accepted (the source's hand-off);
+* a ``ReplicaCreated`` lists again, at affinity 1, only a copy whose
+  drop was just answered ``None``, once.
 
 A violation fails with the round and its choice sequence; ``replay``
 runs one such sequence again.
@@ -49,7 +59,14 @@ from types import SimpleNamespace
 from repro.core.config import ProtocolConfig
 from repro.core.host import HostServer
 from repro.core.placement import PlacementEngine
-from repro.core.runtime import AffinityReduced, CreateObj, ProbeLoad, ReadBoard, RequestDrop
+from repro.core.runtime import (
+    AffinityReduced,
+    CreateObj,
+    ProbeLoad,
+    ReadBoard,
+    ReplicaCreated,
+    RequestDrop,
+)
 from repro.routing.routes_db import RoutingDatabase
 from repro.topology.generators import line_topology
 from repro.types import PlacementAction
@@ -73,12 +90,12 @@ class Violation(AssertionError):
 # ----------------------------------------------------------------------
 
 
-def object_view(host, affinity, other, counts):
+def object_view(host, affinity, other, counts, listed=True):
     """What one object's part of ``host``'s round depends on."""
     total = sum(counts)
     rate = total / affinity / NOW
     if rate < U:
-        return (affinity, other, "cold")
+        return (affinity, other, "cold", listed)
     at = dict.fromkeys(NODES, 0)
     paths = ROUTES.preference_paths(host)
     for gateway, count in zip(NODES, counts):
@@ -124,11 +141,15 @@ def rounds():
         per_object = {}
         kept = 0
         others = [None] + [(node,) for node in NODES if node != host]
-        for affinity, other, counts in itertools.product((1, 2), others, counts_by_total):
-            view = object_view(host, affinity, other, counts)
-            if other is None or view[2] == "cold":
+        for affinity, other, counts, listed in itertools.product(
+            (1, 2), others, counts_by_total, (True, False)
+        ):
+            view = object_view(host, affinity, other, counts, listed)
+            if listed and (other is None or view[2] == "cold") or (
+                not listed and other is not None and affinity == 1 and view[2] == "cold"
+            ):
                 kept += 1
-                per_object.setdefault(view, (affinity, other, counts))
+                per_object.setdefault(view, (affinity, other, counts, listed))
         assignments += kept**2
         for (view0, obj0), (view1, obj1) in itertools.product(per_object.items(), repeat=2):
             view = (host, (view0, view1))
@@ -152,8 +173,8 @@ class World:
         #: obj -> {holder: affinity}, as the redirector has it.
         self.registry = {}
         deciding = self.hosts[self.node]
-        for obj, (affinity, other, counts) in enumerate(objects):
-            self.registry[obj] = {self.node: affinity}
+        for obj, (affinity, other, counts, listed) in enumerate(objects):
+            self.registry[obj] = {self.node: affinity} if listed else {}
             for _ in range(affinity):
                 deciding.store.add(obj)
             for holder in other or ():
@@ -167,6 +188,8 @@ class World:
                      if deciding.store.affinity(obj) == 1
                      and deciding.total_access_count(obj) / NOW < U}
         self.listed = set()
+        #: Copies whose drop was just answered ``None``: each may be listed again once.
+        self.unlisted = set()
         self.accepted_migration = None
         self.port = SimpleNamespace(
             config=CONFIG, clock=SimpleNamespace(now=NOW), routes=ROUTES, tracer=None,
@@ -188,19 +211,39 @@ class World:
             return [("accepted", executed(True)), ("refused", lambda: False),
                     ("ack-lost", executed(False))]
         if kind is RequestDrop:
-            grantable = [obj for obj in message.objs
-                         if any(holder != message.node for holder in self.registry[obj])]
-            answers = []
-            for granted in itertools.product((False, True), repeat=len(grantable)):
-                approved = dict(zip(grantable, granted))
+            node = message.node
+            unlisted = {obj for obj in message.objs if node not in self.registry[obj]}
+            grantable = [obj for obj in message.objs if obj not in unlisted
+                         and any(holder != node for holder in self.registry[obj])]
 
-                def apply(approved=approved):
+            def judged(approved, heard):
+                def apply():
                     for obj, yes in approved.items():
                         if yes:
-                            del self.registry[obj][message.node]
-                    return [approved.get(obj, False) for obj in message.objs]
-                answers.append((f"approve {sorted(o for o, y in approved.items() if y)}", apply))
+                            del self.registry[obj][node]
+                    self.unlisted = unlisted if heard else set()
+                    if not heard:
+                        return [False] * len(message.objs)
+                    return [None if obj in unlisted else approved.get(obj, False)
+                            for obj in message.objs]
+                return apply
+
+            def refuse_run():  # the live owner's 409: nothing judged
+                self.unlisted = set(message.objs)
+                return [None] * len(message.objs)
+
+            answers = [("not listed: the run refused", refuse_run)] if unlisted else []
+            for granted in itertools.product((False, True), repeat=len(grantable)):
+                approved = dict(zip(grantable, granted))
+                label = f"approve {sorted(o for o, y in approved.items() if y)}"
+                answers.append((label, judged(approved, True)))
+                if any(granted):
+                    answers.append((label + ", answer lost", judged(approved, False)))
             return answers
+        if kind is ReplicaCreated:
+            def registered():
+                self.registry[message.obj][message.node] = message.affinity
+            return [("registered", registered), ("lost", lambda: None)]
         if kind is AffinityReduced:
             def delivered():
                 self.registry[message.obj][message.node] = message.affinity
@@ -212,6 +255,15 @@ class World:
         raise Violation(f"unexpected message {message!r}")
 
     def check_message(self, message):
+        if type(message) is ReplicaCreated:
+            if message.obj not in self.unlisted or message.affinity != 1 or (
+                message.node != self.node
+                or self.hosts[self.node].store.affinity(message.obj) != 1
+            ):
+                raise Violation(f"{message} lists again a copy not answered None "
+                                f"(answered None: {sorted(self.unlisted)})")
+            self.unlisted.discard(message.obj)
+            return
         if type(message) is not RequestDrop:
             return
         objs = message.objs
@@ -347,19 +399,20 @@ def test_the_scope_reaches_every_branch_point():
         except StopIteration:
             pass
     assert {("CreateObj", 0), ("AffinityReduced", 0), ("RequestDrop", 1),
-            ("RequestDrop", 2)} <= kinds
+            ("RequestDrop", 2), ("ReplicaCreated", 0)} <= kinds
 
 
 def test_a_lost_ack_leaves_a_registered_copy_and_a_refusal():
     """A pinned sequence: host 0 offers its hot object 0 to host 2, the
     ack is lost, and the offer to host 1 is accepted; the source keeps
     nothing (its own copy was handed off)."""
-    hot = (1, None, (0, 0, 14))  # every request from gateway 2: migrate there
-    cold = (1, None, (0, 0, 0))
+    hot = (1, None, (0, 0, 14), True)  # every request from gateway 2: migrate there
+    cold = (1, None, (0, 0, 0), True)
     scenario = (0, (hot, cold))
     world = World(scenario)
     step = PlacementEngine(world.port).run_host(0, NOW)
     offer = step.send(None)
     assert (type(offer), offer.candidate, offer.action) == (CreateObj, 2, PlacementAction.MIGRATE)
     choices, widths = replay(scenario, [2, 0, 1])  # ack lost, accepted, hand-off approved
-    assert choices[:3] == [2, 0, 1] and widths[:3] == [3, 3, 2]
+    # The hand-off's answers: refused, approved, approved with the answer lost.
+    assert choices[:3] == [2, 0, 1] and widths[:3] == [3, 3, 3]

@@ -28,7 +28,12 @@ import-ban rule, so this test *is* the lint:
   (``.get()`` of a wire key on a request body): ``to_wire`` /
   ``from_wire`` are the one codec.  The envelope keys (``msg_id``,
   ``forwarded``, ``source_addr``) stay outside it, and a registration's
-  ``host`` is an address, read only inside ``peer_address(...)``.
+  ``host`` is an address, read only inside ``peer_address(...)``;
+* both planes retry from one table, ``core/runtime.py``'s ``RETRIES``:
+  neither ``live/client.py`` nor ``network/rpc.py`` writes a number but
+  the few named below (no attempt budget, no backoff), nothing under
+  ``src/`` is named for a forced delivery, and DESIGN §8's retry table
+  lists exactly the table's rows.
 """
 
 import ast
@@ -37,6 +42,7 @@ import pathlib
 
 from repro.core import offload, placement, runtime
 from repro.core.runtime import (
+    RETRIES,
     AffinityReduced,
     CreateObj,
     LoadReport,
@@ -44,6 +50,7 @@ from repro.core.runtime import (
     RequestDrop,
 )
 from repro.live import system as live_system
+from repro.network import rpc
 
 CORE_DIR = pathlib.Path(inspect.getfile(placement)).parent
 LIVE_DIR = pathlib.Path(inspect.getfile(live_system)).parent
@@ -247,3 +254,69 @@ def test_live_tier_writes_and_reads_control_bodies_only_through_the_codec():
         "    return body.get('load'), body.get('msg_id'), peer_address(body.get('host'))\n"
     )
     assert [line for line, _what in _hand_codecs(retired)] == [4, 4, 2, 7]
+
+
+#: The numbers ``live/client.py`` and ``network/rpc.py`` may write besides
+#: 0 and 1, and what each is.  An attempt budget or a backoff is none of
+#: them: those are rows of ``core/runtime.py``'s ``RETRIES``.
+RETRY_FREE_NUMBERS = {
+    ("client.py", 5.0): "the pool's exchange timeout",
+    ("client.py", 12): "the length of a msg_id's origin",
+    ("rpc.py", 4096): "the dedup ledger's capacity",
+}
+
+
+def _numbers(name: str, source: str):
+    """Yield ``((name, number), line)`` for every number but 0 and 1."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            if node.value not in (0, 1):
+                yield (name, node.value), node.lineno
+
+
+def test_neither_plane_writes_a_retry_budget_or_a_backoff():
+    files = (LIVE_DIR / "client.py", pathlib.Path(inspect.getfile(rpc)))
+    found = sorted(
+        (key, line)
+        for path in files
+        for key, line in _numbers(path.name, path.read_text())
+        if key not in RETRY_FREE_NUMBERS
+    )
+    assert found == [], f"numbers outside the retry table: {found}"
+    # ...and the guard still sees the constants the table replaced.
+    retired = "PERSISTENT_ATTEMPTS = 4\nPERSISTENT_BACKOFF = 0.05\nFORCED_DELIVERY_CAP = 64\n"
+    assert [number for (_, number), _ in _numbers("client.py", retired)] == [4, 0.05, 64]
+
+
+def test_nothing_is_named_for_a_forced_delivery():
+    package = CORE_DIR.parent
+    named = sorted(
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in package.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None),
+            getattr(node, "name", None), getattr(node, "arg", None),
+        )
+        if isinstance(name, str) and ("FORCED" in name or "forced_deliver" in name)
+    )
+    assert named == []
+
+
+def _design_retry_table() -> dict:
+    """DESIGN §8's retry table: ``{conversation: (attempts, give-up)}``."""
+    design = (CORE_DIR.parents[2] / "DESIGN.md").read_text().splitlines()
+    start = design.index("| conversation | attempts | on give-up |")
+    rows = {}
+    for line in design[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, attempts, give_up = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = (int(attempts), give_up)
+    return rows
+
+
+def test_design_lists_exactly_the_retry_table():
+    assert _design_retry_table() == {
+        name: (row.attempts, row.give_up) for name, row in RETRIES.items()
+    }

@@ -39,7 +39,7 @@ def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.15
     duration = float(sys.argv[2]) if len(sys.argv) > 2 else 1800.0
     config = paper_scenario("regional", scale=scale, duration=duration)
-    topology = uunet_backbone(config.topology_seed)
+    topology = uunet_backbone()
     workload = RegionalWorkload(config.num_objects, topology)
 
     print(f"Running {config.name!r} for {duration:g} simulated seconds ...")

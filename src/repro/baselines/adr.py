@@ -390,7 +390,7 @@ def run_adr(config: "ScenarioConfig", *, write_fraction: float) -> tuple[AdrSyst
     place of a read at probability ``write_fraction``; return the system
     and its mean byte-hops per read over the run's final third."""
     sim = Simulator()
-    topology = uunet_backbone(config.topology_seed)
+    topology = uunet_backbone()
     network = Network(sim, RoutingDatabase(topology), track_links=False)
     system = AdrSystem(
         sim,

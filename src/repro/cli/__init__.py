@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.scenarios.config import ScenarioConfig
+from repro.sweep import SweepSpec
 
 
 def parse_axes(pairs: list[str] | None) -> dict[str, list[str]]:
@@ -46,3 +49,27 @@ def write_json(path: str, payload: Any) -> None:
         return
     with open(path, "w") as handle:
         handle.write(text)
+
+
+def revision(path: str = os.path.dirname(__file__)) -> str | None:
+    """``git describe --always --dirty`` of the checkout holding ``path``
+    (this package's, by default); ``None`` outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=path, capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return (done.stdout.strip() or None) if done.returncode == 0 else None
+
+
+def provenance(config: ScenarioConfig | None = None) -> dict[str, Any]:
+    """An artefact's origin: the code's revision and, for one scenario,
+    the spec hash of its one-seed sweep (what ``sweep`` prints for the
+    same command line) and its seed."""
+    record: dict[str, Any] = {"revision": revision()}
+    if config is not None:
+        record["spec_hash"] = SweepSpec(base=config).spec_hash()
+        record["seed"] = config.seed
+    return record

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from repro.analysis.claims import markdown, run_claims
-from repro.cli import output_path, write_json
+from repro.cli import output_path, provenance, write_json
 from repro.sweep import default_workers
 
 
@@ -22,7 +22,7 @@ def claims_main(args: argparse.Namespace) -> int:
         print(f"  {line}", file=sys.stderr, flush=True)
 
     card = run_claims(workers=default_workers(), progress=progress)
-    write_json(args.out, card)
+    write_json(args.out, card | provenance())
     print(markdown(card))
     print(f"wrote {args.out} ({card['elapsed_seconds']:.0f}s wall)", file=sys.stderr)
     for failure in card["failures"]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import output_path, parse_axes, write_json
+from repro.cli import output_path, parse_axes, provenance, write_json
 from repro.errors import ConfigurationError
 from repro.optimal.gap import GapSettings, quick_settings, run_gap_benchmark
 from repro.schema import apply_overrides, set_keys
@@ -76,7 +76,7 @@ def gap_main(args: argparse.Namespace) -> int:
     )
     print(f"gap campaign: {total} points ...", file=sys.stderr)
     payload = run_gap_benchmark(settings, progress=progress)
-    write_json(args.out, payload)
+    write_json(args.out, payload | provenance())
     if args.out != "-":
         print(f"wrote {len(payload['points'])} gap points to {args.out}")
     worst = max(payload["points"], key=lambda p: p["gap_ratio"])

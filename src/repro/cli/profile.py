@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli import output_path, write_json
+from repro.cli import output_path, provenance, write_json
 from repro.cli.sim import add_scenario_options, scenario_from_args
 from repro.errors import ConfigurationError
 from repro.obs.profile import (
@@ -105,7 +105,7 @@ def profile_main(args: argparse.Namespace) -> int:
     for label, row in list(census["callbacks"].items())[: args.top]:
         print(f"  {row['per_request']:8.4f}  {row['time_share']:6.1%}  {label}")
     if args.json_out:
-        write_json(args.json_out, breakdown)
+        write_json(args.json_out, breakdown | provenance(config))
         print(f"\nwrote layer breakdown to {args.json_out}")
     return 0
 
@@ -132,6 +132,6 @@ def _memory_main(
             at_entry = entry[key].get(name, 0.0)
             print(f"  {name:34s} {at_entry:9.2f} {horizon[key].get(name, 0.0):9.2f}")
     if args.json_out:
-        write_json(args.json_out, census)
+        write_json(args.json_out, census | provenance(config))
         print(f"\nwrote memory census to {args.json_out}")
     return 0

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from repro.cli import output_path, write_json
+from repro.cli import output_path, provenance, write_json
 from repro.consistency.config import ConsistencyConfig
 from repro.metrics.availability import fault_metrics
 from repro.metrics.report import format_table, series_summary
@@ -186,7 +186,7 @@ def run_main(args: argparse.Namespace) -> int:
     print()
     print(format_table(["metric", "value"], rows))
     if args.json_out:
-        write_json(args.json_out, {**metrics, **extra})
+        write_json(args.json_out, {**metrics, **extra, **provenance(config)})
         print(f"wrote metrics to {args.json_out}")
     return 0
 

@@ -98,7 +98,6 @@ def sweep_main(args: argparse.Namespace) -> int:
             seeds=seeds,
             num_seeds=0 if seeds else args.seeds,
             root_seed=args.root_seed,
-            name=f"{args.workload}-sweep",
         )
     workers = args.workers if args.workers is not None else default_workers()
     runs = spec.runs()

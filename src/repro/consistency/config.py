@@ -4,10 +4,10 @@ A :class:`ConsistencyConfig` rides inside
 :class:`~repro.scenarios.config.ScenarioConfig` and controls whether a
 scenario runs provider writes over the (possibly faulted) RPC layer,
 how objects are split across the paper's three update categories, and
-which repair machinery (epidemic batching, anti-entropy, read-repair)
-is active.  The all-defaults instance means "consistency plane off" —
-scenarios built before this module existed are unaffected, and the
-sweep spec hash drops the block entirely when it is at defaults.
+which repair machinery (epidemic batching, anti-entropy) is active;
+read-repair is always on.  The all-defaults instance means "consistency
+plane off" — scenarios built before this module existed are unaffected,
+and the sweep spec hash drops the block entirely when it is at defaults.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class ConsistencyConfig:
             "(omitted or 0: no daemon)",
         ),
     )
-    #: Repair a detected stale serve immediately (subject to the
-    #: epidemic window — reads inside the flush period are expected
-    #: stale and not repaired).
-    read_repair: bool = True
     #: Replica cap for category-3 (non-commuting) objects.
     non_commuting_replica_limit: int = 1
 

@@ -248,9 +248,7 @@ class ConsistencyPlane:
         stale = self.tracker.note_read(obj, server, now)
         if not stale:
             return
-        repaired = False
-        if self.config.read_repair:
-            repaired = self._read_repair(obj, server, now)
+        repaired = self._read_repair(obj, server, now)
         tracer = self._system.tracer
         if tracer is not None:
             tracer.record(

@@ -47,12 +47,6 @@ class ProtocolConfig:
         Seconds between runs of DecidePlacement on each host (paper: 100).
     measurement_interval:
         The load measurement interval in seconds (paper: 20).
-    stagger_placement:
-        When true, host placement rounds are phase-offset across hosts
-        (host ``i`` first runs at ``(i+1)/n * placement_interval`` after
-        start) instead of all hosts deciding in the same instant.  The
-        protocol is designed for autonomous, unsynchronised hosts;
-        staggering is the realistic default.
     relocation_freeze_intervals:
         Footnote 2 of the paper: "when frequent object relocations make
         most of measurement intervals contain a relocation event, a host
@@ -98,7 +92,6 @@ class ProtocolConfig:
             "--measurement-interval", "S", "load measurement interval in seconds"
         ),
     )
-    stagger_placement: bool = True
     relocation_freeze_intervals: int | None = None
     report_expiry_intervals: int | None = 3
 

@@ -7,8 +7,7 @@ drives the request flow:
 
 and the periodic protocol machinery: load measurement (every measurement
 interval), load reports to the recovery board, and per-host placement
-rounds (every placement interval, phase-staggered across hosts by
-default).
+rounds (every placement interval, phase-staggered across hosts).
 
 Timing model
 ------------
@@ -38,7 +37,9 @@ from repro.core.host import HostServer
 from repro.core.load_board import LoadReportBoard, expiry_from_protocol
 from repro.core.placement import PlacementEngine
 from repro.core.redirector import NotListed, RedirectorGroup, RedirectorService
-from repro.core.runtime import AffinityReduced, CreateObj, ReadBoard, ReplicaCreated, RequestDrop, Step
+from repro.core.runtime import (
+    AffinityReduced, CreateObj, ReadBoard, ReplicaCreated, RequestDrop, Step, placement_offset,
+)
 from repro.errors import ProtocolError
 from repro.metrics.histogram import LatencyHistogram
 from repro.network.faults import FaultPlane
@@ -356,15 +357,10 @@ class HostingSystem:
             )
             if self.enable_placement:
                 # First placement fires one full interval after the phase
-                # offset, so load measurements exist before any host makes
-                # a placement decision (a cold-start artifact the paper's
-                # always-running hosts never face: deciding with all loads
-                # reading zero floods the hubs with geo-migrations).
-                offset = (
-                    (node + 1) / n * config.placement_interval
-                    if config.stagger_placement
-                    else 0.0
-                )
+                # offset: deciding with every load reading zero (a
+                # cold-start artifact the paper's always-running hosts
+                # never face) floods the hubs with geo-migrations.
+                offset = placement_offset(node, n, config.placement_interval)
                 self._processes.append(
                     PeriodicProcess(
                         self.sim,

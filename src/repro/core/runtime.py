@@ -62,6 +62,15 @@ class Clock(Protocol):
     def now(self) -> Time: ...  # pragma: no cover - protocol
 
 
+def placement_offset(node: NodeId, num_hosts: int, interval: float) -> float:
+    """Host ``node``'s placement phase, ``(node + 1) / num_hosts`` of an
+    ``interval``.  Both runtimes fire a host's first round one full
+    interval after its phase, so load measurements exist before any host
+    decides, and no two hosts decide in the same instant (the protocol's
+    hosts are autonomous and unsynchronised)."""
+    return (node + 1) / num_hosts * interval
+
+
 class SystemPort(Protocol):
     """What the protocol decision code requires of its runtime.
 
@@ -178,12 +187,15 @@ def from_wire(cls, payload: dict, limits: tuple[int, int], **fields):
 # (:func:`retryable`), after :func:`backoff`.
 # ----------------------------------------------------------------------
 
-#: The bounded budget (``FaultConfig.rpc_max_attempts``'s default), the
-#: factor each backoff wait grows by, and the live tier's first wait in
-#: seconds (the simulator's is ``FaultConfig.rpc_timeout``).
+#: The bounded budget, the factor each backoff wait grows by, and the
+#: live tier's first wait in seconds.  The simulator's first wait is its
+#: per-attempt timeout, ``RPC_TIMEOUT`` simulated seconds, and it spreads
+#: each wait by up to ``BACKOFF_JITTER`` of itself.
 BOUNDED_ATTEMPTS = 4
 BACKOFF_FACTOR = 2.0
 LIVE_BACKOFF = 0.05
+RPC_TIMEOUT = 1.0
+BACKOFF_JITTER = 0.1
 Retry = NamedTuple("Retry", [("attempts", int), ("give_up", str)])
 RETRIES = {
     "CreateObj": Retry(1, "refuse with rpc-timeout; an offer that executed keeps the candidate's registered copy (lost-ack)"),
@@ -205,10 +217,9 @@ RETRIES = {
 }
 
 
-def attempts(conversation: str, bounded: int = BOUNDED_ATTEMPTS) -> int:
-    """1, or ``bounded`` if ``conversation``'s row retries (the simulator
-    passes its ``FaultConfig.rpc_max_attempts``)."""
-    return bounded if RETRIES[conversation].attempts > 1 else 1
+def attempts(conversation: str) -> int:
+    """``conversation``'s budget: 1, or :data:`BOUNDED_ATTEMPTS`."""
+    return RETRIES[conversation].attempts
 
 
 def retryable(status: int | None) -> bool:
@@ -217,9 +228,9 @@ def retryable(status: int | None) -> bool:
     return status is None or status == 429 or status >= 500
 
 
-def backoff(retry: int, base: float, factor: float = BACKOFF_FACTOR) -> float:
+def backoff(retry: int, base: float) -> float:
     """The wait before re-sending after ``retry`` failed attempts."""
-    return base * factor ** (retry - 1)
+    return base * BACKOFF_FACTOR ** (retry - 1)
 
 
 # ----------------------------------------------------------------------

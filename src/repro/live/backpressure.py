@@ -9,7 +9,7 @@ misbehaving peer).  Two independent brakes, composed by
   tokens/sec refill up to a ``burst`` ceiling, one token per admitted
   request.  An empty bucket answers with the exact time until the next
   token, which becomes the HTTP ``Retry-After`` hint;
-* a **bounded in-flight queue** — at most ``max_inflight`` admitted
+* a **bounded in-flight queue** — at most :data:`MAX_INFLIGHT` admitted
   requests may be executing at once, so a slow downstream (a cross-shard
   forward) cannot stack unbounded work on the event loop.
 
@@ -29,6 +29,8 @@ from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 
+#: Control requests one server may have in flight before 429s start.
+MAX_INFLIGHT = 256
 #: Retry hint (seconds) when the in-flight bound, not the bucket, is the
 #: brake — there is no refill schedule to quote, just "very soon".
 INFLIGHT_RETRY_AFTER = 0.05
@@ -81,22 +83,18 @@ class Backpressure:
     ``admit()`` must be paired with ``release()``.
     """
 
-    __slots__ = ("_bucket", "_inflight", "max_inflight", "rejected_total")
+    __slots__ = ("_bucket", "_inflight", "rejected_total")
 
     def __init__(
         self,
         *,
         rate: float | None = None,
         burst: float = 64,
-        max_inflight: int = 256,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if max_inflight < 1:
-            raise ConfigurationError("max_inflight must be at least 1")
         self._bucket = (
             TokenBucket(rate, burst, clock=clock) if rate is not None else None
         )
-        self.max_inflight = max_inflight
         self._inflight = 0
         #: Requests turned away with 429, for the metrics snapshot.
         self.rejected_total = 0
@@ -107,7 +105,7 @@ class Backpressure:
 
     def admit(self) -> float:
         """0.0 = admitted (slot reserved); > 0 = rejected, retry hint."""
-        if self._inflight >= self.max_inflight:
+        if self._inflight >= MAX_INFLIGHT:
             self.rejected_total += 1
             return INFLIGHT_RETRY_AFTER
         if self._bucket is not None:
@@ -124,4 +122,4 @@ class Backpressure:
             raise RuntimeError("release() without a matching admit()")
 
 
-__all__ = ["Backpressure", "INFLIGHT_RETRY_AFTER", "TokenBucket"]
+__all__ = ["Backpressure", "INFLIGHT_RETRY_AFTER", "MAX_INFLIGHT", "TokenBucket"]

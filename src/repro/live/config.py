@@ -125,9 +125,6 @@ class LiveConfig:
     control_rate_limit: float | None = None
     #: Token-bucket burst capacity for the control plane.
     control_burst: float = 64.0
-    #: Bounded-queue backpressure: max control requests in flight per
-    #: shard before 429s start.
-    control_max_inflight: int = 256
     protocol: ProtocolConfig = field(default_factory=live_protocol_config)
 
     def __post_init__(self) -> None:
@@ -152,8 +149,6 @@ class LiveConfig:
             raise ConfigurationError("control_rate_limit must be positive")
         if self.control_burst < 1:
             raise ConfigurationError("control_burst must be at least 1")
-        if self.control_max_inflight < 1:
-            raise ConfigurationError("control_max_inflight must be at least 1")
         ports_needed = self.num_shards + self.num_hosts
         if self.base_port != 0 and not 1024 <= self.base_port <= 65535 - ports_needed:
             raise ConfigurationError(

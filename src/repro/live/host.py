@@ -8,10 +8,10 @@ and load probes, and runs the two wall-clock protocol timers:
 
 * every ``measurement_interval`` seconds: fold the load meter into the
   bound estimator and post a load report to the redirector's board;
-* every ``placement_interval`` seconds (phase-staggered across hosts
-  when ``stagger_placement`` is set, as in the simulator): one
-  DecidePlacement round, which may fan out CreateObj offers, drop
-  arbitration and bulk Offload over the control plane.
+* every ``placement_interval`` seconds (phase-staggered across hosts,
+  as in the simulator): one DecidePlacement round, which may fan out
+  CreateObj offers, drop arbitration and bulk Offload over the control
+  plane.
 
 Everything runs on the process's one event loop.  The timers and the
 CreateObj handler await their control conversations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.host import HostServer
-from repro.core.runtime import Clock, CreateObj, from_wire
+from repro.core.runtime import Clock, CreateObj, from_wire, placement_offset
 from repro.errors import ConfigurationError
 from repro.obs.tracer import ProtocolTracer
 from repro.routing.hashring import HashRing
@@ -210,16 +210,11 @@ class LiveHostNode:
 
     def start_timers(self) -> None:
         protocol = self.config.protocol
-        first_placement = protocol.placement_interval
-        if protocol.stagger_placement:
-            # Same schedule as the simulator: host i's phase offset is
-            # (i+1)/n of a placement interval, and the first decision
-            # fires one full interval after that, so load measurements
-            # exist before any host decides.
-            first_placement += (
-                (self.node + 1) / self.config.num_hosts
-                * protocol.placement_interval
-            )
+        # The simulator's schedule: the first decision fires one full
+        # interval after the host's phase offset.
+        first_placement = protocol.placement_interval + placement_offset(
+            self.node, self.config.num_hosts, protocol.placement_interval
+        )
         self._timers = [
             asyncio.create_task(
                 self._timer(

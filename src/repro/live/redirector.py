@@ -118,9 +118,7 @@ class LiveRedirector:
         self.limits = (config.num_hosts, config.num_objects)
         self.pool = HttpPool(timeout=5.0)
         self.control_gate = Backpressure(
-            rate=config.control_rate_limit,
-            burst=config.control_burst,
-            max_inflight=config.control_max_inflight,
+            rate=config.control_rate_limit, burst=config.control_burst
         )
         # The paper's evaluation places the (single) redirector at the
         # node with minimum mean distance; its node id only labels the

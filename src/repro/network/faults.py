@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.runtime import BACKOFF_FACTOR, BOUNDED_ATTEMPTS
 from repro.errors import ConfigurationError
 from repro.network.message import MessageClass
 from repro.schema import AT_DEFAULT, flag
@@ -86,12 +85,6 @@ class FaultConfig:
     delay_jitter:
         Maximum extra delivery delay as a fraction of the base delay
         (uniform in ``[0, delay_jitter * delay]``).
-    rpc_timeout, rpc_max_attempts, rpc_backoff, rpc_backoff_jitter:
-        Control-RPC retry envelope: per-attempt timeout in seconds (also
-        the first backoff wait), the attempt budget of the conversations
-        :data:`~repro.core.runtime.RETRIES` retries, the exponential
-        backoff multiplier, and the uniform jitter fraction applied to
-        each backoff wait.
     detection, heartbeat_interval, heartbeat_miss_threshold,
     request_failure_threshold:
         Heartbeat-based failure detection: hosts heartbeat the monitor
@@ -138,10 +131,6 @@ class FaultConfig:
             "--jitter", "F", "extra delay jitter as a fraction of the base delay"
         ),
     )
-    rpc_timeout: float = 1.0
-    rpc_max_attempts: int = BOUNDED_ATTEMPTS
-    rpc_backoff: float = BACKOFF_FACTOR
-    rpc_backoff_jitter: float = 0.1
     detection: bool = True
     heartbeat_interval: float = 5.0
     heartbeat_miss_threshold: int = 3
@@ -201,20 +190,6 @@ class FaultConfig:
             raise ConfigurationError(
                 f"delay_jitter must be non-negative, got {self.delay_jitter}"
             )
-        if self.rpc_timeout <= 0:
-            raise ConfigurationError(
-                f"rpc_timeout must be positive, got {self.rpc_timeout}"
-            )
-        if self.rpc_max_attempts < 1:
-            raise ConfigurationError(
-                f"rpc_max_attempts must be at least 1, got {self.rpc_max_attempts}"
-            )
-        if self.rpc_backoff < 1.0:
-            raise ConfigurationError(
-                f"rpc_backoff must be at least 1, got {self.rpc_backoff}"
-            )
-        if self.rpc_backoff_jitter < 0:
-            raise ConfigurationError("rpc_backoff_jitter must be non-negative")
         if self.heartbeat_interval <= 0 or self.repair_interval <= 0:
             raise ConfigurationError("detection/repair intervals must be positive")
         if self.heartbeat_miss_threshold < 1 or self.request_failure_threshold < 1:

@@ -52,7 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.core.runtime import attempts, backoff
+from repro.core.runtime import BACKOFF_JITTER, RPC_TIMEOUT, attempts, backoff
 from repro.network.faults import FaultPlane
 from repro.network.message import MessageClass
 from repro.types import NodeId, Time
@@ -198,15 +198,14 @@ class RpcLayer:
             network.transmit(target, source, response_bytes, message_class)
             return _RELIABLE
         self.calls += 1
-        config = plane.config
-        budget = attempts(conversation, config.rpc_max_attempts)
+        budget = attempts(conversation)
         executed = acked = False
         latency = 0.0
         for tries in range(1, budget + 1):
             if tries > 1:
                 self.retries += 1
-                latency += backoff(tries - 1, config.rpc_timeout, config.rpc_backoff) * (
-                    1.0 + config.rpc_backoff_jitter * plane.backoff_jitter()
+                latency += backoff(tries - 1, RPC_TIMEOUT) * (
+                    1.0 + BACKOFF_JITTER * plane.backoff_jitter()
                 )
             _, request_delay, delivered = network.transmit(
                 source, target, request_bytes, message_class
@@ -222,7 +221,7 @@ class RpcLayer:
                     acked = True
                     latency += request_delay + response_delay
                     break
-            latency += config.rpc_timeout
+            latency += RPC_TIMEOUT
         if not executed:
             self.timeouts += 1
         elif not acked:
@@ -265,11 +264,10 @@ class RpcLayer:
             network.transmit(source, target, size, MessageClass.UPDATE)
             return True
         self.update_pushes += 1
-        config = plane.config
         self._update_seq += 1
         msg_id = f"u{self._update_seq}"
         applied = False
-        for tries in range(attempts("UpdatePush", config.rpc_max_attempts)):
+        for tries in range(attempts("UpdatePush")):
             if tries:
                 self.update_retransmits += 1
             _, _, delivered = network.transmit(
@@ -309,7 +307,7 @@ class RpcLayer:
         if self._plane is None:
             network.transmit(source, target, size, message_class)
             return True
-        budget = attempts(conversation, self._plane.config.rpc_max_attempts)
+        budget = attempts(conversation)
         tries, delivered = 0, False
         while not delivered and tries < budget:
             tries += 1

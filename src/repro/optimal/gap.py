@@ -41,6 +41,7 @@ from repro.topology import (
     uunet_backbone,
 )
 from repro.topology.graph import Topology
+from repro.topology.uunet import UUNET_SEED
 from repro.optimal.instance import TreeInstance
 from repro.optimal.transport import solve_transport
 from repro.optimal.tree_dp import solve_tree_placement
@@ -376,7 +377,7 @@ def run_gap_point(
     from repro.scenarios.runner import run_scenario, scenario_metrics
 
     if topology is None:
-        topology = uunet_backbone(config.topology_seed)
+        topology = uunet_backbone()
     is_tree = topology.num_links == topology.num_nodes - 1
     violations = CapacityViolationCounter()
     # The oracle prices with the run's routing distances; build them the
@@ -429,7 +430,7 @@ def run_gap_benchmark(
     base = settings.base_config()
     points: list[dict[str, object]] = []
     for spec in settings.topologies:
-        topology = make_gap_topology(spec, base.topology_seed)
+        topology = make_gap_topology(spec, UUNET_SEED)
         for load_scale in settings.load_scales:
             for mtbf in settings.fault_mtbfs:
                 faults = FaultConfig()

@@ -34,7 +34,7 @@ class RoutingDatabase:
         self._topology = topology
         self._index = ShortestPathIndex(topology)
         self._dist = self._index.dist_matrix
-        self._row_sums: list[int] | None = None
+        self._center: NodeId | None = None
 
     @property
     def topology(self) -> Topology:
@@ -104,32 +104,14 @@ class RoutingDatabase:
         row = self._dist[frm]
         return sorted(candidates, key=lambda node: (-row[node], node))
 
-    def _distance_row_sums(self) -> list[int]:
-        """Per-node distance-row totals, computed once and cached."""
-        sums = self._row_sums
-        if sums is None:
-            sums = self._row_sums = [sum(row) for row in self._dist]
-        return sums
-
     def min_mean_distance_node(self) -> NodeId:
-        """The node with minimum mean hop distance to all other nodes.
+        """The node with minimum mean hop distance to all other nodes (the
+        lowest id on a tie), computed once.
 
         The paper co-locates the redirector "with a node whose average
         distance in hops to other nodes is minimum" (Section 6.1).
         """
-        sums = self._distance_row_sums()
-        best_node = 0
-        best_total = sums[0]
-        for node in range(1, self.num_nodes):
-            total = sums[node]
-            if total < best_total:
-                best_total = total
-                best_node = node
-        return best_node
-
-    def mean_distance(self) -> float:
-        """Mean hop distance over all ordered pairs of distinct nodes."""
-        n = self.num_nodes
-        if n < 2:
-            return 0.0
-        return sum(self._distance_row_sums()) / (n * (n - 1))
+        if self._center is None:
+            sums = [sum(row) for row in self._dist]
+            self._center = min(range(self.num_nodes), key=sums.__getitem__)
+        return self._center

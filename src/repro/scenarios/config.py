@@ -42,8 +42,6 @@ class ScenarioConfig:
     hop_delay: float = 0.010
     bandwidth: float = 350_000.0
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
-    #: Topology seed for the synthetic UUNET backbone.
-    topology_seed: int = 1999
     #: Metrics bucket width in seconds.
     bucket: float = 60.0
     dynamic: bool = field(
@@ -124,6 +122,14 @@ class ScenarioConfig:
             raise ConfigurationError("request rate must be positive")
         if self.capacity <= 0:
             raise ConfigurationError("capacity must be positive")
+        if self.bandwidth <= 0:
+            raise ConfigurationError("bandwidth must be positive")
+        if self.hop_delay < 0:
+            raise ConfigurationError("hop delay must be non-negative")
+        if self.object_size < 1:
+            raise ConfigurationError("object size must be at least 1 byte")
+        if self.load_scale <= 0:
+            raise ConfigurationError("load scale must be positive")
         if self.workload not in SCENARIO_WORKLOADS:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r}; "

@@ -97,7 +97,7 @@ def build_system(
     strategy = resolve_strategy(config.strategy)
     if strategy.overrides:
         config = config.replace(**dict(strategy.overrides))
-    topology = topology or uunet_backbone(config.topology_seed)
+    topology = topology or uunet_backbone()
     if sim is None:
         sim = Simulator(bucket_width=auto_bucket_width(config, topology.num_nodes))
     routes = RoutingDatabase(topology)

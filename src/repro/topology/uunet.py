@@ -59,11 +59,15 @@ _TRUNKS: dict[tuple[Region, Region], int] = {
 }
 
 
-def uunet_backbone(seed: int = 1999) -> Topology:
+#: The seed of the backbone every paper scenario and benchmark runs on.
+UUNET_SEED = 1999
+
+
+def uunet_backbone(seed: int = UUNET_SEED) -> Topology:
     """Build the canonical 53-node synthetic UUNET backbone.
 
-    The result is deterministic in ``seed``.  The default ``seed=1999`` is
-    the topology used by all paper-reproduction scenarios and benchmarks.
+    The result is deterministic in ``seed``; the default is
+    :data:`UUNET_SEED`.
     """
     rng = RngFactory(seed).stream("uunet")
     ranges = region_ranges()

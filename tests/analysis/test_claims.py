@@ -9,6 +9,7 @@ from repro.__main__ import main
 from repro.analysis import claims
 from repro.analysis.claims import CLAIMS, quick_drops, scorecard
 from repro.analysis.stats import summarize
+from repro.cli import revision
 from repro.scenarios.presets import WORKLOAD_NAMES
 from repro.types import PlacementAction, PlacementEvent, PlacementReason
 
@@ -245,6 +246,7 @@ def test_claims_cli_end_to_end_on_a_shrunken_plan(tmp_path, capsys, monkeypatch)
     assert card["schema"] == "claims/v1" and card["seeds"] == [1]
     assert card["failures"] == []
     assert set(card["spec_hashes"]) == {"claims-paper", "claims-zipf", "claims-adr"}
+    assert card["revision"] == revision()
     assert [row["id"] for row in card["claims"]] == [c.id for c in CLAIMS]
     for row in card["claims"]:
         assert set(row) == {

@@ -12,7 +12,6 @@ def test_defaults_mean_plane_off():
     assert config.category_mix == (1.0, 0.0, 0.0)
     assert config.epidemic_interval is None
     assert config.anti_entropy_interval is None
-    assert config.read_repair
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.live import LiveConfig, LocalDeployment
 from repro.live.backpressure import (
     INFLIGHT_RETRY_AFTER,
+    MAX_INFLIGHT,
     Backpressure,
     TokenBucket,
 )
@@ -68,19 +69,19 @@ def test_token_bucket_validation():
 
 
 def test_backpressure_inflight_bound():
-    gate = Backpressure(max_inflight=2)
-    assert gate.admit() == 0.0
-    assert gate.admit() == 0.0
+    gate = Backpressure()
+    for _ in range(MAX_INFLIGHT):
+        assert gate.admit() == 0.0
     assert gate.admit() == INFLIGHT_RETRY_AFTER
     assert gate.rejected_total == 1
     gate.release()
     assert gate.admit() == 0.0
-    assert gate.inflight == 2
+    assert gate.inflight == MAX_INFLIGHT
 
 
 def test_backpressure_rate_and_inflight_compose():
     clock = FakeClock()
-    gate = Backpressure(rate=1.0, burst=1, max_inflight=10, clock=clock)
+    gate = Backpressure(rate=1.0, burst=1, clock=clock)
     assert gate.admit() == 0.0
     gate.release()
     wait = gate.admit()

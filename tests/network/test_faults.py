@@ -56,10 +56,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         FaultConfig(delay_jitter=-1.0)
     with pytest.raises(ConfigurationError):
-        FaultConfig(rpc_max_attempts=0)
-    with pytest.raises(ConfigurationError):
-        FaultConfig(rpc_backoff=0.5)
-    with pytest.raises(ConfigurationError):
         FaultConfig(mtbf=100.0)  # mttr missing
     with pytest.raises(ConfigurationError):
         FaultConfig(outages=((0, -1.0, 5.0),))

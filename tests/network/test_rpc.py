@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.core.runtime import BOUNDED_ATTEMPTS, RETRIES
+from repro.core.runtime import (
+    BACKOFF_FACTOR, BACKOFF_JITTER, BOUNDED_ATTEMPTS, RETRIES, RPC_TIMEOUT,
+)
 from repro.network.faults import FaultConfig, FaultPlane
 from repro.network.message import MessageClass
 from repro.network.rpc import DedupCache, RpcLayer
@@ -52,8 +54,7 @@ def test_reliable_plane_single_attempt():
 
 
 def test_lossy_call_retries_until_delivered():
-    config = FaultConfig(enabled=True, drop_prob=0.6, rpc_max_attempts=10)
-    _, rpc = build(config, seed=5)
+    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.6), seed=5)
     outcomes = [
         rpc.call(0, 2, "RequestDrop", request_bytes=100, response_bytes=100)
         for _ in range(50)
@@ -62,26 +63,37 @@ def test_lossy_call_retries_until_delivered():
     assert rpc.retries > 0
     # Retried calls accumulate timeout + backoff latency.
     retried = next(o for o in outcomes if o.attempts > 1)
-    assert retried.latency >= config.rpc_timeout
+    assert retried.latency >= RPC_TIMEOUT
 
 
 def test_dead_target_times_out():
-    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.0, rpc_max_attempts=3))
+    config = FaultConfig(enabled=True, drop_prob=0.0)
+    _, rpc = build(config, seed=3)
     outcome = rpc.call(
         0, 2, "Liveness", request_bytes=10, response_bytes=10, target_alive=False
     )
     assert not outcome.executed
     assert not outcome.acked
-    assert outcome.attempts == 3
+    assert outcome.attempts == BOUNDED_ATTEMPTS
     assert rpc.timeouts == 1
+    # Each attempt waits out RPC_TIMEOUT; the wait before a retry starts
+    # at RPC_TIMEOUT and grows by BACKOFF_FACTOR, spread by its jitter
+    # draw (the plane's only draws on a loss-free network).
+    draws = FaultPlane(config, random.Random(3))
+    expected = 0.0
+    for retry in range(BOUNDED_ATTEMPTS):
+        if retry:
+            wait = RPC_TIMEOUT * BACKOFF_FACTOR ** (retry - 1)
+            expected += wait * (1.0 + BACKOFF_JITTER * draws.backoff_jitter())
+        expected += RPC_TIMEOUT
+    assert outcome.latency == pytest.approx(expected)
 
 
 def test_lost_ack_reports_executed_not_acked():
-    # With heavy loss and a tight attempt budget, some calls deliver the
-    # request (the target executes) but never get a response back — the
+    # With heavy loss, some calls deliver the request (the target
+    # executes) but never get a response back within the budget — the
     # dangerous executed-but-not-acked gap the counters must expose.
-    config = FaultConfig(enabled=True, drop_prob=0.5, rpc_max_attempts=2)
-    _, rpc = build(config, seed=1)
+    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.5), seed=1)
     outcomes = [
         rpc.call(0, 2, "RequestDrop", request_bytes=10, response_bytes=10)
         for _ in range(200)
@@ -114,9 +126,10 @@ def test_persistent_call_against_dead_target_fails_cleanly():
 @pytest.mark.parametrize("conversation", sorted(RETRIES))
 def test_every_channel_spends_its_rows_budget_under_total_loss(conversation):
     """Each channel reads its conversation's row: one attempt, or the
-    plane's bounded budget (``rpc_max_attempts``)."""
-    budget = 1 if RETRIES[conversation].attempts == 1 else 6
-    network, rpc = build(FaultConfig(enabled=True, drop_prob=1.0, rpc_max_attempts=6))
+    bounded budget, :data:`BOUNDED_ATTEMPTS`."""
+    budget = RETRIES[conversation].attempts
+    assert budget in (1, BOUNDED_ATTEMPTS)
+    network, rpc = build(FaultConfig(enabled=True, drop_prob=1.0))
     assert rpc.call(
         0, 2, conversation, request_bytes=10, response_bytes=10
     ).attempts == budget
@@ -174,8 +187,7 @@ def test_update_push_reliable_plane_applies_once():
 def test_update_push_retransmissions_dedup_at_receiver():
     """A push whose ack is lost retries; the receiver re-acks without
     re-applying, so duplicates equal the dedup ledger's hits."""
-    config = FaultConfig(enabled=True, drop_prob=0.4, rpc_max_attempts=8)
-    _, rpc = build(config, seed=11)
+    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.4), seed=11)
     applied = sum(
         rpc.update_push(0, 2, 500, ack_bytes=100) for _ in range(100)
     )
@@ -186,10 +198,11 @@ def test_update_push_retransmissions_dedup_at_receiver():
 
 
 def test_update_push_dead_target_fails_within_budget():
-    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.0, rpc_max_attempts=4))
+    _, rpc = build(FaultConfig(enabled=True, drop_prob=0.0))
     assert rpc.update_push(0, 2, 500, ack_bytes=100, target_alive=False) is False
     assert rpc.update_push_failures == 1
-    assert rpc.update_retransmits == 3  # every attempt after the first
+    # Every attempt after the first, and no more.
+    assert rpc.update_retransmits == BOUNDED_ATTEMPTS - 1
 
 
 def test_update_push_total_loss_reports_failure():

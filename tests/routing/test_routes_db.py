@@ -42,19 +42,6 @@ def test_min_mean_distance_node_is_center():
     assert star.min_mean_distance_node() == 0
 
 
-def test_mean_distance_line():
-    routes = RoutingDatabase(line_topology(3))
-    # Pairs: (0,1)=1 (0,2)=2 (1,2)=1 both directions -> mean 8/6.
-    assert routes.mean_distance() == pytest.approx(8 / 6)
-
-
-def test_mean_distance_single_node():
-    from repro.topology.graph import Topology
-
-    routes = RoutingDatabase(Topology(1, []))
-    assert routes.mean_distance() == 0.0
-
-
 def test_unknown_node_raises(line_routes):
     with pytest.raises(RoutingError):
         line_routes.distance(0, 99)

@@ -100,6 +100,15 @@ def test_config_validation():
         ScenarioConfig(distribution="sticky")
     with pytest.raises(ConfigurationError):
         ScenarioConfig(bucket=0)
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        ScenarioConfig(bandwidth=0)
+    with pytest.raises(ConfigurationError, match="hop delay"):
+        ScenarioConfig(hop_delay=-1)
+    with pytest.raises(ConfigurationError, match="object size"):
+        ScenarioConfig(object_size=0)
+    with pytest.raises(ConfigurationError, match="load scale"):
+        ScenarioConfig(load_scale=0)
+    ScenarioConfig(hop_delay=0)  # a zero-delay backbone is allowed
 
 
 def test_replace_returns_modified_copy():

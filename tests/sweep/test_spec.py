@@ -157,7 +157,7 @@ class TestSpecHash:
         # regression makes that a deliberate act, not an accident.
         from repro.sweep.smoke import smoke_spec
 
-        assert smoke_spec().spec_hash() == "f1d077f049e77e58"
+        assert smoke_spec().spec_hash() == "e3b8c32c33cb0b3a"
 
     def test_default_consistency_and_empty_partitions_do_not_shift_hash(self):
         # The consistency block at all-off defaults and an empty

@@ -1,11 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
 
 from repro.__main__ import build_cli, main, run_config
+from repro.cli import revision
 from repro.sim.engine import Simulator
 
 
@@ -228,6 +230,7 @@ def test_gap_subcommand_runs_one_point(tmp_path, capsys):
     assert point["gap_ratio"] >= 1.0 - 1e-9
     assert "tree_gap" in point
     assert "worst gap" in capsys.readouterr().err
+    assert payload["revision"] == revision()
 
 
 def test_gap_scalar_override_and_stdout(tmp_path, capsys):
@@ -309,6 +312,7 @@ def test_gap_rejects_multi_valued_scalar():
          "--shard must be in [0, 2), got 2"),
         (["serve", "--role", "host", "--node", "0", "--base-port", "0"],
          "ephemeral ports need --gateway HOST:PORT (the front door)"),
+        (["sweep", "--set", "load_scale=0"], "load scale must be positive"),
     ],
 )
 def test_configuration_errors_exit_2_with_one_line(
@@ -421,6 +425,25 @@ def test_run_without_completions_omits_the_percentiles(tmp_path, capsys):
     assert "latency_p50_ms" not in metrics and "latency_p99_ms" not in metrics
 
 
+def test_run_json_names_its_spec_seed_engine_and_revision(tmp_path, capsys):
+    """The spec hash is the one ``sweep`` prints for the same command line."""
+    flags = ["--preset", "zipf", "--scale", "0.02", "--duration", "30", "--seed", "3"]
+    out = tmp_path / "run.json"
+    assert main(["run", *flags, "--json", str(out)]) == 0
+    metrics = json.loads(out.read_text())
+    assert metrics["seed"] == 3
+    assert metrics["engine_mode"] == "fast lane: installed"
+    assert metrics["revision"] == revision()
+    capsys.readouterr()
+    assert main(["sweep", *flags, "--workers", "1"]) == 0
+    printed = re.search(r", spec (\w+)$", capsys.readouterr().err, re.M).group(1)
+    assert metrics["spec_hash"] == printed
+
+
+def test_revision_is_none_outside_a_git_checkout(tmp_path):
+    assert revision(str(tmp_path)) is None
+
+
 def test_fault_free_run_reports_fast_lane(capsys):
     assert main(["run", "--workload", "uniform", "--scale", "0.05",
                  "--duration", "40"]) == 0  # fmt: skip
@@ -439,6 +462,8 @@ def test_profile_accepts_fault_and_consistency_flags(tmp_path, capsys):
     assert "engine: stood down: fault plane attached" in text
     breakdown = json.loads(out.read_text())
     assert "consistency plane attached" in breakdown["engine_mode"]
+    assert breakdown["seed"] == 1 and breakdown["revision"] == revision()
+    assert len(breakdown["spec_hash"]) == 16
     assert breakdown["metrics"]["messages_dropped"] > 0
     assert breakdown["metrics"]["writes_applied"] > 0
     # Every request is in the counters, the ones lost in transit included
@@ -564,6 +589,9 @@ def test_profile_memory_census_rolls_the_heap_up_by_stage_and_file(tmp_path, cap
     assert "by layer (MB):" in text and "by allocating file (MB):" in text
     census = json.loads(out.read_text())
     assert census["schema"] == "memory-census/v1"
+    assert census["engine_mode"] == "fast lane: installed"
+    assert census["seed"] == 1 and census["revision"] == revision()
+    assert len(census["spec_hash"]) == 16
     assert census["requests_completed"] > 0
     for reading in (census["run_entry"], census["horizon"]):
         assert set(reading) == {"total_mb", "stage_mb", "file_mb"}

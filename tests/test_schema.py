@@ -251,3 +251,75 @@ INVENTORY = {
 def test_flag_inventory_only_grows(command):
     spelled = {s for a in _actions(command) for s in a.option_strings}
     assert set(INVENTORY[command].split()) <= spelled
+
+
+# ----------------------------------------------------------------------
+# Every config field has a setter
+# ----------------------------------------------------------------------
+
+#: Where a field may be set: the program, its tests, the benchmarks,
+#: the examples and CI.
+SETTERS = ("src", "tests", "bench", "benchmarks", "examples", ".github/workflows/ci.yml")
+
+#: Fields that nothing sets and that stay fields, with the reason.
+UNSET_ALLOWED = {
+    "LiveConfig.ring_vnodes": "bench/liveplane.py reads it to build the ring "
+    "every shard agrees on",
+}
+
+
+def _setter_text() -> str:
+    """Every file a setter may live in, but this lint's own."""
+    paths = []
+    for name in SETTERS:
+        path = ROOT / name
+        paths += [path] if path.is_file() else sorted(path.rglob("*.py"))
+    return "\n".join(
+        path.read_text() for path in paths if path != pathlib.Path(__file__).resolve()
+    )
+
+
+def _unset_fields(classes, text: str) -> list[str]:
+    """``Class.field`` for each field of ``classes`` that declares no flag
+    or ``--set`` key and that ``text`` never sets: passes by keyword,
+    names as a dict or JSON key, or spells as ``[prefix.]field=value``."""
+    unset = []
+    for cls in classes:
+        for field in dataclasses.fields(cls):
+            if "flag" in field.metadata or "key" in field.metadata:
+                continue
+            name = re.escape(field.name)
+            setter = rf"[(,]\s*{name}\s*=(?!=)|[\s\"'](?:\w+\.)*{name}(?:[\"']\s*:|=(?!=))"
+            if re.search(setter, text) is None:
+                unset.append(f"{cls.__name__}.{field.name}")
+    return unset
+
+
+def test_the_setter_lint_sees_each_kind_of_setter():
+    fields = [
+        (name, int, dataclasses.field(default=0, metadata=metadata))
+        for name, metadata in (
+            ("flagged", {"flag": "--flagged"}),
+            ("keyed", {"key": "x.keyed"}),
+            ("by_keyword", {}),
+            ("by_json_key", {}),
+            ("by_set_line", {}),
+            ("only_read", {}),
+        )
+    ]
+    synthetic = dataclasses.make_dataclass("Synthetic", fields)
+    text = (
+        "config = Synthetic(\n    by_keyword=3,\n)\n"
+        'json.dumps({"by_json_key": 1})\n'
+        "python -m repro sweep --set deep.by_set_line=2,3\n"
+        # Reads, comparisons and declarations set nothing.
+        "value = config.only_read\nassert config.only_read == 0\n"
+        "only_read: int = 0\nself.only_read = 1\nprint('only_read')\n"
+    )
+    assert _unset_fields([synthetic], text) == ["Synthetic.only_read"]
+    assert _unset_fields([synthetic], text + "replace(config, only_read=1)") == []
+
+
+def test_every_config_field_has_a_setter():
+    classes = dict.fromkeys((*SIM, *LIVE, GapSettings))
+    assert _unset_fields(classes, _setter_text()) == list(UNSET_ALLOWED)

@@ -26,7 +26,9 @@ def test_backbone_is_sparse_and_wide():
     well above the regional core size."""
     topology = uunet_backbone()
     routes = RoutingDatabase(topology)
-    assert 3.5 <= routes.mean_distance() <= 6.0
+    n = topology.num_nodes
+    total = sum(sum(routes.distance_row(node)) for node in range(n))
+    assert 3.5 <= total / (n * (n - 1)) <= 6.0
     assert 7 <= topology.diameter() <= 14
     # Sparse: well under 3 links per node on average.
     assert topology.num_links <= 3 * topology.num_nodes

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.obs.export import revision
 from repro.scenarios.config import ScenarioConfig
 from repro.sweep import SweepSpec
 
@@ -49,19 +49,6 @@ def write_json(path: str, payload: Any) -> None:
         return
     with open(path, "w") as handle:
         handle.write(text)
-
-
-def revision(path: str = os.path.dirname(__file__)) -> str | None:
-    """``git describe --always --dirty`` of the checkout holding ``path``
-    (this package's, by default); ``None`` outside a git checkout."""
-    try:
-        done = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=path, capture_output=True, text=True, timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return (done.stdout.strip() or None) if done.returncode == 0 else None
 
 
 def provenance(config: ScenarioConfig | None = None) -> dict[str, Any]:

@@ -214,18 +214,16 @@ def populate_trace(parser: argparse.ArgumentParser) -> None:
 
 
 def trace_main(args: argparse.Namespace) -> int:
-    config = scenario_from_args(args).replace(traced=True)
+    config = scenario_from_args(args)
     print(f"tracing {config.name!r} ...", file=sys.stderr)
-    result = run_scenario(config)
+    result = run_scenario(config.replace(traced=True))
+    header = {**provenance(config), "engine_mode": result.engine_mode()}
     trace = result.trace
-    if args.kind:
-        records = [r for r in trace.records() if r.kind in set(args.kind)]
-    else:
-        records = trace.records()
+    records = [r for r in trace.records() if not args.kind or r.kind in args.kind]
     if args.out == "-":
-        dump_jsonl(records, sys.stdout)
+        dump_jsonl(records, sys.stdout, header)
     else:
-        count = write_jsonl(records, args.out)
+        count = write_jsonl(records, args.out, header)
         print(f"wrote {count} records to {args.out}", file=sys.stderr)
     print(json.dumps(trace.summary(), indent=2), file=sys.stderr)
     return 0

@@ -87,13 +87,12 @@ class HostServer:
         #: :meth:`object_access_counts`: services are first recorded in
         #: :attr:`pending_access` and land here when the counts are read.
         self.access_counts: dict[ObjectId, dict[NodeId, int]] = {}
-        #: Per object, per *gateway*, how many serviced requests await
-        #: preference-path expansion into :attr:`access_counts`.  The
-        #: protocol reads the counts once per placement round, so the
-        #: path is walked once per ``(object, gateway)`` then, not once
-        #: per request; integer counts make the expansion order-free, so
-        #: the totals are those of per-request path walks.
-        self.pending_access: dict[ObjectId, dict[NodeId, int]] = {}
+        #: Per object, the gateway of every serviced request awaiting
+        #: preference-path expansion into :attr:`access_counts`, in
+        #: service order.  The protocol reads the counts once per
+        #: placement round, so the path is walked once per distinct
+        #: ``(object, gateway)`` then, not once per request.
+        self.pending_access: dict[ObjectId, list[NodeId]] = {}
         #: ``gateway -> preference path from this host``: the routing
         #: index's own row for this node (``routes.preference_paths``),
         #: which walks a path on first use and keeps it — the one cache.
@@ -180,28 +179,27 @@ class HostServer:
         """
         self.meter.record_service(obj)
         self.serviced_total += 1
-        pending = self.pending_access
-        by_gateway = pending.get(obj)
-        if by_gateway is None:
-            pending[obj] = by_gateway = {}
-        by_gateway[gateway] = by_gateway.get(gateway, 0) + 1
+        gateways = self.pending_access.get(obj)
+        if gateways is None:
+            self.pending_access[obj] = [gateway]
+        else:
+            gateways.append(gateway)
 
     def _expand_pending(self, obj: ObjectId) -> None:
-        """Fold deferred per-gateway counts into ``access_counts``.
+        """Fold the deferred services into ``access_counts``.
 
-        Each pending ``(gateway, count)`` pair stands for ``count``
-        serviced requests whose preference path was never walked; walking
-        it once and adding ``count`` per path node produces exactly the
-        totals per-request walks would have (integer sums are order-free).
+        The pending gateways are tallied per distinct gateway, first seen
+        first; walking each one's path once and adding its tally per node
+        gives exactly the totals, and the key order, of per-request walks.
         """
-        by_gateway = self.pending_access.pop(obj, None)
-        if by_gateway is None:
+        gateways = self.pending_access.pop(obj, None)
+        if gateways is None:
             return
+        by_gateway: dict[NodeId, int] = {}
+        for gateway in gateways:
+            by_gateway[gateway] = by_gateway.get(gateway, 0) + 1
         paths = self.paths
-        counts = self.access_counts.get(obj)
-        if counts is None:
-            counts = {}
-            self.access_counts[obj] = counts
+        counts = self.access_counts.setdefault(obj, {})
         for gateway, pending_count in by_gateway.items():
             for node in paths[gateway]:
                 counts[node] = counts.get(node, 0) + pending_count
@@ -220,7 +218,7 @@ class HostServer:
         """
         total = self.access_counts.get(obj, {}).get(self.node, 0)
         pending = self.pending_access.get(obj)
-        return total if pending is None else total + sum(pending.values())
+        return total if pending is None else total + len(pending)
 
     def reset_access_counts(self, now: Time) -> None:
         """Start a fresh placement observation window."""

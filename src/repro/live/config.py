@@ -26,12 +26,7 @@ from repro.core.config import ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.routing.hashring import HashRing
 from repro.schema import apply_overrides, flag
-from repro.topology.generators import (
-    line_topology,
-    ring_topology,
-    star_topology,
-    two_cluster_topology,
-)
+from repro.topology.generators import line_topology, ring_topology, star_topology
 from repro.topology.graph import Topology
 from repro.types import NodeId, ObjectId
 

@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.errors import ConfigurationError
-from repro.obs.export import write_jsonl
+from repro.obs.export import revision, write_jsonl
 from repro.obs.tracer import DecisionTracer
 from repro.routing.routes_db import RoutingDatabase
 
@@ -217,7 +217,7 @@ def _export(
         if key in summary:
             log.info("  %s: %s", key, summary[key])
     if trace_path and tracer is not None:
-        count = write_jsonl(tracer.records(), trace_path)
+        count = write_jsonl(tracer.records(), trace_path, {"revision": revision()})
         log.info("trace -> %s (%d records)", trace_path, count)
 
 

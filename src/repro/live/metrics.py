@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.obs.export import revision
 from repro.types import PlacementAction, PlacementEvent
 
 
@@ -74,9 +75,8 @@ def summarize_deployment(snapshot: dict[str, Any]) -> dict[str, Any]:
 
 
 def write_metrics(path: str | Path, snapshot: dict[str, Any]) -> dict[str, Any]:
-    """Write a deployment snapshot plus its summary; returns the payload."""
-    payload = dict(snapshot)
-    payload["summary"] = summarize_deployment(snapshot)
+    """Write a deployment snapshot, its summary and the revision; returns the payload."""
+    payload = {**snapshot, "summary": summarize_deployment(snapshot), "revision": revision()}
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -18,6 +18,7 @@ from repro.live.httpd import RECV_BUFFER
 from repro.live.loadgen import _http_get
 from repro.live.pool import HttpPool
 from repro.live.metrics import summarize_deployment
+from repro.obs.export import revision
 from repro.routing.hashring import HashRing
 
 
@@ -250,11 +251,13 @@ def test_serve_all_runs_for_duration_and_exports(tmp_path):
         )
     )
     assert snapshot["kind"] == "live-deployment"
-    assert metrics_path.exists()
-    assert json.loads(metrics_path.read_text())["summary"]["replicas_total"] == (
-        config.num_objects
-    )
-    assert trace_path.exists()  # tracer attached, possibly zero records
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["summary"]["replicas_total"] == config.num_objects
+    assert metrics["revision"] == revision()
+    # The tracer is attached (possibly zero records) and the trace opens
+    # with the revision: a live deployment has no spec hash or seed.
+    lines = trace_path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"kind": "provenance", "revision": revision()}
 
 
 def test_serve_all_shuts_down_cleanly_on_sigint(tmp_path):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs.export import dump_jsonl, load_jsonl, record_as_dict, write_jsonl
+from repro.obs.export import dump_jsonl, load_jsonl, record_as_dict, revision, write_jsonl
 from repro.obs.records import OffloadRecord, PlacementRecord
 from repro.obs.tracer import DecisionTracer
 
@@ -69,3 +69,13 @@ def test_tracer_records_export_cleanly(tmp_path):
     write_jsonl(tracer.records(), path)
     loaded = load_jsonl(path)
     assert [entry["seq"] for entry in loaded] == [0, 1]
+
+
+def test_a_provenance_header_leads_the_trace_and_is_not_counted(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    records = sample_records()
+    header = {"revision": revision(), "seed": 3}
+    assert write_jsonl(records, path, header) == 2
+    loaded = load_jsonl(path)
+    assert loaded[0] == {"kind": "provenance", "revision": revision(), "seed": 3}
+    assert loaded[1:] == [record_as_dict(record) for record in records]

@@ -11,6 +11,8 @@ import tracemalloc
 
 import pytest
 
+from repro.core.config import ProtocolConfig
+from repro.core.host import HostServer
 from repro.errors import ProtocolError
 from repro.routing.shortest_path import ShortestPathIndex
 from repro.scenarios.presets import LARGE_TOPOLOGY_OBJECTS, large_topology_scenario
@@ -86,6 +88,49 @@ def test_registry_and_invariant_check_stay_inside_their_byte_budgets():
         tracemalloc.stop()
     assert 1e6 < registry < 8e6
     assert peak - before < 1e6
+
+
+def _bytes_in_host_after(record) -> int:
+    """Bytes traced to ``core/host.py`` once ``record()`` has run."""
+    tracemalloc.start()
+    try:
+        record()
+        return sum(
+            stat.size
+            for stat in tracemalloc.take_snapshot().statistics("filename")
+            if stat.traceback[0].filename.replace("\\", "/").endswith("core/host.py")
+        )
+    finally:
+        tracemalloc.stop()
+
+
+def test_pending_accesses_stay_inside_their_byte_budgets(uunet_routes):
+    """Byte budgets, not timings, on what a host keeps between placement
+    rounds: the gateway of every service it has not yet expanded.  An
+    object served once costs one dict slot and a one-item list (253 B
+    while each object had its own ``{gateway: count}`` dict); a hot object
+    costs one list slot, 8 B, per service until the round reads it."""
+    topology, routes = uunet_routes
+    n = topology.num_nodes
+    services = 20_000
+    objects = list(range(services))
+    host = HostServer(0, ProtocolConfig(), routes.preference_paths(0))
+
+    def cold():
+        for obj in objects:
+            host.record_service(obj, obj % n)
+
+    assert _bytes_in_host_after(cold) / services < 130
+    assert sum(map(len, host.pending_access.values())) == services
+
+    host = HostServer(0, ProtocolConfig(), routes.preference_paths(0))
+
+    def hot():
+        for obj in objects:
+            host.record_service(7, obj % n)
+
+    assert _bytes_in_host_after(hot) / services < 9
+    assert host.total_access_count(7) == services
 
 
 def test_initial_placement_keys_everything_by_one_int_per_object_and_node():

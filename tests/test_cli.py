@@ -151,21 +151,21 @@ def test_trace_parser_defaults():
     assert args.kind is None
 
 
-def test_trace_subcommand_emits_decision_jsonl(capsys):
-    code = main(
-        [
-            "trace",
-            "--preset",
-            "zipf",
-            "--scale",
-            "0.1",
-            "--duration",
-            "250",
-        ]
-    )
+def test_trace_subcommand_emits_decision_jsonl(tmp_path, capsys):
+    flags = ["--preset", "zipf", "--scale", "0.1", "--duration", "250"]
+    code = main(["trace", *flags])
     assert code == 0
     captured = capsys.readouterr()
-    records = [json.loads(line) for line in captured.out.splitlines()]
+    header, *records = [json.loads(line) for line in captured.out.splitlines()]
+    # The first line names the run: the spec hash ``run --json`` and
+    # ``sweep`` give the same command line, its seed, engine and revision.
+    assert set(header) == {"kind", "spec_hash", "seed", "engine_mode", "revision"}
+    assert header["kind"] == "provenance" and header["revision"] == revision()
+    assert header["engine_mode"].startswith("stood down: tracer attached")
+    assert header["seed"] == 1
+    run_json = tmp_path / "run.json"
+    assert main(["run", *flags, "--json", str(run_json)]) == 0
+    assert header["spec_hash"] == json.loads(run_json.read_text())["spec_hash"]
     assert records
     kinds = {record["kind"] for record in records}
     assert {"choose-replica", "placement", "create-obj", "offload"} <= kinds
@@ -194,7 +194,8 @@ def test_trace_subcommand_kind_filter_and_file_output(tmp_path, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == ""
-    records = [json.loads(line) for line in out.read_text().splitlines()]
+    header, *records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert header["kind"] == "provenance" and header["seed"] == 1
     assert records
     assert {record["kind"] for record in records} == {"placement"}
 
@@ -343,7 +344,10 @@ def test_serve_duration_ends_a_single_role(tmp_path, capsys):
     assert f"shard 0 up on 127.0.0.1:{int(port_file.read_text())}" in (
         capsys.readouterr().err
     )
-    assert json.loads(metrics.read_text())["kind"] == "live-shard"
+    payload = json.loads(metrics.read_text())
+    assert payload["kind"] == "live-shard" and payload["revision"] == revision()
+    # A live deployment has no ScenarioConfig, so no spec hash either.
+    assert "spec_hash" not in payload
 
 
 def test_protocol_errors_stay_loud(monkeypatch):

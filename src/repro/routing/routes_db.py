@@ -7,8 +7,8 @@ protocol extracts from the platform routers (Section 2):
 * the canonical route (and hence the *preference path*) between nodes,
 * the farthest-first candidate ordering the placement algorithm uses.
 
-Distances are computed eagerly (one BFS per source) and are the only
-thing the index stores per pair; canonical paths are walked lazily on
+Distances are computed eagerly (one bit-parallel BFS from all sources)
+and are all the index stores per pair; canonical paths are walked lazily on
 first use and kept in one row per source, the one path cache: a host
 reads its preference paths through :meth:`preference_paths` — see
 :class:`~repro.routing.shortest_path.ShortestPathIndex` for why this is

@@ -17,9 +17,9 @@ different pairs split across the equal-cost options.
 
 Laziness
 --------
-Distances (the hot per-request quantity) are computed eagerly, one
-level-synchronous BFS per source, and they are all that is stored: the
-parents of ``v`` in source ``s``'s shortest-path DAG are exactly the
+Distances (the hot per-request quantity) are computed eagerly, by one
+bit-parallel BFS from all sources (``Topology.hop_matrix``), and are all
+that is stored: the parents of ``v`` in ``s``'s shortest-path DAG are the
 neighbours ``u`` with ``dist[s][u] == dist[s][v] - 1``, so a walk reads
 them off the distance row.  Canonical *paths* are only walked on first use
 and kept in their source's :class:`PathRow`, the one path cache (hosts read
@@ -80,7 +80,7 @@ class ShortestPathIndex:
     def __init__(self, topology: Topology) -> None:
         n = topology.num_nodes
         adjacency = tuple(tuple(topology.neighbors(node)) for node in range(n))
-        dist_matrix = [topology.hops_from(source) for source in range(n)]
+        dist_matrix = topology.hop_matrix()
         for source, dist in enumerate(dist_matrix):
             if -1 in dist:
                 raise RoutingError(f"topology disconnected from node {source}")

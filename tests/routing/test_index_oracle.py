@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.routing.routes_db import RoutingDatabase
 from repro.routing.shortest_path import ShortestPathIndex
+from repro.scenarios.presets import large_topology_scenario
 from repro.topology.generators import (
     grid_topology,
     line_topology,
@@ -82,11 +83,39 @@ def test_walks_under_random_source_interleavings_match_the_oracle(name, data):
             assert index.path(source, target) == oracle.path(source, target)
 
 
-class _TwoIslands(Topology):
-    """0 - 1 and 2 - 3: what ``Topology`` itself refuses to build."""
+@settings(max_examples=60, deadline=None)
+@given(graphs)
+def test_hop_matrix_is_one_breadth_first_search_per_source(topology):
+    assert topology.hop_matrix() == [topology.hops_from(s) for s in topology.nodes]
 
-    def __init__(self) -> None:
-        self._adjacency = ((1,), (0,), (3,), (2,))
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # Hop counts up to 299: they need two-byte fields (127 still fits one).
+        lambda: line_topology(300),
+        lambda: line_topology(128),
+        lambda: line_topology(129),
+        lambda: large_topology_scenario(duration=120, scale=0.1, seed=1)[1],
+        lambda: Topology(1, []),
+    ],
+    ids=["line-300", "line-128", "line-129", "sim-large-500", "one-node"],
+)
+def test_hop_matrix_fixed_cases(build):
+    topology = build()
+    matrix = topology.hop_matrix()
+    assert matrix == [topology.hops_from(s) for s in topology.nodes]
+    assert all(type(row) is list for row in matrix)
+    assert topology.diameter() == max(map(max, matrix))
+
+
+class _TwoIslands(Topology):
+    """Two lines of ``length`` nodes (0 - 1 and 2 - 3 by default): what
+    ``Topology`` itself refuses to build."""
+
+    def __init__(self, length: int = 2) -> None:
+        line = line_topology(length)._adjacency
+        self._adjacency = line + tuple(tuple(u + length for u in row) for row in line)
         self.name = "two-islands"
 
 
@@ -94,6 +123,19 @@ class _TwoIslands(Topology):
 def test_disconnected_topology_is_refused(index_class):
     with pytest.raises(RoutingError, match="topology disconnected from node 0"):
         index_class(_TwoIslands())
+
+
+@pytest.mark.parametrize("length", [2, 150])
+def test_hop_matrix_marks_the_other_island_minus_one(length):
+    """-1 fills the other island's fields, one byte wide or (hop counts up
+    to 149) two; the index refuses the matrix as it refused the rows."""
+    islands = _TwoIslands(length)
+    matrix = islands.hop_matrix()
+    assert matrix == [islands.hops_from(s) for s in islands.nodes]
+    assert matrix[0] == list(range(length)) + [-1] * length
+    assert matrix[-1] == [-1] * length + list(range(length - 1, -1, -1))
+    with pytest.raises(RoutingError, match="topology disconnected from node 0"):
+        ShortestPathIndex(islands)
 
 
 @pytest.mark.parametrize("bad", [-1, -5, 5, 99])

@@ -33,6 +33,14 @@ def test_basic_properties():
     assert topology.diameter() == 3
 
 
+@pytest.mark.parametrize("source", [-1, -4, 4, 99])
+def test_hops_from_refuses_an_unknown_source(source):
+    """A negative source used to wrap (``hops_from(-1)`` was node 3's row
+    on a 4-node line) and one past the end raised a bare ``IndexError``."""
+    with pytest.raises(TopologyError, match=f"unknown node {source}"):
+        line_topology(4).hops_from(source)
+
+
 def test_links_are_normalised_pairs():
     topology = Topology(3, [(1, 0), (2, 1), (0, 1)])
     assert sorted(topology.links()) == [(0, 1), (1, 2)]

@@ -1,10 +1,11 @@
 """Baseline policies and the strategy registry.
 
 The paper argues against several simpler policies (Sections 1, 3 and 4);
-this package implements them, plus an availability-informed baseline
-for the optimality-gap benchmark, and exposes them all through a single
+this package implements them and exposes them all through a single
 :data:`STRATEGIES` registry so the CLI, the sweep engine and the gap
-harness resolve baselines by name instead of ad-hoc imports.
+harness resolve baselines by name instead of ad-hoc imports.  A strategy
+is fixed at build time: config overrides plus, optionally, an initial
+placement.
 
 * ``paper`` — the full dynamic protocol (the default; no changes).
 * ``static`` — the initial round-robin placement, frozen (every
@@ -15,9 +16,6 @@ harness resolve baselines by name instead of ad-hoc imports.
   distribution (:class:`~repro.baselines.closest.ClosestReplicaRedirector`).
 * ``full-replication`` — Section 4's "trivial solution": every object
   everywhere, no dynamics.
-* ``availability-aware`` — placement re-solved each interval from
-  observed demand and host MTBF/MTTR; see
-  :mod:`repro.baselines.availability_aware`.
 
 ADR (:class:`~repro.baselines.adr.AdrSystem`) is deliberately *not* a
 registry strategy: it is a different system class with its own logical
@@ -32,10 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.baselines.adr import AdrSystem, LogicalTree, run_adr
-from repro.baselines.availability_aware import (
-    AvailabilityAwarePlacer,
-    replicas_for_availability,
-)
 from repro.baselines.closest import ClosestReplicaRedirector
 from repro.baselines.full_replication import replicate_everywhere
 from repro.baselines.round_robin import RoundRobinRedirector
@@ -54,9 +48,7 @@ class Strategy:
     runner applies before building the system (plain tuples, applied via
     ``config.replace`` — build-time fields like ``dynamic`` and
     ``distribution`` only).  ``initial_placement`` replaces
-    ``initialize_round_robin`` on the freshly built system;
-    ``attach`` builds a placer (``start()``/``stop()``) that runs
-    alongside the simulation.
+    ``initialize_round_robin`` on the freshly built system.
     """
 
     name: str
@@ -65,25 +57,15 @@ class Strategy:
     initial_placement: (
         Callable[["HostingSystem", "ScenarioConfig"], None] | None
     ) = None
-    attach: (
-        Callable[["HostingSystem", "ScenarioConfig"], AvailabilityAwarePlacer]
-        | None
-    ) = None
 
 
 def _full_replication(system: "HostingSystem", config: "ScenarioConfig") -> None:
     replicate_everywhere(system)
 
 
-def _availability_placer(
-    system: "HostingSystem", config: "ScenarioConfig"
-) -> AvailabilityAwarePlacer:
-    return AvailabilityAwarePlacer(system)
-
-
 #: Registry: strategy name -> :class:`Strategy`.  Resolution order for a
 #: run: apply ``overrides``, build, run ``initial_placement`` (else
-#: round-robin), then ``attach`` a placer around the simulation.
+#: round-robin).
 STRATEGIES: dict[str, Strategy] = {
     strategy.name: strategy
     for strategy in (
@@ -112,12 +94,6 @@ STRATEGIES: dict[str, Strategy] = {
             overrides=(("dynamic", False),),
             initial_placement=_full_replication,
         ),
-        Strategy(
-            name="availability-aware",
-            description="periodic re-solve from observed demand and MTBF/MTTR",
-            overrides=(("dynamic", False),),
-            attach=_availability_placer,
-        ),
     )
 }
 
@@ -135,13 +111,11 @@ def resolve_strategy(name: str) -> Strategy:
 
 __all__ = [
     "AdrSystem",
-    "AvailabilityAwarePlacer",
     "ClosestReplicaRedirector",
     "LogicalTree",
     "RoundRobinRedirector",
     "STRATEGIES",
     "Strategy",
-    "replicas_for_availability",
     "replicate_everywhere",
     "resolve_strategy",
     "run_adr",

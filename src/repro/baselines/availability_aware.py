@@ -1,4 +1,4 @@
-"""Availability-aware continuous placement (an optimality-gap baseline).
+"""Availability-aware continuous placement (not a registry strategy).
 
 An alternative to the paper's load/proximity protocol: every interval it
 re-solves placement for the hottest objects from what a real operator
@@ -9,11 +9,10 @@ above the target, where ``a = mtbf/(mtbf+mttr)`` is per-host
 availability) and replica *sites* from demand-weighted greedy k-median
 (:func:`repro.optimal.multi_object.greedy_replica_set`).
 
-It is a drop-in strategy for the scenario runner: creations follow the
-repair-daemon sequence (bulk transfer, store add, redirector notify,
-placement record) and removals go through the placement engine's
-``ReduceAffinity`` — so the registry-subset and affinity invariants the
-test-suite checks hold exactly as they do for the paper protocol.
+No registry strategy names it and nothing in the package imports it: a
+caller ``start()``s it after ``HostingSystem.start()`` and ``stop()``s it
+after the drain.  Creations follow the repair-daemon sequence and removals
+go through ``ReduceAffinity``, so the protocol's invariants hold for it.
 """
 
 from __future__ import annotations

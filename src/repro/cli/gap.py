@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.baselines import resolve_strategy
 from repro.cli import output_path, parse_axes, provenance, write_json
 from repro.errors import ConfigurationError
 from repro.optimal.gap import GapSettings, quick_settings, run_gap_benchmark
@@ -55,7 +56,10 @@ def gap_settings(args: argparse.Namespace) -> GapSettings:
             overrides[key] = values[0]
         else:
             raise ConfigurationError(f"--set {key} takes exactly one value")
-    return apply_overrides(settings, overrides)
+    settings = apply_overrides(settings, overrides)
+    for strategy in settings.strategies:
+        resolve_strategy(strategy)  # before the campaign narrates
+    return settings
 
 
 def gap_main(args: argparse.Namespace) -> int:

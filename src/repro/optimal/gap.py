@@ -248,7 +248,7 @@ def tree_replica_gap(
 
 #: Strategies a default gap run compares (ADR excluded: different system
 #: class, see the registry docstring).
-DEFAULT_STRATEGIES = ("paper", "static", "availability-aware")
+DEFAULT_STRATEGIES = ("paper", "static")
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,6 @@ def quick_settings() -> GapSettings:
         topologies=("ktree-2-2", "uunet-slice-13"),
         load_scales=(0.5, 1.0, 2.0),
         fault_mtbfs=(None, 300.0),
-        strategies=("paper", "static"),
         duration=120.0,
         num_objects=120,
         node_request_rate=2.0,

@@ -81,9 +81,9 @@ class ShortestPathIndex:
         n = topology.num_nodes
         adjacency = tuple(tuple(topology.neighbors(node)) for node in range(n))
         dist_matrix = topology.hop_matrix()
-        for source, dist in enumerate(dist_matrix):
-            if -1 in dist:
-                raise RoutingError(f"topology disconnected from node {source}")
+        # Links are undirected: node 0 reaches every node iff all do.
+        if -1 in dist_matrix[0]:
+            raise RoutingError("topology disconnected from node 0")
         self.dist_matrix = dist_matrix
         self.rows = tuple(PathRow(self, source) for source in range(n))
         self._adjacency = adjacency

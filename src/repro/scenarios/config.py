@@ -59,9 +59,8 @@ class ScenarioConfig:
         ),
     )
     #: Non-"paper" strategies ("static", "round-robin", "closest",
-    #: "full-replication", "availability-aware") may
-    #: override build-time fields (``dynamic``, ``distribution``), swap
-    #: the initial placement, or attach a placer to the run.  "paper"
+    #: "full-replication") may override build-time fields (``dynamic``,
+    #: ``distribution``) or swap the initial placement.  "paper"
     #: describes every run made before the registry existed.
     strategy: str = field(
         default="paper",

@@ -175,9 +175,6 @@ class ScenarioResult:
     #: The failure injector that drove scheduled outages (None unless the
     #: scenario's fault config scheduled any).
     injector: FailureInjector | None = None
-    #: The strategy's attached placer (None unless ``config.strategy``
-    #: declares one, e.g. availability-aware).
-    placer: object | None = None
     #: What stood the fast lane down when the run started
     #: (``fast_lane_blockers``); empty when it was installed.
     lane_blockers: tuple[str, ...] = ()
@@ -379,7 +376,6 @@ def run_scenario(
     down) and removed at the horizon; the profiler brackets the drain
     with their run hooks.  Defaults leave the run untouched.
     """
-    strategy = resolve_strategy(config.strategy)
     sim, system, workload = build_system(config, topology=topology, tracer=tracer)
     system.served_observers.extend(served_observers)
     system.measurement_observers.extend(measurement_observers)
@@ -401,11 +397,7 @@ def run_scenario(
                 horizon=config.duration,
             )
     system.start()
-    placer = None
-    if strategy.attach is not None:
-        placer = strategy.attach(system, config)
-        placer.start()
-    # After every observer/placer attachment, so the eligibility check
+    # After every observer attachment, so the eligibility check
     # sees the final configuration.  A no-op when blocked.
     lane_blockers = system.enable_fast_lane(bandwidth=bandwidth)
     generators = attach_generators(
@@ -445,8 +437,6 @@ def run_scenario(
         generator.stop()
     if writer is not None:
         writer.stop()
-    if placer is not None:
-        placer.stop()
     system.stop()
     if system.fast_lane is not None:
         # Fold the lane's aggregated byte-hop accounting into the
@@ -465,6 +455,5 @@ def run_scenario(
         replicas=replicas,
         trace=system.tracer,
         injector=injector,
-        placer=placer,
         lane_blockers=tuple(lane_blockers),
     )

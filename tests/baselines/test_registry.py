@@ -8,7 +8,6 @@ from repro.baselines.availability_aware import (
     replicas_for_availability,
 )
 from repro.errors import ConfigurationError
-from repro.network.faults import FaultConfig
 from repro.optimal.gap import uunet_slice
 from repro.scenarios.config import ScenarioConfig
 from repro.scenarios.runner import run_scenario
@@ -54,7 +53,6 @@ def test_registry_names():
         "round-robin",
         "closest",
         "full-replication",
-        "availability-aware",
     }
     for name, strategy in STRATEGIES.items():
         assert isinstance(strategy, Strategy)
@@ -78,7 +76,6 @@ def test_paper_strategy_is_a_no_op():
     paper = STRATEGIES["paper"]
     assert paper.overrides == ()
     assert paper.initial_placement is None
-    assert paper.attach is None
 
 
 def test_spec_hash_ignores_default_strategy_only():
@@ -123,31 +120,6 @@ def test_full_replication_places_everything_everywhere(small_topology):
     result = run_scenario(_config("full-replication"), topology=small_topology)
     assert result.replicas_per_object() == small_topology.num_nodes
     assert len(result.system.placement_events) == 0
-    assert result.placer is None
-
-
-def test_availability_aware_tracks_fault_rates(small_topology):
-    faults = FaultConfig(enabled=True, mtbf=400.0, mttr=40.0)
-    result = run_scenario(
-        _config("availability-aware", faults=faults), topology=small_topology
-    )
-    placer = result.placer
-    assert isinstance(placer, AvailabilityAwarePlacer)
-    # a = 400/440 ~ 0.909; three nines needs 3 replicas.
-    assert placer.host_availability == pytest.approx(400.0 / 440.0)
-    assert placer.target_replicas == 3
-    assert placer.replications > 0
-
-
-def test_availability_aware_single_replica_when_reliable(small_topology):
-    result = run_scenario(_config("availability-aware"), topology=small_topology)
-    placer = result.placer
-    assert placer.host_availability == 1.0
-    assert placer.target_replicas == 1
-    # Migration pattern: every move is an add before a remove, so the
-    # placer can never have dropped more replicas than it created.
-    assert placer.replications >= placer.drops
-    assert result.latency.completed > 0
 
 
 def test_paper_and_static_both_run_under_the_registry(small_topology):
@@ -157,5 +129,4 @@ def test_paper_and_static_both_run_under_the_registry(small_topology):
     assert static.latency.completed > 0
     # The static run really did not move anything; the paper run did.
     assert len(static.system.placement_events) == 0
-    assert static.placer is None
     assert len(paper.system.placement_events) > 0

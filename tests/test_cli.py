@@ -314,6 +314,8 @@ def test_gap_rejects_multi_valued_scalar():
         (["serve", "--role", "host", "--node", "0", "--base-port", "0"],
          "ephemeral ports need --gateway HOST:PORT (the front door)"),
         (["sweep", "--set", "load_scale=0"], "load scale must be positive"),
+        (["gap", "--set", "gap.strategy=availability-aware"], "unknown strategy"),
+        (["run", "--strategy", "availability-aware"], "unknown strategy"),
     ],
 )
 def test_configuration_errors_exit_2_with_one_line(

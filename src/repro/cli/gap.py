@@ -8,8 +8,14 @@ import sys
 from repro.baselines import resolve_strategy
 from repro.cli import output_path, parse_axes, provenance, write_json
 from repro.errors import ConfigurationError
-from repro.optimal.gap import GapSettings, quick_settings, run_gap_benchmark
+from repro.optimal.gap import (
+    GapSettings,
+    make_gap_topology,
+    quick_settings,
+    run_gap_benchmark,
+)
 from repro.schema import apply_overrides, set_keys
+from repro.topology.uunet import UUNET_SEED
 
 
 def populate_gap(parser: argparse.ArgumentParser) -> None:
@@ -57,8 +63,12 @@ def gap_settings(args: argparse.Namespace) -> GapSettings:
         else:
             raise ConfigurationError(f"--set {key} takes exactly one value")
     settings = apply_overrides(settings, overrides)
+    # Every axis is checked before the campaign narrates.
     for strategy in settings.strategies:
-        resolve_strategy(strategy)  # before the campaign narrates
+        resolve_strategy(strategy)
+    for spec in settings.topologies:
+        make_gap_topology(spec, UUNET_SEED)
+    settings.base_config()  # the workload name
     return settings
 
 

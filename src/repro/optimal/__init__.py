@@ -2,7 +2,7 @@
 
 The paper's protocol makes placement decisions online from local load
 and proximity statistics.  This package answers "how far from optimal is
-that?" with three solvers of increasing generality:
+that?" with two exact solvers and one heuristic:
 
 * :mod:`repro.optimal.tree_dp` — exact single-object replica placement
   on annotated trees under the Closest allocation policy (capacity and
@@ -10,13 +10,13 @@ that?" with three solvers of increasing generality:
 * :mod:`repro.optimal.transport` — an exact min-cost-flow transportation
   solver, the engine behind the gap harness's per-run lower bound;
 * :mod:`repro.optimal.multi_object` — a capacity-aware greedy placer for
-  many objects on arbitrary graphs (k-median style), used where
-  exactness is out of reach.
+  many objects on arbitrary graphs (k-median style); no strategy or
+  harness calls it.
 
-:mod:`repro.optimal.gap` wires these into the simulator: it replays one
-seeded workload through the paper protocol and each baseline strategy,
-computes the offline-optimal cost for the demand each run actually saw,
-and reports the ratio.
+:mod:`repro.optimal.gap` wires the exact solvers into the simulator: it
+replays one seeded workload through the paper protocol and each baseline
+strategy, computes the offline-optimal cost for the demand each run
+actually saw, and reports the ratio.
 """
 
 from repro.optimal.gap import (

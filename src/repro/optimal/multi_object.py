@@ -1,16 +1,16 @@
 """Greedy multi-object placement on arbitrary graphs.
 
 The tree DP is exact but single-object and tree-only.  This module
-covers the general case the benchmark also needs — many objects sharing
-per-host capacity on an arbitrary topology (e.g. the UUNET backbone) —
-with a capacity-aware greedy: each object first receives one mandatory
-replica (cheapest host with room, largest objects placed first), then
-replicas are added wherever they buy the largest drop in total
-demand-weighted distance, re-assigning each gateway to its nearest
-replica after every addition.  Greedy k-median style placement is the
-standard approximation here; the exact transportation solver in
-:mod:`repro.optimal.transport` is what the gap harness uses when it
-needs a true lower bound.
+covers the general case — many objects sharing per-host capacity on an
+arbitrary topology (e.g. the UUNET backbone) — with a capacity-aware
+greedy: each object first receives one mandatory replica (cheapest host
+with room, largest objects placed first), then replicas are added
+wherever they buy the largest drop in total demand-weighted distance,
+re-assigning each gateway to its nearest replica after every addition.
+Greedy k-median style placement is the standard approximation here; the
+exact transportation solver in :mod:`repro.optimal.transport` is what
+the gap harness uses when it needs a true lower bound.  No strategy or
+harness calls this module.
 """
 
 from __future__ import annotations

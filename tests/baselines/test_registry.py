@@ -1,12 +1,8 @@
-"""Tests for the strategy registry and the offline-informed baselines."""
+"""Tests for the strategy registry and the baselines it names."""
 
 import pytest
 
 from repro.baselines import STRATEGIES, Strategy, resolve_strategy
-from repro.baselines.availability_aware import (
-    AvailabilityAwarePlacer,
-    replicas_for_availability,
-)
 from repro.errors import ConfigurationError
 from repro.optimal.gap import uunet_slice
 from repro.scenarios.config import ScenarioConfig
@@ -83,32 +79,6 @@ def test_spec_hash_ignores_default_strategy_only():
     default_hash = SweepSpec(base=base).spec_hash()
     assert SweepSpec(base=base.replace(strategy="paper")).spec_hash() == default_hash
     assert SweepSpec(base=base.replace(strategy="static")).spec_hash() != default_hash
-
-
-# ----------------------------------------------------------------------
-# Availability math
-# ----------------------------------------------------------------------
-
-
-def test_replicas_for_availability():
-    # a = 0.9, target three nines: 0.1^r <= 0.001 -> r = 3.
-    assert replicas_for_availability(0.9, 0.999) == 3
-    assert replicas_for_availability(0.99, 0.999) == 2
-    assert replicas_for_availability(0.9999, 0.999) == 1
-    assert replicas_for_availability(1.0, 0.999) == 1
-    assert replicas_for_availability(0.0, 0.999) == 4
-    # Clamped to max_replicas even for hopeless hosts.
-    assert replicas_for_availability(0.1, 0.999999, max_replicas=5) == 5
-    with pytest.raises(ConfigurationError):
-        replicas_for_availability(0.9, 1.5)
-
-
-def test_placer_validates_arguments(small_topology):
-    result = run_scenario(_config("static"), topology=small_topology)
-    with pytest.raises(ConfigurationError):
-        AvailabilityAwarePlacer(result.system, interval=0.0)
-    with pytest.raises(ConfigurationError):
-        AvailabilityAwarePlacer(result.system, top_objects=0)
 
 
 # ----------------------------------------------------------------------

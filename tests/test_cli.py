@@ -316,6 +316,8 @@ def test_gap_rejects_multi_valued_scalar():
         (["sweep", "--set", "load_scale=0"], "load scale must be positive"),
         (["gap", "--set", "gap.strategy=availability-aware"], "unknown strategy"),
         (["run", "--strategy", "availability-aware"], "unknown strategy"),
+        (["gap", "--quick", "--set", "gap.topology=bogus"], "unknown gap topology"),
+        (["gap", "--quick", "--set", "gap.workload=bogus"], "unknown workload"),
     ],
 )
 def test_configuration_errors_exit_2_with_one_line(
